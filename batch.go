@@ -5,21 +5,17 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
-// execBatch is the Batcher's execution callback: it runs one flushed batch
-// of same-model queries through a shard and fans per-request verdicts back
-// into the items.
+// execBatch is the NIC's one execution path: it runs a batch of same-model
+// queries through a shard as one matrix pass and fans per-request verdicts
+// back into the items. The Batcher calls it with each flushed batch; an
+// unbatched NIC calls it inline with a batch of one.
 //
 // The shard is picked at flush time, not enqueue time, so a shard
 // quarantined while the batch was queuing is routed around without
 // dropping a single query; if every shard is quarantined each request gets
 // its own Err-flagged response and ErrUnavailable — degraded-mode semantics
-// per request, exactly as the serial path answers.
-//
-// A batch of one delegates to the serial loader path, which keeps an idle
-// batching NIC in rng lockstep with (and therefore byte-identical to) a
-// non-batching one. Larger batches run the loader's matrix pass; health
-// scoring still records one outcome per request, so the circuit breaker
-// sees the same evidence stream the serial path would produce.
+// per request. Health scoring records one outcome per request, so the
+// circuit breaker sees the same evidence stream whatever the batch size.
 func (n *NIC) execBatch(modelID uint16, items []*nic.BatchItem) {
 	sh := n.pickShard()
 	if sh == nil {
@@ -30,13 +26,13 @@ func (n *NIC) execBatch(modelID uint16, items []*nic.BatchItem) {
 		}
 		return
 	}
-	if len(items) == 1 {
-		it := items[0]
-		resp, err := n.serveSerial(sh, modelID, it.RequestID, it.Input, false)
-		it.Resp, it.Err = *resp, err
-		return
+	// A batch of one — every query of an unbatched NIC — gathers its input
+	// on the stack.
+	var one [1][]fixed.Code
+	inputs := one[:]
+	if len(items) > 1 {
+		inputs = make([][]fixed.Code, len(items))
 	}
-	inputs := make([][]fixed.Code, len(items))
 	for i, it := range items {
 		inputs[i] = it.Input
 	}
@@ -63,7 +59,7 @@ func (n *NIC) execBatch(modelID uint16, items []*nic.BatchItem) {
 	}
 	sh.servedQ.Add(uint64(len(items)))
 	for qi, it := range items {
-		res := results[qi]
+		res := &results[qi]
 		probs := make([]uint8, len(res.Probs))
 		for i, p := range res.Probs {
 			probs[i] = uint8(p)

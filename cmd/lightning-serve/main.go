@@ -61,7 +61,7 @@ func main() {
 	savePath := flag.String("save", "", "save the trained model to this file")
 	workers := flag.Int("workers", 1, "UDP worker pool size")
 	cores := flag.Int("cores", 1, "photonic core shards (1 = the §6 prototype)")
-	maxBatch := flag.Int("max-batch", 1, "coalesce up to this many same-model queries into one matrix pass (1 disables batching)")
+	maxBatch := flag.Int("max-batch", 1, "coalesce up to this many same-model queries into one matrix pass (1 = no queue: every query runs inline as a batch of one)")
 	maxDelay := flag.Duration("max-delay", 0, "flush a partial batch after this long (0 = default; needs -max-batch > 1)")
 	statsEvery := flag.Duration("stats", 10*time.Second, "periodic stats line interval (0 disables)")
 	reassemblyTTL := flag.Duration("reassembly-ttl", 0, "partial-query reassembly TTL (0 = default)")

@@ -9,53 +9,52 @@ import (
 
 // ServeBatch runs a batch of same-model queries through the reconfigurable
 // datapath as matrix-matrix passes: per layer it applies the compiled
-// program ONCE, streams the layer's weights from DRAM ONCE, and executes
-// every query's activations through the batched photonic pipeline in a
-// single shared burst per output neuron. This is the serve-path payoff of
-// batching — the per-layer reconfiguration, DRAM weight stream, decode, and
-// fixed datapath overhead all amortize across the batch, where Serve pays
-// each of them per query.
+// program to the control registers ONCE, streams the layer's weights from
+// DRAM ONCE, and executes every query's activations through the photonic
+// pipeline in a single shared burst per output neuron — all without
+// control-plane involvement. The per-layer reconfiguration, DRAM weight
+// stream, decode, and fixed datapath overhead amortize across the batch; a
+// lone query (Serve) is the batch of one and pays each of them itself.
 //
 // Results come back in input order, one per query, with per-query verdicts
 // (Class, Probs, Raw) computed independently — batching shares analog
 // framing, never numerics. The per-Result Stats fields are zero: cycle
 // accounting for a batched pass is inherently shared, so it is returned
 // once as the whole-batch LayerStats. On an ideal (noiseless) channel the
-// per-query outputs are bit-identical to Serve's; a batch of one is in rng
-// lockstep with Serve and so bit-identical noise model included.
+// per-query outputs are bit-identical to serving each query alone.
 //
-// Like Serve, ServeBatch holds the store's read lock for the whole batch,
-// so a concurrent model update waits for in-flight batches to drain. Errors
-// are whole-batch: callers validate per-query preconditions (model exists,
-// input width) before enqueueing, so a failure here means the batch itself
-// cannot run (model dropped, DRAM corruption), not that one query was bad.
-func (ld *Loader) ServeBatch(id uint16, inputs [][]fixed.Code) ([]*Result, datapath.LayerStats, error) {
+// ServeBatch holds the store's read lock for the whole batch, so a
+// concurrent model update waits until in-flight batches drain and a query
+// never sees a half-swapped model. Errors are whole-batch: callers validate
+// per-query preconditions (Store.Validate) before enqueueing, so a failure
+// here means the batch itself cannot run (model dropped, a faulted DRAM
+// read), not that one query was bad.
+func (ld *Loader) ServeBatch(id uint16, inputs [][]fixed.Code) ([]Result, datapath.LayerStats, error) {
 	var batchStats datapath.LayerStats
 	if len(inputs) == 0 {
 		return nil, batchStats, nil
 	}
 	ld.Store.mu.RLock()
 	defer ld.Store.mu.RUnlock()
-	mc, ok := ld.Store.models[id]
-	if !ok {
-		return nil, batchStats, fmt.Errorf("dagloader: unknown model id %d", id)
-	}
-	for qi, input := range inputs {
-		if len(input) != mc.Layers[0].In {
-			return nil, batchStats, fmt.Errorf("dagloader: batch query %d input length %d != model %s first-layer width %d",
-				qi, len(input), mc.Name, mc.Layers[0].In)
+	var mc *ModelConfig
+	for _, input := range inputs {
+		var err error
+		if mc, err = ld.Store.validate(id, len(input)); err != nil {
+			return nil, batchStats, err
 		}
 	}
-	results := make([]*Result, len(inputs))
-	for qi := range results {
-		results[qi] = &Result{}
-	}
+	results := make([]Result, len(inputs))
 	acts := inputs
-	next := make([][]fixed.Code, len(inputs))
+	// next carries every later layer's inputs: the engine is done reading
+	// acts when a layer returns, so one slice serves them all.
+	var next [][]fixed.Code
 	for _, lc := range mc.Layers {
 		lc.Program.Apply(ld.Regs)
 		ld.Reconfigurations++
 
+		// Registration always stores both keys, so a failed load is a
+		// faulted read; serving on without the blob would be a silently
+		// wrong answer.
 		blob, ok := ld.DRAM.Load(lc.WeightsKey)
 		if !ok {
 			return nil, batchStats, fmt.Errorf("dagloader: weights %q missing from DRAM", lc.WeightsKey)
@@ -64,26 +63,37 @@ func (ld *Loader) ServeBatch(id uint16, inputs [][]fixed.Code) ([]*Result, datap
 		if err != nil {
 			return nil, batchStats, err
 		}
-		biasBlob, _ := ld.DRAM.Load(lc.BiasKey)
+		biasBlob, ok := ld.DRAM.Load(lc.BiasKey)
+		if !ok {
+			return nil, batchStats, fmt.Errorf("dagloader: bias %q missing from DRAM", lc.BiasKey)
+		}
 		bias := DecodeBias(biasBlob)
 
 		out := ld.Engine.ExecuteFCBiasBatch(weights, bias, acts, lc.Activation, lc.Shift)
 		batchStats.Add(out.Stats)
 		if ld.Regs.Read(RegLast) == 1 {
+			// Compile marks exactly the softmax layer last, so the engine
+			// has already produced the probabilities.
 			for qi, fc := range out.PerQuery {
 				results[qi].Raw = fc.Raw
-				results[qi].Probs = datapath.Softmax(fc.Raw)
+				results[qi].Probs = fc.Probs
 				results[qi].Class = datapath.Argmax(fc.Raw)
 			}
 			return results, batchStats, nil
 		}
-		for qi, fc := range out.PerQuery {
-			next[qi] = datapath.RequantizeVec(fc.Raw, lc.Shift)
+		if next == nil {
+			next = make([][]fixed.Code, len(inputs))
 		}
-		acts, next = next, make([][]fixed.Code, len(inputs))
+		for qi, fc := range out.PerQuery {
+			next[qi] = fc.Quantized
+		}
+		acts = next
 	}
-	// No final layer: an intermediate pipeline partition (see Serve). Each
-	// query's output is its requantized activation vector.
+	// No layer was marked final: this model is an intermediate partition of
+	// a pipeline-split network (cluster scale-out). Each query's output is
+	// the last layer's requantized activations, returned in Probs so they
+	// ride the existing response payload to the next hop; no class or softmax
+	// exists yet at this stage.
 	for qi := range results {
 		results[qi].Probs = acts[qi]
 		results[qi].Class = -1

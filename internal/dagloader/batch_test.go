@@ -2,11 +2,13 @@ package dagloader
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/datapath"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 	"github.com/lightning-smartnic/lightning/internal/mem"
+	"github.com/lightning-smartnic/lightning/internal/nn"
 	"github.com/lightning-smartnic/lightning/internal/photonic"
 )
 
@@ -74,36 +76,6 @@ func TestServeBatchMatchesServeNoiseless(t *testing.T) {
 	}
 }
 
-// TestServeBatchOfOneBitIdenticalNoisy: a batch of one is in rng lockstep
-// with the serial path, so even with the noise model attached the Result is
-// bit-identical — stats included.
-func TestServeBatchOfOneBitIdenticalNoisy(t *testing.T) {
-	q, _, _ := trainedAnomalyNet(t)
-	sl := newLoader(t)
-	if err := sl.RegisterModel(3, "anomaly", q); err != nil {
-		t.Fatal(err)
-	}
-	bl := newLoader(t)
-	if err := bl.RegisterModel(3, "anomaly", q); err != nil {
-		t.Fatal(err)
-	}
-	input := batchInputs(mustWidth(t, sl, 3), 1)[0]
-	want, err := sl.Serve(3, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := bl.ServeBatch(3, [][]fixed.Code{input})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Class != want.Class || !reflect.DeepEqual(got[0].Probs, want.Probs) || !reflect.DeepEqual(got[0].Raw, want.Raw) {
-		t.Fatal("batch-of-1 result diverged from serial with noise on")
-	}
-	if stats != want.Stats {
-		t.Fatalf("batch-of-1 stats diverged:\nbatch  %+v\nserial %+v", stats, want.Stats)
-	}
-}
-
 // TestServeBatchAmortizesReconfigurations pins the loader-level payoff: a
 // batch of Q queries applies each layer's program once (layers total), not
 // once per query (layers × Q as Serve does).
@@ -156,6 +128,47 @@ func TestServeBatchErrors(t *testing.T) {
 	bad[1] = bad[1][:width-1]
 	if _, _, err := ld.ServeBatch(3, bad); err == nil {
 		t.Fatal("width mismatch mid-batch accepted")
+	}
+}
+
+// TestServeFaultedBiasReadFails is the regression test for the silently wrong
+// answer a faulted bias read used to produce: the loader dropped the failed
+// load's ok flag and served the layer with a zero bias and err == nil. On a
+// 4→2 model whose bias alone decides the class, a read fault on the bias key
+// must fail the query — lone or batched — never flip its answer.
+func TestServeFaultedBiasReadFails(t *testing.T) {
+	ld := newNoiselessLoader(t)
+	q := &nn.QuantizedNetwork{Layers: []nn.QuantizedLayer{{
+		Weights: [][]fixed.Signed{
+			{{Mag: 1}, {Mag: 1}, {Mag: 1}, {Mag: 1}},
+			{{Mag: 1}, {Mag: 1}, {Mag: 1}, {Mag: 1}},
+		},
+		Bias:  []fixed.Acc{0, 3000},
+		Final: true,
+	}}}
+	if err := ld.RegisterModel(1, "bias-decides", q); err != nil {
+		t.Fatal(err)
+	}
+	input := []fixed.Code{10, 10, 10, 10}
+	res, err := ld.Serve(1, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Class != 1 {
+		t.Fatalf("healthy serve answered class %d, want 1", res.Class)
+	}
+
+	ld.DRAM.SetReadFault(func(key string, blob []byte) ([]byte, bool) {
+		return blob, !strings.HasSuffix(key, "/bias")
+	})
+	if res, err := ld.Serve(1, input); err == nil {
+		t.Fatalf("faulted bias read served class %d with no error", res.Class)
+	}
+	if _, _, err := ld.ServeBatch(1, [][]fixed.Code{input, input}); err == nil {
+		t.Fatal("faulted bias read served a batch with no error")
+	}
+	if got := ld.DRAM.FaultedReads(); got != 2 {
+		t.Fatalf("FaultedReads = %d, want 2", got)
 	}
 }
 

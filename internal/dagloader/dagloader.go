@@ -243,10 +243,35 @@ func (s *Store) Models() int {
 	return len(s.models)
 }
 
+// validate is the per-query precondition check every entry shares: the model
+// is registered and the input fills its first layer. Caller holds s.mu.
+func (s *Store) validate(id uint16, inputLen int) (*ModelConfig, error) {
+	mc, ok := s.models[id]
+	if !ok {
+		return nil, fmt.Errorf("dagloader: unknown model id %d", id)
+	}
+	if inputLen != mc.Layers[0].In {
+		return nil, fmt.Errorf("dagloader: input length %d != model %s first-layer width %d",
+			inputLen, mc.Name, mc.Layers[0].In)
+	}
+	return mc, nil
+}
+
+// Validate reports why a query of inputLen codes for model id cannot be
+// served — unknown model or wrong input width — or nil. It touches no
+// datapath state, so a NIC uses it to reject client mistakes before they
+// reach (and count against) any shard.
+func (s *Store) Validate(id uint16, inputLen int) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, err := s.validate(id, inputLen)
+	return err
+}
+
 // Loader owns one datapath shard's control registers and photonic engine,
 // serving models out of a (possibly shared) Store. A Loader is single-
 // threaded — one shard is one hardware pipeline — so the caller serializes
-// Serve calls per Loader; sharing the Store across Loaders is what makes
+// ServeBatch calls per Loader; sharing the Store across Loaders is what makes
 // multi-shard serving safe.
 type Loader struct {
 	Regs   *countaction.RegisterFile
@@ -258,7 +283,7 @@ type Loader struct {
 
 	// Reconfigurations counts applied layer programs (each one is a pure
 	// register-write burst — the datapath never stops). Per-shard; read it
-	// under the same serialization that guards Serve.
+	// under the same serialization that guards ServeBatch.
 	Reconfigurations uint64
 }
 
@@ -315,58 +340,15 @@ type Result struct {
 	Stats datapath.LayerStats
 }
 
-// Serve runs one inference query through the reconfigurable datapath: for
-// each layer it applies the compiled program to the control registers,
-// streams the layer's weights from DRAM, and executes through the photonic
-// pipeline. Input length must match the model's first layer.
-//
-// Serve holds the store's read lock for the whole query, so a concurrent
-// model update waits until in-flight queries drain and a query never sees a
-// half-swapped model.
+// Serve runs one inference query through the reconfigurable datapath:
+// ServeBatch for a batch of one, with the pass's cycle accounting attached to
+// the single Result. Input length must match the model's first layer.
 func (ld *Loader) Serve(id uint16, input []fixed.Code) (*Result, error) {
-	ld.Store.mu.RLock()
-	defer ld.Store.mu.RUnlock()
-	mc, ok := ld.Store.models[id]
-	if !ok {
-		return nil, fmt.Errorf("dagloader: unknown model id %d", id)
+	inputs := [1][]fixed.Code{input}
+	results, stats, err := ld.ServeBatch(id, inputs[:])
+	if err != nil {
+		return nil, err
 	}
-	if len(input) != mc.Layers[0].In {
-		return nil, fmt.Errorf("dagloader: input length %d != model %s first-layer width %d",
-			len(input), mc.Name, mc.Layers[0].In)
-	}
-	var res Result
-	act := input
-	for _, lc := range mc.Layers {
-		lc.Program.Apply(ld.Regs)
-		ld.Reconfigurations++
-
-		blob, ok := ld.DRAM.Load(lc.WeightsKey)
-		if !ok {
-			return nil, fmt.Errorf("dagloader: weights %q missing from DRAM", lc.WeightsKey)
-		}
-		weights, err := DecodeWeights(blob, lc.Out, lc.In)
-		if err != nil {
-			return nil, err
-		}
-		biasBlob, _ := ld.DRAM.Load(lc.BiasKey)
-		bias := DecodeBias(biasBlob)
-
-		out := ld.Engine.ExecuteFCBias(weights, bias, act, lc.Activation, lc.Shift)
-		res.Stats.Add(out.Stats)
-		if ld.Regs.Read(RegLast) == 1 {
-			res.Raw = out.Raw
-			res.Probs = datapath.Softmax(out.Raw)
-			res.Class = datapath.Argmax(out.Raw)
-			return &res, nil
-		}
-		act = datapath.RequantizeVec(out.Raw, lc.Shift)
-	}
-	// No layer was marked final: this model is an intermediate partition of a
-	// pipeline-split network (cluster scale-out). Its output is the last
-	// layer's requantized activations, returned in Probs so they ride the
-	// existing response payload to the next hop; no class or softmax exists
-	// yet at this stage.
-	res.Probs = act
-	res.Class = -1
-	return &res, nil
+	results[0].Stats = stats
+	return &results[0], nil
 }

@@ -6,42 +6,42 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
-// Cross-query batching through the engine: where runDot pushes one query's
-// dot product through the analog+digital pipeline, runDotBatch pushes one
-// output neuron's dot for Q queries through a single shared burst — the
-// matrix-matrix pass the count-action abstraction makes natural (counts
-// just grow by the batch dimension). The per-batch amortizations, each of
-// which the serial path pays once per query:
+// The engine's one execution path. runDotBatch pushes one output neuron's dot
+// product for Q queries through a single shared burst — the matrix-matrix
+// pass the count-action abstraction makes natural (counts just grow by the
+// batch dimension); a lone query is the batch of one. What a batch shares,
+// and so pays once instead of Q times:
 //
-//   - one preamble prefix (and so one preamble detection) per neuron per
-//     batch instead of per neuron per query;
-//   - one LUT-validity sweep per photonic pass (DotPartialsBatchInto)
-//     instead of two per query;
+//   - one preamble prefix (and so one preamble detection) per neuron;
+//   - one LUT-validity sweep per photonic pass (DotPartialsBatchInto);
 //   - one ADC readout covering every query's partials;
 //   - per layer, one count-action reconfiguration and one DRAM weight
 //     stream (see dagloader.ServeBatch).
 //
 // Equivalence contract: on an ideal (noiseless) channel a batched pass is
-// bit-identical to serving the queries serially — the analog steps per
-// query are exactly the serial ones, payload samples quantize identically,
-// and preamble detection recovers them exactly — which the differential
-// suite enforces. With a noise model the batch draws the shared-burst noise
-// stream in a different order than Q serial bursts would, as physically
-// distinct schedules must; batch size 1 stays in rng lockstep with runDot
-// (same burst, same draws), so an idle batching server remains byte-
-// identical to a serial one.
+// bit-identical to running its queries one batch each — the analog steps per
+// query are the same, payload samples quantize identically, and preamble
+// detection recovers them exactly — which the differential suite enforces.
+// With a noise model the batch draws the shared-burst noise stream in a
+// different order than Q single-query bursts would, as physically distinct
+// schedules must.
 
 // runDotBatch computes one output neuron's dot product W·x_q for every
 // query q in the batch, writing the reassembled accumulator values into
-// out[0:len(xs)]. Weights are sign/magnitude; each query's elements are
-// grouped by weight sign exactly as runDot groups them, every group keeps
-// its own analog tail step, and the cross-cycle adder reassembles each
-// query's segment of the shared payload separately, so per-query results
-// carry no cross-query analog coupling.
+// out[0:len(xs)]. Weights are sign/magnitude; activations are non-negative
+// codes. Each query's elements are grouped by weight sign so that every
+// photonic accumulation step carries a single sign, which the cross-cycle
+// adder-subtractor applies when reassembling (§5.3, Appendix C). Every group
+// keeps its own analog tail step, and the adder reassembles each query's
+// segment of the shared payload separately, so per-query results carry no
+// cross-query analog coupling.
 //
-// All working storage comes from the engine's batch scratch; after ensure
-// the steady state performs zero heap allocations (see the AllocsPerRun
-// guard). Not reentrant; the engine's single-owner contract applies.
+// All working storage comes from the engine's scratch: after ensure has
+// grown the buffers to the layer geometry × batch size (and baked the
+// preamble prefix once), the steady state performs zero heap allocations
+// (see the AllocsPerRun guard). The body therefore sticks to indexed writes,
+// reslices and copies — growth lives in the cold helper. Not reentrant; the
+// engine's single-owner contract applies.
 //
 //lint:hotpath
 func (e *Engine) runDotBatch(w []fixed.Signed, xs [][]fixed.Code, adder *CrossCycleAdder, out []fixed.Acc, stats *LayerStats) {
@@ -50,40 +50,38 @@ func (e *Engine) runDotBatch(w []fixed.Signed, xs [][]fixed.Code, adder *CrossCy
 		panic(fmt.Sprintf("datapath: batch out length %d < %d queries", len(out), q))
 	}
 	s := &e.scratch
-	s.ensureBatch(e.Preamble, len(w), q)
+	s.ensure(e.Preamble, len(w), q)
 	lanes := e.Core.NumLanes()
 	s.bounds = s.bounds[:2*q+1]
 	s.qPos, s.qParts = s.qPos[:q], s.qParts[:q]
 	s.bounds[0] = 0
-	bi, g, total := 0, 1, 0
-	for qi := 0; qi < q; qi++ {
-		x := xs[qi]
+	bi, total := 0, 0
+	for qi, x := range xs {
 		if len(x) != len(w) {
 			panic(fmt.Sprintf("datapath: weight row length %d != activation length %d", len(w), len(x)))
 		}
-		np, nn := 0, 0
+		// Positive-weight products land in place (the streamer orders them
+		// first); negative ones stage one row width up — ensure left the
+		// room — and close the gap once the positive count is known.
+		stage := bi + len(w)
+		pi, ni := bi, stage
 		for i, wi := range w {
 			if wi.Mag == 0 || x[i] == 0 {
 				continue // zero products need no analog step (sparse skip)
 			}
 			if wi.Neg {
-				s.negW[nn], s.negX[nn] = wi.Mag, x[i]
-				nn++
+				s.bW[ni], s.bX[ni] = wi.Mag, x[i]
+				ni++
 			} else {
-				s.posW[np], s.posX[np] = wi.Mag, x[i]
-				np++
+				s.bW[pi], s.bX[pi] = wi.Mag, x[i]
+				pi++
 			}
 		}
-		copy(s.bW[bi:], s.posW[:np])
-		copy(s.bX[bi:], s.posX[:np])
-		bi += np
-		s.bounds[g] = bi
-		g++
-		copy(s.bW[bi:], s.negW[:nn])
-		copy(s.bX[bi:], s.negX[:nn])
-		bi += nn
-		s.bounds[g] = bi
-		g++
+		np, nn := pi-bi, ni-stage
+		copy(s.bW[pi:], s.bW[stage:ni])
+		copy(s.bX[pi:], s.bX[stage:ni])
+		s.bounds[2*qi+1], s.bounds[2*qi+2] = pi, pi+nn
+		bi = pi + nn
 		posSteps := (np + lanes - 1) / lanes
 		negSteps := (nn + lanes - 1) / lanes
 		s.qPos[qi], s.qParts[qi] = posSteps, posSteps+negSteps
@@ -97,9 +95,9 @@ func (e *Engine) runDotBatch(w []fixed.Signed, xs [][]fixed.Code, adder *CrossCy
 		return
 	}
 
-	// One batched photonic pass: a single LUT-validity decision covers
-	// every query's sign groups.
-	s.bParts = e.Core.DotPartialsBatchInto(s.bParts, s.bW[:bi], s.bX[:bi], s.bounds[:g])
+	// One photonic pass: a single LUT-validity decision covers every
+	// query's sign groups.
+	s.bParts = e.Core.DotPartialsBatchInto(s.bParts, s.bW[:bi], s.bX[:bi], s.bounds)
 
 	// Sign controls pair one-to-one with the concatenated partials.
 	s.negs = s.negs[:total]
@@ -172,9 +170,12 @@ func (e *Engine) runDotBatch(w []fixed.Signed, xs [][]fixed.Code, adder *CrossCy
 // BatchFCResult is the output of one fully-connected layer executed for a
 // batch of queries in a single matrix pass.
 type BatchFCResult struct {
-	// PerQuery holds each query's layer output in batch order. The
-	// per-query Stats fields are zero: cycle accounting for a batched
-	// pass is inherently shared, so it lives in Stats below.
+	// PerQuery holds each query's layer output in batch order. The slice
+	// itself is the engine's: it is valid until the engine's next layer
+	// execution, while the Raw/Quantized/Probs vectors it points at are
+	// freshly allocated and the caller's to keep. The per-query Stats
+	// fields are zero: cycle accounting for a batched pass is inherently
+	// shared, so it lives in Stats below.
 	PerQuery []FCResult
 	// Stats is the whole-batch accounting for this layer pass. Shared
 	// overheads (the per-layer reconfiguration cost, preambles, ADC
@@ -183,51 +184,47 @@ type BatchFCResult struct {
 	Stats LayerStats
 }
 
-// ExecuteFCBatch runs a fully-connected layer for a batch of queries
-// without bias; see ExecuteFCBiasBatch.
-func (e *Engine) ExecuteFCBatch(weights [][]fixed.Signed, xs [][]fixed.Code, act Activation, requantShift uint) BatchFCResult {
-	return e.ExecuteFCBiasBatch(weights, nil, xs, act, requantShift)
-}
-
 // ExecuteFCBiasBatch runs a fully-connected layer for every query in xs as
 // one matrix-matrix pass: out_q[j] = act(Σ_i W[j][i]·x_q[i] + bias[j]).
 // Each output neuron's weight row is sign-partitioned once per query and
-// streamed through a single shared burst (runDotBatch); the fixed per-layer
-// datapath overhead is paid once for the whole batch instead of once per
-// query. With len(xs) == 1 the pass is byte-identical (rng stream included)
-// to ExecuteFCBias.
+// streamed through a single shared burst (runDotBatch). The bias (in raw
+// accumulator units) is added digitally after the intra-cycle adder tree.
+// requantShift is the per-layer right-shift mapping 16-bit accumulators back
+// onto 8-bit activation codes for the next layer (computed offline by the DAG
+// loader together with the weight scales). The fixed per-layer datapath
+// overhead is paid once for the whole batch.
 func (e *Engine) ExecuteFCBiasBatch(weights [][]fixed.Signed, bias []fixed.Acc, xs [][]fixed.Code, act Activation, requantShift uint) BatchFCResult {
-	q := len(xs)
-	var res BatchFCResult
-	res.PerQuery = make([]FCResult, q)
-	for qi := range res.PerQuery {
-		res.PerQuery[qi].Raw = make([]fixed.Acc, len(weights))
+	perQuery, rowOut := e.scratch.layerOut(len(xs))
+	for qi := range perQuery {
+		perQuery[qi] = FCResult{Raw: make([]fixed.Acc, len(weights))}
 	}
+	res := BatchFCResult{PerQuery: perQuery}
 	adder := NewCrossCycleAdder(1)
 	adder.Gain = e.Core.FullScaleLanes
 	// Fixed per-layer datapath overhead: DAG configuration register writes
-	// and stream setup — once per batch, not once per query.
+	// and stream setup (the 193 ns/layer of §9 at 253.44 MHz ≈ 49 cycles) —
+	// once per batch, not once per query.
 	res.Stats.DatapathCycles += PerLayerOverheadCycles
-	rowOut := make([]fixed.Acc, q)
 	for j, row := range weights {
 		e.runDotBatch(row, xs, adder, rowOut, &res.Stats)
 		for qi, v := range rowOut {
 			if j < len(bias) {
 				v = fixed.SatAdd(v, bias[j])
 			}
-			res.PerQuery[qi].Raw[j] = v
+			perQuery[qi].Raw[j] = v
 		}
 	}
-	for qi := range res.PerQuery {
+	for qi := range perQuery {
+		r := &perQuery[qi]
 		switch act {
 		case ActReLU:
-			res.PerQuery[qi].Raw = ReLUVec(res.PerQuery[qi].Raw)
+			ReLUVec(r.Raw)
 			res.Stats.ComputeCycles += CyclesReLU
 		case ActSoftmax:
-			res.PerQuery[qi].Probs = Softmax(res.PerQuery[qi].Raw)
+			r.Probs = Softmax(r.Raw)
 			res.Stats.ComputeCycles += CyclesSoftmax
 		}
-		res.PerQuery[qi].Quantized = RequantizeVec(res.PerQuery[qi].Raw, requantShift)
+		r.Quantized = RequantizeVec(r.Raw, requantShift)
 	}
 	return res
 }

@@ -83,35 +83,9 @@ func TestExecuteFCBiasBatchMatchesSerialNoiseless(t *testing.T) {
 	}
 }
 
-// TestExecuteFCBiasBatchOfOneBitIdenticalNoisy pins the stronger batch=1
-// guarantee: with a noise model attached, a batch-of-one pass consumes the
-// rng streams in exact lockstep with the serial path — same analog steps,
-// same ADC phase draw, same idle-noise draws — so results AND stats are
-// bit-identical, not merely statistically close.
-func TestExecuteFCBiasBatchOfOneBitIdenticalNoisy(t *testing.T) {
-	weights, bias, xs := batchLayer(5, 41, 1)
-
-	se := newTestEngine(t, 2, true)
-	want := se.ExecuteFCBias(weights, bias, xs[0], ActSoftmax, 1)
-
-	be := newTestEngine(t, 2, true)
-	got := be.ExecuteFCBiasBatch(weights, bias, xs, ActSoftmax, 1)
-
-	g := got.PerQuery[0]
-	if !reflect.DeepEqual(g.Raw, want.Raw) {
-		t.Fatalf("batch-of-1 Raw diverged:\nbatch  %v\nserial %v", g.Raw, want.Raw)
-	}
-	if !reflect.DeepEqual(g.Quantized, want.Quantized) || !reflect.DeepEqual(g.Probs, want.Probs) {
-		t.Fatal("batch-of-1 quantized/probs diverged from serial")
-	}
-	if got.Stats != want.Stats {
-		t.Fatalf("batch-of-1 stats diverged:\nbatch  %+v\nserial %+v", got.Stats, want.Stats)
-	}
-}
-
 // TestRunDotBatchAllZeroProducts: queries whose products are all zero take
-// no analog step and read back zero, exactly like the serial sparse skip —
-// including when only some queries in the batch are all-zero.
+// no analog step and read back zero (the sparse skip) — including when only
+// some queries in the batch are all-zero.
 func TestRunDotBatchAllZeroProducts(t *testing.T) {
 	e := newTestEngine(t, 2, false)
 	weights := [][]fixed.Signed{{{Mag: 0}, {Mag: 100}, {Mag: 0}}}
@@ -120,7 +94,7 @@ func TestRunDotBatchAllZeroProducts(t *testing.T) {
 		{0, 50, 0},    // one live product
 		{1, 0, 9},     // all products zero again
 	}
-	res := e.ExecuteFCBatch(weights, xs, ActIdentity, 0)
+	res := e.ExecuteFCBiasBatch(weights, nil, xs, ActIdentity, 0)
 	if res.PerQuery[0].Raw[0] != 0 || res.PerQuery[2].Raw[0] != 0 {
 		t.Errorf("all-zero queries produced %d, %d; want 0, 0",
 			res.PerQuery[0].Raw[0], res.PerQuery[2].Raw[0])
@@ -131,59 +105,8 @@ func TestRunDotBatchAllZeroProducts(t *testing.T) {
 
 	// A batch where EVERY query is all-zero must skip the burst entirely.
 	e2 := newTestEngine(t, 2, false)
-	res2 := e2.ExecuteFCBatch(weights, [][]fixed.Code{{200, 0, 200}, {7, 0, 7}}, ActIdentity, 0)
+	res2 := e2.ExecuteFCBiasBatch(weights, nil, [][]fixed.Code{{200, 0, 200}, {7, 0, 7}}, ActIdentity, 0)
 	if res2.Stats.PhotonicSteps != 0 {
 		t.Errorf("photonic steps = %d, want 0 (all-zero batch)", res2.Stats.PhotonicSteps)
-	}
-}
-
-// TestRunDotBatchZeroSteadyStateAllocs guards the batched per-neuron hot
-// path, mirroring TestRunDotZeroSteadyStateAllocs: once the batch scratch
-// has grown to the layer geometry × batch size, a batched dot across the
-// full analog+digital pipeline must not allocate.
-func TestRunDotBatchZeroSteadyStateAllocs(t *testing.T) {
-	e := newTestEngine(t, 2, true)
-	const q, in = 8, 64
-	w := make([]fixed.Signed, in)
-	for i := range w {
-		w[i] = fixed.Signed{Mag: fixed.Code(i*3 + 1), Neg: i%3 == 0}
-	}
-	xs := make([][]fixed.Code, q)
-	for qi := range xs {
-		xs[qi] = make([]fixed.Code, in)
-		for i := range xs[qi] {
-			xs[qi][i] = fixed.Code((255 - i - qi*5) % 256)
-		}
-	}
-	adder := NewCrossCycleAdder(1)
-	adder.Gain = e.Core.FullScaleLanes
-	out := make([]fixed.Acc, q)
-	var stats LayerStats
-	e.runDotBatch(w, xs, adder, out, &stats) // warm-up: grows batch scratch
-	if n := testing.AllocsPerRun(100, func() {
-		e.runDotBatch(w, xs, adder, out, &stats)
-	}); n != 0 {
-		t.Fatalf("runDotBatch allocates %v times per call in steady state, want 0", n)
-	}
-}
-
-// TestRunDotBatchScratchRegrowth: a wider/deeper batch after a narrow one
-// must regrow the batch scratch and still match a fresh engine (the scratch
-// is pure working storage, never carried state).
-func TestRunDotBatchScratchRegrowth(t *testing.T) {
-	weights, bias, xs := batchLayer(4, 96, 6)
-
-	e1 := newTestEngine(t, 2, false)
-	narrowW, _, narrowXs := batchLayer(2, 8, 2)
-	e1.ExecuteFCBatch(narrowW, narrowXs, ActIdentity, 0) // scratch sized small
-	got := e1.ExecuteFCBiasBatch(weights, bias, xs, ActReLU, 2)
-
-	e2 := newTestEngine(t, 2, false)
-	want := e2.ExecuteFCBiasBatch(weights, bias, xs, ActReLU, 2)
-	for qi := range want.PerQuery {
-		if !reflect.DeepEqual(got.PerQuery[qi].Raw, want.PerQuery[qi].Raw) {
-			t.Fatalf("regrown scratch changed query %d: %v != %v",
-				qi, got.PerQuery[qi].Raw, want.PerQuery[qi].Raw)
-		}
 	}
 }

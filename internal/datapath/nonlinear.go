@@ -27,13 +27,12 @@ func ReLU(x fixed.Acc) fixed.Acc {
 	return x
 }
 
-// ReLUVec applies ReLU element-wise.
+// ReLUVec applies ReLU element-wise, in place, and returns xs.
 func ReLUVec(xs []fixed.Acc) []fixed.Acc {
-	out := make([]fixed.Acc, len(xs))
 	for i, x := range xs {
-		out[i] = ReLU(x)
+		xs[i] = ReLU(x)
 	}
-	return out
+	return xs
 }
 
 // expLUT is the fixed-point exponential lookup table the softmax unit uses:

@@ -1,8 +1,6 @@
 package datapath
 
 import (
-	"fmt"
-
 	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/countaction"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
@@ -109,94 +107,16 @@ func NewEngine(core *photonic.Core, seed uint64) *Engine {
 	}
 }
 
-// runDot computes one output neuron's dot product W·x through the analog
-// and digital pipeline. Weights are sign/magnitude; activations are
-// non-negative codes. Elements are grouped by weight sign so that every
-// photonic accumulation step carries a single sign, which the cross-cycle
-// adder-subtractor applies when reassembling (§5.3, Appendix C).
-//
-// All working storage comes from the engine's scratch: after ensure has
-// grown the buffers to the layer geometry (and baked the preamble prefix
-// once), the steady state performs zero heap allocations per neuron. The
-// body therefore sticks to indexed writes, reslices, and copies — growth
-// lives in the cold helpers.
+// runDot computes one output neuron's dot product W·x: runDotBatch for a
+// batch of one. The conv, attention and transformer templates drive their
+// per-window and per-head dots through it.
 //
 //lint:hotpath
 func (e *Engine) runDot(w []fixed.Signed, x []fixed.Code, adder *CrossCycleAdder, stats *LayerStats) fixed.Acc {
-	if len(w) != len(x) {
-		panic(fmt.Sprintf("datapath: weight row length %d != activation length %d", len(w), len(x)))
-	}
-	s := &e.scratch
-	s.ensure(e.Preamble, len(w))
-	np, nn := 0, 0
-	for i, wi := range w {
-		if wi.Mag == 0 || x[i] == 0 {
-			continue // zero products need no analog step (sparse skip)
-		}
-		if wi.Neg {
-			s.negW[nn], s.negX[nn] = wi.Mag, x[i]
-			nn++
-		} else {
-			s.posW[np], s.posX[np] = wi.Mag, x[i]
-			np++
-		}
-	}
-
-	// Run the two same-sign groups through the photonic core (positive
-	// first, as the streamer orders them) and collect the analog partials.
-	s.posParts = e.Core.DotPartialsInto(s.posParts, s.posW[:np], s.posX[:np])
-	s.negParts = e.Core.DotPartialsInto(s.negParts, s.negW[:nn], s.negX[:nn])
-	parts := len(s.posParts) + len(s.negParts)
-	stats.PhotonicSteps += uint64(parts)
-	if parts == 0 {
-		return 0
-	}
-
-	// Sign controls pair one-to-one with the concatenated partials.
-	s.negs = s.negs[:parts]
-	for i := range s.negs {
-		s.negs[i] = i >= len(s.posParts)
-	}
-
-	// ADC readout at an arbitrary phase, preceded by the preamble the
-	// datapath prepended to the vector (baked into the scratch prefix).
-	s.burst = s.burst[:len(s.pre)+parts]
-	copy(s.burst, s.pre)
-	copy(s.burst[len(s.pre):], s.posParts)
-	copy(s.burst[len(s.pre)+len(s.posParts):], s.negParts)
-	phase := e.ADC.RandomPhase()
-	s.frames = e.ADC.ReadoutFramesInto(s.frames[:0], s.burst, phase)
-	stats.DatapathCycles += uint64(len(s.frames))
-
-	// Count-action preamble detection locates the meaningful samples.
-	e.detector.Reset()
-	detPhase, _, ok := e.detector.Detect(s.frames)
-	if !ok {
-		stats.PreambleMisses++
-		detPhase = phase // exception path: fall back to known phase
-	}
-	s.payload = e.detector.ExtractPayloadInto(s.payload[:0], s.frames, detPhase, parts)
-	payload := s.payload
-
-	// Cross-cycle sign reassembly and the intra-cycle adder tree.
-	adder.SetPartialsPerDot(len(payload))
-	for i := 0; i < len(payload); i += Lanes {
-		end := i + Lanes
-		if end > len(payload) {
-			end = len(payload)
-		}
-		for _, v := range payload[i:end] {
-			if v == fixed.MaxCode {
-				stats.SaturatedSamples++
-			}
-		}
-		adder.Accumulate(payload[i:end], s.negs[i:end])
-		stats.ComputeCycles++
-	}
-	lanes := adder.Drain()
-	sum, treeCycles := TreeSumInPlace(lanes[:])
-	stats.ComputeCycles += uint64(treeCycles)
-	return sum
+	xs := [1][]fixed.Code{x}
+	var out [1]fixed.Acc
+	e.runDotBatch(w, xs[:], adder, out[:], stats)
+	return out[0]
 }
 
 // FCResult is the output of one fully-connected layer execution.
@@ -217,35 +137,14 @@ func (e *Engine) ExecuteFC(weights [][]fixed.Signed, x []fixed.Code, act Activat
 	return e.ExecuteFCBias(weights, nil, x, act, requantShift)
 }
 
-// ExecuteFCBias runs a fully-connected layer:
-// out[j] = act(Σ_i W[j][i]·x[i] + bias[j]). The bias (in raw accumulator
-// units) is added digitally after the intra-cycle adder tree. requantShift
-// is the per-layer right-shift mapping 16-bit accumulators back onto 8-bit
-// activation codes for the next layer (computed offline by the DAG loader
-// together with the weight scales).
+// ExecuteFCBias runs a fully-connected layer for one query:
+// out[j] = act(Σ_i W[j][i]·x[i] + bias[j]) — ExecuteFCBiasBatch for a batch
+// of one, with the pass's cycle accounting attached to the single result.
 func (e *Engine) ExecuteFCBias(weights [][]fixed.Signed, bias []fixed.Acc, x []fixed.Code, act Activation, requantShift uint) FCResult {
-	var res FCResult
-	adder := NewCrossCycleAdder(1)
-	adder.Gain = e.Core.FullScaleLanes
-	res.Raw = make([]fixed.Acc, len(weights))
-	// Fixed per-layer datapath overhead: DAG configuration register writes
-	// and stream setup (the 193 ns/layer of §9 at 253.44 MHz ≈ 49 cycles).
-	res.Stats.DatapathCycles += PerLayerOverheadCycles
-	for j, row := range weights {
-		res.Raw[j] = e.runDot(row, x, adder, &res.Stats)
-		if j < len(bias) {
-			res.Raw[j] = fixed.SatAdd(res.Raw[j], bias[j])
-		}
-	}
-	switch act {
-	case ActReLU:
-		res.Raw = ReLUVec(res.Raw)
-		res.Stats.ComputeCycles += CyclesReLU
-	case ActSoftmax:
-		res.Probs = Softmax(res.Raw)
-		res.Stats.ComputeCycles += CyclesSoftmax
-	}
-	res.Quantized = RequantizeVec(res.Raw, requantShift)
+	xs := [1][]fixed.Code{x}
+	batch := e.ExecuteFCBiasBatch(weights, bias, xs[:], act, requantShift)
+	res := batch.PerQuery[0]
+	res.Stats = batch.Stats
 	return res
 }
 

@@ -5,29 +5,35 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
-// engineScratch is the engine's reusable per-dot working storage. Every
-// slice runDot touches on the per-neuron path lives here and is resized —
+// engineScratch is the engine's reusable working storage. Every slice
+// runDotBatch touches on the per-neuron path lives here and is resized —
 // never reallocated in steady state — so executing a layer performs zero
 // allocations per output neuron once the buffers have grown to the layer's
-// geometry (see DESIGN.md §11).
+// geometry × batch size (see DESIGN.md §11).
 //
 // Ownership follows the engine's single-owner contract: an Engine (and so
 // its scratch) belongs to exactly one shard goroutine at a time, the same
 // rule the sharded NIC already enforces for the photonic core and DRAM
-// reader it wraps. Nothing here is safe for concurrent use, and runDot is
-// not reentrant — callers must not feed slices that alias the scratch back
-// into the engine.
+// reader it wraps. Nothing here is safe for concurrent use, and runDotBatch
+// is not reentrant — callers must not feed slices that alias the scratch
+// back into the engine.
 type engineScratch struct {
-	// posW/posX and negW/negX hold the sign-partitioned operand groups
-	// (capacity ≥ the layer's input width).
-	posW, posX, negW, negX []fixed.Code
-	// posParts, negParts hold each group's analog partial readings,
-	// filled by Core.DotPartialsInto.
-	posParts, negParts []float64
+	// bW/bX hold every query's sign-partitioned operands flattened back to
+	// back (positive group then negative group per query), with one spare
+	// row width at the end where the query being partitioned stages its
+	// negative group. bounds delimits the 2Q groups for the core's pass.
+	bW, bX []fixed.Code
+	bounds []int
+	// qPos/qParts record each query's positive-group and total partial
+	// counts so the shared payload can be sliced back per query.
+	qPos, qParts []int
+	// bParts collects the concatenated analog partial readings, filled by
+	// Core.DotPartialsBatchInto.
+	bParts []float64
 	// negs holds the per-partial sign controls for the cross-cycle adder.
 	negs []bool
-	// burst is the DAC stream for one dot: baked preamble samples followed
-	// by the analog partials.
+	// burst is the DAC stream for one neuron: baked preamble samples
+	// followed by every query's analog partials.
 	burst []float64
 	// frames is the ADC readout for the burst.
 	frames []converter.Frame
@@ -40,25 +46,19 @@ type engineScratch struct {
 	preCfg PreambleConfig
 	baked  bool
 
-	// Batch dimension (runDotBatch): the same per-dot storage extended to
-	// Q concurrent queries sharing one burst. bW/bX hold every query's
-	// sign-partitioned operands flattened back to back; bounds delimits
-	// the 2Q groups (pos then neg per query) for the core's batch pass;
-	// qPos/qParts record each query's positive-group and total partial
-	// counts so the shared payload can be sliced back per query; bParts
-	// collects the concatenated analog partials.
-	bW, bX []fixed.Code
-	bounds []int
-	qPos   []int
-	qParts []int
-	bParts []float64
+	// perQuery and rowOut are ExecuteFCBiasBatch's per-layer result slots:
+	// the returned PerQuery slice and the neuron's per-query accumulators.
+	perQuery []FCResult
+	rowOut   []fixed.Acc
 }
 
-// ensure is runDot's cold path: it re-bakes the preamble prefix if the
-// engine's preamble config changed and grows the operand buffers to the
-// layer width n. After it returns, the hot body runs on indexed writes and
-// reslices only.
-func (s *engineScratch) ensure(cfg PreambleConfig, n int) {
+// ensure is runDotBatch's cold path: it re-bakes the preamble prefix if the
+// engine's preamble config changed and grows the buffers to q queries of
+// layer width n. A query contributes at most n operands (and so at most n
+// partials, one per analog step), so q·n bounds every flattened buffer, plus
+// the staging row in bW/bX. After it returns, the hot body runs on indexed
+// writes and reslices only.
+func (s *engineScratch) ensure(cfg PreambleConfig, n, q int) {
 	if !s.baked || s.preCfg != cfg {
 		codes := cfg.Prepend(nil)
 		s.pre = make([]float64, len(codes))
@@ -68,32 +68,10 @@ func (s *engineScratch) ensure(cfg PreambleConfig, n int) {
 		s.preCfg = cfg
 		s.baked = true
 	}
-	if cap(s.posW) < n {
-		s.posW = make([]fixed.Code, n)
-		s.posX = make([]fixed.Code, n)
-		s.negW = make([]fixed.Code, n)
-		s.negX = make([]fixed.Code, n)
-	}
-	// One partial per analog step, at most one step per element pair, so n
-	// bounds the partial count whatever the lane width.
-	if cap(s.negs) < n {
-		s.negs = make([]bool, n)
-	}
-	if cap(s.burst) < len(s.pre)+n {
-		s.burst = make([]float64, len(s.pre)+n)
-	}
-}
-
-// ensureBatch is runDotBatch's cold path: ensure for the per-query staging
-// buffers, then grow the batch-dimension storage to q queries of layer
-// width n. A query contributes at most n operands (and so at most n
-// partials), so q·n bounds every flattened buffer.
-func (s *engineScratch) ensureBatch(cfg PreambleConfig, n, q int) {
-	s.ensure(cfg, n)
 	total := n * q
-	if cap(s.bW) < total {
-		s.bW = make([]fixed.Code, total)
-		s.bX = make([]fixed.Code, total)
+	if len(s.bW) < total+n {
+		s.bW = make([]fixed.Code, total+n)
+		s.bX = make([]fixed.Code, total+n)
 	}
 	if cap(s.bounds) < 2*q+1 {
 		s.bounds = make([]int, 2*q+1)
@@ -108,4 +86,14 @@ func (s *engineScratch) ensureBatch(cfg PreambleConfig, n, q int) {
 	if cap(s.burst) < len(s.pre)+total {
 		s.burst = make([]float64, len(s.pre)+total)
 	}
+}
+
+// layerOut returns the q-query result slots for one layer execution, grown
+// only when the batch is wider than any before it.
+func (s *engineScratch) layerOut(q int) ([]FCResult, []fixed.Acc) {
+	if cap(s.perQuery) < q {
+		s.perQuery = make([]FCResult, q)
+		s.rowOut = make([]fixed.Acc, q)
+	}
+	return s.perQuery[:q], s.rowOut[:q]
 }

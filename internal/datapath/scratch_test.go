@@ -1,73 +1,81 @@
 package datapath
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/fixed"
-	"github.com/lightning-smartnic/lightning/internal/photonic"
 )
 
-// TestRunDotZeroSteadyStateAllocs guards the engine's per-neuron hot path:
-// once the scratch has grown to the layer geometry (one warm-up call), a dot
-// product through the full analog+digital pipeline — sign partition, DAC
-// burst, ADC framing, preamble detection, cross-cycle reassembly, adder
-// tree — must not allocate.
-func TestRunDotZeroSteadyStateAllocs(t *testing.T) {
-	core, err := photonic.NewCore(2, photonic.CalibratedNoise(1))
-	if err != nil {
-		t.Fatal(err)
+// TestRunDotBatchZeroSteadyStateAllocs guards the engine's per-neuron hot
+// path, for a lone query and for a full batch: once the scratch has grown to
+// the layer geometry × batch size (one warm-up call), a dot product through
+// the full analog+digital pipeline — sign partition, DAC burst, ADC framing,
+// preamble detection, cross-cycle reassembly, adder tree — must not allocate.
+func TestRunDotBatchZeroSteadyStateAllocs(t *testing.T) {
+	for _, q := range []int{1, 8} {
+		t.Run(fmt.Sprintf("q%d", q), func(t *testing.T) {
+			e := newTestEngine(t, 2, true)
+			const in = 64
+			w := make([]fixed.Signed, in)
+			for i := range w {
+				w[i] = fixed.Signed{Mag: fixed.Code(i*3 + 1), Neg: i%3 == 0}
+			}
+			xs := make([][]fixed.Code, q)
+			for qi := range xs {
+				xs[qi] = make([]fixed.Code, in)
+				for i := range xs[qi] {
+					xs[qi][i] = fixed.Code((255 - i - qi*5) % 256)
+				}
+			}
+			adder := NewCrossCycleAdder(1)
+			adder.Gain = e.Core.FullScaleLanes
+			out := make([]fixed.Acc, q)
+			var stats LayerStats
+			e.runDotBatch(w, xs, adder, out, &stats) // warm-up: grows scratch, bakes preamble
+			if n := testing.AllocsPerRun(100, func() {
+				e.runDotBatch(w, xs, adder, out, &stats)
+			}); n != 0 {
+				t.Fatalf("runDotBatch allocates %v times per call in steady state, want 0", n)
+			}
+			if q == 1 {
+				// The batch-of-one adapter the layer templates call must not
+				// add any either.
+				var sink fixed.Acc
+				if n := testing.AllocsPerRun(100, func() {
+					sink += e.runDot(w, xs[0], adder, &stats)
+				}); n != 0 {
+					t.Fatalf("runDot allocates %v times per call in steady state, want 0", n)
+				}
+				_ = sink
+			}
+		})
 	}
-	e := NewEngine(core, 1)
-	w := make([]fixed.Signed, 64)
-	x := make([]fixed.Code, 64)
-	for i := range w {
-		w[i] = fixed.Signed{Mag: fixed.Code(i*3 + 1), Neg: i%3 == 0}
-		x[i] = fixed.Code(255 - i)
-	}
-	adder := NewCrossCycleAdder(1)
-	adder.Gain = e.Core.FullScaleLanes
-	var stats LayerStats
-	e.runDot(w, x, adder, &stats) // warm-up: grows scratch, bakes preamble
-	var sink fixed.Acc
-	if n := testing.AllocsPerRun(100, func() {
-		sink += e.runDot(w, x, adder, &stats)
-	}); n != 0 {
-		t.Fatalf("runDot allocates %v times per call in steady state, want 0", n)
-	}
-	_ = sink
 }
 
-// TestRunDotScratchRegrowth checks the cold path the guard above never
+// TestRunDotBatchScratchRegrowth checks the cold path the guard above never
 // exercises: a wider layer after a narrow one must regrow the scratch and
-// still produce the same result as a fresh engine (the scratch is pure
-// working storage, never carried state).
-func TestRunDotScratchRegrowth(t *testing.T) {
-	mk := func() (*Engine, *CrossCycleAdder) {
-		core, err := photonic.NewCore(2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(core, 1)
-		a := NewCrossCycleAdder(1)
-		a.Gain = e.Core.FullScaleLanes
-		return e, a
-	}
-	wide := make([]fixed.Signed, 200)
-	x := make([]fixed.Code, 200)
-	for i := range wide {
-		wide[i] = fixed.Signed{Mag: fixed.Code(i + 1), Neg: i%2 == 0}
-		x[i] = fixed.Code(i)
-	}
+// still match a fresh engine (the scratch is pure working storage, never
+// carried state).
+func TestRunDotBatchScratchRegrowth(t *testing.T) {
+	for _, q := range []int{1, 8} {
+		t.Run(fmt.Sprintf("q%d", q), func(t *testing.T) {
+			weights, bias, xs := batchLayer(4, 200, q)
 
-	e1, a1 := mk()
-	var s1 LayerStats
-	e1.runDot(wide[:8], x[:8], a1, &s1) // narrow first: scratch sized small
-	got := e1.runDot(wide, x, a1, &s1)  // then wide: forces regrowth
+			e1 := newTestEngine(t, 2, false)
+			narrowW, _, narrowXs := batchLayer(2, 8, 1)
+			e1.ExecuteFCBiasBatch(narrowW, nil, narrowXs, ActIdentity, 0) // scratch sized small
+			got := e1.ExecuteFCBiasBatch(weights, bias, xs, ActReLU, 2)
 
-	e2, a2 := mk()
-	var s2 LayerStats
-	want := e2.runDot(wide, x, a2, &s2) // fresh engine, scratch sized wide
-	if got != want {
-		t.Fatalf("regrown scratch changed the result: %d != %d", got, want)
+			e2 := newTestEngine(t, 2, false)
+			want := e2.ExecuteFCBiasBatch(weights, bias, xs, ActReLU, 2)
+			for qi := range want.PerQuery {
+				if !reflect.DeepEqual(got.PerQuery[qi].Raw, want.PerQuery[qi].Raw) {
+					t.Fatalf("regrown scratch changed query %d: %v != %v",
+						qi, got.PerQuery[qi].Raw, want.PerQuery[qi].Raw)
+				}
+			}
+		})
 	}
 }

@@ -28,7 +28,7 @@ const DefaultBatchDelay = 200 * time.Microsecond
 // BatchConfig sets the flush knobs for cross-query batching.
 type BatchConfig struct {
 	// MaxBatch is the flush-immediately batch size per model. Values <= 1
-	// disable batching (every query runs the serial path).
+	// disable batching (every query runs inline as a batch of one).
 	MaxBatch int
 	// MaxDelay bounds how long the first query of a partial batch may wait
 	// for companions before the batch flushes anyway. Values <= 0 flush on
@@ -40,8 +40,8 @@ type BatchConfig struct {
 // Enabled reports whether the configuration actually batches.
 func (c BatchConfig) Enabled() bool { return c.MaxBatch > 1 }
 
-// BatchItem is one queued query and its response slot. Items are pooled:
-// the Batcher owns their lifecycle, and the exec callback must not retain
+// BatchItem is one query and its response slot. The items a Batcher queues
+// are pooled: it owns their lifecycle, and the exec callback must not retain
 // them past its return.
 type BatchItem struct {
 	RequestID uint32

@@ -2,22 +2,13 @@ package photonic
 
 import "github.com/lightning-smartnic/lightning/internal/fixed"
 
-// Batched dot-product support: the serve path's cross-query batching
-// coalesces the photonic work of many queries into one pass through the
-// core. A batch pass streams a sequence of operand groups — each group is
-// one query's same-sign operand block — back to back, sharing a single
-// LUT-validity decision instead of re-checking per group. The analog steps
-// themselves are exactly the ones the groups would perform individually
-// (each group keeps its own tail step), so with an ideal channel the
-// partials are bit-identical to per-group DotPartialsInto calls, and with a
-// noise model the draws happen in the same stream order as serial calls
-// issued back to back.
-
-// LUTsValid reports whether every live lane's baked transmission LUT still
-// matches its modulators' current operating points — the decision the dot
-// entry points make once per call. Exported so batched callers can account
-// for it (one check covers an entire batch pass).
-func (c *Core) LUTsValid() bool { return c.lutsValid() }
+// The core's one partials loop. The serve path coalesces the photonic work
+// of many queries into one pass: a sequence of operand groups — each group is
+// one query's same-sign operand block — streams back to back under a single
+// LUT-validity decision. Every group keeps its own tail step, so the analog
+// steps (and, with a noise model, the order of the noise draws) are exactly
+// those of the groups run one call each; DotPartialsInto is the one-group
+// case.
 
 // DotPartialsBatchInto computes photonic partials for a sequence of operand
 // groups in one pass. Group g occupies a[bounds[g]:bounds[g+1]] and
@@ -30,9 +21,8 @@ func (c *Core) LUTsValid() bool { return c.lutsValid() }
 //
 // The LUT-validity decision is made once for the whole call: this is the
 // batching amortization (N queries × 2 sign groups collapse 2N staleness
-// sweeps into 1). A fault injected mid-batch is seen at the next batch's
-// first step, the same granularity the serial path's once-per-dot check
-// gives the fault runner.
+// sweeps into 1). A fault injected between queries (the granularity the fault
+// runner operates at) is seen at the next call's first step.
 //
 // dst is caller-owned storage, reallocated only when capacity is short;
 // with sufficient capacity the call performs zero heap allocations.
@@ -72,13 +62,4 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 		}
 	}
 	return dst
-}
-
-// BatchPartialsLen returns the number of partials one operand group of
-// length groupLen contributes to a batch pass: ⌈groupLen/NumLanes⌉. Callers
-// sizing per-query payload segments use it to stay in lockstep with
-// DotPartialsBatchInto's output layout.
-func (c *Core) BatchPartialsLen(groupLen int) int {
-	n := c.NumLanes()
-	return (groupLen + n - 1) / n
 }

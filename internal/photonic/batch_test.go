@@ -70,7 +70,7 @@ func TestDotPartialsBatchIntoStaleLUTFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Lanes()[0].Mod1.Bias += 0.7 // silent corruption: LUT must not mask it
-		if c.LUTsValid() {
+		if c.lutsValid() {
 			t.Fatal("LUT still valid after bias moved off the baked point")
 		}
 		return c
@@ -102,19 +102,5 @@ func TestDotPartialsBatchIntoZeroAllocs(t *testing.T) {
 		dst = core.DotPartialsBatchInto(dst, a, b, bounds)
 	}); n != 0 {
 		t.Fatalf("DotPartialsBatchInto allocates %v times per call with warm storage, want 0", n)
-	}
-}
-
-// TestBatchPartialsLen pins the per-group partial count callers use to
-// slice batch output.
-func TestBatchPartialsLen(t *testing.T) {
-	core, err := NewCore(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ n, want int }{{0, 0}, {1, 1}, {2, 1}, {3, 2}, {64, 32}, {65, 33}} {
-		if got := core.BatchPartialsLen(tc.n); got != tc.want {
-			t.Errorf("BatchPartialsLen(%d) = %d, want %d", tc.n, got, tc.want)
-		}
 	}
 }

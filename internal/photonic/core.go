@@ -323,37 +323,18 @@ func (c *Core) DotPartials(a, b []fixed.Code) []float64 {
 
 // DotPartialsInto is DotPartials with caller-owned storage: the partials are
 // written into dst — reallocated only when its capacity is short — and the
-// filled slice (length ⌈len(a)/NumLanes⌉) is returned. With sufficient
-// capacity the call performs zero heap allocations; the datapath engine's
-// per-shard scratch leans on this to keep the per-neuron path allocation-
-// free. Growth happens in growPartials so the hot body stays free of
-// append/make.
+// filled slice (length ⌈len(a)/NumLanes⌉) is returned. It is the one-group
+// case of DotPartialsBatchInto and, like it, performs zero heap allocations
+// once dst has the capacity.
 //
 //lint:hotpath
 func (c *Core) DotPartialsInto(dst []float64, a, b []fixed.Code) []float64 {
-	if len(a) != len(b) {
-		panic("photonic: dot product operand length mismatch")
-	}
-	n := c.NumLanes()
-	steps := (len(a) + n - 1) / n
-	dst = growPartials(dst, steps)
-	fast := c.lutsValid()
-	for i, off := 0, 0; off < len(a); i, off = i+1, off+n {
-		end := off + n
-		if end > len(a) {
-			end = len(a)
-		}
-		if fast {
-			dst[i] = c.stepFast(a[off:end], b[off:end])
-		} else {
-			dst[i] = c.Step(a[off:end], b[off:end])
-		}
-	}
-	return dst
+	bounds := [2]int{0, len(a)}
+	return c.DotPartialsBatchInto(dst, a, b, bounds[:])
 }
 
 // growPartials resizes s to n partials, reallocating only when capacity is
-// short — DotPartialsInto's cold path.
+// short — DotPartialsBatchInto's cold path.
 func growPartials(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)

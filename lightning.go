@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,12 +120,14 @@ type Config struct {
 	// Batch enables cross-query batching: concurrent queries for the same
 	// model coalesce into a single matrix pass per shard, amortizing
 	// preamble detection, LUT-validity checks, ADC readout, and per-layer
-	// reconfiguration + DRAM weight streaming across the batch. The zero
-	// value (MaxBatch <= 1) disables batching and reproduces the serial
-	// path bit-for-bit; with batching enabled and MaxDelay unset, the
-	// delay defaults to nic.DefaultBatchDelay. Batching pays off with the
-	// concurrent ingest of ServeUDPWorkers — a single-threaded caller only
-	// ever forms batches of one (served on the identical serial path).
+	// reconfiguration + DRAM weight streaming across the batch. There is one
+	// execution path either way: with the zero value (MaxBatch <= 1) every
+	// query runs that pass inline as a batch of one, no queue and no timer —
+	// bit-for-bit what a batching NIC computes when it flushes a lone query.
+	// With batching enabled and MaxDelay unset, the delay defaults to
+	// nic.DefaultBatchDelay. Batching pays off with the concurrent ingest of
+	// ServeUDPWorkers — a single-threaded caller only ever forms batches of
+	// one, and pays MaxDelay for each.
 	Batch BatchConfig
 	// Admission configures the admission stage ahead of ServeUDPWorkers'
 	// worker pool: per-model bounded queues (arrivals beyond the bound are
@@ -244,7 +247,7 @@ type NIC struct {
 	next atomic.Uint64
 
 	// batcher coalesces concurrent same-model queries into matrix passes;
-	// nil when batching is disabled (the serial path).
+	// nil when batching is disabled (every query is an inline batch of one).
 	batcher *nic.Batcher
 
 	// served counts completed inference responses.
@@ -669,9 +672,21 @@ func (n *NIC) UpdateModel(id uint16, q *TrainedModel) error {
 // an Err-flagged response and ErrUnavailable rather than a silently wrong
 // result.
 func (n *NIC) HandleMessage(msg *Message) (*Response, error) {
+	return n.handle(msg, nil, nil)
+}
+
+// handle is the front half every entry shares — HandleMessage, the inline
+// serve loop and the worker-pool reader: reject a stray response, reassemble,
+// answer control messages on the caller, then execute the complete query
+// inline (admit nil) or offer it to the worker pool's admission stage.
+func (n *NIC) handle(msg *Message, admit *nic.Admitter, addr net.Addr) (*Response, error) {
 	if msg.IsResponse() {
+		// A stray response carries no work and gets no answer.
 		return nil, fmt.Errorf("lightning: received a response message")
 	}
+	// Reassembly runs ahead of admission so admission judges complete
+	// queries: fragment bookkeeping is cheap, and a query rejected at
+	// admission must not leave a partial pinned in the reassembly table.
 	query, modelID, done, err := n.reassembly.Offer(msg)
 	if err != nil {
 		return &Response{RequestID: msg.RequestID, ModelID: msg.ModelID, Err: true}, err
@@ -681,10 +696,28 @@ func (n *NIC) HandleMessage(msg *Message) (*Response, error) {
 	}
 	if msg.Flags&nic.FlagControl != 0 {
 		// The control flag survives fragmentation (FragmentFlags), so the
-		// completing fragment carries it here.
+		// completing fragment carries it here. Control traffic (model
+		// installs) is rare and cheap relative to inference, so it bypasses
+		// admission — a full inference queue must not starve a coordinator
+		// re-plan.
 		return n.handleControl(msg.RequestID, modelID, query)
 	}
-	return n.serveAssembled(msg.RequestID, modelID, query)
+	if admit == nil {
+		return n.serveAssembled(msg.RequestID, modelID, query)
+	}
+	if msg.Flags&nic.FlagFragment == 0 {
+		// An unfragmented query aliases the shared read buffer; copy it
+		// out before queueing. Reassembled queries already own their
+		// backing array.
+		query = append([]byte(nil), query...)
+	}
+	if !admit.Offer(modelID, wireJob{requestID: msg.RequestID, modelID: modelID, query: query, addr: addr}) {
+		// Admission reject: the model's queue is at bound — the shards
+		// cannot keep up with this model's arrival rate. Drop at ingress
+		// and account it, per model and in aggregate.
+		n.countAdmissionDrop(modelID)
+	}
+	return nil, nil
 }
 
 // ErrInstallDisabled rejects wire model installs on a NIC that was not
@@ -728,45 +761,36 @@ func (n *NIC) handleControl(requestID uint32, modelID uint16, payload []byte) (*
 }
 
 // serveAssembled runs one fully-reassembled query through the datapath —
-// the entry point ServeUDPWorkers' workers use after reader-side reassembly
-// and admission, and the tail of HandleMessage.
+// what the worker pool's workers call after reader-side reassembly and
+// admission, and the tail of the inline path.
 func (n *NIC) serveAssembled(requestID uint32, modelID uint16, query []byte) (*Response, error) {
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
+	// Classify client mistakes (unknown model, wrong input width) before
+	// dispatch: they never touch analog hardware, so they must not count
+	// against any shard's health — a burst of malformed queries is not a
+	// hardware fault — and a degraded NIC still answers them. They never
+	// enter the batch queue either: they carry no analog work to amortize
+	// and must not delay a real batch.
+	if err := n.store.Validate(modelID, len(query)); err != nil {
+		return &Response{RequestID: requestID, ModelID: modelID, Err: true}, err
+	}
 	input := make([]Code, len(query))
 	for i, b := range query {
 		input[i] = Code(b)
 	}
-	// Classify client mistakes (unknown model, wrong input width) before
-	// dispatch: they are rejected by the loader's validation without ever
-	// touching analog hardware, so they must not count against any shard's
-	// health — a burst of malformed queries is not a hardware fault.
-	mc, known := n.store.Model(modelID)
-	clientErr := !known || len(input) != mc.Layers[0].In
-	if clientErr {
-		// Any shard can issue the rejection, even a quarantined one: the
-		// loader validates before the datapath runs, keeping the canonical
-		// error text while a degraded NIC still answers client mistakes.
-		// Client mistakes never enter the batch queue either — they carry
-		// no analog work to amortize and must not delay a real batch.
-		sh := n.shards[(n.next.Add(1)-1)%uint64(len(n.shards))]
-		return n.serveSerial(sh, modelID, requestID, input, true)
-	}
 	if n.batcher != nil {
 		// Batched dispatch: park the query in its model's batch queue and
 		// block until the coalesced matrix pass (or a flush of one) has
-		// produced this request's verdict. Shard choice happens at flush
-		// time, so a shard quarantined while the batch was queuing is
-		// naturally routed around.
+		// produced this request's verdict.
 		resp, err := n.batcher.Do(modelID, requestID, input)
 		return &resp, err
 	}
-	sh := n.pickShard()
-	if sh == nil {
-		n.unavailable.Add(1)
-		return &Response{RequestID: requestID, ModelID: modelID, Err: true}, ErrUnavailable
-	}
-	return n.serveSerial(sh, modelID, requestID, input, false)
+	// Unbatched: the same pass for a batch of one, run inline.
+	it := nic.BatchItem{RequestID: requestID, Input: input}
+	items := [1]*nic.BatchItem{&it}
+	n.execBatch(modelID, items[:])
+	return &it.Resp, it.Err
 }
 
 // countAdmissionDrop accounts one admission-bound ingress drop, in the
@@ -779,40 +803,6 @@ func (n *NIC) countAdmissionDrop(modelID uint16) {
 	}
 	n.admitDropsByModel[modelID]++
 	n.admitMu.Unlock()
-}
-
-// serveSerial runs one query through sh's serial loader path — the
-// bit-reproducible single-query pipeline — with per-request health
-// accounting unless the query was pre-classified as a client mistake.
-func (n *NIC) serveSerial(sh *shard, modelID uint16, requestID uint32, input []Code, clientErr bool) (*Response, error) {
-	sh.mu.Lock()
-	res, err := sh.loader.Serve(modelID, input)
-	if err == nil {
-		n.served.Add(1)
-		sh.totals.Add(res.Stats)
-	}
-	sh.mu.Unlock()
-	if !clientErr {
-		if err == nil {
-			sh.servedQ.Add(1)
-		} else {
-			sh.errQ.Add(1)
-		}
-		n.recordOutcome(sh, err != nil)
-	}
-	if err != nil {
-		return &Response{RequestID: requestID, ModelID: modelID, Err: true}, err
-	}
-	probs := make([]uint8, len(res.Probs))
-	for i, p := range res.Probs {
-		probs[i] = uint8(p)
-	}
-	return &Response{
-		RequestID: requestID,
-		ModelID:   modelID,
-		Class:     uint16(res.Class),
-		Probs:     probs,
-	}, nil
 }
 
 // HandleFrame processes one raw Ethernet frame exactly as the datapath

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -546,5 +547,45 @@ func TestServeUDPEndToEnd(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Errorf("ServeUDP returned %v", err)
+	}
+}
+
+// TestHandleMessageFaultedBiasReadIsErrFlagged is the serve-path half of the
+// bias-fault regression (loader half: dagloader.TestServeFaultedBiasReadFails):
+// a faulted bias read used to be served as a zero bias — here flipping the
+// answer from class 1 to class 0 — with a well-formed response. It must come
+// back Err-flagged and count against the shard, exactly as a faulted weights
+// read does.
+func TestHandleMessageFaultedBiasReadIsErrFlagged(t *testing.T) {
+	n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := []fixed.Signed{{Mag: 1}, {Mag: 1}, {Mag: 1}, {Mag: 1}}
+	q := &nn.QuantizedNetwork{Layers: []nn.QuantizedLayer{{
+		Weights: [][]fixed.Signed{ones, ones},
+		Bias:    []fixed.Acc{0, 3000},
+		Final:   true,
+	}}}
+	if err := n.RegisterModel(4, "bias-decides", q); err != nil {
+		t.Fatal(err)
+	}
+	query := &Message{RequestID: 1, ModelID: 4, Payload: []byte{10, 10, 10, 10}}
+	resp, err := n.HandleMessage(query)
+	if err != nil || resp.Err || resp.Class != 1 {
+		t.Fatalf("healthy query: resp=%+v err=%v, want class 1", resp, err)
+	}
+
+	n.store.DRAM.SetReadFault(func(key string, blob []byte) ([]byte, bool) {
+		return blob, !strings.HasSuffix(key, "/bias")
+	})
+	resp, err = n.HandleMessage(query)
+	if err == nil || resp == nil || !resp.Err {
+		t.Fatalf("faulted bias read: resp=%+v err=%v, want an Err-flagged response", resp, err)
+	}
+	m := n.Metrics()
+	if m.DRAMFaultedReads != 1 || m.Shards[0].Errors != 1 || m.Served != 1 {
+		t.Fatalf("faulted=%d shard errors=%d served=%d, want 1/1/1",
+			m.DRAMFaultedReads, m.Shards[0].Errors, m.Served)
 	}
 }

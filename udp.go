@@ -92,96 +92,19 @@ func (n *NIC) wrapConn(pc net.PacketConn) netbatch.BatchConn {
 
 // ServeUDP attaches the NIC to a UDP socket and serves Lightning wire
 // messages until the context is cancelled (requirement R1: live user
-// traffic from remote users). Reads are batched (one recvmmsg drains up to
-// Config.Wire.RxBatch datagrams on the Linux fast path), each rx datagram
-// may pack several concatenated query frames (wire-level frame coalescing),
-// and the batch's responses flush through one batched write. Malformed
-// frames are dropped and counted (DecodeErrors for a bad first frame,
-// OversizedCoalesce for a bad coalesced tail); failed response writes are
-// likewise counted rather than fatal — one unreachable client must not take
-// the server down. On cancellation the loop stops reading, waits for
-// in-flight datapath work, and returns nil.
+// traffic from remote users). It is the serve loop at zero workers: the
+// reader executes every query inline — no admission stage, no query copy.
+// Reads are batched (one recvmmsg drains up to Config.Wire.RxBatch datagrams
+// on the Linux fast path), each rx datagram may pack several concatenated
+// query frames (wire-level frame coalescing), and the batch's responses flush
+// through one batched write. Malformed frames are dropped and counted
+// (DecodeErrors for a bad first frame, OversizedCoalesce for a bad coalesced
+// tail); failed response writes are likewise counted rather than fatal — one
+// unreachable client must not take the server down. On cancellation the loop
+// stops reading, waits for in-flight datapath work, and returns the drain's
+// verdict (nil unless Config.DrainTimeout fired).
 func (n *NIC) ServeUDP(ctx context.Context, pc net.PacketConn) error {
-	bc := n.wrapConn(pc)
-	ms := netbatch.MakeMessages(n.wire.RxBatch, rxMsgBufSize)
-	tx := newTxBatcher(n, bc)
-	for {
-		// One deadline arm covers the whole batch read — the per-datagram
-		// arm the single-message loop paid is gone.
-		if err := bc.SetReadDeadline(time.Now().Add(readTick)); err != nil {
-			// Counted, not fatal (Metrics.Serve.DeadlineErrors): a failed
-			// deadline arm usually means the socket is closing, which the
-			// next read surfaces; meanwhile cancellation must still be
-			// observed even if reads now block indefinitely.
-			n.deadlineErrors.Add(1)
-			select {
-			case <-ctx.Done():
-				return n.drainDetached(ctx)
-			default:
-			}
-		}
-		cnt, err := bc.ReadBatch(ms)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				// Idle tick: expire stale partial queries even when no
-				// fragments arrive to trigger the lazy sweep.
-				n.reassembly.GC()
-				select {
-				case <-ctx.Done():
-					return n.drainDetached(ctx)
-				default:
-					continue
-				}
-			}
-			// Fatal read error: drain before surfacing it, exactly as the
-			// cancellation path does. Queries parked in a per-model batch
-			// queue behind a MaxDelay timer (a concurrent HandleMessage
-			// caller's) would otherwise be abandoned mid-flight instead of
-			// flushing; the read error, not any drain error, is the story.
-			_ = n.drainDetached(ctx)
-			return err
-		}
-		n.rxBatchHist.observe(cnt)
-		for i := 0; i < cnt; i++ {
-			n.serveDatagram(ms[i].Bytes(), ms[i].Addr, tx)
-		}
-		// Everything this batch produced leaves in one batched write.
-		tx.flush()
-	}
-}
-
-// serveDatagram walks every coalesced frame in one rx datagram through
-// HandleMessage, queueing responses on the tx batcher. The length-prefix
-// walk is strict: a malformed first frame counts a decode error, a
-// malformed tail after at least one valid frame counts OversizedCoalesce —
-// and in both cases the rest of the datagram is dropped without a response,
-// so a partial frame can never be served.
-func (n *NIC) serveDatagram(data []byte, addr net.Addr, tx *txBatcher) {
-	first := true
-	for len(data) > 0 {
-		var msg Message
-		consumed, derr := msg.DecodeNext(data)
-		if derr != nil {
-			if first {
-				n.decodeErrors.Add(1)
-			} else {
-				n.oversizedCoalesce.Add(1)
-			}
-			return
-		}
-		if !first {
-			n.coalescedFrames.Add(1)
-		}
-		first = false
-		data = data[consumed:]
-		resp, herr := n.HandleMessage(&msg)
-		if resp == nil {
-			continue
-		}
-		_ = herr // the error flag rides in the response
-		tx.queue(resp, addr)
-	}
+	return n.serve(ctx, pc, 0)
 }
 
 // wireJob is one fully-reassembled query admitted toward the worker pool.
@@ -210,7 +133,7 @@ type wireJob struct {
 //     defaulting to workers*4). A query arriving at a full queue is dropped
 //     at ingress and counted — per model in Metrics.Serve.AdmissionDrops,
 //     and in the Metrics.Serve.QueueFull aggregate — without blocking the
-//     reader or displacing other models' queries. Because reassembly now
+//     reader or displacing other models' queries. Because reassembly
 //     happens before admission, a dropped fragmented query pins no
 //     reassembly slot: its table entry was already released on completion.
 //   - Priority: workers dequeue by smooth weighted round-robin over the
@@ -223,7 +146,7 @@ type wireJob struct {
 //
 // On cancellation the reader stops, admitted jobs drain through the workers
 // (still subject to shedding), their responses flush, and the call returns
-// nil.
+// as ServeUDP does.
 //
 // With Config.Batch enabled, workers are also what fills batches: each
 // worker's query parks in the per-model batch queue until MaxBatch callers
@@ -235,24 +158,53 @@ func (n *NIC) ServeUDPWorkers(ctx context.Context, pc net.PacketConn, workers in
 	if workers < 1 {
 		workers = 1
 	}
+	return n.serve(ctx, pc, workers)
+}
+
+// serve is the one rx loop behind both entry points. With workers == 0 the
+// reader runs each complete query inline and flushes the rx batch's responses
+// in one write; with workers > 0 it feeds the admission stage and a pool of
+// workers executes and responds. Either way a fatal read error or a
+// cancellation drains before returning: admitted jobs finish, lingering
+// responses flush, and queries parked in a batch queue behind a MaxDelay
+// timer (a concurrent HandleMessage caller's) are flushed rather than
+// abandoned. The read error, not any drain error, is the story when both
+// exist.
+func (n *NIC) serve(ctx context.Context, pc net.PacketConn, workers int) error {
 	bc := n.wrapConn(pc)
 	tx := newTxBatcher(n, bc)
-	admit := nic.NewAdmitter(n.admission, workers*4)
-	n.admit.Store(admit)
+	var admit *nic.Admitter
+	stopWorkers := func() {}
+	if workers > 0 {
+		admit = nic.NewAdmitter(n.admission, workers*4)
+		n.admit.Store(admit)
+		stopWorkers = n.startWorkers(admit, tx, workers)
+	}
+	err := n.readLoop(ctx, bc, admit, tx)
+	stopWorkers()
+	tx.flush()
+	if derr := n.drainDetached(ctx); err == nil {
+		err = derr
+	}
+	return err
+}
 
+// startWorkers launches the worker pool (and, with a linger budget, the tx
+// flusher) and returns the function that retires them: close admission, let
+// the workers finish every admitted job, then stop the flusher.
+func (n *NIC) startWorkers(admit *nic.Admitter, tx *txBatcher, workers int) (stop func()) {
 	// With a linger budget (Config.Wire.TxLinger), workers queue responses
 	// and a flusher goroutine sweeps them on the linger cadence, so replies
 	// from several workers pack into one batched write; without one, workers
 	// write through immediately — no response ever waits on a timer the
 	// operator did not grant.
 	linger := n.wire.TxLinger
-	var flusherWG sync.WaitGroup
-	var stopFlusher chan struct{}
+	var flusher sync.WaitGroup
+	stopFlusher := make(chan struct{})
 	if linger > 0 {
-		stopFlusher = make(chan struct{})
-		flusherWG.Add(1)
+		flusher.Add(1)
 		go func() {
-			defer flusherWG.Done()
+			defer flusher.Done()
 			t := time.NewTicker(linger)
 			defer t.Stop()
 			for {
@@ -265,12 +217,11 @@ func (n *NIC) ServeUDPWorkers(ctx context.Context, pc net.PacketConn, workers in
 			}
 		}()
 	}
-
-	var wg sync.WaitGroup
+	var pool sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		pool.Add(1)
 		go func() {
-			defer wg.Done()
+			defer pool.Done()
 			for {
 				aj, ok := admit.Pop()
 				if !ok {
@@ -282,73 +233,71 @@ func (n *NIC) ServeUDPWorkers(ctx context.Context, pc net.PacketConn, workers in
 				}
 				j := aj.Payload.(wireJob)
 				resp, _ := n.serveAssembled(j.requestID, j.modelID, j.query)
-				if resp == nil {
-					continue
-				}
-				if linger > 0 {
-					tx.queue(resp, j.addr)
-				} else {
-					tx.send(resp, j.addr)
+				tx.queue(resp, j.addr)
+				if linger == 0 {
+					tx.flush()
 				}
 			}
 		}()
 	}
-	// Drain on exit: close admission, let workers finish every admitted
-	// job, stop the flusher, flush whatever it had not swept, then wait
-	// out any datapath stragglers.
-	defer func() {
+	return func() {
 		admit.Close()
-		wg.Wait()
-		if stopFlusher != nil {
-			close(stopFlusher)
-			flusherWG.Wait()
-		}
-		tx.flush()
-		_ = n.drainDetached(ctx)
-	}()
+		pool.Wait()
+		close(stopFlusher)
+		flusher.Wait()
+	}
+}
 
+// readLoop is the batched rx read loop: one deadline arm per batch read,
+// idle-tick reassembly GC, cancellation observed at every tick. It returns
+// nil on cancellation and the error on a fatal read failure.
+func (n *NIC) readLoop(ctx context.Context, bc netbatch.BatchConn, admit *nic.Admitter, tx *txBatcher) error {
 	ms := netbatch.MakeMessages(n.wire.RxBatch, rxMsgBufSize)
 	for {
-		// One deadline arm per batch read, same policy as ServeUDP: count
-		// failures and keep serving, but never lose cancellation.
 		if err := bc.SetReadDeadline(time.Now().Add(readTick)); err != nil {
+			// Counted, not fatal (Metrics.Serve.DeadlineErrors): a failed
+			// deadline arm usually means the socket is closing, which the
+			// next read surfaces; meanwhile cancellation must still be
+			// observed even if reads now block indefinitely.
 			n.deadlineErrors.Add(1)
-			select {
-			case <-ctx.Done():
+			if ctx.Err() != nil {
 				return nil
-			default:
 			}
 		}
 		cnt, err := bc.ReadBatch(ms)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
+				// Idle tick: expire stale partial queries even when no
+				// fragments arrive to trigger the lazy sweep.
 				n.reassembly.GC()
-				select {
-				case <-ctx.Done():
+				if ctx.Err() != nil {
 					return nil
-				default:
-					continue
 				}
+				continue
 			}
 			return err
 		}
 		n.rxBatchHist.observe(cnt)
 		for i := 0; i < cnt; i++ {
-			n.admitDatagram(ms[i].Bytes(), ms[i].Addr, admit, tx)
+			n.walkDatagram(ms[i].Bytes(), ms[i].Addr, admit, tx)
 		}
-		if linger == 0 {
-			// Reader-side responses (reassembly errors, control acks) leave
-			// with the batch rather than waiting for a worker's flush.
+		if admit == nil || n.wire.TxLinger == 0 {
+			// Everything the reader produced for this batch — inline
+			// answers, reassembly errors, control acks — leaves in one
+			// batched write rather than waiting for a worker's flush.
 			tx.flush()
 		}
 	}
 }
 
-// admitDatagram is the reader half of ServeUDPWorkers for one rx datagram:
-// it walks the coalesced frames (same strict length-prefix policy as
-// serveDatagram) and feeds each through reassembly and admission.
-func (n *NIC) admitDatagram(data []byte, addr net.Addr, admit *nic.Admitter, tx *txBatcher) {
+// walkDatagram walks every coalesced frame in one rx datagram through the
+// shared front half, queueing whatever responses the reader itself produces
+// on the tx batcher. The length-prefix walk is strict: a malformed first
+// frame counts a decode error, a malformed tail after at least one valid
+// frame counts OversizedCoalesce — and in both cases the rest of the datagram
+// is dropped without a response, so a partial frame can never be served.
+func (n *NIC) walkDatagram(data []byte, addr net.Addr, admit *nic.Admitter, tx *txBatcher) {
 	first := true
 	for len(data) > 0 {
 		var msg Message
@@ -366,55 +315,10 @@ func (n *NIC) admitDatagram(data []byte, addr net.Addr, admit *nic.Admitter, tx 
 		}
 		first = false
 		data = data[consumed:]
-		n.admitFrame(&msg, addr, admit, tx)
-	}
-}
-
-// admitFrame runs one decoded query frame through reassembly, control
-// dispatch, and admission.
-func (n *NIC) admitFrame(msg *Message, addr net.Addr, admit *nic.Admitter, tx *txBatcher) {
-	if msg.IsResponse() {
-		// A stray response datagram carries no work; the serial path's
-		// HandleMessage rejects it the same way.
-		return
-	}
-	// Reassemble on the reader so admission judges complete queries:
-	// fragment bookkeeping is cheap, and a query rejected at admission
-	// must not leave a partial pinned in the reassembly table.
-	query, modelID, done, rerr := n.reassembly.Offer(msg)
-	if rerr != nil {
-		// Malformed or inconsistent fragments get the same Err-flagged
-		// response HandleMessage would return.
-		tx.queue(&Response{RequestID: msg.RequestID, ModelID: msg.ModelID, Err: true}, addr)
-		return
-	}
-	if !done {
-		return
-	}
-	if msg.Flags&nic.FlagControl != 0 {
-		// Control traffic (model installs) is rare and cheap relative to
-		// inference, so it is served on the reader, bypassing admission —
-		// a full inference queue must not starve a coordinator re-plan.
-		resp, _ := n.handleControl(msg.RequestID, modelID, query)
-		tx.queue(resp, addr)
-		return
-	}
-	if msg.Flags&nic.FlagFragment == 0 {
-		// An unfragmented query aliases the shared read buffer; copy it
-		// out before queueing. Reassembled queries already own their
-		// backing array.
-		query = append([]byte(nil), query...)
-	}
-	if !admit.Offer(modelID, wireJob{
-		requestID: msg.RequestID,
-		modelID:   modelID,
-		query:     query,
-		addr:      addr,
-	}) {
-		// Admission reject: the model's queue is at bound — the shards
-		// cannot keep up with this model's arrival rate. Drop at
-		// ingress and account it, per model and in aggregate.
-		n.countAdmissionDrop(modelID)
+		// The error flag rides in the response.
+		if resp, _ := n.handle(&msg, admit, addr); resp != nil {
+			tx.queue(resp, addr)
+		}
 	}
 }
 

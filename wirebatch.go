@@ -82,7 +82,7 @@ func (h SizeHist) Mean() float64 {
 //     unpack coalesced frames (this repo's Client and loadgen do).
 //
 // Buffers recycle through an internal free list, so steady-state queueing
-// costs no allocation. The batcher is mutex-guarded: the serial loop uses
+// costs no allocation. The batcher is mutex-guarded: the inline reader uses
 // it uncontended, the worker pool shares it.
 type txBatcher struct {
 	n        *NIC
@@ -160,13 +160,6 @@ func (t *txBatcher) putBuf(b []byte) {
 		return
 	}
 	t.free = append(t.free, b)
-}
-
-// send is the write-through path: one response, one flush — what the
-// worker pool uses when no linger budget allows responses to wait.
-func (t *txBatcher) send(resp *Response, addr net.Addr) {
-	t.queue(resp, addr)
-	t.flush()
 }
 
 // flush writes every pending datagram in one WriteBatch (looping past

@@ -430,7 +430,7 @@ func FuzzCoalescedFrameDecode(f *testing.F) {
 		pc := fault.NewStubConn()
 		tx := newTxBatcher(n, n.wrapConn(pc))
 		valid := countDecodableFrames(data)
-		n.serveDatagram(data, fault.Addr{}, tx)
+		n.walkDatagram(data, fault.Addr{}, nil, tx)
 		tx.flush()
 		writes := pc.Writes()
 		if valid == 0 && writes != 0 {
