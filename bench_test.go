@@ -363,7 +363,7 @@ func BenchmarkAblationNoiseGranularity(b *testing.B) {
 // BenchmarkCyclePipeline measures the clocked FC pipeline (the Verilator-
 // testbench twin) against the behavioural engine on the same layer.
 func BenchmarkCyclePipeline(b *testing.B) {
-	weights := make([][]fixed.Signed, 4)
+	weights := make(fixed.Matrix, 4)
 	for j := range weights {
 		weights[j] = make([]fixed.Signed, 64)
 		for i := range weights[j] {

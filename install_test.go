@@ -2,6 +2,7 @@ package lightning
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -77,7 +78,8 @@ func TestWireModelInstallRoundTrip(t *testing.T) {
 }
 
 // TestWireModelInstallRejections: installs are rejected — with an Err-flagged
-// ack, never silence — when disabled by config, malformed, or an unknown op.
+// ack, never silence — when disabled by config, malformed, hostile, or an
+// unknown op.
 func TestWireModelInstallRejections(t *testing.T) {
 	locked, err := New(Config{Lanes: 2, Noiseless: true, Seed: 5})
 	if err != nil {
@@ -101,8 +103,25 @@ func TestWireModelInstallRejections(t *testing.T) {
 	if resp, herr := open.HandleMessage(nic.BuildControlMessage(3, 40, 0xEE, nil)); herr == nil || !resp.Err {
 		t.Fatalf("unknown control op: resp=%+v err=%v", resp, herr)
 	}
-	if m := open.Metrics(); m.ModelInstallErrors != 2 {
-		t.Fatalf("ModelInstallErrors = %d, want 2", m.ModelInstallErrors)
+	// A 26-byte body whose header claims a 2^24 x 2^24 layer: rejected like
+	// any truncated model, without trying to allocate the claimed weights —
+	// and the NIC installs and serves the next, honest model.
+	hostile := binary.LittleEndian.AppendUint32(nil, 0x4c514e31) // "LQN1"
+	hostile = binary.LittleEndian.AppendUint16(hostile, 1)
+	hostile = binary.LittleEndian.AppendUint32(hostile, 1<<24)
+	hostile = binary.LittleEndian.AppendUint32(hostile, 1<<24)
+	hostile = append(hostile, make([]byte, 12)...) // shift, final, scale, two weight bytes
+	if resp, herr := open.HandleMessage(nic.BuildControlMessage(4, 40, nic.CtrlInstallModel, hostile)); herr == nil || !resp.Err {
+		t.Fatalf("hostile layer sizes: resp=%+v err=%v, want an Err-flagged response", resp, herr)
+	}
+	if m := open.Metrics(); m.ModelInstallErrors != 3 {
+		t.Fatalf("ModelInstallErrors = %d, want 3", m.ModelInstallErrors)
+	}
+	if resp, herr := open.HandleMessage(nic.BuildControlMessage(5, 40, nic.CtrlInstallModel, body)); herr != nil || resp.Err {
+		t.Fatalf("install after the hostile one: resp=%+v err=%v", resp, herr)
+	}
+	if resp, herr := open.HandleMessage(&Message{RequestID: 6, ModelID: 40, Payload: halvesQuery(16, false)}); herr != nil || resp.Err || resp.Class != 1 {
+		t.Fatalf("query after the hostile install: resp=%+v err=%v, want class 1", resp, herr)
 	}
 }
 

@@ -76,7 +76,7 @@ func TestTwoStagePipelineLatency(t *testing.T) {
 	}
 }
 
-func randLayer(rng *rand.Rand, out, in int) ([][]fixed.Signed, []fixed.Code) {
+func randLayer(rng *rand.Rand, out, in int) (fixed.Matrix, []fixed.Code) {
 	w := make([][]fixed.Signed, out)
 	for j := range w {
 		w[j] = make([]fixed.Signed, in)

@@ -67,6 +67,11 @@ func (ld *Loader) ServeBatch(id uint16, inputs [][]fixed.Code) ([]Result, datapa
 		if !ok {
 			return nil, batchStats, fmt.Errorf("dagloader: bias %q missing from DRAM", lc.BiasKey)
 		}
+		// A short bias blob would leave the engine skipping the bias on the
+		// rows past its end: a wrong answer, not an error.
+		if len(biasBlob) != 2*lc.Out {
+			return nil, batchStats, fmt.Errorf("dagloader: bias %q is %d bytes, want %d", lc.BiasKey, len(biasBlob), 2*lc.Out)
+		}
 		bias := DecodeBias(biasBlob)
 
 		out := ld.Engine.ExecuteFCBiasBatch(weights, bias, acts, lc.Activation, lc.Shift)

@@ -170,6 +170,18 @@ func TestServeFaultedBiasReadFails(t *testing.T) {
 	if got := ld.DRAM.FaultedReads(); got != 2 {
 		t.Fatalf("FaultedReads = %d, want 2", got)
 	}
+
+	// A read that comes back short is as bad as one that fails: the engine
+	// would skip the bias on the rows past the blob's end.
+	ld.DRAM.SetReadFault(func(key string, blob []byte) ([]byte, bool) {
+		if strings.HasSuffix(key, "/bias") {
+			return blob[:2], true
+		}
+		return blob, true
+	})
+	if res, err := ld.Serve(1, input); err == nil {
+		t.Fatalf("short bias read served class %d with no error", res.Class)
+	}
 }
 
 func mustWidth(t *testing.T, ld *Loader, id uint16) int {

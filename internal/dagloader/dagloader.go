@@ -70,8 +70,7 @@ type ModelConfig struct {
 func Compile(id uint16, name string, q *nn.QuantizedNetwork, numDACs, numWavelengths int) *ModelConfig {
 	mc := &ModelConfig{ID: id, Name: name}
 	for l, ql := range q.Layers {
-		in := len(ql.Weights[0])
-		out := len(ql.Weights)
+		out, in := ql.Weights.Dims()
 		act := datapath.ActReLU
 		if ql.Final {
 			act = datapath.ActSoftmax
@@ -108,41 +107,14 @@ func Compile(id uint16, name string, q *nn.QuantizedNetwork, numDACs, numWavelen
 
 // EncodeWeights serializes a layer's sign/magnitude weight matrix for DRAM:
 // all magnitude bytes row-major, followed by a packed sign bitmap.
-func EncodeWeights(w [][]fixed.Signed) []byte {
-	rows, cols := len(w), len(w[0])
-	n := rows * cols
-	out := make([]byte, n+(n+7)/8)
-	for j, row := range w {
-		for i, s := range row {
-			idx := j*cols + i
-			out[idx] = byte(s.Mag)
-			if s.Neg {
-				out[n+idx/8] |= 1 << (idx % 8)
-			}
-		}
-	}
-	return out
-}
+func EncodeWeights(w fixed.Matrix) []byte { return w.Pack() }
 
-// DecodeWeights reverses EncodeWeights given the matrix geometry.
-func DecodeWeights(blob []byte, rows, cols int) ([][]fixed.Signed, error) {
-	n := rows * cols
-	want := n + (n+7)/8
-	if len(blob) != want {
-		return nil, fmt.Errorf("dagloader: weight blob is %d bytes, want %d for %dx%d", len(blob), want, rows, cols)
-	}
-	w := make([][]fixed.Signed, rows)
-	for j := range w {
-		w[j] = make([]fixed.Signed, cols)
-		for i := range w[j] {
-			idx := j*cols + i
-			w[j][i] = fixed.Signed{
-				Mag: fixed.Code(blob[idx]),
-				Neg: blob[n+idx/8]&(1<<(idx%8)) != 0,
-			}
-		}
-	}
-	return w, nil
+// DecodeWeights checks a DRAM blob against the layer geometry and returns
+// the engine's operand over it: a zero-copy view, not a decoded matrix. The
+// view aliases blob, so it lives no longer than the DRAM entry does — for a
+// served layer, the span of the store's read lock.
+func DecodeWeights(blob []byte, rows, cols int) (fixed.Packed, error) {
+	return fixed.View(blob, rows, cols)
 }
 
 // EncodeBias serializes a bias vector as little-endian int16 words.

@@ -31,28 +31,6 @@ func trainedAnomalyNet(t *testing.T) (*nn.QuantizedNetwork, *dataset.Set, *datas
 	return nn.Quantize(n, train), train, test
 }
 
-func TestWeightCodecRoundTrip(t *testing.T) {
-	w := [][]fixed.Signed{
-		{{Mag: 1}, {Mag: 255, Neg: true}, {Mag: 0}},
-		{{Mag: 128, Neg: true}, {Mag: 7}, {Mag: 200, Neg: true}},
-	}
-	blob := EncodeWeights(w)
-	got, err := DecodeWeights(blob, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range w {
-		for i := range w[j] {
-			if got[j][i] != w[j][i] {
-				t.Errorf("w[%d][%d] = %v, want %v", j, i, got[j][i], w[j][i])
-			}
-		}
-	}
-	if _, err := DecodeWeights(blob, 3, 3); err == nil {
-		t.Error("wrong geometry accepted")
-	}
-}
-
 func TestBiasCodecRoundTrip(t *testing.T) {
 	b := []fixed.Acc{0, -1, 32767, -32768, 42}
 	got := DecodeBias(EncodeBias(b))

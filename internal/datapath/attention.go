@@ -53,7 +53,7 @@ type AttentionResult struct {
 // dimension D. wq, wk, wv are D×D sign/magnitude projection matrices
 // (row-major: weights[out][in]); x holds Seq×D input activation codes.
 // projShift requantizes the Q/K/V projections.
-func (e *Engine) ExecuteAttention(wq, wk, wv [][]fixed.Signed, x []fixed.Code, spec AttentionSpec, projShift uint) (AttentionResult, error) {
+func (e *Engine) ExecuteAttention(wq, wk, wv fixed.Matrix, x []fixed.Code, spec AttentionSpec, projShift uint) (AttentionResult, error) {
 	var res AttentionResult
 	if err := spec.Validate(); err != nil {
 		return res, err
@@ -61,7 +61,7 @@ func (e *Engine) ExecuteAttention(wq, wk, wv [][]fixed.Signed, x []fixed.Code, s
 	if len(x) != spec.Seq*spec.D {
 		return res, fmt.Errorf("datapath: attention input has %d codes, want %d", len(x), spec.Seq*spec.D)
 	}
-	for name, w := range map[string][][]fixed.Signed{"wq": wq, "wk": wk, "wv": wv} {
+	for name, w := range map[string]fixed.Matrix{"wq": wq, "wk": wk, "wv": wv} {
 		if len(w) != spec.D {
 			return res, fmt.Errorf("datapath: %s has %d rows, want %d", name, len(w), spec.D)
 		}
@@ -70,7 +70,7 @@ func (e *Engine) ExecuteAttention(wq, wk, wv [][]fixed.Signed, x []fixed.Code, s
 	token := func(m []fixed.Code, t int) []fixed.Code { return m[t*spec.D : (t+1)*spec.D] }
 
 	// Q/K/V projections: one FC execution per token per matrix.
-	project := func(w [][]fixed.Signed) []fixed.Code {
+	project := func(w fixed.Matrix) []fixed.Code {
 		out := make([]fixed.Code, spec.Seq*spec.D)
 		for t := 0; t < spec.Seq; t++ {
 			r := e.ExecuteFC(w, token(x, t), ActIdentity, projShift)

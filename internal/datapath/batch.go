@@ -1,6 +1,7 @@
 package datapath
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/lightning-smartnic/lightning/internal/fixed"
@@ -28,7 +29,8 @@ import (
 
 // runDotBatch computes one output neuron's dot product W·x_q for every
 // query q in the batch, writing the reassembled accumulator values into
-// out[0:len(xs)]. Weights are sign/magnitude; activations are non-negative
+// out[0:len(xs)]. The weight row arrives in DRAM wire layout (fixed.Row:
+// magnitude bytes plus the packed sign bitmap); activations are non-negative
 // codes. Each query's elements are grouped by weight sign so that every
 // photonic accumulation step carries a single sign, which the cross-cycle
 // adder-subtractor applies when reassembling (§5.3, Appendix C). Every group
@@ -44,39 +46,28 @@ import (
 // engine's single-owner contract applies.
 //
 //lint:hotpath
-func (e *Engine) runDotBatch(w []fixed.Signed, xs [][]fixed.Code, adder *CrossCycleAdder, out []fixed.Acc, stats *LayerStats) {
+func (e *Engine) runDotBatch(w fixed.Row, xs [][]fixed.Code, adder *CrossCycleAdder, out []fixed.Acc, stats *LayerStats) {
 	q := len(xs)
 	if len(out) < q {
 		panic(fmt.Sprintf("datapath: batch out length %d < %d queries", len(out), q))
 	}
-	s := &e.scratch
-	s.ensure(e.Preamble, len(w), q)
+	n := len(w.Mags)
 	lanes := e.Core.NumLanes()
+	s := &e.scratch
+	s.ensure(e.Preamble, n, q, lanes)
 	s.bounds = s.bounds[:2*q+1]
 	s.qPos, s.qParts = s.qPos[:q], s.qParts[:q]
 	s.bounds[0] = 0
 	bi, total := 0, 0
 	for qi, x := range xs {
-		if len(x) != len(w) {
-			panic(fmt.Sprintf("datapath: weight row length %d != activation length %d", len(w), len(x)))
+		if len(x) != n {
+			panic(fmt.Sprintf("datapath: weight row length %d != activation length %d", n, len(x)))
 		}
 		// Positive-weight products land in place (the streamer orders them
 		// first); negative ones stage one row width up — ensure left the
 		// room — and close the gap once the positive count is known.
-		stage := bi + len(w)
-		pi, ni := bi, stage
-		for i, wi := range w {
-			if wi.Mag == 0 || x[i] == 0 {
-				continue // zero products need no analog step (sparse skip)
-			}
-			if wi.Neg {
-				s.bW[ni], s.bX[ni] = wi.Mag, x[i]
-				ni++
-			} else {
-				s.bW[pi], s.bX[pi] = wi.Mag, x[i]
-				pi++
-			}
-		}
+		stage := bi + n
+		pi, ni := partition(s.bW, s.bX, w, x, bi, stage)
 		np, nn := pi-bi, ni-stage
 		copy(s.bW[pi:], s.bW[stage:ni])
 		copy(s.bX[pi:], s.bX[stage:ni])
@@ -167,6 +158,106 @@ func (e *Engine) runDotBatch(w []fixed.Signed, xs [][]fixed.Code, adder *CrossCy
 	}
 }
 
+// partition sign-partitions one weight row against one activation vector
+// into the flat operand buffers: products under a positive weight go to
+// bW/bX from pos on, those under a negative weight from neg on, both in
+// element order, and it returns where each group ends. Zero products are
+// left out: they need no analog step (sparse skip).
+//
+// The row is walked the way it sits in DRAM, eight elements to a magnitude
+// word and a sign byte: an all-zero magnitude word or activation octet is
+// skipped whole, and an octet with no zero product under an all-positive
+// sign byte is moved as two words, without per-element tests. A row whose
+// first sign sits mid-byte reads each octet's eight signs across two bitmap
+// bytes.
+//
+//lint:hotpath
+func partition(bW, bX []fixed.Code, w fixed.Row, x []fixed.Code, pos, neg int) (int, int) {
+	mags, signs := w.Mags, w.Signs
+	n := len(mags)
+	x = x[:n]
+	sh := uint(w.Bit & 7)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		mw := binary.LittleEndian.Uint64(mags[i:])
+		if mw == 0 {
+			continue
+		}
+		xw := octet(x[i : i+8 : i+8])
+		if xw == 0 {
+			continue
+		}
+		sb := signs[(w.Bit+i)>>3] >> sh
+		if sh != 0 {
+			sb |= signs[(w.Bit+i)>>3+1] << (8 - sh)
+		}
+		if sb == 0 && !hasZeroByte(mw) && !hasZeroByte(xw) {
+			putOctet(bW[pos:pos+8:pos+8], mw)
+			putOctet(bX[pos:pos+8:pos+8], xw)
+			pos += 8
+			continue
+		}
+		pos, neg = mixedOctet(bW, bX, mw, xw, sb, pos, neg)
+	}
+	for ; i < n; i++ {
+		m, xv := fixed.Code(mags[i]), x[i]
+		if m == 0 || xv == 0 {
+			continue
+		}
+		if w.Neg(i) {
+			bW[neg], bX[neg] = m, xv
+			neg++
+		} else {
+			bW[pos], bX[pos] = m, xv
+			pos++
+		}
+	}
+	return pos, neg
+}
+
+// mixedOctet partitions one octet — magnitudes mw, activations xw, signs sb,
+// element 0 in the low bits — that holds zero products or negative weights.
+// Signs in a trained row are a coin flip, so there is no branch on them: the
+// sign bit selects the cursor, the pair is written there, and the cursor
+// advances if the product is live. A slot written but not claimed is
+// overwritten by the next claimant or left past the group's end.
+//
+//lint:hotpath
+func mixedOctet(bW, bX []fixed.Code, mw, xw uint64, sb byte, pos, neg int) (int, int) {
+	for k := uint(0); k < 64; k += 8 {
+		m, xv := fixed.Code(mw>>k), fixed.Code(xw>>k)
+		live := int((uint(m)*uint(xv) + 0xffff) >> 16) // 1 iff the product is non-zero
+		minus := int(sb & 1)
+		sb >>= 1
+		at := pos ^ (pos^neg)&-minus
+		bW[at], bX[at] = m, xv
+		pos += live &^ minus
+		neg += live & minus
+	}
+	return pos, neg
+}
+
+// hasZeroByte reports whether any of v's eight bytes is zero.
+func hasZeroByte(v uint64) bool {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	return (v-ones)&^v&tops != 0
+}
+
+// octet loads eight codes as one word, the first in the low byte: what
+// binary.LittleEndian.Uint64 is to a []byte.
+func octet(c []fixed.Code) uint64 {
+	_ = c[7]
+	return uint64(c[0]) | uint64(c[1])<<8 | uint64(c[2])<<16 | uint64(c[3])<<24 |
+		uint64(c[4])<<32 | uint64(c[5])<<40 | uint64(c[6])<<48 | uint64(c[7])<<56
+}
+
+// putOctet stores v's eight bytes into d, least significant first.
+func putOctet(d []fixed.Code, v uint64) {
+	_ = d[7]
+	d[0], d[1], d[2], d[3] = fixed.Code(v), fixed.Code(v>>8), fixed.Code(v>>16), fixed.Code(v>>24)
+	d[4], d[5], d[6], d[7] = fixed.Code(v>>32), fixed.Code(v>>40), fixed.Code(v>>48), fixed.Code(v>>56)
+}
+
 // BatchFCResult is the output of one fully-connected layer executed for a
 // batch of queries in a single matrix pass.
 type BatchFCResult struct {
@@ -186,17 +277,20 @@ type BatchFCResult struct {
 
 // ExecuteFCBiasBatch runs a fully-connected layer for every query in xs as
 // one matrix-matrix pass: out_q[j] = act(Σ_i W[j][i]·x_q[i] + bias[j]).
-// Each output neuron's weight row is sign-partitioned once per query and
-// streamed through a single shared burst (runDotBatch). The bias (in raw
+// Each output neuron's weight row is taken in DRAM wire layout — straight
+// from a Packed view, or packed into engine scratch from an in-memory
+// Matrix — sign-partitioned once per query and streamed through a single
+// shared burst (runDotBatch). The bias (in raw
 // accumulator units) is added digitally after the intra-cycle adder tree.
 // requantShift is the per-layer right-shift mapping 16-bit accumulators back
 // onto 8-bit activation codes for the next layer (computed offline by the DAG
 // loader together with the weight scales). The fixed per-layer datapath
 // overhead is paid once for the whole batch.
-func (e *Engine) ExecuteFCBiasBatch(weights [][]fixed.Signed, bias []fixed.Acc, xs [][]fixed.Code, act Activation, requantShift uint) BatchFCResult {
+func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs [][]fixed.Code, act Activation, requantShift uint) BatchFCResult {
+	rows, _ := weights.Dims()
 	perQuery, rowOut := e.scratch.layerOut(len(xs))
 	for qi := range perQuery {
-		perQuery[qi] = FCResult{Raw: make([]fixed.Acc, len(weights))}
+		perQuery[qi] = FCResult{Raw: make([]fixed.Acc, rows)}
 	}
 	res := BatchFCResult{PerQuery: perQuery}
 	adder := NewCrossCycleAdder(1)
@@ -205,7 +299,9 @@ func (e *Engine) ExecuteFCBiasBatch(weights [][]fixed.Signed, bias []fixed.Acc, 
 	// and stream setup (the 193 ns/layer of §9 at 253.44 MHz ≈ 49 cycles) —
 	// once per batch, not once per query.
 	res.Stats.DatapathCycles += PerLayerOverheadCycles
-	for j, row := range weights {
+	for j := 0; j < rows; j++ {
+		var row fixed.Row
+		row, e.scratch.row = weights.Row(j, e.scratch.row)
 		e.runDotBatch(row, xs, adder, rowOut, &res.Stats)
 		for qi, v := range rowOut {
 			if j < len(bias) {

@@ -10,7 +10,7 @@ import (
 
 // batchLayer builds a deterministic layer (weights, bias) and q input
 // vectors of width in, mixing signs, zeros and saturating magnitudes.
-func batchLayer(out, in, q int) (weights [][]fixed.Signed, bias []fixed.Acc, xs [][]fixed.Code) {
+func batchLayer(out, in, q int) (weights fixed.Matrix, bias []fixed.Acc, xs [][]fixed.Code) {
 	weights = make([][]fixed.Signed, out)
 	for j := range weights {
 		weights[j] = make([]fixed.Signed, in)
@@ -88,7 +88,7 @@ func TestExecuteFCBiasBatchMatchesSerialNoiseless(t *testing.T) {
 // some queries in the batch are all-zero.
 func TestRunDotBatchAllZeroProducts(t *testing.T) {
 	e := newTestEngine(t, 2, false)
-	weights := [][]fixed.Signed{{{Mag: 0}, {Mag: 100}, {Mag: 0}}}
+	weights := fixed.Matrix{{{Mag: 0}, {Mag: 100}, {Mag: 0}}}
 	xs := [][]fixed.Code{
 		{200, 0, 200}, // all products zero
 		{0, 50, 0},    // one live product

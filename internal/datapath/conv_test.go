@@ -212,7 +212,7 @@ func TestSmallCNNThroughDatapath(t *testing.T) {
 		t.Fatalf("pooled dims = %dx%d", ph, pw)
 	}
 	// FC head over the pooled map.
-	fcW := make([][]fixed.Signed, 2)
+	fcW := make(fixed.Matrix, 2)
 	for j := range fcW {
 		fcW[j] = make([]fixed.Signed, len(pooled))
 		for i := range fcW[j] {

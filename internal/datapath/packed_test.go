@@ -1,0 +1,176 @@
+package datapath
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"github.com/lightning-smartnic/lightning/internal/fixed"
+)
+
+// packedCase draws a rows×cols layer and q activation vectors from a seed.
+// Row 0 is all zero and row 1 all negative; the other rows mix signs with
+// runs of zero magnitudes, and the activations carry zero runs too, so zero
+// words, zero octets, dense octets and mixed octets all occur.
+func packedCase(seed uint64, rows, cols, q int) (fixed.Matrix, []fixed.Acc, [][]fixed.Code) {
+	rng := rand.New(rand.NewPCG(seed, 15))
+	sparse := func(i int) bool { return (i/11)%3 == 1 }
+	m := make(fixed.Matrix, rows)
+	for j := range m {
+		m[j] = make([]fixed.Signed, cols)
+		for i := range m[j] {
+			switch {
+			case j == 0:
+			case j == 1:
+				m[j][i] = fixed.Signed{Mag: fixed.Code(1 + rng.IntN(255)), Neg: true}
+			case !sparse(i + j):
+				m[j][i] = fixed.Signed{Mag: fixed.Code(rng.IntN(256)), Neg: rng.IntN(4) == 0}
+			}
+		}
+	}
+	bias := make([]fixed.Acc, rows)
+	for j := range bias {
+		bias[j] = fixed.Acc(rng.IntN(400) - 200)
+	}
+	xs := make([][]fixed.Code, q)
+	for qi := range xs {
+		xs[qi] = make([]fixed.Code, cols)
+		for i := range xs[qi] {
+			if !sparse(i + 5*qi) {
+				xs[qi][i] = fixed.Code(rng.IntN(256))
+			}
+		}
+	}
+	return m, bias, xs
+}
+
+// TestPartitionMatchesReference holds the word-at-a-time partition to the
+// per-element loop it replaced: same operands, same order, positive group
+// and negative group, for rows at every sign-bit alignment.
+func TestPartitionMatchesReference(t *testing.T) {
+	for _, cols := range []int{1, 5, 8, 13, 16, 37, 64, 100} {
+		const rows = 9 // with odd widths, rows start at every bit of a byte
+		m, _, xs := packedCase(uint64(cols), rows, cols, 1)
+		p, err := fixed.View(m.Pack(), rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := xs[0]
+		for j := 0; j < rows; j++ {
+			var wantW, wantX [2][]fixed.Code
+			for i, wi := range m[j] {
+				if wi.Mag == 0 || x[i] == 0 {
+					continue
+				}
+				g := 0
+				if wi.Neg {
+					g = 1
+				}
+				wantW[g], wantX[g] = append(wantW[g], wi.Mag), append(wantX[g], x[i])
+			}
+			row, _ := p.Row(j, nil)
+			bW, bX := make([]fixed.Code, 2*cols), make([]fixed.Code, 2*cols)
+			pos, neg := partition(bW, bX, row, x, 0, cols)
+			if pos != len(wantW[0]) || neg-cols != len(wantW[1]) {
+				t.Fatalf("cols %d row %d: %d positive, %d negative operands; want %d, %d",
+					cols, j, pos, neg-cols, len(wantW[0]), len(wantW[1]))
+			}
+			for g, at := range [2]int{0, cols} {
+				n := len(wantW[g])
+				if n > 0 && (!reflect.DeepEqual(bW[at:at+n], wantW[g]) || !reflect.DeepEqual(bX[at:at+n], wantX[g])) {
+					t.Fatalf("cols %d row %d group %d: operands\n%v\n%v\nwant\n%v\n%v",
+						cols, j, g, bW[at:at+n], bX[at:at+n], wantW[g], wantX[g])
+				}
+			}
+		}
+	}
+}
+
+// checkPackedEquivalence runs one layer twice on same-seed engines, once from
+// the in-memory matrix and once from a view over its DRAM blob, and requires
+// identical Raw, Quantized, Probs and Stats — noiseless, and bit for bit
+// with a seeded noise model, which also pins the noise-draw order.
+func checkPackedEquivalence(t *testing.T, seed uint64, rows, cols, q int) {
+	t.Helper()
+	m, bias, xs := packedCase(seed, rows, cols, q)
+	p, err := fixed.View(m.Pack(), rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, noisy := range []bool{false, true} {
+		want := newTestEngine(t, 2, noisy).ExecuteFCBiasBatch(m, bias, xs, ActSoftmax, 3)
+		got := newTestEngine(t, 2, noisy).ExecuteFCBiasBatch(p, bias, xs, ActSoftmax, 3)
+		if got.Stats != want.Stats {
+			t.Fatalf("%dx%d q%d noisy=%v: Stats %+v from the view, %+v from the matrix", rows, cols, q, noisy, got.Stats, want.Stats)
+		}
+		if !reflect.DeepEqual(got.PerQuery, want.PerQuery) {
+			t.Fatalf("%dx%d q%d noisy=%v: outputs differ\nview   %+v\nmatrix %+v", rows, cols, q, noisy, got.PerQuery, want.PerQuery)
+		}
+	}
+}
+
+func TestPackedViewMatchesMatrix(t *testing.T) {
+	for _, dim := range [][2]int{{1, 1}, {2, 7}, {3, 8}, {4, 13}, {5, 64}, {6, 37}, {3, 200}} {
+		for _, q := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%dx%d/q%d", dim[0], dim[1], q), func(t *testing.T) {
+				checkPackedEquivalence(t, 1, dim[0], dim[1], q)
+			})
+		}
+	}
+}
+
+func FuzzPackedViewEquivalence(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint16(13), false)
+	f.Add(uint64(2), uint8(2), uint16(64), true)
+	f.Add(uint64(3), uint8(7), uint16(9), true)
+	f.Fuzz(func(t *testing.T, seed uint64, rows uint8, cols uint16, wide bool) {
+		q := 1
+		if wide {
+			q = 8
+		}
+		checkPackedEquivalence(t, seed, 1+int(rows)%12, 1+int(cols)%300, q)
+	})
+}
+
+// TestScratchFootprintOneWideLayer pins what one wide layer leaves resident
+// in the engine: operand buffers by elements, but sign controls and the
+// burst by partials — a query issues at most ⌈n/lanes⌉+1 of them — and no
+// row buffer at all when the weights arrive as a view.
+func TestScratchFootprintOneWideLayer(t *testing.T) {
+	const n, lanes, q = 150528, 2, 1
+	m := fixed.Matrix{make([]fixed.Signed, n), make([]fixed.Signed, n)}
+	for i := 0; i < n/2; i++ {
+		m[0][i], m[1][n/2+i] = fixed.Signed{Mag: 255}, fixed.Signed{Mag: 255, Neg: true}
+	}
+	p, err := fixed.View(m.Pack(), 2, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]fixed.Code, n)
+	for i := range x {
+		x[i] = 200
+	}
+	e := newTestEngine(t, lanes, false)
+	e.ExecuteFCBias(p, nil, x, ActSoftmax, 10)
+	s := &e.scratch
+	const partials = q * (n/lanes + 1)
+	if cap(s.negs) != partials || cap(s.burst) != len(s.pre)+partials {
+		t.Errorf("negs cap %d, burst cap %d; want %d and %d (sized by partials, not elements)",
+			cap(s.negs), cap(s.burst), partials, len(s.pre)+partials)
+	}
+	if len(s.bW) != (q+1)*n || len(s.bX) != (q+1)*n {
+		t.Errorf("operand buffers %d, %d; want %d", len(s.bW), len(s.bX), (q+1)*n)
+	}
+	if s.row != nil {
+		t.Errorf("a packed view grew a %d-byte row buffer", cap(s.row))
+	}
+
+	// The partial bound is met exactly when both sign groups round up to a
+	// step: a fresh engine's exactly-sized scratch must hold them.
+	odd := fixed.Matrix{{{Mag: 9}, {Mag: 9, Neg: true}, {Mag: 9, Neg: true}, {Mag: 9, Neg: true}}}
+	res := newTestEngine(t, lanes, false).ExecuteFCBias(odd, nil, []fixed.Code{5, 5, 5, 5}, ActIdentity, 0)
+	if res.Stats.PhotonicSteps != 4/lanes+1 {
+		t.Errorf("odd sign groups took %d steps, want %d", res.Stats.PhotonicSteps, 4/lanes+1)
+	}
+}

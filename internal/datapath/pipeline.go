@@ -108,14 +108,17 @@ func NewEngine(core *photonic.Core, seed uint64) *Engine {
 }
 
 // runDot computes one output neuron's dot product W·x: runDotBatch for a
-// batch of one. The conv, attention and transformer templates drive their
-// per-window and per-head dots through it.
+// batch of one over the row packed into engine scratch. The conv, attention
+// and transformer templates drive their per-window and per-head dots through
+// it.
 //
 //lint:hotpath
 func (e *Engine) runDot(w []fixed.Signed, x []fixed.Code, adder *CrossCycleAdder, stats *LayerStats) fixed.Acc {
 	xs := [1][]fixed.Code{x}
 	var out [1]fixed.Acc
-	e.runDotBatch(w, xs[:], adder, out[:], stats)
+	var row fixed.Row
+	row, e.scratch.row = fixed.PackRow(w, e.scratch.row)
+	e.runDotBatch(row, xs[:], adder, out[:], stats)
 	return out[0]
 }
 
@@ -133,14 +136,14 @@ type FCResult struct {
 }
 
 // ExecuteFC runs a fully-connected layer without bias; see ExecuteFCBias.
-func (e *Engine) ExecuteFC(weights [][]fixed.Signed, x []fixed.Code, act Activation, requantShift uint) FCResult {
+func (e *Engine) ExecuteFC(weights fixed.Weights, x []fixed.Code, act Activation, requantShift uint) FCResult {
 	return e.ExecuteFCBias(weights, nil, x, act, requantShift)
 }
 
 // ExecuteFCBias runs a fully-connected layer for one query:
 // out[j] = act(Σ_i W[j][i]·x[i] + bias[j]) — ExecuteFCBiasBatch for a batch
 // of one, with the pass's cycle accounting attached to the single result.
-func (e *Engine) ExecuteFCBias(weights [][]fixed.Signed, bias []fixed.Acc, x []fixed.Code, act Activation, requantShift uint) FCResult {
+func (e *Engine) ExecuteFCBias(weights fixed.Weights, bias []fixed.Acc, x []fixed.Code, act Activation, requantShift uint) FCResult {
 	xs := [1][]fixed.Code{x}
 	batch := e.ExecuteFCBiasBatch(weights, bias, xs[:], act, requantShift)
 	res := batch.PerQuery[0]

@@ -22,7 +22,7 @@ func newTestEngine(t *testing.T, lanes int, noisy bool) *Engine {
 }
 
 // digitalFC is the reference 8-bit digital implementation of a layer.
-func digitalFC(weights [][]fixed.Signed, x []fixed.Code) []float64 {
+func digitalFC(weights fixed.Matrix, x []fixed.Code) []float64 {
 	out := make([]float64, len(weights))
 	for j, row := range weights {
 		var s float64
@@ -41,7 +41,7 @@ func digitalFC(weights [][]fixed.Signed, x []fixed.Code) []float64 {
 
 func TestExecuteFCMatchesDigital(t *testing.T) {
 	e := newTestEngine(t, 2, false)
-	weights := [][]fixed.Signed{
+	weights := fixed.Matrix{
 		{{Mag: 100}, {Mag: 50, Neg: true}, {Mag: 200}, {Mag: 30}},
 		{{Mag: 255, Neg: true}, {Mag: 10}, {Mag: 0}, {Mag: 90}},
 		{{Mag: 70}, {Mag: 70}, {Mag: 70, Neg: true}, {Mag: 70, Neg: true}},
@@ -64,7 +64,7 @@ func TestExecuteFCMatchesDigital(t *testing.T) {
 
 func TestExecuteFCReLU(t *testing.T) {
 	e := newTestEngine(t, 2, false)
-	weights := [][]fixed.Signed{
+	weights := fixed.Matrix{
 		{{Mag: 200, Neg: true}}, // strongly negative output
 		{{Mag: 200}},            // strongly positive output
 	}
@@ -83,7 +83,7 @@ func TestExecuteFCReLU(t *testing.T) {
 
 func TestExecuteFCSoftmax(t *testing.T) {
 	e := newTestEngine(t, 2, false)
-	weights := [][]fixed.Signed{
+	weights := fixed.Matrix{
 		{{Mag: 250}},
 		{{Mag: 50}},
 	}
@@ -98,7 +98,7 @@ func TestExecuteFCSoftmax(t *testing.T) {
 
 func TestExecuteFCWithNoiseStaysClose(t *testing.T) {
 	e := newTestEngine(t, 2, true)
-	weights := make([][]fixed.Signed, 4)
+	weights := make(fixed.Matrix, 4)
 	x := make([]fixed.Code, 32)
 	for i := range x {
 		x[i] = fixed.Code(i * 8)
@@ -122,7 +122,7 @@ func TestExecuteFCWithNoiseStaysClose(t *testing.T) {
 
 func TestExecuteFCSparseSkipsZeroProducts(t *testing.T) {
 	e := newTestEngine(t, 1, false)
-	weights := [][]fixed.Signed{{{Mag: 0}, {Mag: 100}, {Mag: 0}}}
+	weights := fixed.Matrix{{{Mag: 0}, {Mag: 100}, {Mag: 0}}}
 	x := []fixed.Code{200, 0, 200}
 	res := e.ExecuteFC(weights, x, ActIdentity, 0)
 	// Every product is zero: no photonic step needed at all.
@@ -136,7 +136,7 @@ func TestExecuteFCSparseSkipsZeroProducts(t *testing.T) {
 
 func TestLayerStatsAccounting(t *testing.T) {
 	e := newTestEngine(t, 2, false)
-	weights := [][]fixed.Signed{make([]fixed.Signed, 64)}
+	weights := fixed.Matrix{make([]fixed.Signed, 64)}
 	for i := range weights[0] {
 		weights[0][i] = fixed.Signed{Mag: 128}
 	}
@@ -168,7 +168,7 @@ func TestLayerStatsAccounting(t *testing.T) {
 
 func TestRequantShiftScalesOutput(t *testing.T) {
 	e := newTestEngine(t, 2, false)
-	weights := [][]fixed.Signed{make([]fixed.Signed, 16)}
+	weights := fixed.Matrix{make([]fixed.Signed, 16)}
 	for i := range weights[0] {
 		weights[0][i] = fixed.Signed{Mag: 255}
 	}

@@ -36,7 +36,7 @@ func (r RNNSpec) Validate() error {
 // RNNCell holds the cell's quantized parameters and hidden state.
 type RNNCell struct {
 	Spec   RNNSpec
-	Wx, Wh [][]fixed.Signed
+	Wx, Wh fixed.Matrix
 	Bias   []fixed.Acc
 
 	h []fixed.Code
@@ -45,7 +45,7 @@ type RNNCell struct {
 }
 
 // NewRNNCell builds a cell. Wx is Hidden×In, Wh is Hidden×Hidden.
-func NewRNNCell(spec RNNSpec, wx, wh [][]fixed.Signed, bias []fixed.Acc) (*RNNCell, error) {
+func NewRNNCell(spec RNNSpec, wx, wh fixed.Matrix, bias []fixed.Acc) (*RNNCell, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

@@ -27,6 +27,9 @@ type engineScratch struct {
 	// qPos/qParts record each query's positive-group and total partial
 	// counts so the shared payload can be sliced back per query.
 	qPos, qParts []int
+	// row is where a weight row held as []fixed.Signed is packed into wire
+	// layout on entry (fixed.PackRow); a Packed view never touches it.
+	row []byte
 	// bParts collects the concatenated analog partial readings, filled by
 	// Core.DotPartialsBatchInto.
 	bParts []float64
@@ -54,11 +57,12 @@ type engineScratch struct {
 
 // ensure is runDotBatch's cold path: it re-bakes the preamble prefix if the
 // engine's preamble config changed and grows the buffers to q queries of
-// layer width n. A query contributes at most n operands (and so at most n
-// partials, one per analog step), so q·n bounds every flattened buffer, plus
-// the staging row in bW/bX. After it returns, the hot body runs on indexed
-// writes and reslices only.
-func (s *engineScratch) ensure(cfg PreambleConfig, n, q int) {
+// layer width n. A query contributes at most n operands, so q·n bounds the
+// flattened operand buffers, plus the staging row in bW/bX; its two sign
+// groups issue at most ⌈n/lanes⌉+1 partials between them, which bounds the
+// sign controls and the burst. After it returns, the hot body runs on
+// indexed writes and reslices only.
+func (s *engineScratch) ensure(cfg PreambleConfig, n, q, lanes int) {
 	if !s.baked || s.preCfg != cfg {
 		codes := cfg.Prepend(nil)
 		s.pre = make([]float64, len(codes))
@@ -68,10 +72,9 @@ func (s *engineScratch) ensure(cfg PreambleConfig, n, q int) {
 		s.preCfg = cfg
 		s.baked = true
 	}
-	total := n * q
-	if len(s.bW) < total+n {
-		s.bW = make([]fixed.Code, total+n)
-		s.bX = make([]fixed.Code, total+n)
+	if len(s.bW) < (q+1)*n {
+		s.bW = make([]fixed.Code, (q+1)*n)
+		s.bX = make([]fixed.Code, (q+1)*n)
 	}
 	if cap(s.bounds) < 2*q+1 {
 		s.bounds = make([]int, 2*q+1)
@@ -80,11 +83,12 @@ func (s *engineScratch) ensure(cfg PreambleConfig, n, q int) {
 		s.qPos = make([]int, q)
 		s.qParts = make([]int, q)
 	}
-	if cap(s.negs) < total {
-		s.negs = make([]bool, total)
+	partials := q * ((n+lanes-1)/lanes + 1)
+	if cap(s.negs) < partials {
+		s.negs = make([]bool, partials)
 	}
-	if cap(s.burst) < len(s.pre)+total {
-		s.burst = make([]float64, len(s.pre)+total)
+	if cap(s.burst) < len(s.pre)+partials {
+		s.burst = make([]float64, len(s.pre)+partials)
 	}
 }
 

@@ -33,9 +33,10 @@ func TestRunDotBatchZeroSteadyStateAllocs(t *testing.T) {
 			adder.Gain = e.Core.FullScaleLanes
 			out := make([]fixed.Acc, q)
 			var stats LayerStats
-			e.runDotBatch(w, xs, adder, out, &stats) // warm-up: grows scratch, bakes preamble
+			row, _ := fixed.PackRow(w, nil)
+			e.runDotBatch(row, xs, adder, out, &stats) // warm-up: grows scratch, bakes preamble
 			if n := testing.AllocsPerRun(100, func() {
-				e.runDotBatch(w, xs, adder, out, &stats)
+				e.runDotBatch(row, xs, adder, out, &stats)
 			}); n != 0 {
 				t.Fatalf("runDotBatch allocates %v times per call in steady state, want 0", n)
 			}

@@ -38,16 +38,16 @@ func (s TransformerSpec) Validate() error {
 // D×D (heads are slices of the output), FFN matrices are FFN×D and D×FFN.
 type TransformerBlock struct {
 	Spec       TransformerSpec
-	WQ, WK, WV [][]fixed.Signed
-	W1, W2     [][]fixed.Signed
+	WQ, WK, WV fixed.Matrix
+	W1, W2     fixed.Matrix
 }
 
 // NewTransformerBlock validates shapes and builds the block.
-func NewTransformerBlock(spec TransformerSpec, wq, wk, wv, w1, w2 [][]fixed.Signed) (*TransformerBlock, error) {
+func NewTransformerBlock(spec TransformerSpec, wq, wk, wv, w1, w2 fixed.Matrix) (*TransformerBlock, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	check := func(name string, w [][]fixed.Signed, rows, cols int) error {
+	check := func(name string, w fixed.Matrix, rows, cols int) error {
 		if len(w) != rows || len(w[0]) != cols {
 			return fmt.Errorf("datapath: %s is %dx%d, want %dx%d", name, len(w), len(w[0]), rows, cols)
 		}
@@ -69,7 +69,7 @@ func NewTransformerBlock(spec TransformerSpec, wq, wk, wv, w1, w2 [][]fixed.Sign
 
 // headSlice extracts head h's rows from a D×D projection: rows
 // [h·dh, (h+1)·dh) so each head projects into its own dh-wide subspace.
-func headSlice(w [][]fixed.Signed, h, dh int) [][]fixed.Signed {
+func headSlice(w fixed.Matrix, h, dh int) fixed.Matrix {
 	return w[h*dh : (h+1)*dh]
 }
 
@@ -126,7 +126,7 @@ func (b *TransformerBlock) Execute(e *Engine, x []fixed.Code) ([]fixed.Code, Lay
 }
 
 // projectHead applies a dh×D projection to every token.
-func (b *TransformerBlock) projectHead(e *Engine, w [][]fixed.Signed, x []fixed.Code, stats *LayerStats) []fixed.Code {
+func (b *TransformerBlock) projectHead(e *Engine, w fixed.Matrix, x []fixed.Code, stats *LayerStats) []fixed.Code {
 	spec := b.Spec
 	dh := len(w)
 	out := make([]fixed.Code, spec.Seq*dh)

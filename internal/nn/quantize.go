@@ -13,7 +13,7 @@ import (
 // (added digitally after the intra-cycle adder tree), and the requantization
 // shift mapping 16-bit accumulators back to 8-bit activations.
 type QuantizedLayer struct {
-	Weights [][]fixed.Signed
+	Weights fixed.Matrix
 	Bias    []fixed.Acc
 	Shift   uint
 	// Final marks the output layer (softmax instead of ReLU).
@@ -42,7 +42,7 @@ func Quantize(n *Network, calib *dataset.Set) *QuantizedNetwork {
 		}
 		sc := fixed.ScaleFor(flat)
 		ql := QuantizedLayer{
-			Weights: make([][]fixed.Signed, len(n.W[l])),
+			Weights: make(fixed.Matrix, len(n.W[l])),
 			Bias:    make([]fixed.Acc, len(n.B[l])),
 			Final:   l == len(n.W)-1,
 			WScale:  sc,

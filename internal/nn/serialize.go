@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -20,7 +21,7 @@ import (
 //	  shift  uint8
 //	  final  uint8
 //	  wscale float64 bits
-//	  weights: mag bytes row-major + packed sign bitmap (dagloader codec)
+//	  weights: mag bytes row-major + packed sign bitmap (fixed.Matrix.Pack)
 //	  bias:   int16 × out
 const quantMagic = 0x4c514e31 // "LQN1"
 
@@ -53,7 +54,7 @@ func (q *QuantizedNetwork) WriteTo(w io.Writer) (int64, error) {
 		if err := write(math.Float64bits(l.WScale.Max)); err != nil {
 			return cw.n, err
 		}
-		if err := write(encodeWeights(l.Weights)); err != nil {
+		if err := write(l.Weights.Pack()); err != nil {
 			return cw.n, err
 		}
 		for _, b := range l.Bias {
@@ -106,12 +107,18 @@ func ReadQuantized(r io.Reader) (*QuantizedNetwork, error) {
 		if err := read(&scaleBits); err != nil {
 			return nil, err
 		}
-		n := in * out
-		blob := make([]byte, n+(n+7)/8)
-		if _, err := io.ReadFull(r, blob); err != nil {
+		// The sizes are wire-supplied: read the blob as it arrives, so a
+		// hostile header cannot make us allocate what the reader cannot
+		// supply.
+		n, ok := fixed.PackedLen(out, in)
+		if !ok {
+			return nil, fmt.Errorf("nn: layer %d: %dx%d weights do not fit memory", l, out, in)
+		}
+		var blob bytes.Buffer
+		if _, err := io.CopyN(&blob, r, int64(n)); err != nil {
 			return nil, fmt.Errorf("nn: reading layer %d weights: %w", l, err)
 		}
-		weights, err := decodeWeights(blob, out, in)
+		packed, err := fixed.View(blob.Bytes(), out, in)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +131,7 @@ func ReadQuantized(r io.Reader) (*QuantizedNetwork, error) {
 			bias[j] = fixed.Acc(b)
 		}
 		q.Layers = append(q.Layers, QuantizedLayer{
-			Weights: weights,
+			Weights: packed.Matrix(),
 			Bias:    bias,
 			Shift:   uint(shift),
 			Final:   final != 0,
@@ -132,44 +139,6 @@ func ReadQuantized(r io.Reader) (*QuantizedNetwork, error) {
 		})
 	}
 	return q, nil
-}
-
-// encodeWeights/decodeWeights mirror the dagloader DRAM codec (duplicated
-// here to keep nn free of a dagloader dependency; both are covered by
-// round-trip tests).
-func encodeWeights(w [][]fixed.Signed) []byte {
-	rows, cols := len(w), len(w[0])
-	n := rows * cols
-	out := make([]byte, n+(n+7)/8)
-	for j, row := range w {
-		for i, s := range row {
-			idx := j*cols + i
-			out[idx] = byte(s.Mag)
-			if s.Neg {
-				out[n+idx/8] |= 1 << (idx % 8)
-			}
-		}
-	}
-	return out
-}
-
-func decodeWeights(blob []byte, rows, cols int) ([][]fixed.Signed, error) {
-	n := rows * cols
-	if len(blob) != n+(n+7)/8 {
-		return nil, fmt.Errorf("nn: weight blob size %d for %dx%d", len(blob), rows, cols)
-	}
-	w := make([][]fixed.Signed, rows)
-	for j := range w {
-		w[j] = make([]fixed.Signed, cols)
-		for i := range w[j] {
-			idx := j*cols + i
-			w[j][i] = fixed.Signed{
-				Mag: fixed.Code(blob[idx]),
-				Neg: blob[n+idx/8]&(1<<(idx%8)) != 0,
-			}
-		}
-	}
-	return w, nil
 }
 
 type countWriter struct {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/dataset"
@@ -58,6 +59,18 @@ func TestQuantizedSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// hostileHeader is a well-formed one-layer LQN1 stream claiming an in×out
+// layer, cut off two bytes into the weights: 26 bytes in all.
+func hostileHeader(in, out uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, quantMagic)
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, in)
+	b = binary.LittleEndian.AppendUint32(b, out)
+	b = append(b, 0, 1)               // shift, final
+	b = append(b, make([]byte, 8)...) // weight scale
+	return append(b, 0xff, 0xff)
+}
+
 func TestReadQuantizedRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		{},
@@ -67,6 +80,13 @@ func TestReadQuantizedRejectsGarbage(t *testing.T) {
 	for i, c := range cases {
 		if _, err := ReadQuantized(bytes.NewReader(c)); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
+		}
+	}
+	// Hostile layer sizes with no weights behind them: the reader must run
+	// dry, not allocate 2^48 (or a merely fatal 2^38) bytes up front.
+	for _, sizes := range [][2]uint32{{1 << 24, 1 << 24}, {1 << 24, 1 << 14}} {
+		if _, err := ReadQuantized(bytes.NewReader(hostileHeader(sizes[0], sizes[1]))); err == nil {
+			t.Errorf("%dx%d layer with a 2-byte weight blob accepted", sizes[1], sizes[0])
 		}
 	}
 	// Truncated valid stream.

@@ -588,4 +588,20 @@ func TestHandleMessageFaultedBiasReadIsErrFlagged(t *testing.T) {
 		t.Fatalf("faulted=%d shard errors=%d served=%d, want 1/1/1",
 			m.DRAMFaultedReads, m.Shards[0].Errors, m.Served)
 	}
+
+	// A bias read that comes back short must not be served with the missing
+	// biases dropped.
+	n.store.DRAM.SetReadFault(func(key string, blob []byte) ([]byte, bool) {
+		if strings.HasSuffix(key, "/bias") {
+			return blob[:2], true
+		}
+		return blob, true
+	})
+	resp, err = n.HandleMessage(query)
+	if err == nil || resp == nil || !resp.Err {
+		t.Fatalf("short bias read: resp=%+v err=%v, want an Err-flagged response", resp, err)
+	}
+	if m := n.Metrics(); m.Shards[0].Errors != 2 || m.Served != 1 {
+		t.Fatalf("shard errors=%d served=%d, want 2/1", m.Shards[0].Errors, m.Served)
+	}
 }
