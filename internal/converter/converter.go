@@ -20,6 +20,7 @@ package converter
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"github.com/lightning-smartnic/lightning/internal/axi"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
@@ -108,6 +109,11 @@ func NewADC(seed uint64) *ADC {
 // rounding and saturating at the rails.
 func (a *ADC) Quantize(v float64) fixed.Code {
 	a.Quantized++
+	return quantize(v)
+}
+
+// quantize is Quantize without the sample count.
+func quantize(v float64) fixed.Code {
 	if v <= 0 {
 		return 0
 	}
@@ -149,38 +155,43 @@ func (a *ADC) ReadoutFrames(readings []float64, phase int) []Frame {
 
 // ReadoutFramesInto is ReadoutFrames with caller-owned storage: frames are
 // appended to dst (normally passed as dst[:0] with retained capacity) so a
-// steady-state caller — the datapath engine's per-dot scratch — digitizes
-// without allocating.
+// steady-state caller digitizes without allocating.
 func (a *ADC) ReadoutFramesInto(dst []Frame, readings []float64, phase int) []Frame {
+	return a.ReadoutBurstInto(dst, nil, readings, phase)
+}
+
+// ReadoutBurstInto is the readout every other form reduces to: the burst is
+// a prefix of samples whose codes are already known — the datapath's
+// preamble, which the DAC emits at exact rail levels, so digitizing it is
+// the identity — followed by analog readings to quantize. Both spans count
+// as digitized samples. Idle noise is drawn for the positions before the
+// burst and then for those after it, and for nothing in between.
+//
+//lint:hotpath
+func (a *ADC) ReadoutBurstInto(dst []Frame, prefix []fixed.Code, readings []float64, phase int) []Frame {
 	if phase < 0 || phase >= SamplesPerCycle {
 		panic("converter: readout phase out of range")
 	}
-	total := phase + len(readings)
-	nFrames := (total + SamplesPerCycle - 1) / SamplesPerCycle
-	if nFrames == 0 {
-		nFrames = 1
-	}
+	burst := len(prefix) + len(readings)
+	nFrames := max(1, (phase+burst+SamplesPerCycle-1)/SamplesPerCycle)
 	base := len(dst)
-	if need := base + nFrames; cap(dst) >= need {
-		dst = dst[:need]
-	} else {
-		grown := make([]Frame, need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, nFrames)[:base+nFrames]
 	frames := dst[base:]
-	pos := 0
-	for f := 0; f < nFrames; f++ {
-		for s := 0; s < SamplesPerCycle; s++ {
-			idx := f*SamplesPerCycle + s
-			switch {
-			case idx < phase, idx >= phase+len(readings):
-				frames[f][s] = a.noiseSample()
-			default:
-				frames[f][s] = a.Quantize(readings[pos])
-				pos++
-			}
-		}
+	i := 0
+	for ; i < phase; i++ {
+		frames[0][i] = a.noiseSample()
+	}
+	for len(prefix) > 0 {
+		n := copy(frames[i/SamplesPerCycle][i%SamplesPerCycle:], prefix)
+		prefix, i = prefix[n:], i+n
+	}
+	for _, v := range readings {
+		frames[i/SamplesPerCycle][i%SamplesPerCycle] = quantize(v)
+		i++
+	}
+	a.Quantized += uint64(burst)
+	for ; i < nFrames*SamplesPerCycle; i++ {
+		frames[i/SamplesPerCycle][i%SamplesPerCycle] = a.noiseSample()
 	}
 	return dst
 }

@@ -174,3 +174,79 @@ func TestNoiseFloorZero(t *testing.T) {
 		}
 	}
 }
+
+// refReadout is the readout as it ran before the two-span entry: one flat
+// burst of analog readings, every position of every frame visited and either
+// quantized or drawn as idle noise.
+func refReadout(a *ADC, readings []float64, phase int) []Frame {
+	total := phase + len(readings)
+	nFrames := (total + SamplesPerCycle - 1) / SamplesPerCycle
+	if nFrames == 0 {
+		nFrames = 1
+	}
+	frames := make([]Frame, nFrames)
+	pos := 0
+	for f := 0; f < nFrames; f++ {
+		for s := 0; s < SamplesPerCycle; s++ {
+			idx := f*SamplesPerCycle + s
+			switch {
+			case idx < phase, idx >= phase+len(readings):
+				frames[f][s] = a.noiseSample()
+			default:
+				frames[f][s] = a.Quantize(readings[pos])
+				pos++
+			}
+		}
+	}
+	return frames
+}
+
+// TestReadoutBurstMatchesFlatReadout: a code prefix plus analog readings
+// reads out exactly as the concatenated analog burst did — equal frames,
+// equal Quantized, and the rng left at the same draw — for every phase,
+// every code as a prefix sample, and empty spans on either side; and
+// ReadoutFramesInto, the empty-prefix case, appends after retained frames.
+func TestReadoutBurstMatchesFlatReadout(t *testing.T) {
+	allCodes := make([]fixed.Code, 0, 2*fixed.Levels)
+	for c := 0; c < fixed.Levels; c++ {
+		allCodes = append(allCodes, fixed.Code(c), fixed.Code(fixed.MaxCode-c))
+	}
+	readings := []float64{-3, 0, 0.49, 0.5, 17.5, 254.49, 254.5, 255, 300, 99.9, 12, 200, 1, 2, 3, 4, 5, 6.5, 77}
+	for phase := 0; phase < SamplesPerCycle; phase++ {
+		for _, prefix := range [][]fixed.Code{nil, allCodes[:1], allCodes[:160], allCodes[:16-phase], allCodes} {
+			for _, tail := range [][]float64{nil, readings[:1], readings[:16], readings} {
+				seed := uint64(phase*1000 + len(prefix)*10 + len(tail))
+				flat := make([]float64, 0, len(prefix)+len(tail))
+				for _, c := range prefix {
+					flat = append(flat, float64(c))
+				}
+				flat = append(flat, tail...)
+
+				ref, two, one := NewADC(seed), NewADC(seed), NewADC(seed)
+				want := refReadout(ref, flat, phase)
+				kept := []Frame{{1, 2, 3}}
+				got := two.ReadoutBurstInto(kept, prefix, tail, phase)
+				flatGot := one.ReadoutFramesInto(nil, flat, phase)
+				if got[0] != kept[0] {
+					t.Fatalf("phase %d: retained frame overwritten", phase)
+				}
+				for name, fr := range map[string][]Frame{"two-span": got[1:], "flat": flatGot} {
+					if len(fr) != len(want) {
+						t.Fatalf("phase %d prefix %d readings %d: %s gave %d frames, want %d", phase, len(prefix), len(tail), name, len(fr), len(want))
+					}
+					for i := range want {
+						if fr[i] != want[i] {
+							t.Fatalf("phase %d prefix %d readings %d: %s frame %d = %v, want %v", phase, len(prefix), len(tail), name, i, fr[i], want[i])
+						}
+					}
+				}
+				if two.Quantized != ref.Quantized || one.Quantized != ref.Quantized {
+					t.Fatalf("phase %d: Quantized %d / %d, want %d", phase, two.Quantized, one.Quantized, ref.Quantized)
+				}
+				if a, b, c := ref.rng.Uint64(), two.rng.Uint64(), one.rng.Uint64(); a != b || a != c {
+					t.Fatalf("phase %d prefix %d readings %d: rng streams diverged", phase, len(prefix), len(tail))
+				}
+			}
+		}
+	}
+}

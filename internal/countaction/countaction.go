@@ -16,10 +16,7 @@
 // pipeline flush.
 package countaction
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Value is the width of a count register. The RTL uses 32-bit counters; we
 // use int64 so simulation-scale counts cannot wrap.
@@ -133,6 +130,8 @@ func (r *Rule) Count() Value { return r.count }
 // multi-valued variables like Σ DAC[i].valid) still fire once and reset, per
 // the semantics of §5 ("Once the result reaches the target, the count
 // variable is set back to zero, and the actions are triggered").
+//
+//lint:hotpath
 func (r *Rule) Add(delta Value) bool {
 	t := r.Target()
 	if t <= 0 {
@@ -197,29 +196,37 @@ type RuleState struct {
 // Module is a named group of count-action rules forming one datapath module
 // (e.g. the synchronous_data_streamer of Listing 1). Modules exist for
 // introspection and bulk reset; rules are evaluated by the datapath logic
-// that owns them.
+// that owns them. Rules are kept in the order they were attached, which is
+// the order Reset and Snapshot walk them in.
 type Module struct {
 	Name  string
-	rules map[string]*Rule
+	rules []*Rule
 }
 
 // NewModule creates an empty module.
 func NewModule(name string) *Module {
-	return &Module{Name: name, rules: make(map[string]*Rule)}
+	return &Module{Name: name}
 }
 
 // Attach registers a rule with the module. It panics on duplicate names,
 // which would indicate a datapath wiring bug.
 func (m *Module) Attach(r *Rule) *Rule {
-	if _, dup := m.rules[r.Name]; dup {
+	if m.Rule(r.Name) != nil {
 		panic(fmt.Sprintf("countaction: duplicate rule %q in module %q", r.Name, m.Name))
 	}
-	m.rules[r.Name] = r
+	m.rules = append(m.rules, r)
 	return r
 }
 
 // Rule returns the named rule, or nil.
-func (m *Module) Rule(name string) *Rule { return m.rules[name] }
+func (m *Module) Rule(name string) *Rule {
+	for _, r := range m.rules {
+		if r.Name == name {
+			return r
+		}
+	}
+	return nil
+}
 
 // Reset resets every rule in the module.
 func (m *Module) Reset() {
@@ -228,13 +235,12 @@ func (m *Module) Reset() {
 	}
 }
 
-// Snapshot returns the state of every rule, sorted by name, for monitoring
+// Snapshot returns the state of every rule, in attach order, for monitoring
 // and tests.
 func (m *Module) Snapshot() []RuleState {
 	out := make([]RuleState, 0, len(m.rules))
 	for _, r := range m.rules {
 		out = append(out, RuleState{Name: r.Name, Count: r.Count(), Target: r.Target(), Fires: r.Fires})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -195,12 +195,12 @@ func TestModuleAttachAndSnapshot(t *testing.T) {
 	if len(snap) != 2 {
 		t.Fatalf("snapshot len = %d", len(snap))
 	}
-	// Sorted by name: beat-count first.
-	if snap[0].Name != "beat-count" || snap[1].Name != "valid-count" {
+	// Attach order, not name order: valid-count first.
+	if snap[0].Name != "valid-count" || snap[1].Name != "beat-count" {
 		t.Errorf("snapshot order: %v, %v", snap[0].Name, snap[1].Name)
 	}
-	if snap[1].Count != 2 || snap[1].Target != 4 {
-		t.Errorf("snapshot state: %+v", snap[1])
+	if snap[0].Count != 2 || snap[0].Target != 4 {
+		t.Errorf("snapshot state: %+v", snap[0])
 	}
 	if m.Rule("missing") != nil {
 		t.Error("missing rule should be nil")
@@ -265,4 +265,32 @@ func TestConservationInvariant(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestModuleOrderIsAttachOrder: Snapshot lists the rules in the order they
+// were attached, whatever their names sort to, before and after a Reset that
+// clears every one of them, and Rule finds each by name.
+func TestModuleOrderIsAttachOrder(t *testing.T) {
+	names := []string{"shift-03", "zeta", "shift-00", "alpha", "shift-15", "m"}
+	m := NewModule("ordered")
+	for i, name := range names {
+		m.Attach(New(name, Value(i+2), nil)).Add(1)
+	}
+	check := func(when string, count Value) {
+		snap := m.Snapshot()
+		if len(snap) != len(names) {
+			t.Fatalf("%s: snapshot len = %d, want %d", when, len(snap), len(names))
+		}
+		for i, name := range names {
+			if snap[i].Name != name || snap[i].Target != Value(i+2) || snap[i].Count != count {
+				t.Errorf("%s: snapshot[%d] = %+v, want %s target %d count %d", when, i, snap[i], name, i+2, count)
+			}
+			if r := m.Rule(name); r == nil || r.Name != name {
+				t.Errorf("%s: Rule(%q) = %v", when, name, r)
+			}
+		}
+	}
+	check("attached", 1)
+	m.Reset()
+	check("reset", 0)
 }

@@ -57,8 +57,12 @@ func (a *CrossCycleAdder) SetPartialsPerDot(n int) {
 
 // Accumulate feeds up to Lanes samples (one digital cycle's ADC readout,
 // already preamble-aligned) with their sign controls. Samples are 8-bit
-// codes zero-padded to 16 bits; lane i adds or subtracts sample i. It
-// reports whether the dot product completed this cycle.
+// codes zero-padded to 16 bits; lane i adds or subtracts sample i. The
+// count-action rule counts the cycle's samples in one evaluation, as the
+// hardware counts per clock. It reports whether the dot product completed
+// this cycle.
+//
+//lint:hotpath
 func (a *CrossCycleAdder) Accumulate(samples []fixed.Code, negs []bool) bool {
 	if len(samples) > Lanes {
 		panic("datapath: more samples than adder lanes")
@@ -70,7 +74,6 @@ func (a *CrossCycleAdder) Accumulate(samples []fixed.Code, negs []bool) bool {
 	if gain < 1 {
 		gain = 1
 	}
-	fired := false
 	for i, s := range samples {
 		g := int32(s) * int32(gain)
 		if g > fixed.AccMax {
@@ -82,11 +85,8 @@ func (a *CrossCycleAdder) Accumulate(samples []fixed.Code, negs []bool) bool {
 		} else {
 			a.lanes[i%Lanes] = fixed.SatAdd(a.lanes[i%Lanes], v)
 		}
-		if a.rule.Add(1) {
-			fired = true
-		}
 	}
-	return fired
+	return a.rule.Add(countaction.Value(len(samples)))
 }
 
 // Ready reports whether a completed vector awaits the intra-cycle adder.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/lightning-smartnic/lightning/internal/countaction"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
@@ -133,5 +134,37 @@ func TestTreeSumMatchesLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCrossCycleOneCountPerCycleFiresAsPerSample: the adder evaluates its
+// rule once per cycle with the cycle's sample count. The engine retargets
+// the rule to exactly the segment length before streaming a segment in
+// cycles of up to Lanes samples, so the count meets the target on the
+// segment's last cycle and nowhere else — the cycle a rule fed one sample at
+// a time fires on — and both end the segment at count zero with one fire.
+func TestCrossCycleOneCountPerCycleFiresAsPerSample(t *testing.T) {
+	for n := 1; n <= 5*Lanes+3; n++ {
+		a := NewCrossCycleAdder(1)
+		a.SetPartialsPerDot(n)
+		perSample := countaction.New("per-sample", countaction.Value(n), nil)
+		seg, negs := make([]fixed.Code, n), make([]bool, n)
+		for i := 0; i < n; i += Lanes {
+			end := min(i+Lanes, n)
+			want := false
+			for range seg[i:end] {
+				want = perSample.Add(1) || want
+			}
+			if got := a.Accumulate(seg[i:end], negs[i:end]); got != want {
+				t.Fatalf("segment of %d, cycle at %d: fired %v, per-sample rule %v", n, i, got, want)
+			}
+			if want != (end == n) {
+				t.Fatalf("segment of %d: per-sample rule fired %v on the cycle ending at %d", n, want, end)
+			}
+		}
+		snap := a.Module.Snapshot()[0]
+		if snap.Count != perSample.Count() || snap.Fires != perSample.Fires || snap.Count != 0 || snap.Fires != 1 {
+			t.Fatalf("segment of %d: adder rule %+v, per-sample count %d fires %d", n, snap, perSample.Count(), perSample.Fires)
+		}
 	}
 }

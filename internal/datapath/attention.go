@@ -84,8 +84,7 @@ func (e *Engine) ExecuteAttention(wq, wk, wv fixed.Matrix, x []fixed.Code, spec 
 	v := project(wv)
 
 	// Score matrix: photonic dot products of dynamic Q and K streams.
-	adder := NewCrossCycleAdder(1)
-	adder.Gain = e.Core.FullScaleLanes
+	e.armAdder()
 	scores := make([]fixed.Acc, spec.Seq*spec.Seq)
 	signs := make([]fixed.Signed, spec.D)
 	for ti := 0; ti < spec.Seq; ti++ {
@@ -94,7 +93,7 @@ func (e *Engine) ExecuteAttention(wq, wk, wv fixed.Matrix, x []fixed.Code, spec 
 			signs[i] = fixed.Signed{Mag: c} // activations are non-negative
 		}
 		for tj := 0; tj < spec.Seq; tj++ {
-			scores[ti*spec.Seq+tj] = e.runDot(signs, token(k, tj), adder, &res.Stats)
+			scores[ti*spec.Seq+tj] = e.runDot(signs, token(k, tj), &res.Stats)
 		}
 	}
 
@@ -123,7 +122,7 @@ func (e *Engine) ExecuteAttention(wq, wk, wv fixed.Matrix, x []fixed.Code, spec 
 			for j := 0; j < spec.Seq; j++ {
 				col[j] = v[j*spec.D+d]
 			}
-			acc := e.runDot(probRow, col, adder, &res.Stats)
+			acc := e.runDot(probRow, col, &res.Stats)
 			res.Out[t*spec.D+d] = Requantize(acc, spec.OutShift)
 		}
 	}

@@ -39,14 +39,13 @@ import (
 // cross-query analog coupling.
 //
 // All working storage comes from the engine's scratch: after ensure has
-// grown the buffers to the layer geometry × batch size (and baked the
-// preamble prefix once), the steady state performs zero heap allocations
-// (see the AllocsPerRun guard). The body therefore sticks to indexed writes,
-// reslices and copies — growth lives in the cold helper. Not reentrant; the
-// engine's single-owner contract applies.
+// grown the buffers to the layer geometry × batch size, the steady state
+// performs zero heap allocations (see the AllocsPerRun guard). The body
+// therefore sticks to indexed writes, reslices and copies — growth lives in
+// the cold helper. Not reentrant; the engine's single-owner contract applies.
 //
 //lint:hotpath
-func (e *Engine) runDotBatch(w fixed.Row, xs [][]fixed.Code, adder *CrossCycleAdder, out []fixed.Acc, stats *LayerStats) {
+func (e *Engine) runDotBatch(w fixed.Row, xs [][]fixed.Code, out []fixed.Acc, stats *LayerStats) {
 	q := len(xs)
 	if len(out) < q {
 		panic(fmt.Sprintf("datapath: batch out length %d < %d queries", len(out), q))
@@ -54,7 +53,7 @@ func (e *Engine) runDotBatch(w fixed.Row, xs [][]fixed.Code, adder *CrossCycleAd
 	n := len(w.Mags)
 	lanes := e.Core.NumLanes()
 	s := &e.scratch
-	s.ensure(e.Preamble, n, q, lanes)
+	s.ensure(n, q, lanes)
 	s.bounds = s.bounds[:2*q+1]
 	s.qPos, s.qParts = s.qPos[:q], s.qParts[:q]
 	s.bounds[0] = 0
@@ -103,11 +102,8 @@ func (e *Engine) runDotBatch(w fixed.Row, xs [][]fixed.Code, adder *CrossCycleAd
 	// One shared burst: the preamble prefix is paid once for the whole
 	// batch, and one ADC readout at one arbitrary phase digitizes every
 	// query's partials.
-	s.burst = s.burst[:len(s.pre)+total]
-	copy(s.burst, s.pre)
-	copy(s.burst[len(s.pre):], s.bParts)
 	phase := e.ADC.RandomPhase()
-	s.frames = e.ADC.ReadoutFramesInto(s.frames[:0], s.burst, phase)
+	s.frames = e.ADC.ReadoutBurstInto(s.frames[:0], e.pre, s.bParts, phase)
 	stats.DatapathCycles += uint64(len(s.frames))
 
 	// One count-action preamble detection locates every query's samples.
@@ -137,7 +133,7 @@ func (e *Engine) runDotBatch(w fixed.Row, xs [][]fixed.Code, adder *CrossCycleAd
 			hi = len(s.payload)
 		}
 		seg, negSeg := s.payload[lo:hi], s.negs[lo:hi]
-		adder.SetPartialsPerDot(len(seg))
+		e.adder.SetPartialsPerDot(len(seg))
 		for i := 0; i < len(seg); i += Lanes {
 			end := i + Lanes
 			if end > len(seg) {
@@ -148,10 +144,10 @@ func (e *Engine) runDotBatch(w fixed.Row, xs [][]fixed.Code, adder *CrossCycleAd
 					stats.SaturatedSamples++
 				}
 			}
-			adder.Accumulate(seg[i:end], negSeg[i:end])
+			e.adder.Accumulate(seg[i:end], negSeg[i:end])
 			stats.ComputeCycles++
 		}
-		drained := adder.Drain()
+		drained := e.adder.Drain()
 		sum, treeCycles := TreeSumInPlace(drained[:])
 		stats.ComputeCycles += uint64(treeCycles)
 		out[qi] = sum
@@ -293,8 +289,7 @@ func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs 
 		perQuery[qi] = FCResult{Raw: make([]fixed.Acc, rows)}
 	}
 	res := BatchFCResult{PerQuery: perQuery}
-	adder := NewCrossCycleAdder(1)
-	adder.Gain = e.Core.FullScaleLanes
+	e.armAdder()
 	// Fixed per-layer datapath overhead: DAG configuration register writes
 	// and stream setup (the 193 ns/layer of §9 at 253.44 MHz ≈ 49 cycles) —
 	// once per batch, not once per query.
@@ -302,7 +297,7 @@ func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs 
 	for j := 0; j < rows; j++ {
 		var row fixed.Row
 		row, e.scratch.row = weights.Row(j, e.scratch.row)
-		e.runDotBatch(row, xs, adder, rowOut, &res.Stats)
+		e.runDotBatch(row, xs, rowOut, &res.Stats)
 		for qi, v := range rowOut {
 			if j < len(bias) {
 				v = fixed.SatAdd(v, bias[j])

@@ -81,8 +81,7 @@ func (e *Engine) ExecuteConv(kernels [][]fixed.Signed, input []fixed.Code, spec 
 	oh, ow := spec.OutDims()
 	res.OutH, res.OutW = oh, ow
 	res.Raw = make([]fixed.Acc, oh*ow*spec.OutC)
-	adder := NewCrossCycleAdder(1)
-	adder.Gain = e.Core.FullScaleLanes
+	e.armAdder()
 	res.Stats.DatapathCycles += PerLayerOverheadCycles
 
 	window := make([]fixed.Code, win)
@@ -94,7 +93,7 @@ func (e *Engine) ExecuteConv(kernels [][]fixed.Signed, input []fixed.Code, spec 
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				gatherWindow(input, spec, oy, ox, window)
-				v := e.runDot(kernel, window, adder, &res.Stats)
+				v := e.runDot(kernel, window, &res.Stats)
 				res.Raw[(oy*ow+ox)*spec.OutC+oc] = v
 			}
 		}

@@ -134,9 +134,10 @@ func FuzzPackedViewEquivalence(f *testing.F) {
 }
 
 // TestScratchFootprintOneWideLayer pins what one wide layer leaves resident
-// in the engine: operand buffers by elements, but sign controls and the
-// burst by partials — a query issues at most ⌈n/lanes⌉+1 of them — and no
-// row buffer at all when the weights arrive as a view.
+// in the engine: operand buffers by elements, but sign controls by partials
+// — a query issues at most ⌈n/lanes⌉+1 of them — no staged burst (the ADC
+// reads the preamble prefix and the partials where they lie) and no row
+// buffer at all when the weights arrive as a view.
 func TestScratchFootprintOneWideLayer(t *testing.T) {
 	const n, lanes, q = 150528, 2, 1
 	m := fixed.Matrix{make([]fixed.Signed, n), make([]fixed.Signed, n)}
@@ -155,9 +156,8 @@ func TestScratchFootprintOneWideLayer(t *testing.T) {
 	e.ExecuteFCBias(p, nil, x, ActSoftmax, 10)
 	s := &e.scratch
 	const partials = q * (n/lanes + 1)
-	if cap(s.negs) != partials || cap(s.burst) != len(s.pre)+partials {
-		t.Errorf("negs cap %d, burst cap %d; want %d and %d (sized by partials, not elements)",
-			cap(s.negs), cap(s.burst), partials, len(s.pre)+partials)
+	if cap(s.negs) != partials {
+		t.Errorf("negs cap %d; want %d (sized by partials, not elements)", cap(s.negs), partials)
 	}
 	if len(s.bW) != (q+1)*n || len(s.bX) != (q+1)*n {
 		t.Errorf("operand buffers %d, %d; want %d", len(s.bW), len(s.bX), (q+1)*n)

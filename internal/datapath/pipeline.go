@@ -82,13 +82,18 @@ func (s LayerStats) Seconds() float64 {
 // cross-cycle sign reassembly, the intra-cycle adder tree, and the
 // non-linear unit. It is the software twin of Fig 13's datapath.
 type Engine struct {
-	Core     *photonic.Core
-	ADC      *converter.ADC
-	Preamble PreambleConfig
-	Regs     *countaction.RegisterFile
+	Core *photonic.Core
+	ADC  *converter.ADC
+	Regs *countaction.RegisterFile
 
+	// detector owns the preamble configuration; pre is the prefix baked
+	// from it that opens every burst (SetPreamble keeps the two in step).
 	detector *Detector
-	scratch  engineScratch
+	pre      []fixed.Code
+	// adder is the one cross-cycle adder-subtractor every layer template
+	// reassembles through, rearmed at each layer boundary.
+	adder   *CrossCycleAdder
+	scratch engineScratch
 }
 
 // NewEngine builds an engine over the given core. seed drives the ADC's
@@ -98,13 +103,29 @@ type Engine struct {
 // known gain digitally.
 func NewEngine(core *photonic.Core, seed uint64) *Engine {
 	core.FullScaleLanes = core.NumLanes()
-	return &Engine{
-		Core:     core,
-		ADC:      converter.NewADC(seed),
-		Preamble: PrototypePreamble(),
-		Regs:     countaction.NewRegisterFile(64),
-		detector: NewDetector(PrototypePreamble()),
+	e := &Engine{
+		Core:  core,
+		ADC:   converter.NewADC(seed),
+		Regs:  countaction.NewRegisterFile(64),
+		adder: NewCrossCycleAdder(1),
 	}
+	e.SetPreamble(PrototypePreamble())
+	return e
+}
+
+// SetPreamble reconfigures the deployment's preamble: the detector and the
+// prefix the generator prepends to every burst are rebuilt from the one
+// config, so they cannot disagree about where the payload starts.
+func (e *Engine) SetPreamble(cfg PreambleConfig) {
+	e.detector = NewDetector(cfg)
+	e.pre = cfg.Prepend(nil)
+}
+
+// armAdder rearms the engine's cross-cycle adder at a layer boundary and
+// re-applies the detector full-scale gain the core is configured with.
+func (e *Engine) armAdder() {
+	e.adder.Reset()
+	e.adder.Gain = e.Core.FullScaleLanes
 }
 
 // runDot computes one output neuron's dot product W·x: runDotBatch for a
@@ -113,12 +134,12 @@ func NewEngine(core *photonic.Core, seed uint64) *Engine {
 // it.
 //
 //lint:hotpath
-func (e *Engine) runDot(w []fixed.Signed, x []fixed.Code, adder *CrossCycleAdder, stats *LayerStats) fixed.Acc {
+func (e *Engine) runDot(w []fixed.Signed, x []fixed.Code, stats *LayerStats) fixed.Acc {
 	xs := [1][]fixed.Code{x}
 	var out [1]fixed.Acc
 	var row fixed.Row
 	row, e.scratch.row = fixed.PackRow(w, e.scratch.row)
-	e.runDotBatch(row, xs[:], adder, out[:], stats)
+	e.runDotBatch(row, xs[:], out[:], stats)
 	return out[0]
 }
 

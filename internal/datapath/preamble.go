@@ -7,6 +7,7 @@ package datapath
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/countaction"
@@ -166,8 +167,10 @@ type Detector struct {
 	Config PreambleConfig
 	Module *countaction.Module
 
-	rules    [converter.SamplesPerCycle]*countaction.Rule
-	shifted  [converter.SamplesPerCycle]Pattern
+	rules [converter.SamplesPerCycle]*countaction.Rule
+	// high[k] has bit j set where the pattern shifted by k expects frame
+	// sample j to read H; every other sample must read L.
+	high     [converter.SamplesPerCycle]uint16
 	detected int // -1 until a rule fires
 }
 
@@ -190,7 +193,11 @@ func NewDetector(cfg PreambleConfig) *Detector {
 		if cfg.MinMatches > 0 && countaction.Value(cfg.MinMatches) < target {
 			target = countaction.Value(cfg.MinMatches)
 		}
-		d.shifted[k] = cfg.Pattern.Shifted(k)
+		for j, h := range cfg.Pattern.Shifted(k) {
+			if h {
+				d.high[k] |= 1 << j
+			}
+		}
 		d.rules[k] = d.Module.Attach(countaction.New(
 			fmt.Sprintf("shift-%02d", k), target,
 			func() { d.detected = k },
@@ -205,18 +212,37 @@ func (d *Detector) Reset() {
 	d.Module.Reset()
 }
 
+// levelMasks thresholds a frame once for all sixteen shifts: bit j of hi is
+// set where sample j reads H (≥ HighThreshold), bit j of lo where it reads L
+// (≤ LowThreshold). A sample between the thresholds sets neither.
+func levelMasks(f *converter.Frame) (hi, lo uint16) {
+	for j, c := range f {
+		if c >= HighThreshold {
+			hi |= 1 << j
+		}
+		if c <= LowThreshold {
+			lo |= 1 << j
+		}
+	}
+	return hi, lo
+}
+
 // Offer feeds one ADC readout frame to the detector. It returns the detected
 // phase k (the position of the first meaningful sample within a cycle,
 // triggering the "stream ADC.data[k:]" action) and true once the preamble
 // has been counted the required number of times; until then it returns
-// (-1, false).
+// (-1, false). Shift k's rule observes Pattern.Shifted(k).MatchFrame(f),
+// evaluated on the frame's two level masks: every sample the shifted pattern
+// wants high reads H and every other sample reads L.
+//
+//lint:hotpath
 func (d *Detector) Offer(f converter.Frame) (phase int, ok bool) {
 	if d.detected >= 0 {
 		return d.detected, true
 	}
-	for k := range d.rules {
-		d.rules[k].Observe(d.shifted[k].MatchFrame(f))
-		if d.detected >= 0 {
+	hi, lo := levelMasks(&f)
+	for k, h := range d.high {
+		if d.rules[k].Observe(hi&h == h && lo&^h == ^h) && d.detected >= 0 {
 			return d.detected, true
 		}
 	}
@@ -225,9 +251,11 @@ func (d *Detector) Offer(f converter.Frame) (phase int, ok bool) {
 
 // Detect runs the detector across a whole readout burst and returns the
 // phase and the index of the frame at which detection completed.
+//
+//lint:hotpath
 func (d *Detector) Detect(frames []converter.Frame) (phase, frameIdx int, ok bool) {
-	for i, f := range frames {
-		if k, done := d.Offer(f); done {
+	for i := range frames {
+		if k, done := d.Offer(frames[i]); done {
 			return k, i, true
 		}
 	}
@@ -237,28 +265,31 @@ func (d *Detector) Detect(frames []converter.Frame) (phase, frameIdx int, ok boo
 // ExtractPayload removes the preamble from a readout burst given the
 // detected phase: it returns the meaningful samples starting right after the
 // preamble's end. The preamble occupies phase + P·16 samples from the start
-// of the burst's first frame.
+// of the burst's first frame; a burst that ends inside it yields nil.
 func (d *Detector) ExtractPayload(frames []converter.Frame, phase, payloadLen int) []fixed.Code {
-	start := phase + d.Config.Samples()
-	if start > len(frames)*converter.SamplesPerCycle {
-		return nil
-	}
 	return d.ExtractPayloadInto(nil, frames, phase, payloadLen)
 }
 
 // ExtractPayloadInto is ExtractPayload with caller-owned storage: the
 // payload samples are appended to dst (normally dst[:0] with retained
-// capacity), copying only the payload range instead of flattening the whole
-// burst — the zero-steady-state-allocation form the engine's scratch uses.
+// capacity), copying only the payload range, a frame's worth at a time,
+// instead of flattening the whole burst — the zero-steady-state-allocation
+// form the engine's scratch uses.
+//
+//lint:hotpath
 func (d *Detector) ExtractPayloadInto(dst []fixed.Code, frames []converter.Frame, phase, payloadLen int) []fixed.Code {
+	const spc = converter.SamplesPerCycle
 	start := phase + d.Config.Samples()
-	total := len(frames) * converter.SamplesPerCycle
-	end := start + payloadLen
-	if end > total {
-		end = total
+	end := min(start+payloadLen, len(frames)*spc)
+	if end <= start {
+		return dst
 	}
-	for idx := start; idx < end; idx++ {
-		dst = append(dst, frames[idx/converter.SamplesPerCycle][idx%converter.SamplesPerCycle])
+	at := len(dst)
+	dst = slices.Grow(dst, end-start)[:at+end-start]
+	off := start % spc
+	for f := start / spc; at < len(dst); f++ {
+		at += copy(dst[at:], frames[f][off:])
+		off = 0
 	}
 	return dst
 }

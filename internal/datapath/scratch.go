@@ -35,19 +35,11 @@ type engineScratch struct {
 	bParts []float64
 	// negs holds the per-partial sign controls for the cross-cycle adder.
 	negs []bool
-	// burst is the DAC stream for one neuron: baked preamble samples
-	// followed by every query's analog partials.
-	burst []float64
-	// frames is the ADC readout for the burst.
+	// frames is the ADC readout for one neuron's burst: the engine's
+	// preamble prefix followed by every query's analog partials.
 	frames []converter.Frame
 	// payload is the preamble-stripped sample stream.
 	payload []fixed.Code
-	// pre is the preamble prepended to every burst, baked once as analog
-	// samples; preCfg records the config it was baked from so a
-	// reconfigured engine lazily re-bakes.
-	pre    []float64
-	preCfg PreambleConfig
-	baked  bool
 
 	// perQuery and rowOut are ExecuteFCBiasBatch's per-layer result slots:
 	// the returned PerQuery slice and the neuron's per-query accumulators.
@@ -55,23 +47,13 @@ type engineScratch struct {
 	rowOut   []fixed.Acc
 }
 
-// ensure is runDotBatch's cold path: it re-bakes the preamble prefix if the
-// engine's preamble config changed and grows the buffers to q queries of
+// ensure is runDotBatch's cold path: it grows the buffers to q queries of
 // layer width n. A query contributes at most n operands, so q·n bounds the
 // flattened operand buffers, plus the staging row in bW/bX; its two sign
 // groups issue at most ⌈n/lanes⌉+1 partials between them, which bounds the
-// sign controls and the burst. After it returns, the hot body runs on
-// indexed writes and reslices only.
-func (s *engineScratch) ensure(cfg PreambleConfig, n, q, lanes int) {
-	if !s.baked || s.preCfg != cfg {
-		codes := cfg.Prepend(nil)
-		s.pre = make([]float64, len(codes))
-		for i, c := range codes {
-			s.pre[i] = float64(c)
-		}
-		s.preCfg = cfg
-		s.baked = true
-	}
+// sign controls. After it returns, the hot body runs on indexed writes and
+// reslices only.
+func (s *engineScratch) ensure(n, q, lanes int) {
 	if len(s.bW) < (q+1)*n {
 		s.bW = make([]fixed.Code, (q+1)*n)
 		s.bX = make([]fixed.Code, (q+1)*n)
@@ -86,9 +68,6 @@ func (s *engineScratch) ensure(cfg PreambleConfig, n, q, lanes int) {
 	partials := q * ((n+lanes-1)/lanes + 1)
 	if cap(s.negs) < partials {
 		s.negs = make([]bool, partials)
-	}
-	if cap(s.burst) < len(s.pre)+partials {
-		s.burst = make([]float64, len(s.pre)+partials)
 	}
 }
 

@@ -29,14 +29,13 @@ func TestRunDotBatchZeroSteadyStateAllocs(t *testing.T) {
 					xs[qi][i] = fixed.Code((255 - i - qi*5) % 256)
 				}
 			}
-			adder := NewCrossCycleAdder(1)
-			adder.Gain = e.Core.FullScaleLanes
+			e.armAdder()
 			out := make([]fixed.Acc, q)
 			var stats LayerStats
 			row, _ := fixed.PackRow(w, nil)
-			e.runDotBatch(row, xs, adder, out, &stats) // warm-up: grows scratch, bakes preamble
+			e.runDotBatch(row, xs, out, &stats) // warm-up: grows scratch
 			if n := testing.AllocsPerRun(100, func() {
-				e.runDotBatch(row, xs, adder, out, &stats)
+				e.runDotBatch(row, xs, out, &stats)
 			}); n != 0 {
 				t.Fatalf("runDotBatch allocates %v times per call in steady state, want 0", n)
 			}
@@ -45,7 +44,7 @@ func TestRunDotBatchZeroSteadyStateAllocs(t *testing.T) {
 				// add any either.
 				var sink fixed.Acc
 				if n := testing.AllocsPerRun(100, func() {
-					sink += e.runDot(w, xs[0], adder, &stats)
+					sink += e.runDot(w, xs[0], &stats)
 				}); n != 0 {
 					t.Fatalf("runDot allocates %v times per call in steady state, want 0", n)
 				}

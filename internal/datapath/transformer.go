@@ -141,8 +141,7 @@ func (b *TransformerBlock) projectHead(e *Engine, w fixed.Matrix, x []fixed.Code
 // runHeadAttention is the score/softmax/weighted-sum core of the attention
 // template over pre-projected per-head Q/K/V codes.
 func runHeadAttention(e *Engine, q, k, v []fixed.Code, spec AttentionSpec, stats *LayerStats) ([]fixed.Code, error) {
-	adder := NewCrossCycleAdder(1)
-	adder.Gain = e.Core.FullScaleLanes
+	e.armAdder()
 	seq, d := spec.Seq, spec.D
 	out := make([]fixed.Code, seq*d)
 	signs := make([]fixed.Signed, d)
@@ -154,7 +153,7 @@ func runHeadAttention(e *Engine, q, k, v []fixed.Code, spec AttentionSpec, stats
 		}
 		row := make([]fixed.Acc, seq)
 		for j := 0; j < seq; j++ {
-			s := e.runDot(signs, k[j*d:(j+1)*d], adder, stats)
+			s := e.runDot(signs, k[j*d:(j+1)*d], stats)
 			row[j] = fixed.Acc(int32(s) >> spec.ScoreShift)
 		}
 		probs := Softmax(row)
@@ -166,7 +165,7 @@ func runHeadAttention(e *Engine, q, k, v []fixed.Code, spec AttentionSpec, stats
 			for j := 0; j < seq; j++ {
 				col[j] = v[j*d+dd]
 			}
-			acc := e.runDot(probRow, col, adder, stats)
+			acc := e.runDot(probRow, col, stats)
 			out[t*d+dd] = Requantize(acc, spec.OutShift)
 		}
 	}
