@@ -13,18 +13,28 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/photonic"
 )
 
-// goldenNoiseOn pins the engine's noise-on draw order: every accumulator,
-// every LayerStats field and the converter/core counters of a 32-32-16-2
-// network on the prototype core, at batch 1 and batch 8, recorded on amd64.
-// The root golden pins twelve serial response frames and the batch
-// differential suite is noiseless by contract, so this file is the only
-// thing that holds the batched rng stream (phase draw, leading and trailing
-// idle noise, per-step analog noise) still across a datapath refactor. Only
-// a deliberate change to the numerics or the noise model re-records it with
-// -update-golden.
-const goldenNoiseOn = "testdata/engine_noise_on.golden"
+// The engine's noise-on goldens: a 32-32-16-2 network on the prototype core,
+// at batch 1 and batch 8, recorded on amd64, split by what a change to how
+// partials are framed into bursts may move.
+//
+// goldenNoiseOn is burst-invariant: every accumulator, the photonic step,
+// compute cycle, saturated sample and preamble miss counts per layer, and the
+// core's step counter. It holds the core's per-step analog noise stream and
+// the payload quantisation still. The root golden pins twelve serial response
+// frames and the batch differential suite is noiseless by contract, so this
+// file is the only thing that does so for a batch; only a deliberate change
+// to the numerics or the noise model re-records it.
+//
+// goldenBurst is burst-dependent: DatapathCycles per layer (the frames read),
+// the ADC's sample counter and its next phase draw (the ADC rng stream: phase,
+// leading and trailing idle noise). A change to how many bursts a layer emits
+// re-records this file and only this file.
+const (
+	goldenNoiseOn = "testdata/engine_noise_on.golden"
+	goldenBurst   = "testdata/engine_noise_on_burst.golden"
+)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenNoiseOn+" from this run")
+var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenNoiseOn+" and "+goldenBurst+" from this run")
 
 // goldenNet is a fixed-seed 32-32-16-2 network: coin-flip signs, one weight
 // in eight zero and two in eight at full scale (so some samples clip at the
@@ -54,8 +64,8 @@ func goldenNet() (layers []fixed.Matrix, biases [][]fixed.Acc) {
 }
 
 // goldenRun serves q fixed-seed queries through a fresh prototype core and
-// engine and renders everything the golden pins as text.
-func goldenRun(t *testing.T, q int) string {
+// engine and renders what each golden pins as text.
+func goldenRun(t *testing.T, q int) (invariant, burst string) {
 	t.Helper()
 	core, err := photonic.NewPrototypeCore(7)
 	if err != nil {
@@ -77,46 +87,58 @@ func goldenRun(t *testing.T, q int) string {
 			}
 		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "batch %d\n", q)
+	var inv, bur strings.Builder
+	fmt.Fprintf(&inv, "batch %d\n", q)
+	fmt.Fprintf(&bur, "batch %d\n", q)
 	acts := []Activation{ActReLU, ActReLU, ActSoftmax}
 	for l, w := range layers {
 		res := e.ExecuteFCBiasBatch(w, biases[l], xs, acts[l], 3)
-		fmt.Fprintf(&b, "layer %d stats %+v\n", l, res.Stats)
+		st := res.Stats
+		fmt.Fprintf(&inv, "layer %d PhotonicSteps:%d ComputeCycles:%d SaturatedSamples:%d PreambleMisses:%d\n",
+			l, st.PhotonicSteps, st.ComputeCycles, st.SaturatedSamples, st.PreambleMisses)
+		fmt.Fprintf(&bur, "layer %d DatapathCycles:%d\n", l, st.DatapathCycles)
 		for qi, r := range res.PerQuery {
-			fmt.Fprintf(&b, "layer %d query %d raw %v\n", l, qi, r.Raw)
+			fmt.Fprintf(&inv, "layer %d query %d raw %v\n", l, qi, r.Raw)
 			xs[qi] = r.Quantized
 		}
 	}
-	fmt.Fprintf(&b, "adc.quantized %d core.steps %d next.phase %d\n", e.ADC.Quantized, core.Steps, e.ADC.RandomPhase())
-	return b.String()
+	fmt.Fprintf(&inv, "core.steps %d\n", core.Steps)
+	fmt.Fprintf(&bur, "adc.quantized %d next.phase %d\n", e.ADC.Quantized, e.ADC.RandomPhase())
+	return inv.String(), bur.String()
 }
 
 func TestEngineNoiseOnGolden(t *testing.T) {
-	got := goldenRun(t, 1) + goldenRun(t, 8)
-	if again := goldenRun(t, 1) + goldenRun(t, 8); again != got {
+	run := func() [2]string {
+		i1, b1 := goldenRun(t, 1)
+		i8, b8 := goldenRun(t, 8)
+		return [2]string{i1 + i8, b1 + b8}
+	}
+	got := run()
+	if run() != got {
 		t.Fatal("two fresh engines with the same seeds diverged")
 	}
 	if runtime.GOARCH != "amd64" {
-		t.Skipf("%s is recorded on amd64; %s may fuse the analog chain's multiply-adds", goldenNoiseOn, runtime.GOARCH)
+		t.Skipf("the goldens are recorded on amd64; %s may fuse the analog chain's multiply-adds", runtime.GOARCH)
 	}
-	if *updateGolden {
-		if err := os.WriteFile(goldenNoiseOn, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
+	for i, path := range [2]string{goldenNoiseOn, goldenBurst} {
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(got[i]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		return
-	}
-	want, err := os.ReadFile(goldenNoiseOn)
-	if err != nil {
-		t.Fatalf("%v (record it with -update-golden)", err)
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	if len(gl) != len(wl) {
-		t.Fatalf("%s holds %d lines, run produced %d", goldenNoiseOn, len(wl), len(gl))
-	}
-	for i := range gl {
-		if gl[i] != wl[i] {
-			t.Errorf("line %d differs from %s\ngot:  %s\nwant: %s", i+1, goldenNoiseOn, gl[i], wl[i])
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (record it with -update-golden)", err)
+		}
+		gl, wl := strings.Split(got[i], "\n"), strings.Split(string(want), "\n")
+		if len(gl) != len(wl) {
+			t.Fatalf("%s holds %d lines, run produced %d", path, len(wl), len(gl))
+		}
+		for j := range gl {
+			if gl[j] != wl[j] {
+				t.Errorf("line %d differs from %s\ngot:  %s\nwant: %s", j+1, path, gl[j], wl[j])
+			}
 		}
 	}
 }
