@@ -199,8 +199,8 @@ func main() {
 			shards += fmt.Sprintf("%d:%s", i, h.State)
 		}
 		line := fmt.Sprintf(
-			"served %d | shards [%s] | pending reassembly %d (drops %d, expired %d) | queue-full %d, shed %d, decode-err %d, write-err %d | tx %d frames / %d bytes",
-			m.Served, shards, m.PendingReassembly, m.ReassemblyDrops, m.ReassemblyExpired,
+			"served %d | shards [%s] | pending reassembly %d (drops %d, expired %d, oversize %d) | queue-full %d, shed %d, decode-err %d, write-err %d | tx %d frames / %d bytes",
+			m.Served, shards, m.PendingReassembly, m.ReassemblyDrops, m.ReassemblyExpired, m.ReassemblyOversize,
 			m.Serve.QueueFull, m.Serve.Shed, m.Serve.DecodeErrors, m.Serve.WriteErrors,
 			m.TxFrames, m.TxBytes)
 		if len(m.Serve.AdmissionDrops) > 0 {

@@ -178,6 +178,9 @@ type Metrics struct {
 	Installs, InstallErrors uint64
 	// DecodeErrors and WriteErrors count front-door datagram failures.
 	DecodeErrors, WriteErrors uint64
+	// ReassemblyOversize counts front-door fragments refused for declaring
+	// a query longer than nic.MaxQueryBytes.
+	ReassemblyOversize uint64
 	// RxSyscalls and TxSyscalls count front-door batched-read and -write
 	// syscalls; divide Served by them for the amortized syscalls/query.
 	RxSyscalls, TxSyscalls uint64
@@ -200,6 +203,8 @@ func (c *Coordinator) Metrics() Metrics {
 		WriteErrors:   c.writeErrors.Load(),
 		RxSyscalls:    c.wireCtr.ReadCalls.Load(),
 		TxSyscalls:    c.wireCtr.WriteCalls.Load(),
+
+		ReassemblyOversize: c.reassembly.Oversize(),
 	}
 	if p := c.plan.Load(); p != nil {
 		m.Epoch = p.epoch

@@ -153,47 +153,75 @@ func (a *ADC) ReadoutFrames(readings []float64, phase int) []Frame {
 	return a.ReadoutFramesInto(nil, readings, phase)
 }
 
-// ReadoutFramesInto is ReadoutFrames with caller-owned storage: frames are
-// appended to dst (normally passed as dst[:0] with retained capacity) so a
-// steady-state caller digitizes without allocating.
+// ReadoutFramesInto is ReadoutFrames appending its frames to dst.
 func (a *ADC) ReadoutFramesInto(dst []Frame, readings []float64, phase int) []Frame {
 	return a.ReadoutBurstInto(dst, nil, readings, phase)
 }
 
-// ReadoutBurstInto is the readout every other form reduces to: the burst is
-// a prefix of samples whose codes are already known — the datapath's
-// preamble, which the DAC emits at exact rail levels, so digitizing it is
-// the identity — followed by analog readings to quantize. Both spans count
-// as digitized samples. Idle noise is drawn for the positions before the
-// burst and then for those after it, and for nothing in between.
+// ReadoutBurstInto is the framed readout of a burst made of a prefix of
+// samples whose codes are already known — the datapath's preamble, which the
+// DAC emits at exact rail levels, so digitizing it is the identity —
+// followed by analog readings to quantize: the flat burst below, cut into
+// frames appended to dst. It serves the experiments and tests that look at
+// frames; the engine reads its bursts flat.
+func (a *ADC) ReadoutBurstInto(dst []Frame, prefix []fixed.Code, readings []float64, phase int) []Frame {
+	s := a.CloseBurst(a.Digitize(a.OpenBurst(nil, prefix, phase), readings))
+	for ; len(s) > 0; s = s[SamplesPerCycle:] {
+		dst = append(dst, Frame(s))
+	}
+	return dst
+}
+
+// A burst readout is kept as the flat sample stream the datapath sees, frame
+// f being samples [f·SamplesPerCycle, (f+1)·SamplesPerCycle): OpenBurst,
+// any number of Digitize calls as readings arrive, CloseBurst. Idle noise is
+// drawn for the positions before the burst (on open) and then for those
+// after it (on close), and for nothing in between; prefix and readings both
+// count as digitized samples.
+
+// OpenBurst starts a burst in buf's storage (contents discarded) at sample
+// position phase of its first frame: idle noise ahead of it, then the prefix
+// of known codes.
 //
 //lint:hotpath
-func (a *ADC) ReadoutBurstInto(dst []Frame, prefix []fixed.Code, readings []float64, phase int) []Frame {
+func (a *ADC) OpenBurst(buf, prefix []fixed.Code, phase int) []fixed.Code {
 	if phase < 0 || phase >= SamplesPerCycle {
 		panic("converter: readout phase out of range")
 	}
-	burst := len(prefix) + len(readings)
-	nFrames := max(1, (phase+burst+SamplesPerCycle-1)/SamplesPerCycle)
-	base := len(dst)
-	dst = slices.Grow(dst, nFrames)[:base+nFrames]
-	frames := dst[base:]
-	i := 0
-	for ; i < phase; i++ {
-		frames[0][i] = a.noiseSample()
+	buf = slices.Grow(buf[:0], phase+len(prefix))[:phase+len(prefix)]
+	for i := 0; i < phase; i++ {
+		buf[i] = a.noiseSample()
 	}
-	for len(prefix) > 0 {
-		n := copy(frames[i/SamplesPerCycle][i%SamplesPerCycle:], prefix)
-		prefix, i = prefix[n:], i+n
+	copy(buf[phase:], prefix)
+	a.Quantized += uint64(len(prefix))
+	return buf
+}
+
+// Digitize quantizes analog readings onto the tail of an open burst.
+//
+//lint:hotpath
+func (a *ADC) Digitize(burst []fixed.Code, readings []float64) []fixed.Code {
+	at := len(burst)
+	burst = slices.Grow(burst, len(readings))[:at+len(readings)]
+	for i, v := range readings {
+		burst[at+i] = quantize(v)
 	}
-	for _, v := range readings {
-		frames[i/SamplesPerCycle][i%SamplesPerCycle] = quantize(v)
-		i++
+	a.Quantized += uint64(len(readings))
+	return burst
+}
+
+// CloseBurst ends a burst: idle noise fills its last frame (a burst with no
+// samples at all still reads one frame of noise).
+//
+//lint:hotpath
+func (a *ADC) CloseBurst(burst []fixed.Code) []fixed.Code {
+	at := len(burst)
+	n := max(1, (at+SamplesPerCycle-1)/SamplesPerCycle) * SamplesPerCycle
+	burst = slices.Grow(burst, n-at)[:n]
+	for ; at < n; at++ {
+		burst[at] = a.noiseSample()
 	}
-	a.Quantized += uint64(burst)
-	for ; i < nFrames*SamplesPerCycle; i++ {
-		frames[i/SamplesPerCycle][i%SamplesPerCycle] = a.noiseSample()
-	}
-	return dst
+	return burst
 }
 
 // RandomPhase draws a readout phase uniformly, modeling the arbitrary

@@ -250,3 +250,43 @@ func TestReadoutBurstMatchesFlatReadout(t *testing.T) {
 		}
 	}
 }
+
+// TestBurstInPiecesMatchesFramedReadout: the flat burst the engine keeps —
+// opened once, digitized a row at a time, closed — is the framed readout of
+// the concatenated readings laid end to end, with the same Quantized count
+// and rng draws; and reopening it in the same storage allocates nothing.
+func TestBurstInPiecesMatchesFramedReadout(t *testing.T) {
+	prefix := []fixed.Code{255, 255, 0, 0, 255}
+	rows := [][]float64{{1, 2.5, 300}, nil, {-4, 99.9, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28}, {254.5}}
+	var all []float64
+	for _, r := range rows {
+		all = append(all, r...)
+	}
+	for phase := 0; phase < SamplesPerCycle; phase++ {
+		framed, flat := NewADC(uint64(phase)), NewADC(uint64(phase))
+		want := framed.ReadoutBurstInto(nil, prefix, all, phase)
+		var buf []fixed.Code
+		burst := func() {
+			buf = flat.OpenBurst(buf, prefix, phase)
+			for _, r := range rows {
+				buf = flat.Digitize(buf, r)
+			}
+			buf = flat.CloseBurst(buf)
+		}
+		burst()
+		if len(buf) != len(want)*SamplesPerCycle {
+			t.Fatalf("phase %d: %d samples, want %d frames", phase, len(buf), len(want))
+		}
+		for f := range want {
+			if got := Frame(buf[f*SamplesPerCycle:]); got != want[f] {
+				t.Fatalf("phase %d frame %d = %v, want %v", phase, f, got, want[f])
+			}
+		}
+		if flat.Quantized != framed.Quantized || flat.rng.Uint64() != framed.rng.Uint64() {
+			t.Fatalf("phase %d: sample count or rng stream diverged", phase)
+		}
+		if n := testing.AllocsPerRun(10, burst); n != 0 {
+			t.Fatalf("phase %d: reopening the burst in place allocates %v times", phase, n)
+		}
+	}
+}

@@ -4,39 +4,45 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
-// The engine's one execution path. runDotBatch pushes one output neuron's dot
-// product for Q queries through a single shared burst — the matrix-matrix
-// pass the count-action abstraction makes natural (counts just grow by the
-// batch dimension); a lone query is the batch of one. What a batch shares,
-// and so pays once instead of Q times:
+// The engine's one execution path. The layer, not the neuron, is the unit of
+// a burst: the streamer feeds the DACs continuously (§5.1) and the preamble
+// exists to find the ADC's phase at the head of a burst (§5.2). issueRow
+// pushes one output neuron's dot product for Q queries through the photonic
+// core and digitizes the partials onto the tail of the layer's one sample
+// stream; after the last row readBurst reads that stream once and reassembles
+// every (row, query) dot from it. A lone query is the batch of one, a lone
+// dot (runDot) the layer of one row. What a layer pays once for all its rows
+// and all its queries:
 //
-//   - one preamble prefix (and so one preamble detection) per neuron;
-//   - one LUT-validity sweep per photonic pass (DotPartialsBatchInto);
-//   - one ADC readout covering every query's partials;
-//   - per layer, one count-action reconfiguration and one DRAM weight
-//     stream (see dagloader.ServeBatch).
+//   - one preamble prefix, one readout phase, one preamble detection;
+//   - one count-action reconfiguration and one DRAM weight stream (see
+//     dagloader.ServeBatch);
+//
+// and a batch once per row instead of Q times: the LUT-validity sweep of the
+// photonic pass (DotPartialsBatchInto).
 //
 // Equivalence contract: on an ideal (noiseless) channel a batched pass is
 // bit-identical to running its queries one batch each — the analog steps per
 // query are the same, payload samples quantize identically, and preamble
 // detection recovers them exactly — which the differential suite enforces.
-// With a noise model the batch draws the shared-burst noise stream in a
-// different order than Q single-query bursts would, as physically distinct
-// schedules must.
+// Rows sharing a burst couple no more than queries do: every sign group
+// keeps its own analog tail step and every dot its own payload segment. With
+// a noise model the ADC's phase and idle-noise draws depend on how partials
+// are framed into bursts; the core's per-step noise does not.
 
-// runDotBatch computes one output neuron's dot product W·x_q for every
-// query q in the batch, writing the reassembled accumulator values into
-// out[0:len(xs)]. The weight row arrives in DRAM wire layout (fixed.Row:
-// magnitude bytes plus the packed sign bitmap); activations are non-negative
-// codes. Each query's elements are grouped by weight sign so that every
-// photonic accumulation step carries a single sign, which the cross-cycle
-// adder-subtractor applies when reassembling (§5.3, Appendix C). Every group
-// keeps its own analog tail step, and the adder reassembles each query's
-// segment of the shared payload separately, so per-query results carry no
-// cross-query analog coupling.
+// issueRow issues one output neuron's dot product W·x_q for every query q in
+// the batch onto the layer's burst. The weight row arrives in DRAM wire
+// layout (fixed.Row: magnitude bytes plus the packed sign bitmap);
+// activations are non-negative codes. Each query's elements are grouped by
+// weight sign so that every photonic accumulation step carries a single
+// sign, which the cross-cycle adder-subtractor applies when reassembling
+// (§5.3, Appendix C). The partials are digitized as they are produced — the
+// first live row opens the burst, at an arbitrary phase behind the preamble
+// prefix — and a count-table entry per query records where they sit.
 //
 // All working storage comes from the engine's scratch: after ensure has
 // grown the buffers to the layer geometry × batch size, the steady state
@@ -45,17 +51,15 @@ import (
 // the cold helper. Not reentrant; the engine's single-owner contract applies.
 //
 //lint:hotpath
-func (e *Engine) runDotBatch(w fixed.Row, xs [][]fixed.Code, out []fixed.Acc, stats *LayerStats) {
+func (e *Engine) issueRow(w fixed.Row, xs [][]fixed.Code, stats *LayerStats) {
 	q := len(xs)
-	if len(out) < q {
-		panic(fmt.Sprintf("datapath: batch out length %d < %d queries", len(out), q))
-	}
 	n := len(w.Mags)
 	lanes := e.Core.NumLanes()
 	s := &e.scratch
-	s.ensure(n, q, lanes)
+	s.ensure(n, q)
 	s.bounds = s.bounds[:2*q+1]
-	s.qPos, s.qParts = s.qPos[:q], s.qParts[:q]
+	s.counts = s.counts[:len(s.counts)+q]
+	counts := s.counts[len(s.counts)-q:]
 	s.bounds[0] = 0
 	bi, total := 0, 0
 	for qi, x := range xs {
@@ -74,84 +78,96 @@ func (e *Engine) runDotBatch(w fixed.Row, xs [][]fixed.Code, out []fixed.Acc, st
 		bi = pi + nn
 		posSteps := (np + lanes - 1) / lanes
 		negSteps := (nn + lanes - 1) / lanes
-		s.qPos[qi], s.qParts[qi] = posSteps, posSteps+negSteps
+		counts[qi] = dotCount{pos: posSteps, parts: posSteps + negSteps}
 		total += posSteps + negSteps
 	}
 	stats.PhotonicSteps += uint64(total)
 	if total == 0 {
-		for qi := 0; qi < q; qi++ {
-			out[qi] = 0
-		}
 		return
 	}
 
 	// One photonic pass: a single LUT-validity decision covers every
 	// query's sign groups.
 	s.bParts = e.Core.DotPartialsBatchInto(s.bParts, s.bW[:bi], s.bX[:bi], s.bounds)
-
-	// Sign controls pair one-to-one with the concatenated partials.
-	s.negs = s.negs[:total]
-	p := 0
-	for qi := 0; qi < q; qi++ {
-		for k := 0; k < s.qParts[qi]; k++ {
-			s.negs[p] = k >= s.qPos[qi]
-			p++
-		}
+	if len(s.stream) == 0 {
+		s.phase = e.ADC.RandomPhase()
+		s.stream = e.ADC.OpenBurst(s.stream, e.pre, s.phase)
 	}
+	s.stream = e.ADC.Digitize(s.stream, s.bParts)
+}
 
-	// One shared burst: the preamble prefix is paid once for the whole
-	// batch, and one ADC readout at one arbitrary phase digitizes every
-	// query's partials.
-	phase := e.ADC.RandomPhase()
-	s.frames = e.ADC.ReadoutBurstInto(s.frames[:0], e.pre, s.bParts, phase)
-	stats.DatapathCycles += uint64(len(s.frames))
+// readBurst closes the layer's burst and writes every issued dot's
+// reassembled accumulator into out, in issue order (row-major, then query):
+// one readout of the preamble and every row's partials, one count-action
+// preamble detection, and the count table slicing the payload back into the
+// segments each dot reassembles from on its own. A layer with no live
+// product emitted no burst: it reads nothing and draws nothing.
+//
+//lint:hotpath
+func (e *Engine) readBurst(out []fixed.Acc, stats *LayerStats) {
+	s := &e.scratch
+	counts := s.counts
+	s.counts = s.counts[:0]
+	if len(out) < len(counts) {
+		panic(fmt.Sprintf("datapath: out length %d < %d dots issued", len(out), len(counts)))
+	}
+	var payload []fixed.Code
+	if len(s.stream) > 0 {
+		total := len(s.stream) - s.phase - len(e.pre)
+		stream := e.ADC.CloseBurst(s.stream)
+		s.stream = stream[:0]
+		stats.DatapathCycles += uint64(len(stream) / converter.SamplesPerCycle)
+		payload = e.locate(stream, s.phase, total, stats)
+	}
+	for i, c := range counts {
+		out[i] = e.reassemble(payload[:c.parts], c.pos, stats)
+		payload = payload[c.parts:]
+	}
+}
 
-	// One count-action preamble detection locates every query's samples.
+// locate finds a burst's total payload samples in its readout. An
+// undetected preamble and a lock that runs the payload off the burst's end
+// are the same miss — the samples the count table promises are not there —
+// and take the exception path: fall back to the known phase.
+func (e *Engine) locate(stream []fixed.Code, phase, total int, stats *LayerStats) []fixed.Code {
+	var payload []fixed.Code
 	e.detector.Reset()
-	detPhase, _, ok := e.detector.Detect(s.frames)
-	if !ok {
+	if k, _, ok := e.detector.DetectStream(stream); ok {
+		payload = e.detector.StreamPayload(stream, k, total)
+	}
+	if len(payload) < total {
 		stats.PreambleMisses++
-		detPhase = phase // exception path: fall back to known phase
+		payload = e.detector.StreamPayload(stream, phase, total)
 	}
-	s.payload = e.detector.ExtractPayloadInto(s.payload[:0], s.frames, detPhase, total)
+	return payload
+}
 
-	// Per-query reassembly: slice the shared payload back apart and run
-	// each query's segment through the cross-cycle adder and the tree.
-	start := 0
-	for qi := 0; qi < q; qi++ {
-		parts := s.qParts[qi]
-		if parts == 0 {
-			out[qi] = 0
-			continue
-		}
-		lo, hi := start, start+parts
-		start = hi
-		if lo > len(s.payload) {
-			lo = len(s.payload)
-		}
-		if hi > len(s.payload) {
-			hi = len(s.payload)
-		}
-		seg, negSeg := s.payload[lo:hi], s.negs[lo:hi]
-		e.adder.SetPartialsPerDot(len(seg))
-		for i := 0; i < len(seg); i += Lanes {
-			end := i + Lanes
-			if end > len(seg) {
-				end = len(seg)
-			}
-			for _, v := range seg[i:end] {
-				if v == fixed.MaxCode {
-					stats.SaturatedSamples++
-				}
-			}
-			e.adder.Accumulate(seg[i:end], negSeg[i:end])
-			stats.ComputeCycles++
-		}
-		drained := e.adder.Drain()
-		sum, treeCycles := TreeSumInPlace(drained[:])
-		stats.ComputeCycles += uint64(treeCycles)
-		out[qi] = sum
+// reassemble folds one dot's payload segment — its first pos samples under a
+// positive sign, the rest negative — through the cross-cycle adder, a digital
+// cycle at a time, and the intra-cycle tree.
+//
+//lint:hotpath
+func (e *Engine) reassemble(seg []fixed.Code, pos int, stats *LayerStats) fixed.Acc {
+	if len(seg) == 0 {
+		return 0
 	}
+	var negs [Lanes]bool
+	e.adder.SetPartialsPerDot(len(seg))
+	for i := 0; i < len(seg); i += Lanes {
+		cycle := seg[i:min(i+Lanes, len(seg))]
+		for k, v := range cycle {
+			negs[k] = i+k >= pos
+			if v == fixed.MaxCode {
+				stats.SaturatedSamples++
+			}
+		}
+		e.adder.Accumulate(cycle, negs[:len(cycle)])
+		stats.ComputeCycles++
+	}
+	drained := e.adder.Drain()
+	sum, treeCycles := TreeSumInPlace(drained[:])
+	stats.ComputeCycles += uint64(treeCycles)
+	return sum
 }
 
 // partition sign-partitions one weight row against one activation vector
@@ -275,16 +291,18 @@ type BatchFCResult struct {
 // one matrix-matrix pass: out_q[j] = act(Σ_i W[j][i]·x_q[i] + bias[j]).
 // Each output neuron's weight row is taken in DRAM wire layout — straight
 // from a Packed view, or packed into engine scratch from an in-memory
-// Matrix — sign-partitioned once per query and streamed through a single
-// shared burst (runDotBatch). The bias (in raw
-// accumulator units) is added digitally after the intra-cycle adder tree.
+// Matrix — sign-partitioned once per query and issued onto the layer's one
+// burst (issueRow), which is read back once after the last row (readBurst).
+// The bias (in raw accumulator units) is added digitally after the
+// intra-cycle adder tree.
 // requantShift is the per-layer right-shift mapping 16-bit accumulators back
 // onto 8-bit activation codes for the next layer (computed offline by the DAG
 // loader together with the weight scales). The fixed per-layer datapath
 // overhead is paid once for the whole batch.
 func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs [][]fixed.Code, act Activation, requantShift uint) BatchFCResult {
 	rows, _ := weights.Dims()
-	perQuery, rowOut := e.scratch.layerOut(len(xs))
+	q := len(xs)
+	perQuery, acc := e.scratch.layerOut(rows, q)
 	for qi := range perQuery {
 		perQuery[qi] = FCResult{Raw: make([]fixed.Acc, rows)}
 	}
@@ -297,8 +315,11 @@ func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs 
 	for j := 0; j < rows; j++ {
 		var row fixed.Row
 		row, e.scratch.row = weights.Row(j, e.scratch.row)
-		e.runDotBatch(row, xs, rowOut, &res.Stats)
-		for qi, v := range rowOut {
+		e.issueRow(row, xs, &res.Stats)
+	}
+	e.readBurst(acc, &res.Stats)
+	for j := 0; j < rows; j++ {
+		for qi, v := range acc[j*q : (j+1)*q] {
 			if j < len(bias) {
 				v = fixed.SatAdd(v, bias[j])
 			}

@@ -134,10 +134,14 @@ func FuzzPackedViewEquivalence(f *testing.F) {
 }
 
 // TestScratchFootprintOneWideLayer pins what one wide layer leaves resident
-// in the engine: operand buffers by elements, but sign controls by partials
-// — a query issues at most ⌈n/lanes⌉+1 of them — no staged burst (the ADC
-// reads the preamble prefix and the partials where they lie) and no row
-// buffer at all when the weights arrive as a view.
+// in the engine: operand buffers by elements, one row's partials as float64
+// and the whole layer's burst at a byte a sample — no second copy of it as
+// frames or as an extracted payload, no per-partial sign controls — and no
+// row buffer at all when the weights arrive as a view. Re-pinned when the
+// burst became layer-wide: its stream now holds both rows' samples where the
+// per-neuron burst held one row's three times over (sign controls sized for
+// the densest row, frames, payload), so the total must not exceed what the
+// per-neuron engine left resident for this same layer.
 func TestScratchFootprintOneWideLayer(t *testing.T) {
 	const n, lanes, q = 150528, 2, 1
 	m := fixed.Matrix{make([]fixed.Signed, n), make([]fixed.Signed, n)}
@@ -155,15 +159,29 @@ func TestScratchFootprintOneWideLayer(t *testing.T) {
 	e := newTestEngine(t, lanes, false)
 	e.ExecuteFCBias(p, nil, x, ActSoftmax, 10)
 	s := &e.scratch
-	const partials = q * (n/lanes + 1)
-	if cap(s.negs) != partials {
-		t.Errorf("negs cap %d; want %d (sized by partials, not elements)", cap(s.negs), partials)
-	}
 	if len(s.bW) != (q+1)*n || len(s.bX) != (q+1)*n {
 		t.Errorf("operand buffers %d, %d; want %d", len(s.bW), len(s.bX), (q+1)*n)
 	}
 	if s.row != nil {
 		t.Errorf("a packed view grew a %d-byte row buffer", cap(s.row))
+	}
+	// Each row has n/2 live products: n/2/lanes partials a row.
+	const rowPartials = n / 2 / lanes
+	if cap(s.bParts) != rowPartials {
+		t.Errorf("partials buffer holds %d readings; want one row's %d", cap(s.bParts), rowPartials)
+	}
+	burst := 2*rowPartials + PrototypePreamble().Samples() + 2*Lanes
+	if cap(s.stream) < burst-2*Lanes || cap(s.stream) > burst*5/4 {
+		t.Errorf("burst stream holds %d samples; want the %d issued (within append's growth step)", cap(s.stream), burst)
+	}
+	// The per-neuron engine's scratch after this same layer, by field:
+	// bW, bX and bParts 301056 each, bounds 24, qPos and qParts 8 each,
+	// negs 75265, frames 40960, payload 40960, rowOut 2.
+	const perNeuronBytes = 3*301056 + 24 + 8 + 8 + 75265 + 40960 + 40960 + 2
+	got := cap(s.bW) + cap(s.bX) + 8*cap(s.bounds) + cap(s.row) + 8*cap(s.bParts) +
+		cap(s.stream) + 16*cap(s.counts) + 2*cap(s.acc)
+	if got > perNeuronBytes {
+		t.Errorf("scratch holds %d bytes after one 2×%d layer; the per-neuron burst held %d", got, n, perNeuronBytes)
 	}
 
 	// The partial bound is met exactly when both sign groups round up to a

@@ -54,8 +54,9 @@ type LayerStats struct {
 	DatapathCycles uint64
 	// SaturatedSamples counts ADC samples that clipped at the rails.
 	SaturatedSamples uint64
-	// PreambleMisses counts vectors whose preamble was not detected (the
-	// exception path that punts to the control plane).
+	// PreambleMisses counts bursts whose preamble did not locate their
+	// payload — undetected, or locked where the payload runs off the burst
+	// (the exception path that punts to the control plane).
 	PreambleMisses uint64
 }
 
@@ -128,10 +129,10 @@ func (e *Engine) armAdder() {
 	e.adder.Gain = e.Core.FullScaleLanes
 }
 
-// runDot computes one output neuron's dot product W·x: runDotBatch for a
-// batch of one over the row packed into engine scratch. The conv, attention
-// and transformer templates drive their per-window and per-head dots through
-// it.
+// runDot computes one output neuron's dot product W·x: a layer of one row
+// for a batch of one, over the row packed into engine scratch, in a burst of
+// its own. The conv, attention and transformer templates drive their
+// per-window and per-head dots through it.
 //
 //lint:hotpath
 func (e *Engine) runDot(w []fixed.Signed, x []fixed.Code, stats *LayerStats) fixed.Acc {
@@ -139,7 +140,8 @@ func (e *Engine) runDot(w []fixed.Signed, x []fixed.Code, stats *LayerStats) fix
 	var out [1]fixed.Acc
 	var row fixed.Row
 	row, e.scratch.row = fixed.PackRow(w, e.scratch.row)
-	e.runDotBatch(row, xs[:], out[:], stats)
+	e.issueRow(row, xs[:], stats)
+	e.readBurst(out[:], stats)
 	return out[0]
 }
 

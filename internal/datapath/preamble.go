@@ -7,7 +7,6 @@ package datapath
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/countaction"
@@ -262,34 +261,40 @@ func (d *Detector) Detect(frames []converter.Frame) (phase, frameIdx int, ok boo
 	return -1, len(frames), false
 }
 
-// ExtractPayload removes the preamble from a readout burst given the
-// detected phase: it returns the meaningful samples starting right after the
-// preamble's end. The preamble occupies phase + P·16 samples from the start
-// of the burst's first frame; a burst that ends inside it yields nil.
-func (d *Detector) ExtractPayload(frames []converter.Frame, phase, payloadLen int) []fixed.Code {
-	return d.ExtractPayloadInto(nil, frames, phase, payloadLen)
-}
-
-// ExtractPayloadInto is ExtractPayload with caller-owned storage: the
-// payload samples are appended to dst (normally dst[:0] with retained
-// capacity), copying only the payload range, a frame's worth at a time,
-// instead of flattening the whole burst — the zero-steady-state-allocation
-// form the engine's scratch uses.
+// DetectStream is Detect over a readout kept as one flat sample stream
+// (converter.ADC.OpenBurst), a frame every SamplesPerCycle samples.
 //
 //lint:hotpath
-func (d *Detector) ExtractPayloadInto(dst []fixed.Code, frames []converter.Frame, phase, payloadLen int) []fixed.Code {
+func (d *Detector) DetectStream(stream []fixed.Code) (phase, frameIdx int, ok bool) {
 	const spc = converter.SamplesPerCycle
+	for i := 0; i+spc <= len(stream); i += spc {
+		if k, done := d.Offer(converter.Frame(stream[i : i+spc])); done {
+			return k, i / spc, true
+		}
+	}
+	return -1, len(stream) / spc, false
+}
+
+// StreamPayload removes the preamble from a flat readout given the detected
+// phase: the payloadLen meaningful samples right after the preamble's end,
+// as a view into the stream. The preamble occupies phase + P·16 samples from
+// the start of the burst's first frame; a stream that ends before the
+// payload does yields a short view, nil if it ends inside the preamble.
+func (d *Detector) StreamPayload(stream []fixed.Code, phase, payloadLen int) []fixed.Code {
 	start := phase + d.Config.Samples()
-	end := min(start+payloadLen, len(frames)*spc)
+	end := min(start+payloadLen, len(stream))
 	if end <= start {
-		return dst
+		return nil
 	}
-	at := len(dst)
-	dst = slices.Grow(dst, end-start)[:at+end-start]
-	off := start % spc
-	for f := start / spc; at < len(dst); f++ {
-		at += copy(dst[at:], frames[f][off:])
-		off = 0
+	return stream[start:end]
+}
+
+// ExtractPayload is StreamPayload for a readout held as frames, which it
+// flattens first.
+func (d *Detector) ExtractPayload(frames []converter.Frame, phase, payloadLen int) []fixed.Code {
+	var flat []fixed.Code
+	for i := range frames {
+		flat = append(flat, frames[i][:]...)
 	}
-	return dst
+	return d.StreamPayload(flat, phase, payloadLen)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/converter"
@@ -106,12 +107,13 @@ func FuzzDetectorMaskEquivalence(f *testing.F) {
 	})
 }
 
-// TestExtractPayloadChunkedMatchesPerSample holds the frame-at-a-time copy
-// against the per-sample walk it replaced: every phase, payloads that end
-// mid-frame, on a frame boundary and past a truncated burst, appended after
-// existing content.
-func TestExtractPayloadChunkedMatchesPerSample(t *testing.T) {
-	perSample := func(d *Detector, dst []fixed.Code, frames []converter.Frame, phase, payloadLen int) []fixed.Code {
+// TestStreamPayloadMatchesPerSample holds the two payload forms — the flat
+// view the engine slices and the framed copy the experiments use — against a
+// per-sample walk of the frames: every phase, payloads that end mid-frame, on
+// a frame boundary and past a truncated burst.
+func TestStreamPayloadMatchesPerSample(t *testing.T) {
+	perSample := func(d *Detector, frames []converter.Frame, phase, payloadLen int) []fixed.Code {
+		var dst []fixed.Code
 		start := phase + d.Config.Samples()
 		end := min(start+payloadLen, len(frames)*converter.SamplesPerCycle)
 		for idx := start; idx < end; idx++ {
@@ -121,22 +123,62 @@ func TestExtractPayloadChunkedMatchesPerSample(t *testing.T) {
 	}
 	d := NewDetector(PreambleConfig{Pattern: PrototypePattern(), Repetitions: 3})
 	frames := make([]converter.Frame, 7)
+	var flat []fixed.Code
 	for i := range frames {
 		for j := range frames[i] {
 			frames[i][j] = fixed.Code(i*converter.SamplesPerCycle + j)
 		}
+		flat = append(flat, frames[i][:]...)
 	}
 	for phase := 0; phase < converter.SamplesPerCycle; phase++ {
 		for _, payloadLen := range []int{0, 1, 15, 16, 17, 16 - phase, 32 - phase, 48, 64 - phase, 65, 400} {
-			for _, burst := range [][]converter.Frame{frames, frames[:4], frames[:3], frames[:1]} {
-				prior := []fixed.Code{7, 7}
-				got := d.ExtractPayloadInto(prior[:2:2], burst, phase, payloadLen)
-				want := perSample(d, []fixed.Code{7, 7}, burst, phase, payloadLen)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("phase %d len %d over %d frames:\n got %v\nwant %v", phase, payloadLen, len(burst), got, want)
+			for _, nf := range []int{7, 4, 3, 1} {
+				want := perSample(d, frames[:nf], phase, payloadLen)
+				got := d.ExtractPayload(frames[:nf], phase, payloadLen)
+				view := d.StreamPayload(flat[:nf*converter.SamplesPerCycle], phase, payloadLen)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(slices.Clone(view), want) {
+					t.Fatalf("phase %d len %d over %d frames:\n framed %v\n   flat %v\n   want %v", phase, payloadLen, nf, got, view, want)
 				}
 			}
 		}
+	}
+}
+
+// TestLocateShortPayloadIsAMiss: a detector that locks where the payload
+// runs off the end of the burst has not located it. The per-neuron loop
+// clamped the segment bounds to the extracted length, so such a burst
+// yielded dots computed from missing samples and counted nothing; with a
+// layer-wide burst that would corrupt a whole layer silently. Here the
+// preamble sits one sample later than the phase the engine knows, in a burst
+// that ends on a frame boundary: the lock leaves the payload one sample
+// short, which must count as a miss and fall back to the known phase.
+func TestLocateShortPayloadIsAMiss(t *testing.T) {
+	e := newTestEngine(t, 2, false)
+	const known, late, total = 14, 15, 2
+	readings := []float64{100} // late + 160 + 1 = 176: eleven whole frames
+	stream := e.ADC.CloseBurst(e.ADC.Digitize(e.ADC.OpenBurst(nil, e.pre, late), readings))
+	if k, _, ok := e.detector.DetectStream(stream); !ok || k != late {
+		t.Fatalf("detector locked at %d (ok %v), want %d", k, ok, late)
+	}
+	if got := e.detector.StreamPayload(stream, late, total); len(got) != total-1 {
+		t.Fatalf("payload at the locked phase has %d samples; the test wants it one short of %d", len(got), total)
+	}
+	var stats LayerStats
+	payload := e.locate(stream, known, total, &stats)
+	if stats.PreambleMisses != 1 {
+		t.Errorf("a short payload counted %d misses, want 1", stats.PreambleMisses)
+	}
+	if want := stream[known+len(e.pre):][:total]; !reflect.DeepEqual(payload, want) {
+		t.Errorf("payload %v, want the known phase's %v", payload, want)
+	}
+
+	// A full-length lock is not a miss, and an undetected preamble is.
+	stats = LayerStats{}
+	if got := e.locate(stream, known, total-1, &stats); stats.PreambleMisses != 0 || len(got) != total-1 || got[0] != 100 {
+		t.Errorf("full-length lock: payload %v, %d misses", got, stats.PreambleMisses)
+	}
+	if e.locate(stream[:5*converter.SamplesPerCycle], known, total, &stats); stats.PreambleMisses != 1 {
+		t.Errorf("undetected preamble counted %d misses, want 1", stats.PreambleMisses)
 	}
 }
 
@@ -167,9 +209,13 @@ func TestNonDefaultPreambleServesOracle(t *testing.T) {
 				t.Errorf("P=%d query %d: Raw %v, oracle %v", cfg.Repetitions, qi, got.PerQuery[qi].Raw, want.PerQuery[qi].Raw)
 			}
 		}
-		// P repetitions are P readout frames per neuron and nothing else: a
-		// whole number of cycles, so the rng sees the same draws.
-		saved := (PrototypePreamble().Repetitions - cfg.Repetitions) * len(weights)
+		// P repetitions are P readout frames per burst and nothing else: a
+		// whole number of cycles, so the rng sees the same draws. Re-pinned
+		// when the burst became layer-wide — a layer emits one preamble, not
+		// one per output neuron, so the cycles move by ΔP per layer executed
+		// (here one) where they moved by ΔP × len(weights).
+		const layers = 1
+		saved := (PrototypePreamble().Repetitions - cfg.Repetitions) * layers
 		if d := int(want.Stats.DatapathCycles) - int(got.Stats.DatapathCycles); d != saved {
 			t.Errorf("P=%d: datapath cycles moved by %d, want %d", cfg.Repetitions, d, saved)
 		}

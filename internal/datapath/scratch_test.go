@@ -8,12 +8,13 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
-// TestRunDotBatchZeroSteadyStateAllocs guards the engine's per-neuron hot
-// path, for a lone query and for a full batch: once the scratch has grown to
-// the layer geometry × batch size (one warm-up call), a dot product through
-// the full analog+digital pipeline — sign partition, DAC burst, ADC framing,
-// preamble detection, cross-cycle reassembly, adder tree — must not allocate.
-func TestRunDotBatchZeroSteadyStateAllocs(t *testing.T) {
+// TestLayerBurstZeroSteadyStateAllocs guards the engine's layer routine, for
+// a lone query and for a full batch: once the scratch has grown to the layer
+// geometry × batch size (one warm-up layer), issuing rows and reading their
+// burst back through the full analog+digital pipeline — sign partition,
+// photonic pass, digitization behind the preamble, preamble detection,
+// cross-cycle reassembly, adder tree — must not allocate.
+func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 	for _, q := range []int{1, 8} {
 		t.Run(fmt.Sprintf("q%d", q), func(t *testing.T) {
 			e := newTestEngine(t, 2, true)
@@ -30,18 +31,26 @@ func TestRunDotBatchZeroSteadyStateAllocs(t *testing.T) {
 				}
 			}
 			e.armAdder()
-			out := make([]fixed.Acc, q)
+			const rows = 3
+			out := make([]fixed.Acc, rows*q)
 			var stats LayerStats
 			row, _ := fixed.PackRow(w, nil)
-			e.runDotBatch(row, xs, out, &stats) // warm-up: grows scratch
-			if n := testing.AllocsPerRun(100, func() {
-				e.runDotBatch(row, xs, out, &stats)
-			}); n != 0 {
-				t.Fatalf("runDotBatch allocates %v times per call in steady state, want 0", n)
+			layer := func() {
+				for j := 0; j < rows; j++ {
+					e.issueRow(row, xs, &stats)
+				}
+				e.readBurst(out, &stats)
+			}
+			layer() // warm-up: grows scratch
+			if n := testing.AllocsPerRun(100, layer); n != 0 {
+				t.Fatalf("a layer's burst allocates %v times in steady state, want 0", n)
+			}
+			if stats.PreambleMisses != 0 || out[0] == 0 || out[rows*q-1] == 0 {
+				t.Fatalf("burst read back %v with %d preamble misses", out, stats.PreambleMisses)
 			}
 			if q == 1 {
-				// The batch-of-one adapter the layer templates call must not
-				// add any either.
+				// The one-row layer the templates call must not add any
+				// either.
 				var sink fixed.Acc
 				if n := testing.AllocsPerRun(100, func() {
 					sink += e.runDot(w, xs[0], &stats)
@@ -54,11 +63,11 @@ func TestRunDotBatchZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRunDotBatchScratchRegrowth checks the cold path the guard above never
+// TestLayerBurstScratchRegrowth checks the cold path the guard above never
 // exercises: a wider layer after a narrow one must regrow the scratch and
 // still match a fresh engine (the scratch is pure working storage, never
 // carried state).
-func TestRunDotBatchScratchRegrowth(t *testing.T) {
+func TestLayerBurstScratchRegrowth(t *testing.T) {
 	for _, q := range []int{1, 8} {
 		t.Run(fmt.Sprintf("q%d", q), func(t *testing.T) {
 			weights, bias, xs := batchLayer(4, 200, q)

@@ -2,6 +2,7 @@ package nic
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -35,6 +36,21 @@ const (
 // the first fragment (as IP reassembly's does): a query whose fragments were
 // lost in flight is evicted rather than pinning a table slot forever.
 const DefaultReassemblyTTL = 5 * time.Second
+
+// A fragment's total-length field is wire-supplied and sizes the reassembly
+// buffer, so it is bounded before anything is allocated: one query may
+// declare at most MaxQueryBytes — Table 6's 150 KB vision queries and a
+// LeNet-300-100-sized wire install fit several times over — and all
+// in-flight reassemblies together hold at most MaxPendingBytes, the oldest
+// giving way first.
+const (
+	MaxQueryBytes   = 1 << 20
+	MaxPendingBytes = 16 * MaxQueryBytes
+)
+
+// ErrQueryTooLarge rejects a fragment that declares a query longer than
+// MaxQueryBytes.
+var ErrQueryTooLarge = errors.New("nic: fragmented query exceeds MaxQueryBytes")
 
 // Fragment splits a large query into fragment messages sharing the request
 // ID. Queries that already fit return a single unfragmented message.
@@ -134,12 +150,14 @@ func (pq *partialQuery) covered() int {
 
 // Reassembler is the packet assembler's reassembly buffer: it collects
 // fragments by request ID and releases the complete query. Entries are
-// bounded two ways: when the table is full the oldest in-flight query is
-// discarded (a hardware reassembly table's behaviour under pressure), and
-// every entry carries a deadline — TTL past its first fragment — after which
-// it is expired, so partial queries from lost fragments cannot pin slots
-// forever. All methods are safe for concurrent use: fragments of distinct
-// requests arrive interleaved across worker goroutines.
+// bounded three ways: a query may declare at most MaxQueryBytes; when the
+// table is full, or its buffers would together exceed MaxPendingBytes, the
+// oldest in-flight query is discarded (a hardware reassembly table's
+// behaviour under pressure); and every entry carries a deadline — TTL past
+// its first fragment — after which it is expired, so partial queries from
+// lost fragments cannot pin slots forever. All methods are safe for
+// concurrent use: fragments of distinct requests arrive interleaved across
+// worker goroutines.
 type Reassembler struct {
 	mu      sync.Mutex
 	cap     int
@@ -150,11 +168,16 @@ type Reassembler struct {
 	// creation with a constant TTL, so creation order is deadline order and
 	// expiry sweeps only the head.
 	order []uint32
+	// bytes is the sum of the pending entries' buffer lengths.
+	bytes int
 
-	// drops counts discarded in-flight queries (table pressure or
-	// inconsistent fragments); expired counts deadline evictions.
-	drops   uint64
-	expired uint64
+	// drops counts discarded in-flight queries (table or byte-budget
+	// pressure, inconsistent fragments); expired counts deadline evictions;
+	// oversize counts fragments refused for declaring more than
+	// MaxQueryBytes.
+	drops    uint64
+	expired  uint64
+	oversize uint64
 }
 
 // NewReassembler builds a table bounded to capacity in-flight queries with
@@ -210,6 +233,14 @@ func (r *Reassembler) Expired() uint64 {
 	return r.expired
 }
 
+// Oversize returns the count of fragments refused because they declared a
+// query longer than MaxQueryBytes.
+func (r *Reassembler) Oversize() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.oversize
+}
+
 // GC evicts every entry past its deadline and returns how many it removed.
 // Offer runs the same sweep; GC exists so an idle serve loop still expires
 // stale entries when no fragments arrive.
@@ -225,12 +256,10 @@ func (r *Reassembler) gc() int {
 	now := r.now()
 	n := 0
 	for len(r.order) > 0 {
-		pq := r.pending[r.order[0]]
-		if pq.deadline.After(now) {
+		if r.pending[r.order[0]].deadline.After(now) {
 			break
 		}
-		delete(r.pending, r.order[0])
-		r.order = r.order[1:]
+		r.remove(r.order[0])
 		r.expired++
 		n++
 	}
@@ -257,15 +286,18 @@ func (r *Reassembler) Offer(m *Message) (query []byte, modelID uint16, done bool
 	if total <= 0 || len(body) == 0 {
 		return nil, 0, false, fmt.Errorf("nic: empty fragment for request %d", m.RequestID)
 	}
+	if total > MaxQueryBytes {
+		r.oversize++
+		return nil, 0, false, fmt.Errorf("%w: request %d declares %d bytes", ErrQueryTooLarge, m.RequestID, total)
+	}
 
 	pq := r.pending[m.RequestID]
 	if pq == nil {
-		if len(r.pending) >= r.cap {
-			victim := r.order[0]
-			r.order = r.order[1:]
-			delete(r.pending, victim)
+		for len(r.pending) >= r.cap || r.bytes+total > MaxPendingBytes {
+			r.remove(r.order[0])
 			r.drops++
 		}
+		r.bytes += total
 		pq = &partialQuery{
 			modelID:  m.ModelID,
 			total:    total,
@@ -297,9 +329,11 @@ func (r *Reassembler) Offer(m *Message) (query []byte, modelID uint16, done bool
 
 // remove deletes an in-flight entry without counting a drop.
 func (r *Reassembler) remove(id uint32) {
-	if _, ok := r.pending[id]; !ok {
+	pq, ok := r.pending[id]
+	if !ok {
 		return
 	}
+	r.bytes -= pq.total
 	delete(r.pending, id)
 	for i, v := range r.order {
 		if v == id {

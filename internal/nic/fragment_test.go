@@ -3,7 +3,10 @@ package nic
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -376,5 +379,90 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// hostileFragment is a well-formed first fragment whose wire-supplied total
+// is a lie: a few bytes of body for a query declared total bytes long.
+func hostileFragment(id uint32, total uint32) *Message {
+	payload := make([]byte, FragHeaderLen+4)
+	binary.BigEndian.PutUint32(payload[4:8], total)
+	return &Message{Flags: FlagFragment, RequestID: id, ModelID: 1, Payload: payload}
+}
+
+// TestReassemblerBoundsDeclaredTotal: the first fragment's 32-bit total used
+// to go straight to make([]byte, total) — one 24-byte datagram pinned up to
+// 4 GiB, times the table capacity. A total past MaxQueryBytes is refused
+// before anything is allocated, counted, and leaves no entry behind; a query
+// of exactly MaxQueryBytes still reassembles.
+func TestReassemblerBoundsDeclaredTotal(t *testing.T) {
+	r := NewReassembler(4)
+	for i, total := range []uint32{MaxQueryBytes + 1, 64 << 20, math.MaxUint32} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, done, err := r.Offer(hostileFragment(uint32(i+1), total))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrQueryTooLarge) || done {
+			t.Fatalf("total %d: done=%v err=%v, want ErrQueryTooLarge", total, done, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= MaxFragPayload {
+			t.Errorf("total %d: refusing it allocated %d bytes, want less than one fragment's %d", total, got, MaxFragPayload)
+		}
+	}
+	if r.Oversize() != 3 || r.Pending() != 0 || r.Drops() != 0 {
+		t.Errorf("oversize %d pending %d drops %d, want 3 0 0", r.Oversize(), r.Pending(), r.Drops())
+	}
+
+	query := bytes.Repeat([]byte{0xa5}, MaxQueryBytes)
+	msgs, err := Fragment(9, 1, query, 60000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, m := range msgs {
+		if q, _, done, err := r.Offer(m); err != nil {
+			t.Fatal(err)
+		} else if done {
+			got = q
+		}
+	}
+	if !bytes.Equal(got, query) {
+		t.Error("a MaxQueryBytes query did not reassemble")
+	}
+}
+
+// TestReassemblerPendingBytesBudget: in-bounds totals still add up — a full
+// table of MaxQueryBytes declarations would pin capacity × 1 MiB — so the
+// pending buffers share MaxPendingBytes, oldest evicted first and counted as
+// a capacity drop.
+func TestReassemblerPendingBytesBudget(t *testing.T) {
+	r := NewReassembler(256)
+	const fit = MaxPendingBytes / MaxQueryBytes
+	for id := uint32(1); id <= fit+2; id++ {
+		if _, _, _, err := r.Offer(hostileFragment(id, MaxQueryBytes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.Pending() != fit || r.Drops() != 2 {
+		t.Fatalf("pending %d drops %d, want %d and 2", r.Pending(), r.Drops(), fit)
+	}
+	// IDs 1 and 2 gave way: a fragment for 1 opens a new entry (evicting 3),
+	// one for the newest finds its entry.
+	r.Offer(hostileFragment(1, MaxQueryBytes))
+	if r.Drops() != 3 {
+		t.Errorf("re-offering an evicted request: drops %d, want 3", r.Drops())
+	}
+	r.Offer(hostileFragment(fit+2, MaxQueryBytes))
+	if r.Pending() != fit || r.Drops() != 3 {
+		t.Errorf("a fragment of a surviving request changed the table: pending %d drops %d", r.Pending(), r.Drops())
+	}
+	// Completed and expired entries give their bytes back.
+	r.SetClock(func() time.Time { return time.Now().Add(2 * DefaultReassemblyTTL) })
+	r.GC()
+	for id := uint32(100); id < 100+fit; id++ {
+		r.Offer(hostileFragment(id, MaxQueryBytes))
+	}
+	if r.Pending() != fit || r.Drops() != 3 {
+		t.Errorf("after expiry the budget was not free: pending %d drops %d", r.Pending(), r.Drops())
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"time"
 
+	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/model"
 )
 
@@ -17,8 +18,9 @@ import (
 const (
 	// PrototypeLanes is the testbed's wavelength count.
 	PrototypeLanes = 2
-	// PrototypeRateHz is the per-lane analog compute rate.
-	PrototypeRateHz = 4.055e9
+	// PrototypeRateHz is the per-lane analog compute rate: the converters'
+	// sample rate, the repo's one statement of the prototype clock.
+	PrototypeRateHz = converter.SampleRateHz
 )
 
 // Triton-stack constants for the GPU baselines.

@@ -48,7 +48,7 @@ func DefaultStopAndGo() StopAndGoConfig {
 		DigitizerRead: 180 * time.Millisecond,
 		PostProcess:   60 * time.Millisecond,
 		Jitter:        0.5,
-		AnalogRateHz:  4.055e9,
+		AnalogRateHz:  PrototypeRateHz,
 	}
 }
 

@@ -353,12 +353,15 @@ type Metrics struct {
 	TxFrames, TxBytes uint64
 	// PendingReassembly is the in-flight fragmented query count;
 	// ReassemblyDrops counts partial queries discarded under capacity
-	// pressure or fragment inconsistency; ReassemblyExpired counts
-	// partial queries evicted because their TTL deadline passed (lost
-	// fragments).
-	PendingReassembly int
-	ReassemblyDrops   uint64
-	ReassemblyExpired uint64
+	// or byte-budget pressure or fragment inconsistency;
+	// ReassemblyExpired counts partial queries evicted because their TTL
+	// deadline passed (lost fragments); ReassemblyOversize counts
+	// fragments refused for declaring a query longer than
+	// nic.MaxQueryBytes.
+	PendingReassembly  int
+	ReassemblyDrops    uint64
+	ReassemblyExpired  uint64
+	ReassemblyOversize uint64
 	// TapWriteErrors counts pcap tap capture failures: frames the datapath
 	// processed but the attached capture could not record.
 	TapWriteErrors uint64
@@ -440,6 +443,7 @@ func (n *NIC) Metrics() Metrics {
 		PendingReassembly:  n.reassembly.Pending(),
 		ReassemblyDrops:    n.reassembly.Drops(),
 		ReassemblyExpired:  n.reassembly.Expired(),
+		ReassemblyOversize: n.reassembly.Oversize(),
 		TapWriteErrors:     n.tapWriteErrors.Load(),
 		ModelInstalls:      n.installs.Load(),
 		ModelInstallErrors: n.installErrors.Load(),

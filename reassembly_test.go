@@ -1,6 +1,9 @@
 package lightning
 
 import (
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/nic"
@@ -111,5 +114,64 @@ func TestNICReassemblyMetrics(t *testing.T) {
 	}
 	if n.Served() != 3 {
 		t.Errorf("Served = %d, want 3", n.Served())
+	}
+}
+
+// TestHandleMessageHostileTotalIsErrFlagged: a single fragment declaring a
+// 4 GiB query used to size the reassembly buffer from the wire — one 24-byte
+// datagram, one 4 GiB make. The NIC answers it with an Err-flagged response,
+// counts it under its own name, allocates less than one fragment's worth
+// doing so, and serves a good 150 KB query right after.
+func TestHandleMessageHostileTotalIsErrFlagged(t *testing.T) {
+	const width = 150528
+	n, err := New(Config{Lanes: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RegisterModel(1, "halves", SyntheticHalvesModel(width)); err != nil {
+		t.Fatal(err)
+	}
+	hostile := &Message{Flags: nic.FlagFragment, RequestID: 7, ModelID: 1, Payload: make([]byte, nic.FragHeaderLen+4)}
+	binary.BigEndian.PutUint32(hostile.Payload[4:8], 0xffffffff)
+
+	// TotalAlloc is process-wide: take the quietest of a few attempts so a
+	// background goroutine's allocation cannot fail the bound.
+	const tries = 3
+	least := ^uint64(0)
+	for try := 0; try < tries; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := n.HandleMessage(hostile)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, nic.ErrQueryTooLarge) || resp == nil || !resp.Err || resp.RequestID != 7 {
+			t.Fatalf("hostile total: resp=%+v err=%v, want an Err-flagged response and ErrQueryTooLarge", resp, err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= nic.MaxFragPayload {
+		t.Errorf("answering the hostile fragment allocated %d bytes, want less than one fragment's %d", least, nic.MaxFragPayload)
+	}
+	if m := n.Metrics(); m.ReassemblyOversize != tries || m.PendingReassembly != 0 {
+		t.Errorf("ReassemblyOversize %d PendingReassembly %d, want %d and 0", m.ReassemblyOversize, m.PendingReassembly, tries)
+	}
+
+	query := make([]byte, width)
+	for i := width / 2; i < width; i++ {
+		query[i] = 200 // the second half is the bright one: class 1
+	}
+	msgs, err := nic.Fragment(8, 1, query, nic.MaxFragPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good *Response
+	for _, m := range msgs {
+		if resp, err := n.HandleMessage(m); err != nil {
+			t.Fatal(err)
+		} else if resp != nil {
+			good = resp
+		}
+	}
+	if good == nil || good.Err || good.Class != 1 {
+		t.Fatalf("150 KB query after the hostile fragment: %+v, want class 1", good)
 	}
 }
