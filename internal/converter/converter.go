@@ -150,12 +150,7 @@ type Frame [SamplesPerCycle]fixed.Code
 // after the burst ends — carry idle-channel noise (Fig 8a: phase 0; Fig 8b:
 // phase 6 leaves samples 0–5 as noise).
 func (a *ADC) ReadoutFrames(readings []float64, phase int) []Frame {
-	return a.ReadoutFramesInto(nil, readings, phase)
-}
-
-// ReadoutFramesInto is ReadoutFrames appending its frames to dst.
-func (a *ADC) ReadoutFramesInto(dst []Frame, readings []float64, phase int) []Frame {
-	return a.ReadoutBurstInto(dst, nil, readings, phase)
+	return a.ReadoutBurstInto(nil, nil, readings, phase)
 }
 
 // ReadoutBurstInto is the framed readout of a burst made of a prefix of

@@ -204,8 +204,8 @@ func refReadout(a *ADC, readings []float64, phase int) []Frame {
 // TestReadoutBurstMatchesFlatReadout: a code prefix plus analog readings
 // reads out exactly as the concatenated analog burst did — equal frames,
 // equal Quantized, and the rng left at the same draw — for every phase,
-// every code as a prefix sample, and empty spans on either side; and
-// ReadoutFramesInto, the empty-prefix case, appends after retained frames.
+// every code as a prefix sample, and empty spans on either side, appended
+// after retained frames; and so does ReadoutFrames, the empty-prefix case.
 func TestReadoutBurstMatchesFlatReadout(t *testing.T) {
 	allCodes := make([]fixed.Code, 0, 2*fixed.Levels)
 	for c := 0; c < fixed.Levels; c++ {
@@ -226,7 +226,7 @@ func TestReadoutBurstMatchesFlatReadout(t *testing.T) {
 				want := refReadout(ref, flat, phase)
 				kept := []Frame{{1, 2, 3}}
 				got := two.ReadoutBurstInto(kept, prefix, tail, phase)
-				flatGot := one.ReadoutFramesInto(nil, flat, phase)
+				flatGot := one.ReadoutFrames(flat, phase)
 				if got[0] != kept[0] {
 					t.Fatalf("phase %d: retained frame overwritten", phase)
 				}
@@ -252,19 +252,23 @@ func TestReadoutBurstMatchesFlatReadout(t *testing.T) {
 }
 
 // TestBurstInPiecesMatchesFramedReadout: the flat burst the engine keeps —
-// opened once, digitized a row at a time, closed — is the framed readout of
-// the concatenated readings laid end to end, with the same Quantized count
-// and rng draws; and reopening it in the same storage allocates nothing.
+// opened once, digitized a row at a time, closed — is the reference framed
+// readout (refReadout, not a wrapper over the same three calls) of the prefix
+// and the concatenated readings laid end to end, with the same Quantized
+// count and rng draws; and reopening it in the same storage allocates nothing.
 func TestBurstInPiecesMatchesFramedReadout(t *testing.T) {
 	prefix := []fixed.Code{255, 255, 0, 0, 255}
 	rows := [][]float64{{1, 2.5, 300}, nil, {-4, 99.9, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28}, {254.5}}
 	var all []float64
+	for _, c := range prefix {
+		all = append(all, float64(c))
+	}
 	for _, r := range rows {
 		all = append(all, r...)
 	}
 	for phase := 0; phase < SamplesPerCycle; phase++ {
 		framed, flat := NewADC(uint64(phase)), NewADC(uint64(phase))
-		want := framed.ReadoutBurstInto(nil, prefix, all, phase)
+		want := refReadout(framed, all, phase)
 		var buf []fixed.Code
 		burst := func() {
 			buf = flat.OpenBurst(buf, prefix, phase)

@@ -307,6 +307,7 @@ func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs 
 		perQuery[qi] = FCResult{Raw: make([]fixed.Acc, rows)}
 	}
 	res := BatchFCResult{PerQuery: perQuery}
+	e.scratch.beginLayer()
 	e.armAdder()
 	// Fixed per-layer datapath overhead: DAG configuration register writes
 	// and stream setup (the 193 ns/layer of §9 at 253.44 MHz ≈ 49 cycles) —

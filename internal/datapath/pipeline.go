@@ -139,6 +139,7 @@ func (e *Engine) runDot(w []fixed.Signed, x []fixed.Code, stats *LayerStats) fix
 	xs := [1][]fixed.Code{x}
 	var out [1]fixed.Acc
 	var row fixed.Row
+	e.scratch.beginLayer()
 	row, e.scratch.row = fixed.PackRow(w, e.scratch.row)
 	e.issueRow(row, xs[:], stats)
 	e.readBurst(out[:], stats)

@@ -249,9 +249,9 @@ func (d *Detector) Offer(f converter.Frame) (phase int, ok bool) {
 }
 
 // Detect runs the detector across a whole readout burst and returns the
-// phase and the index of the frame at which detection completed.
-//
-//lint:hotpath
+// phase and the index of the frame at which detection completed. The
+// experiments and tests that look at frames use it; the engine detects on
+// its flat stream (DetectStream).
 func (d *Detector) Detect(frames []converter.Frame) (phase, frameIdx int, ok bool) {
 	for i := range frames {
 		if k, done := d.Offer(frames[i]); done {

@@ -36,8 +36,10 @@ type engineScratch struct {
 	// stream is the layer's one burst as the ADC reads it, flat: idle noise
 	// up to phase, the preamble prefix, then every row's digitized partials
 	// in issue order — a byte a sample, sized by the partials issued. It is
-	// empty until a row has a live product. counts is the table that slices
-	// its payload back apart: one entry per (row, query) in issue order.
+	// empty until a row has a live product, and never empty after: the
+	// preamble is at least two cycles long (NewDetector). counts is the table
+	// that slices its payload back apart: one entry per (row, query) in issue
+	// order.
 	stream []fixed.Code
 	phase  int
 	counts []dotCount
@@ -65,6 +67,13 @@ func (s *engineScratch) ensure(n, q int) {
 		s.bounds = make([]int, 2*q+1)
 	}
 	s.counts = slices.Grow(s.counts, q)
+}
+
+// beginLayer discards whatever burst a layer that panicked between issue and
+// readout left behind, so an engine reused after a recovered panic starts the
+// next layer on an empty stream and count table.
+func (s *engineScratch) beginLayer() {
+	s.stream, s.counts = s.stream[:0], s.counts[:0]
 }
 
 // layerOut returns the result slots for one layer execution of rows output

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
@@ -86,5 +87,56 @@ func TestLayerBurstScratchRegrowth(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLayerStartsOnAnEmptyBurst: a layer that panics between issuing a row
+// and reading the burst back (the row-width check) leaves its samples and
+// count-table entries in the scratch. An engine reused after recovering must
+// not read them into the next layer: both entry points start from an empty
+// stream and table, match a fresh engine's answers, and read only the frames
+// their own burst fills (the phase drawn differs from the fresh engine's, so
+// the cycle count is held to the referee's formula instead).
+func TestLayerStartsOnAnEmptyBurst(t *testing.T) {
+	weights, bias, xs := batchLayer(4, 64, 2)
+	abandon := func(e *Engine) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a row narrower than the activations did not panic")
+			}
+		}()
+		var stats LayerStats
+		row, _ := weights.Row(0, nil)
+		e.issueRow(row, xs, &stats)
+		short, _ := fixed.PackRow(make([]fixed.Signed, 32), nil)
+		e.issueRow(short, xs, &stats)
+	}
+
+	fresh := newTestEngine(t, 2, false)
+	want := fresh.ExecuteFCBiasBatch(weights, bias, xs, ActReLU, 2)
+	var wantStats LayerStats
+	wantDot := fresh.runDot(weights[1], xs[0], &wantStats)
+
+	e := newTestEngine(t, 2, false)
+	abandon(e)
+	if len(e.scratch.stream) == 0 || len(e.scratch.counts) == 0 {
+		t.Fatal("the abandoned layer left nothing behind: the test no longer reaches the seam")
+	}
+	got := e.ExecuteFCBiasBatch(weights, bias, xs, ActReLU, 2)
+	for qi := range want.PerQuery {
+		if !reflect.DeepEqual(got.PerQuery[qi].Raw, want.PerQuery[qi].Raw) {
+			t.Errorf("query %d after an abandoned layer: %v, fresh engine %v", qi, got.PerQuery[qi].Raw, want.PerQuery[qi].Raw)
+		}
+	}
+	samples := e.scratch.phase + len(e.pre) + int(got.Stats.PhotonicSteps)
+	frames := (samples + converter.SamplesPerCycle - 1) / converter.SamplesPerCycle
+	if got.Stats.DatapathCycles != uint64(PerLayerOverheadCycles+frames) {
+		t.Errorf("datapath cycles after an abandoned layer %d, want %d + %d frames", got.Stats.DatapathCycles, PerLayerOverheadCycles, frames)
+	}
+
+	abandon(e)
+	var stats LayerStats
+	if dot := e.runDot(weights[1], xs[0], &stats); dot != wantDot || stats.PhotonicSteps != wantStats.PhotonicSteps {
+		t.Errorf("runDot after an abandoned layer: %d in %d steps, fresh engine %d in %d", dot, stats.PhotonicSteps, wantDot, wantStats.PhotonicSteps)
 	}
 }

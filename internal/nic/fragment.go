@@ -48,8 +48,9 @@ const (
 	MaxPendingBytes = 16 * MaxQueryBytes
 )
 
-// ErrQueryTooLarge rejects a fragment that declares a query longer than
-// MaxQueryBytes.
+// ErrQueryTooLarge rejects a query longer than MaxQueryBytes at both ends of
+// the protocol: Fragment refuses to split one, and the Reassembler refuses a
+// fragment that declares one.
 var ErrQueryTooLarge = errors.New("nic: fragmented query exceeds MaxQueryBytes")
 
 // Fragment splits a large query into fragment messages sharing the request
@@ -68,6 +69,11 @@ func FragmentFlags(requestID uint32, modelID uint16, flags uint8, query []byte, 
 	}
 	if len(query) <= maxPayload {
 		return []*Message{{Flags: flags, RequestID: requestID, ModelID: modelID, Payload: query}}, nil
+	}
+	if len(query) > MaxQueryBytes {
+		// The far end's reassembler would refuse it; fail where the
+		// caller can see why.
+		return nil, fmt.Errorf("%w: %d bytes", ErrQueryTooLarge, len(query))
 	}
 	chunk := maxPayload - FragHeaderLen
 	if chunk <= 0 {
