@@ -65,7 +65,7 @@ func (c *Coordinator) ServeUDP(ctx context.Context, pc net.PacketConn, workers i
 		if msg.IsResponse() {
 			return
 		}
-		query, modelID, done, rerr := c.reassembly.Offer(msg)
+		query, modelID, done, rerr := c.reassembly.OfferFrom(nic.Source(addr), msg)
 		if rerr != nil {
 			c.writeResponse(bc, addr, &nic.Response{RequestID: msg.RequestID, ModelID: msg.ModelID, Err: true})
 			return

@@ -18,7 +18,6 @@
 package converter
 
 import (
-	"math"
 	"math/rand/v2"
 	"slices"
 
@@ -112,7 +111,10 @@ func (a *ADC) Quantize(v float64) fixed.Code {
 	return quantize(v)
 }
 
-// quantize is Quantize without the sample count.
+// quantize is Quantize without the sample count: round half away from zero,
+// as math.Round does, saturating at the rails. Between the rails v is
+// positive and below 255, so truncation is the floor and v−⌊v⌋ is exact; the
+// branch-and-call of math.Round showed as 8 % of a long-vector query.
 func quantize(v float64) fixed.Code {
 	if v <= 0 {
 		return 0
@@ -120,7 +122,11 @@ func quantize(v float64) fixed.Code {
 	if v >= fixed.MaxCode {
 		return fixed.MaxCode
 	}
-	return fixed.Code(math.Round(v))
+	t := int(v)
+	if v-float64(t) >= 0.5 {
+		t++
+	}
+	return fixed.Code(t)
 }
 
 // QuantizeBurst digitizes a slice of analog readings.

@@ -76,6 +76,47 @@ func TestADCQuantizeSaturation(t *testing.T) {
 	}
 }
 
+// roundQuantize is the quantizer as it was written over math.Round, kept as
+// the reference the call-free rounding is held to.
+func roundQuantize(v float64) fixed.Code {
+	if v <= 0 {
+		return 0
+	}
+	if v >= fixed.MaxCode {
+		return fixed.MaxCode
+	}
+	return fixed.Code(math.Round(v))
+}
+
+// FuzzQuantizeMatchesRound holds quantize to math.Round's half-away-from-zero
+// on every reading: the seeds are the values where a hand-written rounding
+// goes wrong — the largest double below one half, every exact tie, the rails
+// and their neighbours, both zeros, negatives — and each fuzzed value is also
+// tried one ulp either side.
+func FuzzQuantizeMatchesRound(f *testing.F) {
+	f.Add(0.49999999999999994)
+	for k := 0; k < fixed.MaxCode; k++ {
+		f.Add(float64(k) + 0.5)
+	}
+	for _, v := range []float64{
+		254.5, 255, 254.99999999999997, 255.00000000000003, 254.49999999999997, 300, 1e300, math.Inf(1),
+		0, math.Copysign(0, -1), -0.5, -1, -254.5, -1e300, math.Inf(-1),
+		math.SmallestNonzeroFloat64, 1, 1.5000000000000002, 1.4999999999999998, 127.50000000000001,
+	} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		if math.IsNaN(v) {
+			t.Skip("a NaN reading converts to an implementation-defined code, before and after")
+		}
+		for _, x := range []float64{v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1))} {
+			if got, want := quantize(x), roundQuantize(x); got != want {
+				t.Fatalf("quantize(%v) = %d, math.Round says %d", x, got, want)
+			}
+		}
+	})
+}
+
 func TestQuantizeBurst(t *testing.T) {
 	a := NewADC(1)
 	got := a.QuantizeBurst([]float64{1, 2.6, 300})

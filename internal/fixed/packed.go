@@ -3,6 +3,7 @@ package fixed
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // The DRAM wire layout of a rows×cols sign/magnitude weight matrix is the
@@ -145,4 +146,14 @@ func (p Packed) Matrix() Matrix {
 		}
 	}
 	return m
+}
+
+// CodesOf views wire bytes as datapath codes without copying them: a query
+// arrives as bytes, a Code is one byte, and the engine only reads its input,
+// so the reassembled buffer is the operand, as the DRAM blob is for weights.
+// The view shares b's storage, length and capacity; it must not outlive b,
+// and b must not be written while the view is in use. This is the module's
+// one use of unsafe outside the socket layer.
+func CodesOf(b []byte) []Code {
+	return unsafe.Slice((*Code)(unsafe.SliceData(b)), cap(b))[:len(b)]
 }

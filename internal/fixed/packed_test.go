@@ -110,3 +110,40 @@ func TestPackRowReusesBuffer(t *testing.T) {
 		t.Fatalf("PackRow left a %d-byte buffer for a 100-wide row", len(grown))
 	}
 }
+
+// TestCodesOfAliases holds the byte→Code view to what its callers rely on:
+// same storage (a write through either side shows on the other), same length
+// and capacity, no allocation, and the empty cases stay empty.
+func TestCodesOfAliases(t *testing.T) {
+	backing := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	b := backing[2:5]
+	codes := CodesOf(b)
+	if len(codes) != len(b) || cap(codes) != cap(b) {
+		t.Fatalf("view is len %d cap %d over len %d cap %d", len(codes), cap(codes), len(b), cap(b))
+	}
+	for i := range b {
+		if codes[i] != Code(b[i]) {
+			t.Fatalf("code %d reads %d, byte is %d", i, codes[i], b[i])
+		}
+	}
+	b[1] = 200
+	if codes[1] != 200 {
+		t.Fatal("a byte write does not show through the view: it copied")
+	}
+	codes[2] = 99
+	if backing[4] != 99 {
+		t.Fatal("a code write does not land in the bytes: it copied")
+	}
+	if got := codes[:cap(codes)][cap(codes)-1]; got != 8 {
+		t.Fatalf("the view's spare capacity ends on %d, the backing array on 8", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { codes = CodesOf(b) }); n != 0 {
+		t.Fatalf("CodesOf allocates %v times", n)
+	}
+	if got := CodesOf(nil); got != nil {
+		t.Fatalf("CodesOf(nil) = %v, want nil", got)
+	}
+	if got := CodesOf([]byte{}); len(got) != 0 {
+		t.Fatalf("CodesOf of an empty slice has %d codes", len(got))
+	}
+}

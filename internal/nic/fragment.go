@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -83,22 +85,29 @@ func FragmentFlags(requestID uint32, modelID uint16, flags uint8, query []byte, 
 	if count > 0xffff {
 		return nil, fmt.Errorf("nic: query of %d bytes needs %d fragments (max 65535)", len(query), count)
 	}
-	msgs := make([]*Message, 0, count)
-	for lo := 0; lo < len(query); lo += chunk {
-		hi := lo + chunk
-		if hi > len(query) {
-			hi = len(query)
-		}
-		payload := make([]byte, FragHeaderLen+hi-lo)
+	// One slab of messages and one of payload bytes for the whole train: a
+	// 150 KB query is 109 fragments, and a message and a payload apiece was
+	// 218 allocations a query on every sender. Each payload's capacity ends
+	// where its bytes do, so an append to one cannot run into the next.
+	msgs := make([]*Message, count)
+	slab := make([]Message, count)
+	payloads := make([]byte, count*FragHeaderLen+len(query))
+	for i := range slab {
+		lo := i * chunk
+		hi := min(lo+chunk, len(query))
+		n := FragHeaderLen + hi - lo
+		payload := payloads[:n:n]
+		payloads = payloads[n:]
 		binary.BigEndian.PutUint32(payload[0:4], uint32(lo))
 		binary.BigEndian.PutUint32(payload[4:8], uint32(len(query)))
 		copy(payload[FragHeaderLen:], query[lo:hi])
-		msgs = append(msgs, &Message{
+		slab[i] = Message{
 			Flags:     flags | FlagFragment,
 			RequestID: requestID,
 			ModelID:   modelID,
 			Payload:   payload,
-		})
+		}
+		msgs[i] = &slab[i]
 	}
 	return msgs, nil
 }
@@ -121,23 +130,28 @@ type partialQuery struct {
 	deadline time.Time
 }
 
-// cover merges [lo, hi) into the coverage intervals.
+// cover merges [lo, hi) into the coverage intervals, in place: the spans it
+// touches or overlaps collapse into one, and only a range that touches none
+// makes the slice longer. A train arriving in order extends the one span it
+// has, whatever its length.
 func (pq *partialQuery) cover(lo, hi int) {
-	merged := make([]span, 0, len(pq.spans)+1)
+	s := pq.spans
 	i := 0
-	for ; i < len(pq.spans) && pq.spans[i].hi < lo; i++ {
-		merged = append(merged, pq.spans[i])
+	for i < len(s) && s[i].hi < lo {
+		i++
 	}
-	for ; i < len(pq.spans) && pq.spans[i].lo <= hi; i++ {
-		if pq.spans[i].lo < lo {
-			lo = pq.spans[i].lo
-		}
-		if pq.spans[i].hi > hi {
-			hi = pq.spans[i].hi
-		}
+	j := i
+	for ; j < len(s) && s[j].lo <= hi; j++ {
+		lo, hi = min(lo, s[j].lo), max(hi, s[j].hi)
 	}
-	merged = append(merged, span{lo, hi})
-	pq.spans = append(merged, pq.spans[i:]...)
+	if i == j {
+		s = append(s, span{})
+		copy(s[i+1:], s[i:])
+	} else {
+		s = append(s[:i+1], s[j:]...)
+	}
+	s[i] = span{lo, hi}
+	pq.spans = s
 }
 
 // complete reports whether every byte of the query has arrived.
@@ -154,9 +168,27 @@ func (pq *partialQuery) covered() int {
 	return n
 }
 
+// trainKey names a fragment train by its sender and the request ID the sender
+// chose: every client numbers its requests from 1, so the ID alone does not
+// tell two clients' trains apart.
+type trainKey struct {
+	from netip.AddrPort
+	id   uint32
+}
+
+// Source is a datagram's sender as OfferFrom keys it: the UDP address and
+// port, or the zero source for an address of any other kind (a test's
+// in-memory conn), whose senders then share one key space as they always did.
+func Source(addr net.Addr) netip.AddrPort {
+	if ua, ok := addr.(*net.UDPAddr); ok {
+		return ua.AddrPort()
+	}
+	return netip.AddrPort{}
+}
+
 // Reassembler is the packet assembler's reassembly buffer: it collects
-// fragments by request ID and releases the complete query. Entries are
-// bounded three ways: a query may declare at most MaxQueryBytes; when the
+// fragments by sender and request ID and releases the complete query. Entries
+// are bounded three ways: a query may declare at most MaxQueryBytes; when the
 // table is full, or its buffers would together exceed MaxPendingBytes, the
 // oldest in-flight query is discarded (a hardware reassembly table's
 // behaviour under pressure); and every entry carries a deadline — TTL past
@@ -169,11 +201,11 @@ type Reassembler struct {
 	cap     int
 	ttl     time.Duration
 	now     func() time.Time
-	pending map[uint32]*partialQuery
-	// order lists request IDs oldest-first. Deadlines are fixed at entry
-	// creation with a constant TTL, so creation order is deadline order and
-	// expiry sweeps only the head.
-	order []uint32
+	pending map[trainKey]*partialQuery
+	// order lists the pending entries oldest-first. Deadlines are fixed at
+	// entry creation with a constant TTL, so creation order is deadline order
+	// and expiry sweeps only the head.
+	order []trainKey
 	// bytes is the sum of the pending entries' buffer lengths.
 	bytes int
 
@@ -205,7 +237,7 @@ func NewReassemblerTTL(capacity int, ttl time.Duration) *Reassembler {
 		cap:     capacity,
 		ttl:     ttl,
 		now:     time.Now,
-		pending: make(map[uint32]*partialQuery),
+		pending: make(map[trainKey]*partialQuery),
 	}
 }
 
@@ -272,11 +304,18 @@ func (r *Reassembler) gc() int {
 	return n
 }
 
-// Offer consumes one message. Unfragmented queries pass straight through as
-// (query, true). Fragments accumulate; the fragment that completes byte
-// coverage of a request releases the assembled query. Inconsistent fragments
-// drop the whole request.
+// Offer is OfferFrom for a caller with one sender behind it, or none it can
+// name: every fragment is taken as the zero source's.
 func (r *Reassembler) Offer(m *Message) (query []byte, modelID uint16, done bool, err error) {
+	return r.OfferFrom(netip.AddrPort{}, m)
+}
+
+// OfferFrom consumes one message that arrived from src. Unfragmented queries
+// pass straight through as (query, true). Fragments accumulate per sender and
+// request ID — two senders that both number a request 1 never share a buffer
+// — and the fragment that completes byte coverage of a request releases the
+// assembled query. Inconsistent fragments drop the whole request.
+func (r *Reassembler) OfferFrom(src netip.AddrPort, m *Message) (query []byte, modelID uint16, done bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gc()
@@ -297,7 +336,8 @@ func (r *Reassembler) Offer(m *Message) (query []byte, modelID uint16, done bool
 		return nil, 0, false, fmt.Errorf("%w: request %d declares %d bytes", ErrQueryTooLarge, m.RequestID, total)
 	}
 
-	pq := r.pending[m.RequestID]
+	key := trainKey{from: src, id: m.RequestID}
+	pq := r.pending[key]
 	if pq == nil {
 		for len(r.pending) >= r.cap || r.bytes+total > MaxPendingBytes {
 			r.remove(r.order[0])
@@ -310,17 +350,17 @@ func (r *Reassembler) Offer(m *Message) (query []byte, modelID uint16, done bool
 			buf:      make([]byte, total),
 			deadline: r.now().Add(r.ttl),
 		}
-		r.pending[m.RequestID] = pq
-		r.order = append(r.order, m.RequestID)
+		r.pending[key] = pq
+		r.order = append(r.order, key)
 	}
 	if pq.total != total || pq.modelID != m.ModelID {
-		r.remove(m.RequestID)
+		r.remove(key)
 		r.drops++
 		return nil, 0, false, fmt.Errorf("nic: inconsistent fragment for request %d", m.RequestID)
 	}
 	hi := lo + len(body)
 	if lo < 0 || hi > total {
-		r.remove(m.RequestID)
+		r.remove(key)
 		r.drops++
 		return nil, 0, false, fmt.Errorf("nic: fragment [%d,%d) overflows %d-byte query", lo, hi, total)
 	}
@@ -329,20 +369,20 @@ func (r *Reassembler) Offer(m *Message) (query []byte, modelID uint16, done bool
 	if !pq.complete() {
 		return nil, 0, false, nil
 	}
-	r.remove(m.RequestID)
+	r.remove(key)
 	return pq.buf, pq.modelID, true, nil
 }
 
 // remove deletes an in-flight entry without counting a drop.
-func (r *Reassembler) remove(id uint32) {
-	pq, ok := r.pending[id]
+func (r *Reassembler) remove(key trainKey) {
+	pq, ok := r.pending[key]
 	if !ok {
 		return
 	}
 	r.bytes -= pq.total
-	delete(r.pending, id)
+	delete(r.pending, key)
 	for i, v := range r.order {
-		if v == id {
+		if v == key {
 			r.order = append(r.order[:i], r.order[i+1:]...)
 			break
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"net/netip"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -484,5 +485,126 @@ func TestReassemblerPendingBytesBudget(t *testing.T) {
 	}
 	if r.Pending() != fit || r.Drops() != 3 {
 		t.Errorf("after expiry the budget was not free: pending %d drops %d", r.Pending(), r.Drops())
+	}
+}
+
+// TestFragmentAllocsPerQuery: a train is carved from one slab of messages and
+// one of payload bytes — three allocations with the pointer slice, not a
+// message and a payload per fragment — and no payload can grow into the next.
+func TestFragmentAllocsPerQuery(t *testing.T) {
+	query := make([]byte, 150*1024)
+	for i := range query {
+		query[i] = byte(i * 7)
+	}
+	var msgs []*Message
+	if n := testing.AllocsPerRun(20, func() {
+		var err error
+		if msgs, err = Fragment(1, 2, query, MaxFragPayload); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("fragmenting a 150 KB query allocates %v times, want at most 3", n)
+	}
+	if len(msgs) < 100 {
+		t.Fatalf("only %d fragments", len(msgs))
+	}
+	second := append([]byte(nil), msgs[1].Payload...)
+	for _, m := range msgs {
+		if cap(m.Payload) != len(m.Payload) {
+			t.Fatalf("fragment at offset %d has %d bytes of spare capacity", binary.BigEndian.Uint32(m.Payload), cap(m.Payload)-len(m.Payload))
+		}
+	}
+	_ = append(msgs[0].Payload, 0xff, 0xff, 0xff)
+	if !bytes.Equal(msgs[1].Payload, second) {
+		t.Error("appending to one fragment's payload overwrote the next fragment")
+	}
+}
+
+// TestReassemblerInOrderTrainAllocs: coverage merges inside the span slice,
+// so what a query costs the reassembler — its entry, its buffer, its one
+// span — does not grow with the number of fragments it arrived in.
+func TestReassemblerInOrderTrainAllocs(t *testing.T) {
+	query := make([]byte, 64*1024)
+	perQuery := func(maxPayload int) (allocs float64, frags int) {
+		msgs, err := Fragment(1, 1, query, maxPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewReassembler(4)
+		id := uint32(0)
+		return testing.AllocsPerRun(20, func() {
+			id++
+			for _, m := range msgs {
+				m.RequestID = id
+				if _, _, _, err := r.Offer(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r.Pending() != 0 {
+				t.Fatal("train did not complete")
+			}
+		}), len(msgs)
+	}
+	few, nFew := perQuery(16 * 1024)
+	many, nMany := perQuery(FragHeaderLen + 64)
+	if nMany < 100*nFew {
+		t.Fatalf("trains of %d and %d fragments do not tell the two apart", nFew, nMany)
+	}
+	if many != few || many > 4 {
+		t.Errorf("a %d-fragment train costs %v allocations, a %d-fragment one %v: want equal and at most 4", nMany, many, nFew, few)
+	}
+}
+
+// TestReassemblerKeepsSourcesApart: every client numbers its requests from 1,
+// so two senders' same-size trains to one model used to interleave into one
+// buffer and one of them was answered on the other's bytes. Keyed by sender
+// and ID, each train completes on its own bytes; the zero source Offer uses
+// is one more sender.
+func TestReassemblerKeepsSourcesApart(t *testing.T) {
+	const size = 5000
+	mk := func(fill byte) ([]byte, []*Message) {
+		q := bytes.Repeat([]byte{fill}, size)
+		msgs, err := Fragment(1, 7, q, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q, msgs
+	}
+	qa, a := mk(0xaa)
+	qb, b := mk(0xbb)
+	qc, c := mk(0xcc)
+	srcA := netip.MustParseAddrPort("10.0.0.1:4000")
+	srcB := netip.MustParseAddrPort("10.0.0.1:4001") // same host, another socket
+	r := NewReassembler(8)
+	got := map[string][]byte{}
+	offer := func(name string, q []byte, done bool, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if done {
+			got[name] = q
+		}
+	}
+	for i := range a {
+		// B's fragments run a step ahead of A's and back to front, so a
+		// shared buffer would complete early on mixed bytes.
+		q, _, done, err := r.OfferFrom(srcB, b[len(b)-1-i])
+		offer("b", q, done, err)
+		q, _, done, err = r.OfferFrom(srcA, a[i])
+		offer("a", q, done, err)
+		q, _, done, err = r.Offer(c[i])
+		offer("c", q, done, err)
+		if i < len(a)-1 && (len(got) != 0 || r.Pending() != 3) {
+			t.Fatalf("after %d fragments each: %d done, %d pending, want 0 and 3", i+1, len(got), r.Pending())
+		}
+	}
+	for name, want := range map[string][]byte{"a": qa, "b": qb, "c": qc} {
+		if !bytes.Equal(got[name], want) {
+			t.Errorf("sender %s did not get its own bytes back (got %d bytes, % x...)", name, len(got[name]), got[name][:min(4, len(got[name]))])
+		}
+	}
+	if r.Pending() != 0 || r.Drops() != 0 {
+		t.Errorf("pending %d drops %d after three clean trains", r.Pending(), r.Drops())
 	}
 }

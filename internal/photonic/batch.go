@@ -8,7 +8,7 @@ import "github.com/lightning-smartnic/lightning/internal/fixed"
 // LUT-validity decision. Every group keeps its own tail step, so the analog
 // steps (and, with a noise model, the order of the noise draws) are exactly
 // those of the groups run one call each; DotPartialsInto is the one-group
-// case.
+// case and Dot sums the same partials.
 
 // DotPartialsBatchInto computes photonic partials for a sequence of operand
 // groups in one pass. Group g occupies a[bounds[g]:bounds[g+1]] and
@@ -22,7 +22,8 @@ import "github.com/lightning-smartnic/lightning/internal/fixed"
 // The LUT-validity decision is made once for the whole call: this is the
 // batching amortization (N queries × 2 sign groups collapse 2N staleness
 // sweeps into 1). A fault injected between queries (the granularity the fault
-// runner operates at) is seen at the next call's first step.
+// runner operates at) is seen at the next call's first step, and the whole
+// call then takes Step, the live transfer chain, a step at a time.
 //
 // dst is caller-owned storage, reallocated only when capacity is short;
 // with sufficient capacity the call performs zero heap allocations.
@@ -47,19 +48,63 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 	fast := c.lutsValid()
 	i := 0
 	for g := 0; g+1 < len(bounds); g++ {
-		hi := bounds[g+1]
-		for off := bounds[g]; off < hi; off += n {
-			end := off + n
-			if end > hi {
-				end = hi
+		lo, hi := bounds[g], bounds[g+1]
+		if !fast {
+			for ; lo < hi; lo += n {
+				end := min(lo+n, hi)
+				dst[i] = c.Step(a[lo:end], b[lo:end])
+				i++
 			}
-			if fast {
-				dst[i] = c.stepFast(a[off:end], b[off:end])
-			} else {
-				dst[i] = c.Step(a[off:end], b[off:end])
-			}
-			i++
+			continue
 		}
+		part := dst[i : i+(hi-lo+n-1)/n]
+		c.stream(part, a[lo:hi], b[lo:hi])
+		c.noise.addTo(part)
+		c.Steps += uint64(len(part))
+		i += len(part)
 	}
 	return dst
+}
+
+// stream is the dot kernel's first pass: one operand group's noiseless
+// readings, ⌈len(a)/lanes⌉ of them into dst, valid while the LUTs are. The
+// carrier and the detector constants sit in registers and each lane's tables
+// and taps one pointer away; nothing in the body is a call, so consecutive
+// steps' multiply chains and decode divides overlap in the processor. The
+// group's short tail step is the same body over the lanes that still have an
+// operand. The noise is the second pass, NoiseModel.addTo over the same span
+// in step order: the draw is a call into math/rand that does not inline, and
+// inside this loop it would push every held value back to memory around
+// itself on each step and leave the steps nothing to overlap with — the
+// per-step cost this kernel exists to remove. A reading's float operations
+// and their order, and the order of the draws, are Step's, so the readings
+// are bit-identical to Step's and the rng stays in lockstep with it.
+//
+// The group is the unit, not the call, and the core is only read, because the
+// compiler keeps this body's values in registers only while the function is
+// this small: the same loops written inside DotPartialsBatchInto, or with the
+// noise pass and the step count below them, reload spilled values in the
+// lane loop and measured half as fast again.
+//
+//lint:hotpath
+func (c *Core) stream(dst []float64, a, b []fixed.Code) {
+	lanes, n, carrier := c.lanes, len(c.lanes), c.carrier
+	dark, resp, darkPerLane := c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
+	span := c.spanPerLane * float64(max(c.FullScaleLanes, 1))
+	idle := float64(n) * darkPerLane
+	b = b[:len(a)]
+	i := 0
+	for off := 0; off < len(a); off += n {
+		if k := len(a) - off; k < n {
+			lanes, idle = lanes[:k], float64(k)*darkPerLane
+		}
+		var detected float64
+		for t, l := range lanes {
+			if !l.dead {
+				detected += carrier * l.g1[a[off+t]] * l.tap1 * l.g2[b[off+t]] * l.tap2
+			}
+		}
+		dst[i] = (dark + resp*detected - idle) / span * fixed.MaxCode
+		i++
+	}
 }

@@ -1,7 +1,9 @@
 package photonic
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/fixed"
@@ -102,5 +104,122 @@ func TestDotPartialsBatchIntoZeroAllocs(t *testing.T) {
 		dst = core.DotPartialsBatchInto(dst, a, b, bounds)
 	}); n != 0 {
 		t.Fatalf("DotPartialsBatchInto allocates %v times per call with warm storage, want 0", n)
+	}
+}
+
+// stepPartials is the reference the kernel is held to: every group a step at
+// a time through Step, the live-chain-capable path the kernel replaces only
+// while the LUTs hold.
+func stepPartials(c *Core, a, b []fixed.Code, bounds []int) []float64 {
+	n := c.NumLanes()
+	var out []float64
+	for g := 0; g+1 < len(bounds); g++ {
+		for lo, hi := bounds[g], bounds[g+1]; lo < hi; lo += n {
+			end := min(lo+n, hi)
+			out = append(out, c.Step(a[lo:end], b[lo:end]))
+		}
+	}
+	return out
+}
+
+// TestStreamKernelMatchesStep holds the streaming kernel to Step bit for bit:
+// the partials, the step count, and — with a noise model — the draw that
+// follows, so the kernel consumed exactly Step's draws in Step's order. Group
+// lengths cover the empty group, a lone operand, every tail length and long
+// runs; cores cover one to three lanes, a dead lane, a sagged carrier and a
+// multi-lane full scale.
+func TestStreamKernelMatchesStep(t *testing.T) {
+	type variant struct {
+		name    string
+		lanes   int
+		dead    int // lane to kill, -1 for none
+		carrier float64
+		scale   int
+	}
+	variants := []variant{
+		{"1lane", 1, -1, 1, 0},
+		{"2lane", 2, -1, 1, 2},
+		{"3lane", 3, -1, 1, 3},
+		{"3lane-dead1", 3, 1, 1, 3},
+		{"2lane-dead0", 2, 0, 1, 1},
+		{"2lane-sag", 2, -1, 0.8, 2},
+		{"3lane-sag", 3, -1, 0.37, 1},
+	}
+	rng := rand.New(rand.NewPCG(23, 1))
+	for _, v := range variants {
+		for _, noisy := range []bool{false, true} {
+			mk := func() *Core {
+				var nm *NoiseModel
+				if noisy {
+					nm = PrototypeNoise(77)
+				}
+				c, err := NewCore(v.lanes, nm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.dead >= 0 {
+					c.Lanes()[v.dead].Kill()
+				}
+				c.SetCarrierPower(v.carrier)
+				c.FullScaleLanes = v.scale
+				return c
+			}
+			// Fixed shapes first (empty, one operand, each tail length,
+			// an exact multiple), then random ones.
+			lens := []int{0, 1, 0}
+			for k := 1; k < v.lanes; k++ {
+				lens = append(lens, 5*v.lanes+k, k)
+			}
+			lens = append(lens, 4*v.lanes, 0)
+			for i := 0; i < 12; i++ {
+				lens = append(lens, rng.IntN(70))
+			}
+			lens = append(lens, 1000+rng.IntN(50))
+			var a, b []fixed.Code
+			bounds := []int{0}
+			for _, n := range lens {
+				for i := 0; i < n; i++ {
+					a = append(a, fixed.Code(rng.IntN(256)))
+					b = append(b, fixed.Code(rng.IntN(256)))
+				}
+				bounds = append(bounds, len(a))
+			}
+
+			ref, kern := mk(), mk()
+			want := stepPartials(ref, a, b, bounds)
+			got := kern.DotPartialsBatchInto(nil, a, b, bounds)
+			name := fmt.Sprintf("%s noise=%v", v.name, noisy)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d partials, reference %d", name, len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: partial %d: kernel %v, Step %v", name, i, got[i], want[i])
+				}
+			}
+			if kern.Steps != ref.Steps {
+				t.Fatalf("%s: kernel counted %d steps, Step %d", name, kern.Steps, ref.Steps)
+			}
+			if g, w := kern.noise.Sample(), ref.noise.Sample(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: next draw %v after the kernel, %v after Step", name, g, w)
+			}
+
+			// Dot and the one-group entry are the same kernel: the sum of
+			// one group's partials in order, with the same draws behind it.
+			lo, hi := bounds[len(bounds)-2], bounds[len(bounds)-1]
+			var sum float64
+			for _, p := range stepPartials(ref, a[lo:hi], b[lo:hi], []int{0, hi - lo}) {
+				sum += p
+			}
+			if d := kern.Dot(a[lo:hi], b[lo:hi]); math.Float64bits(d) != math.Float64bits(sum) {
+				t.Fatalf("%s: Dot %v, summed Step partials %v", name, d, sum)
+			}
+			if kern.Steps != ref.Steps {
+				t.Fatalf("%s: after Dot the kernel counted %d steps, Step %d", name, kern.Steps, ref.Steps)
+			}
+			if g, w := kern.noise.Sample(), ref.noise.Sample(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: next draw %v after Dot, %v after Step", name, g, w)
+			}
+		}
 	}
 }

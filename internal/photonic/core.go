@@ -343,10 +343,10 @@ func growPartials(s []float64, n int) []float64 {
 }
 
 // lutsValid reports whether every live lane's transmission LUT matches its
-// modulators' current operating points. The dot loops sample it once per
-// dot product and run the fused fast step while it holds; a fault injected
+// modulators' current operating points. DotPartialsBatchInto samples it once
+// per call and streams through its kernel while it holds; a fault injected
 // between queries (the granularity the fault runner operates at) is seen at
-// the next dot's first step. Dead lanes don't count against validity: they
+// the next call's first step. Dead lanes don't count against validity: they
 // contribute exact zero on both paths.
 func (c *Core) lutsValid() bool {
 	for _, l := range c.lanes {
@@ -357,52 +357,25 @@ func (c *Core) lutsValid() bool {
 	return true
 }
 
-// stepFast is Step's body specialized to valid LUTs: per element it is two
-// table loads and five multiplies, with the staleness compare hoisted to
-// the caller. The float operation sequence — per-lane transmit products
-// accumulated in lane order, then the detector decode and one noise draw —
-// is exactly Step's, so readings are bit-identical and the rng stream stays
-// in lockstep with the slow path.
-//
-//lint:hotpath
-func (c *Core) stepFast(a, b []fixed.Code) float64 {
-	var detected float64
-	for i := range a {
-		l := c.lanes[i]
-		if !l.dead {
-			detected += c.carrier * l.g1[a[i]] * l.tap1 * l.g2[b[i]] * l.tap2
-		}
-	}
-	detected = c.pd.DarkLevel + c.pd.Responsivity*detected
-	scale := c.FullScaleLanes
-	if scale < 1 {
-		scale = 1
-	}
-	r := (detected - float64(len(a))*c.darkPerLane) / (c.spanPerLane * float64(scale)) * fixed.MaxCode
-	r += c.noise.Sample()
-	c.Steps++
-	return r
-}
+// dotChunk is how many steps' partials Dot holds at a time.
+const dotChunk = 64
 
 // Dot computes the full dot product by summing the per-step partials in
 // order — the behaviour the combined photonic+digital pipeline produces —
-// without materializing them.
+// a fixed chunk of them at a time rather than materializing them all. Chunks
+// are whole steps, so the analog steps and the noise draws are those of one
+// DotPartials call over the vectors.
 func (c *Core) Dot(a, b []fixed.Code) float64 {
 	if len(a) != len(b) {
 		panic("photonic: dot product operand length mismatch")
 	}
-	n := c.NumLanes()
-	fast := c.lutsValid()
+	var parts [dotChunk]float64
+	chunk := dotChunk * c.NumLanes()
 	var s float64
-	for off := 0; off < len(a); off += n {
-		end := off + n
-		if end > len(a) {
-			end = len(a)
-		}
-		if fast {
-			s += c.stepFast(a[off:end], b[off:end])
-		} else {
-			s += c.Step(a[off:end], b[off:end])
+	for off := 0; off < len(a); off += chunk {
+		end := min(off+chunk, len(a))
+		for _, p := range c.DotPartialsInto(parts[:0], a[off:end], b[off:end]) {
+			s += p
 		}
 	}
 	return s

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -676,14 +677,15 @@ func (n *NIC) UpdateModel(id uint16, q *TrainedModel) error {
 // an Err-flagged response and ErrUnavailable rather than a silently wrong
 // result.
 func (n *NIC) HandleMessage(msg *Message) (*Response, error) {
-	return n.handle(msg, nil, nil)
+	return n.handle(msg, netip.AddrPort{}, nil, nil)
 }
 
-// handle is the front half every entry shares — HandleMessage, the inline
-// serve loop and the worker-pool reader: reject a stray response, reassemble,
+// handle is the front half every entry shares — HandleMessage, HandleFrame,
+// the inline serve loop and the worker-pool reader: reject a stray response,
+// reassemble under the sender src (the zero source where the entry has none),
 // answer control messages on the caller, then execute the complete query
 // inline (admit nil) or offer it to the worker pool's admission stage.
-func (n *NIC) handle(msg *Message, admit *nic.Admitter, addr net.Addr) (*Response, error) {
+func (n *NIC) handle(msg *Message, src netip.AddrPort, admit *nic.Admitter, addr net.Addr) (*Response, error) {
 	if msg.IsResponse() {
 		// A stray response carries no work and gets no answer.
 		return nil, fmt.Errorf("lightning: received a response message")
@@ -691,7 +693,7 @@ func (n *NIC) handle(msg *Message, admit *nic.Admitter, addr net.Addr) (*Respons
 	// Reassembly runs ahead of admission so admission judges complete
 	// queries: fragment bookkeeping is cheap, and a query rejected at
 	// admission must not leave a partial pinned in the reassembly table.
-	query, modelID, done, err := n.reassembly.Offer(msg)
+	query, modelID, done, err := n.reassembly.OfferFrom(src, msg)
 	if err != nil {
 		return &Response{RequestID: msg.RequestID, ModelID: msg.ModelID, Err: true}, err
 	}
@@ -779,10 +781,13 @@ func (n *NIC) serveAssembled(requestID uint32, modelID uint16, query []byte) (*R
 	if err := n.store.Validate(modelID, len(query)); err != nil {
 		return &Response{RequestID: requestID, ModelID: modelID, Err: true}, err
 	}
-	input := make([]Code, len(query))
-	for i, b := range query {
-		input[i] = Code(b)
-	}
+	// The query's bytes are the engine's operand, not a copy of them: the
+	// engine only reads its input, and the bytes stay put until this call
+	// returns — the inline caller's buffer is not reused before then, a
+	// queued query was copied out of the read buffer at admission, a
+	// reassembled one owns its array, and Batcher.Do blocks until the batch
+	// has run and then drops the item's reference.
+	input := fixed.CodesOf(query)
 	if n.batcher != nil {
 		// Batched dispatch: park the query in its model's batch queue and
 		// block until the coalesced matrix pass (or a flush of one) has
@@ -823,7 +828,10 @@ func (n *NIC) HandleFrame(frame []byte) ([]byte, Verdict, error) {
 	if parsed.Verdict != nic.VerdictInference {
 		return nil, parsed.Verdict, nil
 	}
-	resp, herr := n.HandleMessage(&parsed.Msg)
+	// Fragments reassemble per flow: two hosts that both number a request 1
+	// keep their own buffers.
+	src := netip.AddrPortFrom(parsed.Flow.Src, parsed.Flow.SrcPort)
+	resp, herr := n.handle(&parsed.Msg, src, nil, nil)
 	if resp == nil {
 		if herr != nil {
 			return nil, nic.VerdictDrop, herr

@@ -1,10 +1,14 @@
 package lightning
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
+	"net"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
@@ -173,5 +177,87 @@ func TestHandleMessageHostileTotalIsErrFlagged(t *testing.T) {
 	}
 	if good == nil || good.Err || good.Class != 1 {
 		t.Fatalf("150 KB query after the hostile fragment: %+v, want class 1", good)
+	}
+}
+
+// turnConn makes two clients' datagrams leave strictly alternately: a Write
+// waits for its turn, sends, and hands the turn to the other client.
+type turnConn struct {
+	net.Conn
+	mine, theirs chan struct{}
+}
+
+func (c *turnConn) Write(p []byte) (int, error) {
+	<-c.mine
+	n, err := c.Conn.Write(p)
+	c.theirs <- struct{}{}
+	return n, err
+}
+
+// TestTwoClientsSameRequestIDFragmentedOverUDP: every Client numbers its
+// requests from 1, so two of them sending same-size fragmented queries to one
+// model share a request ID on their first query. Their trains are made to
+// arrive fragment by fragment alternately — the order that, keyed by ID
+// alone, assembled one buffer out of both and answered one client on the
+// other's bytes while the other timed out. Each client must get the answer to
+// its own query.
+func TestTwoClientsSameRequestIDFragmentedOverUDP(t *testing.T) {
+	const width, model = 4096, 6 // three fragments; a wider dim half would saturate the accumulator into a tie
+	n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RegisterModel(model, "halves", halvesModel(width)); err != nil {
+		t.Fatal(err)
+	}
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- n.ServeUDP(ctx, pc) }()
+
+	turnA, turnB := make(chan struct{}, 1), make(chan struct{}, 1)
+	turnA <- struct{}{}
+	dial := func(mine, theirs chan struct{}) *Client {
+		conn, err := net.Dial("udp", pc.LocalAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Client{conn: &turnConn{Conn: conn, mine: mine, theirs: theirs}, Timeout: 2 * time.Second}
+	}
+	clients := []*Client{dial(turnA, turnB), dial(turnB, turnA)}
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			defer c.Close()
+			query := make([]Code, width)
+			for j, b := range halvesQuery(width, i == 0) {
+				query[j] = Code(b)
+			}
+			resp, _, err := c.Infer(model, query)
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
+			}
+			if resp.RequestID != 1 {
+				t.Errorf("client %d: request ID %d, want both clients on 1", i, resp.RequestID)
+			}
+			if int(resp.Class) != i {
+				t.Errorf("client %d: class %d, oracle %d: answered on another client's bytes", i, resp.Class, i)
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	if m := n.Metrics(); m.PendingReassembly != 0 || m.ReassemblyDrops != 0 {
+		t.Errorf("pending %d drops %d after two clean trains", m.PendingReassembly, m.ReassemblyDrops)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Errorf("ServeUDP returned %v", err)
 	}
 }

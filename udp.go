@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -315,8 +316,14 @@ func (n *NIC) walkDatagram(data []byte, addr net.Addr, admit *nic.Admitter, tx *
 		}
 		first = false
 		data = data[consumed:]
+		// Only a fragment is reassembled under its sender; the rest never
+		// pay for the address.
+		var src netip.AddrPort
+		if msg.Flags&nic.FlagFragment != 0 {
+			src = nic.Source(addr)
+		}
 		// The error flag rides in the response.
-		if resp, _ := n.handle(&msg, admit, addr); resp != nil {
+		if resp, _ := n.handle(&msg, src, admit, addr); resp != nil {
 			tx.queue(resp, addr)
 		}
 	}
