@@ -29,12 +29,18 @@ import (
 // the ADC's sample counter and its next phase draw (the ADC rng stream: phase,
 // leading and trailing idle noise). A change to how many bursts a layer emits
 // re-records this file and only this file.
+//
+// goldenConv is the convolution template's noise-off numerics: Raw, Quantized,
+// the output dimensions, PhotonicSteps and KernelFetches for three geometries
+// under identity and ReLU. DatapathCycles and ComputeCycles are deliberately
+// not in it: how windows are framed into bursts moves them, and may.
 const (
 	goldenNoiseOn = "testdata/engine_noise_on.golden"
 	goldenBurst   = "testdata/engine_noise_on_burst.golden"
+	goldenConv    = "testdata/conv_noise_off.golden"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenNoiseOn+" and "+goldenBurst+" from this run")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files the tests that run replay, from this run")
 
 // goldenNet is a fixed-seed 32-32-16-2 network: coin-flip signs, one weight
 // in eight zero and two in eight at full scale (so some samples clip at the
@@ -127,18 +133,87 @@ func TestEngineNoiseOnGolden(t *testing.T) {
 			}
 			continue
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (record it with -update-golden)", err)
+		replayGolden(t, path, got[i])
+	}
+}
+
+// replayGolden holds got to the golden file at path line by line.
+func replayGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (record it with -update-golden)", err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	if len(gl) != len(wl) {
+		t.Fatalf("%s holds %d lines, run produced %d", path, len(wl), len(gl))
+	}
+	for j := range gl {
+		if gl[j] != wl[j] {
+			t.Errorf("line %d differs from %s\ngot:  %s\nwant: %s", j+1, path, gl[j], wl[j])
 		}
-		gl, wl := strings.Split(got[i], "\n"), strings.Split(string(want), "\n")
-		if len(gl) != len(wl) {
-			t.Fatalf("%s holds %d lines, run produced %d", path, len(wl), len(gl))
-		}
-		for j := range gl {
-			if gl[j] != wl[j] {
-				t.Errorf("line %d differs from %s\ngot:  %s\nwant: %s", j+1, path, gl[j], wl[j])
+	}
+}
+
+// goldenConvLayer draws a fixed-seed convolution layer for spec: coin-flip
+// kernel signs, one weight in eight zero and one in eight at full scale, and
+// an input map with one sample in six dark and one in six at full scale.
+func goldenConvLayer(spec ConvSpec) (kernels [][]fixed.Signed, input []fixed.Code) {
+	rng := rand.New(rand.NewPCG(0xc0117, uint64(spec.InH*spec.InW*spec.OutC)))
+	kernels = make([][]fixed.Signed, spec.OutC)
+	for oc := range kernels {
+		kernels[oc] = make([]fixed.Signed, spec.WindowSize())
+		for i := range kernels[oc] {
+			switch rng.IntN(8) {
+			case 0:
+			case 1:
+				kernels[oc][i] = fixed.Signed{Mag: fixed.MaxCode, Neg: rng.IntN(2) == 1}
+			default:
+				kernels[oc][i] = fixed.Signed{Mag: fixed.Code(rng.IntN(256)), Neg: rng.IntN(2) == 1}
 			}
 		}
 	}
+	input = make([]fixed.Code, spec.InH*spec.InW*spec.InC)
+	for i := range input {
+		switch rng.IntN(6) {
+		case 0:
+		case 1:
+			input[i] = fixed.MaxCode
+		default:
+			input[i] = fixed.Code(rng.IntN(256))
+		}
+	}
+	return kernels, input
+}
+
+// goldenConvSpecs are the geometries goldenConv pins: the unit tests' 6×6,
+// BenchmarkConvLayer's 12×12, and a non-square map at stride 2.
+var goldenConvSpecs = []ConvSpec{
+	{InH: 6, InW: 6, InC: 2, OutC: 3, K: 3, S: 1},
+	{InH: 12, InW: 12, InC: 2, OutC: 4, K: 3, S: 1},
+	{InH: 9, InW: 11, InC: 3, OutC: 5, K: 3, S: 2},
+}
+
+func TestConvNoiseOffGolden(t *testing.T) {
+	var got strings.Builder
+	for _, spec := range goldenConvSpecs {
+		kernels, input := goldenConvLayer(spec)
+		for _, act := range []Activation{ActIdentity, ActReLU} {
+			res, err := newTestEngine(t, 2, false).ExecuteConv(kernels, input, spec, act, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "conv %dx%dx%d->%d k%d s%d %v OutH:%d OutW:%d PhotonicSteps:%d KernelFetches:%d\n",
+				spec.InH, spec.InW, spec.InC, spec.OutC, spec.K, spec.S, act,
+				res.OutH, res.OutW, res.Stats.PhotonicSteps, res.KernelFetches)
+			fmt.Fprintf(&got, "raw %v\nquantized %v\n", res.Raw, res.Quantized)
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenConv, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	replayGolden(t, goldenConv, got.String())
 }
