@@ -18,7 +18,6 @@ import (
 
 	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/countaction"
-	"github.com/lightning-smartnic/lightning/internal/cyclesim"
 	"github.com/lightning-smartnic/lightning/internal/datapath"
 	"github.com/lightning-smartnic/lightning/internal/dataset"
 	"github.com/lightning-smartnic/lightning/internal/emu"
@@ -251,19 +250,6 @@ func BenchmarkServeUDPWorkersCores(b *testing.B) {
 
 // --- Extension-feature benches ----------------------------------------------
 
-// BenchmarkMultiply16 measures the §10 beyond-8-bit scheme: one 16-bit MAC
-// costs four 8-bit photonic multiplies plus digital recombination.
-func BenchmarkMultiply16(b *testing.B) {
-	h, err := datapath.NewHighPrecisionCore(1, nil, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Multiply16(uint16(i*7919), uint16(i*104729))
-	}
-}
-
 // BenchmarkConvLayer measures a 3×3 convolution through the full datapath.
 func BenchmarkConvLayer(b *testing.B) {
 	core, err := photonic.NewCore(2, nil)
@@ -286,34 +272,6 @@ func BenchmarkConvLayer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.ExecuteConv(kernels, input, spec, datapath.ActReLU, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAttentionBlock measures a single-head attention block through the
-// datapath templates.
-func BenchmarkAttentionBlock(b *testing.B) {
-	core, err := photonic.NewCore(2, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := datapath.NewEngine(core, 1)
-	spec := datapath.AttentionSpec{Seq: 4, D: 8, ScoreShift: 4}
-	w := make([][]fixed.Signed, spec.D)
-	for o := range w {
-		w[o] = make([]fixed.Signed, spec.D)
-		for i := range w[o] {
-			w[o][i] = fixed.Signed{Mag: fixed.Code((o*17 + i*5) % 200)}
-		}
-	}
-	x := make([]fixed.Code, spec.Seq*spec.D)
-	for i := range x {
-		x[i] = fixed.Code(i * 9 % 256)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.ExecuteAttention(w, w, w, x, spec, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,48 +316,6 @@ func BenchmarkAblationNoiseGranularity(b *testing.B) {
 			b.ReportMetric(top5/float64(b.N), "top5-agreement")
 		})
 	}
-}
-
-// BenchmarkCyclePipeline measures the clocked FC pipeline (the Verilator-
-// testbench twin) against the behavioural engine on the same layer.
-func BenchmarkCyclePipeline(b *testing.B) {
-	weights := make(fixed.Matrix, 4)
-	for j := range weights {
-		weights[j] = make([]fixed.Signed, 64)
-		for i := range weights[j] {
-			weights[j][i] = fixed.Signed{Mag: fixed.Code((i*7 + j) % 256)}
-		}
-	}
-	x := make([]fixed.Code, 64)
-	for i := range x {
-		x[i] = fixed.Code(i * 3 % 256)
-	}
-	b.Run("clocked", func(b *testing.B) {
-		pipe, err := cyclesim.NewFCPipe(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var tb cyclesim.Testbench
-		tb.Add(pipe)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pipe.Load(weights, x)
-			if !tb.RunUntil(pipe.Done, 100000) {
-				b.Fatal("pipeline did not finish")
-			}
-		}
-	})
-	b.Run("behavioural", func(b *testing.B) {
-		core, err := photonic.NewCore(2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := datapath.NewEngine(core, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.ExecuteFC(weights, x, datapath.ActIdentity, 0)
-		}
-	})
 }
 
 // --- Ablations (DESIGN.md §5) ------------------------------------------------

@@ -15,10 +15,10 @@ import (
 
 // goldenCores1 holds TestDeterministicCores1's twelve response frames, one
 // hex line each, recorded on amd64 from the serial execution path
-// (serveSerial → Loader.Serve → ExecuteFCBias → runDot) before it was folded
-// into the batch path. A refactor of the datapath leaves the file untouched;
-// only a deliberate change to the numerics, the noise model or the training
-// recipe re-records it with -update-golden.
+// (serveSerial → Loader.Serve → ExecuteFCBias, a burst per output neuron)
+// before it was folded into the batch path. A refactor of the datapath leaves
+// the file untouched; only a deliberate change to the numerics, the noise
+// model or the training recipe re-records it with -update-golden.
 const goldenCores1 = "testdata/deterministic_cores1.hex"
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenCores1+" from this run")

@@ -108,23 +108,12 @@ func (a *CrossCycleAdder) Reset() {
 	a.Module.Reset()
 }
 
-// TreeSum folds lane partial sums into one value with a binary adder tree
-// and returns the result together with the pipeline latency in clock cycles:
-// log2(k) for k inputs ("The intra-cycle adder requires log k clock cycles,
-// where k is the number of parallel data samples in each ADC readout").
-func TreeSum(lanes []fixed.Acc) (sum fixed.Acc, cycles int) {
-	if len(lanes) == 0 {
-		return 0, 0
-	}
-	work := make([]fixed.Acc, len(lanes))
-	copy(work, lanes)
-	return TreeSumInPlace(work)
-}
-
-// TreeSumInPlace is TreeSum folding directly inside work (which it
-// clobbers) — the allocation-free form the engine uses on the cross-cycle
-// adder's drained lane array. The pairing order matches TreeSum exactly, so
-// saturation behaviour is identical.
+// TreeSumInPlace folds lane partial sums into one value with a binary adder
+// tree, inside work (which it clobbers: the engine hands it the cross-cycle
+// adder's drained lane array), and returns the result together with the
+// pipeline latency in clock cycles: log2(k) for k inputs ("The intra-cycle
+// adder requires log k clock cycles, where k is the number of parallel data
+// samples in each ADC readout").
 func TreeSumInPlace(work []fixed.Acc) (sum fixed.Acc, cycles int) {
 	if len(work) == 0 {
 		return 0, 0

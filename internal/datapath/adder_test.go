@@ -79,6 +79,42 @@ func TestCrossCycleReset(t *testing.T) {
 	}
 }
 
+// TreeSum is the reference TreeSumInPlace is held to: the same binary tree,
+// a fresh slice per level, the input left alone.
+func TreeSum(lanes []fixed.Acc) (sum fixed.Acc, cycles int) {
+	if len(lanes) == 0 {
+		return 0, 0
+	}
+	for ; len(lanes) > 1; cycles++ {
+		next := make([]fixed.Acc, 0, (len(lanes)+1)/2)
+		for i := 0; i+1 < len(lanes); i += 2 {
+			next = append(next, fixed.SatAdd(lanes[i], lanes[i+1]))
+		}
+		if len(lanes)%2 == 1 {
+			next = append(next, lanes[len(lanes)-1])
+		}
+		lanes = next
+	}
+	return lanes[0], cycles
+}
+
+// Property: folding in place pairs, saturates and counts cycles exactly as
+// the reference tree does, full-range inputs included.
+func TestTreeSumInPlaceMatchesReference(t *testing.T) {
+	f := func(raw []int16) bool {
+		lanes := make([]fixed.Acc, len(raw))
+		for i, r := range raw {
+			lanes[i] = fixed.Acc(r)
+		}
+		wantSum, wantCycles := TreeSum(lanes)
+		sum, cycles := TreeSumInPlace(lanes)
+		return sum == wantSum && cycles == wantCycles
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTreeSumCorrectAndLogDepth(t *testing.T) {
 	lanes := make([]fixed.Acc, 16)
 	var want fixed.Acc

@@ -14,9 +14,10 @@ import (
 // pushes one output neuron's dot product for Q queries through the photonic
 // core and digitizes the partials onto the tail of the layer's one sample
 // stream; after the last row readBurst reads that stream once and reassembles
-// every (row, query) dot from it. A lone query is the batch of one, a lone
-// dot (runDot) the layer of one row. What a layer pays once for all its rows
-// and all its queries:
+// every (row, query) dot from it. A lone query is the batch of one, and a
+// convolution the layer whose rows are its kernels and whose batch is its
+// im2col windows (ExecuteConv); there is no other way to a dot product. What
+// a layer pays once for all its rows and all its queries:
 //
 //   - one preamble prefix, one readout phase, one preamble detection;
 //   - one count-action reconfiguration and one DRAM weight stream (see

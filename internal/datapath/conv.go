@@ -8,9 +8,10 @@ import (
 
 // Convolution template. §5.4's example reconfiguration: "the datapath
 // modules are reconfigured to perform convolutions with kernel size 3×3 on
-// ImageNet images" — a convolution lowers to one photonic dot product per
-// output element, with the kernel weights read from DRAM once and reused
-// from the local register file (§4's memory controller behaviour).
+// ImageNet images" — a convolution is a matrix pass over its im2col windows:
+// the kernels are the weight rows, read from DRAM once and reused from the
+// local register file (§4's memory controller behaviour), and the windows
+// are the batch.
 
 // ConvSpec is a convolution layer's datapath geometry: valid padding,
 // square kernel.
@@ -55,10 +56,11 @@ type ConvResult struct {
 
 // ExecuteConv runs a convolution layer through the photonic pipeline: the
 // input feature map is H×W×C codes (C-fastest), kernels[oc] is the flattened
-// K×K×InC sign/magnitude kernel for output channel oc. Each output element
-// is one photonic dot product (window × kernel) through the same
-// preamble/ADC/adder path as ExecuteFC; the kernel is fetched once per
-// output channel and reused across all windows.
+// K×K×InC sign/magnitude kernel for output channel oc. The OutH·OutW windows
+// are gathered into one buffer and the layer is one ExecuteFCBiasBatch over
+// them — one burst, one preamble and one readout for the whole feature map,
+// and the kernel fetched once per output channel whatever the map's size.
+// The template's non-linear stage is ReLU or nothing (§5.4).
 func (e *Engine) ExecuteConv(kernels [][]fixed.Signed, input []fixed.Code, spec ConvSpec, act Activation, requantShift uint) (ConvResult, error) {
 	var res ConvResult
 	if err := spec.Validate(); err != nil {
@@ -77,35 +79,29 @@ func (e *Engine) ExecuteConv(kernels [][]fixed.Signed, input []fixed.Code, spec 
 		return res, fmt.Errorf("datapath: input has %d samples, spec wants %d",
 			len(input), spec.InH*spec.InW*spec.InC)
 	}
+	if act != ActIdentity && act != ActReLU {
+		return res, fmt.Errorf("datapath: the conv template has no %v stage", act)
+	}
 
 	oh, ow := spec.OutDims()
-	res.OutH, res.OutW = oh, ow
-	res.Raw = make([]fixed.Acc, oh*ow*spec.OutC)
-	e.armAdder()
-	res.Stats.DatapathCycles += PerLayerOverheadCycles
+	flat := make([]fixed.Code, oh*ow*win)
+	windows := make([][]fixed.Code, oh*ow)
+	for p := range windows {
+		windows[p] = flat[p*win : (p+1)*win]
+		gatherWindow(input, spec, p/ow, p%ow, windows[p])
+	}
+	batch := e.ExecuteFCBiasBatch(fixed.Matrix(kernels), nil, windows, act, requantShift)
 
-	window := make([]fixed.Code, win)
-	for oc := 0; oc < spec.OutC; oc++ {
-		// One kernel fetch per output channel: the register file holds it
-		// for every window of the feature map.
-		kernel := kernels[oc]
-		res.KernelFetches++
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				gatherWindow(input, spec, oy, ox, window)
-				v := e.runDot(kernel, window, &res.Stats)
-				res.Raw[(oy*ow+ox)*spec.OutC+oc] = v
-			}
-		}
+	res.OutH, res.OutW = oh, ow
+	res.Stats = batch.Stats
+	res.KernelFetches = uint64(spec.OutC)
+	// Window p's OutC results are the map's C-fastest elements p·OutC on.
+	res.Raw = make([]fixed.Acc, 0, oh*ow*spec.OutC)
+	res.Quantized = make([]fixed.Code, 0, oh*ow*spec.OutC)
+	for _, r := range batch.PerQuery {
+		res.Raw = append(res.Raw, r.Raw...)
+		res.Quantized = append(res.Quantized, r.Quantized...)
 	}
-	switch act {
-	case ActReLU:
-		res.Raw = ReLUVec(res.Raw)
-		res.Stats.ComputeCycles += CyclesReLU
-	case ActSoftmax:
-		res.Stats.ComputeCycles += CyclesSoftmax
-	}
-	res.Quantized = RequantizeVec(res.Raw, requantShift)
 	return res, nil
 }
 

@@ -3,6 +3,7 @@ package datapath
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/fixed"
@@ -142,6 +143,42 @@ func TestExecuteConvValidation(t *testing.T) {
 	}
 	if _, err := e.ExecuteConv(kernel, input[:5], good, ActIdentity, 0); err == nil {
 		t.Error("wrong input size accepted")
+	}
+	// The conv template has no softmax stage: charging its cycles and
+	// returning raw accumulators as a success is not an answer.
+	if _, err := e.ExecuteConv(kernel, input, good, ActSoftmax, 0); err == nil {
+		t.Error("softmax accepted")
+	}
+}
+
+// TestConvEqualsPerWindowFC: a convolution is the FC layer whose rows are the
+// kernels, served once per im2col window. Each window through ExecuteFCBias on
+// a twin noise-off engine gives the map's OutC elements at that position, bit
+// for bit, in the same photonic steps — however the windows are framed into
+// bursts.
+func TestConvEqualsPerWindowFC(t *testing.T) {
+	for _, spec := range goldenConvSpecs {
+		kernels, input := goldenConvLayer(spec)
+		conv, err := newTestEngine(t, 2, false).ExecuteConv(kernels, input, spec, ActReLU, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin := newTestEngine(t, 2, false)
+		window := make([]fixed.Code, spec.WindowSize())
+		var steps uint64
+		for p := 0; p < conv.OutH*conv.OutW; p++ {
+			gatherWindow(input, spec, p/conv.OutW, p%conv.OutW, window)
+			fc := twin.ExecuteFCBias(fixed.Matrix(kernels), nil, window, ActReLU, 3)
+			steps += fc.Stats.PhotonicSteps
+			at := p * spec.OutC
+			if !reflect.DeepEqual(conv.Raw[at:at+spec.OutC], fc.Raw) || !reflect.DeepEqual(conv.Quantized[at:at+spec.OutC], fc.Quantized) {
+				t.Fatalf("%+v window %d: conv %v / %v, per-window FC %v / %v", spec, p,
+					conv.Raw[at:at+spec.OutC], conv.Quantized[at:at+spec.OutC], fc.Raw, fc.Quantized)
+			}
+		}
+		if steps != conv.Stats.PhotonicSteps {
+			t.Errorf("%+v: conv took %d photonic steps, its windows one at a time %d", spec, conv.Stats.PhotonicSteps, steps)
+		}
 	}
 }
 

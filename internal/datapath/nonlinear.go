@@ -3,7 +3,6 @@ package datapath
 import (
 	"math"
 
-	"github.com/lightning-smartnic/lightning/internal/countaction"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
@@ -104,76 +103,4 @@ func Argmax(xs []fixed.Acc) int {
 		}
 	}
 	return best
-}
-
-// NonLinearUnit wraps a non-linear function with its pipeline cost and a
-// count-action trigger: the unit fires once per completed vector dot product
-// ("Lightning's count-action abstraction triggers the computation of
-// non-linear modules based on the count of the number of elements in the
-// vector dot product").
-type NonLinearUnit struct {
-	Module *countaction.Module
-
-	rule   *countaction.Rule
-	cycles int
-	buf    []fixed.Acc
-	outs   [][]fixed.Acc
-	apply  func([]fixed.Acc) []fixed.Acc
-}
-
-// NewReLUUnit builds a ReLU unit that releases its buffered vector every
-// vecLen accumulated elements.
-func NewReLUUnit(vecLen int) *NonLinearUnit {
-	return newNonLinearUnit("relu", vecLen, CyclesReLU, ReLUVec)
-}
-
-// NewIdentityUnit builds a pass-through unit (layers without activation).
-func NewIdentityUnit(vecLen int) *NonLinearUnit {
-	return newNonLinearUnit("identity", vecLen, 0, func(xs []fixed.Acc) []fixed.Acc { return xs })
-}
-
-func newNonLinearUnit(name string, vecLen, cycles int, apply func([]fixed.Acc) []fixed.Acc) *NonLinearUnit {
-	u := &NonLinearUnit{
-		Module: countaction.NewModule("nonlinear_" + name),
-		cycles: cycles,
-		apply:  apply,
-	}
-	u.rule = u.Module.Attach(countaction.New("element-count", countaction.Value(vecLen), func() {
-		v := make([]fixed.Acc, len(u.buf))
-		copy(v, u.buf)
-		u.outs = append(u.outs, u.apply(v))
-		u.buf = u.buf[:0]
-	}))
-	return u
-}
-
-// Cycles returns the unit's pipeline latency per activation vector.
-func (u *NonLinearUnit) Cycles() int { return u.cycles }
-
-// SetVectorLength retargets the release threshold at runtime.
-func (u *NonLinearUnit) SetVectorLength(n int) { u.rule.SetTarget(countaction.Value(n)) }
-
-// Offer feeds one completed dot-product result; when the configured vector
-// length has accumulated, the activation function runs and the vector
-// becomes available via Take.
-func (u *NonLinearUnit) Offer(x fixed.Acc) {
-	u.buf = append(u.buf, x)
-	u.rule.Add(1)
-}
-
-// Take returns the oldest completed activation vector, or nil.
-func (u *NonLinearUnit) Take() []fixed.Acc {
-	if len(u.outs) == 0 {
-		return nil
-	}
-	v := u.outs[0]
-	u.outs = u.outs[1:]
-	return v
-}
-
-// Reset clears buffered state.
-func (u *NonLinearUnit) Reset() {
-	u.buf = u.buf[:0]
-	u.outs = nil
-	u.Module.Reset()
 }

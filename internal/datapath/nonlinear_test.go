@@ -78,58 +78,6 @@ func TestArgmax(t *testing.T) {
 	}
 }
 
-func TestNonLinearUnitReleasesVectors(t *testing.T) {
-	u := NewReLUUnit(3)
-	u.Offer(-1)
-	u.Offer(2)
-	if v := u.Take(); v != nil {
-		t.Fatal("released before vector complete")
-	}
-	u.Offer(-3)
-	v := u.Take()
-	if v == nil {
-		t.Fatal("no vector after 3 elements")
-	}
-	if v[0] != 0 || v[1] != 2 || v[2] != 0 {
-		t.Errorf("activated vector = %v", v)
-	}
-	if u.Cycles() != CyclesReLU {
-		t.Errorf("Cycles = %d", u.Cycles())
-	}
-}
-
-func TestNonLinearUnitQueueing(t *testing.T) {
-	u := NewIdentityUnit(2)
-	for i := 0; i < 6; i++ {
-		u.Offer(fixed.Acc(i))
-	}
-	first := u.Take()
-	second := u.Take()
-	third := u.Take()
-	if first[1] != 1 || second[0] != 2 || third[1] != 5 {
-		t.Errorf("queued vectors = %v %v %v", first, second, third)
-	}
-	if u.Take() != nil {
-		t.Error("extra vector")
-	}
-}
-
-func TestNonLinearUnitRetargetAndReset(t *testing.T) {
-	u := NewReLUUnit(5)
-	u.SetVectorLength(1)
-	u.Offer(9)
-	if v := u.Take(); v == nil || v[0] != 9 {
-		t.Errorf("retargeted unit = %v", v)
-	}
-	u.Offer(1)
-	u.Reset()
-	u.SetVectorLength(1)
-	u.Offer(2)
-	if v := u.Take(); v == nil || v[0] != 2 {
-		t.Errorf("post-reset vector = %v", v)
-	}
-}
-
 func TestActivationMeta(t *testing.T) {
 	if ActReLU.Cycles() != 1 || ActSoftmax.Cycles() != 8 || ActIdentity.Cycles() != 0 {
 		t.Error("activation cycles wrong")

@@ -91,8 +91,8 @@ type Engine struct {
 	// from it that opens every burst (SetPreamble keeps the two in step).
 	detector *Detector
 	pre      []fixed.Code
-	// adder is the one cross-cycle adder-subtractor every layer template
-	// reassembles through, rearmed at each layer boundary.
+	// adder is the one cross-cycle adder-subtractor every layer reassembles
+	// through, rearmed at each layer boundary.
 	adder   *CrossCycleAdder
 	scratch engineScratch
 }
@@ -127,23 +127,6 @@ func (e *Engine) SetPreamble(cfg PreambleConfig) {
 func (e *Engine) armAdder() {
 	e.adder.Reset()
 	e.adder.Gain = e.Core.FullScaleLanes
-}
-
-// runDot computes one output neuron's dot product W·x: a layer of one row
-// for a batch of one, over the row packed into engine scratch, in a burst of
-// its own. The conv, attention and transformer templates drive their
-// per-window and per-head dots through it.
-//
-//lint:hotpath
-func (e *Engine) runDot(w []fixed.Signed, x []fixed.Code, stats *LayerStats) fixed.Acc {
-	xs := [1][]fixed.Code{x}
-	var out [1]fixed.Acc
-	var row fixed.Row
-	e.scratch.beginLayer()
-	row, e.scratch.row = fixed.PackRow(w, e.scratch.row)
-	e.issueRow(row, xs[:], stats)
-	e.readBurst(out[:], stats)
-	return out[0]
 }
 
 // FCResult is the output of one fully-connected layer execution.

@@ -1,6 +1,7 @@
 package datapath
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -26,6 +27,24 @@ func refereeLayer(rng *rand.Rand, out, in int) fixed.Matrix {
 	return m
 }
 
+// readsOneBurst holds the layer e just executed to the referee's first
+// clause: DatapathCycles is the fixed overhead plus the frames of one burst —
+// the phase drawn, one preamble, one sample per photonic step — and the
+// preamble located its payload.
+func readsOneBurst(t *testing.T, layer string, e *Engine, st LayerStats) {
+	t.Helper()
+	preamble := PrototypePreamble().Samples()
+	samples := e.scratch.phase + preamble + int(st.PhotonicSteps)
+	want := PerLayerOverheadCycles + (samples+converter.SamplesPerCycle-1)/converter.SamplesPerCycle
+	if int(st.DatapathCycles) != want {
+		t.Errorf("%s: DatapathCycles %d, want %d + ⌈(%d + %d + %d)/%d⌉ = %d", layer,
+			st.DatapathCycles, PerLayerOverheadCycles, e.scratch.phase, preamble, st.PhotonicSteps, converter.SamplesPerCycle, want)
+	}
+	if st.PreambleMisses != 0 {
+		t.Errorf("%s: %d preamble misses", layer, st.PreambleMisses)
+	}
+}
+
 // TestEngineClockAgreesWithPrototypeLatency is the referee between the
 // repo's two models of the prototype: the engine that serves queries and
 // sim.PrototypeLatency, which EXPERIMENTS.md's Fig 4/15 and Table 6 are
@@ -33,9 +52,10 @@ func refereeLayer(rng *rand.Rand, out, in int) fixed.Matrix {
 // fixed-seed weights, noise off) and, on the one set of clock constants in
 // internal/converter:
 //
-//   - every layer reads exactly its fixed overhead plus the frames of one
-//     burst — phase, one preamble, one sample per photonic step — and a layer
-//     with no live product reads the overhead alone and draws nothing;
+//   - every layer — and a convolution is one layer — reads exactly its fixed
+//     overhead plus the frames of one burst — phase, one preamble, one sample
+//     per photonic step — and a layer with no live product reads the overhead
+//     alone and draws nothing;
 //   - the fixed overhead is sim's Datapath term (Fig 15c: 193 ns a layer,
 //     constant in layer width) to within 1 ns a layer;
 //   - the photonic steps take no longer than sim's Compute term. sim charges
@@ -48,7 +68,6 @@ func refereeLayer(rng *rand.Rand, out, in int) fixed.Matrix {
 // photonic steps they digitize) and ComputeCycles, which the engine still
 // charges serially per neuron.
 func TestEngineClockAgreesWithPrototypeLatency(t *testing.T) {
-	preamble := PrototypePreamble().Samples()
 	for _, m := range model.PrototypeModels() {
 		e := newTestEngine(t, sim.PrototypeLanes, false)
 		rng := rand.New(rand.NewPCG(0x2efe2ee, uint64(len(m.Layers))))
@@ -67,15 +86,7 @@ func TestEngineClockAgreesWithPrototypeLatency(t *testing.T) {
 			if st.PhotonicSteps == 0 {
 				t.Fatalf("%s layer %d issued no photonic step; the referee wants live layers", m.Name, li)
 			}
-			samples := e.scratch.phase + preamble + int(st.PhotonicSteps)
-			want := PerLayerOverheadCycles + (samples+converter.SamplesPerCycle-1)/converter.SamplesPerCycle
-			if int(st.DatapathCycles) != want {
-				t.Errorf("%s layer %d: DatapathCycles %d, want %d + ⌈(%d + %d + %d)/%d⌉ = %d", m.Name, li,
-					st.DatapathCycles, PerLayerOverheadCycles, e.scratch.phase, preamble, st.PhotonicSteps, converter.SamplesPerCycle, want)
-			}
-			if st.PreambleMisses != 0 {
-				t.Errorf("%s layer %d: %d preamble misses", m.Name, li, st.PreambleMisses)
-			}
+			readsOneBurst(t, fmt.Sprintf("%s layer %d", m.Name, li), e, st)
 			total.Add(st)
 			x = res.Quantized
 		}
@@ -100,6 +111,17 @@ func TestEngineClockAgreesWithPrototypeLatency(t *testing.T) {
 			burst, float64(burst)/converter.DigitalClockHz*1e9, layers*PrototypePreamble().Repetitions,
 			total.ComputeCycles, float64(total.ComputeCycles)/converter.DigitalClockHz*1e9, ref.EndToEnd())
 	}
+
+	// A convolution is one layer on the same clock: one burst for the whole
+	// feature map, not one a window and channel.
+	spec := goldenConvSpecs[1]
+	kernels, input := goldenConvLayer(spec)
+	ce := newTestEngine(t, sim.PrototypeLanes, false)
+	conv, err := ce.ExecuteConv(kernels, input, spec, ActReLU, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readsOneBurst(t, "conv 12x12x2->4", ce, conv.Stats)
 
 	// No live product, no burst: the overhead alone, and the ADC's rng is
 	// where a twin that never ran the layer has it.

@@ -50,18 +50,28 @@ func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("burst read back %v with %d preamble misses", out, stats.PreambleMisses)
 			}
 			if q == 1 {
-				// The one-row layer the templates call must not add any
-				// either.
+				// The smallest layer, one row in a burst of its own, must
+				// not add any either.
 				var sink fixed.Acc
 				if n := testing.AllocsPerRun(100, func() {
-					sink += e.runDot(w, xs[0], &stats)
+					sink += oneRowLayer(e, row, xs, &stats)
 				}); n != 0 {
-					t.Fatalf("runDot allocates %v times per call in steady state, want 0", n)
+					t.Fatalf("a one-row layer allocates %v times in steady state, want 0", n)
 				}
 				_ = sink
 			}
 		})
 	}
+}
+
+// oneRowLayer drives the burst stages for the smallest layer there is: one
+// row, issued onto an empty burst and read straight back.
+func oneRowLayer(e *Engine, row fixed.Row, xs [][]fixed.Code, stats *LayerStats) fixed.Acc {
+	var out [1]fixed.Acc
+	e.scratch.beginLayer()
+	e.issueRow(row, xs, stats)
+	e.readBurst(out[:], stats)
+	return out[0]
 }
 
 // TestLayerBurstScratchRegrowth checks the cold path the guard above never
@@ -93,10 +103,11 @@ func TestLayerBurstScratchRegrowth(t *testing.T) {
 // TestLayerStartsOnAnEmptyBurst: a layer that panics between issuing a row
 // and reading the burst back (the row-width check) leaves its samples and
 // count-table entries in the scratch. An engine reused after recovering must
-// not read them into the next layer: both entry points start from an empty
-// stream and table, match a fresh engine's answers, and read only the frames
-// their own burst fills (the phase drawn differs from the fresh engine's, so
-// the cycle count is held to the referee's formula instead).
+// not read them into the next layer: a full layer and a lone row both start
+// from an empty stream and table, match a fresh engine's answers, and read
+// only the frames their own burst fills (the phase drawn differs from the
+// fresh engine's, so the cycle count is held to the referee's formula
+// instead).
 func TestLayerStartsOnAnEmptyBurst(t *testing.T) {
 	weights, bias, xs := batchLayer(4, 64, 2)
 	abandon := func(e *Engine) {
@@ -115,7 +126,8 @@ func TestLayerStartsOnAnEmptyBurst(t *testing.T) {
 	fresh := newTestEngine(t, 2, false)
 	want := fresh.ExecuteFCBiasBatch(weights, bias, xs, ActReLU, 2)
 	var wantStats LayerStats
-	wantDot := fresh.runDot(weights[1], xs[0], &wantStats)
+	row1, _ := weights.Row(1, nil)
+	wantDot := oneRowLayer(fresh, row1, xs[:1], &wantStats)
 
 	e := newTestEngine(t, 2, false)
 	abandon(e)
@@ -136,7 +148,7 @@ func TestLayerStartsOnAnEmptyBurst(t *testing.T) {
 
 	abandon(e)
 	var stats LayerStats
-	if dot := e.runDot(weights[1], xs[0], &stats); dot != wantDot || stats.PhotonicSteps != wantStats.PhotonicSteps {
-		t.Errorf("runDot after an abandoned layer: %d in %d steps, fresh engine %d in %d", dot, stats.PhotonicSteps, wantDot, wantStats.PhotonicSteps)
+	if dot := oneRowLayer(e, row1, xs[:1], &stats); dot != wantDot || stats.PhotonicSteps != wantStats.PhotonicSteps {
+		t.Errorf("one row after an abandoned layer: %d in %d steps, fresh engine %d in %d", dot, stats.PhotonicSteps, wantDot, wantStats.PhotonicSteps)
 	}
 }

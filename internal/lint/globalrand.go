@@ -33,8 +33,7 @@ func GlobalRand() *Analyzer {
 		Match: func(pkgPath string) bool {
 			return pathIn(pkgPath, ModulePath,
 				"internal/photonic", "internal/emu", "internal/sim", "internal/nn",
-				"internal/converter", "internal/devkit", "internal/cyclesim",
-				"internal/fault")
+				"internal/converter", "internal/devkit", "internal/fault")
 		},
 		Run: runGlobalRand,
 	}

@@ -8,7 +8,7 @@ import (
 
 // HotAlloc guards the zero-allocation contract on the analog hot paths: a
 // function marked with a `//lint:hotpath` doc-comment line (Core.Step,
-// DotPartialsInto, the engine's runDot) promises zero steady-state heap
+// DotPartialsInto, the engine's issueRow) promises zero steady-state heap
 // allocations per call — the property the AllocsPerRun guard tests and CI's
 // bench smoke enforce at runtime. The allocating builtins append, make and
 // new inside such a function are flagged at the call site: growth belongs in
