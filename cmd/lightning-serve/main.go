@@ -51,6 +51,14 @@ func parseAdmitWeights(s string) (map[uint16]lightning.AdmitPolicy, error) {
 	return out, nil
 }
 
+// onOff renders a live/not-live state for the stats line.
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
+}
+
 func main() {
 	addr := flag.String("addr", ":4055", "UDP listen address")
 	modelName := flag.String("model", "anomaly", "model to serve: anomaly | iot | digits | none (serve nothing until a coordinator installs partitions; implies -allow-install)")
@@ -238,6 +246,10 @@ func main() {
 				s.RxBatchSize.Mean(), s.TxBatchSize.Mean(), s.RxSyscalls, s.TxSyscalls)
 			if m.Served > 0 && s.RxSyscalls+s.TxSyscalls > 0 {
 				line += fmt.Sprintf(" (%.2f/query)", float64(s.RxSyscalls+s.TxSyscalls)/float64(m.Served))
+			}
+			line += fmt.Sprintf(", offload gso %s gro %s", onOff(s.GSO), onOff(s.GRO))
+			if s.Truncated > 0 {
+				line += fmt.Sprintf(", truncated %d", s.Truncated)
 			}
 			if s.CoalescedFrames > 0 || s.OversizedCoalesce > 0 {
 				line += fmt.Sprintf(", coalesced frames %d (oversized drops %d)", s.CoalescedFrames, s.OversizedCoalesce)

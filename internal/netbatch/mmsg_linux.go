@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 	"unsafe"
@@ -18,6 +19,12 @@ import (
 // ReadFrom would, SetReadDeadline works unchanged, and a close wakes the
 // waiter. Every syscall — including the EAGAIN probes — lands in Counters,
 // so syscalls-per-query accounting is honest about the polling cost too.
+//
+// On top of that, the kernel's UDP segmentation offloads make a datagram
+// train one unit of kernel work: WriteBatch sends each run of
+// same-destination, same-size messages as one segmented header (GSO), and a
+// conn opted in with EnableGRO reads a same-sender train into one slot
+// (GRO), whose boundaries Message.Seg carries back to the caller.
 
 // mmsghdr mirrors the kernel's struct mmsghdr on 64-bit Linux: a msghdr
 // plus the per-message byte count. The explicit trailing pad keeps the
@@ -29,6 +36,24 @@ type mmsghdr struct {
 	nlen uint32
 	_    [4]byte
 }
+
+// UDP segmentation offload (linux/udp.h): a segmented send carries its
+// segment size in a SOL_UDP/UDP_SEGMENT cmsg (a u16), and a GRO read
+// returns the sender's segment size in a SOL_UDP/UDP_GRO cmsg (an int).
+const (
+	solUDP     = syscall.IPPROTO_UDP
+	udpSegment = 103
+	udpGRO     = 104
+
+	// maxGSOSegs and maxGSOBytes bound one segmented send: UDP_MAX_SEGMENTS
+	// as kernels before 6.x define it, and the largest IPv4 UDP payload.
+	maxGSOSegs  = 64
+	maxGSOBytes = 65507
+
+	// ctlWords is one header's control room in 8-byte words, CMSG_SPACE of
+	// the larger of the two payloads (the 4-byte GRO size).
+	ctlWords = (syscall.SizeofCmsghdr + 8) / 8
+)
 
 func fastPathAvailable() bool { return true }
 
@@ -47,12 +72,15 @@ type internKey struct {
 // the Addr value itself.
 const maxIntern = 4096
 
-// mmsgScratch is one direction's syscall scaffolding: parallel header,
-// iovec and sockaddr arrays, resized to the largest batch seen.
+// mmsgScratch is one direction's syscall scaffolding: header, sockaddr and
+// control arrays indexed by header, an iovec array indexed by message, and
+// (tx) each header's first message — resized to the largest batch seen.
 type mmsgScratch struct {
 	hdrs   []mmsghdr
 	iovecs []syscall.Iovec
 	names  []syscall.RawSockaddrInet6
+	ctl    []uint64
+	first  []int
 }
 
 // grow resizes the scratch to hold n messages (cold: runs only when a
@@ -61,6 +89,8 @@ func (s *mmsgScratch) grow(n int) {
 	s.hdrs = make([]mmsghdr, n)
 	s.iovecs = make([]syscall.Iovec, n)
 	s.names = make([]syscall.RawSockaddrInet6, n)
+	s.ctl = make([]uint64, n*ctlWords)
+	s.first = make([]int, n+1)
 }
 
 // mmsgConn is the recvmmsg/sendmmsg BatchConn over a *net.UDPConn. Each
@@ -71,6 +101,11 @@ type mmsgConn struct {
 	rc          syscall.RawConn
 	setDeadline func(time.Time) error
 	ctr         *Counters
+
+	// gsoOff is sticky: set when the kernel lacks UDP_SEGMENT or refuses a
+	// segmented send. groOn records UDP_GRO set through this conn.
+	gsoOff atomic.Bool
+	groOn  atomic.Bool
 
 	rdMu   sync.Mutex
 	rd     mmsgScratch
@@ -102,6 +137,16 @@ func newMmsg(uc *net.UDPConn, ctr *Counters) BatchConn {
 		ctr:         ctr,
 		intern:      make(map[internKey]net.Addr),
 	}
+	// A kernel without UDP_SEGMENT (before 4.18) ignores the cmsg and sends
+	// the run as one concatenated datagram, so GSO is off before the first
+	// send there, not after a refusal that never comes.
+	probe := func(fd int) error {
+		_, err := syscall.GetsockoptInt(fd, solUDP, udpSegment)
+		return err
+	}
+	if !c.sockopt(probe) {
+		c.gsoOff.Store(true)
+	}
 	// The closures are bound once here so the hot ReadBatch/WriteBatch
 	// bodies never construct a func value per call.
 	c.rdFn = c.recvmmsg
@@ -112,6 +157,30 @@ func newMmsg(uc *net.UDPConn, ctr *Counters) BatchConn {
 func (c *mmsgConn) FastPath() bool { return true }
 
 func (c *mmsgConn) SetReadDeadline(t time.Time) error { return c.setDeadline(t) }
+
+// sockopt runs one socket-option call on the conn's fd and reports success.
+func (c *mmsgConn) sockopt(f func(fd int) error) bool {
+	var serr error
+	if err := c.rc.Control(func(fd uintptr) { serr = f(int(fd)) }); err != nil {
+		return false
+	}
+	return serr == nil
+}
+
+func (c *mmsgConn) enableGRO() {
+	if c.sockopt(func(fd int) error { return syscall.SetsockoptInt(fd, solUDP, udpGRO, 1) }) {
+		c.groOn.Store(true)
+	}
+}
+
+func (c *mmsgConn) disableOffload() {
+	c.gsoOff.Store(true)
+	if c.groOn.Swap(false) {
+		c.sockopt(func(fd int) error { return syscall.SetsockoptInt(fd, solUDP, udpGRO, 0) })
+	}
+}
+
+func (c *mmsgConn) offload() (gso, gro bool) { return !c.gsoOff.Load(), c.groOn.Load() }
 
 // recvmmsg is the RawConn read closure: one recvmmsg syscall per poll
 // wake-up, retried through EINTR; EAGAIN returns false to park on the
@@ -141,8 +210,10 @@ func (c *mmsgConn) recvmmsg(fd uintptr) bool {
 	}
 }
 
-// ReadBatch drains up to len(ms) datagrams in one syscall, blocking on the
-// netpoller for the first. Message buffers must be non-empty.
+// ReadBatch drains up to len(ms) slots in one syscall, blocking on the
+// netpoller for the first. Message buffers must be non-empty. A datagram
+// longer than its slot is counted in Counters.Truncated and never returned;
+// if a read returns nothing else, ReadBatch waits for the next datagram.
 //
 //lint:hotpath
 func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
@@ -154,30 +225,78 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 	if len(ms) > len(c.rd.hdrs) {
 		c.rd.grow(len(ms))
 	}
-	for i := range ms {
-		c.rd.iovecs[i].Base = &ms[i].Buf[0]
-		c.rd.iovecs[i].Len = uint64(len(ms[i].Buf))
+	for {
+		for i := range ms {
+			c.rd.iovecs[i].Base = &ms[i].Buf[0]
+			c.rd.iovecs[i].Len = uint64(len(ms[i].Buf))
+			h := &c.rd.hdrs[i]
+			h.hdr.Name = (*byte)(unsafe.Pointer(&c.rd.names[i]))
+			h.hdr.Namelen = uint32(unsafe.Sizeof(c.rd.names[i]))
+			h.hdr.Iov = &c.rd.iovecs[i]
+			h.hdr.Iovlen = 1
+			// Room for a UDP_GRO cmsg on every read: a coalesced train is
+			// never mistaken for one datagram, whoever set GRO on the socket.
+			h.hdr.Control = (*byte)(unsafe.Pointer(&c.rd.ctl[i*ctlWords]))
+			h.hdr.Controllen = ctlWords * 8
+			h.nlen = 0
+		}
+		c.rdWant = len(ms)
+		if err := c.rc.Read(c.rdFn); err != nil {
+			return 0, err
+		}
+		if c.rdErr != 0 {
+			return 0, errnoErr("recvmmsg", c.rdErr)
+		}
+		if n := c.collect(ms); n > 0 {
+			return n, nil
+		}
+	}
+}
+
+// collect fills the messages of a finished recvmmsg. Truncated slots are
+// counted and dropped, the rest compacted to the front by swapping slots,
+// so every caller buffer stays in ms. Caller holds rdMu.
+//
+//lint:hotpath
+func (c *mmsgConn) collect(ms []Message) int {
+	w, dgrams := 0, 0
+	for i := 0; i < c.rdN; i++ {
 		h := &c.rd.hdrs[i]
-		h.hdr.Name = (*byte)(unsafe.Pointer(&c.rd.names[i]))
-		h.hdr.Namelen = uint32(unsafe.Sizeof(c.rd.names[i]))
-		h.hdr.Iov = &c.rd.iovecs[i]
-		h.hdr.Iovlen = 1
-		h.nlen = 0
+		if h.hdr.Flags&syscall.MSG_TRUNC != 0 {
+			c.ctr.Truncated.Add(1)
+			continue
+		}
+		if w != i {
+			ms[w], ms[i] = ms[i], ms[w]
+		}
+		m := &ms[w]
+		m.N = int(h.nlen)
+		m.Addr = c.addrOf(&c.rd.names[i], h.hdr.Namelen)
+		m.Seg = c.segOf(i, m.N)
+		dgrams += m.Datagrams()
+		w++
 	}
-	c.rdWant = len(ms)
-	if err := c.rc.Read(c.rdFn); err != nil {
-		return 0, err
+	c.ctr.RxMsgs.Add(uint64(dgrams))
+	return w
+}
+
+// segOf reads rx header i's UDP_GRO cmsg: the sender's segment size when
+// the kernel returned a coalesced train of n bytes, else 0.
+//
+//lint:hotpath
+func (c *mmsgConn) segOf(i, n int) int {
+	if c.rd.hdrs[i].hdr.Controllen < syscall.SizeofCmsghdr+4 {
+		return 0
 	}
-	if c.rdErr != 0 {
-		return 0, errnoErr("recvmmsg", c.rdErr)
+	cm := (*syscall.Cmsghdr)(unsafe.Pointer(&c.rd.ctl[i*ctlWords]))
+	if cm.Level != solUDP || cm.Type != udpGRO {
+		return 0
 	}
-	n := c.rdN
-	for i := 0; i < n; i++ {
-		ms[i].N = int(c.rd.hdrs[i].nlen)
-		ms[i].Addr = c.addrOf(&c.rd.names[i], c.rd.hdrs[i].hdr.Namelen)
+	seg := int(*(*int32)(unsafe.Add(unsafe.Pointer(cm), syscall.SizeofCmsghdr)))
+	if seg <= 0 || n <= seg {
+		return 0
 	}
-	c.ctr.RxMsgs.Add(uint64(n))
-	return n, nil
+	return seg
 }
 
 // addrOf interns one raw source sockaddr (caller holds rdMu).
@@ -252,7 +371,9 @@ var emptyByte byte
 
 // WriteBatch flushes ms in one sendmmsg (looping only on partial sends). A
 // nil Addr sends to the connected peer; an Addr that is not a *net.UDPAddr
-// stops the batch before it with errBadAddr after flushing the prefix.
+// stops the batch before it with errBadAddr after flushing the prefix. If
+// the kernel refuses a segmented header, GSO goes off for good and the
+// unsent messages go again one per header.
 //
 //lint:hotpath
 func (c *mmsgConn) WriteBatch(ms []Message) (int, error) {
@@ -264,54 +385,124 @@ func (c *mmsgConn) WriteBatch(ms []Message) (int, error) {
 	if len(ms) > len(c.wr.hdrs) {
 		c.wr.grow(len(ms))
 	}
-	limit := len(ms)
-	badAddr := false
-	for i := range ms {
-		if ms[i].N > 0 {
-			c.wr.iovecs[i].Base = &ms[i].Buf[0]
-		} else {
-			c.wr.iovecs[i].Base = &emptyByte
-		}
-		c.wr.iovecs[i].Len = uint64(ms[i].N)
-		h := &c.wr.hdrs[i]
-		h.hdr.Iov = &c.wr.iovecs[i]
-		h.hdr.Iovlen = 1
-		h.nlen = 0
-		if ms[i].Addr == nil {
-			h.hdr.Name = nil
-			h.hdr.Namelen = 0
-			continue
-		}
-		nl, ok := putSockaddr(&c.wr.names[i], ms[i].Addr)
-		if !ok {
-			limit = i
-			badAddr = true
-			break
-		}
-		h.hdr.Name = (*byte)(unsafe.Pointer(&c.wr.names[i]))
-		h.hdr.Namelen = nl
-	}
-	sent := 0
-	for sent < limit {
-		c.wrOff = sent
-		c.wrLen = limit - sent
+	nh, badAddr := c.pack(ms, 0)
+	for h := 0; h < nh; {
+		c.wrOff = h
+		c.wrLen = nh - h
 		if err := c.rc.Write(c.wrFn); err != nil {
-			return sent, err
+			return c.wr.first[h], err
 		}
 		if c.wrErr != 0 {
-			return sent, errnoErr("sendmmsg", c.wrErr)
+			if c.wr.hdrs[h].hdr.Control != nil && gsoRefused(c.wrErr) {
+				c.gsoOff.Store(true)
+				nh, badAddr = c.pack(ms, c.wr.first[h])
+				h = 0
+				continue
+			}
+			return c.wr.first[h], errnoErr("sendmmsg", c.wrErr)
 		}
 		if c.wrN <= 0 {
 			// A zero-progress success would loop forever; surface it.
-			return sent, errNoProgress
+			return c.wr.first[h], errNoProgress
 		}
-		c.ctr.TxMsgs.Add(uint64(c.wrN))
-		sent += c.wrN
+		c.ctr.TxMsgs.Add(uint64(c.wr.first[h+c.wrN] - c.wr.first[h]))
+		h += c.wrN
 	}
 	if badAddr {
-		return sent, errBadAddr
+		return c.wr.first[nh], errBadAddr
 	}
-	return sent, nil
+	return c.wr.first[nh], nil
+}
+
+// gsoRefused reports the errnos with which a kernel refuses a segmented
+// send it cannot offload (no checksum offload, an xfrm path, no support).
+func gsoRefused(e syscall.Errno) bool {
+	return e == syscall.EIO || e == syscall.EINVAL || e == syscall.ENOPROTOOPT
+}
+
+// pack lays ms[from:] out as tx headers from header 0 and returns how many.
+// A header carries one message or, while GSO is live, a run of messages to
+// one destination (pointer-equal Addr, or both nil) whose sizes are equal
+// but for a shorter, non-empty last — one iovec each under a UDP_SEGMENT
+// cmsg, at most maxGSOSegs segments and maxGSOBytes bytes. first[h] is
+// header h's first message and first[nh] the end; a destination
+// putSockaddr cannot encode ends the layout before its message.
+//
+//lint:hotpath
+func (c *mmsgConn) pack(ms []Message, from int) (nh int, badAddr bool) {
+	s := &c.wr
+	gso := !c.gsoOff.Load()
+	i := from
+	for i < len(ms) {
+		h := &s.hdrs[nh].hdr
+		if ms[i].Addr == nil {
+			h.Name = nil
+			h.Namelen = 0
+		} else {
+			nl, ok := putSockaddr(&s.names[nh], ms[i].Addr)
+			if !ok {
+				badAddr = true
+				break
+			}
+			h.Name = (*byte)(unsafe.Pointer(&s.names[nh]))
+			h.Namelen = nl
+		}
+		s.setIovec(i, &ms[i])
+		h.Control = nil
+		h.Controllen = 0
+		j := i + 1
+		if seg := ms[i].N; gso && seg > 0 {
+			total := seg
+			for j < len(ms) && j-i < maxGSOSegs && ms[j].Addr == ms[i].Addr {
+				n := ms[j].N
+				if n == 0 || n > seg || total+n > maxGSOBytes {
+					break
+				}
+				s.setIovec(j, &ms[j])
+				total += n
+				j++
+				if n < seg {
+					break
+				}
+			}
+			if j-i > 1 {
+				s.segCmsg(nh, seg)
+			}
+		}
+		h.Iov = &s.iovecs[i]
+		h.Iovlen = uint64(j - i)
+		s.hdrs[nh].nlen = 0
+		s.first[nh] = i
+		nh++
+		i = j
+	}
+	s.first[nh] = i
+	return nh, badAddr
+}
+
+// setIovec points iovec i at message m's valid bytes.
+//
+//lint:hotpath
+func (s *mmsgScratch) setIovec(i int, m *Message) {
+	if m.N > 0 {
+		s.iovecs[i].Base = &m.Buf[0]
+	} else {
+		s.iovecs[i].Base = &emptyByte
+	}
+	s.iovecs[i].Len = uint64(m.N)
+}
+
+// segCmsg attaches a UDP_SEGMENT cmsg of segment size seg to tx header h.
+//
+//lint:hotpath
+func (s *mmsgScratch) segCmsg(h, seg int) {
+	cm := (*syscall.Cmsghdr)(unsafe.Pointer(&s.ctl[h*ctlWords]))
+	cm.Level = solUDP
+	cm.Type = udpSegment
+	cm.SetLen(syscall.SizeofCmsghdr + 2)
+	*(*uint16)(unsafe.Add(unsafe.Pointer(cm), syscall.SizeofCmsghdr)) = uint16(seg)
+	s.hdrs[h].hdr.Control = (*byte)(unsafe.Pointer(cm))
+	s.hdrs[h].hdr.Controllen = ctlWords * 8
 }
 
 // putSockaddr encodes a *net.UDPAddr into a raw sockaddr, returning its

@@ -12,6 +12,12 @@
 //   - everything else falls back to a portable loop of single reads/writes,
 //     byte-identical in behaviour, just without the syscall amortization.
 //
+// The fast path also uses the kernel's UDP segmentation offloads: a run of
+// same-destination, same-size messages leaves as one segmented send
+// (UDP_SEGMENT), and a reader that opts in with EnableGRO receives a
+// same-sender train as one coalesced buffer (UDP_GRO) whose datagram
+// boundaries Message.Seg restores.
+//
 // The seam deliberately has no clock and spawns no goroutines: deadlines
 // come in as arguments, and all scratch state is owned by the wrapper, so a
 // serve loop's batch I/O is allocation-free after warm-up.
@@ -28,17 +34,30 @@ import (
 // Message is one datagram in a batch. Buf is caller-owned backing storage
 // (its full capacity is offered to reads); N is the valid byte count; Addr
 // is the source (after ReadBatch) or destination (for WriteBatch; nil means
-// the conn's connected peer).
+// the conn's connected peer). Seg is set by reads only: on a conn opted in
+// with EnableGRO, Buf[:N] may hold a coalesced train of datagrams Seg bytes
+// each, the last possibly shorter; 0 means one datagram.
 type Message struct {
 	Buf  []byte
 	N    int
 	Addr net.Addr
+	Seg  int
 }
 
 // Bytes returns the valid slice of the message.
 //
 //lint:hotpath
 func (m *Message) Bytes() []byte { return m.Buf[:m.N] }
+
+// Datagrams returns how many datagrams the message holds.
+//
+//lint:hotpath
+func (m *Message) Datagrams() int {
+	if m.Seg <= 0 {
+		return 1
+	}
+	return (m.N + m.Seg - 1) / m.Seg
+}
 
 // MakeMessages builds a reusable batch of n messages with bufSize-byte
 // buffers — the allocation happens once, at setup, never per read.
@@ -52,14 +71,18 @@ func MakeMessages(n, bufSize int) []Message {
 
 // Counters receives the seam's I/O accounting: ReadCalls/WriteCalls count
 // syscalls (or their stand-ins on non-syscall paths, one per ReadBatch /
-// WriteTo), RxMsgs/TxMsgs count datagrams moved. syscalls-per-query gates
-// divide one by the other. The struct is injected at Wrap time so the owner
-// (a NIC, a load generator) scrapes its own atomics without another hop.
+// WriteTo), RxMsgs/TxMsgs count datagrams moved — segments of an offloaded
+// send or a coalesced read, not kernel headers. syscalls-per-query gates
+// divide one by the other. Truncated counts datagrams the fast path received
+// cut short by a too-small slot and dropped instead of returning. The struct
+// is injected at Wrap time so the owner (a NIC, a load generator) scrapes its
+// own atomics without another hop.
 type Counters struct {
 	ReadCalls  atomic.Uint64
 	WriteCalls atomic.Uint64
 	RxMsgs     atomic.Uint64
 	TxMsgs     atomic.Uint64
+	Truncated  atomic.Uint64
 }
 
 // discard absorbs accounting for callers that pass a nil Counters.
@@ -69,7 +92,8 @@ var discard Counters
 //
 // ReadBatch fills as many messages as are immediately available (at least
 // one, blocking for the first) and returns the count; the portable fallback
-// always returns at most one. WriteBatch sends ms in order and returns how
+// always returns at most one, and after EnableGRO one message may hold
+// several datagrams (Message.Seg). WriteBatch sends ms in order and returns how
 // many sent; on error the failed message is ms[n]. SetReadDeadline bounds
 // the next ReadBatch exactly as net.PacketConn's does.
 type BatchConn interface {
@@ -119,6 +143,54 @@ func Wrap(pc net.PacketConn, ctr *Counters) BatchConn {
 		}
 	}
 	return &fallbackConn{pc: pc, ctr: ctr}
+}
+
+// GROSlot is the smallest read slot EnableGRO accepts: a coalesced train may
+// fill a whole 64 KiB UDP payload.
+const GROSlot = 1 << 16
+
+// errGROSlot refuses GRO for a reader whose slots could truncate a train.
+var errGROSlot = errors.New("netbatch: GRO needs read slots of at least 64 KiB")
+
+// offloader is the segmentation-offload control of the Linux fast path.
+type offloader interface {
+	enableGRO()
+	disableOffload()
+	offload() (gso, gro bool)
+}
+
+// EnableGRO opts bc's socket into UDP receive offload: one read slot may
+// then carry a same-sender datagram train, split back apart by Message.Seg.
+// Every slot the caller reads into must hold at least slot bytes, and slot
+// must be at least GROSlot. Only the Linux fast path has GRO; elsewhere, or
+// on a kernel that refuses UDP_GRO, this is a no-op that Offload reports.
+func EnableGRO(bc BatchConn, slot int) error {
+	if slot < GROSlot {
+		return errGROSlot
+	}
+	if o, ok := bc.(offloader); ok {
+		o.enableGRO()
+	}
+	return nil
+}
+
+// DisableOffload switches both offloads off on bc for good: sends go one
+// datagram per header and the socket's GRO is cleared. It is the state a
+// kernel refusal leaves behind, and how the differential tests run the fast
+// path without offload.
+func DisableOffload(bc BatchConn) {
+	if o, ok := bc.(offloader); ok {
+		o.disableOffload()
+	}
+}
+
+// Offload reports whether segmented sends (GSO) and coalesced reads (GRO)
+// are live on bc, after any sticky fallback.
+func Offload(bc BatchConn) (gso, gro bool) {
+	if o, ok := bc.(offloader); ok {
+		return o.offload()
+	}
+	return false, false
 }
 
 // WrapFallback always returns the portable single-message path — the seam

@@ -339,3 +339,100 @@ func TestReadWriteBatchAllocs(t *testing.T) {
 		t.Fatalf("steady-state round trip allocates %.1f/op (limit %.1f)", allocs, limit)
 	}
 }
+
+// TestOffloadBatchAllocs is the AllocsPerRun guard for the offloaded
+// steady state: a grouped WriteBatch (eight same-size messages, one
+// segmented header) into a GRO socket's segmented ReadBatch (one slot, Seg
+// set), and the grouped reply drained by a plain reader, allocate nothing.
+func TestOffloadBatchAllocs(t *testing.T) {
+	if !netbatch.FastPathAvailable() || netbatch.FallbackForced() {
+		t.Skip("offload is a fast-path property")
+	}
+	srv, cli := pairUDP(t)
+	sbc := netbatch.Wrap(srv, nil)
+	cbc := netbatch.WrapConn(cli, nil)
+	if err := netbatch.EnableGRO(sbc, netbatch.GROSlot); err != nil {
+		t.Fatal(err)
+	}
+	if gso, gro := netbatch.Offload(sbc); !gso || !gro {
+		t.Skipf("kernel offload unavailable (gso %v, gro %v)", gso, gro)
+	}
+	const n = 8
+	out := make([]netbatch.Message, n)
+	for i := range out {
+		out[i] = netbatch.Message{Buf: bytes.Repeat([]byte{byte(i)}, 64), N: 64}
+	}
+	ms := netbatch.MakeMessages(4, netbatch.GROSlot)
+	back := make([]netbatch.Message, n)
+	cms := netbatch.MakeMessages(n, 2048)
+	deadline := time.Now().Add(10 * time.Second)
+	if err := sbc.SetReadDeadline(deadline); err != nil {
+		t.Fatal(err)
+	}
+	if err := cbc.SetReadDeadline(deadline); err != nil {
+		t.Fatal(err)
+	}
+	var segmented bool
+	roundTrip := func() {
+		if _, err := cbc.WriteBatch(out); err != nil {
+			t.Fatal(err)
+		}
+		k, err := sbc.ReadBatch(ms)
+		if err != nil || k != 1 || ms[0].N != n*64 {
+			t.Fatalf("ReadBatch = %d, %v (N %d); want one %d-byte train", k, err, ms[0].N, n*64)
+		}
+		segmented = ms[0].Seg == 64
+		for i := range back {
+			back[i] = netbatch.Message{Buf: ms[0].Buf[i*64 : (i+1)*64], N: 64, Addr: ms[0].Addr}
+		}
+		if _, err := sbc.WriteBatch(back); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < n; {
+			k, err := cbc.ReadBatch(cms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += k
+		}
+	}
+	roundTrip() // warm up: interning, scratch growth
+	if !segmented {
+		t.Fatalf("GRO read Seg = %d, want 64", ms[0].Seg)
+	}
+	if allocs := testing.AllocsPerRun(50, roundTrip); allocs != 0 {
+		t.Fatalf("offloaded round trip allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestReadBatchCountsTruncated: a datagram longer than its slot is counted
+// in Truncated and never returned as a message — not handed to a frame walk
+// that would misfile the cut as a decode error.
+func TestReadBatchCountsTruncated(t *testing.T) {
+	if !netbatch.FastPathAvailable() || netbatch.FallbackForced() {
+		t.Skip("MSG_TRUNC is read on the fast path")
+	}
+	srv, cli := pairUDP(t)
+	var ctr netbatch.Counters
+	sbc := netbatch.Wrap(srv, &ctr)
+	cbc := netbatch.WrapConn(cli, nil)
+	// 2 KiB slots could truncate any coalesced train: GRO refuses them.
+	if err := netbatch.EnableGRO(sbc, 2048); err == nil {
+		t.Fatal("EnableGRO accepted 2 KiB slots")
+	}
+	if _, gro := netbatch.Offload(sbc); gro {
+		t.Fatal("GRO live after a refused EnableGRO")
+	}
+	long := netbatch.Message{Buf: bytes.Repeat([]byte{'x'}, 3000), N: 3000}
+	short := netbatch.Message{Buf: []byte("after"), N: 5}
+	if _, err := cbc.WriteBatch([]netbatch.Message{long, short}); err != nil {
+		t.Fatal(err)
+	}
+	got := drainN(t, sbc, netbatch.MakeMessages(4, 2048), 1)
+	if len(got) != 1 || string(got[0].Bytes()) != "after" {
+		t.Fatalf("read %d messages, first %q; want only %q", len(got), got[0].Bytes(), "after")
+	}
+	if tr, rx := ctr.Truncated.Load(), ctr.RxMsgs.Load(); tr != 1 || rx != 1 {
+		t.Fatalf("Truncated = %d, RxMsgs = %d; want 1, 1", tr, rx)
+	}
+}

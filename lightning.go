@@ -298,6 +298,11 @@ type NIC struct {
 	// netCtr receives the batch seam's syscall accounting for every conn
 	// the serve loops wrap (Metrics.Serve.RxSyscalls/TxSyscalls).
 	netCtr netbatch.Counters
+	// serveConn is the most recently attached serve socket's seam, whose
+	// offload state Metrics.Serve reports. noOffload is the differential
+	// tests' hook: serve switches both offloads off instead of enabling GRO.
+	serveConn atomic.Pointer[netbatch.BatchConn]
+	noOffload bool
 	// rxBatchHist / txBatchHist are the batch-efficacy histograms:
 	// datagrams per batched read, datagrams per tx flush.
 	rxBatchHist sizeHist
@@ -411,9 +416,13 @@ type ServeDrops struct {
 	// error immediately after), but a persistent count means cancellation
 	// latency is degraded.
 	DeadlineErrors uint64
+	// Truncated counts rx datagrams longer than their read slot: the fast
+	// path drops them unwalked instead of serving a cut frame.
+	Truncated uint64
 	// RxBatchSize and TxBatchSize are bounded histograms of datagrams
 	// moved per batched read and per tx flush — the observability that
-	// says whether wire batching is actually amortizing anything.
+	// says whether wire batching is actually amortizing anything. A
+	// GRO-coalesced train counts as its datagrams, not as one.
 	RxBatchSize SizeHist
 	TxBatchSize SizeHist
 	// CoalescedFrames counts query frames beyond the first unpacked from
@@ -429,6 +438,10 @@ type ServeDrops struct {
 	// their sum is the amortized queries-per-syscall figure the bench
 	// suite gates on.
 	RxSyscalls, TxSyscalls uint64
+	// GSO and GRO report whether segmented sends and coalesced reads are
+	// live on the most recently attached serve socket, after any sticky
+	// fallback — false on the portable path or where the kernel refused.
+	GSO, GRO bool
 }
 
 // Metrics returns a consistent snapshot.
@@ -454,6 +467,7 @@ func (n *NIC) Metrics() Metrics {
 			DecodeErrors:      n.decodeErrors.Load(),
 			WriteErrors:       n.writeErrors.Load(),
 			DeadlineErrors:    n.deadlineErrors.Load(),
+			Truncated:         n.netCtr.Truncated.Load(),
 			RxBatchSize:       n.rxBatchHist.snapshot(),
 			TxBatchSize:       n.txBatchHist.snapshot(),
 			CoalescedFrames:   n.coalescedFrames.Load(),
@@ -461,6 +475,9 @@ func (n *NIC) Metrics() Metrics {
 			RxSyscalls:        n.netCtr.ReadCalls.Load(),
 			TxSyscalls:        n.netCtr.WriteCalls.Load(),
 		},
+	}
+	if bc := n.serveConn.Load(); bc != nil {
+		m.Serve.GSO, m.Serve.GRO = netbatch.Offload(*bc)
 	}
 	n.admitMu.Lock()
 	if len(n.admitDropsByModel) > 0 {

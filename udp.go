@@ -78,8 +78,9 @@ func encodeToPooled(encode func(dst []byte) ([]byte, error), write func(out []by
 }
 
 // rxMsgBufSize is each batch slot's read-buffer size: the max UDP datagram,
-// matching the historical single-read buffer so no legal datagram truncates.
-const rxMsgBufSize = 65536
+// matching the historical single-read buffer so no legal datagram — and no
+// GRO-coalesced train — truncates.
+const rxMsgBufSize = netbatch.GROSlot
 
 // wrapConn wraps a serve socket with the batch seam (internal/netbatch),
 // honoring the Config.Wire fallback override and feeding the NIC's syscall
@@ -95,10 +96,12 @@ func (n *NIC) wrapConn(pc net.PacketConn) netbatch.BatchConn {
 // messages until the context is cancelled (requirement R1: live user
 // traffic from remote users). It is the serve loop at zero workers: the
 // reader executes every query inline — no admission stage, no query copy.
-// Reads are batched (one recvmmsg drains up to Config.Wire.RxBatch datagrams
-// on the Linux fast path), each rx datagram may pack several concatenated
-// query frames (wire-level frame coalescing), and the batch's responses flush
-// through one batched write. Malformed frames are dropped and counted
+// Reads are batched (one recvmmsg drains up to Config.Wire.RxBatch slots on
+// the Linux fast path, where pc is switched to UDP GRO for good and a slot
+// may hold one sender's datagram train, walked datagram by datagram), each
+// rx datagram may pack several concatenated query frames (wire-level frame
+// coalescing), and the batch's responses flush through one batched,
+// segmentation-offloaded write. Malformed frames are dropped and counted
 // (DecodeErrors for a bad first frame, OversizedCoalesce for a bad coalesced
 // tail); failed response writes are likewise counted rather than fatal — one
 // unreachable client must not take the server down. On cancellation the loop
@@ -173,6 +176,14 @@ func (n *NIC) ServeUDPWorkers(ctx context.Context, pc net.PacketConn, workers in
 // exist.
 func (n *NIC) serve(ctx context.Context, pc net.PacketConn, workers int) error {
 	bc := n.wrapConn(pc)
+	// GRO is the serve socket's alone: its slots hold any coalesced train,
+	// and readLoop cuts every slot back into datagrams.
+	if n.noOffload {
+		netbatch.DisableOffload(bc)
+	} else if err := netbatch.EnableGRO(bc, rxMsgBufSize); err != nil {
+		return err
+	}
+	n.serveConn.Store(&bc)
 	tx := newTxBatcher(n, bc)
 	var admit *nic.Admitter
 	stopWorkers := func() {}
@@ -279,9 +290,21 @@ func (n *NIC) readLoop(ctx context.Context, bc netbatch.BatchConn, admit *nic.Ad
 			}
 			return err
 		}
-		n.rxBatchHist.observe(cnt)
+		dgrams := 0
 		for i := 0; i < cnt; i++ {
-			n.walkDatagram(ms[i].Bytes(), ms[i].Addr, admit, tx)
+			dgrams += ms[i].Datagrams()
+		}
+		n.rxBatchHist.observe(dgrams)
+		for i := 0; i < cnt; i++ {
+			// A GRO slot is cut back into its datagrams, so every
+			// per-datagram rule holds exactly as for separate reads.
+			m := &ms[i]
+			data := m.Bytes()
+			for m.Seg > 0 && len(data) > m.Seg {
+				n.walkDatagram(data[:m.Seg], m.Addr, admit, tx)
+				data = data[m.Seg:]
+			}
+			n.walkDatagram(data, m.Addr, admit, tx)
 		}
 		if admit == nil || n.wire.TxLinger == 0 {
 			// Everything the reader produced for this batch — inline

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net"
 	"testing"
+	"time"
 
 	"github.com/lightning-smartnic/lightning/internal/fault"
 	"github.com/lightning-smartnic/lightning/internal/netbatch"
@@ -174,6 +175,195 @@ func TestWireFallbackByteIdenticalResponses(t *testing.T) {
 		if pair[0] != pair[2] || pair[1] != pair[2] {
 			t.Errorf("drop accounting differs or is wrong: fast %d, fallback %d, want %d",
 				pair[0], pair[1], pair[2])
+		}
+	}
+}
+
+// TestWireOffloadDifferential runs one mixed stream over loopback UDP three
+// ways — the fast path with segmentation offload, the fast path with it
+// switched off, and the portable fallback — and requires identical
+// responses and identical per-reason counters. The stream: a fragment train
+// with a corrupted middle fragment (a decode error, the rest left pending
+// in reassembly), eight 64-byte queries from one conn (one segmented send,
+// one GRO buffer), eight more with the fourth corrupted (inside one GRO
+// buffer it costs only itself), and a 150 KB query as 109 fragments whose
+// last is short.
+func TestWireOffloadDifferential(t *testing.T) {
+	const width, wide = 64, 150528
+	frames := func(id uint32, modelID uint16, payload []byte) [][]byte {
+		msgs, err := nic.Fragment(id, modelID, payload, nic.MaxFragPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for _, m := range msgs {
+			raw, err := m.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, raw)
+		}
+		return out
+	}
+	corrupt := func(d []byte) []byte {
+		d = append([]byte(nil), d...)
+		d[0] ^= 0xff
+		return d
+	}
+	query := func(id uint32) []byte {
+		p := make([]byte, width)
+		for i := int(id%2) * width / 2; i < int(id%2+1)*width/2; i++ {
+			p[i] = 200
+		}
+		return encodeQuery(t, id, 4, p)
+	}
+	train := frames(21, 5, make([]byte, 9000))
+	train[3] = corrupt(train[3])
+	var burst, hurt [][]byte
+	for id := uint32(1); id <= 8; id++ {
+		burst = append(burst, query(id))
+		q := query(id + 10)
+		if id == 4 {
+			q = corrupt(q)
+		}
+		hurt = append(hurt, q)
+	}
+	image := make([]byte, wide)
+	for i := wide / 2; i < wide; i++ {
+		image[i] = 200
+	}
+	big := frames(31, 5, image)
+	if last := big[len(big)-1]; len(big) != 109 || len(last) >= len(big[0]) {
+		t.Fatalf("150 KB query is %d fragments, last %d bytes of %d", len(big), len(last), len(big[0]))
+	}
+	// Each step leaves in one WriteBatch; the next waits for its replies.
+	steps := []struct {
+		dgrams  [][]byte
+		replies int
+	}{
+		{append(train, burst...), 8},
+		{hurt, 7},
+		{big, 1},
+	}
+	dgrams := 0
+	for _, st := range steps {
+		dgrams += len(st.dgrams)
+	}
+
+	type counters struct {
+		Served, DecodeErrors, OversizedCoalesce, CoalescedFrames, WriteErrors, Truncated uint64
+		ReassemblyDrops, ReassemblyExpired, ReassemblyOversize, RxDatagrams              uint64
+		PendingReassembly                                                                int
+	}
+	run := func(mode string) (map[uint32][]byte, counters, ServeDrops) {
+		n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 9, ReassemblyTTL: time.Minute,
+			Wire: WireConfig{ForceFallback: mode == "fallback"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.noOffload = mode == "no offload"
+		if err := n.RegisterModel(4, "halves", halvesModel(width)); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.RegisterModel(5, "wide", halvesModel(wide)); err != nil {
+			t.Fatal(err)
+		}
+		pc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pc.Close()
+		if err := pc.SetReadBuffer(4 << 20); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan error, 1)
+		go func() { done <- n.ServeUDP(ctx, pc) }()
+		conn, err := net.DialUDP("udp4", nil, pc.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var bc netbatch.BatchConn
+		if mode == "fallback" {
+			bc = netbatch.WrapConnFallback(conn, nil)
+		} else {
+			bc = netbatch.WrapConn(conn, nil)
+			if mode == "no offload" {
+				netbatch.DisableOffload(bc)
+			}
+		}
+		if err := bc.SetReadDeadline(time.Now().Add(20 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		resp := make(map[uint32][]byte)
+		rx := netbatch.MakeMessages(16, 2048)
+		for _, st := range steps {
+			out := make([]netbatch.Message, len(st.dgrams))
+			for i, d := range st.dgrams {
+				out[i] = netbatch.Message{Buf: d, N: len(d)}
+			}
+			if _, err := bc.WriteBatch(out); err != nil {
+				t.Fatalf("%s: %v", mode, err)
+			}
+			for want := len(resp) + st.replies; len(resp) < want; {
+				k, err := bc.ReadBatch(rx)
+				if err != nil {
+					t.Fatalf("%s: %d of %d responses: %v", mode, len(resp), want, err)
+				}
+				for _, m := range rx[:k] {
+					var reply Message
+					if _, err := reply.DecodeNext(m.Bytes()); err != nil {
+						t.Fatalf("%s: undecodable response: %v", mode, err)
+					}
+					if r, err := nic.ParseResponse(&reply); err != nil || r.Err {
+						t.Fatalf("%s: response %d is an error (%v)", mode, reply.RequestID, err)
+					}
+					resp[reply.RequestID] = append([]byte(nil), m.Bytes()...)
+				}
+			}
+		}
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("%s: ServeUDP: %v", mode, err)
+		}
+		m := n.Metrics()
+		s := m.Serve
+		return resp, counters{m.Served, s.DecodeErrors, s.OversizedCoalesce, s.CoalescedFrames, s.WriteErrors, s.Truncated,
+			m.ReassemblyDrops, m.ReassemblyExpired, m.ReassemblyOversize, s.RxBatchSize.Sum, m.PendingReassembly}, s
+	}
+
+	offResp, offCtr, offServe := run("offload")
+	want := counters{Served: 16, DecodeErrors: 2, RxDatagrams: uint64(dgrams), PendingReassembly: 1}
+	if offCtr != want {
+		t.Fatalf("offload counters %+v, want %+v", offCtr, want)
+	}
+	live := netbatch.FastPathAvailable() && !netbatch.FallbackForced()
+	if offServe.GSO != live || offServe.GRO != live {
+		t.Errorf("offload run reports GSO %v GRO %v, want %v", offServe.GSO, offServe.GRO, live)
+	}
+	// Six segmented sends (the train and each burst one apiece, the image
+	// three) arrive as six GRO buffers, so at most six reads: the corrupted
+	// query was walked out of a coalesced buffer, not read on its own.
+	if live && offServe.RxBatchSize.Count > 6 {
+		t.Errorf("offload run read %d batches for six segmented sends", offServe.RxBatchSize.Count)
+	}
+	for _, mode := range []string{"no offload", "fallback"} {
+		resp, ctr, s := run(mode)
+		if ctr != offCtr {
+			t.Errorf("%s counters %+v, offload %+v", mode, ctr, offCtr)
+		}
+		if s.GSO || s.GRO {
+			t.Errorf("%s run reports GSO %v GRO %v, want both off", mode, s.GSO, s.GRO)
+		}
+		if len(resp) != len(offResp) {
+			t.Errorf("%s: %d responses, offload %d", mode, len(resp), len(offResp))
+		}
+		for id, b := range offResp {
+			if !bytes.Equal(resp[id], b) {
+				t.Errorf("%s: response %d = %x, offload %x", mode, id, resp[id], b)
+			}
 		}
 	}
 }
