@@ -112,9 +112,9 @@ func main() {
 			ns += fmt.Sprintf("%s:%s", n.Addr, n.State)
 		}
 		return fmt.Sprintf(
-			"served %d, degraded %d | epoch %d (%d stages, %d replans) | nodes [%s] | retries %d, hedges %d, restarts %d | installs %d (%d failed)",
+			"served %d, degraded %d | epoch %d (%d stages, %d replans) | nodes [%s] | retries %d, hedges %d, restarts %d | installs %d (%d failed) | %s",
 			m.Served, m.Degraded, m.Epoch, m.Stages, m.Replans, ns,
-			m.HopRetries, m.Hedges, m.Restarts, m.Installs, m.InstallErrors)
+			m.HopRetries, m.Hedges, m.Restarts, m.Installs, m.InstallErrors, m.Serve.Line(m.Served))
 	}
 	if *statsEvery > 0 {
 		go func() {

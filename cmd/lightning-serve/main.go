@@ -14,7 +14,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -49,14 +48,6 @@ func parseAdmitWeights(s string) (map[uint16]lightning.AdmitPolicy, error) {
 		return nil, fmt.Errorf("-admit-weights %q: no entries", s)
 	}
 	return out, nil
-}
-
-// onOff renders a live/not-live state for the stats line.
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }
 
 func main() {
@@ -207,32 +198,9 @@ func main() {
 			shards += fmt.Sprintf("%d:%s", i, h.State)
 		}
 		line := fmt.Sprintf(
-			"served %d | shards [%s] | pending reassembly %d (drops %d, expired %d, oversize %d) | queue-full %d, shed %d, decode-err %d, write-err %d | tx %d frames / %d bytes",
+			"served %d | shards [%s] | pending reassembly %d (drops %d, expired %d, oversize %d) | tx %d frames / %d bytes | %s",
 			m.Served, shards, m.PendingReassembly, m.ReassemblyDrops, m.ReassemblyExpired, m.ReassemblyOversize,
-			m.Serve.QueueFull, m.Serve.Shed, m.Serve.DecodeErrors, m.Serve.WriteErrors,
-			m.TxFrames, m.TxBytes)
-		if len(m.Serve.AdmissionDrops) > 0 {
-			ids := make([]int, 0, len(m.Serve.AdmissionDrops))
-			for id := range m.Serve.AdmissionDrops {
-				ids = append(ids, int(id))
-			}
-			sort.Ints(ids)
-			drops := ""
-			for i, id := range ids {
-				if i > 0 {
-					drops += " "
-				}
-				drops += fmt.Sprintf("%d:%d", id, m.Serve.AdmissionDrops[uint16(id)])
-			}
-			line += fmt.Sprintf(" | admission drops [%s]", drops)
-		}
-		if len(m.Serve.QueueDepth) > 0 {
-			depth := 0
-			for _, d := range m.Serve.QueueDepth {
-				depth += d
-			}
-			line += fmt.Sprintf(" | admitted backlog %d", depth)
-		}
+			m.TxFrames, m.TxBytes, m.Serve.Line(m.Served))
 		if h := m.Health; h.Quarantines > 0 || h.Unavailable > 0 {
 			line += fmt.Sprintf(" | health: quarantines %d, readmissions %d, relocks %d/%d fail, probes %d/%d fail, unavailable %d",
 				h.Quarantines, h.Readmissions, h.Relocks, h.RelockFailures,
@@ -240,23 +208,6 @@ func main() {
 		}
 		if m.ModelInstalls > 0 || m.ModelInstallErrors > 0 {
 			line += fmt.Sprintf(" | installs %d (%d rejected)", m.ModelInstalls, m.ModelInstallErrors)
-		}
-		if s := m.Serve; s.RxBatchSize.Count > 0 || s.TxBatchSize.Count > 0 {
-			line += fmt.Sprintf(" | wire: rx-batch mean %.1f, tx-batch mean %.1f, syscalls rx %d tx %d",
-				s.RxBatchSize.Mean(), s.TxBatchSize.Mean(), s.RxSyscalls, s.TxSyscalls)
-			if m.Served > 0 && s.RxSyscalls+s.TxSyscalls > 0 {
-				line += fmt.Sprintf(" (%.2f/query)", float64(s.RxSyscalls+s.TxSyscalls)/float64(m.Served))
-			}
-			line += fmt.Sprintf(", offload gso %s gro %s", onOff(s.GSO), onOff(s.GRO))
-			if s.Truncated > 0 {
-				line += fmt.Sprintf(", truncated %d", s.Truncated)
-			}
-			if s.CoalescedFrames > 0 || s.OversizedCoalesce > 0 {
-				line += fmt.Sprintf(", coalesced frames %d (oversized drops %d)", s.CoalescedFrames, s.OversizedCoalesce)
-			}
-			if s.DeadlineErrors > 0 {
-				line += fmt.Sprintf(", deadline-err %d", s.DeadlineErrors)
-			}
 		}
 		if b := m.Batch; b.Queries > 0 || m.BatchPending > 0 {
 			line += fmt.Sprintf(" | batch: %d queries / %d flushes (full %d, timer %d, drain %d), max %d, pending %d",

@@ -10,8 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/lightning-smartnic/lightning/internal/frontdoor"
 	"github.com/lightning-smartnic/lightning/internal/health"
-	"github.com/lightning-smartnic/lightning/internal/netbatch"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 	"github.com/lightning-smartnic/lightning/internal/nn"
 )
@@ -132,12 +132,11 @@ type Coordinator struct {
 	served, degraded, restarts  atomic.Uint64
 	replans, hedges, hopRetries atomic.Uint64
 	installs, installErrors     atomic.Uint64
-	decodeErrors, writeErrors   atomic.Uint64
 
-	// wireCtr tallies front-door batched-I/O syscalls (internal/netbatch).
-	wireCtr netbatch.Counters
-
+	// reassembly is the front door's reassembly table; door is the front
+	// door itself, whose counters accumulate across ServeUDP calls.
 	reassembly *nic.Reassembler
+	door       *frontdoor.Door
 
 	closing   chan struct{}
 	closeOnce sync.Once
@@ -191,6 +190,8 @@ func New(cfg Config) (*Coordinator, error) {
 		reassembly: nic.NewReassembler(256),
 		closing:    make(chan struct{}),
 	}
+	c.door = frontdoor.New(c.reassembly, frontdoor.WireConfig{}, nic.AdmissionConfig{},
+		func() time.Time { return c.now() })
 	for i, addr := range cfg.Nodes {
 		nc, err := dialNode(addr)
 		if err != nil {
@@ -217,8 +218,8 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// SetClock replaces the coordinator's time source (tests drive budget math
-// with a logical clock). Call before serving.
+// SetClock replaces the coordinator's time source, front door included
+// (tests drive budget math with a logical clock). Call before serving.
 func (c *Coordinator) SetClock(now func() time.Time) { c.now = now }
 
 // Close tears down the recovery loop and every node channel.

@@ -62,6 +62,10 @@ type StubConn struct {
 	// MaxReadBatch caps how many datagrams one ReadBatch call drains
 	// (0 = no cap): rx-batch-size distribution tests shape bursts with it.
 	MaxReadBatch int
+	// FailDeadlines makes every SetReadDeadline arm fail (still counted) —
+	// a socket that refuses the serve loop's read deadline. Set before
+	// serving.
+	FailDeadlines bool
 }
 
 // NewStubConn builds a stub conn preloaded with the given datagrams.
@@ -207,6 +211,9 @@ func (c *StubConn) SetDeadline(time.Time) error { return nil }
 // can assert the serve loop's once-per-batch deadline cadence.
 func (c *StubConn) SetReadDeadline(time.Time) error {
 	c.deadlineCalls.Add(1)
+	if c.FailDeadlines {
+		return errors.New("fault: read deadline refused")
+	}
 	return nil
 }
 

@@ -1,4 +1,4 @@
-package lightning
+package frontdoor
 
 import (
 	"math/bits"
@@ -40,7 +40,7 @@ func (h *sizeHist) observe(n int) {
 	h.sum.Add(uint64(n))
 }
 
-// snapshot copies the histogram for a Metrics scrape.
+// snapshot copies the histogram for a Stats scrape.
 func (h *sizeHist) snapshot() SizeHist {
 	var s SizeHist
 	for i := range h.buckets {
@@ -51,7 +51,7 @@ func (h *sizeHist) snapshot() SizeHist {
 	return s
 }
 
-// SizeHist is a batch-size distribution snapshot (Metrics.Serve).
+// SizeHist is a batch-size distribution snapshot (Stats).
 type SizeHist struct {
 	// Buckets counts batches of size 1, 2, 3-4, 5-8, 9-16, 17-32, 33-64,
 	// and 65+, in that order.
@@ -85,7 +85,7 @@ func (h SizeHist) Mean() float64 {
 // costs no allocation. The batcher is mutex-guarded: the inline reader uses
 // it uncontended, the worker pool shares it.
 type txBatcher struct {
-	n        *NIC
+	d        *Door
 	bc       netbatch.BatchConn
 	mtu      int
 	coalesce bool
@@ -100,9 +100,9 @@ type txBatcher struct {
 	free [][]byte
 }
 
-// newTxBatcher builds the NIC's tx batcher over a wrapped conn.
-func newTxBatcher(n *NIC, bc netbatch.BatchConn) *txBatcher {
-	t := &txBatcher{n: n, bc: bc, mtu: n.wire.MTU, coalesce: n.wire.TxCoalesce}
+// newTxBatcher builds the front door's tx batcher over a wrapped conn.
+func newTxBatcher(d *Door, bc netbatch.BatchConn) *txBatcher {
+	t := &txBatcher{d: d, bc: bc, mtu: d.wire.MTU, coalesce: d.wire.TxCoalesce}
 	if t.coalesce {
 		t.open = make(map[net.Addr]int)
 	}
@@ -125,7 +125,7 @@ func (t *txBatcher) getBuf() []byte {
 // AppendEncode, queue appends into retained storage (pending and the
 // recycled buffers), so it carries no hotpath marker — growth amortizes to
 // zero in steady state.
-func (t *txBatcher) queue(resp *Response, addr net.Addr) {
+func (t *txBatcher) queue(resp *nic.Response, addr net.Addr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.coalesce {
@@ -144,7 +144,7 @@ func (t *txBatcher) queue(resp *Response, addr net.Addr) {
 	}
 	buf, err := nic.AppendResponseFrame(t.getBuf(), resp)
 	if err != nil {
-		t.n.writeErrors.Add(1)
+		t.d.writeErrors.Add(1)
 		t.putBuf(buf)
 		return
 	}
@@ -173,7 +173,7 @@ func (t *txBatcher) flush() {
 	if len(t.pending) == 0 {
 		return
 	}
-	t.n.txBatchHist.observe(len(t.pending))
+	t.d.txHist.observe(len(t.pending))
 	ms := t.pending
 	for len(ms) > 0 {
 		sent, err := t.bc.WriteBatch(ms)
@@ -184,7 +184,7 @@ func (t *txBatcher) flush() {
 			}
 			// The failed message is ms[0]: count it, skip it, keep going —
 			// one unreachable client must not drop the rest of the batch.
-			t.n.writeErrors.Add(1)
+			t.d.writeErrors.Add(1)
 			ms = ms[1:]
 			continue
 		}

@@ -21,7 +21,7 @@ func AtomicCounter() *Analyzer {
 		Name: "atomiccounter",
 		Doc:  "flags plain-integer counter fields mutated without the owning mutex; require sync/atomic",
 		Match: func(pkgPath string) bool {
-			return pathIn(pkgPath, ModulePath, "", "internal/nic", "internal/mem")
+			return pathIn(pkgPath, ModulePath, "", "internal/nic", "internal/mem", "internal/frontdoor")
 		},
 		Run: runAtomicCounter,
 	}

@@ -9,8 +9,9 @@ import (
 // deadlines only bound the work they actually reach, so a helper that quietly
 // substitutes context.Background() for the caller's context detaches exactly
 // the work shutdown most needs to bound (PR 7's admission queues and PR 2's
-// drain path both hang off the serve context). Two rules, scoped to the wire
-// and load-generation packages and the serve/client/loadgen binaries:
+// drain path both hang off the serve context). Two rules, scoped to the wire,
+// front-door and load-generation packages and the serve/client/loadgen
+// binaries:
 //
 //  1. No context.Background() or context.TODO() outside func main — roots
 //     belong at the program's entry point (or in tests, which the loader
@@ -28,7 +29,7 @@ func CtxFlow() *Analyzer {
 		Doc:  "flags context.Background/TODO outside main and callees handed a context not derived from the caller's",
 		Match: func(pkgPath string) bool {
 			return pathIn(pkgPath, ModulePath, "",
-				"internal/nic", "internal/loadgen",
+				"internal/nic", "internal/frontdoor", "internal/loadgen",
 				"cmd/lightning-serve", "cmd/lightning-client", "cmd/lightning-loadgen")
 		},
 		Run: runCtxFlow,

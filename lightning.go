@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -29,9 +28,9 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/dagloader"
 	"github.com/lightning-smartnic/lightning/internal/datapath"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
+	"github.com/lightning-smartnic/lightning/internal/frontdoor"
 	"github.com/lightning-smartnic/lightning/internal/health"
 	"github.com/lightning-smartnic/lightning/internal/mem"
-	"github.com/lightning-smartnic/lightning/internal/netbatch"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 	"github.com/lightning-smartnic/lightning/internal/nn"
 	"github.com/lightning-smartnic/lightning/internal/pcap"
@@ -57,6 +56,12 @@ type (
 	AdmitPolicy = nic.AdmitPolicy
 	// Verdict classifies a parsed frame.
 	Verdict = nic.Verdict
+	// WireConfig tunes the batched wire path (DESIGN.md §16).
+	WireConfig = frontdoor.WireConfig
+	// ServeDrops counts per-reason losses at the serve path's edges.
+	ServeDrops = frontdoor.Stats
+	// SizeHist is a batch-size distribution snapshot (Metrics.Serve).
+	SizeHist = frontdoor.SizeHist
 )
 
 // Parser verdicts, re-exported.
@@ -158,43 +163,6 @@ type Config struct {
 	AllowModelInstall bool
 }
 
-// WireConfig tunes the batched zero-copy wire path (DESIGN.md §16).
-type WireConfig struct {
-	// RxBatch is how many datagrams one batched read may drain (default
-	// 16). On the Linux fast path that is one recvmmsg syscall per burst;
-	// the portable fallback reads one datagram per call regardless.
-	RxBatch int
-	// TxLinger bounds how long a response may wait in ServeUDPWorkers'
-	// per-destination tx batcher for companions before a background flush
-	// (default 0: write-through, each response flushes immediately). When
-	// admission deadlines are in play, carve the linger from the admission
-	// budget — lingering longer than the client waits is pure loss;
-	// cmd/lightning-serve's -tx-linger flag documents the carve.
-	TxLinger time.Duration
-	// TxCoalesce packs multiple response frames bound for the same
-	// destination into one MTU-bounded datagram (wire-level frame
-	// coalescing on tx). Off by default: clients must speak frame
-	// coalescing to unpack such datagrams, so it is opt-in at the server.
-	// Batched multi-datagram flushes (sendmmsg) happen regardless.
-	TxCoalesce bool
-	// MTU bounds a coalesced tx datagram's payload bytes (default 1400,
-	// matching the fragmenter's conservative Ethernet fit).
-	MTU int
-	// ForceFallback pins the portable single-message path even where the
-	// multi-message fast path exists — the differential-testing override
-	// (the LIGHTNING_NETBATCH=fallback environment toggle does the same
-	// without a rebuild).
-	ForceFallback bool
-}
-
-// defaultRxBatch is the resolved WireConfig.RxBatch: wide enough to drain a
-// saturation-level burst per syscall, narrow enough that one batch's
-// buffers stay cache-resident.
-const defaultRxBatch = 16
-
-// defaultWireMTU bounds coalesced tx datagrams (WireConfig.MTU).
-const defaultWireMTU = 1400
-
 // DefaultConfig matches the §6 prototype.
 func DefaultConfig() Config { return Config{Lanes: 2, Seed: 1} }
 
@@ -283,44 +251,12 @@ type NIC struct {
 	closing   chan struct{}
 	closeOnce sync.Once
 
-	// Serve-edge loss accounting: datagrams dropped before the datapath
-	// and responses lost after it.
-	queueFullDrops atomic.Uint64
-	decodeErrors   atomic.Uint64
-	writeErrors    atomic.Uint64
-	deadlineErrors atomic.Uint64
-	// shedDrops counts dequeued requests dropped because their latency
-	// budget had already elapsed in queue (deadline-aware shedding).
-	shedDrops atomic.Uint64
-
-	// wire is the resolved Config.Wire policy.
-	wire WireConfig
-	// netCtr receives the batch seam's syscall accounting for every conn
-	// the serve loops wrap (Metrics.Serve.RxSyscalls/TxSyscalls).
-	netCtr netbatch.Counters
-	// serveConn is the most recently attached serve socket's seam, whose
-	// offload state Metrics.Serve reports. noOffload is the differential
-	// tests' hook: serve switches both offloads off instead of enabling GRO.
-	serveConn atomic.Pointer[netbatch.BatchConn]
+	// door is the UDP front end every entry shares (internal/frontdoor):
+	// reassembly, admission, the serve loop and its edge counters.
+	// noOffload is the differential tests' hook: serve switches both
+	// offloads off instead of enabling GRO.
+	door      *frontdoor.Door
 	noOffload bool
-	// rxBatchHist / txBatchHist are the batch-efficacy histograms:
-	// datagrams per batched read, datagrams per tx flush.
-	rxBatchHist sizeHist
-	txBatchHist sizeHist
-	// coalescedFrames counts query frames beyond the first unpacked from
-	// multi-frame rx datagrams; oversizedCoalesce counts malformed
-	// coalesced tails dropped after at least one valid frame.
-	coalescedFrames   atomic.Uint64
-	oversizedCoalesce atomic.Uint64
-
-	// admission is the resolved Config.Admission policy; admit holds the
-	// live Admitter while ServeUDPWorkers runs (queue-depth gauges).
-	admission nic.AdmissionConfig
-	admit     atomic.Pointer[nic.Admitter]
-	// admitMu guards admitDropsByModel, the per-model partition of the
-	// QueueFull aggregate.
-	admitMu           sync.Mutex
-	admitDropsByModel map[uint16]uint64
 
 	// tapWriteErrors counts pcap capture failures; the tap is best-effort
 	// but an incomplete capture must be visible to whoever is debugging
@@ -389,61 +325,6 @@ type Metrics struct {
 	Health HealthStats
 }
 
-// ServeDrops counts datagrams and responses lost at the edges of the serve
-// path, per reason — the overload and fault visibility a deployment needs.
-type ServeDrops struct {
-	// QueueFull counts decoded queries dropped at admission because their
-	// model's queue was at its bound (backpressure under overload).
-	// AdmissionDrops partitions the same events per model.
-	QueueFull uint64
-	// Shed counts admitted requests dropped at dequeue because their
-	// latency budget (AdmitPolicy.Budget) had already elapsed while they
-	// sat queued — served-late answers the clients would have discarded.
-	Shed uint64
-	// AdmissionDrops is the per-model breakdown of QueueFull, keyed by
-	// wire model ID (nil until a drop happens).
-	AdmissionDrops map[uint16]uint64
-	// QueueDepth is the instantaneous per-model admission queue depth
-	// while a ServeUDPWorkers loop is (or was last) attached (nil
-	// otherwise) — the gauge that shows where backlog is building.
-	QueueDepth map[uint16]int
-	// DecodeErrors counts datagrams that failed wire decode.
-	DecodeErrors uint64
-	// WriteErrors counts response datagrams whose socket write failed.
-	WriteErrors uint64
-	// DeadlineErrors counts failed read-deadline arms on the serve
-	// socket. The loops keep serving (a closed socket surfaces as a read
-	// error immediately after), but a persistent count means cancellation
-	// latency is degraded.
-	DeadlineErrors uint64
-	// Truncated counts rx datagrams longer than their read slot: the fast
-	// path drops them unwalked instead of serving a cut frame.
-	Truncated uint64
-	// RxBatchSize and TxBatchSize are bounded histograms of datagrams
-	// moved per batched read and per tx flush — the observability that
-	// says whether wire batching is actually amortizing anything. A
-	// GRO-coalesced train counts as its datagrams, not as one.
-	RxBatchSize SizeHist
-	TxBatchSize SizeHist
-	// CoalescedFrames counts query frames beyond the first unpacked from
-	// multi-frame rx datagrams (wire-level frame coalescing in action).
-	CoalescedFrames uint64
-	// OversizedCoalesce counts malformed coalesced tails dropped after at
-	// least one valid frame in the same datagram: the strict length-prefix
-	// walk refused to serve a partial frame. (A datagram whose first frame
-	// is malformed counts in DecodeErrors instead.)
-	OversizedCoalesce uint64
-	// RxSyscalls and TxSyscalls count batch-seam socket operations
-	// (including poll-probe wakeups on the fast path); Served divided by
-	// their sum is the amortized queries-per-syscall figure the bench
-	// suite gates on.
-	RxSyscalls, TxSyscalls uint64
-	// GSO and GRO report whether segmented sends and coalesced reads are
-	// live on the most recently attached serve socket, after any sticky
-	// fallback — false on the portable path or where the kernel refused.
-	GSO, GRO bool
-}
-
 // Metrics returns a consistent snapshot.
 func (n *NIC) Metrics() Metrics {
 	m := Metrics{
@@ -461,34 +342,7 @@ func (n *NIC) Metrics() Metrics {
 		TapWriteErrors:     n.tapWriteErrors.Load(),
 		ModelInstalls:      n.installs.Load(),
 		ModelInstallErrors: n.installErrors.Load(),
-		Serve: ServeDrops{
-			QueueFull:         n.queueFullDrops.Load(),
-			Shed:              n.shedDrops.Load(),
-			DecodeErrors:      n.decodeErrors.Load(),
-			WriteErrors:       n.writeErrors.Load(),
-			DeadlineErrors:    n.deadlineErrors.Load(),
-			Truncated:         n.netCtr.Truncated.Load(),
-			RxBatchSize:       n.rxBatchHist.snapshot(),
-			TxBatchSize:       n.txBatchHist.snapshot(),
-			CoalescedFrames:   n.coalescedFrames.Load(),
-			OversizedCoalesce: n.oversizedCoalesce.Load(),
-			RxSyscalls:        n.netCtr.ReadCalls.Load(),
-			TxSyscalls:        n.netCtr.WriteCalls.Load(),
-		},
-	}
-	if bc := n.serveConn.Load(); bc != nil {
-		m.Serve.GSO, m.Serve.GRO = netbatch.Offload(*bc)
-	}
-	n.admitMu.Lock()
-	if len(n.admitDropsByModel) > 0 {
-		m.Serve.AdmissionDrops = make(map[uint16]uint64, len(n.admitDropsByModel))
-		for id, c := range n.admitDropsByModel {
-			m.Serve.AdmissionDrops[id] = c
-		}
-	}
-	n.admitMu.Unlock()
-	if ad := n.admit.Load(); ad != nil {
-		m.Serve.QueueDepth = ad.Depths()
+		Serve:              n.door.Stats(),
 	}
 	if n.batcher != nil {
 		m.Batch = n.batcher.Stats()
@@ -604,20 +458,12 @@ func New(cfg Config) (*NIC, error) {
 	if cfg.Batch.Enabled() && cfg.Batch.MaxDelay <= 0 {
 		cfg.Batch.MaxDelay = nic.DefaultBatchDelay
 	}
-	if cfg.Wire.RxBatch <= 0 {
-		cfg.Wire.RxBatch = defaultRxBatch
-	}
-	if cfg.Wire.MTU <= 0 {
-		cfg.Wire.MTU = defaultWireMTU
-	}
 	n := &NIC{
 		parser:         nic.NewParser(),
 		link:           nic.NewLink(),
 		reassembly:     nic.NewReassemblerTTL(256, ttl),
 		store:          store,
 		shards:         shards,
-		admission:      cfg.Admission,
-		wire:           cfg.Wire,
 		allowInstall:   cfg.AllowModelInstall,
 		probeTolerance: cfg.ProbeTolerance,
 		relockAttempts: cfg.RelockAttempts,
@@ -625,6 +471,7 @@ func New(cfg Config) (*NIC, error) {
 		drainTimeout:   cfg.DrainTimeout,
 		closing:        make(chan struct{}),
 	}
+	n.door = frontdoor.New(n.reassembly, cfg.Wire, cfg.Admission, time.Now)
 	if cfg.Batch.Enabled() {
 		n.batcher = nic.NewBatcher(cfg.Batch, n.execBatch)
 	}
@@ -694,53 +541,7 @@ func (n *NIC) UpdateModel(id uint16, q *TrainedModel) error {
 // an Err-flagged response and ErrUnavailable rather than a silently wrong
 // result.
 func (n *NIC) HandleMessage(msg *Message) (*Response, error) {
-	return n.handle(msg, netip.AddrPort{}, nil, nil)
-}
-
-// handle is the front half every entry shares — HandleMessage, HandleFrame,
-// the inline serve loop and the worker-pool reader: reject a stray response,
-// reassemble under the sender src (the zero source where the entry has none),
-// answer control messages on the caller, then execute the complete query
-// inline (admit nil) or offer it to the worker pool's admission stage.
-func (n *NIC) handle(msg *Message, src netip.AddrPort, admit *nic.Admitter, addr net.Addr) (*Response, error) {
-	if msg.IsResponse() {
-		// A stray response carries no work and gets no answer.
-		return nil, fmt.Errorf("lightning: received a response message")
-	}
-	// Reassembly runs ahead of admission so admission judges complete
-	// queries: fragment bookkeeping is cheap, and a query rejected at
-	// admission must not leave a partial pinned in the reassembly table.
-	query, modelID, done, err := n.reassembly.OfferFrom(src, msg)
-	if err != nil {
-		return &Response{RequestID: msg.RequestID, ModelID: msg.ModelID, Err: true}, err
-	}
-	if !done {
-		return nil, nil
-	}
-	if msg.Flags&nic.FlagControl != 0 {
-		// The control flag survives fragmentation (FragmentFlags), so the
-		// completing fragment carries it here. Control traffic (model
-		// installs) is rare and cheap relative to inference, so it bypasses
-		// admission — a full inference queue must not starve a coordinator
-		// re-plan.
-		return n.handleControl(msg.RequestID, modelID, query)
-	}
-	if admit == nil {
-		return n.serveAssembled(msg.RequestID, modelID, query)
-	}
-	if msg.Flags&nic.FlagFragment == 0 {
-		// An unfragmented query aliases the shared read buffer; copy it
-		// out before queueing. Reassembled queries already own their
-		// backing array.
-		query = append([]byte(nil), query...)
-	}
-	if !admit.Offer(modelID, wireJob{requestID: msg.RequestID, modelID: modelID, query: query, addr: addr}) {
-		// Admission reject: the model's queue is at bound — the shards
-		// cannot keep up with this model's arrival rate. Drop at ingress
-		// and account it, per model and in aggregate.
-		n.countAdmissionDrop(modelID)
-	}
-	return nil, nil
+	return n.door.Handle(msg, netip.AddrPort{}, n.serveRequest)
 }
 
 // ErrInstallDisabled rejects wire model installs on a NIC that was not
@@ -783,10 +584,13 @@ func (n *NIC) handleControl(requestID uint32, modelID uint16, payload []byte) (*
 	}
 }
 
-// serveAssembled runs one fully-reassembled query through the datapath —
-// what the worker pool's workers call after reader-side reassembly and
-// admission, and the tail of the inline path.
-func (n *NIC) serveAssembled(requestID uint32, modelID uint16, query []byte) (*Response, error) {
+// serveRequest is the NIC's front-door handler: it runs one complete
+// request, a control message through the control plane and a query through
+// the datapath.
+func (n *NIC) serveRequest(req frontdoor.Request) (*Response, error) {
+	if req.Control {
+		return n.handleControl(req.ID, req.Model, req.Query)
+	}
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
 	// Classify client mistakes (unknown model, wrong input width) before
@@ -795,8 +599,8 @@ func (n *NIC) serveAssembled(requestID uint32, modelID uint16, query []byte) (*R
 	// hardware fault — and a degraded NIC still answers them. They never
 	// enter the batch queue either: they carry no analog work to amortize
 	// and must not delay a real batch.
-	if err := n.store.Validate(modelID, len(query)); err != nil {
-		return &Response{RequestID: requestID, ModelID: modelID, Err: true}, err
+	if err := n.store.Validate(req.Model, len(req.Query)); err != nil {
+		return &Response{RequestID: req.ID, ModelID: req.Model, Err: true}, err
 	}
 	// The query's bytes are the engine's operand, not a copy of them: the
 	// engine only reads its input, and the bytes stay put until this call
@@ -804,31 +608,19 @@ func (n *NIC) serveAssembled(requestID uint32, modelID uint16, query []byte) (*R
 	// queued query was copied out of the read buffer at admission, a
 	// reassembled one owns its array, and Batcher.Do blocks until the batch
 	// has run and then drops the item's reference.
-	input := fixed.CodesOf(query)
+	input := fixed.CodesOf(req.Query)
 	if n.batcher != nil {
 		// Batched dispatch: park the query in its model's batch queue and
 		// block until the coalesced matrix pass (or a flush of one) has
 		// produced this request's verdict.
-		resp, err := n.batcher.Do(modelID, requestID, input)
+		resp, err := n.batcher.Do(req.Model, req.ID, input)
 		return &resp, err
 	}
 	// Unbatched: the same pass for a batch of one, run inline.
-	it := nic.BatchItem{RequestID: requestID, Input: input}
+	it := nic.BatchItem{RequestID: req.ID, Input: input}
 	items := [1]*nic.BatchItem{&it}
-	n.execBatch(modelID, items[:])
+	n.execBatch(req.Model, items[:])
 	return &it.Resp, it.Err
-}
-
-// countAdmissionDrop accounts one admission-bound ingress drop, in the
-// QueueFull aggregate and the per-model breakdown.
-func (n *NIC) countAdmissionDrop(modelID uint16) {
-	n.queueFullDrops.Add(1)
-	n.admitMu.Lock()
-	if n.admitDropsByModel == nil {
-		n.admitDropsByModel = make(map[uint16]uint64)
-	}
-	n.admitDropsByModel[modelID]++
-	n.admitMu.Unlock()
 }
 
 // HandleFrame processes one raw Ethernet frame exactly as the datapath
@@ -848,7 +640,7 @@ func (n *NIC) HandleFrame(frame []byte) ([]byte, Verdict, error) {
 	// Fragments reassemble per flow: two hosts that both number a request 1
 	// keep their own buffers.
 	src := netip.AddrPortFrom(parsed.Flow.Src, parsed.Flow.SrcPort)
-	resp, herr := n.handle(&parsed.Msg, src, nil, nil)
+	resp, herr := n.door.Handle(&parsed.Msg, src, n.serveRequest)
 	if resp == nil {
 		if herr != nil {
 			return nil, nic.VerdictDrop, herr

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
-	"net/netip"
 	"sync"
 	"time"
 
@@ -14,14 +13,10 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
-// readTick is how often the serve loops surface from a blocking read to
-// check for cancellation and expire stale reassembly entries.
-const readTick = 100 * time.Millisecond
-
-// rxBufPool recycles the 64 KiB datagram read buffers shared by the serve
-// loops and the client's round-trip reader, so repeated serve invocations
-// and per-attempt client reads stop re-allocating max-datagram buffers.
-// Pooled as *[]byte so Put does not re-box the slice header on every cycle.
+// rxBufPool recycles the 64 KiB datagram read buffers of the client's
+// round-trip reader, so per-attempt reads stop re-allocating max-datagram
+// buffers. Pooled as *[]byte so Put does not re-box the slice header on
+// every cycle.
 var rxBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 65536)
@@ -29,94 +24,16 @@ var rxBufPool = sync.Pool{
 	},
 }
 
-// txBufPool recycles wire-encode scratch for response (and client query)
-// frames; AppendEncode extends the pooled buffer in place, and the grown
-// capacity is retained across uses.
-var txBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 2048)
-		return &b
-	},
-}
-
-// drainDetached is the serve loops' shutdown drain. The serve context is
-// already cancelled (or the socket already dead) when it runs, so draining
-// under ctx directly would return immediately with work still in flight;
-// instead it derives a context that sheds ctx's cancellation but keeps its
-// values, re-bounded by Config.DrainTimeout so a wedged datapath or a
-// recovery loop mid-backoff cannot hang shutdown forever.
-func (n *NIC) drainDetached(ctx context.Context) error {
-	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), n.drainTimeout)
-	defer cancel()
-	return n.Drain(dctx)
-}
-
-// encodeTo serializes msg into pooled tx scratch, passes the wire bytes to
-// write, and returns the buffer to the pool. The write callback must not
-// retain the slice.
-func encodeTo(msg *Message, write func(out []byte) error) error {
-	return encodeToPooled(msg.AppendEncode, write)
-}
-
-// encodeToPooled is encodeTo with the encoder injected — the seam the
-// pool-pollution regression test drives with a failing encoder. On encode
-// failure the ORIGINAL pooled buffer is returned to the pool: adopting the
-// failure result instead would replace the retained-capacity buffer with
-// whatever the encoder handed back (possibly nil), silently bleeding the
-// capacity the pool exists to keep.
-func encodeToPooled(encode func(dst []byte) ([]byte, error), write func(out []byte) error) error {
-	bp := txBufPool.Get().(*[]byte)
-	out, err := encode((*bp)[:0])
-	if err != nil {
-		txBufPool.Put(bp)
-		return err
-	}
-	err = write(out)
-	*bp = out[:0]
-	txBufPool.Put(bp)
-	return err
-}
-
-// rxMsgBufSize is each batch slot's read-buffer size: the max UDP datagram,
-// matching the historical single-read buffer so no legal datagram — and no
-// GRO-coalesced train — truncates.
-const rxMsgBufSize = netbatch.GROSlot
-
-// wrapConn wraps a serve socket with the batch seam (internal/netbatch),
-// honoring the Config.Wire fallback override and feeding the NIC's syscall
-// counters (Metrics.Serve.RxSyscalls/TxSyscalls).
-func (n *NIC) wrapConn(pc net.PacketConn) netbatch.BatchConn {
-	if n.wire.ForceFallback {
-		return netbatch.WrapFallback(pc, &n.netCtr)
-	}
-	return netbatch.Wrap(pc, &n.netCtr)
-}
-
 // ServeUDP attaches the NIC to a UDP socket and serves Lightning wire
 // messages until the context is cancelled (requirement R1: live user
-// traffic from remote users). It is the serve loop at zero workers: the
-// reader executes every query inline — no admission stage, no query copy.
-// Reads are batched (one recvmmsg drains up to Config.Wire.RxBatch slots on
-// the Linux fast path, where pc is switched to UDP GRO for good and a slot
-// may hold one sender's datagram train, walked datagram by datagram), each
-// rx datagram may pack several concatenated query frames (wire-level frame
-// coalescing), and the batch's responses flush through one batched,
-// segmentation-offloaded write. Malformed frames are dropped and counted
-// (DecodeErrors for a bad first frame, OversizedCoalesce for a bad coalesced
-// tail); failed response writes are likewise counted rather than fatal — one
-// unreachable client must not take the server down. On cancellation the loop
-// stops reading, waits for in-flight datapath work, and returns the drain's
-// verdict (nil unless Config.DrainTimeout fired).
+// traffic from remote users). It is the front door (DESIGN.md §16) at zero
+// workers: the reader executes every query inline — no admission stage, no
+// query copy. Malformed frames and failed writes are counted per reason in
+// Metrics.Serve, never fatal. On cancellation the loop stops reading, waits
+// for in-flight datapath work, and returns the drain's verdict (nil unless
+// Config.DrainTimeout fired).
 func (n *NIC) ServeUDP(ctx context.Context, pc net.PacketConn) error {
 	return n.serve(ctx, pc, 0)
-}
-
-// wireJob is one fully-reassembled query admitted toward the worker pool.
-type wireJob struct {
-	requestID uint32
-	modelID   uint16
-	query     []byte
-	addr      net.Addr
 }
 
 // ServeUDPWorkers is ServeUDP with a worker pool behind an admission stage:
@@ -131,31 +48,16 @@ type wireJob struct {
 // Cores=N up to N queries run through the photonics truly in parallel.
 // Sizing workers at or above Cores keeps every shard busy.
 //
-// Overload degrades visibly rather than wedging ingest, along three edges:
+// Overload degrades visibly rather than wedging ingest: a query arriving at
+// its model's full queue (AdmitPolicy.MaxQueue, default workers*4) is
+// dropped at ingress and counted in Metrics.Serve.QueueFull and
+// AdmissionDrops; workers dequeue by smooth weighted round-robin
+// (AdmitPolicy.Weight); and a query whose latency budget (AdmitPolicy.Budget)
+// elapsed in queue is shed, counted in Metrics.Serve.Shed, never served. On
+// cancellation admitted queries drain through the workers and the call
+// returns as ServeUDP does.
 //
-//   - Admission: each model's queue is bounded (AdmitPolicy.MaxQueue,
-//     defaulting to workers*4). A query arriving at a full queue is dropped
-//     at ingress and counted — per model in Metrics.Serve.AdmissionDrops,
-//     and in the Metrics.Serve.QueueFull aggregate — without blocking the
-//     reader or displacing other models' queries. Because reassembly
-//     happens before admission, a dropped fragmented query pins no
-//     reassembly slot: its table entry was already released on completion.
-//   - Priority: workers dequeue by smooth weighted round-robin over the
-//     per-model queues (AdmitPolicy.Weight), so under contention each model
-//     gets a weight-proportional share of the shards.
-//   - Shedding: a dequeued query whose latency budget (AdmitPolicy.Budget)
-//     already elapsed while queued is shed — counted in Metrics.Serve.Shed,
-//     never served — because a response the client has timed out on is pure
-//     waste heat. The client's retry, not a late answer, is the recovery.
-//
-// On cancellation the reader stops, admitted jobs drain through the workers
-// (still subject to shedding), their responses flush, and the call returns
-// as ServeUDP does.
-//
-// With Config.Batch enabled, workers are also what fills batches: each
-// worker's query parks in the per-model batch queue until MaxBatch callers
-// have arrived or MaxDelay expires, so cross-query batching only pays off
-// when workers > 1 keeps several same-model queries in flight at once. Size
+// With Config.Batch enabled, workers are also what fills batches: size
 // workers at or above Cores × MaxBatch to let every shard flush full
 // batches.
 func (n *NIC) ServeUDPWorkers(ctx context.Context, pc net.PacketConn, workers int) error {
@@ -165,191 +67,19 @@ func (n *NIC) ServeUDPWorkers(ctx context.Context, pc net.PacketConn, workers in
 	return n.serve(ctx, pc, workers)
 }
 
-// serve is the one rx loop behind both entry points. With workers == 0 the
-// reader runs each complete query inline and flushes the rx batch's responses
-// in one write; with workers > 0 it feeds the admission stage and a pool of
-// workers executes and responds. Either way a fatal read error or a
-// cancellation drains before returning: admitted jobs finish, lingering
-// responses flush, and queries parked in a batch queue behind a MaxDelay
-// timer (a concurrent HandleMessage caller's) are flushed rather than
-// abandoned. The read error, not any drain error, is the story when both
-// exist.
+// serve runs the front door with the datapath as its handler, then drains
+// queries parked behind a MaxDelay timer. ctx is already cancelled by then,
+// so the drain sheds its cancellation, re-bounded by Config.DrainTimeout so
+// a wedged datapath or a recovery loop mid-backoff cannot hang shutdown. The
+// read error, not any drain error, is the story when both exist.
 func (n *NIC) serve(ctx context.Context, pc net.PacketConn, workers int) error {
-	bc := n.wrapConn(pc)
-	// GRO is the serve socket's alone: its slots hold any coalesced train,
-	// and readLoop cuts every slot back into datagrams.
-	if n.noOffload {
-		netbatch.DisableOffload(bc)
-	} else if err := netbatch.EnableGRO(bc, rxMsgBufSize); err != nil {
-		return err
-	}
-	n.serveConn.Store(&bc)
-	tx := newTxBatcher(n, bc)
-	var admit *nic.Admitter
-	stopWorkers := func() {}
-	if workers > 0 {
-		admit = nic.NewAdmitter(n.admission, workers*4)
-		n.admit.Store(admit)
-		stopWorkers = n.startWorkers(admit, tx, workers)
-	}
-	err := n.readLoop(ctx, bc, admit, tx)
-	stopWorkers()
-	tx.flush()
-	if derr := n.drainDetached(ctx); err == nil {
+	err := n.door.Serve(ctx, pc, workers, n.serveRequest, n.noOffload)
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), n.drainTimeout)
+	defer cancel()
+	if derr := n.Drain(dctx); err == nil {
 		err = derr
 	}
 	return err
-}
-
-// startWorkers launches the worker pool (and, with a linger budget, the tx
-// flusher) and returns the function that retires them: close admission, let
-// the workers finish every admitted job, then stop the flusher.
-func (n *NIC) startWorkers(admit *nic.Admitter, tx *txBatcher, workers int) (stop func()) {
-	// With a linger budget (Config.Wire.TxLinger), workers queue responses
-	// and a flusher goroutine sweeps them on the linger cadence, so replies
-	// from several workers pack into one batched write; without one, workers
-	// write through immediately — no response ever waits on a timer the
-	// operator did not grant.
-	linger := n.wire.TxLinger
-	var flusher sync.WaitGroup
-	stopFlusher := make(chan struct{})
-	if linger > 0 {
-		flusher.Add(1)
-		go func() {
-			defer flusher.Done()
-			t := time.NewTicker(linger)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopFlusher:
-					return
-				case <-t.C:
-					tx.flush()
-				}
-			}
-		}()
-	}
-	var pool sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		pool.Add(1)
-		go func() {
-			defer pool.Done()
-			for {
-				aj, ok := admit.Pop()
-				if !ok {
-					return
-				}
-				if aj.Expired(time.Now()) {
-					n.shedDrops.Add(1)
-					continue
-				}
-				j := aj.Payload.(wireJob)
-				resp, _ := n.serveAssembled(j.requestID, j.modelID, j.query)
-				tx.queue(resp, j.addr)
-				if linger == 0 {
-					tx.flush()
-				}
-			}
-		}()
-	}
-	return func() {
-		admit.Close()
-		pool.Wait()
-		close(stopFlusher)
-		flusher.Wait()
-	}
-}
-
-// readLoop is the batched rx read loop: one deadline arm per batch read,
-// idle-tick reassembly GC, cancellation observed at every tick. It returns
-// nil on cancellation and the error on a fatal read failure.
-func (n *NIC) readLoop(ctx context.Context, bc netbatch.BatchConn, admit *nic.Admitter, tx *txBatcher) error {
-	ms := netbatch.MakeMessages(n.wire.RxBatch, rxMsgBufSize)
-	for {
-		if err := bc.SetReadDeadline(time.Now().Add(readTick)); err != nil {
-			// Counted, not fatal (Metrics.Serve.DeadlineErrors): a failed
-			// deadline arm usually means the socket is closing, which the
-			// next read surfaces; meanwhile cancellation must still be
-			// observed even if reads now block indefinitely.
-			n.deadlineErrors.Add(1)
-			if ctx.Err() != nil {
-				return nil
-			}
-		}
-		cnt, err := bc.ReadBatch(ms)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				// Idle tick: expire stale partial queries even when no
-				// fragments arrive to trigger the lazy sweep.
-				n.reassembly.GC()
-				if ctx.Err() != nil {
-					return nil
-				}
-				continue
-			}
-			return err
-		}
-		dgrams := 0
-		for i := 0; i < cnt; i++ {
-			dgrams += ms[i].Datagrams()
-		}
-		n.rxBatchHist.observe(dgrams)
-		for i := 0; i < cnt; i++ {
-			// A GRO slot is cut back into its datagrams, so every
-			// per-datagram rule holds exactly as for separate reads.
-			m := &ms[i]
-			data := m.Bytes()
-			for m.Seg > 0 && len(data) > m.Seg {
-				n.walkDatagram(data[:m.Seg], m.Addr, admit, tx)
-				data = data[m.Seg:]
-			}
-			n.walkDatagram(data, m.Addr, admit, tx)
-		}
-		if admit == nil || n.wire.TxLinger == 0 {
-			// Everything the reader produced for this batch — inline
-			// answers, reassembly errors, control acks — leaves in one
-			// batched write rather than waiting for a worker's flush.
-			tx.flush()
-		}
-	}
-}
-
-// walkDatagram walks every coalesced frame in one rx datagram through the
-// shared front half, queueing whatever responses the reader itself produces
-// on the tx batcher. The length-prefix walk is strict: a malformed first
-// frame counts a decode error, a malformed tail after at least one valid
-// frame counts OversizedCoalesce — and in both cases the rest of the datagram
-// is dropped without a response, so a partial frame can never be served.
-func (n *NIC) walkDatagram(data []byte, addr net.Addr, admit *nic.Admitter, tx *txBatcher) {
-	first := true
-	for len(data) > 0 {
-		var msg Message
-		consumed, derr := msg.DecodeNext(data)
-		if derr != nil {
-			if first {
-				n.decodeErrors.Add(1)
-			} else {
-				n.oversizedCoalesce.Add(1)
-			}
-			return
-		}
-		if !first {
-			n.coalescedFrames.Add(1)
-		}
-		first = false
-		data = data[consumed:]
-		// Only a fragment is reassembled under its sender; the rest never
-		// pay for the address.
-		var src netip.AddrPort
-		if msg.Flags&nic.FlagFragment != 0 {
-			src = nic.Source(addr)
-		}
-		// The error flag rides in the response.
-		if resp, _ := n.handle(&msg, src, admit, addr); resp != nil {
-			tx.queue(resp, addr)
-		}
-	}
 }
 
 // ErrUnavailable is the typed error HandleMessage returns (alongside an

@@ -12,38 +12,6 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
-// TestEncodeToPoolNotPollutedOnError is the regression test for the tx-pool
-// pollution bug: when the encoder fails, the pooled buffer must go back to
-// the pool with its retained capacity intact — not be replaced by the
-// encoder's failure result (nil here), which would silently bleed the
-// grown capacity the pool exists to keep and turn every later encode into a
-// fresh allocation.
-func TestEncodeToPoolNotPollutedOnError(t *testing.T) {
-	// Cycle a buffer through a successful encode first so the pool holds a
-	// grown, retained-capacity buffer on this goroutine's per-P slot.
-	big := &Message{RequestID: 1, ModelID: 1, Payload: make([]byte, 8192)}
-	if err := encodeTo(big, func([]byte) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("encode boom")
-	failing := func(dst []byte) ([]byte, error) { return nil, boom }
-	var wrote bool
-	if err := encodeToPooled(failing, func([]byte) error { wrote = true; return nil }); !errors.Is(err, boom) {
-		t.Fatalf("error = %v, want the encoder's", err)
-	}
-	if wrote {
-		t.Error("write callback ran despite encode failure")
-	}
-	// The same goroutine gets its per-P pooled buffer back: it must still
-	// carry real capacity. The pre-fix code adopted the encoder's nil
-	// result, so the recycled entry came back with zero capacity.
-	bp := txBufPool.Get().(*[]byte)
-	defer txBufPool.Put(bp)
-	if cap(*bp) == 0 {
-		t.Fatal("pooled tx buffer lost its capacity after a failed encode")
-	}
-}
-
 // TestClientInferConcurrent is the regression test for the Client race:
 // parallel Infer calls on ONE client share the socket and the request-ID
 // counter. Pre-fix, goroutines interleaved Reads and stole each other's

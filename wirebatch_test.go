@@ -434,162 +434,9 @@ func TestServeWireMetrics(t *testing.T) {
 	}
 }
 
-// TestTxBatcherCoalescePacking drives the opt-in tx frame coalescer: same-
-// destination responses pack as concatenated frames into one datagram,
-// destinations never mix, and every packed datagram respects the MTU bound.
-func TestTxBatcherCoalescePacking(t *testing.T) {
-	n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 5,
-		Wire: WireConfig{TxCoalesce: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := fault.NewStubConn()
-	pc.RecordWrites = true
-	tx := newTxBatcher(n, n.wrapConn(pc))
-	addrA := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1111}
-	addrB := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 2222}
-	resp := func(id uint32) *Response {
-		return &Response{RequestID: id, ModelID: 4, Class: 1, Probs: []uint8{9, 200}}
-	}
-	tx.queue(resp(1), addrA)
-	tx.queue(resp(2), addrA)
-	tx.queue(resp(3), addrB)
-	tx.queue(resp(4), addrA)
-	tx.flush()
-	sent := pc.Sent()
-	if len(sent) != 2 {
-		t.Fatalf("datagrams = %d, want 2 (one per destination)", len(sent))
-	}
-	// Flush order follows first-queue order: A's packed datagram, then B's.
-	var gotA []uint32
-	data := sent[0]
-	for len(data) > 0 {
-		var m Message
-		consumed, derr := m.DecodeNext(data)
-		if derr != nil {
-			t.Fatalf("packed datagram failed decode: %v", derr)
-		}
-		data = data[consumed:]
-		gotA = append(gotA, m.RequestID)
-	}
-	if len(gotA) != 3 || gotA[0] != 1 || gotA[1] != 2 || gotA[2] != 4 {
-		t.Errorf("destination A frames = %v, want [1 2 4]", gotA)
-	}
-	if got := countDecodableFrames(sent[1]); got != 1 {
-		t.Errorf("destination B frames = %d, want 1", got)
-	}
-	// A fresh flush with nothing queued writes nothing.
-	before := pc.Writes()
-	tx.flush()
-	if pc.Writes() != before {
-		t.Error("empty flush wrote datagrams")
-	}
-}
-
-// TestTxBatcherCoalesceMTUBound packs responses against a tiny MTU: the
-// open datagram closes at the bound and later responses open fresh ones, so
-// no datagram ever exceeds the MTU.
-func TestTxBatcherCoalesceMTUBound(t *testing.T) {
-	// One response frame here is 12 (header) + 2 (class) + 2 (probs) = 16
-	// bytes; MTU 40 fits two frames but not three.
-	n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 5,
-		Wire: WireConfig{TxCoalesce: true, MTU: 40}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := fault.NewStubConn()
-	pc.RecordWrites = true
-	tx := newTxBatcher(n, n.wrapConn(pc))
-	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1111}
-	for id := uint32(1); id <= 5; id++ {
-		tx.queue(&Response{RequestID: id, ModelID: 4, Class: 0, Probs: []uint8{1, 2}}, addr)
-	}
-	tx.flush()
-	sent := pc.Sent()
-	if len(sent) != 3 {
-		t.Fatalf("datagrams = %d, want 3 (2+2+1 frames under MTU 40)", len(sent))
-	}
-	total := 0
-	for i, d := range sent {
-		if len(d) > 40 {
-			t.Errorf("datagram %d is %d bytes, exceeds MTU 40", i, len(d))
-		}
-		total += countDecodableFrames(d)
-	}
-	if total != 5 {
-		t.Errorf("total frames across datagrams = %d, want 5", total)
-	}
-}
-
-// TestTxBatcherWriteErrorSkipsAndCounts: a refused write counts once per
-// lost response and never abandons the rest of the flush (here every write
-// fails, so every pending response is counted and the batch still clears).
-func TestTxBatcherWriteErrorSkipsAndCounts(t *testing.T) {
-	n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := fault.NewStubConn()
-	pc.FailWrites = true
-	tx := newTxBatcher(n, n.wrapConn(pc))
-	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1111}
-	for id := uint32(1); id <= 3; id++ {
-		tx.queue(&Response{RequestID: id, ModelID: 4, Probs: []uint8{0, 0}}, addr)
-	}
-	tx.flush()
-	if got := n.Metrics().Serve.WriteErrors; got != 3 {
-		t.Errorf("WriteErrors = %d, want 3", got)
-	}
-	if pc.Writes() != 0 {
-		t.Errorf("writes = %d, want 0 (every write refused)", pc.Writes())
-	}
-	// The batch cleared despite the failures: recovery writes go through.
-	pc.FailWrites = false
-	tx.queue(&Response{RequestID: 9, ModelID: 4, Probs: []uint8{0, 0}}, addr)
-	tx.flush()
-	if pc.Writes() != 1 {
-		t.Errorf("post-recovery writes = %d, want 1", pc.Writes())
-	}
-}
-
-// TestTxBatcherSteadyStateZeroAllocs is the coalescer's AllocsPerRun guard
-// (CI bench-smoke runs it by name): once the free list and pending storage
-// are warm, queue+flush cycles allocate nothing — in both accumulation
-// modes.
-func TestTxBatcherSteadyStateZeroAllocs(t *testing.T) {
-	for _, coalesce := range []bool{false, true} {
-		name := "plain"
-		if coalesce {
-			name = "coalesce"
-		}
-		t.Run(name, func(t *testing.T) {
-			n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 5,
-				Wire: WireConfig{TxCoalesce: coalesce}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pc := fault.NewStubConn()
-			tx := newTxBatcher(n, n.wrapConn(pc))
-			addr := net.Addr(fault.Addr{})
-			resp := &Response{RequestID: 1, ModelID: 4, Class: 1, Probs: []uint8{3, 250}}
-			cycle := func() {
-				tx.queue(resp, addr)
-				tx.queue(resp, addr)
-				tx.flush()
-			}
-			for i := 0; i < 8; i++ {
-				cycle() // warm the free list and pending capacity
-			}
-			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-				t.Errorf("%s queue+flush allocates %.1f per cycle, want 0", name, allocs)
-			}
-		})
-	}
-}
-
 // FuzzCoalescedFrameDecode feeds adversarial datagrams — truncated headers,
-// stretched length prefixes, valid frames with corrupt tails — through the
-// serve path's coalesced-frame walk. Invariants: never panic, and never
+// stretched length prefixes, valid frames with corrupt tails — through
+// ServeUDP and so the front door's coalesced-frame walk. Invariants: never panic, and never
 // emit more responses than the datagram has fully-decodable frames (in
 // particular, a datagram whose first frame is malformed gets none).
 func FuzzCoalescedFrameDecode(f *testing.F) {
@@ -618,10 +465,13 @@ func FuzzCoalescedFrameDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pc := fault.NewStubConn()
-		tx := newTxBatcher(n, n.wrapConn(pc))
+		pc.Enqueue(data)
 		valid := countDecodableFrames(data)
-		n.walkDatagram(data, fault.Addr{}, nil, tx)
-		tx.flush()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // the reader walks the datagram, then exits on the idle tick
+		if err := n.ServeUDP(ctx, pc); err != nil {
+			t.Fatal(err)
+		}
 		writes := pc.Writes()
 		if valid == 0 && writes != 0 {
 			t.Fatalf("undecodable datagram %x produced %d responses", data, writes)
