@@ -1,12 +1,12 @@
-// Command lightning-bench regenerates the paper's tables and figures from
-// this reproduction's substrates, and runs the performance-trajectory
-// benchmark set. Run with -exp all (default) for the full evaluation, pick
-// one experiment, or run the named benchmarks:
+// Command lightning-bench regenerates the paper's tables and figures, and
+// the design-choice ablations, from this reproduction's substrates. Run with
+// -exp all (default) for the full evaluation, or pick one experiment; -list
+// prints every id -exp accepts. Performance is measured by the canonical
+// benchmark (bash benchmark/run.sh), not here.
 //
 //	lightning-bench -exp fig21
+//	lightning-bench -exp ablation-preamble
 //	lightning-bench -list
-//	lightning-bench -bench all -out BENCH.json
-//	lightning-bench -bench all -short -baseline BENCH_PR5.json
 package main
 
 import (
@@ -14,80 +14,29 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/lightning-smartnic/lightning/internal/bench"
 	"github.com/lightning-smartnic/lightning/internal/exp"
 )
 
 func main() {
 	id := flag.String("exp", "all", "experiment id (see -list)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	benchName := flag.String("bench", "", "run the named trajectory benchmark (or \"all\") instead of experiments")
-	benchtime := flag.String("benchtime", "", "per-benchmark measurement time (default 1s; overrides -short)")
-	short := flag.Bool("short", false, "smoke mode: 100ms per benchmark")
-	out := flag.String("out", "", "write the benchmark JSON report to this file (default stdout)")
-	baseline := flag.String("baseline", "", "prior report to embed as the before measurement")
 	flag.Parse()
 
 	if *list {
 		for _, e := range exp.IDs() {
 			fmt.Println(e)
 		}
-		for _, b := range bench.Set() {
-			fmt.Println("bench:" + b.Name)
-		}
-		return
-	}
-
-	if *benchName != "" {
-		if err := runBench(*benchName, *benchtime, *short, *out, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "lightning-bench:", err)
-			os.Exit(1)
-		}
 		return
 	}
 
 	var err error
-	switch *id {
-	case "all":
+	if *id == "all" {
 		err = exp.All(os.Stdout)
-	case "fig16full":
-		// The exact LeNet-300-100 architecture over 784 inputs: compute-
-		// heavy, so it runs only on request rather than as part of "all".
-		err = exp.Fig16Full(os.Stdout, 100, 1)
-	default:
+	} else {
 		err = exp.Run(*id, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lightning-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// runBench executes the trajectory set and writes the JSON report.
-func runBench(name, benchtime string, short bool, out, baseline string) error {
-	if benchtime == "" {
-		benchtime = "1s"
-		if short {
-			benchtime = "100ms"
-		}
-	}
-	rep, err := bench.RunSet(name, benchtime, os.Stderr)
-	if err != nil {
-		return err
-	}
-	if baseline != "" {
-		if err := rep.AttachBaseline(baseline); err != nil {
-			return err
-		}
-	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return rep.WriteJSON(w)
 }

@@ -4,8 +4,7 @@
 // emits a machine-readable JSON load report. With -sweep it walks a series
 // of offered-load levels and produces a saturation curve; with -self it
 // spins an in-process server first, so one command yields a matched
-// client+server view with zero setup (this is how BENCH_PR7.json and the CI
-// smoke job run).
+// client+server view with zero setup (this is how the CI smoke job runs).
 //
 //	lightning-loadgen -addr 127.0.0.1:4055 -models 1:256 -rate 2000 -duration 5s
 //	lightning-loadgen -self -workers 4 -models 4:256:3,5:256:1 -sweep 1000,2000,4000
@@ -23,7 +22,6 @@ import (
 	"time"
 
 	lightning "github.com/lightning-smartnic/lightning"
-	"github.com/lightning-smartnic/lightning/internal/bench"
 	"github.com/lightning-smartnic/lightning/internal/loadgen"
 	"github.com/lightning-smartnic/lightning/internal/stats"
 )
@@ -83,7 +81,7 @@ func main() {
 		}
 	}
 
-	report := bench.NewLoadReport(*dist, *seed, *conns)
+	report := loadgen.NewReport(*dist, *seed, *conns)
 	if *self {
 		report.Workers = *workers
 	}
@@ -164,7 +162,7 @@ type pointConfig struct {
 // fresh server, so server counters are per-point and the sweep's levels
 // never contaminate each other. The context bounds the in-process server's
 // lifetime (the open-loop driver itself is duration-bound).
-func runPoint(ctx context.Context, pc pointConfig) (bench.LoadPoint, error) {
+func runPoint(ctx context.Context, pc pointConfig) (loadgen.Point, error) {
 	addr := pc.addr
 	var nic *lightning.NIC
 	var stop func() error
@@ -172,7 +170,7 @@ func runPoint(ctx context.Context, pc pointConfig) (bench.LoadPoint, error) {
 		var err error
 		nic, addr, stop, err = startSelfServer(ctx, pc)
 		if err != nil {
-			return bench.LoadPoint{}, err
+			return loadgen.Point{}, err
 		}
 	}
 	res, runErr := loadgen.Run(loadgen.Config{
@@ -185,13 +183,13 @@ func runPoint(ctx context.Context, pc pointConfig) (bench.LoadPoint, error) {
 		serveErr = stop()
 	}
 	if runErr != nil {
-		return bench.LoadPoint{}, runErr
+		return loadgen.Point{}, runErr
 	}
 	if serveErr != nil {
-		return bench.LoadPoint{}, fmt.Errorf("self server: %w", serveErr)
+		return loadgen.Point{}, fmt.Errorf("self server: %w", serveErr)
 	}
 
-	point := bench.LoadPoint{
+	point := loadgen.Point{
 		OfferedRPS:  pc.rate,
 		AchievedRPS: res.OfferedRPS(),
 		GoodputRPS:  res.GoodputRPS(),
@@ -201,7 +199,7 @@ func runPoint(ctx context.Context, pc pointConfig) (bench.LoadPoint, error) {
 	}
 	for _, spec := range pc.models {
 		m := res.PerModel[spec.ID]
-		ml := bench.ModelLoad{
+		ml := loadgen.ModelLoad{
 			Model: spec.ID, Sent: m.Sent, Responses: m.Responses,
 			Errors: m.Errors, Timeouts: m.Timeouts,
 			Latency: summarize(m.Latencies),
@@ -213,7 +211,7 @@ func runPoint(ctx context.Context, pc pointConfig) (bench.LoadPoint, error) {
 	}
 	if nic != nil {
 		m := nic.Metrics()
-		point.Server = &bench.ServerCounters{
+		point.Server = &loadgen.ServerCounters{
 			Served:       m.Served,
 			QueueFull:    m.Serve.QueueFull,
 			Shed:         m.Serve.Shed,
@@ -266,12 +264,12 @@ func startSelfServer(ctx context.Context, pc pointConfig) (*lightning.NIC, strin
 }
 
 // summarize cuts the report percentiles from raw latency seconds.
-func summarize(latencies []float64) bench.LatencySummary {
+func summarize(latencies []float64) loadgen.LatencySummary {
 	if len(latencies) == 0 {
-		return bench.LatencySummary{}
+		return loadgen.LatencySummary{}
 	}
 	cdf := stats.NewCDF(latencies)
-	return bench.LatencySummary{
+	return loadgen.LatencySummary{
 		Samples: cdf.Len(),
 		P50Ms:   cdf.Percentile(0.50) * 1e3,
 		P90Ms:   cdf.Percentile(0.90) * 1e3,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/fixed"
+	"github.com/lightning-smartnic/lightning/internal/photonic"
 )
 
 // digitalConv is the reference implementation.
@@ -261,6 +262,33 @@ func TestSmallCNNThroughDatapath(t *testing.T) {
 	for j := range want {
 		if math.Abs(float64(res.Raw[j])-want[j]) > 25 {
 			t.Errorf("cnn head output %d = %d, want %.1f", j, res.Raw[j], want[j])
+		}
+	}
+}
+
+// BenchmarkConvLayer measures a 3×3 convolution through the full datapath.
+func BenchmarkConvLayer(b *testing.B) {
+	core, err := photonic.NewCore(2, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewEngine(core, 1)
+	spec := ConvSpec{InH: 12, InW: 12, InC: 2, OutC: 4, K: 3, S: 1}
+	kernels := make([][]fixed.Signed, spec.OutC)
+	for oc := range kernels {
+		kernels[oc] = make([]fixed.Signed, spec.WindowSize())
+		for i := range kernels[oc] {
+			kernels[oc][i] = fixed.Signed{Mag: fixed.Code(i * 13 % 256)}
+		}
+	}
+	input := make([]fixed.Code, spec.InH*spec.InW*spec.InC)
+	for i := range input {
+		input[i] = fixed.Code(i % 256)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.ExecuteConv(kernels, input, spec, ActReLU, 3); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

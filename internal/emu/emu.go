@@ -40,14 +40,7 @@ type Emulator struct {
 	// Noise is the analog noise model in code units (Fig 18's fit by
 	// default).
 	Noise stats.Gaussian
-	// WavelengthsPerReadout sets the noise granularity. The paper's
-	// emulator applies noise "to the results of each MAC" (value 1, the
-	// conservative default); physically, noise enters per photodetector
-	// readout, and one readout accumulates N wavelengths' MACs — so the
-	// §8 chip (N=24) sees √24 less noise per MAC than the per-MAC model
-	// assumes. The ablation benches quantify the difference.
-	WavelengthsPerReadout int
-	rng                   *rand.Rand
+	rng   *rand.Rand
 }
 
 // New returns an emulator with the prototype's raw fitted noise (Fig 18:
@@ -75,7 +68,6 @@ func NewCalibrated(seed uint64) *Emulator {
 type evalCtx struct {
 	scheme Scheme
 	noise  stats.Gaussian
-	perRd  int // wavelengths per readout (≥1)
 	rng    *rand.Rand
 }
 
@@ -107,22 +99,16 @@ func (c *evalCtx) dotNoise(k int, wScale, aScale float64) float64 {
 	if c.scheme != SchemePhotonic8 || k == 0 {
 		return 0
 	}
-	// With N wavelengths per detector readout, k MACs take ceil(k/N)
-	// readouts and each readout draws one noise sample.
-	draws := k
-	if c.perRd > 1 {
-		draws = (k + c.perRd - 1) / c.perRd
-	}
 	lsb := wScale * aScale / 255
-	mean := float64(draws) * c.noise.Mean * lsb
-	sigma := c.noise.Sigma * math.Sqrt(float64(draws)) * lsb
+	mean := float64(k) * c.noise.Mean * lsb
+	sigma := c.noise.Sigma * math.Sqrt(float64(k)) * lsb
 	return mean + sigma*c.rng.NormFloat64()
 }
 
 // Run evaluates the net on an input under the scheme and returns the output
 // logits.
 func (e *Emulator) Run(net *Net, in *Tensor, scheme Scheme) []float64 {
-	ctx := &evalCtx{scheme: scheme, noise: e.Noise, perRd: e.WavelengthsPerReadout, rng: e.rng}
+	ctx := &evalCtx{scheme: scheme, noise: e.Noise, rng: e.rng}
 	t := in
 	for _, op := range net.Ops {
 		t = op.Apply(t, ctx)

@@ -155,35 +155,6 @@ func TestDotNoiseStatistics(t *testing.T) {
 	}
 }
 
-func TestPerReadoutNoiseGranularity(t *testing.T) {
-	// With N=24 wavelengths per readout, a k-MAC dot product draws
-	// ceil(k/24) noise samples instead of k: both mean and σ shrink.
-	mkCtx := func(perRd int, seed uint64) *evalCtx {
-		return &evalCtx{
-			scheme: SchemePhotonic8,
-			noise:  New(1).Noise,
-			perRd:  perRd,
-			rng:    rand.New(rand.NewPCG(seed, seed)),
-		}
-	}
-	k := 240
-	n := 4000
-	meanOf := func(ctx *evalCtx) float64 {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += ctx.dotNoise(k, 1, 1)
-		}
-		return s / float64(n)
-	}
-	perMAC := meanOf(mkCtx(1, 3))
-	perReadout := meanOf(mkCtx(24, 3))
-	// Mean scales by the draw count ratio: 240 vs 10 draws → 24×.
-	ratio := perMAC / perReadout
-	if ratio < 20 || ratio > 28 {
-		t.Errorf("per-MAC/per-readout mean noise ratio = %.1f, want ≈24", ratio)
-	}
-}
-
 func TestTopK(t *testing.T) {
 	got := TopK([]float64{0.1, 0.9, 0.5, 0.7}, 3)
 	want := []int{1, 3, 2}

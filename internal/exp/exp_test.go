@@ -12,7 +12,8 @@ func TestRegistryComplete(t *testing.T) {
 		"fig4", "fig8", "fig14", "fig15", "fig16", "fig17", "fig18",
 		"fig19", "fig20", "fig21", "fig22", "fig23",
 		"table1", "table2", "table3", "table4", "table5", "table6", "cost",
-		"sweep", "tails",
+		"sweep", "tails", "fig16full",
+		"ablation-preamble", "ablation-sign", "ablation-wavelengths", "ablation-backpressure",
 	}
 	for _, id := range want {
 		if _, ok := Registry[id]; !ok {
@@ -98,7 +99,8 @@ func TestTextualExperimentsProduceOutput(t *testing.T) {
 	// Each fast experiment must run and emit its header.
 	ids := []string{"fig4", "fig8", "fig15", "fig17", "fig20", "fig23",
 		"table1", "table2", "table3", "table4", "table5", "table6",
-		"cost", "sweep", "tails"}
+		"cost", "sweep", "tails",
+		"ablation-preamble", "ablation-sign", "ablation-wavelengths", "ablation-backpressure"}
 	for _, id := range ids {
 		var buf bytes.Buffer
 		if err := Run(id, &buf); err != nil {

@@ -20,6 +20,8 @@ func init() {
 	register("fig8", func(w io.Writer) error { return Fig8(w, 1) })
 	register("fig14", func(w io.Writer) error { return Fig14(w, 1000, 1) })
 	register("fig16", func(w io.Writer) error { return Fig16(w, 300, 1) })
+	// The exact LeNet-300-100 architecture over 784 inputs.
+	registerHeavy("fig16full", func(w io.Writer) error { return Fig16Full(w, 100, 1) })
 	register("fig17", func(w io.Writer) error { return Fig17(w, 1) })
 	register("fig18", func(w io.Writer) error { return Fig18(w, 1000, 1) })
 	register("fig23", Fig23)
