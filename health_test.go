@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lightning-smartnic/lightning/internal/datapath"
 	"github.com/lightning-smartnic/lightning/internal/fault"
+	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
 // brightHalfQuery builds a width-wide query whose bright half encodes the
@@ -332,5 +334,53 @@ func TestCloseUnblocksRecoveryBackoff(t *testing.T) {
 	n.trip(n.shards[0])
 	if got := n.recovering.Load(); got != 0 {
 		t.Fatalf("trip after Close spawned recovery (recovering = %d)", got)
+	}
+}
+
+// TestProbeLeavesServedNoiseAlone: a known-answer probe between two queries
+// must not move the second query's noise. The probe's Step draws from the
+// shard core's noise model; every served row seeks its own keyed stream, so
+// query B's accumulators — noise on — are byte-identical whether or not a
+// probe ran on the same core after query A.
+func TestProbeLeavesServedNoiseAlone(t *testing.T) {
+	const width, rows = 256, 16
+	w := make(fixed.Matrix, rows)
+	for j := range w {
+		w[j] = make([]fixed.Signed, width)
+		for i := range w[j] {
+			w[j][i] = fixed.Signed{Mag: fixed.Code((i*37 + j*11) % 256), Neg: (i*j)%3 == 0}
+		}
+	}
+	x := make([]fixed.Code, width)
+	for i := range x {
+		x[i] = fixed.Code((i*53 + 7) % 256)
+	}
+	run := func(probe bool) []fixed.Acc {
+		n, err := New(Config{Lanes: 2, Seed: 7, Cores: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		if err := n.RegisterModel(4, "halves", halvesModel(64)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := serveQuery(t, n, 1, 4, brightHalfQuery(64, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if probe {
+			if errs := n.ProbeShards(); errs[0] != nil {
+				t.Fatal(errs[0])
+			}
+		}
+		sh := n.shards[0]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.loader.Engine.ExecuteFCBias(w, nil, x, datapath.ActIdentity, 0).Raw
+	}
+	without, with := run(false), run(true)
+	for j := range without {
+		if with[j] != without[j] {
+			t.Fatalf("query B's accumulators moved with a probe before it:\nwith:    %v\nwithout: %v", with, without)
+		}
 	}
 }

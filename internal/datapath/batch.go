@@ -33,7 +33,15 @@ import (
 // Rows sharing a burst couple no more than queries do: every sign group
 // keeps its own analog tail step and every dot its own payload segment. With
 // a noise model the ADC's phase and idle-noise draws depend on how partials
-// are framed into bursts; the core's per-step noise does not.
+// are framed into bursts; the core's per-step noise does not. Each row seeks
+// the core's noise to its own keyed stream (noiseKey: the engine's burst
+// count and the row's index) before its photonic pass, so a row's noisy
+// partials do not depend on the order rows are issued in, or on anything —
+// a health probe's Step, another row — that drew from the core in between.
+
+// noiseKey names the noise stream of one row of the engine's burst'th layer
+// burst: distinct for every (burst, row) below 2^32 rows.
+func noiseKey(burst uint64, row int) uint64 { return burst<<32 | uint64(uint32(row)) }
 
 // issueRow issues one output neuron's dot product W·x_q for every query q in
 // the batch onto the layer's burst. The weight row arrives in DRAM wire
@@ -52,7 +60,7 @@ import (
 // the cold helper. Not reentrant; the engine's single-owner contract applies.
 //
 //lint:hotpath
-func (e *Engine) issueRow(w fixed.Row, xs [][]fixed.Code, stats *LayerStats) {
+func (e *Engine) issueRow(w fixed.Row, row int, xs [][]fixed.Code, stats *LayerStats) {
 	q := len(xs)
 	n := len(w.Mags)
 	lanes := e.Core.NumLanes()
@@ -88,7 +96,8 @@ func (e *Engine) issueRow(w fixed.Row, xs [][]fixed.Code, stats *LayerStats) {
 	}
 
 	// One photonic pass: a single LUT-validity decision covers every
-	// query's sign groups.
+	// query's sign groups, drawing noise from the row's own stream.
+	e.Core.SeekNoise(noiseKey(e.bursts, row))
 	s.bParts = e.Core.DotPartialsBatchInto(s.bParts, s.bW[:bi], s.bX[:bi], s.bounds)
 	if len(s.stream) == 0 {
 		s.phase = e.ADC.RandomPhase()
@@ -310,6 +319,7 @@ func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs 
 	res := BatchFCResult{PerQuery: perQuery}
 	e.scratch.beginLayer()
 	e.armAdder()
+	e.bursts++
 	// Fixed per-layer datapath overhead: DAG configuration register writes
 	// and stream setup (the 193 ns/layer of §9 at 253.44 MHz ≈ 49 cycles) —
 	// once per batch, not once per query.
@@ -317,7 +327,7 @@ func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs 
 	for j := 0; j < rows; j++ {
 		var row fixed.Row
 		row, e.scratch.row = weights.Row(j, e.scratch.row)
-		e.issueRow(row, xs, &res.Stats)
+		e.issueRow(row, j, xs, &res.Stats)
 	}
 	e.readBurst(acc, &res.Stats)
 	for j := 0; j < rows; j++ {

@@ -3,6 +3,7 @@ package datapath
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"runtime"
@@ -28,7 +29,11 @@ import (
 // goldenBurst is burst-dependent: DatapathCycles per layer (the frames read),
 // the ADC's sample counter and its next phase draw (the ADC rng stream: phase,
 // leading and trailing idle noise). A change to how many bursts a layer emits
-// re-records this file and only this file.
+// re-records this file and only this file. A change to the core's noise
+// moves it too, from the second layer on: the noisy accumulators decide
+// which activations requantize to zero, and the sparse skip sets how many
+// samples the next layer's burst holds. Its first layer's line does not
+// move.
 //
 // goldenConv is the convolution template's noise-off numerics: Raw, Quantized,
 // the output dimensions, PhotonicSteps and KernelFetches for three geometries
@@ -69,16 +74,9 @@ func goldenNet() (layers []fixed.Matrix, biases [][]fixed.Acc) {
 	return layers, biases
 }
 
-// goldenRun serves q fixed-seed queries through a fresh prototype core and
-// engine and renders what each golden pins as text.
-func goldenRun(t *testing.T, q int) (invariant, burst string) {
-	t.Helper()
-	core, err := photonic.NewPrototypeCore(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(core, 7)
-	layers, biases := goldenNet()
+// goldenQueries draws the goldens' q fixed-seed 32-wide queries: one code in
+// six dark and two in six at full scale.
+func goldenQueries(q int) [][]fixed.Code {
 	rng := rand.New(rand.NewPCG(0xbeef, uint64(q)))
 	xs := make([][]fixed.Code, q)
 	for qi := range xs {
@@ -93,6 +91,20 @@ func goldenRun(t *testing.T, q int) (invariant, burst string) {
 			}
 		}
 	}
+	return xs
+}
+
+// goldenRun serves q fixed-seed queries through a fresh prototype core and
+// engine and renders what each golden pins as text.
+func goldenRun(t *testing.T, q int) (invariant, burst string) {
+	t.Helper()
+	core, err := photonic.NewPrototypeCore(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(core, 7)
+	layers, biases := goldenNet()
+	xs := goldenQueries(q)
 	var inv, bur strings.Builder
 	fmt.Fprintf(&inv, "batch %d\n", q)
 	fmt.Fprintf(&bur, "batch %d\n", q)
@@ -216,4 +228,64 @@ func TestConvNoiseOffGolden(t *testing.T) {
 		return
 	}
 	replayGolden(t, goldenConv, got.String())
+}
+
+// TestRowOrderIndependentNoise is parallel row issue's precondition: with the
+// prototype noise on, issuing a layer's rows in reverse order gives every
+// row's partials — each (row, query) segment, before the ADC — bit-identical
+// to forward order, on the golden net at batch 1 and 8. Each row draws from
+// its own keyed stream, so no row's noise depends on which rows went before.
+func TestRowOrderIndependentNoise(t *testing.T) {
+	layers, biases := goldenNet()
+	acts := []Activation{ActReLU, ActReLU, ActSoftmax}
+	// rowPartials issues layer l's rows in the given order on a fresh engine
+	// whose burst count stands where a served network's would at layer l.
+	rowPartials := func(w fixed.Matrix, l int, xs [][]fixed.Code, order []int) [][]float64 {
+		core, err := photonic.NewPrototypeCore(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(core, 7)
+		e.bursts = uint64(l) + 1
+		e.scratch.beginLayer()
+		e.armAdder()
+		parts := make([][]float64, len(w))
+		var stats LayerStats
+		for _, j := range order {
+			row, _ := fixed.PackRow(w[j], nil)
+			e.issueRow(row, j, xs, &stats)
+			parts[j] = append([]float64(nil), e.scratch.bParts...)
+		}
+		return parts
+	}
+	for _, q := range []int{1, 8} {
+		core, err := photonic.NewPrototypeCore(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := NewEngine(core, 7)
+		xs := goldenQueries(q)
+		for l, w := range layers {
+			fwd := make([]int, len(w))
+			rev := make([]int, len(w))
+			for j := range fwd {
+				fwd[j], rev[len(w)-1-j] = j, j
+			}
+			want, got := rowPartials(w, l, xs, fwd), rowPartials(w, l, xs, rev)
+			for j := range want {
+				if len(got[j]) != len(want[j]) {
+					t.Fatalf("batch %d layer %d row %d: %d partials in reverse order, %d forward", q, l, j, len(got[j]), len(want[j]))
+				}
+				for i := range want[j] {
+					if math.Float64bits(got[j][i]) != math.Float64bits(want[j][i]) {
+						t.Fatalf("batch %d layer %d row %d partial %d: %v in reverse order, %v forward", q, l, j, i, got[j][i], want[j][i])
+					}
+				}
+			}
+			res := served.ExecuteFCBiasBatch(w, biases[l], xs, acts[l], 3)
+			for qi, r := range res.PerQuery {
+				xs[qi] = r.Quantized
+			}
+		}
+	}
 }

@@ -95,6 +95,9 @@ type Engine struct {
 	// through, rearmed at each layer boundary.
 	adder   *CrossCycleAdder
 	scratch engineScratch
+	// bursts counts layer bursts (ExecuteFCBiasBatch calls); with the row
+	// index it keys each row's noise stream (noiseKey).
+	bursts uint64
 }
 
 // NewEngine builds an engine over the given core. seed drives the ADC's

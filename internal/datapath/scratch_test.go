@@ -38,7 +38,7 @@ func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 			row, _ := fixed.PackRow(w, nil)
 			layer := func() {
 				for j := 0; j < rows; j++ {
-					e.issueRow(row, xs, &stats)
+					e.issueRow(row, j, xs, &stats)
 				}
 				e.readBurst(out, &stats)
 			}
@@ -69,7 +69,7 @@ func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 func oneRowLayer(e *Engine, row fixed.Row, xs [][]fixed.Code, stats *LayerStats) fixed.Acc {
 	var out [1]fixed.Acc
 	e.scratch.beginLayer()
-	e.issueRow(row, xs, stats)
+	e.issueRow(row, 0, xs, stats)
 	e.readBurst(out[:], stats)
 	return out[0]
 }
@@ -118,9 +118,9 @@ func TestLayerStartsOnAnEmptyBurst(t *testing.T) {
 		}()
 		var stats LayerStats
 		row, _ := weights.Row(0, nil)
-		e.issueRow(row, xs, &stats)
+		e.issueRow(row, 0, xs, &stats)
 		short, _ := fixed.PackRow(make([]fixed.Signed, 32), nil)
-		e.issueRow(short, xs, &stats)
+		e.issueRow(short, 1, xs, &stats)
 	}
 
 	fresh := newTestEngine(t, 2, false)

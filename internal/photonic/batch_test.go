@@ -124,7 +124,8 @@ func stepPartials(c *Core, a, b []fixed.Code, bounds []int) []float64 {
 
 // TestStreamKernelMatchesStep holds the streaming kernel to Step bit for bit:
 // the partials, the step count, and — with a noise model — the draw that
-// follows, so the kernel consumed exactly Step's draws in Step's order. Group
+// follows, so the kernel consumed exactly Step's draws in Step's order, from
+// wherever SeekNoise put the cursor. Group
 // lengths cover the empty group, a lone operand, every tail length and long
 // runs; cores cover one to three lanes, a dead lane, a sagged carrier and a
 // multi-lane full scale.
@@ -185,7 +186,11 @@ func TestStreamKernelMatchesStep(t *testing.T) {
 				bounds = append(bounds, len(a))
 			}
 
+			// Both sides seek: the kernel's draws start at the cursor the
+			// seek left, as Step's do.
 			ref, kern := mk(), mk()
+			ref.SeekNoise(5<<32 | 1)
+			kern.SeekNoise(5<<32 | 1)
 			want := stepPartials(ref, a, b, bounds)
 			got := kern.DotPartialsBatchInto(nil, a, b, bounds)
 			name := fmt.Sprintf("%s noise=%v", v.name, noisy)
@@ -207,6 +212,8 @@ func TestStreamKernelMatchesStep(t *testing.T) {
 			// Dot and the one-group entry are the same kernel: the sum of
 			// one group's partials in order, with the same draws behind it.
 			lo, hi := bounds[len(bounds)-2], bounds[len(bounds)-1]
+			ref.SeekNoise(6 << 32)
+			kern.SeekNoise(6 << 32)
 			var sum float64
 			for _, p := range stepPartials(ref, a[lo:hi], b[lo:hi], []int{0, hi - lo}) {
 				sum += p

@@ -181,6 +181,11 @@ func (c *Core) CarrierPower() float64 { return c.carrier }
 // exactly the failure signature a deployment's health monitor must catch.
 func (c *Core) SetCarrierPower(p float64) { c.carrier = p }
 
+// SeekNoise moves the noise model's cursor to the head of key's stream (see
+// NoiseModel): the next readings draw their noise from that stream whatever
+// drew from the core before. It is a no-op on an ideal channel.
+func (c *Core) SeekNoise(key uint64) { c.noise.Seek(key) }
+
 // NewCore builds a core with n wavelength lanes and the given noise model
 // (nil for an ideal channel). Lane phase offsets are deterministic but
 // distinct, mimicking device-to-device variation.

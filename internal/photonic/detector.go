@@ -1,7 +1,5 @@
 package photonic
 
-import "math/rand/v2"
-
 // Photodetector converts incident light intensity into voltage by Einstein's
 // photoelectric effect: output current (and hence, through a transimpedance
 // stage, voltage) is proportional to total incident intensity, summed across
@@ -49,13 +47,24 @@ func (g *Integrator) Reset() { g.sum, g.n = 0, 0 }
 // noise jointly modeled as an additive Gaussian in ADC code units. The
 // prototype measurement of Fig 18 fits mean 2.32 and σ 1.65 on the 0–255
 // scale (0.65% of full range).
+//
+// The draws are keyed, not sequential: draw n of key k is a pure function of
+// (seed, k, n) (gauss.go). The model holds a cursor (key, ctr); Seek moves it
+// to the head of a key's stream, and every draw is taken at the cursor and
+// advances it by one. A caller that never seeks reads one stream from key 0
+// on; the datapath seeks once per (layer burst, row), so a row's noise does
+// not depend on the order rows are issued in or on what touched the core in
+// between.
 type NoiseModel struct {
 	// Mean is the DC offset of the noise in code units. Calibration can
 	// remove it; the raw prototype measurement retains it.
 	Mean float64
 	// Sigma is the standard deviation in code units.
 	Sigma float64
-	rng   *rand.Rand
+	seed  uint64
+	// base is the cursor key's stream origin under seed; ctr counts the
+	// draws taken from it.
+	base, ctr uint64
 }
 
 // PrototypeNoise returns the noise model fitted from the testbed (Fig 18),
@@ -71,30 +80,55 @@ func CalibratedNoise(seed uint64) *NoiseModel {
 	return NewNoiseModel(0, 1.65, seed)
 }
 
-// NewNoiseModel returns a Gaussian noise source with the given parameters.
+// NewNoiseModel returns a Gaussian noise source with the given parameters,
+// its cursor at the head of key 0's stream.
 func NewNoiseModel(mean, sigma float64, seed uint64) *NoiseModel {
-	return &NoiseModel{Mean: mean, Sigma: sigma, rng: rand.New(rand.NewPCG(seed, 0x11747))}
+	return &NoiseModel{Mean: mean, Sigma: sigma, seed: seed, base: streamBase(seed, 0)}
 }
 
-// Sample draws one noise value in code units.
+// Seek moves the cursor to the head of key's stream.
+func (n *NoiseModel) Seek(key uint64) {
+	if n == nil {
+		return
+	}
+	n.base, n.ctr = streamBase(n.seed, key), 0
+}
+
+// Sample draws one noise value in code units at the cursor.
 func (n *NoiseModel) Sample() float64 {
 	if n == nil {
 		return 0
 	}
-	return n.Mean + n.Sigma*n.rng.NormFloat64()
+	var r [1]float64
+	n.addTo(r[:])
+	return r[0]
 }
 
 // addTo adds one draw to each reading, in order: Sample a reading at a time,
-// without a call per reading around the draw.
+// with the draw's fast path in the loop body and only the rare slow path a
+// call.
 //
 //lint:hotpath
 func (n *NoiseModel) addTo(readings []float64) {
 	if n == nil {
 		return
 	}
+	mean, sigma := n.Mean, n.Sigma
+	s := n.base + n.ctr*weyl
 	for i := range readings {
-		readings[i] += n.Mean + n.Sigma*n.rng.NormFloat64()
+		s += weyl
+		// The ziggurat's fast path (gauss.go); normSlow finishes the rest.
+		u := wyfold(s, wyMul)
+		j := int32(u)
+		k := u >> 32 & 0x7f
+		m := j >> 31
+		x := float64(j) * wn[k]
+		if uint32((j^m)-m) >= kn[k] {
+			x = normSlow(u, s)
+		}
+		readings[i] += mean + sigma*x
 	}
+	n.ctr += uint64(len(readings))
 }
 
 // Noiseless is a nil-safe zero-noise model for ideal-channel tests.

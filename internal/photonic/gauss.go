@@ -1,0 +1,119 @@
+package photonic
+
+import (
+	"math"
+	"math/bits"
+)
+
+// The keyed Gaussian behind NoiseModel. Draw n of key k is a pure function of
+// (seed, k, n): a stream base hashed once from the seed and the key, a Weyl
+// counter base + (n+1)·γ, one wyrand 64×64→128 multiply-fold of the counter
+// into 64 random bits, and the ziggurat of Marsaglia & Tsang ("The Ziggurat
+// Method for Generating Random Variables", 2000) over those bits — the same
+// 128-strip tables, acceptance test, wedge test and Marsaglia tail as
+// math/rand/v2's NormFloat64. The ≈ 98.8 % fast path is one multiply, one
+// table compare and one table multiply, written into NoiseModel.addTo's
+// loop; the rest (normSlow) draws its further words from a second stream
+// keyed by the same counter, so every draw consumes exactly one counter
+// position and any position can be drawn without the ones before it.
+
+const (
+	// weyl is wyrand's counter increment (odd, so the counter has full
+	// period); wyMul is its fold constant.
+	weyl  = 0xa0761d6478bd642f
+	wyMul = 0xe7037ed1a0b428db
+	// slowSalt and slowMul key normSlow's second stream apart from the
+	// first: a different starting point and a different fold constant.
+	slowSalt = 0x8ebc6af09c88c6e3
+	slowMul  = 0x589965cc75374cc3
+
+	// zigR is the start of the ziggurat's tail, zigV the area of each strip.
+	zigR = 3.442619855899
+	zigV = 9.91256303526217e-3
+)
+
+// The ziggurat tables: kn[i] is strip i's fast-accept bound on |j|, wn[i]
+// maps j to x, fn[i] is the density at strip i's edge. They are generated as
+// Marsaglia & Tsang's zigset does, which reproduces math/rand/v2's tables
+// entry for entry (TestZigguratTablesMatchStdlib); wn is stored widened from
+// its float32 value so the fast path multiplies without a conversion.
+var (
+	kn [128]uint32
+	wn [128]float64
+	fn [128]float32
+)
+
+func init() {
+	const m1 = 1 << 31
+	dn, tn := zigR, zigR
+	q := zigV / math.Exp(-.5*dn*dn)
+	kn[0] = uint32(dn / q * m1)
+	wn[0] = float64(float32(q / m1))
+	wn[127] = float64(float32(dn / m1))
+	fn[0] = 1
+	fn[127] = float32(math.Exp(-.5 * dn * dn))
+	for i := 126; i >= 1; i-- {
+		dn = math.Sqrt(-2 * math.Log(zigV/dn+math.Exp(-.5*dn*dn)))
+		kn[i+1] = uint32(dn / tn * m1)
+		tn = dn
+		fn[i] = float32(math.Exp(-.5 * dn * dn))
+		wn[i] = float64(float32(dn / m1))
+	}
+}
+
+// mix64 is SplitMix64's finalizer, a bijection with full avalanche.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// streamBase is the Weyl counter origin of key's stream under seed.
+func streamBase(seed, key uint64) uint64 {
+	return mix64(mix64(seed) + key*weyl)
+}
+
+// wyfold folds a counter value into 64 random bits.
+func wyfold(s, m uint64) uint64 {
+	hi, lo := bits.Mul64(s, s^m)
+	return hi ^ lo
+}
+
+// normSlow finishes a ziggurat draw whose first word u (drawn at counter s)
+// missed the fast path: the base strip's tail, a wedge test, or a fresh
+// attempt, exactly as math/rand/v2's NormFloat64 continues — with its further
+// words from the second stream keyed by s.
+func normSlow(u, s uint64) float64 {
+	t := s ^ slowSalt
+	next := func() uint64 {
+		t += weyl
+		return wyfold(t, slowMul)
+	}
+	unit := func() float64 { return float64(next()<<11>>11) / (1 << 53) }
+	for {
+		j := int32(u)
+		i := u >> 32 & 0x7f
+		x := float64(j) * wn[i]
+		m := j >> 31
+		if uint32((j^m)-m) < kn[i] {
+			return x
+		}
+		if i == 0 {
+			for {
+				x = -math.Log(unit()) * (1.0 / zigR)
+				y := -math.Log(unit())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return zigR + x
+			}
+			return -zigR - x
+		}
+		if fn[i]+float32(unit())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
+		}
+		u = next()
+	}
+}

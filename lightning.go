@@ -109,9 +109,10 @@ type Config struct {
 	// ProbeEvery runs a known-answer probe through a shard's core every
 	// ProbeEvery served queries, catching silent analog corruption (a bias
 	// runaway, a carrier sag) that still yields well-formed responses.
-	// Default 0 disables periodic probes: each probe consumes draws from
-	// the shard's noise stream, which would perturb bit-exact reproducible
-	// runs. Probes always gate quarantine recovery regardless.
+	// Default 0 disables periodic probes. A probe draws noise at the core's
+	// cursor, but every served row seeks its own keyed stream, so probes do
+	// not move served answers. Probes always gate quarantine recovery
+	// regardless.
 	ProbeEvery int
 	// ProbeTolerance is the mean absolute known-answer error, in code
 	// units, beyond which a probe fails (default 3.0 — several sigma above
