@@ -175,7 +175,8 @@ func (a *ADC) ReadoutBurstInto(dst []Frame, prefix []fixed.Code, readings []floa
 
 // A burst readout is kept as the flat sample stream the datapath sees, frame
 // f being samples [f·SamplesPerCycle, (f+1)·SamplesPerCycle): OpenBurst,
-// any number of Digitize calls as readings arrive, CloseBurst. Idle noise is
+// any number of Digitize calls as readings arrive (or Reserve, with the
+// reserved span filled by QuantizeInto), CloseBurst. Idle noise is
 // drawn for the positions before the burst (on open) and then for those
 // after it (on close), and for nothing in between; prefix and readings both
 // count as digitized samples.
@@ -198,17 +199,40 @@ func (a *ADC) OpenBurst(buf, prefix []fixed.Code, phase int) []fixed.Code {
 	return buf
 }
 
-// Digitize quantizes analog readings onto the tail of an open burst.
+// Digitize quantizes analog readings onto the tail of an open burst: Reserve
+// then QuantizeInto.
 //
 //lint:hotpath
 func (a *ADC) Digitize(burst []fixed.Code, readings []float64) []fixed.Code {
 	at := len(burst)
-	burst = slices.Grow(burst, len(readings))[:at+len(readings)]
-	for i, v := range readings {
-		burst[at+i] = quantize(v)
-	}
-	a.Quantized += uint64(len(readings))
+	burst = a.Reserve(burst, len(readings))
+	QuantizeInto(burst[at:], readings)
 	return burst
+}
+
+// Reserve extends an open burst by n samples, counted as digitized, whose
+// codes the caller fills with QuantizeInto — in pieces, in any order, from
+// any goroutine, so long as the pieces cover them and the burst is not
+// closed first.
+//
+//lint:hotpath
+func (a *ADC) Reserve(burst []fixed.Code, n int) []fixed.Code {
+	at := len(burst)
+	burst = slices.Grow(burst, n)[:at+n]
+	a.Quantized += uint64(n)
+	return burst
+}
+
+// QuantizeInto writes the code of each reading into dst, which must be at
+// least as long: the ADC's rounding without its counters, so it is safe to
+// call on disjoint spans at once.
+//
+//lint:hotpath
+func QuantizeInto(dst []fixed.Code, readings []float64) {
+	dst = dst[:len(readings)]
+	for i, v := range readings {
+		dst[i] = quantize(v)
+	}
 }
 
 // CloseBurst ends a burst: idle noise fills its last frame (a burst with no

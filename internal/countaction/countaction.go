@@ -9,11 +9,10 @@
 // datapath tracks each inference request's computation DAG at line rate.
 //
 // Unlike Tofino's match-action units, count-action units are reconfigurable
-// at runtime (§5.4): each unit reads its target (and an action selector) from
-// a centralized RegisterFile that the DAG configuration loader rewrites when
-// a packet for a different DNN model arrives. Binding a Rule to a register
-// means reconfiguration takes effect on the next datapath cycle with no
-// pipeline flush.
+// at runtime (§5.4): the DAG configuration loader rewrites a centralized
+// RegisterFile when a packet for a different DNN model arrives, and a Rule's
+// target can be changed mid-count, taking effect at its next evaluation with
+// no pipeline flush.
 package countaction
 
 import "fmt"
@@ -76,46 +75,19 @@ type Rule struct {
 	count  Value
 	target Value
 
-	// When bound, the target is read through the register file each
-	// evaluation so the DAG loader can retune it at runtime.
-	regs *RegisterFile
-	addr Addr
-
 	action Action
 }
 
-// New creates a rule with a fixed target.
+// New creates a rule with the given target.
 func New(name string, target Value, action Action) *Rule {
 	return &Rule{Name: name, target: target, action: action}
 }
 
-// Bound creates a rule whose target lives in the control register file at
-// addr — the runtime-reconfigurable form of Fig 11.
-func Bound(name string, regs *RegisterFile, addr Addr, action Action) *Rule {
-	if regs == nil {
-		panic("countaction: Bound needs a register file")
-	}
-	return &Rule{Name: name, regs: regs, addr: addr, action: action}
-}
+// Target returns the rule's current target.
+func (r *Rule) Target() Value { return r.target }
 
-// Target returns the rule's current target (possibly read from the register
-// file).
-func (r *Rule) Target() Value {
-	if r.regs != nil {
-		return r.regs.Read(r.addr)
-	}
-	return r.target
-}
-
-// SetTarget updates the target. For a bound rule this writes through to the
-// register file, keeping hardware and software views coherent.
-func (r *Rule) SetTarget(t Value) {
-	if r.regs != nil {
-		r.regs.Write(r.addr, t)
-		return
-	}
-	r.target = t
-}
+// SetTarget updates the target; the rule's next evaluation counts toward it.
+func (r *Rule) SetTarget(t Value) { r.target = t }
 
 // SetAction replaces the triggered action (the DAG loader swaps actions when
 // retargeting a datapath template to a different layer type).

@@ -12,9 +12,9 @@ import (
 // a burst: the streamer feeds the DACs continuously (§5.1) and the preamble
 // exists to find the ADC's phase at the head of a burst (§5.2). issueRow
 // pushes one output neuron's dot product for Q queries through the photonic
-// core and digitizes the partials onto the tail of the layer's one sample
-// stream; after the last row readBurst reads that stream once and reassembles
-// every (row, query) dot from it. A lone query is the batch of one, and a
+// core, in blocks of steps (rowpass.go), and digitizes the partials onto the
+// tail of the layer's one sample stream; after the last row readBurst reads
+// that stream once and reassembles every (row, query) dot from it. A lone query is the batch of one, and a
 // convolution the layer whose rows are its kernels and whose batch is its
 // im2col windows (ExecuteConv); there is no other way to a dot product. What
 // a layer pays once for all its rows and all its queries:
@@ -24,7 +24,7 @@ import (
 //     dagloader.ServeBatch);
 //
 // and a batch once per row instead of Q times: the LUT-validity sweep of the
-// photonic pass (DotPartialsBatchInto).
+// photonic pass.
 //
 // Equivalence contract: on an ideal (noiseless) channel a batched pass is
 // bit-identical to running its queries one batch each — the analog steps per
@@ -33,11 +33,12 @@ import (
 // Rows sharing a burst couple no more than queries do: every sign group
 // keeps its own analog tail step and every dot its own payload segment. With
 // a noise model the ADC's phase and idle-noise draws depend on how partials
-// are framed into bursts; the core's per-step noise does not. Each row seeks
-// the core's noise to its own keyed stream (noiseKey: the engine's burst
-// count and the row's index) before its photonic pass, so a row's noisy
-// partials do not depend on the order rows are issued in, or on anything —
-// a health probe's Step, another row — that drew from the core in between.
+// are framed into bursts; the core's per-step noise does not. Each row draws
+// from its own keyed stream (noiseKey: the engine's burst count and the
+// row's index), step s of the row at position s, so a row's noisy partials
+// do not depend on the order rows are issued in, on which goroutines ran
+// its blocks, or on anything — a health probe's Step, another row — that
+// drew from the core in between.
 
 // noiseKey names the noise stream of one row of the engine's burst'th layer
 // burst: distinct for every (burst, row) below 2^32 rows.
@@ -49,9 +50,12 @@ func noiseKey(burst uint64, row int) uint64 { return burst<<32 | uint64(uint32(r
 // activations are non-negative codes. Each query's elements are grouped by
 // weight sign so that every photonic accumulation step carries a single
 // sign, which the cross-cycle adder-subtractor applies when reassembling
-// (§5.3, Appendix C). The partials are digitized as they are produced — the
-// first live row opens the burst, at an arbitrary phase behind the preamble
-// prefix — and a count-table entry per query records where they sit.
+// (§5.3, Appendix C). The partials are digitized a block at a time into the
+// samples the row reserves on the burst — the first live row opens the
+// burst, at an arbitrary phase behind the preamble prefix — and a
+// count-table entry per query records where they sit. A wide row's blocks
+// may be run by helper goroutines (rowpass.go); the row is theirs only
+// until issueRow returns.
 //
 // All working storage comes from the engine's scratch: after ensure has
 // grown the buffers to the layer geometry × batch size, the steady state
@@ -66,10 +70,10 @@ func (e *Engine) issueRow(w fixed.Row, row int, xs [][]fixed.Code, stats *LayerS
 	lanes := e.Core.NumLanes()
 	s := &e.scratch
 	s.ensure(n, q)
-	s.bounds = s.bounds[:2*q+1]
+	s.bounds, s.starts = s.bounds[:2*q+1], s.starts[:2*q+1]
 	s.counts = s.counts[:len(s.counts)+q]
 	counts := s.counts[len(s.counts)-q:]
-	s.bounds[0] = 0
+	s.bounds[0], s.starts[0] = 0, 0
 	bi, total := 0, 0
 	for qi, x := range xs {
 		if len(x) != n {
@@ -88,6 +92,7 @@ func (e *Engine) issueRow(w fixed.Row, row int, xs [][]fixed.Code, stats *LayerS
 		posSteps := (np + lanes - 1) / lanes
 		negSteps := (nn + lanes - 1) / lanes
 		counts[qi] = dotCount{pos: posSteps, parts: posSteps + negSteps}
+		s.starts[2*qi+1], s.starts[2*qi+2] = total+posSteps, total+posSteps+negSteps
 		total += posSteps + negSteps
 	}
 	stats.PhotonicSteps += uint64(total)
@@ -95,15 +100,28 @@ func (e *Engine) issueRow(w fixed.Row, row int, xs [][]fixed.Code, stats *LayerS
 		return
 	}
 
-	// One photonic pass: a single LUT-validity decision covers every
-	// query's sign groups, drawing noise from the row's own stream.
-	e.Core.SeekNoise(noiseKey(e.bursts, row))
-	s.bParts = e.Core.DotPartialsBatchInto(s.bParts, s.bW[:bi], s.bX[:bi], s.bounds)
+	// One photonic pass in blocks (rowpass.go): a single LUT-validity
+	// decision covers every query's sign groups, each step drawing its noise
+	// at its own position in the row's stream, each block quantizing into
+	// its own span of the burst reserved here.
 	if len(s.stream) == 0 {
 		s.phase = e.ADC.RandomPhase()
 		s.stream = e.ADC.OpenBurst(s.stream, e.pre, s.phase)
 	}
-	s.stream = e.ADC.Digitize(s.stream, s.bParts)
+	at := len(s.stream)
+	s.stream = e.ADC.Reserve(s.stream, total)
+	key := noiseKey(e.bursts, row)
+	p := &s.pass
+	p.core, p.key, p.fast, p.lanes = e.Core, key, e.Core.LUTsValid(), lanes
+	p.a, p.b, p.bounds, p.starts = s.bW[:bi], s.bX[:bi], s.bounds, s.starts
+	p.out, p.blocks = s.stream[at:], (total+blockSteps-1)/blockSteps
+	p.issue(s.parts)
+	if p.fast {
+		// Step counted its own steps and left the cursor here on a stale
+		// core; leave both where they stand after a pass from the cursor.
+		e.Core.Steps += uint64(total)
+		e.Core.SeekNoiseAt(key, uint64(total))
+	}
 }
 
 // readBurst closes the layer's burst and writes every issued dot's

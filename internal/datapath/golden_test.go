@@ -3,7 +3,6 @@ package datapath
 import (
 	"flag"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"os"
 	"runtime"
@@ -230,17 +229,17 @@ func TestConvNoiseOffGolden(t *testing.T) {
 	replayGolden(t, goldenConv, got.String())
 }
 
-// TestRowOrderIndependentNoise is parallel row issue's precondition: with the
-// prototype noise on, issuing a layer's rows in reverse order gives every
-// row's partials — each (row, query) segment, before the ADC — bit-identical
-// to forward order, on the golden net at batch 1 and 8. Each row draws from
-// its own keyed stream, so no row's noise depends on which rows went before.
+// TestRowOrderIndependentNoise: with the prototype noise on, issuing a
+// layer's rows in reverse order gives every row's payload codes in the burst
+// — each (row, query) segment as the ADC quantized it — byte-identical to
+// forward order, on the golden net at batch 1 and 8. Each row draws from its
+// own keyed stream, so no row's noise depends on which rows went before.
 func TestRowOrderIndependentNoise(t *testing.T) {
 	layers, biases := goldenNet()
 	acts := []Activation{ActReLU, ActReLU, ActSoftmax}
 	// rowPartials issues layer l's rows in the given order on a fresh engine
 	// whose burst count stands where a served network's would at layer l.
-	rowPartials := func(w fixed.Matrix, l int, xs [][]fixed.Code, order []int) [][]float64 {
+	rowPartials := func(w fixed.Matrix, l int, xs [][]fixed.Code, order []int) [][]fixed.Code {
 		core, err := photonic.NewPrototypeCore(7)
 		if err != nil {
 			t.Fatal(err)
@@ -249,12 +248,16 @@ func TestRowOrderIndependentNoise(t *testing.T) {
 		e.bursts = uint64(l) + 1
 		e.scratch.beginLayer()
 		e.armAdder()
-		parts := make([][]float64, len(w))
+		parts := make([][]fixed.Code, len(w))
 		var stats LayerStats
 		for _, j := range order {
 			row, _ := fixed.PackRow(w[j], nil)
+			at := len(e.scratch.stream)
 			e.issueRow(row, j, xs, &stats)
-			parts[j] = append([]float64(nil), e.scratch.bParts...)
+			if at == 0 { // the row that opened the burst: skip the phase and preamble
+				at = e.scratch.phase + len(e.pre)
+			}
+			parts[j] = append([]fixed.Code(nil), e.scratch.stream[min(at, len(e.scratch.stream)):]...)
 		}
 		return parts
 	}
@@ -277,8 +280,8 @@ func TestRowOrderIndependentNoise(t *testing.T) {
 					t.Fatalf("batch %d layer %d row %d: %d partials in reverse order, %d forward", q, l, j, len(got[j]), len(want[j]))
 				}
 				for i := range want[j] {
-					if math.Float64bits(got[j][i]) != math.Float64bits(want[j][i]) {
-						t.Fatalf("batch %d layer %d row %d partial %d: %v in reverse order, %v forward", q, l, j, i, got[j][i], want[j][i])
+					if got[j][i] != want[j][i] {
+						t.Fatalf("batch %d layer %d row %d sample %d: %v in reverse order, %v forward", q, l, j, i, got[j][i], want[j][i])
 					}
 				}
 			}

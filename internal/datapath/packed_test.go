@@ -134,14 +134,17 @@ func FuzzPackedViewEquivalence(f *testing.F) {
 }
 
 // TestScratchFootprintOneWideLayer pins what one wide layer leaves resident
-// in the engine: operand buffers by elements, one row's partials as float64
+// in the engine: operand buffers by elements, one block's partials as float64
 // and the whole layer's burst at a byte a sample — no second copy of it as
 // frames or as an extracted payload, no per-partial sign controls — and no
 // row buffer at all when the weights arrive as a view. Re-pinned when the
 // burst became layer-wide: its stream now holds both rows' samples where the
 // per-neuron burst held one row's three times over (sign controls sized for
 // the densest row, frames, payload), so the total must not exceed what the
-// per-neuron engine left resident for this same layer.
+// per-neuron engine left resident for this same layer. Re-pinned again when
+// a row's pass went to blocks: the floats fell from one row's partials to one
+// block's, and each helper goroutine holds one block more, so the process
+// holds at most GOMAXPROCS blocks of floats however many engines it runs.
 func TestScratchFootprintOneWideLayer(t *testing.T) {
 	const n, lanes, q = 150528, 2, 1
 	m := fixed.Matrix{make([]fixed.Signed, n), make([]fixed.Signed, n)}
@@ -167,8 +170,8 @@ func TestScratchFootprintOneWideLayer(t *testing.T) {
 	}
 	// Each row has n/2 live products: n/2/lanes partials a row.
 	const rowPartials = n / 2 / lanes
-	if cap(s.bParts) != rowPartials {
-		t.Errorf("partials buffer holds %d readings; want one row's %d", cap(s.bParts), rowPartials)
+	if cap(s.parts) != blockSteps {
+		t.Errorf("partials buffer holds %d readings; want one block's %d", cap(s.parts), blockSteps)
 	}
 	burst := 2*rowPartials + PrototypePreamble().Samples() + 2*Lanes
 	if cap(s.stream) < burst-2*Lanes || cap(s.stream) > burst*5/4 {
@@ -178,7 +181,7 @@ func TestScratchFootprintOneWideLayer(t *testing.T) {
 	// bW, bX and bParts 301056 each, bounds 24, qPos and qParts 8 each,
 	// negs 75265, frames 40960, payload 40960, rowOut 2.
 	const perNeuronBytes = 3*301056 + 24 + 8 + 8 + 75265 + 40960 + 40960 + 2
-	got := cap(s.bW) + cap(s.bX) + 8*cap(s.bounds) + cap(s.row) + 8*cap(s.bParts) +
+	got := cap(s.bW) + cap(s.bX) + 8*cap(s.bounds) + 8*cap(s.starts) + cap(s.row) + 8*cap(s.parts) +
 		cap(s.stream) + 16*cap(s.counts) + 2*cap(s.acc)
 	if got > perNeuronBytes {
 		t.Errorf("scratch holds %d bytes after one 2×%d layer; the per-neuron burst held %d", got, n, perNeuronBytes)

@@ -17,21 +17,25 @@ import (
 // rule the sharded NIC already enforces for the photonic core and DRAM
 // reader it wraps. Nothing here is safe for concurrent use, and a burst is
 // not reentrant — callers must not feed slices that alias the scratch back
-// into the engine.
+// into the engine. The one sharing is internal: while issueRow runs a wide
+// row, helper goroutines read that row's operands and write its span of the
+// stream through pass, and issueRow returns only once they have let go.
 type engineScratch struct {
 	// bW/bX hold one row's sign-partitioned operands for every query,
 	// flattened back to back (positive group then negative group per
 	// query), with one spare row width at the end where the query being
 	// partitioned stages its negative group. bounds delimits the 2Q groups
-	// for the core's pass.
-	bW, bX []fixed.Code
-	bounds []int
+	// for the core's pass and starts the row step each group begins at.
+	bW, bX         []fixed.Code
+	bounds, starts []int
 	// row is where a weight row held as []fixed.Signed is packed into wire
 	// layout on entry (fixed.PackRow); a Packed view never touches it.
 	row []byte
-	// bParts collects one row's concatenated analog partial readings,
-	// filled by Core.DotPartialsBatchInto.
-	bParts []float64
+	// parts holds the analog readings of the block the engine's goroutine
+	// is running (at most blockSteps); pass is the row those blocks belong
+	// to (rowpass.go). Helpers bring their own parts.
+	parts []float64
+	pass  rowPass
 
 	// stream is the layer's one burst as the ADC reads it, flat: idle noise
 	// up to phase, the preamble prefix, then every row's digitized partials
@@ -56,7 +60,8 @@ type dotCount struct{ pos, parts int }
 
 // ensure is issueRow's cold path: it grows the buffers to q queries of layer
 // width n. A query contributes at most n operands, so q·n bounds the
-// flattened operand buffers, plus the staging row in bW/bX. After it
+// flattened operand buffers, plus the staging row in bW/bX, and q·(n+2) the
+// steps of a row, two groups a query each rounding up to a step. After it
 // returns, the hot body runs on indexed writes and reslices only.
 func (s *engineScratch) ensure(n, q int) {
 	if len(s.bW) < (q+1)*n {
@@ -65,6 +70,10 @@ func (s *engineScratch) ensure(n, q int) {
 	}
 	if cap(s.bounds) < 2*q+1 {
 		s.bounds = make([]int, 2*q+1)
+		s.starts = make([]int, 2*q+1)
+	}
+	if steps := min(blockSteps, q*(n+2)); len(s.parts) < steps {
+		s.parts = make([]float64, steps)
 	}
 	s.counts = slices.Grow(s.counts, q)
 }

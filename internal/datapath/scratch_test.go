@@ -3,6 +3,7 @@ package datapath
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/converter"
@@ -14,12 +15,20 @@ import (
 // geometry × batch size (one warm-up layer), issuing rows and reading their
 // burst back through the full analog+digital pipeline — sign partition,
 // photonic pass, digitization behind the preamble, preamble detection,
-// cross-cycle reassembly, adder tree — must not allocate.
+// cross-cycle reassembly, adder tree — must not allocate. The wide case's
+// rows are long enough to be offered to helpers, at two Ps or more, so
+// dispatch and the wait for helpers are held to it too.
 func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
-	for _, q := range []int{1, 8} {
-		t.Run(fmt.Sprintf("q%d", q), func(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		q, in int
+	}{{"q1", 1, 64}, {"q8", 8, 64}, {"wide", 1, 4 * fanOutSteps}} {
+		t.Run(c.name, func(t *testing.T) {
+			q, in := c.q, c.in
+			if c.name == "wide" {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+			}
 			e := newTestEngine(t, 2, true)
-			const in = 64
 			w := make([]fixed.Signed, in)
 			for i := range w {
 				w[i] = fixed.Signed{Mag: fixed.Code(i*3 + 1), Neg: i%3 == 0}
@@ -42,14 +51,17 @@ func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 				}
 				e.readBurst(out, &stats)
 			}
-			layer() // warm-up: grows scratch
+			layer() // warm-up: grows scratch and starts the helpers
+			if c.name == "wide" && helpersRunning.Load() == 0 {
+				t.Fatal("no helper started: the wide rows were not offered")
+			}
 			if n := testing.AllocsPerRun(100, layer); n != 0 {
 				t.Fatalf("a layer's burst allocates %v times in steady state, want 0", n)
 			}
 			if stats.PreambleMisses != 0 || out[0] == 0 || out[rows*q-1] == 0 {
 				t.Fatalf("burst read back %v with %d preamble misses", out, stats.PreambleMisses)
 			}
-			if q == 1 {
+			if c.name == "q1" {
 				// The smallest layer, one row in a burst of its own, must
 				// not add any either.
 				var sink fixed.Acc

@@ -45,7 +45,7 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 		total += (bounds[g+1] - bounds[g] + n - 1) / n
 	}
 	dst = growPartials(dst, total)
-	fast := c.lutsValid()
+	fast := c.LUTsValid()
 	i := 0
 	for g := 0; g+1 < len(bounds); g++ {
 		lo, hi := bounds[g], bounds[g+1]
@@ -66,15 +66,38 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 	return dst
 }
 
+// PartialsAt is the kernel of DotPartialsBatchInto's fast path for one
+// operand group, with the noise position named instead of taken from the
+// cursor: it writes the ⌈len(a)/NumLanes⌉ readings of a·b into dst, with draws
+// ctr, ctr+1, … of key's noise stream added — bit for bit what
+// DotPartialsBatchInto writes for those steps when SeekNoiseAt(key, ctr) put
+// the cursor there. A group cut at a multiple of NumLanes operands and issued
+// piecewise at the matching positions reads the same as issued whole.
+//
+// It only reads the core: the cursor does not move and Steps is not counted,
+// so several goroutines may call it at once on disjoint dst while nothing
+// else touches the core. The caller counts the steps. Valid only while
+// LUTsValid holds; a stale core takes Step, through DotPartialsInto.
+//
+//lint:hotpath
+func (c *Core) PartialsAt(dst []float64, a, b []fixed.Code, key, ctr uint64) {
+	n := len(c.lanes)
+	dst = dst[:(len(a)+n-1)/n]
+	c.stream(dst, a, b)
+	if m := c.noise; m != nil {
+		m.addAt(dst, streamBase(m.seeded, key), ctr)
+	}
+}
+
 // stream is the dot kernel's first pass: one operand group's noiseless
 // readings, ⌈len(a)/lanes⌉ of them into dst, valid while the LUTs are. The
 // carrier and the detector constants sit in registers and each lane's tables
 // and taps one pointer away; nothing in the body is a call, so consecutive
 // steps' multiply chains and decode divides overlap in the processor. The
 // group's short tail step is the same body over the lanes that still have an
-// operand. The noise is the second pass, NoiseModel.addTo over the same span
-// in step order: the draw is a call into math/rand that does not inline, and
-// inside this loop it would push every held value back to memory around
+// operand. The noise is the second pass, NoiseModel.addAt over the same span
+// in step order: the draw's rare slow path is a call that does not inline,
+// and inside this loop it would push every held value back to memory around
 // itself on each step and leave the steps nothing to overlap with — the
 // per-step cost this kernel exists to remove. A reading's float operations
 // and their order, and the order of the draws, are Step's, so the readings

@@ -72,7 +72,7 @@ func TestDotPartialsBatchIntoStaleLUTFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Lanes()[0].Mod1.Bias += 0.7 // silent corruption: LUT must not mask it
-		if c.lutsValid() {
+		if c.LUTsValid() {
 			t.Fatal("LUT still valid after bias moved off the baked point")
 		}
 		return c
@@ -104,6 +104,57 @@ func TestDotPartialsBatchIntoZeroAllocs(t *testing.T) {
 		dst = core.DotPartialsBatchInto(dst, a, b, bounds)
 	}); n != 0 {
 		t.Fatalf("DotPartialsBatchInto allocates %v times per call with warm storage, want 0", n)
+	}
+}
+
+// TestPartialsAtMatchesCursorPass holds the position-addressed entry to a
+// pass from the cursor: a group cut at lane-aligned points and issued piece
+// by piece, last piece first, each at its own noise position, reads bit for
+// bit what DotPartialsInto reads after SeekNoise — and moves neither the
+// cursor nor the step count.
+func TestPartialsAtMatchesCursorPass(t *testing.T) {
+	const key = 3<<32 | 7
+	rng := rand.New(rand.NewPCG(41, 2))
+	for lanes := 1; lanes <= 3; lanes++ {
+		for _, n := range []int{0, 1, lanes, 5*lanes + 1, 997} {
+			a, b, _ := batchOperands([]int{n})
+			ref, err := NewCore(lanes, PrototypeNoise(13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.SeekNoise(key)
+			want := ref.DotPartialsInto(nil, a, b)
+
+			c, err := NewCore(lanes, PrototypeNoise(13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, len(want))
+			cuts := []int{len(want)}
+			for s := len(want); s > 0; {
+				s = rng.IntN(s)
+				cuts = append(cuts, s)
+			}
+			for i := 1; i < len(cuts); i++ {
+				lo, hi := cuts[i], cuts[i-1]
+				c.PartialsAt(got[lo:hi], a[lo*lanes:min(hi*lanes, n)], b[lo*lanes:min(hi*lanes, n)], key, uint64(lo))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%d lanes, %d operands: partial %d is %v by position, %v from the cursor", lanes, n, i, got[i], want[i])
+				}
+			}
+			if c.Steps != 0 {
+				t.Fatalf("PartialsAt counted %d steps", c.Steps)
+			}
+			fresh, err := NewCore(lanes, PrototypeNoise(13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := c.noise.Sample(), fresh.noise.Sample(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("PartialsAt moved the cursor: next draw %v, a fresh core's %v", g, w)
+			}
+		}
 	}
 }
 

@@ -186,6 +186,10 @@ func (c *Core) SetCarrierPower(p float64) { c.carrier = p }
 // drew from the core before. It is a no-op on an ideal channel.
 func (c *Core) SeekNoise(key uint64) { c.noise.Seek(key) }
 
+// SeekNoiseAt moves the noise model's cursor to draw ctr of key's stream, as
+// if ctr readings had drawn from it since SeekNoise(key).
+func (c *Core) SeekNoiseAt(key, ctr uint64) { c.noise.seekAt(key, ctr) }
+
 // NewCore builds a core with n wavelength lanes and the given noise model
 // (nil for an ideal channel). Lane phase offsets are deterministic but
 // distinct, mimicking device-to-device variation.
@@ -347,13 +351,14 @@ func growPartials(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// lutsValid reports whether every live lane's transmission LUT matches its
+// LUTsValid reports whether every live lane's transmission LUT matches its
 // modulators' current operating points. DotPartialsBatchInto samples it once
-// per call and streams through its kernel while it holds; a fault injected
-// between queries (the granularity the fault runner operates at) is seen at
-// the next call's first step. Dead lanes don't count against validity: they
-// contribute exact zero on both paths.
-func (c *Core) lutsValid() bool {
+// per call and streams through its kernel while it holds, as the datapath
+// does once per row for PartialsAt; a fault injected between queries (the
+// granularity the fault runner operates at) is seen at the next call's first
+// step. Dead lanes don't count against validity: they contribute exact zero
+// on both paths.
+func (c *Core) LUTsValid() bool {
 	for _, l := range c.lanes {
 		if !l.dead && !l.lutValid() {
 			return false

@@ -52,18 +52,21 @@ func (g *Integrator) Reset() { g.sum, g.n = 0, 0 }
 // (seed, k, n) (gauss.go). The model holds a cursor (key, ctr); Seek moves it
 // to the head of a key's stream, and every draw is taken at the cursor and
 // advances it by one. A caller that never seeks reads one stream from key 0
-// on; the datapath seeks once per (layer burst, row), so a row's noise does
-// not depend on the order rows are issued in or on what touched the core in
-// between.
+// on. The datapath keys each (layer burst, row) and names every block's
+// position in that stream (Core.PartialsAt), so a row's noise does not depend
+// on the order rows are issued in, on how its steps are split between
+// goroutines, or on what touched the core in between.
 type NoiseModel struct {
 	// Mean is the DC offset of the noise in code units. Calibration can
 	// remove it; the raw prototype measurement retains it.
 	Mean float64
 	// Sigma is the standard deviation in code units.
 	Sigma float64
-	seed  uint64
-	// base is the cursor key's stream origin under seed; ctr counts the
-	// draws taken from it.
+	// seeded is mix64 of the seed, the part of every stream origin the
+	// key does not change.
+	seeded uint64
+	// base is the cursor key's stream origin; ctr counts the draws taken
+	// from it.
 	base, ctr uint64
 }
 
@@ -83,15 +86,19 @@ func CalibratedNoise(seed uint64) *NoiseModel {
 // NewNoiseModel returns a Gaussian noise source with the given parameters,
 // its cursor at the head of key 0's stream.
 func NewNoiseModel(mean, sigma float64, seed uint64) *NoiseModel {
-	return &NoiseModel{Mean: mean, Sigma: sigma, seed: seed, base: streamBase(seed, 0)}
+	seeded := mix64(seed)
+	return &NoiseModel{Mean: mean, Sigma: sigma, seeded: seeded, base: streamBase(seeded, 0)}
 }
 
 // Seek moves the cursor to the head of key's stream.
-func (n *NoiseModel) Seek(key uint64) {
+func (n *NoiseModel) Seek(key uint64) { n.seekAt(key, 0) }
+
+// seekAt moves the cursor to draw ctr of key's stream.
+func (n *NoiseModel) seekAt(key, ctr uint64) {
 	if n == nil {
 		return
 	}
-	n.base, n.ctr = streamBase(n.seed, key), 0
+	n.base, n.ctr = streamBase(n.seeded, key), ctr
 }
 
 // Sample draws one noise value in code units at the cursor.
@@ -104,17 +111,24 @@ func (n *NoiseModel) Sample() float64 {
 	return r[0]
 }
 
-// addTo adds one draw to each reading, in order: Sample a reading at a time,
-// with the draw's fast path in the loop body and only the rare slow path a
-// call.
-//
-//lint:hotpath
+// addTo adds one draw to each reading, in order, from the cursor on: Sample
+// a reading at a time.
 func (n *NoiseModel) addTo(readings []float64) {
 	if n == nil {
 		return
 	}
+	n.addAt(readings, n.base, n.ctr)
+	n.ctr += uint64(len(readings))
+}
+
+// addAt adds draws ctr, ctr+1, … of the stream whose origin is base to the
+// readings, in order, with the draw's fast path in the loop body and only the
+// rare slow path a call. It reads the model and writes only the readings.
+//
+//lint:hotpath
+func (n *NoiseModel) addAt(readings []float64, base, ctr uint64) {
 	mean, sigma := n.Mean, n.Sigma
-	s := n.base + n.ctr*weyl
+	s := base + ctr*weyl
 	for i := range readings {
 		s += weyl
 		// The ziggurat's fast path (gauss.go); normSlow finishes the rest.
@@ -128,7 +142,6 @@ func (n *NoiseModel) addTo(readings []float64) {
 		}
 		readings[i] += mean + sigma*x
 	}
-	n.ctr += uint64(len(readings))
 }
 
 // Noiseless is a nil-safe zero-noise model for ideal-channel tests.

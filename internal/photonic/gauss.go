@@ -68,9 +68,10 @@ func mix64(z uint64) uint64 {
 	return z ^ z>>31
 }
 
-// streamBase is the Weyl counter origin of key's stream under seed.
-func streamBase(seed, key uint64) uint64 {
-	return mix64(mix64(seed) + key*weyl)
+// streamBase is the Weyl counter origin of key's stream under the seed
+// whose mix64 is seeded.
+func streamBase(seeded, key uint64) uint64 {
+	return mix64(seeded + key*weyl)
 }
 
 // wyfold folds a counter value into 64 random bits.

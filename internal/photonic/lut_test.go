@@ -152,7 +152,7 @@ func TestCarrierPowerChangeStaysVisible(t *testing.T) {
 	b := []fixed.Code{180, 170}
 	before := core.Step(a, b)
 	core.SetCarrierPower(0.5)
-	if !core.lutsValid() {
+	if !core.LUTsValid() {
 		t.Fatal("carrier power must not invalidate the LUTs: it is not a modulator operating point")
 	}
 	after := core.Step(a, b)

@@ -181,9 +181,6 @@ type CompareConfig struct {
 	// Utilization targets the most congested (baseline) accelerator.
 	Utilization float64
 	Seed        uint64
-	// TaskLevel selects the layer-task round-robin scheduler (RunTasks)
-	// instead of request-granularity FIFO service.
-	TaskLevel bool
 }
 
 // DefaultCompareConfig returns the §9 setup.
@@ -206,10 +203,6 @@ func Compare(cfg CompareConfig) ([]Comparison, error) {
 		return nil, fmt.Errorf("sim: no models")
 	}
 	light := NewLightning()
-	runner := Run
-	if cfg.TaskLevel {
-		runner = RunTasks
-	}
 	var out []Comparison
 	for _, bench := range Benchmarks() {
 		rate := RateForUtilization(bench, cfg.Models, cfg.Utilization)
@@ -219,11 +212,11 @@ func Compare(cfg CompareConfig) ([]Comparison, error) {
 		energySumL := map[string]float64{}
 		for t := 0; t < cfg.Traces; t++ {
 			tr := GenerateTrace(cfg.Models, cfg.Requests, rate, cfg.Seed+uint64(t)*1000)
-			for _, st := range Aggregate(bench, runner(bench, tr)) {
+			for _, st := range Aggregate(bench, Run(bench, tr)) {
 				serveSum[st.Model.Name] += st.MeanServe.Seconds()
 				energySum[st.Model.Name] += st.MeanEnergyJ
 			}
-			for _, st := range Aggregate(light, runner(light, tr)) {
+			for _, st := range Aggregate(light, Run(light, tr)) {
 				serveSumL[st.Model.Name] += st.MeanServe.Seconds()
 				energySumL[st.Model.Name] += st.MeanEnergyJ
 			}

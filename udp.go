@@ -43,10 +43,12 @@ func (n *NIC) ServeUDP(ctx context.Context, pc net.PacketConn) error {
 // the datapath and write responses. Each query dispatches round-robin to one
 // of the NIC's core shards (Config.Cores); a shard serves one query at a
 // time — the hardware pipeline serializes at its photonic core — so with
-// Cores=1 inference itself serializes while packet decode, reassembly
-// bookkeeping and response I/O still overlap across workers, and with
-// Cores=N up to N queries run through the photonics truly in parallel.
-// Sizing workers at or above Cores keeps every shard busy.
+// Cores=1 queries take the shard one after another while packet decode,
+// reassembly bookkeeping and response I/O still overlap across workers, and
+// with Cores=N up to N queries run through the photonics truly in parallel.
+// Within one query, a weight row of many thousand photonic steps is split
+// into blocks that idle CPUs help compute, whatever Cores is. Sizing
+// workers at or above Cores keeps every shard busy.
 //
 // Overload degrades visibly rather than wedging ingest: a query arriving at
 // its model's full queue (AdmitPolicy.MaxQueue, default workers*4) is
