@@ -13,13 +13,27 @@ import (
 // non-negative photonic partial results with their pre-separated signs, and
 // an intra-cycle adder tree that folds the 16 parallel lanes into a single
 // dot-product value once the whole vector has been accumulated (Listing 3).
+//
+// The hardware accumulates one ADC readout cycle per clock. The emulation
+// computes the same lanes a dot at a time, in closed form. The engine
+// streams a dot's positive sign group before its negative one, so every
+// lane sees all its additions before any subtraction, and every increment
+// min(s·gain, AccMax) is non-negative. A saturating running sum of such a
+// sequence can pin the upper rail only while it rises and the lower rail
+// only while it falls, so it ends where one clamp of each plain sum does:
+//
+//	lane = max(AccMin, min(AccMax, Σ⁺) − Σ⁻)
+//
+// bit for bit what a saturating add or subtract per sample leaves, at
+// either rail included. One clamp of Σ⁺ − Σ⁻ would not be: Σ⁺ = 40 000 and
+// Σ⁻ = 10 000 leave the lane at 22 767, not 30 000.
 
 // Lanes is the adder parallelism: one adder-subtractor per ADC sample lane.
 const Lanes = converter.SamplesPerCycle
 
-// CrossCycleAdder is the 16-lane cross-cycle adder-subtractor. Each lane
-// accumulates one sample per digital cycle, adding or subtracting according
-// to the paired sign control signal. A count-action rule counts accumulated
+// CrossCycleAdder is the 16-lane cross-cycle adder-subtractor. Lane k
+// accumulates samples k, k+Lanes, … of a dot product, adding or subtracting
+// according to the sample's sign. A count-action rule counts accumulated
 // samples; its target — vector_length / num_accumulation_wavelengths,
 // i.e. the number of photonic partials per dot product — triggers the
 // intra-cycle adder stage.
@@ -32,9 +46,7 @@ type CrossCycleAdder struct {
 	// of the true partial and the adder multiplies by N. Zero means 1.
 	Gain int
 
-	lanes [Lanes]fixed.Acc
-	rule  *countaction.Rule
-	ready bool
+	rule *countaction.Rule
 }
 
 // NewCrossCycleAdder builds the adder. partialsPerDot configures the
@@ -42,10 +54,7 @@ type CrossCycleAdder struct {
 // dot product (Listing 3's vector_length / num_accumulation_wavelengths).
 func NewCrossCycleAdder(partialsPerDot int) *CrossCycleAdder {
 	a := &CrossCycleAdder{Module: countaction.NewModule("cross_cycle_adder_subtractor")}
-	a.rule = a.Module.Attach(countaction.New(
-		"sum-valid", countaction.Value(partialsPerDot),
-		func() { a.ready = true },
-	))
+	a.rule = a.Module.Attach(countaction.New("sum-valid", countaction.Value(partialsPerDot), nil))
 	return a
 }
 
@@ -55,62 +64,146 @@ func (a *CrossCycleAdder) SetPartialsPerDot(n int) {
 	a.rule.SetTarget(countaction.Value(n))
 }
 
-// Accumulate feeds up to Lanes samples (one digital cycle's ADC readout,
-// already preamble-aligned) with their sign controls. Samples are 8-bit
-// codes zero-padded to 16 bits; lane i adds or subtracts sample i. The
-// count-action rule counts the cycle's samples in one evaluation, as the
-// hardware counts per clock. It reports whether the dot product completed
-// this cycle.
+// Dot accumulates one dot product's preamble-aligned payload segment into
+// the 16 lanes (see lanes) and folds them through the intra-cycle tree. It
+// returns the dot, the tree's latency in cycles, and how many samples read
+// MaxCode. The count-action rule counts the segment's samples in one
+// evaluation; retargeted to the segment's length, as the engine does, it
+// ends the dot at count zero with one more fire, as a rule counting a cycle
+// at a time would. An empty segment is no dot: it touches neither the rule
+// nor the tree.
 //
 //lint:hotpath
-func (a *CrossCycleAdder) Accumulate(samples []fixed.Code, negs []bool) bool {
-	if len(samples) > Lanes {
-		panic("datapath: more samples than adder lanes")
+func (a *CrossCycleAdder) Dot(seg []fixed.Code, pos int) (sum fixed.Acc, treeCycles, saturated int) {
+	lanes, saturated := a.lanes(seg, pos)
+	if len(seg) == 0 {
+		return 0, 0, 0
 	}
-	if len(negs) != len(samples) {
-		panic("datapath: sign control width mismatch")
-	}
-	gain := a.Gain
-	if gain < 1 {
-		gain = 1
-	}
-	for i, s := range samples {
-		g := int32(s) * int32(gain)
-		if g > fixed.AccMax {
-			g = fixed.AccMax
-		}
-		v := fixed.Acc(g)
-		if negs[i] {
-			a.lanes[i%Lanes] = fixed.SatSub(a.lanes[i%Lanes], v)
-		} else {
-			a.lanes[i%Lanes] = fixed.SatAdd(a.lanes[i%Lanes], v)
-		}
-	}
-	return a.rule.Add(countaction.Value(len(samples)))
+	a.rule.Add(countaction.Value(len(seg)))
+	sum, treeCycles = TreeSumInPlace(lanes[:])
+	return sum, treeCycles, saturated
 }
 
-// Ready reports whether a completed vector awaits the intra-cycle adder.
-func (a *CrossCycleAdder) Ready() bool { return a.ready }
-
-// Drain returns the 16 per-lane partial sums and clears the lanes for the
-// next dot product ("stream cross_cycle_adder_subtractor[i].data").
-func (a *CrossCycleAdder) Drain() [Lanes]fixed.Acc {
-	out := a.lanes
-	a.lanes = [Lanes]fixed.Acc{}
-	a.ready = false
-	return out
+// lanes computes the 16 per-lane partial sums a segment leaves in the
+// cross-cycle adder ("stream cross_cycle_adder_subtractor[i].data") and
+// counts its MaxCode samples. Samples are 8-bit codes zero-padded to 16
+// bits; sample i streams on lane i mod Lanes, added if i < pos and
+// subtracted otherwise.
+//
+//lint:hotpath
+func (a *CrossCycleAdder) lanes(seg []fixed.Code, pos int) (lanes [Lanes]fixed.Acc, saturated int) {
+	if pos < 0 || pos > len(seg) {
+		panic("datapath: sign boundary outside the segment")
+	}
+	gain := int64(max(a.Gain, 1))
+	if len(seg) <= Lanes {
+		// One sample a lane: nothing to sum, nothing to saturate.
+		for i, s := range seg {
+			v := fixed.Acc(min(int64(s)*gain, fixed.AccMax))
+			if i >= pos {
+				v = -v
+			}
+			lanes[i] = v
+			saturated += b2i(s == fixed.MaxCode)
+		}
+		return lanes, saturated
+	}
+	// Lane sums in units of scale: codes where no sample can clamp,
+	// clamped samples where one can.
+	var plus, minus [Lanes]int64
+	scale := gain
+	if gain*fixed.MaxCode <= fixed.AccMax {
+		saturated = codeSums(&plus, seg[:pos], 0) + codeSums(&minus, seg[pos:], pos)
+	} else {
+		scale = 1
+		saturated = clampedSums(&plus, seg[:pos], 0, gain) + clampedSums(&minus, seg[pos:], pos, gain)
+	}
+	for k := range lanes {
+		lanes[k] = fixed.Acc(max(fixed.AccMin, min(fixed.AccMax, plus[k]*scale)-minus[k]*scale))
+	}
+	return lanes, saturated
 }
 
-// Reset clears lanes, rules, and readiness.
-func (a *CrossCycleAdder) Reset() {
-	a.lanes = [Lanes]fixed.Acc{}
-	a.ready = false
-	a.Module.Reset()
+// Reset clears the rule's count and fires.
+func (a *CrossCycleAdder) Reset() { a.Module.Reset() }
+
+// flushCycles is how many cycles of codes a 16-bit field holds:
+// 256·MaxCode < 2^16.
+const flushCycles = 256
+
+// codeSums adds each code of seg onto the lane it streams on — seg[j] is
+// the dot's sample first+j — and returns how many read MaxCode. Whole
+// cycles go as two 64-bit words, each split into its even and its odd
+// bytes as four 16-bit fields, flushed into dst every flushCycles cycles.
+//
+//lint:hotpath
+func codeSums(dst *[Lanes]int64, seg []fixed.Code, first int) (maxed int) {
+	const evens = 0x00ff00ff00ff00ff
+	head := min(-first&(Lanes-1), len(seg)) // samples before the first cycle edge
+	for j, s := range seg[:head] {
+		dst[(first+j)&(Lanes-1)] += int64(s)
+		maxed += b2i(s == fixed.MaxCode)
+	}
+	body := seg[head:]
+	for len(body) >= Lanes {
+		n := min(len(body)/Lanes, flushCycles) * Lanes
+		var e0, o0, e1, o1 uint64
+		for c := body[:n]; len(c) >= Lanes; c = c[Lanes:] {
+			w0, w1 := octet(c[:8:8]), octet(c[8:16:16])
+			e0 += w0 & evens
+			o0 += w0 >> 8 & evens
+			e1 += w1 & evens
+			o1 += w1 >> 8 & evens
+			maxed += maxBytes(w0, w1)
+		}
+		for f := 0; f < 4; f++ {
+			sh := uint(16 * f)
+			dst[2*f] += int64(e0 >> sh & 0xffff)
+			dst[2*f+1] += int64(o0 >> sh & 0xffff)
+			dst[8+2*f] += int64(e1 >> sh & 0xffff)
+			dst[9+2*f] += int64(o1 >> sh & 0xffff)
+		}
+		body = body[n:]
+	}
+	for k, s := range body {
+		dst[k&(Lanes-1)] += int64(s)
+		maxed += b2i(s == fixed.MaxCode)
+	}
+	return maxed
+}
+
+// clampedSums is codeSums for a gain at which a sample can exceed AccMax:
+// each sample adds min(s·gain, AccMax).
+func clampedSums(dst *[Lanes]int64, seg []fixed.Code, first int, gain int64) (maxed int) {
+	for j, s := range seg {
+		dst[(first+j)&(Lanes-1)] += min(int64(s)*gain, fixed.AccMax)
+		maxed += b2i(s == fixed.MaxCode)
+	}
+	return maxed
+}
+
+// maxBytes counts the bytes of w0 and w1 that read 0xff, exactly: in ^w
+// such a byte is zero, and a byte's top bit survives
+// ((x&0x7f…)+0x7f…)|x only if the byte is non-zero.
+func maxBytes(w0, w1 uint64) int {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	x0, x1 := ^w0, ^w1
+	z0 := ^((x0&low7 + low7) | x0 | low7) // 0x80 in each byte of w0 that reads 0xff
+	z1 := ^((x1&low7 + low7) | x1 | low7)
+	return bits.OnesCount64(z0 | z1>>7)
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TreeSumInPlace folds lane partial sums into one value with a binary adder
-// tree, inside work (which it clobbers: the engine hands it the cross-cycle
-// adder's drained lane array), and returns the result together with the
+// tree, inside work (which it clobbers: Dot hands it the dot's own lane
+// array), and returns the result together with the
 // pipeline latency in clock cycles: log2(k) for k inputs ("The intra-cycle
 // adder requires log k clock cycles, where k is the number of parallel data
 // samples in each ADC readout").

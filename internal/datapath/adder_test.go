@@ -1,6 +1,8 @@
 package datapath
 
 import (
+	"bytes"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -8,55 +10,47 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
+// ruleState is the adder's one count-action rule as a snapshot reads it.
+func ruleState(a *CrossCycleAdder) countaction.RuleState { return a.Module.Snapshot()[0] }
+
 func TestCrossCycleAccumulateSigns(t *testing.T) {
-	a := NewCrossCycleAdder(4)
-	done := a.Accumulate([]fixed.Code{10, 20}, []bool{false, true})
-	if done {
-		t.Fatal("fired early")
+	// Sample 0 is the one positive: lane 0 adds it and subtracts sample 16,
+	// lane 1 subtracts samples 1 and 17, lane 2 its one sample.
+	a := NewCrossCycleAdder(18)
+	seg := make([]fixed.Code, 18)
+	seg[0], seg[1], seg[2], seg[16], seg[17] = 10, 20, 7, 5, 1
+	sum, treeCycles, _ := a.Dot(seg, 1)
+	if lanes, _ := a.lanes(seg, 1); lanes[0] != 5 || lanes[1] != -21 || lanes[2] != -7 {
+		t.Errorf("lanes = %d, %d, %d; want 5, -21, -7", lanes[0], lanes[1], lanes[2])
 	}
-	done = a.Accumulate([]fixed.Code{5, 1}, []bool{false, false})
-	if !done {
-		t.Fatal("did not fire at 4 partials")
+	if sum != -23 || treeCycles != 4 {
+		t.Errorf("sum %d in %d tree cycles, want -23 in 4", sum, treeCycles)
 	}
-	lanes := a.Drain()
-	// Lane 0 accumulated +10 then +5 = 15; lane 1 −20 then +1 = −19.
-	if lanes[0] != 15 || lanes[1] != -19 {
-		t.Errorf("lanes = %d, %d", lanes[0], lanes[1])
-	}
-	if a.Ready() {
-		t.Error("Ready after Drain")
+	if r := ruleState(a); r.Count != 0 || r.Fires != 1 {
+		t.Errorf("rule %+v, want one fire at 18 partials", r)
 	}
 }
 
 func TestCrossCycleLaneWraps(t *testing.T) {
 	// More than Lanes samples round-robin back onto lane 0.
 	a := NewCrossCycleAdder(Lanes + 1)
-	samples := make([]fixed.Code, Lanes)
-	negs := make([]bool, Lanes)
-	for i := range samples {
-		samples[i] = 1
-	}
-	a.Accumulate(samples, negs)
-	a.Accumulate([]fixed.Code{100}, []bool{false})
-	lanes := a.Drain()
-	if lanes[0] != 101 {
-		t.Errorf("lane 0 = %d, want 101", lanes[0])
+	seg := bytes.Repeat([]byte{1}, Lanes+1)
+	seg[Lanes] = 100
+	if lanes, _ := a.lanes(fixed.CodesOf(seg), len(seg)); lanes[0] != 101 || lanes[1] != 1 {
+		t.Errorf("lanes 0, 1 = %d, %d; want 101, 1", lanes[0], lanes[1])
 	}
 }
 
 func TestCrossCyclePanics(t *testing.T) {
 	a := NewCrossCycleAdder(1)
-	for _, f := range []func(){
-		func() { a.Accumulate(make([]fixed.Code, Lanes+1), make([]bool, Lanes+1)) },
-		func() { a.Accumulate([]fixed.Code{1}, []bool{}) },
-	} {
+	for _, pos := range []int{-1, 4} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("bad Accumulate input did not panic")
+					t.Errorf("sign boundary %d of a 3-sample segment did not panic", pos)
 				}
 			}()
-			f()
+			a.Dot(make([]fixed.Code, 3), pos)
 		}()
 	}
 }
@@ -64,19 +58,174 @@ func TestCrossCyclePanics(t *testing.T) {
 func TestCrossCycleRetarget(t *testing.T) {
 	a := NewCrossCycleAdder(100)
 	a.SetPartialsPerDot(2)
-	a.Accumulate([]fixed.Code{1}, []bool{false})
-	if !a.Accumulate([]fixed.Code{1}, []bool{false}) {
-		t.Error("retargeted rule did not fire at 2")
+	a.Dot([]fixed.Code{1, 1}, 2)
+	if r := ruleState(a); r.Count != 0 || r.Fires != 1 {
+		t.Errorf("retargeted rule did not fire at 2: %+v", r)
 	}
 }
 
 func TestCrossCycleReset(t *testing.T) {
-	a := NewCrossCycleAdder(10)
-	a.Accumulate([]fixed.Code{50}, []bool{false})
+	// Two of three partials counted, then a reset: the third partial alone
+	// must not complete the dot.
+	a := NewCrossCycleAdder(3)
+	a.Dot([]fixed.Code{50, 1}, 1)
 	a.Reset()
-	if l := a.Drain(); l[0] != 0 {
-		t.Errorf("lane after Reset = %d", l[0])
+	if r := ruleState(a); r.Count != 0 || r.Fires != 0 {
+		t.Errorf("rule after Reset: %+v", r)
 	}
+	a.Dot([]fixed.Code{50}, 1)
+	if r := ruleState(a); r.Count != 1 || r.Fires != 0 {
+		t.Errorf("rule after Reset and one partial: %+v", r)
+	}
+}
+
+// TestCrossCycleOneCountPerDotFiresAsPerSample: the adder evaluates its rule
+// once per dot with the dot's sample count. The engine retargets the rule to
+// exactly the segment length before each dot, so the count meets the target
+// at the dot's end — the sample a rule fed one sample at a time fires on,
+// and no other — and both end every dot at count zero with one more fire.
+func TestCrossCycleOneCountPerDotFiresAsPerSample(t *testing.T) {
+	for n := 1; n <= 5*Lanes+3; n++ {
+		a := NewCrossCycleAdder(1)
+		perSample := countaction.New("per-sample", 1, nil)
+		for dot := 1; dot <= 2; dot++ {
+			a.SetPartialsPerDot(n)
+			perSample.SetTarget(countaction.Value(n))
+			for i := 0; i < n; i++ {
+				if fired := perSample.Add(1); fired != (i == n-1) {
+					t.Fatalf("segment of %d: per-sample rule fired %v at sample %d", n, fired, i)
+				}
+			}
+			a.Dot(make([]fixed.Code, n), n/2)
+			r := ruleState(a)
+			if r.Count != perSample.Count() || r.Fires != perSample.Fires || r.Count != 0 || r.Fires != uint64(dot) {
+				t.Fatalf("segment of %d, dot %d: adder rule %+v, per-sample count %d fires %d", n, dot, r, perSample.Count(), perSample.Fires)
+			}
+		}
+	}
+}
+
+// perSampleDot is the reference Dot is held to: the hardware's adder a
+// cycle at a time — each sample scaled by the gain and clamped, then one
+// saturating add or subtract on its lane, the rule counting each cycle's
+// samples — and the tree over the lanes it leaves.
+func perSampleDot(seg []fixed.Code, pos, gain int, rule *countaction.Rule) (lanes [Lanes]fixed.Acc, sum fixed.Acc, treeCycles, saturated int) {
+	if len(seg) == 0 {
+		return lanes, 0, 0, 0
+	}
+	gain = max(gain, 1)
+	for i := 0; i < len(seg); i += Lanes {
+		cycle := seg[i:min(i+Lanes, len(seg))]
+		for k, s := range cycle {
+			v := fixed.Acc(min(int32(s)*int32(gain), fixed.AccMax))
+			if i+k >= pos {
+				lanes[k] = fixed.SatSub(lanes[k], v)
+			} else {
+				lanes[k] = fixed.SatAdd(lanes[k], v)
+			}
+			if s == fixed.MaxCode {
+				saturated++
+			}
+		}
+		rule.Add(countaction.Value(len(cycle)))
+	}
+	sum, treeCycles = TreeSum(lanes[:])
+	return lanes, sum, treeCycles, saturated
+}
+
+// checkDot runs one segment through Dot and through the reference, both
+// rules retargeted to the segment's length as the engine does, and fails on
+// any difference in the lanes, the sum, the tree cycles, the saturated
+// count or the rule's count and fires. It returns the lanes.
+func checkDot(t testing.TB, seg []fixed.Code, pos, gain int) [Lanes]fixed.Acc {
+	t.Helper()
+	a := NewCrossCycleAdder(1)
+	a.Gain = gain
+	ref := countaction.New("per-sample", 1, nil)
+	a.SetPartialsPerDot(len(seg))
+	ref.SetTarget(countaction.Value(len(seg)))
+	lanes, _ := a.lanes(seg, pos)
+	sum, treeCycles, saturated := a.Dot(seg, pos)
+	wantLanes, wantSum, wantTree, wantSat := perSampleDot(seg, pos, gain, ref)
+	r := ruleState(a)
+	if lanes != wantLanes || sum != wantSum || treeCycles != wantTree || saturated != wantSat ||
+		r.Count != ref.Count() || r.Fires != ref.Fires {
+		t.Fatalf("len %d pos %d gain %d: Dot lanes %v sum %d tree %d saturated %d rule %d/%d; per sample %v %d %d %d rule %d/%d",
+			len(seg), pos, gain, lanes, sum, treeCycles, saturated, r.Count, r.Fires,
+			wantLanes, wantSum, wantTree, wantSat, ref.Count(), ref.Fires)
+	}
+	return lanes
+}
+
+// TestAdderDotMatchesPerSample holds the closed-form Dot to the per-sample
+// reference: every segment length to five cycles and three past, at every
+// sign boundary, then lengths past the 256-cycle field flush with sign
+// boundaries either side of a cycle edge and of the flush; at gains either
+// side of 128, above which one sample can exceed AccMax; on random codes
+// and on runs that pin each rail.
+func TestAdderDotMatchesPerSample(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 13))
+	// Each fill writes the segment given its sign boundary: the positive
+	// group's code, then the negative group's (-1 draws one per sample).
+	fills := []struct {
+		name     string
+		pos, neg int
+	}{
+		{"random", -1, -1},
+		{"max", fixed.MaxCode, fixed.MaxCode},
+		{"pin-high-then-fall", fixed.MaxCode, 3},
+		{"pin-low", 1, fixed.MaxCode - 2},
+	}
+	fill := func(seg []fixed.Code, pos, plus, minus int) {
+		for i := range seg {
+			c := plus
+			if i >= pos {
+				c = minus
+			}
+			if c < 0 {
+				c = rng.IntN(fixed.Levels)
+			}
+			seg[i] = fixed.Code(c)
+		}
+	}
+	long := flushCycles * Lanes
+	for _, f := range fills {
+		for _, gain := range []int{1, 2, 128, 129, 255} {
+			for n := 0; n <= 5*Lanes+3; n++ {
+				seg := make([]fixed.Code, n)
+				for pos := 0; pos <= n; pos++ {
+					fill(seg, pos, f.pos, f.neg)
+					checkDot(t, seg, pos, gain)
+				}
+			}
+			for _, n := range []int{long, long + 5, 2*long + 17, 3*long - 1} {
+				seg := make([]fixed.Code, n)
+				for _, pos := range []int{0, 1, 15, 16, 17, n / 2, long - 1, long, long + 1, n - 1, n} {
+					pos = min(pos, n)
+					fill(seg, pos, f.pos, f.neg)
+					checkDot(t, seg, pos, gain)
+				}
+			}
+		}
+	}
+	// Each lane's Σ⁺ is 40 000 and its Σ⁻ 10 000: the positives pin the rail
+	// at 32 767, so the lane ends at 22 767, where a single clamp of
+	// Σ⁺ − Σ⁻ would read 30 000.
+	seg := bytes.Repeat([]byte{250}, 100*Lanes)
+	if lanes := checkDot(t, fixed.CodesOf(seg), 80*Lanes, 2); lanes[0] != 22767 {
+		t.Errorf("lane 0 = %d, want 22767", lanes[0])
+	}
+}
+
+// FuzzAdderDot holds Dot to the per-sample reference on arbitrary codes,
+// sign boundaries and gains.
+func FuzzAdderDot(f *testing.F) {
+	f.Add([]byte{10, 20, 7, 5, 1}, uint16(1), uint8(1))
+	f.Add(bytes.Repeat([]byte{250}, 100*Lanes), uint16(80*Lanes), uint8(2))
+	f.Add(bytes.Repeat([]byte{fixed.MaxCode}, 2*flushCycles*Lanes+9), uint16(flushCycles*Lanes+3), uint8(129))
+	f.Fuzz(func(t *testing.T, raw []byte, pos uint16, gain uint8) {
+		checkDot(t, fixed.CodesOf(raw), int(pos)%(len(raw)+1), int(gain))
+	})
 }
 
 // TreeSum is the reference TreeSumInPlace is held to: the same binary tree,
@@ -170,37 +319,5 @@ func TestTreeSumMatchesLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestCrossCycleOneCountPerCycleFiresAsPerSample: the adder evaluates its
-// rule once per cycle with the cycle's sample count. The engine retargets
-// the rule to exactly the segment length before streaming a segment in
-// cycles of up to Lanes samples, so the count meets the target on the
-// segment's last cycle and nowhere else — the cycle a rule fed one sample at
-// a time fires on — and both end the segment at count zero with one fire.
-func TestCrossCycleOneCountPerCycleFiresAsPerSample(t *testing.T) {
-	for n := 1; n <= 5*Lanes+3; n++ {
-		a := NewCrossCycleAdder(1)
-		a.SetPartialsPerDot(n)
-		perSample := countaction.New("per-sample", countaction.Value(n), nil)
-		seg, negs := make([]fixed.Code, n), make([]bool, n)
-		for i := 0; i < n; i += Lanes {
-			end := min(i+Lanes, n)
-			want := false
-			for range seg[i:end] {
-				want = perSample.Add(1) || want
-			}
-			if got := a.Accumulate(seg[i:end], negs[i:end]); got != want {
-				t.Fatalf("segment of %d, cycle at %d: fired %v, per-sample rule %v", n, i, got, want)
-			}
-			if want != (end == n) {
-				t.Fatalf("segment of %d: per-sample rule fired %v on the cycle ending at %d", n, want, end)
-			}
-		}
-		snap := a.Module.Snapshot()[0]
-		if snap.Count != perSample.Count() || snap.Fires != perSample.Fires || snap.Count != 0 || snap.Fires != 1 {
-			t.Fatalf("segment of %d: adder rule %+v, per-sample count %d fires %d", n, snap, perSample.Count(), perSample.Fires)
-		}
 	}
 }

@@ -171,30 +171,15 @@ func (e *Engine) locate(stream []fixed.Code, phase, total int, stats *LayerStats
 }
 
 // reassemble folds one dot's payload segment — its first pos samples under a
-// positive sign, the rest negative — through the cross-cycle adder, a digital
-// cycle at a time, and the intra-cycle tree.
+// positive sign, the rest negative — through the cross-cycle adder and the
+// intra-cycle tree, charging the hardware's cycle a readout and the tree.
 //
 //lint:hotpath
 func (e *Engine) reassemble(seg []fixed.Code, pos int, stats *LayerStats) fixed.Acc {
-	if len(seg) == 0 {
-		return 0
-	}
-	var negs [Lanes]bool
 	e.adder.SetPartialsPerDot(len(seg))
-	for i := 0; i < len(seg); i += Lanes {
-		cycle := seg[i:min(i+Lanes, len(seg))]
-		for k, v := range cycle {
-			negs[k] = i+k >= pos
-			if v == fixed.MaxCode {
-				stats.SaturatedSamples++
-			}
-		}
-		e.adder.Accumulate(cycle, negs[:len(cycle)])
-		stats.ComputeCycles++
-	}
-	drained := e.adder.Drain()
-	sum, treeCycles := TreeSumInPlace(drained[:])
-	stats.ComputeCycles += uint64(treeCycles)
+	sum, treeCycles, saturated := e.adder.Dot(seg, pos)
+	stats.ComputeCycles += uint64((len(seg)+Lanes-1)/Lanes + treeCycles)
+	stats.SaturatedSamples += uint64(saturated)
 	return sum
 }
 

@@ -52,7 +52,9 @@ type LayerStats struct {
 	ComputeCycles uint64
 	// DatapathCycles is the digital-clock cost of datapath overheads.
 	DatapathCycles uint64
-	// SaturatedSamples counts ADC samples that clipped at the rails.
+	// SaturatedSamples counts payload samples that read MaxCode, the ADC's
+	// upper rail. Clipping at the lower rail is not counted: a code-0
+	// sample cannot be told apart from a zero partial.
 	SaturatedSamples uint64
 	// PreambleMisses counts bursts whose preamble did not locate their
 	// payload — undetected, or locked where the payload runs off the burst
