@@ -58,7 +58,7 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 			continue
 		}
 		part := dst[i : i+(hi-lo+n-1)/n]
-		c.stream(part, a[lo:hi], b[lo:hi])
+		c.pass(part, a[lo:hi], b[lo:hi])
 		c.noise.addTo(part)
 		c.Steps += uint64(len(part))
 		i += len(part)
@@ -83,16 +83,31 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 func (c *Core) PartialsAt(dst []float64, a, b []fixed.Code, key, ctr uint64) {
 	n := len(c.lanes)
 	dst = dst[:(len(a)+n-1)/n]
-	c.stream(dst, a, b)
+	c.pass(dst, a, b)
 	if m := c.noise; m != nil {
 		m.addAt(dst, streamBase(m.seeded, key), ctr)
 	}
 }
 
+// pass is the one place a group's kernel is picked: stream2 on a core of
+// exactly two lanes, neither dead, and stream on any other. It is asked on
+// every call, because Kill can land between two.
+//
+//lint:hotpath
+func (c *Core) pass(dst []float64, a, b []fixed.Code) {
+	if l := c.lanes; len(l) == 2 && !l[0].dead && !l[1].dead {
+		c.stream2(dst, a, b)
+	} else {
+		c.stream(dst, a, b)
+	}
+}
+
 // stream is the dot kernel's first pass: one operand group's noiseless
-// readings, ⌈len(a)/lanes⌉ of them into dst, valid while the LUTs are. The
-// carrier and the detector constants sit in registers and each lane's tables
-// and taps one pointer away; nothing in the body is a call, so consecutive
+// readings, ⌈len(a)/lanes⌉ of them into dst, valid while the LUTs are. It is
+// the generic kernel — any lane count, dead lanes skipped — and pass gives it
+// every core but one of two live lanes. The carrier and the detector
+// constants sit in registers and each lane's tables and taps one pointer
+// away; nothing in the body is a call, so consecutive
 // steps' multiply chains and decode divides overlap in the processor. The
 // group's short tail step is the same body over the lanes that still have an
 // operand. The noise is the second pass, NoiseModel.addAt over the same span
@@ -129,5 +144,37 @@ func (c *Core) stream(dst []float64, a, b []fixed.Code) {
 		}
 		dst[i] = (dark + resp*detected - idle) / span * fixed.MaxCode
 		i++
+	}
+}
+
+// stream2 is stream for the prototype's two live wavelengths, the core every
+// served shard has. With the lane count fixed there is no lane loop: both
+// lanes' table addresses and taps are named locals the loop keeps in
+// registers, a step takes two operands, and an odd group ends in one
+// single-lane step. A reading is the same float operations in the same order
+// as stream's and Step's — lane 0's product, lane 1's added to it, then the
+// decode — only where the operands are loaded from differs, so readings are
+// bit-identical to theirs.
+//
+//lint:hotpath
+func (c *Core) stream2(dst []float64, a, b []fixed.Code) {
+	l0, l1 := c.lanes[0], c.lanes[1]
+	g10, g20, t10, t20 := &l0.g1, &l0.g2, l0.tap1, l0.tap2
+	g11, g21, t11, t21 := &l1.g1, &l1.g2, l1.tap1, l1.tap2
+	carrier, dark, resp, darkPerLane := c.carrier, c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
+	span := c.spanPerLane * float64(max(c.FullScaleLanes, 1))
+	idle := 2 * darkPerLane
+	b = b[:len(a)]
+	i := 0
+	for off := 1; off < len(a); off += 2 {
+		d := carrier * g10[a[off-1]] * t10 * g20[b[off-1]] * t20
+		d += carrier * g11[a[off]] * t11 * g21[b[off]] * t21
+		dst[i] = (dark + resp*d - idle) / span * fixed.MaxCode
+		i++
+	}
+	if len(a)%2 == 1 {
+		k := len(a) - 1
+		d := carrier * g10[a[k]] * t10 * g20[b[k]] * t20
+		dst[i] = (dark + resp*d - darkPerLane) / span * fixed.MaxCode
 	}
 }

@@ -178,8 +178,9 @@ func stepPartials(c *Core, a, b []fixed.Code, bounds []int) []float64 {
 // follows, so the kernel consumed exactly Step's draws in Step's order, from
 // wherever SeekNoise put the cursor. Group
 // lengths cover the empty group, a lone operand, every tail length and long
-// runs; cores cover one to three lanes, a dead lane, a sagged carrier and a
-// multi-lane full scale.
+// runs; cores cover one to three lanes, a dead lane, a sagged carrier, every
+// full scale, the prototype's lanes, and a lane killed between two passes on
+// one core — two-lane cores take stream2 until the kill and stream after it.
 func TestStreamKernelMatchesStep(t *testing.T) {
 	type variant struct {
 		name    string
@@ -187,15 +188,22 @@ func TestStreamKernelMatchesStep(t *testing.T) {
 		dead    int // lane to kill, -1 for none
 		carrier float64
 		scale   int
+		proto   bool // NewPrototypeCore's lanes
+		kill    int  // lane to kill between the two passes, -1 for none
 	}
 	variants := []variant{
-		{"1lane", 1, -1, 1, 0},
-		{"2lane", 2, -1, 1, 2},
-		{"3lane", 3, -1, 1, 3},
-		{"3lane-dead1", 3, 1, 1, 3},
-		{"2lane-dead0", 2, 0, 1, 1},
-		{"2lane-sag", 2, -1, 0.8, 2},
-		{"3lane-sag", 3, -1, 0.37, 1},
+		{"1lane", 1, -1, 1, 0, false, -1},
+		{"2lane", 2, -1, 1, 2, false, -1},
+		{"2lane-scale0", 2, -1, 1, 0, false, -1},
+		{"2lane-scale1", 2, -1, 1, 1, false, -1},
+		{"2lane-proto", 2, -1, 1, 2, true, -1},
+		{"2lane-kill1", 2, -1, 1, 2, false, 1},
+		{"2lane-proto-kill0", 2, -1, 1, 1, true, 0},
+		{"3lane", 3, -1, 1, 3, false, -1},
+		{"3lane-dead1", 3, 1, 1, 3, false, -1},
+		{"2lane-dead0", 2, 0, 1, 1, false, -1},
+		{"2lane-sag", 2, -1, 0.8, 2, false, -1},
+		{"3lane-sag", 3, -1, 0.37, 1, false, -1},
 	}
 	rng := rand.New(rand.NewPCG(23, 1))
 	for _, v := range variants {
@@ -206,9 +214,13 @@ func TestStreamKernelMatchesStep(t *testing.T) {
 					nm = PrototypeNoise(77)
 				}
 				c, err := NewCore(v.lanes, nm)
+				if v.proto {
+					c, err = NewPrototypeCore(77) // its noise is replaced below
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
+				c.noise = nm
 				if v.dead >= 0 {
 					c.Lanes()[v.dead].Kill()
 				}
@@ -262,6 +274,11 @@ func TestStreamKernelMatchesStep(t *testing.T) {
 
 			// Dot and the one-group entry are the same kernel: the sum of
 			// one group's partials in order, with the same draws behind it.
+			// A lane killed now must take the next pass off stream2.
+			if v.kill >= 0 {
+				ref.Lanes()[v.kill].Kill()
+				kern.Lanes()[v.kill].Kill()
+			}
 			lo, hi := bounds[len(bounds)-2], bounds[len(bounds)-1]
 			ref.SeekNoise(6 << 32)
 			kern.SeekNoise(6 << 32)
@@ -280,4 +297,69 @@ func TestStreamKernelMatchesStep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzTwoLaneKernel holds the pass a core of two live lanes dispatches to
+// (stream2) to Step bit for bit over arbitrary operand bytes: the first half
+// of ops is a and the second b, so groups of either parity arrive, under a
+// fuzzed carrier and full scale, on NewCore's lanes and the prototype's, with
+// noise off and on. Both entries are held to it: the pass from the cursor
+// and PartialsAt at the same position of the same stream.
+func FuzzTwoLaneKernel(f *testing.F) {
+	f.Add([]byte{}, uint16(0x8000), uint8(2), false, false)
+	f.Add([]byte{255, 255}, uint16(0x8000), uint8(0), true, false)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, uint16(0x6666), uint8(1), false, true)
+	f.Add([]byte{0, 255, 128, 7, 9, 200, 13, 255, 0, 64, 32}, uint16(0x2f5c), uint8(3), true, true)
+	long := make([]byte, 301)
+	for i := range long {
+		long[i] = byte(i*37 + 11)
+	}
+	f.Add(long, uint16(0x8000), uint8(2), false, false)
+	const key = 9<<32 | 3
+	cores := map[[3]bool]*Core{} // by prototype lanes, noise, kernel side
+	core := func(t *testing.T, proto, noisy, kern bool) *Core {
+		id := [3]bool{proto, noisy, kern}
+		if c := cores[id]; c != nil {
+			return c
+		}
+		var nm *NoiseModel
+		if noisy {
+			nm = PrototypeNoise(77)
+		}
+		c, err := NewCore(2, nm)
+		if proto {
+			c, err = NewPrototypeCore(77) // its noise is replaced below
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.noise = nm
+		cores[id] = c
+		return c
+	}
+	f.Fuzz(func(t *testing.T, ops []byte, carrier uint16, scale uint8, noisy, proto bool) {
+		n := len(ops) / 2
+		a, b := make([]fixed.Code, n), make([]fixed.Code, n)
+		for i := range a {
+			a[i], b[i] = fixed.Code(ops[i]), fixed.Code(ops[n+i])
+		}
+		ref, kern := core(t, proto, noisy, false), core(t, proto, noisy, true)
+		for _, c := range []*Core{ref, kern} {
+			c.SetCarrierPower(float64(carrier) / 0x8000)
+			c.FullScaleLanes = int(scale % 4)
+			c.SeekNoise(key)
+		}
+		want := stepPartials(ref, a, b, []int{0, n})
+		got := kern.DotPartialsInto(nil, a, b)
+		at := make([]float64, len(want))
+		kern.PartialsAt(at, a, b, key, 0)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(at[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d operands, partial %d: pass %v, PartialsAt %v, Step %v", n, i, got[i], at[i], want[i])
+			}
+		}
+		if kern.Steps != ref.Steps {
+			t.Fatalf("kernel counted %d steps, Step %d", kern.Steps, ref.Steps)
+		}
+	})
 }
