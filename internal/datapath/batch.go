@@ -3,6 +3,7 @@ package datapath
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
@@ -189,40 +190,87 @@ func (e *Engine) reassemble(seg []fixed.Code, pos int, stats *LayerStats) fixed.
 // element order, and it returns where each group ends. Zero products are
 // left out: they need no analog step (sparse skip).
 //
-// The row is walked the way it sits in DRAM, eight elements to a magnitude
-// word and a sign byte: an all-zero magnitude word or activation octet is
-// skipped whole, and an octet with no zero product under an all-positive
-// sign byte is moved as two words, without per-element tests. A row whose
-// first sign sits mid-byte reads each octet's eight signs across two bitmap
-// bytes.
+// The row is walked the way it sits in DRAM, 32 elements to four magnitude
+// words and a 32-bit sign window. A chunk whose magnitude words or whose
+// activations are all zero is skipped whole, and one with no zero product
+// under an all-positive window is moved as eight word stores. Any other
+// chunk, and the octets past the last whole one, go an octet at a time
+// through compaction: the octet's live products, split by sign, are
+// gathered to the low bytes of a word by the compress table and stored as
+// one word at each cursor, which advances by its group's count. A row whose
+// first sign sits mid-byte reads its window across the bitmap's bytes.
+//
+// The word stores reach up to seven bytes past a group's end. They stay in
+// the group's region: at octet [i, i+8) the cursors are at most pos+i and
+// neg+i, so the caller grants n bytes from each of pos and neg, and the
+// regions must not overlap (issueRow stages neg one row width past pos).
 //
 //lint:hotpath
 func partition(bW, bX []fixed.Code, w fixed.Row, x []fixed.Code, pos, neg int) (int, int) {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
 	mags, signs := w.Mags, w.Signs
 	n := len(mags)
 	x = x[:n]
 	sh := uint(w.Bit & 7)
 	i := 0
-	for ; i+8 <= n; i += 8 {
-		mw := binary.LittleEndian.Uint64(mags[i:])
-		if mw == 0 {
-			continue
+	for i+8 <= n {
+		end := i + 32
+		var sw uint32 // the signs of the octets [i, end), element i in bit 0
+		if end <= n {
+			m, xc := mags[i:end:end], x[i:end:end]
+			m0, m1 := binary.LittleEndian.Uint64(m), binary.LittleEndian.Uint64(m[8:])
+			m2, m3 := binary.LittleEndian.Uint64(m[16:]), binary.LittleEndian.Uint64(m[24:])
+			x0, x1, x2, x3 := octet(xc[0:8]), octet(xc[8:16]), octet(xc[16:24]), octet(xc[24:32])
+			if m0|m1|m2|m3 == 0 || x0|x1|x2|x3 == 0 {
+				i = end
+				continue
+			}
+			b := (w.Bit + i) >> 3
+			sw = binary.LittleEndian.Uint32(signs[b:]) >> sh
+			if sh != 0 {
+				sw |= uint32(signs[b+4]) << (32 - sh)
+			}
+			zero := (m0-ones)&^m0 | (m1-ones)&^m1 | (m2-ones)&^m2 | (m3-ones)&^m3 |
+				(x0-ones)&^x0 | (x1-ones)&^x1 | (x2-ones)&^x2 | (x3-ones)&^x3
+			if sw == 0 && zero&tops == 0 {
+				dw, dx := bW[pos:pos+32:pos+32], bX[pos:pos+32:pos+32]
+				putOctet(dw[0:8], m0)
+				putOctet(dw[8:16], m1)
+				putOctet(dw[16:24], m2)
+				putOctet(dw[24:32], m3)
+				putOctet(dx[0:8], x0)
+				putOctet(dx[8:16], x1)
+				putOctet(dx[16:24], x2)
+				putOctet(dx[24:32], x3)
+				pos += 32
+				i = end
+				continue
+			}
+		} else {
+			end = n &^ 7
+			for k := uint(0); k < uint(end-i); k += 8 {
+				b := (w.Bit + i + int(k)) >> 3
+				sb := signs[b] >> sh
+				if sh != 0 {
+					sb |= signs[b+1] << (8 - sh)
+				}
+				sw |= uint32(sb) << k
+			}
 		}
-		xw := octet(x[i : i+8 : i+8])
-		if xw == 0 {
-			continue
+		for ; i < end; i, sw = i+8, sw>>8 {
+			mw := binary.LittleEndian.Uint64(mags[i:])
+			xw := octet(x[i : i+8 : i+8])
+			live := liveMask(mw, xw)
+			pm, nm := live&^uint8(sw), live&uint8(sw)
+			c := &compress[pm]
+			putOctet(bW[pos:pos+8:pos+8], c.apply(mw))
+			putOctet(bX[pos:pos+8:pos+8], c.apply(xw))
+			c = &compress[nm]
+			putOctet(bW[neg:neg+8:neg+8], c.apply(mw))
+			putOctet(bX[neg:neg+8:neg+8], c.apply(xw))
+			pos += bits.OnesCount8(pm)
+			neg += bits.OnesCount8(nm)
 		}
-		sb := signs[(w.Bit+i)>>3] >> sh
-		if sh != 0 {
-			sb |= signs[(w.Bit+i)>>3+1] << (8 - sh)
-		}
-		if sb == 0 && !hasZeroByte(mw) && !hasZeroByte(xw) {
-			putOctet(bW[pos:pos+8:pos+8], mw)
-			putOctet(bX[pos:pos+8:pos+8], xw)
-			pos += 8
-			continue
-		}
-		pos, neg = mixedOctet(bW, bX, mw, xw, sb, pos, neg)
 	}
 	for ; i < n; i++ {
 		m, xv := fixed.Code(mags[i]), x[i]
@@ -240,33 +288,59 @@ func partition(bW, bX []fixed.Code, w fixed.Row, x []fixed.Code, pos, neg int) (
 	return pos, neg
 }
 
-// mixedOctet partitions one octet — magnitudes mw, activations xw, signs sb,
-// element 0 in the low bits — that holds zero products or negative weights.
-// Signs in a trained row are a coin flip, so there is no branch on them: the
-// sign bit selects the cursor, the pair is written there, and the cursor
-// advances if the product is live. A slot written but not claimed is
-// overwritten by the next claimant or left past the group's end.
-//
-//lint:hotpath
-func mixedOctet(bW, bX []fixed.Code, mw, xw uint64, sb byte, pos, neg int) (int, int) {
-	for k := uint(0); k < 64; k += 8 {
-		m, xv := fixed.Code(mw>>k), fixed.Code(xw>>k)
-		live := int((uint(m)*uint(xv) + 0xffff) >> 16) // 1 iff the product is non-zero
-		minus := int(sb & 1)
-		sb >>= 1
-		at := pos ^ (pos^neg)&-minus
-		bW[at], bX[at] = m, xv
-		pos += live &^ minus
-		neg += live & minus
-	}
-	return pos, neg
+// liveMask returns the octet's live products as a byte, element k in bit k:
+// those whose magnitude byte in mw and activation byte in xw are both
+// non-zero.
+func liveMask(mw, xw uint64) uint8 {
+	const lows, tops = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	nz := ((mw&lows + lows) | mw) & ((xw&lows + lows) | xw) & tops // top bit of each live byte
+	return uint8((nz >> 7) * 0x0102040810204080 >> 56)
 }
 
-// hasZeroByte reports whether any of v's eight bytes is zero.
-func hasZeroByte(v uint64) bool {
-	const ones, tops = 0x0101010101010101, 0x8080808080808080
-	return (v-ones)&^v&tops != 0
+// compressStages holds what compacting the bytes of a word selected by one
+// 8-bit mask takes: the selected bytes, and the byte-granular stage masks of
+// the compress operation (Hacker's Delight §7-4) that move them one, two and
+// four bytes down.
+type compressStages struct{ sel, mv1, mv2, mv4 uint64 }
+
+// apply gathers v's selected bytes, in order, into its low bytes; the bytes
+// above them are zero.
+func (c *compressStages) apply(v uint64) uint64 {
+	v &= c.sel
+	t := v & c.mv1
+	v = v ^ t | t>>8
+	t = v & c.mv2
+	v = v ^ t | t>>16
+	t = v & c.mv4
+	return v ^ t | t>>32
 }
+
+// compress holds the compress stages of every octet mask, built once when
+// the package is initialized.
+var compress = func() (tab [256]compressStages) {
+	spread := func(m uint8) (v uint64) { // bit k to byte k
+		for k := 0; k < 8; k++ {
+			v |= uint64(m>>k&1) * 0xff << (8 * k)
+		}
+		return v
+	}
+	for sel := range tab {
+		m := uint8(sel)
+		mk := ^m << 1 // bit k: element k-1 is not selected
+		var mv [3]uint64
+		for s := range mv {
+			mp := mk ^ mk<<1 // bit k: an odd count of mk's bits at or below k
+			mp ^= mp << 2
+			mp ^= mp << 4
+			v := mp & m
+			mv[s] = spread(v)
+			m = m ^ v | v>>(1<<s)
+			mk &^= mp
+		}
+		tab[sel] = compressStages{spread(uint8(sel)), mv[0], mv[1], mv[2]}
+	}
+	return tab
+}()
 
 // octet loads eight codes as one word, the first in the low byte: what
 // binary.LittleEndian.Uint64 is to a []byte.

@@ -45,9 +45,11 @@ func packedCase(seed uint64, rows, cols, q int) (fixed.Matrix, []fixed.Acc, [][]
 	return m, bias, xs
 }
 
-// TestPartitionMatchesReference holds the word-at-a-time partition to the
-// per-element loop it replaced: same operands, same order, positive group
-// and negative group, for rows at every sign-bit alignment.
+// TestPartitionMatchesReference holds the chunked partition to the
+// per-element loop it replaced: same operands, same order, positive group and
+// negative group, no store outside either group's region. It runs rows of
+// packed layers and the skip, move and compaction shapes at widths around
+// one and several chunks, each with its first sign at every bit of a byte.
 func TestPartitionMatchesReference(t *testing.T) {
 	for _, cols := range []int{1, 5, 8, 13, 16, 37, 64, 100} {
 		const rows = 9 // with odd widths, rows start at every bit of a byte
@@ -56,31 +58,16 @@ func TestPartitionMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := xs[0]
 		for j := 0; j < rows; j++ {
-			var wantW, wantX [2][]fixed.Code
-			for i, wi := range m[j] {
-				if wi.Mag == 0 || x[i] == 0 {
-					continue
-				}
-				g := 0
-				if wi.Neg {
-					g = 1
-				}
-				wantW[g], wantX[g] = append(wantW[g], wi.Mag), append(wantX[g], x[i])
-			}
 			row, _ := p.Row(j, nil)
-			bW, bX := make([]fixed.Code, 2*cols), make([]fixed.Code, 2*cols)
-			pos, neg := partition(bW, bX, row, x, 0, cols)
-			if pos != len(wantW[0]) || neg-cols != len(wantW[1]) {
-				t.Fatalf("cols %d row %d: %d positive, %d negative operands; want %d, %d",
-					cols, j, pos, neg-cols, len(wantW[0]), len(wantW[1]))
-			}
-			for g, at := range [2]int{0, cols} {
-				n := len(wantW[g])
-				if n > 0 && (!reflect.DeepEqual(bW[at:at+n], wantW[g]) || !reflect.DeepEqual(bX[at:at+n], wantX[g])) {
-					t.Fatalf("cols %d row %d group %d: operands\n%v\n%v\nwant\n%v\n%v",
-						cols, j, g, bW[at:at+n], bX[at:at+n], wantW[g], wantX[g])
+			checkPartition(t, fmt.Sprintf("packed cols %d row %d", cols, j), row, m[j], xs[0], 0, 0)
+		}
+	}
+	for _, n := range []int{31, 32, 33, 63, 64, 65, 96, 257, 1000} {
+		for _, r := range partitionRows(n, 3) {
+			for bit := 0; bit < 8; bit++ {
+				for _, at := range [][2]int{{0, 0}, {5, 3}, {n, 1}} { // pos, gap
+					checkPartition(t, fmt.Sprintf("%s %d bit %d pos %d gap %d", r.kind, n, bit, at[0], at[1]), rowAt(r.w, bit), r.w, r.x, at[0], at[1])
 				}
 			}
 		}
