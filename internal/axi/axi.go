@@ -83,46 +83,8 @@ func (s *Stream[T]) Pop() (Beat[T], error) {
 	return b, nil
 }
 
-// Peek returns the oldest beat without dequeuing it.
-func (s *Stream[T]) Peek() (Beat[T], error) {
-	if !s.Valid() {
-		var zero Beat[T]
-		return zero, ErrEmpty
-	}
-	return s.buf[s.head], nil
-}
-
 // Reset discards all buffered beats and clears counters.
 func (s *Stream[T]) Reset() {
 	s.head, s.n = 0, 0
 	s.Pushes, s.Pops, s.Stalls = 0, 0, 0
-}
-
-// PushVector streams a whole vector into the FIFO as a framed burst, marking
-// TLAST on the final element. It returns the number of beats accepted; fewer
-// than len(v) means back-pressure stopped the burst.
-func (s *Stream[T]) PushVector(v []T) int {
-	for i, x := range v {
-		if err := s.Push(Beat[T]{Data: x, Last: i == len(v)-1}); err != nil {
-			return i
-		}
-	}
-	return len(v)
-}
-
-// DrainFrame pops beats until (and including) a TLAST beat or the FIFO
-// empties. It returns the data words and whether a complete frame (TLAST
-// seen) was drained.
-func (s *Stream[T]) DrainFrame() ([]T, bool) {
-	var out []T
-	for {
-		b, err := s.Pop()
-		if err != nil {
-			return out, false
-		}
-		out = append(out, b.Data)
-		if b.Last {
-			return out, true
-		}
-	}
 }

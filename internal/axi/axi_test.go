@@ -49,21 +49,6 @@ func TestPopEmpty(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotConsume(t *testing.T) {
-	s := NewStream[string](2)
-	s.Push(Beat[string]{Data: "a"})
-	b, err := s.Peek()
-	if err != nil || b.Data != "a" {
-		t.Fatalf("Peek = %v, %v", b, err)
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len after Peek = %d, want 1", s.Len())
-	}
-	if _, err := NewStream[string](1).Peek(); !errors.Is(err, ErrEmpty) {
-		t.Error("Peek on empty should return ErrEmpty")
-	}
-}
-
 func TestWrapAround(t *testing.T) {
 	s := NewStream[int](3)
 	for round := 0; round < 10; round++ {
@@ -78,49 +63,6 @@ func TestWrapAround(t *testing.T) {
 				t.Fatalf("round %d pop %d = %v, %v", round, i, b, err)
 			}
 		}
-	}
-}
-
-func TestPushVectorFraming(t *testing.T) {
-	s := NewStream[int](10)
-	n := s.PushVector([]int{1, 2, 3})
-	if n != 3 {
-		t.Fatalf("PushVector accepted %d, want 3", n)
-	}
-	for i := 0; i < 3; i++ {
-		b, _ := s.Pop()
-		wantLast := i == 2
-		if b.Last != wantLast {
-			t.Errorf("beat %d Last = %v, want %v", i, b.Last, wantLast)
-		}
-	}
-}
-
-func TestPushVectorPartialOnStall(t *testing.T) {
-	s := NewStream[int](2)
-	n := s.PushVector([]int{1, 2, 3, 4})
-	if n != 2 {
-		t.Fatalf("PushVector accepted %d, want 2", n)
-	}
-}
-
-func TestDrainFrame(t *testing.T) {
-	s := NewStream[int](10)
-	s.PushVector([]int{1, 2, 3})
-	s.PushVector([]int{4, 5})
-	f1, ok := s.DrainFrame()
-	if !ok || len(f1) != 3 || f1[2] != 3 {
-		t.Fatalf("frame 1 = %v, %v", f1, ok)
-	}
-	f2, ok := s.DrainFrame()
-	if !ok || len(f2) != 2 || f2[1] != 5 {
-		t.Fatalf("frame 2 = %v, %v", f2, ok)
-	}
-	// Incomplete frame: no TLAST ever pushed.
-	s.Push(Beat[int]{Data: 9})
-	f3, ok := s.DrainFrame()
-	if ok || len(f3) != 1 {
-		t.Fatalf("frame 3 = %v, %v (want incomplete)", f3, ok)
 	}
 }
 

@@ -62,12 +62,6 @@ func (d *DAC) ValidCount() int64 {
 	return 0
 }
 
-// Emit converts up to SamplesPerCycle buffered samples for one digital clock
-// cycle. It returns the emitted codes; fewer than SamplesPerCycle means the
-// FIFO ran dry mid-cycle. The synchronous data streamer only calls Emit once
-// all parallel DACs are valid.
-func (d *DAC) Emit() []fixed.Code { return d.EmitN(SamplesPerCycle) }
-
 // EmitN converts up to n buffered samples. The streamer uses this to keep
 // parallel lanes in lockstep when one lane holds fewer samples than a full
 // cycle's worth.
@@ -127,15 +121,6 @@ func quantize(v float64) fixed.Code {
 		t++
 	}
 	return fixed.Code(t)
-}
-
-// QuantizeBurst digitizes a slice of analog readings.
-func (a *ADC) QuantizeBurst(vs []float64) []fixed.Code {
-	out := make([]fixed.Code, len(vs))
-	for i, v := range vs {
-		out[i] = a.Quantize(v)
-	}
-	return out
 }
 
 // noiseSample draws one idle-channel sample below the noise floor.

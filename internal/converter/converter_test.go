@@ -31,9 +31,9 @@ func TestDACEmitFullCycle(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		d.In.Push(axi.Beat[fixed.Code]{Data: fixed.Code(i)})
 	}
-	out := d.Emit()
+	out := d.EmitN(SamplesPerCycle)
 	if len(out) != SamplesPerCycle {
-		t.Fatalf("Emit = %d samples, want %d", len(out), SamplesPerCycle)
+		t.Fatalf("EmitN = %d samples, want %d", len(out), SamplesPerCycle)
 	}
 	for i, c := range out {
 		if c != fixed.Code(i) {
@@ -50,11 +50,11 @@ func TestDACEmitStarved(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.In.Push(axi.Beat[fixed.Code]{Data: 1})
 	}
-	if got := len(d.Emit()); got != 5 {
-		t.Errorf("starved Emit = %d samples, want 5", got)
+	if got := len(d.EmitN(SamplesPerCycle)); got != 5 {
+		t.Errorf("starved EmitN = %d samples, want 5", got)
 	}
-	if got := len(d.Emit()); got != 0 {
-		t.Errorf("empty Emit = %d samples, want 0", got)
+	if got := len(d.EmitN(SamplesPerCycle)); got != 0 {
+		t.Errorf("empty EmitN = %d samples, want 0", got)
 	}
 }
 
@@ -118,8 +118,8 @@ func FuzzQuantizeMatchesRound(f *testing.F) {
 }
 
 func TestQuantizeBurst(t *testing.T) {
-	a := NewADC(1)
-	got := a.QuantizeBurst([]float64{1, 2.6, 300})
+	got := make([]fixed.Code, 3)
+	QuantizeInto(got, []float64{1, 2.6, 300})
 	want := []fixed.Code{1, 3, 255}
 	for i := range want {
 		if got[i] != want[i] {

@@ -9,10 +9,10 @@
 // datapath tracks each inference request's computation DAG at line rate.
 //
 // Unlike Tofino's match-action units, count-action units are reconfigurable
-// at runtime (§5.4): the DAG configuration loader rewrites a centralized
-// RegisterFile when a packet for a different DNN model arrives, and a Rule's
-// target can be changed mid-count, taking effect at its next evaluation with
-// no pipeline flush.
+// at runtime (§5.4): Rule.SetTarget retargets a rule mid-count, taking effect
+// at its next evaluation with no pipeline flush. The datapath retargets the
+// cross-cycle adder's rule this way before every dot, from the length of the
+// dot's segment.
 package countaction
 
 import "fmt"
@@ -24,42 +24,6 @@ type Value = int64
 // Action is the operation a rule triggers when its count reaches its target,
 // e.g. "stream DAC[i].data into photonic cores" (Listing 1).
 type Action func()
-
-// Addr addresses one word in the centralized control register file.
-type Addr uint16
-
-// RegisterFile is the centralized control register block of Fig 11. The DAG
-// configuration loader (or the software driver over AXI-lite) writes target
-// and action values here; count-action units bound to registers observe the
-// new values immediately.
-type RegisterFile struct {
-	regs []Value
-}
-
-// NewRegisterFile allocates n control registers, all zero.
-func NewRegisterFile(n int) *RegisterFile {
-	return &RegisterFile{regs: make([]Value, n)}
-}
-
-// Size returns the number of registers.
-func (f *RegisterFile) Size() int { return len(f.regs) }
-
-// Write stores v at address a. It panics on an out-of-range address, which
-// models an AXI-lite bus error.
-func (f *RegisterFile) Write(a Addr, v Value) {
-	if int(a) >= len(f.regs) {
-		panic(fmt.Sprintf("countaction: register write to %d beyond file size %d", a, len(f.regs)))
-	}
-	f.regs[a] = v
-}
-
-// Read returns the value at address a.
-func (f *RegisterFile) Read(a Addr) Value {
-	if int(a) >= len(f.regs) {
-		panic(fmt.Sprintf("countaction: register read at %d beyond file size %d", a, len(f.regs)))
-	}
-	return f.regs[a]
-}
 
 // Rule is a single count-action unit. A Rule counts via Add/Observe each
 // datapath cycle; when the count reaches the target it resets to zero and
@@ -88,10 +52,6 @@ func (r *Rule) Target() Value { return r.target }
 
 // SetTarget updates the target; the rule's next evaluation counts toward it.
 func (r *Rule) SetTarget(t Value) { r.target = t }
-
-// SetAction replaces the triggered action (the DAG loader swaps actions when
-// retargeting a datapath template to a different layer type).
-func (r *Rule) SetAction(a Action) { r.action = a }
 
 // Count returns the current accumulated count.
 func (r *Rule) Count() Value { return r.count }

@@ -8,13 +8,13 @@ import (
 )
 
 // ServeBatch runs a batch of same-model queries through the reconfigurable
-// datapath as matrix-matrix passes: per layer it applies the compiled
-// program to the control registers ONCE, streams the layer's weights from
-// DRAM ONCE, and executes every query's activations through the photonic
-// pipeline in a single shared burst per output neuron — all without
-// control-plane involvement. The per-layer reconfiguration, DRAM weight
-// stream, decode, and fixed datapath overhead amortize across the batch; a
-// lone query (Serve) is the batch of one and pays each of them itself.
+// datapath as matrix-matrix passes: per layer it retargets the datapath to
+// the layer's LayerConfig ONCE, streams the layer's weights from DRAM ONCE,
+// and executes every query's activations through the photonic pipeline in a
+// single shared burst — all without control-plane involvement. The
+// per-layer reconfiguration, DRAM weight stream, decode, and fixed datapath
+// overhead amortize across the batch; a lone query (Serve) is the batch of
+// one and pays each of them itself.
 //
 // Results come back in input order, one per query, with per-query verdicts
 // (Class, Probs, Raw) computed independently — batching shares analog
@@ -49,7 +49,6 @@ func (ld *Loader) ServeBatch(id uint16, inputs [][]fixed.Code) ([]Result, datapa
 	// acts when a layer returns, so one slice serves them all.
 	var next [][]fixed.Code
 	for _, lc := range mc.Layers {
-		lc.Program.Apply(ld.Regs)
 		ld.Reconfigurations++
 
 		// Registration always stores both keys, so a failed load is a
@@ -76,9 +75,10 @@ func (ld *Loader) ServeBatch(id uint16, inputs [][]fixed.Code) ([]Result, datapa
 
 		out := ld.Engine.ExecuteFCBiasBatch(weights, bias, acts, lc.Activation, lc.Shift)
 		batchStats.Add(out.Stats)
-		if ld.Regs.Read(RegLast) == 1 {
-			// Compile marks exactly the softmax layer last, so the engine
-			// has already produced the probabilities.
+		if lc.Activation == datapath.ActSoftmax {
+			// Compile gives the softmax to the layer marked Final and to no
+			// other, so this is where results fire, and the engine has
+			// already produced the probabilities.
 			for qi, fc := range out.PerQuery {
 				results[qi].Raw = fc.Raw
 				results[qi].Probs = fc.Probs

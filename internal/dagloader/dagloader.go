@@ -1,9 +1,9 @@
 // Package dagloader implements Lightning's DAG configuration loader (§4
-// step 2, §5.4): it compiles a DNN's computation DAG into per-layer
-// count-action register programs, stores the model's quantized parameters in
-// off-chip DRAM, and — when an inference packet arrives — reconfigures the
-// datapath layer by layer and drives the photonic-electronic pipeline to
-// completion without control-plane involvement.
+// step 2, §5.4): it compiles a DNN's computation DAG into one LayerConfig
+// per layer, stores the model's quantized parameters in off-chip DRAM, and —
+// when an inference packet arrives — reconfigures the datapath layer by
+// layer and drives the photonic-electronic pipeline to completion without
+// control-plane involvement.
 package dagloader
 
 import (
@@ -11,44 +11,16 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/lightning-smartnic/lightning/internal/countaction"
 	"github.com/lightning-smartnic/lightning/internal/datapath"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 	"github.com/lightning-smartnic/lightning/internal/mem"
 	"github.com/lightning-smartnic/lightning/internal/nn"
 )
 
-// Control-register addresses for the datapath templates (Fig 11's
-// centralized control registers). Each layer's Program rewrites these.
-const (
-	// RegStreamerTarget is the synchronous data streamer's valid-count
-	// target (the number of parallel DACs, Listing 1).
-	RegStreamerTarget countaction.Addr = iota
-	// RegAdderPartials is the cross-cycle adder-subtractor target: the
-	// partial count per dot product (Listing 3).
-	RegAdderPartials
-	// RegNonlinearLen is the non-linear unit's element count per vector.
-	RegNonlinearLen
-	// RegLayerIn and RegLayerOut describe the layer geometry.
-	RegLayerIn
-	RegLayerOut
-	// RegActivation selects the non-linear function (datapath.Activation).
-	RegActivation
-	// RegShift is the requantization shift.
-	RegShift
-	// RegLast marks the final layer (result generation fires after it).
-	RegLast
-
-	// NumRegs is the register file size the loader requires.
-	NumRegs
-)
-
-// Program compilation turns each layer into a register image. The Weights
-// key locates the layer's parameters in DRAM.
-
-// LayerConfig pairs a compiled count-action program with its DRAM keys.
+// LayerConfig is one layer's compiled configuration: everything the loader
+// retargets the datapath with at the layer boundary (geometry, non-linearity,
+// requantization shift) and where the layer's parameters sit in DRAM.
 type LayerConfig struct {
-	Program    countaction.Program
 	WeightsKey string
 	BiasKey    string
 	Activation datapath.Activation
@@ -63,11 +35,13 @@ type ModelConfig struct {
 	Layers []LayerConfig
 }
 
-// Compile translates a quantized network into per-layer programs. The paper
-// example: "the DAG configuration module loads the appropriate count-action
-// values for performing inference on the first layer of this model and
-// writes these parameters to the control registers".
-func Compile(id uint16, name string, q *nn.QuantizedNetwork, numDACs, numWavelengths int) *ModelConfig {
+// Compile translates a quantized network into one LayerConfig per layer. The
+// paper example: "the DAG configuration module loads the appropriate
+// count-action values for performing inference on the first layer of this
+// model and writes these parameters to the control registers". The layer
+// marked Final, and no other, gets the softmax: ServeBatch ends the pass and
+// generates results there.
+func Compile(id uint16, name string, q *nn.QuantizedNetwork) *ModelConfig {
 	mc := &ModelConfig{ID: id, Name: name}
 	for l, ql := range q.Layers {
 		out, in := ql.Weights.Dims()
@@ -75,23 +49,7 @@ func Compile(id uint16, name string, q *nn.QuantizedNetwork, numDACs, numWavelen
 		if ql.Final {
 			act = datapath.ActSoftmax
 		}
-		var p countaction.Program
-		p.Label = fmt.Sprintf("%s layer %d: fc %dx%d", name, l+1, in, out)
-		p.Set(RegStreamerTarget, countaction.Value(numDACs))
-		partials := (in + numWavelengths - 1) / numWavelengths
-		p.Set(RegAdderPartials, countaction.Value(partials))
-		p.Set(RegNonlinearLen, countaction.Value(out))
-		p.Set(RegLayerIn, countaction.Value(in))
-		p.Set(RegLayerOut, countaction.Value(out))
-		p.Set(RegActivation, countaction.Value(act))
-		p.Set(RegShift, countaction.Value(ql.Shift))
-		last := countaction.Value(0)
-		if ql.Final {
-			last = 1
-		}
-		p.Set(RegLast, last)
 		mc.Layers = append(mc.Layers, LayerConfig{
-			Program: p,
 			// Keys carry the wire ID, not just the name: two models may
 			// share a human-readable name but must never share weights.
 			WeightsKey: fmt.Sprintf("model%d-%s/layer%d/weights", id, name, l),
@@ -156,16 +114,53 @@ func NewStore(dram *mem.DRAM) *Store {
 }
 
 // Register stores a compiled model's parameters in DRAM and makes it
-// servable under its wire ID.
+// servable under its wire ID. A model that does not fit leaves DRAM and the
+// registry as they were.
 func (s *Store) Register(mc *ModelConfig, q *nn.QuantizedNetwork) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.registerLocked(mc, q)
-}
-
-func (s *Store) registerLocked(mc *ModelConfig, q *nn.QuantizedNetwork) error {
 	if _, dup := s.models[mc.ID]; dup {
 		return fmt.Errorf("dagloader: model id %d already registered", mc.ID)
+	}
+	return s.replaceLocked(nil, mc, q)
+}
+
+// Update atomically replaces a registered model's parameters with a freshly
+// compiled configuration. It blocks until in-flight queries against the old
+// version complete (they hold the read lock), then swaps. A replacement that
+// does not fit in DRAM once the old version's blobs are freed is refused
+// before anything is freed, so the old version keeps serving.
+func (s *Store) Update(mc *ModelConfig, q *nn.QuantizedNetwork) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old, ok := s.models[mc.ID]
+	if !ok {
+		return fmt.Errorf("dagloader: model id %d not registered", mc.ID)
+	}
+	if err := s.replaceLocked(old, mc, q); err != nil {
+		return fmt.Errorf("dagloader: updating model %d: %w", mc.ID, err)
+	}
+	return nil
+}
+
+// replaceLocked frees old's blobs (old may be nil), stores mc's and
+// registers mc. It first checks that mc fits in what DRAM holds once old is
+// freed, so a refused model leaves DRAM and the registry untouched. Caller
+// holds s.mu.
+func (s *Store) replaceLocked(old, mc *ModelConfig, q *nn.QuantizedNetwork) error {
+	free := s.DRAM.Spec.CapacityBytes - s.DRAM.Used()
+	if old != nil {
+		free += footprint(old)
+	}
+	if need := footprint(mc); need > free {
+		return fmt.Errorf("dagloader: model %d needs %d bytes of %s, %d free", mc.ID, need, s.DRAM.Spec.Name, free)
+	}
+	if old != nil {
+		for _, lc := range old.Layers {
+			s.DRAM.Delete(lc.WeightsKey)
+			s.DRAM.Delete(lc.BiasKey)
+		}
+		delete(s.models, old.ID)
 	}
 	for l, lc := range mc.Layers {
 		if err := s.DRAM.Store(lc.WeightsKey, EncodeWeights(q.Layers[l].Weights)); err != nil {
@@ -179,25 +174,15 @@ func (s *Store) registerLocked(mc *ModelConfig, q *nn.QuantizedNetwork) error {
 	return nil
 }
 
-// Update atomically replaces a registered model's parameters with a freshly
-// compiled configuration. It blocks until in-flight queries against the old
-// version complete (they hold the read lock), then swaps.
-func (s *Store) Update(mc *ModelConfig, q *nn.QuantizedNetwork) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old, ok := s.models[mc.ID]
-	if !ok {
-		return fmt.Errorf("dagloader: model id %d not registered", mc.ID)
+// footprint is the DRAM a model's blobs take: each layer's packed weights
+// and its 16-bit bias words.
+func footprint(mc *ModelConfig) int64 {
+	var n int64
+	for _, lc := range mc.Layers {
+		w, _ := fixed.PackedLen(lc.Out, lc.In) // in range: the weights exist
+		n += int64(w + 2*lc.Out)
 	}
-	for _, lc := range old.Layers {
-		s.DRAM.Delete(lc.WeightsKey)
-		s.DRAM.Delete(lc.BiasKey)
-	}
-	delete(s.models, mc.ID)
-	if err := s.registerLocked(mc, q); err != nil {
-		return fmt.Errorf("dagloader: updating model %d: %w", mc.ID, err)
-	}
-	return nil
+	return n
 }
 
 // Model returns a registered model's configuration.
@@ -240,22 +225,21 @@ func (s *Store) Validate(id uint16, inputLen int) error {
 	return err
 }
 
-// Loader owns one datapath shard's control registers and photonic engine,
-// serving models out of a (possibly shared) Store. A Loader is single-
-// threaded — one shard is one hardware pipeline — so the caller serializes
-// ServeBatch calls per Loader; sharing the Store across Loaders is what makes
-// multi-shard serving safe.
+// Loader owns one datapath shard's photonic engine, serving models out of a
+// (possibly shared) Store. A Loader is single-threaded — one shard is one
+// hardware pipeline — so the caller serializes ServeBatch calls per Loader;
+// sharing the Store across Loaders is what makes multi-shard serving safe.
 type Loader struct {
-	Regs   *countaction.RegisterFile
 	Store  *Store
 	Engine *datapath.Engine
 
 	// DRAM aliases Store.DRAM for convenience.
 	DRAM *mem.DRAM
 
-	// Reconfigurations counts applied layer programs (each one is a pure
-	// register-write burst — the datapath never stops). Per-shard; read it
-	// under the same serialization that guards ServeBatch.
+	// Reconfigurations counts layer boundaries served: each retargets the
+	// datapath to the next LayerConfig, and the datapath never stops.
+	// Per-shard; read it under the same serialization that guards
+	// ServeBatch.
 	Reconfigurations uint64
 }
 
@@ -267,22 +251,21 @@ func NewLoader(engine *datapath.Engine, dram *mem.DRAM) *Loader {
 // NewLoaderWithStore wires a loader shard to an engine and a shared store.
 func NewLoaderWithStore(engine *datapath.Engine, store *Store) *Loader {
 	return &Loader{
-		Regs:   countaction.NewRegisterFile(int(NumRegs)),
 		Store:  store,
 		Engine: engine,
 		DRAM:   store.DRAM,
 	}
 }
 
-// RegisterModel compiles a quantized network for this loader's engine
-// geometry, stores its parameters in DRAM, and makes it servable under the
-// model ID (on every loader sharing the store).
+// RegisterModel compiles a quantized network, stores its parameters in DRAM,
+// and makes it servable under the model ID (on every loader sharing the
+// store).
 func (ld *Loader) RegisterModel(id uint16, name string, q *nn.QuantizedNetwork) error {
-	mc := Compile(id, name, q, ld.Engine.Core.NumLanes()*2, ld.Engine.Core.NumLanes())
+	mc := Compile(id, name, q)
 	return ld.Store.Register(mc, q)
 }
 
-// UpdateModel replaces a registered model's parameters and programs in
+// UpdateModel replaces a registered model's parameters and layer configs in
 // place — the §6.1 PCIe path: "Lightning uses the PCIe interface to interact
 // with the local host for ... updating DNN model parameters". The new
 // network may have a different architecture; in-flight queries for the old
@@ -292,7 +275,7 @@ func (ld *Loader) UpdateModel(id uint16, q *nn.QuantizedNetwork) error {
 	if !ok {
 		return fmt.Errorf("dagloader: model id %d not registered", id)
 	}
-	mc := Compile(id, old.Name, q, ld.Engine.Core.NumLanes()*2, ld.Engine.Core.NumLanes())
+	mc := Compile(id, old.Name, q)
 	return ld.Store.Update(mc, q)
 }
 

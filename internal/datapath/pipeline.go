@@ -2,7 +2,6 @@ package datapath
 
 import (
 	"github.com/lightning-smartnic/lightning/internal/converter"
-	"github.com/lightning-smartnic/lightning/internal/countaction"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 	"github.com/lightning-smartnic/lightning/internal/photonic"
 )
@@ -87,7 +86,6 @@ func (s LayerStats) Seconds() float64 {
 type Engine struct {
 	Core *photonic.Core
 	ADC  *converter.ADC
-	Regs *countaction.RegisterFile
 
 	// detector owns the preamble configuration; pre is the prefix baked
 	// from it that opens every burst (SetPreamble keeps the two in step).
@@ -112,7 +110,6 @@ func NewEngine(core *photonic.Core, seed uint64) *Engine {
 	e := &Engine{
 		Core:  core,
 		ADC:   converter.NewADC(seed),
-		Regs:  countaction.NewRegisterFile(64),
 		adder: NewCrossCycleAdder(1),
 	}
 	e.SetPreamble(PrototypePreamble())

@@ -108,25 +108,6 @@ func SplitSigned(x float64) Signed {
 	return Signed{Mag: FromUnit(x)}
 }
 
-// QuantizeVector converts a real-valued vector (values in [-1, 1]) into the
-// sign/magnitude representation streamed to the photonic core.
-func QuantizeVector(xs []float64) []Signed {
-	out := make([]Signed, len(xs))
-	for i, x := range xs {
-		out[i] = SplitSigned(x)
-	}
-	return out
-}
-
-// Dequantize returns the real values represented by a sign/magnitude vector.
-func Dequantize(ss []Signed) []float64 {
-	out := make([]float64, len(ss))
-	for i, s := range ss {
-		out[i] = s.Value()
-	}
-	return out
-}
-
 // Scale describes an affine quantization scale mapping real weights onto the
 // 8-bit magnitude range: code = round(|x| / Max * 255). A Scale is computed
 // per tensor so that the largest-magnitude element uses the full range, the
@@ -156,26 +137,6 @@ func (sc Scale) Quantize(x float64) Signed {
 	}
 	return SplitSigned(x / sc.Max)
 }
-
-// Dequantize maps a sign/magnitude code back to a real value.
-func (sc Scale) Dequantize(s Signed) float64 {
-	return s.Value() * sc.Max
-}
-
-// QuantizeTensor quantizes a whole tensor under its own symmetric scale and
-// returns both the codes and the scale needed to interpret results.
-func QuantizeTensor(xs []float64) ([]Signed, Scale) {
-	sc := ScaleFor(xs)
-	out := make([]Signed, len(xs))
-	for i, x := range xs {
-		out[i] = sc.Quantize(x)
-	}
-	return out, sc
-}
-
-// PadTo16 zero-extends an 8-bit code into a 16-bit accumulator word
-// (footnote 1: "we pad each 8-bit sample with eight additional zeros").
-func PadTo16(c Code) Acc { return Acc(c) }
 
 // String implements fmt.Stringer for diagnostics.
 func (s Signed) String() string {

@@ -101,10 +101,9 @@ func TestSignedValueInverse(t *testing.T) {
 
 func TestQuantizeVectorRoundTrip(t *testing.T) {
 	in := []float64{-1, -0.25, 0, 0.25, 1}
-	out := Dequantize(QuantizeVector(in))
-	for i := range in {
-		if math.Abs(out[i]-in[i]) > 0.5/MaxCode {
-			t.Errorf("element %d: got %v want %v", i, out[i], in[i])
+	for i, x := range in {
+		if got := SplitSigned(x).Value(); math.Abs(got-x) > 0.5/MaxCode {
+			t.Errorf("element %d: got %v want %v", i, got, x)
 		}
 	}
 }
@@ -121,13 +120,13 @@ func TestScaleForAllZero(t *testing.T) {
 
 func TestScaleTensorUsesFullRange(t *testing.T) {
 	xs := []float64{0.1, -2.0, 0.7}
-	qs, sc := QuantizeTensor(xs)
+	sc := ScaleFor(xs)
 	if sc.Max != 2.0 {
 		t.Fatalf("scale Max = %v, want 2", sc.Max)
 	}
 	// The largest-magnitude element must land on the full code.
-	if qs[1].Mag != MaxCode || !qs[1].Neg {
-		t.Errorf("max element quantized to %+v, want -255/255", qs[1])
+	if q := sc.Quantize(xs[1]); q.Mag != MaxCode || !q.Neg {
+		t.Errorf("max element quantized to %+v, want -255/255", q)
 	}
 }
 
@@ -137,21 +136,12 @@ func TestScaleQuantizeErrorBound(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	qs, sc := QuantizeTensor(xs)
+	sc := ScaleFor(xs)
 	lsb := sc.Max / MaxCode
-	for i := range xs {
-		if err := math.Abs(sc.Dequantize(qs[i]) - xs[i]); err > lsb/2+1e-9 {
+	for i, x := range xs {
+		if err := math.Abs(sc.Quantize(x).Value()*sc.Max - x); err > lsb/2+1e-9 {
 			t.Fatalf("element %d: quantization error %v exceeds half LSB %v", i, err, lsb/2)
 		}
-	}
-}
-
-func TestPadTo16(t *testing.T) {
-	if got := PadTo16(255); got != 255 {
-		t.Errorf("PadTo16(255) = %d, want 255", got)
-	}
-	if got := PadTo16(0); got != 0 {
-		t.Errorf("PadTo16(0) = %d, want 0", got)
 	}
 }
 

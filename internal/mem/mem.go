@@ -1,9 +1,6 @@
 // Package mem models Lightning's off-chip memory system (§6.1 "DRAM
-// access"): the DDR4 attached to the prototype datapath, the HBM2 the §8
-// chip design uses, the back-pressure buffer that absorbs DRAM burstiness
-// before the DACs, and the kernel register file that caches convolution
-// kernels for reuse (§4 "the memory controller reads the convolution kernel
-// only once and stores it in local register files for subsequent reuse").
+// access"): the DDR4 attached to the prototype datapath and the
+// back-pressure buffer that absorbs DRAM burstiness before the DACs.
 package mem
 
 import (
@@ -11,7 +8,6 @@ import (
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/lightning-smartnic/lightning/internal/axi"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
@@ -40,26 +36,6 @@ func DDR4Spec() Spec {
 		JitterNs:      40,
 		CapacityBytes: 4 << 30,
 	}
-}
-
-// HBM2Spec is the §8 chip's memory: 15.2 Tbps stacks.
-func HBM2Spec() Spec {
-	return Spec{
-		Name:          "HBM2",
-		BandwidthBps:  15.2e12,
-		LatencyNs:     50,
-		JitterNs:      25,
-		CapacityBytes: 16 << 30,
-	}
-}
-
-// TransferTime returns the serialization time for n bytes at the memory's
-// bandwidth.
-func (s Spec) TransferTime(n int64) time.Duration {
-	if s.BandwidthBps <= 0 {
-		return 0
-	}
-	return time.Duration(float64(n*8) / s.BandwidthBps * 1e9)
 }
 
 // DRAM is a capacity-bounded key/value blob store with latency modeling.
@@ -169,16 +145,6 @@ func (d *DRAM) Load(key string) ([]byte, bool) {
 	return b, ok
 }
 
-// AccessLatency draws one access latency: base plus uniform jitter. This is
-// the variation that desynchronizes DAC lanes absent the count-action
-// streamer.
-func (d *DRAM) AccessLatency() time.Duration {
-	d.mu.Lock()
-	j := d.rng.Float64() * d.Spec.JitterNs
-	d.mu.Unlock()
-	return time.Duration((d.Spec.LatencyNs + j) * float64(time.Nanosecond))
-}
-
 // jitterDraw returns one uniform draw from the DRAM's rng under the lock.
 func (d *DRAM) jitterDraw() float64 {
 	d.mu.Lock()
@@ -232,62 +198,4 @@ func (r *Reader) Fill(dst *axi.Stream[fixed.Code]) int {
 		n++
 	}
 	return n
-}
-
-// KernelCache is the local register file that holds convolution kernels
-// after their first DRAM read so subsequent windows reuse them without
-// memory traffic. A KernelCache belongs to a single engine goroutine — like
-// the hardware register file it models, it is per-core, not shared — so its
-// entries map and hit counters are deliberately unguarded; a shard that
-// wants a shared cache must wrap it.
-type KernelCache struct {
-	CapacityBytes int64
-
-	entries map[string][]byte
-	used    int64
-	order   []string
-
-	Hits, Misses uint64
-}
-
-// NewKernelCache allocates a register-file cache of the given capacity.
-func NewKernelCache(capacity int64) *KernelCache {
-	return &KernelCache{CapacityBytes: capacity, entries: make(map[string][]byte)}
-}
-
-// Get returns the cached kernel, fetching it from DRAM on a miss and
-// evicting least-recently-inserted entries to fit. It returns nil when the
-// kernel is in neither the cache nor DRAM.
-func (k *KernelCache) Get(key string, dram *DRAM) []byte {
-	if b, ok := k.entries[key]; ok {
-		k.Hits++ //lint:allow atomiccounter single-owner per-core register file
-		return b
-	}
-	k.Misses++ //lint:allow atomiccounter single-owner per-core register file
-	b, ok := dram.Load(key)
-	if !ok {
-		return nil
-	}
-	for k.used+int64(len(b)) > k.CapacityBytes && len(k.order) > 0 {
-		victim := k.order[0]
-		k.order = k.order[1:]
-		k.used -= int64(len(k.entries[victim]))
-		delete(k.entries, victim)
-	}
-	if int64(len(b)) > k.CapacityBytes {
-		return b // too large to cache; serve uncached
-	}
-	k.entries[key] = b
-	k.order = append(k.order, key)
-	k.used += int64(len(b))
-	return b
-}
-
-// HitRate returns the cache hit fraction.
-func (k *KernelCache) HitRate() float64 {
-	total := k.Hits + k.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(k.Hits) / float64(total)
 }
