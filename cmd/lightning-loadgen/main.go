@@ -23,6 +23,7 @@ import (
 
 	lightning "github.com/lightning-smartnic/lightning"
 	"github.com/lightning-smartnic/lightning/internal/loadgen"
+	"github.com/lightning-smartnic/lightning/internal/nic"
 	"github.com/lightning-smartnic/lightning/internal/stats"
 )
 
@@ -75,9 +76,9 @@ func main() {
 
 	admission := lightning.AdmissionConfig{MaxQueue: *admitQueue, Budget: *admitBudget}
 	if *admitWeights != "" {
-		admission.Models, err = parseWeights(*admitWeights)
+		admission.Models, err = nic.ParseAdmitWeights(*admitWeights)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("-admit-weights: %v", err)
 		}
 	}
 
@@ -164,11 +165,11 @@ type pointConfig struct {
 // lifetime (the open-loop driver itself is duration-bound).
 func runPoint(ctx context.Context, pc pointConfig) (loadgen.Point, error) {
 	addr := pc.addr
-	var nic *lightning.NIC
+	var srv *lightning.NIC
 	var stop func() error
 	if pc.self {
 		var err error
-		nic, addr, stop, err = startSelfServer(ctx, pc)
+		srv, addr, stop, err = startSelfServer(ctx, pc)
 		if err != nil {
 			return loadgen.Point{}, err
 		}
@@ -209,8 +210,8 @@ func runPoint(ctx context.Context, pc pointConfig) (loadgen.Point, error) {
 		}
 		point.Models = append(point.Models, ml)
 	}
-	if nic != nil {
-		m := nic.Metrics()
+	if srv != nil {
+		m := srv.Metrics()
 		point.Server = &loadgen.ServerCounters{
 			Served:       m.Served,
 			QueueFull:    m.Serve.QueueFull,
@@ -336,32 +337,4 @@ func parseSweep(s string, fallback float64) ([]float64, error) {
 		return nil, fmt.Errorf("-sweep %q: no rates", s)
 	}
 	return rates, nil
-}
-
-// parseWeights parses "id:weight" pairs into admission policies.
-func parseWeights(s string) (map[uint16]lightning.AdmitPolicy, error) {
-	out := map[uint16]lightning.AdmitPolicy{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		fields := strings.Split(part, ":")
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("-admit-weights entry %q: want id:weight", part)
-		}
-		id, err := strconv.ParseUint(fields[0], 10, 16)
-		if err != nil {
-			return nil, fmt.Errorf("-admit-weights entry %q: model id: %w", part, err)
-		}
-		w, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("-admit-weights entry %q: weight: %w", part, err)
-		}
-		out[uint16(id)] = lightning.AdmitPolicy{Weight: w}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-admit-weights %q: no entries", s)
-	}
-	return out, nil
 }

@@ -8,51 +8,39 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
 	lightning "github.com/lightning-smartnic/lightning"
+	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
-// parseAdmitWeights parses "id:weight" pairs into per-model admission
-// policies (the same syntax lightning-loadgen's -admit-weights takes).
-func parseAdmitWeights(s string) (map[uint16]lightning.AdmitPolicy, error) {
-	out := map[uint16]lightning.AdmitPolicy{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		fields := strings.Split(part, ":")
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("-admit-weights entry %q: want id:weight", part)
-		}
-		id, err := strconv.ParseUint(fields[0], 10, 16)
-		if err != nil {
-			return nil, fmt.Errorf("-admit-weights entry %q: model id: %w", part, err)
-		}
-		w, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("-admit-weights entry %q: weight: %w", part, err)
-		}
-		out[uint16(id)] = lightning.AdmitPolicy{Weight: w}
+// checkModelFlags refuses the flag combinations -model none cannot honour,
+// before any file is opened: a bare cluster node has no trained model for
+// -save to write, and serves only what a coordinator installs, so a -load
+// file would be silently ignored.
+func checkModelFlags(model, load, save string) error {
+	if model != "none" {
+		return nil
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-admit-weights %q: no entries", s)
+	if load != "" {
+		return errors.New("-load with -model none: a bare node serves only wire installs; drop -load or name a model")
 	}
-	return out, nil
+	if save != "" {
+		return errors.New("-save with -model none: a bare node has no trained model to save")
+	}
+	return nil
 }
 
 func main() {
 	addr := flag.String("addr", ":4055", "UDP listen address")
-	modelName := flag.String("model", "anomaly", "model to serve: anomaly | iot | digits | none (serve nothing until a coordinator installs partitions; implies -allow-install)")
+	modelName := flag.String("model", "anomaly", "model to serve: anomaly | iot | digits | none (a bare cluster node: serve nothing until a coordinator installs partitions, and accept those wire installs)")
 	epochs := flag.Int("epochs", 25, "training epochs")
 	seed := flag.Uint64("seed", 1, "deterministic seed")
 	noiseless := flag.Bool("noiseless", false, "disable the analog noise model")
@@ -63,27 +51,22 @@ func main() {
 	maxBatch := flag.Int("max-batch", 1, "coalesce up to this many same-model queries into one matrix pass (1 = no queue: every query runs inline as a batch of one)")
 	maxDelay := flag.Duration("max-delay", 0, "flush a partial batch after this long (0 = default; needs -max-batch > 1)")
 	statsEvery := flag.Duration("stats", 10*time.Second, "periodic stats line interval (0 disables)")
-	reassemblyTTL := flag.Duration("reassembly-ttl", 0, "partial-query reassembly TTL (0 = default)")
-	healthWindow := flag.Int("health-window", 0, "per-shard health window in served queries (0 = default)")
-	healthThreshold := flag.Float64("health-threshold", 0, "windowed error rate that quarantines a shard (0 = default)")
 	probeEvery := flag.Int("probe-every", 0, "known-answer probe cadence in served queries per shard (0 disables)")
 	admitQueue := flag.Int("admit-queue", 0, "per-model admission queue bound (0 = default workers*4)")
 	admitBudget := flag.Duration("admit-budget", 0, "per-request latency budget; queued requests past it are shed instead of served (0 disables)")
 	admitWeights := flag.String("admit-weights", "", "per-model service weights as id:weight pairs, comma-separated (empty = equal)")
-	drainTimeout := flag.Duration("drain-timeout", 0, "bound on the shutdown drain of in-flight work (0 = default 5s)")
-	allowInstall := flag.Bool("allow-install", false, "accept wire model installs (CtrlInstallModel) — required for cluster nodes behind lightning-coordinator")
-	rxBatch := flag.Int("rx-batch", 0, "datagrams per batched read — one recvmmsg on the Linux fast path (0 = default 16)")
-	txLinger := flag.Duration("tx-linger", 0, "worker-pool responses wait up to this long to share a batched write (0 = write through immediately)")
-	txCoalesce := flag.Bool("tx-coalesce", false, "pack same-destination responses as concatenated frames in one datagram (receivers must unpack coalesced frames)")
-	wireMTU := flag.Int("wire-mtu", 0, "datagram byte bound for -tx-coalesce packing (0 = default 1400)")
-	wireFallback := flag.Bool("wire-fallback", false, "force the portable single-message wire path (no recvmmsg/sendmmsg)")
 	flag.Parse()
+	if err := checkModelFlags(*modelName, *loadPath, *savePath); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	admission := lightning.AdmissionConfig{MaxQueue: *admitQueue, Budget: *admitBudget}
 	if *admitWeights != "" {
 		var err error
-		if admission.Models, err = parseAdmitWeights(*admitWeights); err != nil {
-			log.Fatal(err)
+		if admission.Models, err = nic.ParseAdmitWeights(*admitWeights); err != nil {
+			log.Fatalf("-admit-weights: %v", err)
 		}
 	}
 
@@ -100,7 +83,6 @@ func main() {
 	case "none":
 		// A bare cluster node: no local model, everything it serves arrives
 		// over the wire from a coordinator.
-		*allowInstall = true
 	default:
 		log.Fatalf("unknown model %q", *modelName)
 	}
@@ -147,28 +129,18 @@ func main() {
 		log.Printf("saved model to %s", *savePath)
 	}
 
-	nic, err := lightning.New(lightning.Config{
+	srv, err := lightning.New(lightning.Config{
 		Lanes: 2, Noiseless: *noiseless, Seed: *seed, Cores: *cores,
-		ReassemblyTTL: *reassemblyTTL,
-		HealthWindow:  *healthWindow, HealthThreshold: *healthThreshold,
 		ProbeEvery:        *probeEvery,
 		Batch:             lightning.BatchConfig{MaxBatch: *maxBatch, MaxDelay: *maxDelay},
 		Admission:         admission,
-		DrainTimeout:      *drainTimeout,
-		AllowModelInstall: *allowInstall,
-		Wire: lightning.WireConfig{
-			RxBatch:       *rxBatch,
-			TxLinger:      *txLinger,
-			TxCoalesce:    *txCoalesce,
-			MTU:           *wireMTU,
-			ForceFallback: *wireFallback,
-		},
+		AllowModelInstall: *modelName == "none",
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if q != nil {
-		if err := nic.RegisterModel(id, *modelName, q); err != nil {
+		if err := srv.RegisterModel(id, *modelName, q); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -180,10 +152,10 @@ func main() {
 	defer pc.Close()
 	if q != nil {
 		log.Printf("serving model %q (id %d) on %s with %d core shard(s)",
-			*modelName, id, pc.LocalAddr(), nic.Cores())
+			*modelName, id, pc.LocalAddr(), srv.Cores())
 	} else {
 		log.Printf("serving on %s with %d core shard(s), awaiting wire model installs",
-			pc.LocalAddr(), nic.Cores())
+			pc.LocalAddr(), srv.Cores())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -198,9 +170,9 @@ func main() {
 			shards += fmt.Sprintf("%d:%s", i, h.State)
 		}
 		line := fmt.Sprintf(
-			"served %d | shards [%s] | pending reassembly %d (drops %d, expired %d, oversize %d) | tx %d frames / %d bytes | %s",
+			"served %d | shards [%s] | pending reassembly %d (drops %d, expired %d, oversize %d) | %s",
 			m.Served, shards, m.PendingReassembly, m.ReassemblyDrops, m.ReassemblyExpired, m.ReassemblyOversize,
-			m.TxFrames, m.TxBytes, m.Serve.Line(m.Served))
+			m.Serve.Line(m.Served))
 		if h := m.Health; h.Quarantines > 0 || h.Unavailable > 0 {
 			line += fmt.Sprintf(" | health: quarantines %d, readmissions %d, relocks %d/%d fail, probes %d/%d fail, unavailable %d",
 				h.Quarantines, h.Readmissions, h.Relocks, h.RelockFailures,
@@ -225,7 +197,7 @@ func main() {
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					log.Print(statsLine(nic.Metrics()))
+					log.Print(statsLine(srv.Metrics()))
 				}
 			}
 		}()
@@ -233,9 +205,9 @@ func main() {
 
 	var serveErr error
 	if *workers > 1 {
-		serveErr = nic.ServeUDPWorkers(ctx, pc, *workers)
+		serveErr = srv.ServeUDPWorkers(ctx, pc, *workers)
 	} else {
-		serveErr = nic.ServeUDP(ctx, pc)
+		serveErr = srv.ServeUDP(ctx, pc)
 	}
 	if serveErr != nil {
 		log.Fatal(serveErr)
@@ -243,12 +215,12 @@ func main() {
 	// The serve loops drain accepted work before returning; Close retires
 	// any recovery loop still backing off, and a bounded final Drain guards
 	// stragglers from other entry points.
-	_ = nic.Close()
+	_ = srv.Close()
 	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := nic.Drain(drainCtx); err != nil {
+	if err := srv.Drain(drainCtx); err != nil {
 		log.Printf("drain: %v", err)
 	}
-	log.Print("final: ", statsLine(nic.Metrics()))
-	fmt.Printf("served %d inference queries\n", nic.Served())
+	log.Print("final: ", statsLine(srv.Metrics()))
+	fmt.Printf("served %d inference queries\n", srv.Served())
 }

@@ -1,7 +1,6 @@
 package lightning
 
 import (
-	"bytes"
 	"net/netip"
 	"sync"
 	"testing"
@@ -10,7 +9,7 @@ import (
 )
 
 // TestNICConcurrentHandleFrame hammers every public NIC entry point —
-// HandleFrame, HandleMessage, Metrics, Stats, Served, Tap — from many
+// HandleFrame, HandleMessage, Metrics, Stats, Served — from many
 // goroutines at once. Run under -race (CI does) it proves the sharded NIC
 // has no data races; the final counter checks prove no update was lost.
 func TestNICConcurrentHandleFrame(t *testing.T) {
@@ -119,16 +118,6 @@ func TestNICConcurrentHandleFrame(t *testing.T) {
 			}
 		}()
 	}
-	// Toggle the pcap tap while frames flow.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var buf bytes.Buffer
-		for i := 0; i < iters; i++ {
-			n.Tap(&buf)
-			n.Tap(nil)
-		}
-	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -60,13 +60,20 @@ const probationTrials = 4
 
 // Health-policy defaults (see Config).
 const (
-	defaultHealthWindow    = 32
-	defaultHealthThreshold = 0.5
-	defaultProbeTolerance  = 3.0
-	defaultRelockAttempts  = 3
-	defaultRelockBackoff   = 10 * time.Millisecond
-	defaultDrainTimeout    = 5 * time.Second
+	defaultHealthWindow   = 32
+	defaultRelockAttempts = 3
+	defaultRelockBackoff  = 10 * time.Millisecond
+	defaultDrainTimeout   = 5 * time.Second
 )
+
+// healthThreshold is the windowed error rate at or above which a shard's
+// circuit breaker trips, once its window has filled.
+const healthThreshold = 0.5
+
+// probeTolerance is the mean absolute known-answer error, in code units,
+// beyond which a probe fails: several sigma above the calibrated noise
+// floor (see probeCoreError).
+const probeTolerance = 3.0
 
 // probePairs are the known-answer operands a probe drives through every
 // lane. They cover the transfer curve's low, mid and full-scale regions,
@@ -140,10 +147,10 @@ func (n *NIC) probeShard(sh *shard) error {
 	e := probeCoreError(sh.core)
 	sh.mu.Unlock()
 	sh.probes.Add(1)
-	if e > n.probeTolerance {
+	if e > probeTolerance {
 		sh.probeFailures.Add(1)
 		return fmt.Errorf("lightning: shard %d known-answer probe error %.2f codes exceeds tolerance %.2f",
-			sh.index, e, n.probeTolerance)
+			sh.index, e, probeTolerance)
 	}
 	return nil
 }

@@ -185,18 +185,6 @@ func Project(cfg ChipConfig) (Budget, error) {
 	return b, nil
 }
 
-// WavelengthsFedByMemory returns how many photonic wavelengths a memory
-// system of the given bandwidth can keep fed with 8-bit weight samples at
-// the given analog clock — the §6.1 analysis: "state-of-the-art HBM2 chips
-// provide 15.2 Tbps bandwidth requiring 468 wavelengths at the current
-// 4.055 GHz frequency, or at least 20 wavelengths at 97 GHz".
-func WavelengthsFedByMemory(bandwidthBps, clockHz float64) int {
-	if clockHz <= 0 {
-		return 0
-	}
-	return int(bandwidthBps / (clockHz * 8))
-}
-
 // BrainwaveFPGAArea is the Intel Stratix 10 die area Brainwave uses (mm²).
 const BrainwaveFPGAArea = 5180.0
 

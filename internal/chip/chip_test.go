@@ -165,20 +165,6 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
-func TestWavelengthsFedByMemory(t *testing.T) {
-	// §6.1: HBM2's 15.2 Tbps feeds 468 wavelengths at 4.055 GHz and at
-	// least 20 at 97 GHz.
-	if got := WavelengthsFedByMemory(15.2e12, 4.055e9); got != 468 {
-		t.Errorf("at 4.055 GHz: %d wavelengths, want 468", got)
-	}
-	if got := WavelengthsFedByMemory(15.2e12, 97e9); got < 19 || got > 20 {
-		t.Errorf("at 97 GHz: %d wavelengths, want ≈20", got)
-	}
-	if WavelengthsFedByMemory(1e12, 0) != 0 {
-		t.Error("zero clock should feed zero wavelengths")
-	}
-}
-
 func TestChipParameterStudy(t *testing.T) {
 	// A property the model must preserve: halving the wavelength count
 	// roughly quarters the MAC count and shrinks both budgets.

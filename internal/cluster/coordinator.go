@@ -190,7 +190,7 @@ func New(cfg Config) (*Coordinator, error) {
 		reassembly: nic.NewReassembler(256),
 		closing:    make(chan struct{}),
 	}
-	c.door = frontdoor.New(c.reassembly, frontdoor.WireConfig{}, nic.AdmissionConfig{},
+	c.door = frontdoor.New(c.reassembly, nic.AdmissionConfig{},
 		func() time.Time { return c.now() })
 	for i, addr := range cfg.Nodes {
 		nc, err := dialNode(addr)

@@ -33,7 +33,7 @@ func (c *Coordinator) ServeUDP(ctx context.Context, pc net.PacketConn, workers i
 		resp, err := c.Infer(ctx, req.Query) // the Err flag rides in the response
 		resp.RequestID = req.ID
 		return resp, err
-	}, false)
+	}, nil)
 }
 
 // NodeMetrics is one node's health and traffic snapshot.

@@ -32,34 +32,11 @@ const readTick = 100 * time.Millisecond
 // legal datagram — and no GRO-coalesced train — truncates.
 const slotSize = netbatch.GROSlot
 
-// WireConfig tunes the batched zero-copy wire path.
-type WireConfig struct {
-	// RxBatch is how many datagrams one batched read may drain (default
-	// 16). On the Linux fast path that is one recvmmsg syscall per burst;
-	// the portable fallback reads one datagram per call regardless.
-	RxBatch int
-	// TxLinger bounds how long a response may wait in a worker pool's
-	// per-destination tx batcher for companions before a background flush
-	// (default 0: write-through, each response flushes immediately). When
-	// admission deadlines are in play, carve the linger from the admission
-	// budget — lingering longer than the client waits is pure loss;
-	// cmd/lightning-serve's -tx-linger flag documents the carve.
-	TxLinger time.Duration
-	// TxCoalesce packs multiple response frames bound for the same
-	// destination into one MTU-bounded datagram (wire-level frame
-	// coalescing on tx). Off by default: clients must speak frame
-	// coalescing to unpack such datagrams, so it is opt-in at the server.
-	// Batched multi-datagram flushes (sendmmsg) happen regardless.
-	TxCoalesce bool
-	// MTU bounds a coalesced tx datagram's payload bytes (default 1400,
-	// matching the fragmenter's conservative Ethernet fit).
-	MTU int
-	// ForceFallback pins the portable single-message path even where the
-	// multi-message fast path exists — the differential-testing override
-	// (the LIGHTNING_NETBATCH=fallback environment toggle does the same
-	// without a rebuild).
-	ForceFallback bool
-}
+// rxBatch is how many datagrams one batched read may drain: one recvmmsg
+// on the Linux fast path (the portable fallback reads one datagram per call
+// regardless). Wide enough to drain a saturation-level burst per syscall,
+// narrow enough that one batch's buffers stay cache-resident.
+const rxBatch = 16
 
 // Request is one complete request: every fragment reassembled.
 type Request struct {
@@ -84,7 +61,6 @@ var errStrayResponse = errors.New("lightning: received a response message")
 // and edge counters. The counters accumulate across Serve calls.
 type Door struct {
 	reasm     *nic.Reassembler
-	wire      WireConfig
 	admission nic.AdmissionConfig
 	now       func() time.Time
 
@@ -106,20 +82,12 @@ type Door struct {
 	dropsByModel map[uint16]uint64
 }
 
-// New builds a front door over a reassembly table, resolving the wire
-// defaults. A zero admission policy bounds every model's queue at
-// workers*4 with equal weight and no shedding. now is the clock for read
-// deadlines, admission stamps and deadline shedding.
-func New(reasm *nic.Reassembler, wire WireConfig, admission nic.AdmissionConfig, now func() time.Time) *Door {
-	if wire.RxBatch <= 0 {
-		// Wide enough to drain a saturation-level burst per syscall, narrow
-		// enough that one batch's buffers stay cache-resident.
-		wire.RxBatch = 16
-	}
-	if wire.MTU <= 0 {
-		wire.MTU = 1400
-	}
-	return &Door{reasm: reasm, wire: wire, admission: admission, now: now}
+// New builds a front door over a reassembly table. A zero admission policy
+// bounds every model's queue at workers*4 with equal weight and no
+// shedding. now is the clock for read deadlines, admission stamps and
+// deadline shedding.
+func New(reasm *nic.Reassembler, admission nic.AdmissionConfig, now func() time.Time) *Door {
+	return &Door{reasm: reasm, admission: admission, now: now}
 }
 
 // Handle runs one decoded message through the front half with no socket —
@@ -192,24 +160,26 @@ type loop struct {
 // cancelled (nil) or a read fails fatally (the error). With workers == 0 the
 // reader runs each request inline; with workers > 0 requests pass per-model
 // admission (bound workers*4 unless the policy sets one) to a worker pool.
-// On return every admitted request has been answered and flushed.
-// noOffload switches both offloads off instead of enabling GRO — the
-// differential tests' hook.
-func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Handler, noOffload bool) error {
-	wrap := netbatch.Wrap
-	if d.wire.ForceFallback {
-		wrap = netbatch.WrapFallback
-	}
-	bc := wrap(pc, &d.ctr)
-	// GRO is the serve socket's alone: its slots hold any coalesced train,
-	// and readLoop cuts every slot back into datagrams.
-	if noOffload {
-		netbatch.DisableOffload(bc)
-	} else if err := netbatch.EnableGRO(bc, slotSize); err != nil {
-		return err
+// On return every admitted request has been answered and flushed: the
+// reader flushes after each batch read, a worker after each response.
+//
+// rail, when not nil, wraps pc in place of the default rail (the batch
+// seam's best path, GRO on): the differential tests' hook that serves the
+// same traffic with offload off or on the portable fallback.
+func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Handler, rail func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn) error {
+	var bc netbatch.BatchConn
+	if rail != nil {
+		bc = rail(pc, &d.ctr)
+	} else {
+		bc = netbatch.Wrap(pc, &d.ctr)
+		// GRO is the serve socket's alone: its slots hold any coalesced
+		// train, and readLoop cuts every slot back into datagrams.
+		if err := netbatch.EnableGRO(bc, slotSize); err != nil {
+			return err
+		}
 	}
 	d.conn.Store(&bc)
-	l := &loop{d: d, h: h, bc: bc, tx: newTxBatcher(d, bc)}
+	l := &loop{d: d, h: h, bc: bc, tx: &txBatcher{d: d, bc: bc}}
 	stopWorkers := func() {}
 	if workers > 0 {
 		l.admit = nic.NewAdmitter(d.admission, workers*4)
@@ -219,38 +189,14 @@ func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Hand
 	}
 	err := l.readLoop(ctx)
 	stopWorkers()
-	l.tx.flush()
 	return err
 }
 
-// startWorkers launches the worker pool (and, with a linger budget, the tx
-// flusher) and returns the function that retires them: close admission, let
-// the workers finish every admitted request, then stop the flusher.
+// startWorkers launches the worker pool and returns the function that
+// retires it: close admission, then let the workers finish every admitted
+// request. Each worker writes its response through at once, so no response
+// waits on another's company.
 func (l *loop) startWorkers(workers int) (stop func()) {
-	// With a linger budget workers queue responses and a flusher goroutine
-	// sweeps them on the linger cadence, so replies from several workers
-	// pack into one batched write; without one, workers write through
-	// immediately — no response ever waits on a timer the operator did not
-	// grant.
-	linger := l.d.wire.TxLinger
-	var flusher sync.WaitGroup
-	stopFlusher := make(chan struct{})
-	if linger > 0 {
-		flusher.Add(1)
-		go func() {
-			defer flusher.Done()
-			t := time.NewTicker(linger)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopFlusher:
-					return
-				case <-t.C:
-					l.tx.flush()
-				}
-			}
-		}()
-	}
 	var pool sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		pool.Add(1)
@@ -268,17 +214,13 @@ func (l *loop) startWorkers(workers int) (stop func()) {
 				j := aj.Payload.(job)
 				resp, _ := l.h(j.req) // the error rides in the Err flag
 				l.tx.queue(resp, j.addr)
-				if linger == 0 {
-					l.tx.flush()
-				}
+				l.tx.flush()
 			}
 		}()
 	}
 	return func() {
 		l.admit.Close()
 		pool.Wait()
-		close(stopFlusher)
-		flusher.Wait()
 	}
 }
 
@@ -287,7 +229,7 @@ func (l *loop) startWorkers(workers int) (stop func()) {
 // nil on cancellation and the error on a fatal read failure.
 func (l *loop) readLoop(ctx context.Context) error {
 	d := l.d
-	ms := netbatch.MakeMessages(d.wire.RxBatch, slotSize)
+	ms := netbatch.MakeMessages(rxBatch, slotSize)
 	for {
 		if err := l.bc.SetReadDeadline(d.now().Add(readTick)); err != nil {
 			// Counted, not fatal: a failed deadline arm usually means the
@@ -329,12 +271,9 @@ func (l *loop) readLoop(ctx context.Context) error {
 			}
 			l.walkDatagram(data, m.Addr)
 		}
-		if l.admit == nil || d.wire.TxLinger == 0 {
-			// Everything the reader produced for this batch — inline
-			// answers, reassembly errors, control acks — leaves in one
-			// batched write rather than waiting for a worker's flush.
-			l.tx.flush()
-		}
+		// Everything the reader produced for this batch — inline answers,
+		// reassembly errors, control acks — leaves in one batched write.
+		l.tx.flush()
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 // This file is the tx half of the batched wire path (DESIGN.md §16): a
-// bounded batch-size histogram for observability, and the per-destination
-// response batcher that turns many single-datagram sends into a few
-// WriteBatch flushes — one sendmmsg on the Linux fast path.
+// bounded batch-size histogram for observability, and the response batcher
+// that turns many single-datagram sends into a few WriteBatch flushes — one
+// sendmmsg on the Linux fast path.
 
 // sizeHist is a bounded, atomic batch-size histogram: power-of-two buckets
 // 1, 2, 3-4, 5-8, 9-16, 17-32, 33-64, 65+. Fixed storage, lock-free
@@ -69,44 +69,21 @@ func (h SizeHist) Mean() float64 {
 	return float64(h.Sum) / float64(h.Count)
 }
 
-// txBatcher collects encoded response datagrams and flushes them through
-// one WriteBatch call — the per-destination response coalescer of the
-// batched wire path. Two accumulation modes:
-//
-//   - plain (default): every response is its own datagram; batching is
-//     purely at the syscall level (one sendmmsg flushes many datagrams),
-//     so any client that speaks the wire protocol stays compatible;
-//   - coalescing (WireConfig.TxCoalesce): responses bound for the same
-//     destination pack as concatenated frames into one datagram, bounded
-//     by WireConfig.MTU — halving datagram counts for bursty clients that
-//     unpack coalesced frames (this repo's Client and loadgen do).
-//
+// txBatcher collects encoded response datagrams, one response each, and
+// flushes them through one WriteBatch call (one sendmmsg on the Linux fast
+// path), so any client that speaks the wire protocol stays compatible.
 // Buffers recycle through an internal free list, so steady-state queueing
 // costs no allocation. The batcher is mutex-guarded: the inline reader uses
 // it uncontended, the worker pool shares it.
 type txBatcher struct {
-	d        *Door
-	bc       netbatch.BatchConn
-	mtu      int
-	coalesce bool
+	d  *Door
+	bc netbatch.BatchConn
 
 	mu sync.Mutex
 	// pending holds the datagrams awaiting flush; their Bufs are owned by
 	// the batcher and recycle through free.
 	pending []netbatch.Message
-	// open maps a destination to the index in pending of its still-packable
-	// datagram (coalescing mode only).
-	open map[net.Addr]int
-	free [][]byte
-}
-
-// newTxBatcher builds the front door's tx batcher over a wrapped conn.
-func newTxBatcher(d *Door, bc netbatch.BatchConn) *txBatcher {
-	t := &txBatcher{d: d, bc: bc, mtu: d.wire.MTU, coalesce: d.wire.TxCoalesce}
-	if t.coalesce {
-		t.open = make(map[net.Addr]int)
-	}
-	return t
+	free    [][]byte
 }
 
 // getBuf pops a recycled datagram buffer (cold path allocates).
@@ -119,29 +96,14 @@ func (t *txBatcher) getBuf() []byte {
 	return b[:0]
 }
 
-// queue appends one response bound for addr, packing it onto the
-// destination's open datagram when coalescing allows. Encode failures are
-// counted as write errors (the response is lost either way). Like
-// AppendEncode, queue appends into retained storage (pending and the
-// recycled buffers), so it carries no hotpath marker — growth amortizes to
-// zero in steady state.
+// queue appends one response bound for addr. Encode failures are counted
+// as write errors (the response is lost either way). Like AppendEncode,
+// queue appends into retained storage (pending and the recycled buffers),
+// so it carries no hotpath marker — growth amortizes to zero in steady
+// state.
 func (t *txBatcher) queue(resp *nic.Response, addr net.Addr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.coalesce {
-		if i, ok := t.open[addr]; ok {
-			m := &t.pending[i]
-			packed, err := nic.AppendResponseFrame(m.Buf[:m.N], resp)
-			if err == nil && len(packed) <= t.mtu {
-				m.Buf = packed
-				m.N = len(packed)
-				return
-			}
-			// Overflow (or a pathological encode failure): close this
-			// datagram; the response opens a fresh one below.
-			delete(t.open, addr)
-		}
-	}
 	buf, err := nic.AppendResponseFrame(t.getBuf(), resp)
 	if err != nil {
 		t.d.writeErrors.Add(1)
@@ -149,9 +111,6 @@ func (t *txBatcher) queue(resp *nic.Response, addr net.Addr) {
 		return
 	}
 	t.pending = append(t.pending, netbatch.Message{Buf: buf, N: len(buf), Addr: addr})
-	if t.coalesce && len(buf) < t.mtu {
-		t.open[addr] = len(t.pending) - 1
-	}
 }
 
 // putBuf recycles one datagram buffer (caller holds mu).
@@ -194,7 +153,4 @@ func (t *txBatcher) flush() {
 		t.pending[i] = netbatch.Message{}
 	}
 	t.pending = t.pending[:0]
-	if t.coalesce {
-		clear(t.open)
-	}
 }

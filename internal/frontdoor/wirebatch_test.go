@@ -10,105 +10,10 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
-// countDecodableFrames walks data with the same strict length-prefix policy
-// the serve path uses and returns how many complete frames decode before
-// the first error.
-func countDecodableFrames(data []byte) int {
-	n := 0
-	for len(data) > 0 {
-		var m nic.Message
-		consumed, err := m.DecodeNext(data)
-		if err != nil {
-			return n
-		}
-		data = data[consumed:]
-		n++
-	}
-	return n
-}
-
-// newTestTx builds a front door with the given wire policy and its tx
-// batcher over a stub conn.
-func newTestTx(wire WireConfig, pc *fault.StubConn) (*Door, *txBatcher) {
-	d := New(nic.NewReassembler(16), wire, nic.AdmissionConfig{}, time.Now)
-	return d, newTxBatcher(d, netbatch.Wrap(pc, &d.ctr))
-}
-
-// TestTxBatcherCoalescePacking drives the opt-in tx frame coalescer: same-
-// destination responses pack as concatenated frames into one datagram,
-// destinations never mix, and every packed datagram respects the MTU bound.
-func TestTxBatcherCoalescePacking(t *testing.T) {
-	pc := fault.NewStubConn()
-	pc.RecordWrites = true
-	_, tx := newTestTx(WireConfig{TxCoalesce: true}, pc)
-	addrA := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1111}
-	addrB := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 2222}
-	resp := func(id uint32) *nic.Response {
-		return &nic.Response{RequestID: id, ModelID: 4, Class: 1, Probs: []uint8{9, 200}}
-	}
-	tx.queue(resp(1), addrA)
-	tx.queue(resp(2), addrA)
-	tx.queue(resp(3), addrB)
-	tx.queue(resp(4), addrA)
-	tx.flush()
-	sent := pc.Sent()
-	if len(sent) != 2 {
-		t.Fatalf("datagrams = %d, want 2 (one per destination)", len(sent))
-	}
-	// Flush order follows first-queue order: A's packed datagram, then B's.
-	var gotA []uint32
-	data := sent[0]
-	for len(data) > 0 {
-		var m nic.Message
-		consumed, derr := m.DecodeNext(data)
-		if derr != nil {
-			t.Fatalf("packed datagram failed decode: %v", derr)
-		}
-		data = data[consumed:]
-		gotA = append(gotA, m.RequestID)
-	}
-	if len(gotA) != 3 || gotA[0] != 1 || gotA[1] != 2 || gotA[2] != 4 {
-		t.Errorf("destination A frames = %v, want [1 2 4]", gotA)
-	}
-	if got := countDecodableFrames(sent[1]); got != 1 {
-		t.Errorf("destination B frames = %d, want 1", got)
-	}
-	// A fresh flush with nothing queued writes nothing.
-	before := pc.Writes()
-	tx.flush()
-	if pc.Writes() != before {
-		t.Error("empty flush wrote datagrams")
-	}
-}
-
-// TestTxBatcherCoalesceMTUBound packs responses against a tiny MTU: the
-// open datagram closes at the bound and later responses open fresh ones, so
-// no datagram ever exceeds the MTU.
-func TestTxBatcherCoalesceMTUBound(t *testing.T) {
-	// One response frame here is 12 (header) + 2 (class) + 2 (probs) = 16
-	// bytes; MTU 40 fits two frames but not three.
-	pc := fault.NewStubConn()
-	pc.RecordWrites = true
-	_, tx := newTestTx(WireConfig{TxCoalesce: true, MTU: 40}, pc)
-	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1111}
-	for id := uint32(1); id <= 5; id++ {
-		tx.queue(&nic.Response{RequestID: id, ModelID: 4, Class: 0, Probs: []uint8{1, 2}}, addr)
-	}
-	tx.flush()
-	sent := pc.Sent()
-	if len(sent) != 3 {
-		t.Fatalf("datagrams = %d, want 3 (2+2+1 frames under MTU 40)", len(sent))
-	}
-	total := 0
-	for i, d := range sent {
-		if len(d) > 40 {
-			t.Errorf("datagram %d is %d bytes, exceeds MTU 40", i, len(d))
-		}
-		total += countDecodableFrames(d)
-	}
-	if total != 5 {
-		t.Errorf("total frames across datagrams = %d, want 5", total)
-	}
+// newTestTx builds a front door and its tx batcher over a stub conn.
+func newTestTx(pc *fault.StubConn) (*Door, *txBatcher) {
+	d := New(nic.NewReassembler(16), nic.AdmissionConfig{}, time.Now)
+	return d, &txBatcher{d: d, bc: netbatch.Wrap(pc, &d.ctr)}
 }
 
 // TestTxBatcherWriteErrorSkipsAndCounts: a refused write counts once per
@@ -117,7 +22,7 @@ func TestTxBatcherCoalesceMTUBound(t *testing.T) {
 func TestTxBatcherWriteErrorSkipsAndCounts(t *testing.T) {
 	pc := fault.NewStubConn()
 	pc.FailWrites = true
-	d, tx := newTestTx(WireConfig{}, pc)
+	d, tx := newTestTx(pc)
 	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1111}
 	for id := uint32(1); id <= 3; id++ {
 		tx.queue(&nic.Response{RequestID: id, ModelID: 4, Probs: []uint8{0, 0}}, addr)
@@ -138,32 +43,23 @@ func TestTxBatcherWriteErrorSkipsAndCounts(t *testing.T) {
 	}
 }
 
-// TestTxBatcherSteadyStateZeroAllocs is the coalescer's AllocsPerRun guard
+// TestTxBatcherSteadyStateZeroAllocs is the batcher's AllocsPerRun guard
 // (CI bench-smoke runs it by name): once the free list and pending storage
-// are warm, queue+flush cycles allocate nothing — in both accumulation
-// modes.
+// are warm, queue+flush cycles allocate nothing.
 func TestTxBatcherSteadyStateZeroAllocs(t *testing.T) {
-	for _, coalesce := range []bool{false, true} {
-		name := "plain"
-		if coalesce {
-			name = "coalesce"
-		}
-		t.Run(name, func(t *testing.T) {
-			_, tx := newTestTx(WireConfig{TxCoalesce: coalesce}, fault.NewStubConn())
-			addr := net.Addr(fault.Addr{})
-			resp := &nic.Response{RequestID: 1, ModelID: 4, Class: 1, Probs: []uint8{3, 250}}
-			cycle := func() {
-				tx.queue(resp, addr)
-				tx.queue(resp, addr)
-				tx.flush()
-			}
-			for i := 0; i < 8; i++ {
-				cycle() // warm the free list and pending capacity
-			}
-			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-				t.Errorf("%s queue+flush allocates %.1f per cycle, want 0", name, allocs)
-			}
-		})
+	_, tx := newTestTx(fault.NewStubConn())
+	addr := net.Addr(fault.Addr{})
+	resp := &nic.Response{RequestID: 1, ModelID: 4, Class: 1, Probs: []uint8{3, 250}}
+	cycle := func() {
+		tx.queue(resp, addr)
+		tx.queue(resp, addr)
+		tx.flush()
+	}
+	for i := 0; i < 8; i++ {
+		cycle() // warm the free list and pending capacity
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("queue+flush allocates %.1f per cycle, want 0", allocs)
 	}
 }
 

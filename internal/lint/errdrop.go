@@ -7,17 +7,16 @@ import (
 )
 
 // ErrDrop guards wire-path error hygiene: errors returned by the wire codec
-// (Encode/Decode/DecodeFromBytes), by socket writes (net.PacketConn.WriteTo,
-// net.Conn.Write, deadline setters) and by the pcap tap (WritePacket) carry
-// operational signal — a lost response, a malformed datagram, a capture
-// failure — and discarding one hides a fault class a deployment needs to
-// count. The analyzer flags call statements and blank assignments that throw
+// (Encode/Decode/DecodeFromBytes) and by socket writes (net.PacketConn.WriteTo,
+// net.Conn.Write, deadline setters) carry operational signal — a lost
+// response, a malformed datagram — and discarding one hides a fault class a
+// deployment needs to count. The analyzer flags call statements and blank assignments that throw
 // such an error away. Sites where the drop is the designed behaviour
 // annotate with //lint:drop <reason>, which doubles as documentation.
 func ErrDrop() *Analyzer {
 	return &Analyzer{
 		Name: "errdrop",
-		Doc:  "flags discarded errors from wire codec, socket and capture calls; count them or annotate //lint:drop",
+		Doc:  "flags discarded errors from wire codec and socket calls; count them or annotate //lint:drop",
 		// Wire hygiene applies module-wide: the root serve path, the
 		// internal packages, the commands and the examples.
 		Match: func(pkgPath string) bool { return true },
@@ -33,7 +32,6 @@ var (
 		"Encode":          true,
 		"Decode":          true,
 		"DecodeFromBytes": true,
-		"WritePacket":     true,
 	}
 	// netMethods are socket operations on net package types (PacketConn,
 	// Conn and their concrete implementations).
@@ -79,7 +77,7 @@ func runErrDrop(p *Package) []Diagnostic {
 }
 
 // auditedCallee reports whether the call's callee is one of the audited
-// wire/socket/capture methods.
+// wire/socket methods.
 func auditedCallee(p *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/lightning-smartnic/lightning/internal/nic"
-	"github.com/lightning-smartnic/lightning/internal/pcap"
 )
 
 // Send propagates every error on the response path.
@@ -25,8 +24,8 @@ func Send(pc net.PacketConn, addr net.Addr, m *nic.Message) error {
 	return nil
 }
 
-// Capture is best-effort by design: the tap must never affect the
-// datapath, and the annotation records that decision.
-func Capture(w *pcap.Writer, ts time.Time, frame []byte) {
-	_ = w.WritePacket(ts, frame) //lint:drop capture is best-effort; datapath must not fail on tap errors
+// Disarm clears a read deadline on a socket being closed anyway: the close
+// surfaces any real fault, and the annotation records that decision.
+func Disarm(pc net.PacketConn) {
+	_ = pc.SetReadDeadline(time.Time{}) //lint:drop the socket is closing; a failed disarm changes nothing
 }

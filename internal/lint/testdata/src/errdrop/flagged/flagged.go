@@ -1,7 +1,7 @@
 //lintpath github.com/lightning-smartnic/lightning/internal/devkit
 
-// Package fixture exercises errdrop's flagged cases: wire-codec, socket and
-// capture errors thrown away by blank assignment or bare call statements.
+// Package fixture exercises errdrop's flagged cases: wire-codec and socket
+// errors thrown away by blank assignment or bare call statements.
 package fixture
 
 import (

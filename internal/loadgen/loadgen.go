@@ -103,9 +103,6 @@ type ModelResult struct {
 	Latencies []float64
 }
 
-// LatencyCDF builds the empirical CDF over the model's latency samples.
-func (m *ModelResult) LatencyCDF() *stats.CDF { return stats.NewCDF(m.Latencies) }
-
 // Result is the client-side outcome of one run.
 type Result struct {
 	// Offered counts requests actually put on the wire; WriteErrors counts
@@ -545,7 +542,8 @@ func (g *generator) pick(totalWeight int) ModelSpec {
 // receive drains one socket until it is closed, attributing every response
 // to its in-flight request. Reads are batched — one recvmmsg drains several
 // response datagrams on the fast path — and each datagram may pack several
-// coalesced response frames (a TxCoalesce server).
+// concatenated response frames (the wire protocol allows multi-frame
+// datagrams).
 func (g *generator) receive(cs *connState) {
 	ms := netbatch.MakeMessages(rxBatch, rxBufSize)
 	for {

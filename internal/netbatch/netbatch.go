@@ -193,8 +193,9 @@ func Offload(bc BatchConn) (gso, gro bool) {
 	return false, false
 }
 
-// WrapFallback always returns the portable single-message path — the seam
-// differential tests and Config-level overrides use to pin behaviour.
+// WrapFallback always returns the portable single-message path — the rail
+// the differential tests pin to compare against the fast path. Operators
+// select the same path with LIGHTNING_NETBATCH=fallback, which Wrap honours.
 func WrapFallback(pc net.PacketConn, ctr *Counters) BatchConn {
 	if ctr == nil {
 		ctr = &discard

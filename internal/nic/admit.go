@@ -1,6 +1,9 @@
 package nic
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -46,6 +49,37 @@ type AdmitPolicy struct {
 	// 0 inherits AdmissionConfig.Budget; negative disables shedding for
 	// this model even when a default budget is set.
 	Budget time.Duration
+}
+
+// ParseAdmitWeights parses comma-separated "id:weight" pairs (the
+// -admit-weights syntax of lightning-serve and lightning-loadgen) into
+// per-model policies that set only Weight. Blank entries are skipped; no
+// entry at all is an error.
+func ParseAdmitWeights(s string) (map[uint16]AdmitPolicy, error) {
+	out := map[uint16]AdmitPolicy{}
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		id, weight, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("admit weights entry %q: want id:weight", part)
+		}
+		m, err := strconv.ParseUint(id, 10, 16)
+		if err != nil {
+			return nil, fmt.Errorf("admit weights entry %q: model id: %w", part, err)
+		}
+		w, err := strconv.Atoi(weight)
+		if err != nil {
+			return nil, fmt.Errorf("admit weights entry %q: weight: %w", part, err)
+		}
+		out[uint16(m)] = AdmitPolicy{Weight: w}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("admit weights %q: no entries", s)
+	}
+	return out, nil
 }
 
 // AdmissionConfig configures the Admitter: defaults for every model plus

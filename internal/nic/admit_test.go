@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"maps"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -246,5 +248,37 @@ func TestAdmitterConcurrent(t *testing.T) {
 	}
 	if popped != admitted {
 		t.Errorf("popped %d != admitted %d", popped, admitted)
+	}
+}
+
+// TestParseAdmitWeights covers the -admit-weights syntax both commands
+// share: good entries (blanks and spaces tolerated), then each way an entry
+// or the whole list is refused.
+func TestParseAdmitWeights(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want map[uint16]AdmitPolicy
+		err  string // substring of the error; "" means success
+	}{
+		{in: "4:3,5:1", want: map[uint16]AdmitPolicy{4: {Weight: 3}, 5: {Weight: 1}}},
+		{in: " 7:2 ,, ", want: map[uint16]AdmitPolicy{7: {Weight: 2}}},
+		{in: "", err: "no entries"},
+		{in: " , ", err: "no entries"},
+		{in: "4", err: "want id:weight"},
+		{in: "4:1:2", err: "weight"},
+		{in: "x:1", err: "model id"},
+		{in: "70000:1", err: "model id"},
+		{in: "4:heavy", err: "weight"},
+	} {
+		got, err := ParseAdmitWeights(c.in)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("ParseAdmitWeights(%q) error = %v, want one naming %q", c.in, err, c.err)
+			}
+			continue
+		}
+		if err != nil || !maps.Equal(got, c.want) {
+			t.Errorf("ParseAdmitWeights(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
 	}
 }

@@ -43,11 +43,3 @@ func (l *Link) Transmit(n int) time.Duration {
 	l.txBytes.Add(uint64(n))
 	return l.SerializationTime(n)
 }
-
-// UtilizedBps returns the average offered load given an observation window.
-func (l *Link) UtilizedBps(window time.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(l.TxBytes()) * 8 / window.Seconds()
-}

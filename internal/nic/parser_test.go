@@ -198,12 +198,6 @@ func TestLinkSerialization(t *testing.T) {
 	if l.TxFrames() != 2 || l.TxBytes() != 1500 {
 		t.Errorf("tx stats = %d, %d", l.TxFrames(), l.TxBytes())
 	}
-	if bps := l.UtilizedBps(time.Microsecond); bps != 1500*8/1e-6 {
-		t.Errorf("utilized = %v", bps)
-	}
-	if l.UtilizedBps(0) != 0 {
-		t.Error("zero window should be 0")
-	}
 }
 
 func BenchmarkParserInference(b *testing.B) {

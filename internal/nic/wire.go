@@ -175,8 +175,8 @@ func (r *Response) ToMessage() *Message {
 
 // AppendResponseFrame encodes r as a complete wire frame into dst's spare
 // capacity — ToMessage followed by AppendEncode, without materializing the
-// intermediate Message or its payload copy. The serve path's per-destination
-// tx batcher packs frames with it; equivalence with the two-step encoding is
+// intermediate Message or its payload copy. The serve path's tx batcher
+// encodes every response with it; equivalence with the two-step encoding is
 // pinned by TestAppendResponseFrameMatchesToMessage. Like AppendEncode it
 // appends (growth amortizes into the caller's pooled buffer), so it carries
 // no hotpath marker.

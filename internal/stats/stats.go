@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -37,24 +36,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// MinMax returns the smallest and largest elements of xs.
-// It panics on an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // Gaussian is a fitted normal distribution, as used for Lightning's analog
 // noise model (Fig 18: mean 2.32, σ 1.65 on the 0–255 code scale).
 type Gaussian struct {
@@ -67,18 +48,6 @@ type Gaussian struct {
 // multiplication noise on our testbed and fit a Gaussian distribution").
 func FitGaussian(xs []float64) Gaussian {
 	return Gaussian{Mean: Mean(xs), Sigma: StdDev(xs)}
-}
-
-// PDF evaluates the Gaussian probability density at x.
-func (g Gaussian) PDF(x float64) float64 {
-	if g.Sigma == 0 {
-		if x == g.Mean {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	z := (x - g.Mean) / g.Sigma
-	return math.Exp(-0.5*z*z) / (g.Sigma * math.Sqrt(2*math.Pi))
 }
 
 // Histogram is a fixed-width binned histogram.
@@ -120,7 +89,7 @@ func (h *Histogram) BinCenter(i int) float64 {
 }
 
 // Density returns the probability density of bin i (normalized so the
-// histogram integrates to 1), comparable against a fitted Gaussian PDF.
+// histogram integrates to 1), comparable against a fitted Gaussian density.
 func (h *Histogram) Density(i int) float64 {
 	if h.N == 0 {
 		return 0
@@ -190,23 +159,6 @@ func (c *CDF) Series(n int) [][2]float64 {
 	return out
 }
 
-// GeoMean returns the geometric mean of positive values; entries <= 0 are
-// skipped. Used to average speedup factors across DNN models (Fig 21/22).
-func GeoMean(xs []float64) float64 {
-	var s float64
-	var n int
-	for _, x := range xs {
-		if x > 0 {
-			s += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
-
 // ASCIIBar renders a crude fixed-width proportional bar for terminal
 // experiment reports.
 func ASCIIBar(frac float64, width int) string {
@@ -218,28 +170,4 @@ func ASCIIBar(frac float64, width int) string {
 	}
 	n := int(math.Round(frac * float64(width)))
 	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
-}
-
-// FormatSI renders a value with an SI suffix (n, µ, m, k, M, G) for report
-// tables.
-func FormatSI(v float64, unit string) string {
-	abs := math.Abs(v)
-	switch {
-	case abs == 0:
-		return fmt.Sprintf("0 %s", unit)
-	case abs < 1e-6:
-		return fmt.Sprintf("%.3g n%s", v*1e9, unit)
-	case abs < 1e-3:
-		return fmt.Sprintf("%.3g µ%s", v*1e6, unit)
-	case abs < 1:
-		return fmt.Sprintf("%.3g m%s", v*1e3, unit)
-	case abs < 1e3:
-		return fmt.Sprintf("%.3g %s", v, unit)
-	case abs < 1e6:
-		return fmt.Sprintf("%.3g k%s", v/1e3, unit)
-	case abs < 1e9:
-		return fmt.Sprintf("%.3g M%s", v/1e6, unit)
-	default:
-		return fmt.Sprintf("%.3g G%s", v/1e9, unit)
-	}
 }

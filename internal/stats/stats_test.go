@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -26,19 +27,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MinMax(empty) did not panic")
-		}
-	}()
-	MinMax(nil)
-}
-
 func TestFitGaussianRecoversParameters(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	xs := make([]float64, 50000)
@@ -51,20 +39,6 @@ func TestFitGaussianRecoversParameters(t *testing.T) {
 	}
 	if math.Abs(g.Sigma-1.65) > 0.05 {
 		t.Errorf("fitted sigma %v, want ≈1.65", g.Sigma)
-	}
-}
-
-func TestGaussianPDFPeak(t *testing.T) {
-	g := Gaussian{Mean: 0, Sigma: 1}
-	if p := g.PDF(0); math.Abs(p-1/math.Sqrt(2*math.Pi)) > 1e-12 {
-		t.Errorf("PDF(0) = %v", p)
-	}
-	if g.PDF(1) >= g.PDF(0) {
-		t.Error("PDF not peaked at mean")
-	}
-	z := Gaussian{Mean: 1, Sigma: 0}
-	if z.PDF(0) != 0 || !math.IsInf(z.PDF(1), 1) {
-		t.Error("degenerate Gaussian PDF wrong")
 	}
 }
 
@@ -156,21 +130,10 @@ func TestCDFPercentileWithinRange(t *testing.T) {
 		p = math.Abs(math.Mod(p, 1))
 		c := NewCDF(raw)
 		v := c.Percentile(p)
-		lo, hi := MinMax(raw)
-		return v >= lo && v <= hi
+		return v >= slices.Min(raw) && v <= slices.Max(raw)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 100})
-	if math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", got)
-	}
-	if GeoMean([]float64{-1, 0}) != 0 {
-		t.Error("GeoMean of non-positive values should be 0")
 	}
 }
 
@@ -183,26 +146,5 @@ func TestASCIIBar(t *testing.T) {
 	}
 	if got := ASCIIBar(2, 4); got != "####" {
 		t.Errorf("ASCIIBar clamp high = %q", got)
-	}
-}
-
-func TestFormatSI(t *testing.T) {
-	cases := []struct {
-		v    float64
-		want string
-	}{
-		{0, "0 s"},
-		{1.5e-9, "1.5 ns"},
-		{2e-6, "2 µs"},
-		{3e-3, "3 ms"},
-		{4, "4 s"},
-		{5e3, "5 ks"},
-		{6e6, "6 Ms"},
-		{7e9, "7 Gs"},
-	}
-	for _, c := range cases {
-		if got := FormatSI(c.v, "s"); got != c.want {
-			t.Errorf("FormatSI(%v) = %q, want %q", c.v, got, c.want)
-		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
+	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -31,9 +31,9 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/frontdoor"
 	"github.com/lightning-smartnic/lightning/internal/health"
 	"github.com/lightning-smartnic/lightning/internal/mem"
+	"github.com/lightning-smartnic/lightning/internal/netbatch"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 	"github.com/lightning-smartnic/lightning/internal/nn"
-	"github.com/lightning-smartnic/lightning/internal/pcap"
 	"github.com/lightning-smartnic/lightning/internal/photonic"
 )
 
@@ -56,8 +56,6 @@ type (
 	AdmitPolicy = nic.AdmitPolicy
 	// Verdict classifies a parsed frame.
 	Verdict = nic.Verdict
-	// WireConfig tunes the batched wire path (DESIGN.md §16).
-	WireConfig = frontdoor.WireConfig
 	// ServeDrops counts per-reason losses at the serve path's edges.
 	ServeDrops = frontdoor.Stats
 	// SizeHist is a batch-size distribution snapshot (Metrics.Serve).
@@ -102,10 +100,6 @@ type Config struct {
 	// queries, over which the health score (error rate) is computed
 	// (default 32).
 	HealthWindow int
-	// HealthThreshold is the windowed error rate at or above which a
-	// shard's circuit breaker trips, once its window has filled
-	// (default 0.5).
-	HealthThreshold float64
 	// ProbeEvery runs a known-answer probe through a shard's core every
 	// ProbeEvery served queries, catching silent analog corruption (a bias
 	// runaway, a carrier sag) that still yields well-formed responses.
@@ -114,10 +108,6 @@ type Config struct {
 	// not move served answers. Probes always gate quarantine recovery
 	// regardless.
 	ProbeEvery int
-	// ProbeTolerance is the mean absolute known-answer error, in code
-	// units, beyond which a probe fails (default 3.0 — several sigma above
-	// the calibrated noise floor).
-	ProbeTolerance float64
 	// RelockAttempts bounds how many re-lock + probe recovery attempts a
 	// quarantined shard gets before it is left quarantined (default 3).
 	RelockAttempts int
@@ -145,11 +135,6 @@ type Config struct {
 	// shedding — observably equivalent to the historical single job
 	// channel.
 	Admission AdmissionConfig
-	// Wire tunes the batched wire path under the serve loops: rx batch
-	// width, tx linger, coalesced-datagram MTU, and the portable-fallback
-	// override. The zero value resolves to sensible defaults (RxBatch 16,
-	// write-through tx, MTU 1400).
-	Wire WireConfig
 	// DrainTimeout bounds the serve loops' shutdown drain: when a cancelled
 	// ServeUDP/ServeUDPWorkers (or a fatal read error) waits out in-flight
 	// work, a wedged datapath or a recovery loop mid-backoff cannot hang the
@@ -240,7 +225,6 @@ type NIC struct {
 
 	// Resolved health policy (see Config); window/threshold/cadence live in
 	// each shard's breaker.
-	probeTolerance float64
 	relockAttempts int
 	relockBackoff  time.Duration
 	// drainTimeout bounds the serve loops' shutdown drains (Config.DrainTimeout).
@@ -254,18 +238,11 @@ type NIC struct {
 
 	// door is the UDP front end every entry shares (internal/frontdoor):
 	// reassembly, admission, the serve loop and its edge counters.
-	// noOffload is the differential tests' hook: serve switches both
-	// offloads off instead of enabling GRO.
-	door      *frontdoor.Door
-	noOffload bool
-
-	// tapWriteErrors counts pcap capture failures; the tap is best-effort
-	// but an incomplete capture must be visible to whoever is debugging
-	// with it.
-	tapWriteErrors atomic.Uint64
-
-	tapMu sync.Mutex
-	tap   *pcap.Writer
+	// rail is the differential tests' hook: when set, serve wraps the
+	// socket with it instead of the default rail (see frontdoor.Door.Serve),
+	// running the same traffic with offload off or on the portable fallback.
+	door *frontdoor.Door
+	rail func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn
 }
 
 // Served returns the completed inference response count.
@@ -292,7 +269,9 @@ type Metrics struct {
 	// DRAMFaultedReads counts loads failed by an injected read fault (the
 	// uncorrectable-error count a memory controller would report).
 	DRAMReads, DRAMReadBytes, DRAMFaultedReads uint64
-	// TxFrames and TxBytes count link-side responses.
+	// TxFrames and TxBytes count the response frames HandleFrame emits —
+	// the frame path only; the UDP serve loops' sends count in
+	// Serve.TxBatchSize and Serve.TxSyscalls.
 	TxFrames, TxBytes uint64
 	// PendingReassembly is the in-flight fragmented query count;
 	// ReassemblyDrops counts partial queries discarded under capacity
@@ -305,9 +284,6 @@ type Metrics struct {
 	ReassemblyDrops    uint64
 	ReassemblyExpired  uint64
 	ReassemblyOversize uint64
-	// TapWriteErrors counts pcap tap capture failures: frames the datapath
-	// processed but the attached capture could not record.
-	TapWriteErrors uint64
 	// Serve accounts per-reason losses at the UDP serve path's edges.
 	Serve ServeDrops
 	// Batch is the cross-query batch queue's flush accounting (all zero
@@ -340,7 +316,6 @@ func (n *NIC) Metrics() Metrics {
 		ReassemblyDrops:    n.reassembly.Drops(),
 		ReassemblyExpired:  n.reassembly.Expired(),
 		ReassemblyOversize: n.reassembly.Oversize(),
-		TapWriteErrors:     n.tapWriteErrors.Load(),
 		ModelInstalls:      n.installs.Load(),
 		ModelInstallErrors: n.installErrors.Load(),
 		Serve:              n.door.Stats(),
@@ -371,32 +346,6 @@ func (n *NIC) Metrics() Metrics {
 	return m
 }
 
-// Tap attaches a pcap capture to the frame path: every frame offered to
-// HandleFrame and every response frame it emits is recorded. Pass nil to
-// detach.
-func (n *NIC) Tap(w io.Writer) {
-	n.tapMu.Lock()
-	defer n.tapMu.Unlock()
-	if w == nil {
-		n.tap = nil
-		return
-	}
-	n.tap = pcap.NewWriter(w)
-}
-
-func (n *NIC) capture(frame []byte) {
-	n.tapMu.Lock()
-	defer n.tapMu.Unlock()
-	if n.tap != nil {
-		// Capture failures must never affect the datapath, but they are
-		// counted (Metrics.TapWriteErrors): a silent gap in a pcap is a
-		// debugging trap.
-		if err := n.tap.WritePacket(time.Now(), frame); err != nil {
-			n.tapWriteErrors.Add(1)
-		}
-	}
-}
-
 // New builds a NIC: calibrated photonic core(s), one datapath engine per
 // core, a shared DDR4 weight store, and a packet parser with flow tracking
 // and intrusion detection.
@@ -422,12 +371,6 @@ func New(cfg Config) (*NIC, error) {
 	if cfg.HealthWindow <= 0 {
 		cfg.HealthWindow = defaultHealthWindow
 	}
-	if cfg.HealthThreshold <= 0 {
-		cfg.HealthThreshold = defaultHealthThreshold
-	}
-	if cfg.ProbeTolerance <= 0 {
-		cfg.ProbeTolerance = defaultProbeTolerance
-	}
 	if cfg.RelockAttempts <= 0 {
 		cfg.RelockAttempts = defaultRelockAttempts
 	}
@@ -446,7 +389,7 @@ func New(cfg Config) (*NIC, error) {
 			index:  i,
 			breaker: health.NewBreaker(health.Config{
 				Window:     cfg.HealthWindow,
-				Threshold:  cfg.HealthThreshold,
+				Threshold:  healthThreshold,
 				ProbeEvery: cfg.ProbeEvery,
 				Trials:     probationTrials,
 			}),
@@ -466,13 +409,12 @@ func New(cfg Config) (*NIC, error) {
 		store:          store,
 		shards:         shards,
 		allowInstall:   cfg.AllowModelInstall,
-		probeTolerance: cfg.ProbeTolerance,
 		relockAttempts: cfg.RelockAttempts,
 		relockBackoff:  cfg.RelockBackoff,
 		drainTimeout:   cfg.DrainTimeout,
 		closing:        make(chan struct{}),
 	}
-	n.door = frontdoor.New(n.reassembly, cfg.Wire, cfg.Admission, time.Now)
+	n.door = frontdoor.New(n.reassembly, cfg.Admission, time.Now)
 	if cfg.Batch.Enabled() {
 		n.batcher = nic.NewBatcher(cfg.Batch, n.execBatch)
 	}
@@ -633,7 +575,6 @@ func (n *NIC) serveRequest(req frontdoor.Request) (*Response, error) {
 // alongside the error — frame clients get the same error visibility UDP
 // clients do, not silence.
 func (n *NIC) HandleFrame(frame []byte) ([]byte, Verdict, error) {
-	n.capture(frame)
 	parsed := n.parser.Parse(frame)
 	if parsed.Verdict != nic.VerdictInference {
 		return nil, parsed.Verdict, nil
@@ -665,7 +606,6 @@ func (n *NIC) HandleFrame(frame []byte) ([]byte, Verdict, error) {
 		return nil, nic.VerdictDrop, err
 	}
 	n.link.Transmit(len(out))
-	n.capture(out)
 	return out, nic.VerdictInference, herr
 }
 

@@ -1,7 +1,6 @@
 package lightning
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -13,7 +12,6 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 	"github.com/lightning-smartnic/lightning/internal/nn"
-	"github.com/lightning-smartnic/lightning/internal/pcap"
 )
 
 func trainedModel(t *testing.T) (*TrainedModel, *Dataset) {
@@ -259,56 +257,6 @@ func TestNICMetrics(t *testing.T) {
 	}
 	if m.PendingReassembly != 0 {
 		t.Errorf("PendingReassembly = %d", m.PendingReassembly)
-	}
-}
-
-func TestNICTapCapturesTraffic(t *testing.T) {
-	q, test := trainedModel(t)
-	n, _ := New(Config{Lanes: 2, Noiseless: true, Seed: 2})
-	if err := n.RegisterModel(1, "anomaly", q); err != nil {
-		t.Fatal(err)
-	}
-	var capture bytes.Buffer
-	n.Tap(&capture)
-	payload := make([]byte, len(test.Examples[0].X))
-	for j, c := range test.Examples[0].X {
-		payload[j] = byte(c)
-	}
-	frame, err := nic.BuildQueryFrame(
-		nic.Ethernet{Dst: nic.MAC{2, 0, 0, 0, 0, 2}, Src: nic.MAC{2, 0, 0, 0, 0, 1}},
-		nic.IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")},
-		7000, &Message{RequestID: 3, ModelID: 1, Payload: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := n.HandleFrame(frame); err != nil {
-		t.Fatal(err)
-	}
-	raw := append([]byte(nil), capture.Bytes()...)
-	r, err := pcap.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Query in, response out.
-	if len(pkts) != 2 {
-		t.Fatalf("captured %d packets, want 2", len(pkts))
-	}
-	in := nic.NewParser().Parse(pkts[0].Data)
-	if in.Verdict != nic.VerdictInference || in.Msg.RequestID != 3 {
-		t.Errorf("captured query parsed as %v", in.Verdict)
-	}
-	// Detach: no further capture lands in the buffer.
-	n.Tap(nil)
-	before := capture.Len()
-	if _, _, err := n.HandleFrame(frame); err != nil {
-		t.Fatal(err)
-	}
-	if capture.Len() != before {
-		t.Error("capture grew after Tap(nil)")
 	}
 }
 

@@ -75,7 +75,7 @@ func (n *NIC) ServeUDPWorkers(ctx context.Context, pc net.PacketConn, workers in
 // a wedged datapath or a recovery loop mid-backoff cannot hang shutdown. The
 // read error, not any drain error, is the story when both exist.
 func (n *NIC) serve(ctx context.Context, pc net.PacketConn, workers int) error {
-	err := n.door.Serve(ctx, pc, workers, n.serveRequest, n.noOffload)
+	err := n.door.Serve(ctx, pc, workers, n.serveRequest, n.rail)
 	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), n.drainTimeout)
 	defer cancel()
 	if derr := n.Drain(dctx); err == nil {
@@ -303,9 +303,9 @@ func (c *Client) attempt(modelID uint16, raw []byte) (*Response, time.Duration, 
 		if cnt == 0 {
 			continue
 		}
-		// One rx datagram may pack several coalesced response frames (the
-		// server's TxCoalesce mode); walk them for ours. A malformed frame
-		// ends the walk — garbage datagrams were skipped before, too.
+		// One rx datagram may pack several concatenated response frames
+		// (the wire protocol allows it); walk them for ours. A malformed
+		// frame ends the walk — garbage datagrams were skipped before, too.
 		data := rx[0].Bytes()
 		for len(data) > 0 {
 			var reply Message

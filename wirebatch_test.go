@@ -37,10 +37,12 @@ func TestServeUDPDeadlineArmsPerBatchNotPerDatagram(t *testing.T) {
 	const width = 64
 	const sent = 64
 	arm := func(fallback bool) (uint64, uint64) {
-		n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 7,
-			Wire: WireConfig{ForceFallback: fallback}})
+		n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if fallback {
+			n.rail = netbatch.WrapFallback
 		}
 		if err := n.RegisterModel(4, "halves", halvesModel(width)); err != nil {
 			t.Fatal(err)
@@ -130,10 +132,12 @@ func TestWireFallbackByteIdenticalResponses(t *testing.T) {
 	}
 
 	run := func(fallback bool) ([][]byte, Metrics) {
-		n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 21,
-			Wire: WireConfig{ForceFallback: fallback}})
+		n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if fallback {
+			n.rail = netbatch.WrapFallback
 		}
 		if err := n.RegisterModel(4, "halves", halvesModel(width)); err != nil {
 			t.Fatal(err)
@@ -256,12 +260,20 @@ func TestWireOffloadDifferential(t *testing.T) {
 		PendingReassembly                                                                int
 	}
 	run := func(mode string) (map[uint32][]byte, counters, ServeDrops) {
-		n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 9, ReassemblyTTL: time.Minute,
-			Wire: WireConfig{ForceFallback: mode == "fallback"}})
+		n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 9, ReassemblyTTL: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.noOffload = mode == "no offload"
+		switch mode {
+		case "no offload":
+			n.rail = func(pc net.PacketConn, ctr *netbatch.Counters) netbatch.BatchConn {
+				bc := netbatch.Wrap(pc, ctr)
+				netbatch.DisableOffload(bc)
+				return bc
+			}
+		case "fallback":
+			n.rail = netbatch.WrapFallback
+		}
 		if err := n.RegisterModel(4, "halves", halvesModel(width)); err != nil {
 			t.Fatal(err)
 		}
