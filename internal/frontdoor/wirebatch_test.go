@@ -45,22 +45,25 @@ func TestTxBatcherWriteErrorSkipsAndCounts(t *testing.T) {
 
 // TestTxBatcherSteadyStateZeroAllocs is the batcher's AllocsPerRun guard
 // (CI bench-smoke runs it by name): once the free list and pending storage
-// are warm, queue+flush cycles allocate nothing.
+// are warm, queue+flush cycles of plain one-frame-per-response sends
+// allocate nothing.
 func TestTxBatcherSteadyStateZeroAllocs(t *testing.T) {
-	_, tx := newTestTx(fault.NewStubConn())
-	addr := net.Addr(fault.Addr{})
-	resp := &nic.Response{RequestID: 1, ModelID: 4, Class: 1, Probs: []uint8{3, 250}}
-	cycle := func() {
-		tx.queue(resp, addr)
-		tx.queue(resp, addr)
-		tx.flush()
-	}
-	for i := 0; i < 8; i++ {
-		cycle() // warm the free list and pending capacity
-	}
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Errorf("queue+flush allocates %.1f per cycle, want 0", allocs)
-	}
+	t.Run("plain", func(t *testing.T) {
+		_, tx := newTestTx(fault.NewStubConn())
+		addr := net.Addr(fault.Addr{})
+		resp := &nic.Response{RequestID: 1, ModelID: 4, Class: 1, Probs: []uint8{3, 250}}
+		cycle := func() {
+			tx.queue(resp, addr)
+			tx.queue(resp, addr)
+			tx.flush()
+		}
+		for i := 0; i < 8; i++ {
+			cycle() // warm the free list and pending capacity
+		}
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("queue+flush allocates %.1f per cycle, want 0", allocs)
+		}
+	})
 }
 
 // TestStatsLine pins the operator's rendering of one fixed snapshot, with
