@@ -10,12 +10,14 @@
 //	lightning-serve -addr :4057 -model none -noiseless &
 //	lightning-coordinator -addr :4055 -nodes 127.0.0.1:4056,127.0.0.1:4057 -synthetic 64
 //
-// Clients (including cmd/lightning-loadgen) need no changes: the front door
-// speaks the exact wire protocol a single NIC does.
+// The pipeline runs one stage per live node, capped at the model's layer
+// count. Clients (including cmd/lightning-loadgen) need no changes: the
+// front door speaks the exact wire protocol a single NIC does.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -29,6 +31,21 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/cluster"
 )
 
+// checkFlags refuses the flag combinations the coordinator would otherwise
+// ignore, before any node is dialled. set names the flags given on the
+// command line.
+func checkFlags(set map[string]bool, load string, synthetic int, replicate bool, hedge time.Duration) error {
+	switch {
+	case hedge > 0 && !replicate:
+		return errors.New("-hedge without -replicate: a hop has no replica to hedge onto")
+	case set["depth"] && synthetic <= 0:
+		return errors.New("-depth without -synthetic: only the synthetic model has a depth")
+	case load != "" && synthetic > 0:
+		return errors.New("-load with -synthetic: pick one model source")
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":4055", "UDP listen address for the cluster front door")
 	nodes := flag.String("nodes", "", "comma-separated UDP addresses of lightning-serve nodes (run them with -model none, which accepts wire installs)")
@@ -36,15 +53,20 @@ func main() {
 	synthetic := flag.Int("synthetic", 0, "serve the synthetic deep halves model of this input width instead of -load")
 	depth := flag.Int("depth", 4, "synthetic model depth in layers (needs -synthetic)")
 	modelID := flag.Uint("model-id", 4, "user-facing wire model id the front door answers for")
-	stages := flag.Int("stages", 0, "pipeline depth (0 = one stage per node)")
 	replicate := flag.Bool("replicate", false, "install each stage on a second node too (enables -hedge and instant failover)")
 	hedge := flag.Duration("hedge", 0, "duplicate a hop onto its replica if the primary is silent this long (0 disables; needs -replicate)")
 	budget := flag.Duration("budget", 2*time.Second, "end-to-end request budget")
 	hopRetries := flag.Int("hop-retries", 1, "extra attempts per pipeline hop")
 	workers := flag.Int("workers", 4, "front-door worker pool size")
-	seed := flag.Uint64("seed", 1, "deterministic seed for probe inputs")
 	statsEvery := flag.Duration("stats", 10*time.Second, "periodic stats line interval (0 disables)")
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(set, *loadPath, *synthetic, *replicate, *hedge); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *nodes == "" {
 		log.Fatal("-nodes is required (comma-separated lightning-serve addresses)")
@@ -78,12 +100,11 @@ func main() {
 		Nodes:      nodeAddrs,
 		Model:      model,
 		ModelID:    uint16(*modelID),
-		Stages:     *stages,
 		Replicate:  *replicate,
 		Hedge:      *hedge,
 		Budget:     *budget,
 		HopRetries: *hopRetries,
-		Seed:       *seed,
+		Seed:       1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -5,13 +5,17 @@
 // of offered-load levels and produces a saturation curve; with -self it
 // spins an in-process server first, so one command yields a matched
 // client+server view with zero setup (this is how the CI smoke job runs).
+// -addr takes a comma-separated list: socket i dials address i mod N, so
+// several NICs or coordinator front doors share the load.
 //
 //	lightning-loadgen -addr 127.0.0.1:4055 -models 1:256 -rate 2000 -duration 5s
+//	lightning-loadgen -addr 10.0.0.1:4055,10.0.0.2:4055 -conns 4 -models 1:256
 //	lightning-loadgen -self -workers 4 -models 4:256:3,5:256:1 -sweep 1000,2000,4000
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -27,16 +31,30 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/stats"
 )
 
+// checkFlags refuses the flag combinations that would load the wrong
+// server or leave one unloaded, before any socket is opened: -self serves
+// in-process, so an -addr beside it would be loaded instead; and with
+// fewer sockets than addresses some address would get none.
+func checkFlags(self bool, addrs []string, conns int) error {
+	switch {
+	case self && len(addrs) > 0:
+		return errors.New("-self with -addr: -self loads its in-process server; drop one")
+	case !self && len(addrs) == 0:
+		return errors.New("need -addr (or -self)")
+	case conns < len(addrs):
+		return fmt.Errorf("-conns %d below the %d -addr addresses: socket i dials address i mod N, so some would get no socket", conns, len(addrs))
+	}
+	return nil
+}
+
 func main() {
-	addr := flag.String("addr", "", "server UDP address (omit with -self)")
-	targets := flag.String("targets", "", "comma-separated server addresses; socket i dials target i mod N (overrides -addr, e.g. several NICs or a coordinator front door)")
+	addr := flag.String("addr", "", "comma-separated server UDP addresses; socket i dials address i mod N (omit with -self)")
 	modelsFlag := flag.String("models", "1:256", "traffic mix as id:width[:weight] pairs, comma-separated")
 	rate := flag.Float64("rate", 1000, "aggregate offered load, requests/second")
 	sweep := flag.String("sweep", "", "comma-separated offered-load series (overrides -rate, one point per level)")
 	dist := flag.String("dist", loadgen.DistPoisson, "arrival process: poisson | fixed")
 	duration := flag.Duration("duration", 5*time.Second, "sending window per point")
-	conns := flag.Int("conns", 2, "parallel UDP sockets")
-	timeout := flag.Duration("timeout", time.Second, "response grace after the sending window")
+	conns := flag.Int("conns", 2, "parallel UDP sockets (at least one per -addr address)")
 	seed := flag.Uint64("seed", 1, "deterministic seed for arrivals and model picks")
 	reportEvery := flag.Duration("report", time.Second, "periodic summary interval (0 disables)")
 	out := flag.String("out", "", "write the JSON load report to this file")
@@ -46,13 +64,21 @@ func main() {
 	self := flag.Bool("self", false, "serve an in-process synthetic-model server instead of targeting -addr")
 	workers := flag.Int("workers", 4, "-self: UDP worker pool size")
 	cores := flag.Int("cores", 2, "-self: photonic core shards")
-	selfSeed := flag.Uint64("server-seed", 1, "-self: server-side seed")
-	maxBatch := flag.Int("max-batch", 1, "-self: coalesce up to this many same-model queries per matrix pass")
-	maxDelay := flag.Duration("max-delay", 0, "-self: partial-batch flush delay")
 	admitQueue := flag.Int("admit-queue", 0, "-self: per-model admission queue bound (0 = default workers*4)")
 	admitBudget := flag.Duration("admit-budget", 0, "-self: per-request latency budget; queued requests past it are shed (0 disables)")
 	admitWeights := flag.String("admit-weights", "", "-self: per-model service weights as id:weight pairs, comma-separated")
 	flag.Parse()
+	var addrs []string
+	for _, a := range strings.Split(*addr, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	if err := checkFlags(*self, addrs, *conns); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	models, err := parseModels(*modelsFlag)
 	if err != nil {
@@ -61,17 +87,6 @@ func main() {
 	rates, err := parseSweep(*sweep, *rate)
 	if err != nil {
 		log.Fatal(err)
-	}
-	var targetList []string
-	if *targets != "" {
-		for _, a := range strings.Split(*targets, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				targetList = append(targetList, a)
-			}
-		}
-	}
-	if !*self && *addr == "" && len(targetList) == 0 {
-		log.Fatal("need -addr or -targets (or -self)")
 	}
 
 	admission := lightning.AdmissionConfig{MaxQueue: *admitQueue, Budget: *admitBudget}
@@ -89,11 +104,10 @@ func main() {
 	ctx := context.Background()
 	for _, r := range rates {
 		point, err := runPoint(ctx, pointConfig{
-			addr: *addr, targets: targetList, models: models, rate: r, dist: *dist,
-			duration: *duration, conns: *conns, timeout: *timeout,
+			addrs: addrs, models: models, rate: r, dist: *dist,
+			duration: *duration, conns: *conns,
 			seed: *seed, reportEvery: *reportEvery,
-			self: *self, workers: *workers, cores: *cores, selfSeed: *selfSeed,
-			maxBatch: *maxBatch, maxDelay: *maxDelay, admission: admission,
+			self: *self, workers: *workers, cores: *cores, admission: admission,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -139,23 +153,18 @@ func main() {
 }
 
 type pointConfig struct {
-	addr        string
-	targets     []string
+	addrs       []string
 	models      []loadgen.ModelSpec
 	rate        float64
 	dist        string
 	duration    time.Duration
 	conns       int
-	timeout     time.Duration
 	seed        uint64
 	reportEvery time.Duration
 
 	self      bool
 	workers   int
 	cores     int
-	selfSeed  uint64
-	maxBatch  int
-	maxDelay  time.Duration
 	admission lightning.AdmissionConfig
 }
 
@@ -164,19 +173,21 @@ type pointConfig struct {
 // never contaminate each other. The context bounds the in-process server's
 // lifetime (the open-loop driver itself is duration-bound).
 func runPoint(ctx context.Context, pc pointConfig) (loadgen.Point, error) {
-	addr := pc.addr
+	addrs := pc.addrs
 	var srv *lightning.NIC
 	var stop func() error
 	if pc.self {
+		var addr string
 		var err error
 		srv, addr, stop, err = startSelfServer(ctx, pc)
 		if err != nil {
 			return loadgen.Point{}, err
 		}
+		addrs = []string{addr}
 	}
 	res, runErr := loadgen.Run(loadgen.Config{
-		Addr: addr, Targets: pc.targets, Models: pc.models, Rate: pc.rate, Dist: pc.dist,
-		Duration: pc.duration, Conns: pc.conns, Timeout: pc.timeout,
+		Addrs: addrs, Models: pc.models, Rate: pc.rate, Dist: pc.dist,
+		Duration: pc.duration, Conns: pc.conns,
 		Seed: pc.seed, ReportEvery: pc.reportEvery, Progress: os.Stderr,
 	})
 	var serveErr error
@@ -232,8 +243,7 @@ func runPoint(ctx context.Context, pc pointConfig) (loadgen.Point, error) {
 // reaches the server even before stop is called.
 func startSelfServer(ctx context.Context, pc pointConfig) (*lightning.NIC, string, func() error, error) {
 	n, err := lightning.New(lightning.Config{
-		Lanes: 2, Noiseless: true, Seed: pc.selfSeed, Cores: pc.cores,
-		Batch:     lightning.BatchConfig{MaxBatch: pc.maxBatch, MaxDelay: pc.maxDelay},
+		Lanes: 2, Noiseless: true, Seed: 1, Cores: pc.cores,
 		Admission: pc.admission,
 	})
 	if err != nil {

@@ -1,9 +1,9 @@
 // Package axi models the AXI-stream style interconnect Lightning's datapath
 // uses between the FPGA programmable logic, the Xilinx IPs, and the embedded
-// system (§6.1). A Stream carries beats with valid/ready handshaking and a
-// TLAST framing bit; a bounded depth provides the back-pressure behaviour the
-// prototype relies on when reading from DRAM ("we implement a back-pressure
-// AXI stream with a DRAM buffer to alleviate data burstiness").
+// system (§6.1). A Stream carries beats with valid/ready handshaking; a
+// bounded depth provides the back-pressure behaviour the prototype relies on
+// when reading from DRAM ("we implement a back-pressure AXI stream with a
+// DRAM buffer to alleviate data burstiness").
 //
 // The model is deliberately synchronous: producers Push at most one beat per
 // digital clock cycle per lane and consumers Pop likewise. The simulation
@@ -19,11 +19,9 @@ var ErrStall = errors.New("axi: stream full (ready deasserted)")
 // ErrEmpty is returned by Pop when no beat is valid this cycle.
 var ErrEmpty = errors.New("axi: stream empty (valid deasserted)")
 
-// Beat is one transfer on an AXI stream: a data word plus the TLAST bit that
-// marks the final beat of a packet/vector.
+// Beat is one transfer on an AXI stream: a data word.
 type Beat[T any] struct {
 	Data T
-	Last bool
 }
 
 // Stream is a bounded FIFO with AXI-stream semantics.

@@ -240,7 +240,7 @@ func TestClusterChaosCorruptComputeQuarantined(t *testing.T) {
 	coord, err := New(Config{
 		Nodes: h.addrs, Model: model, ModelID: modelID, Seed: seed,
 		Budget:           time.Second,
-		Health:           health.Config{ProbeEvery: probeEvery},
+		ProbeEvery:       probeEvery,
 		RecoveryInterval: 50 * time.Millisecond,
 	})
 	if err != nil {

@@ -23,22 +23,39 @@ import (
 var ErrNoViablePlan = errors.New("cluster: no viable plan: every node is quarantined")
 
 // errPlanStale marks a request whose plan was rebuilt under it mid-pipeline
-// (a node tripped); Infer restarts the request on the new plan, bounded by
-// Config.Restarts.
+// (a node tripped); Infer restarts the request on the new plan, at most
+// maxRestarts times.
 var errPlanStale = errors.New("cluster: plan went stale mid-request")
+
+const (
+	// maxRestarts bounds how many times one request may restart from stage
+	// 0 after a mid-pipeline re-plan.
+	maxRestarts = 1
+	// Each node's circuit breaker — the same machinery a NIC's core shards
+	// use, lifted to node granularity — scores a window of 16 outcomes,
+	// trips at an error rate of 0.5 and readmits after 2 clean trials.
+	healthWindow    = 16
+	healthThreshold = 0.5
+	healthTrials    = 2
+	// probeTolerance is the mean absolute per-code drift a known-answer
+	// probe response may show against its install-time baseline.
+	probeTolerance = 3.0
+	// partBase is the wire model-ID base for installed partitions. Stage
+	// IDs are unique per plan epoch so a re-plan never overwrites a model
+	// an in-flight request still depends on.
+	partBase uint16 = 0x7000
+)
 
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Nodes are the serving NICs' UDP addresses. Every node must run with
-	// AllowModelInstall so the coordinator can push partitions.
+	// AllowModelInstall so the coordinator can push partitions. A plan runs
+	// one stage per live node, capped at the model's layer count.
 	Nodes []string
 	// Model is the full network the cluster serves.
 	Model *nn.QuantizedNetwork
 	// ModelID is the user-facing wire model ID the coordinator answers for.
 	ModelID uint16
-	// Stages caps the pipeline depth (0 = one stage per node, clamped to the
-	// model's layer count and the live node count).
-	Stages int
 	// Replicate installs each stage on a second node too, enabling hedged
 	// dispatch and instant per-hop failover without a re-plan.
 	Replicate bool
@@ -52,25 +69,14 @@ type Config struct {
 	// the replica if the primary has not answered within this long; first
 	// answer wins. Tail latency insurance against slow nodes.
 	Hedge time.Duration
-	// Restarts bounds how many times one request may restart from stage 0
-	// after a mid-pipeline re-plan (default 1).
-	Restarts int
-	// Health parameterizes each node's circuit breaker — the same machinery
-	// a NIC's core shards use, lifted to node granularity. Zero fields get
-	// defaults: Window 16, Threshold 0.5, Trials 2.
-	Health health.Config
-	// ProbeTolerance is the mean absolute per-code drift a known-answer
-	// probe response may show against its install-time baseline (default 3).
-	ProbeTolerance float64
+	// ProbeEvery asks each node's breaker for a known-answer probe every
+	// ProbeEvery healthy outcomes (0 disables the cadence).
+	ProbeEvery int
 	// InstallTimeout bounds each install and probe round trip (default 2s).
 	InstallTimeout time.Duration
 	// RecoveryInterval is the cadence at which quarantined nodes are probed
 	// for readmission (default 250ms).
 	RecoveryInterval time.Duration
-	// PartBase is the wire model-ID base for installed partitions (default
-	// 0x7000). Stage IDs are unique per plan epoch so a re-plan never
-	// overwrites a model an in-flight request still depends on.
-	PartBase uint16
 	// Seed drives probe-input generation, so baselines are reproducible.
 	Seed uint64
 }
@@ -160,29 +166,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HopRetries <= 0 {
 		cfg.HopRetries = 1
 	}
-	if cfg.Restarts <= 0 {
-		cfg.Restarts = 1
-	}
-	if cfg.Health.Window <= 0 {
-		cfg.Health.Window = 16
-	}
-	if cfg.Health.Threshold <= 0 {
-		cfg.Health.Threshold = 0.5
-	}
-	if cfg.Health.Trials <= 0 {
-		cfg.Health.Trials = 2
-	}
-	if cfg.ProbeTolerance <= 0 {
-		cfg.ProbeTolerance = 3
-	}
 	if cfg.InstallTimeout <= 0 {
 		cfg.InstallTimeout = 2 * time.Second
 	}
 	if cfg.RecoveryInterval <= 0 {
 		cfg.RecoveryInterval = 250 * time.Millisecond
-	}
-	if cfg.PartBase == 0 {
-		cfg.PartBase = 0x7000
 	}
 	c := &Coordinator{
 		cfg:        cfg,
@@ -192,6 +180,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.door = frontdoor.New(c.reassembly, nic.AdmissionConfig{},
 		func() time.Time { return c.now() })
+	hc := health.Config{Window: healthWindow, Threshold: healthThreshold, ProbeEvery: cfg.ProbeEvery, Trials: healthTrials}
 	for i, addr := range cfg.Nodes {
 		nc, err := dialNode(addr)
 		if err != nil {
@@ -202,7 +191,7 @@ func New(cfg Config) (*Coordinator, error) {
 			index:     i,
 			addr:      addr,
 			nc:        nc,
-			breaker:   health.NewBreaker(cfg.Health),
+			breaker:   health.NewBreaker(hc),
 			baselines: make(map[uint16]baseline),
 		})
 	}
@@ -253,7 +242,7 @@ func (c *Coordinator) aliveNodes() []*node {
 // sequence before IDs from epoch e-128 could be confused, and those plans
 // have no in-flight requests left.
 func (c *Coordinator) stageModelID(epoch uint64, si int) uint16 {
-	return c.cfg.PartBase + uint16((epoch&0x7f)<<4|uint64(si&0xf))
+	return partBase + uint16((epoch&0x7f)<<4|uint64(si&0xf))
 }
 
 // replanCurrent rebuilds the plan on whatever nodes are available now.
@@ -287,17 +276,7 @@ func (c *Coordinator) replanLocked() error {
 			c.plan.Store(nil)
 			return ErrNoViablePlan
 		}
-		stages := c.cfg.Stages
-		if stages <= 0 || stages > len(c.nodes) {
-			stages = len(c.nodes)
-		}
-		if stages > len(alive) {
-			stages = len(alive)
-		}
-		if stages > len(c.cfg.Model.Layers) {
-			stages = len(c.cfg.Model.Layers)
-		}
-		parts, err := PartitionPipeline(c.cfg.Model, stages)
+		parts, err := PartitionPipeline(c.cfg.Model, min(len(alive), len(c.cfg.Model.Layers)))
 		if err != nil {
 			return err
 		}
@@ -414,7 +393,7 @@ func (c *Coordinator) probeNode(n *node) bool {
 		return false
 	}
 	resp, err := n.nc.call(context.Background(), 0, id, bl.input, c.cfg.InstallTimeout)
-	if err != nil || resp.Err || resp.Class != bl.class || !withinTolerance(bl.probs, resp.Probs, c.cfg.ProbeTolerance) {
+	if err != nil || resp.Err || resp.Class != bl.class || !withinTolerance(bl.probs, resp.Probs, probeTolerance) {
 		n.probeFailures.Add(1)
 		return false
 	}
@@ -462,7 +441,7 @@ func (c *Coordinator) Infer(ctx context.Context, input []byte) (*nic.Response, e
 	}
 	deadline := c.now().Add(c.cfg.Budget)
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Restarts; attempt++ {
+	for attempt := 0; attempt <= maxRestarts; attempt++ {
 		if attempt > 0 {
 			c.restarts.Add(1)
 		}
@@ -678,7 +657,7 @@ func (c *Coordinator) readmissionProbe(n *node) bool {
 	n.mu.Unlock()
 	n.probes.Add(1)
 	if !has {
-		id = c.cfg.PartBase
+		id = partBase
 		bl = baseline{}
 	}
 	resp, err := n.nc.call(context.Background(), 0, id, bl.input, c.cfg.InstallTimeout)
@@ -689,7 +668,7 @@ func (c *Coordinator) readmissionProbe(n *node) bool {
 	if resp.Err {
 		return true // reachable and honest; reinstall happens at re-plan
 	}
-	if !has || resp.Class != bl.class || !withinTolerance(bl.probs, resp.Probs, c.cfg.ProbeTolerance) {
+	if !has || resp.Class != bl.class || !withinTolerance(bl.probs, resp.Probs, probeTolerance) {
 		n.probeFailures.Add(1)
 		return false
 	}

@@ -53,14 +53,21 @@ func TestFig21and22Output(t *testing.T) {
 	cfg := sim.DefaultCompareConfig()
 	cfg.Requests = 200
 	cfg.Traces = 2
-	var buf bytes.Buffer
-	if err := Fig21and22(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Fig 21/22", "speedup", "energy"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fig21/22 output missing %q", want)
+	for _, c := range []struct {
+		speedup bool
+		want    []string
+	}{
+		{true, []string{"Fig 21", "speedup", "× faster"}},
+		{false, []string{"Fig 22", "energy-sav", "× less energy"}},
+	} {
+		var buf bytes.Buffer
+		if err := fig2122(&buf, cfg, c.speedup); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("fig2122(speedup %v) output missing %q", c.speedup, want)
+			}
 		}
 	}
 }

@@ -14,8 +14,8 @@ func init() {
 	register("fig4", func(w io.Writer) error { return Fig4(w, 100, 1) })
 	register("fig15", Fig15)
 	register("fig19", func(w io.Writer) error { return Fig19(w, 20, 1) })
-	register("fig21", func(w io.Writer) error { return fig2122(w, quickCompareConfig(), true, false) })
-	register("fig22", func(w io.Writer) error { return fig2122(w, quickCompareConfig(), false, true) })
+	register("fig21", func(w io.Writer) error { return fig2122(w, sim.DefaultCompareConfig(), true) })
+	register("fig22", func(w io.Writer) error { return fig2122(w, sim.DefaultCompareConfig(), false) })
 	register("table6", Table6)
 	register("sweep", func(w io.Writer) error { return Sweep(w, 3000, 1) })
 	register("tails", func(w io.Writer) error { return Tails(w, 5000, 1) })
@@ -60,13 +60,6 @@ func Sweep(w io.Writer, requests int, seed uint64) error {
 			p.Utilization, p.BaselineServe, p.LightningServe, p.Speedup())
 	}
 	return nil
-}
-
-func quickCompareConfig() sim.CompareConfig {
-	cfg := sim.DefaultCompareConfig()
-	cfg.Requests = 1500
-	cfg.Traces = 5
-	return cfg
 }
 
 // Fig4 compares end-to-end inference latency CDFs: the stop-and-go
@@ -126,53 +119,29 @@ func Fig19(w io.Writer, inputs int, seed uint64) error {
 	return nil
 }
 
-// Fig21and22 runs the §9 large-scale simulation and prints per-model
-// speedups (Fig 21) and energy savings (Fig 22) plus the headline averages.
-func Fig21and22(w io.Writer, cfg sim.CompareConfig) error {
-	return fig2122(w, cfg, true, true)
-}
-
-func fig2122(w io.Writer, cfg sim.CompareConfig, speedup, energy bool) error {
-	switch {
-	case speedup && energy:
-		header(w, "Fig 21/22: large-scale simulation — serve-time speedup and energy savings")
-	case speedup:
-		header(w, "Fig 21: large-scale simulation — inference serve-time speedup")
-	default:
-		header(w, "Fig 22: large-scale simulation — energy consumption savings")
+// fig2122 runs the §9 large-scale simulation and prints per-model serve-time
+// speedups (Fig 21) or energy savings (Fig 22) plus the headline averages.
+func fig2122(w io.Writer, cfg sim.CompareConfig, speedup bool) error {
+	title, col, unit, k := "Fig 22: large-scale simulation — energy consumption savings", "energy-sav", "less energy", 1
+	if speedup {
+		title, col, unit, k = "Fig 21: large-scale simulation — inference serve-time speedup", "speedup", "faster", 0
 	}
+	header(w, title)
 	cs, err := sim.Compare(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-12s %-10s", "model", "baseline")
-	if speedup {
-		fmt.Fprintf(w, " %12s", "speedup")
-	}
-	if energy {
-		fmt.Fprintf(w, " %12s", "energy-sav")
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-12s %-10s %12s\n", "model", "baseline", col)
 	for _, c := range cs {
-		fmt.Fprintf(w, "%-12s %-10s", c.Model, c.Baseline)
+		v := c.EnergySavings
 		if speedup {
-			fmt.Fprintf(w, " %11.1f×", c.Speedup)
+			v = c.Speedup
 		}
-		if energy {
-			fmt.Fprintf(w, " %11.1f×", c.EnergySavings)
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "%-12s %-10s %11.1f×\n", c.Model, c.Baseline, v)
 	}
 	avg := sim.AverageByBaseline(cs)
 	for _, b := range []string{"A100", "A100X", "Brainwave"} {
-		fmt.Fprintf(w, "average vs %-10s:", b)
-		if speedup {
-			fmt.Fprintf(w, " %7.1f× faster", avg[b][0])
-		}
-		if energy {
-			fmt.Fprintf(w, " %7.1f× less energy", avg[b][1])
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "average vs %-10s: %7.1f× %s\n", b, avg[b][k], unit)
 	}
 	fmt.Fprintln(w, "(paper: 337×/329×/42× faster; 352×/419×/54× less energy)")
 	return nil

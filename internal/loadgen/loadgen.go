@@ -62,13 +62,10 @@ type ModelSpec struct {
 
 // Config parameterizes one load run.
 type Config struct {
-	// Addr is the server's UDP address.
-	Addr string
-	// Targets optionally spreads the load over several server addresses:
-	// socket i dials Targets[i mod len(Targets)], so a multi-endpoint
-	// deployment (several NICs, or coordinator front doors) shares the
-	// offered load evenly. Empty means every socket dials Addr.
-	Targets []string
+	// Addrs are the servers' UDP addresses; at least one. Socket i dials
+	// Addrs[i mod len(Addrs)], so a multi-endpoint deployment (several
+	// NICs, or coordinator front doors) shares the offered load evenly.
+	Addrs []string
 	// Models is the traffic mix; at least one entry.
 	Models []ModelSpec
 	// Rate is the aggregate offered arrival rate in requests/second.
@@ -197,6 +194,9 @@ type generator struct {
 // Run executes one open-loop load run and blocks until the sending window
 // plus the response grace period have elapsed.
 func Run(cfg Config) (*Result, error) {
+	if len(cfg.Addrs) == 0 {
+		return nil, errors.New("loadgen: no server address")
+	}
 	if len(cfg.Models) == 0 {
 		return nil, errors.New("loadgen: no models in the traffic mix")
 	}
@@ -251,13 +251,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	for i := 0; i < cfg.Conns; i++ {
-		addr := cfg.Addr
-		if len(cfg.Targets) > 0 {
-			addr = cfg.Targets[i%len(cfg.Targets)]
-		}
-		if addr == "" {
-			return nil, errors.New("loadgen: no target address (set Addr or Targets)")
-		}
+		addr := cfg.Addrs[i%len(cfg.Addrs)]
 		conn, err := net.Dial("udp", addr)
 		if err != nil {
 			for _, cs := range g.conns {

@@ -69,7 +69,7 @@ func TestRunAgainstLiveServer(t *testing.T) {
 
 	var progress strings.Builder
 	res, err := loadgen.Run(loadgen.Config{
-		Addr: pc.LocalAddr().String(),
+		Addrs: []string{pc.LocalAddr().String()},
 		Models: []loadgen.ModelSpec{
 			{ID: 4, Width: width, Weight: 3},
 			{ID: 5, Width: width, Weight: 1},
@@ -132,7 +132,7 @@ func TestOfferedSequenceDeterministic(t *testing.T) {
 	defer stop()
 	run := func(seed uint64) *loadgen.Result {
 		res, err := loadgen.Run(loadgen.Config{
-			Addr: addr,
+			Addrs: []string{addr},
 			Models: []loadgen.ModelSpec{
 				{ID: 1, Width: 32, Weight: 3},
 				{ID: 2, Width: 32, Weight: 1},
@@ -173,7 +173,7 @@ func TestFixedRateArrivalCount(t *testing.T) {
 	addr, stop := sink(t)
 	defer stop()
 	res, err := loadgen.Run(loadgen.Config{
-		Addr:     addr,
+		Addrs:    []string{addr},
 		Models:   []loadgen.ModelSpec{{ID: 1, Width: 16}},
 		Rate:     1000,
 		Dist:     loadgen.DistFixed,
@@ -192,7 +192,7 @@ func TestFixedRateArrivalCount(t *testing.T) {
 // TestConfigValidation: nonsense configs are rejected up front.
 func TestConfigValidation(t *testing.T) {
 	base := loadgen.Config{
-		Addr:     "127.0.0.1:1",
+		Addrs:    []string{"127.0.0.1:1"},
 		Models:   []loadgen.ModelSpec{{ID: 1, Width: 16}},
 		Rate:     100,
 		Duration: time.Millisecond,

@@ -18,10 +18,6 @@ type Spec struct {
 	Name string
 	// BandwidthBps is the sustained data rate in bits per second.
 	BandwidthBps float64
-	// LatencyNs is the base access latency; JitterNs bounds the uniform
-	// additional latency variation (the variance that makes synchronous
-	// streaming hard, §5.1).
-	LatencyNs, JitterNs float64
 	// CapacityBytes bounds stored data.
 	CapacityBytes int64
 }
@@ -32,8 +28,6 @@ func DDR4Spec() Spec {
 	return Spec{
 		Name:          "DDR4",
 		BandwidthBps:  2.67e9 * 64,
-		LatencyNs:     60,
-		JitterNs:      40,
 		CapacityBytes: 4 << 30,
 	}
 }

@@ -176,7 +176,7 @@ type Comparison struct {
 type CompareConfig struct {
 	Models []*model.Model
 	// Requests per trace and number of randomized traces (the paper uses
-	// ten).
+	// ten traces; the default is five of 1500 requests).
 	Requests, Traces int
 	// Utilization targets the most congested (baseline) accelerator.
 	Utilization float64
@@ -187,8 +187,8 @@ type CompareConfig struct {
 func DefaultCompareConfig() CompareConfig {
 	return CompareConfig{
 		Models:      model.SimulationModels(),
-		Requests:    2000,
-		Traces:      10,
+		Requests:    1500,
+		Traces:      5,
 		Utilization: 0.95,
 		Seed:        1,
 	}

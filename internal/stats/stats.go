@@ -111,19 +111,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	// Move past equal elements so At is right-continuous.
-	for i < len(c.sorted) && c.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Percentile returns the p-quantile (p in [0,1]) by nearest-rank.
 func (c *CDF) Percentile(p float64) float64 {
 	if len(c.sorted) == 0 {
@@ -147,17 +134,6 @@ func (c *CDF) Median() float64 { return c.Percentile(0.5) }
 
 // Len reports the number of samples.
 func (c *CDF) Len() int { return len(c.sorted) }
-
-// Series formats the CDF as (value, fraction) pairs at n evenly spaced
-// fractions, the representation experiment harnesses print for plotting.
-func (c *CDF) Series(n int) [][2]float64 {
-	out := make([][2]float64, 0, n)
-	for i := 1; i <= n; i++ {
-		p := float64(i) / float64(n)
-		out = append(out, [2]float64{c.Percentile(p), p})
-	}
-	return out
-}
 
 // ASCIIBar renders a crude fixed-width proportional bar for terminal
 // experiment reports.

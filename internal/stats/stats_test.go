@@ -75,26 +75,6 @@ func TestHistogramBinCenter(t *testing.T) {
 	}
 }
 
-func TestCDFMonotone(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-	}
-	c := NewCDF(xs)
-	prev := 0.0
-	for x := -1.0; x <= 101; x += 0.5 {
-		v := c.At(x)
-		if v < prev {
-			t.Fatalf("CDF not monotone at %v: %v < %v", x, v, prev)
-		}
-		prev = v
-	}
-	if c.At(-1) != 0 || c.At(101) != 1 {
-		t.Error("CDF endpoints wrong")
-	}
-}
-
 func TestCDFPercentile(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	if m := c.Median(); m != 5 {
@@ -108,17 +88,6 @@ func TestCDFPercentile(t *testing.T) {
 	}
 	if p := c.Percentile(0.9); p != 9 {
 		t.Errorf("P90 = %v, want 9", p)
-	}
-}
-
-func TestCDFSeriesShape(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3})
-	s := c.Series(3)
-	if len(s) != 3 {
-		t.Fatalf("Series len = %d", len(s))
-	}
-	if s[2][1] != 1 || s[2][0] != 3 {
-		t.Errorf("final series point = %v", s[2])
 	}
 }
 
