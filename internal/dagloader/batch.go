@@ -71,9 +71,9 @@ func (ld *Loader) ServeBatch(id uint16, inputs [][]fixed.Code) ([]Result, datapa
 		if len(biasBlob) != 2*lc.Out {
 			return nil, batchStats, fmt.Errorf("dagloader: bias %q is %d bytes, want %d", lc.BiasKey, len(biasBlob), 2*lc.Out)
 		}
-		bias := DecodeBias(biasBlob)
+		ld.bias = decodeBiasInto(ld.bias, biasBlob)
 
-		out := ld.Engine.ExecuteFCBiasBatch(weights, bias, acts, lc.Activation, lc.Shift)
+		out := ld.Engine.ExecuteFCBiasBatch(weights, ld.bias, acts, lc.Activation, lc.Shift)
 		batchStats.Add(out.Stats)
 		if lc.Activation == datapath.ActSoftmax {
 			// Compile gives the softmax to the layer marked Final and to no

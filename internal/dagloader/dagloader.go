@@ -86,11 +86,21 @@ func EncodeBias(b []fixed.Acc) []byte {
 
 // DecodeBias reverses EncodeBias.
 func DecodeBias(blob []byte) []fixed.Acc {
-	out := make([]fixed.Acc, len(blob)/2)
-	for i := range out {
-		out[i] = fixed.Acc(binary.LittleEndian.Uint16(blob[2*i:]))
+	return decodeBiasInto(make([]fixed.Acc, len(blob)/2), blob)
+}
+
+// decodeBiasInto is DecodeBias into dst's storage, grown only when it is
+// short.
+func decodeBiasInto(dst []fixed.Acc, blob []byte) []fixed.Acc {
+	n := len(blob) / 2
+	if cap(dst) < n {
+		dst = make([]fixed.Acc, n)
 	}
-	return out
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = fixed.Acc(binary.LittleEndian.Uint16(blob[2*i:]))
+	}
+	return dst
 }
 
 // Store is the shared model registry and DRAM weight store. In the sharded
@@ -241,6 +251,10 @@ type Loader struct {
 	// Per-shard; read it under the same serialization that guards
 	// ServeBatch.
 	Reconfigurations uint64
+
+	// bias holds the layer being served's decoded bias; the engine is done
+	// with it when the layer returns.
+	bias []fixed.Acc
 }
 
 // NewLoader wires a loader to an engine and a private store over the DRAM.

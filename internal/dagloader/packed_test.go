@@ -86,11 +86,11 @@ func TestFaultedWeightReadCorruptsOnlyThatQuery(t *testing.T) {
 // whether the layer holds 128 of them or 16 384 — and the total is pinned.
 func TestServeBatchWeightPathZeroAllocs(t *testing.T) {
 	for _, q := range []int{1, 4} {
-		// Per layer: the boxed view header and the decoded bias (the
-		// cross-cycle adder and its count-action module are the engine's);
-		// per call the result slice; per query Raw, Quantized and softmax's
-		// two vectors.
-		want := float64(3 + 4*q)
+		// Per layer: the boxed view header (the decoded bias is the
+		// loader's, the cross-cycle adder and its count-action module the
+		// engine's); per call the result slice; per query Raw, Quantized
+		// and softmax's two vectors.
+		want := float64(2 + 4*q)
 		for _, dim := range [][2]int{{2, 64}, {32, 512}} {
 			ld := newNoiselessLoader(t)
 			if err := ld.RegisterModel(1, "allocs", oneLayerModel(dim[0], dim[1])); err != nil {

@@ -73,13 +73,33 @@ func (a *CrossCycleAdder) SetPartialsPerDot(n int) {
 // at a time would. An empty segment is no dot: it touches neither the rule
 // nor the tree.
 //
+// A short dot — at most one sample a lane, at a gain where even sixteen
+// MaxCode samples sum below AccMax — reaches no rail anywhere in the tree,
+// so its sum is gain·(Σ⁺ − Σ⁻) in the tree's 4 cycles, and Dot computes
+// that without building the lanes.
+//
 //lint:hotpath
 func (a *CrossCycleAdder) Dot(seg []fixed.Code, pos int) (sum fixed.Acc, treeCycles, saturated int) {
-	lanes, saturated := a.lanes(seg, pos)
+	if pos < 0 || pos > len(seg) {
+		panic("datapath: sign boundary outside the segment")
+	}
 	if len(seg) == 0 {
 		return 0, 0, 0
 	}
 	a.rule.Add(countaction.Value(len(seg)))
+	if gain := int64(max(a.Gain, 1)); len(seg) <= Lanes && Lanes*fixed.MaxCode*gain <= fixed.AccMax {
+		var plus, minus int64
+		for _, s := range seg[:pos] {
+			plus += int64(s)
+			saturated += b2i(s == fixed.MaxCode)
+		}
+		for _, s := range seg[pos:] {
+			minus += int64(s)
+			saturated += b2i(s == fixed.MaxCode)
+		}
+		return fixed.Acc(gain * (plus - minus)), TreeCycles(Lanes), saturated
+	}
+	lanes, saturated := a.lanes(seg, pos)
 	sum, treeCycles = TreeSumInPlace(lanes[:])
 	return sum, treeCycles, saturated
 }
@@ -88,13 +108,10 @@ func (a *CrossCycleAdder) Dot(seg []fixed.Code, pos int) (sum fixed.Acc, treeCyc
 // cross-cycle adder ("stream cross_cycle_adder_subtractor[i].data") and
 // counts its MaxCode samples. Samples are 8-bit codes zero-padded to 16
 // bits; sample i streams on lane i mod Lanes, added if i < pos and
-// subtracted otherwise.
+// subtracted otherwise; pos splits seg (Dot checks it).
 //
 //lint:hotpath
 func (a *CrossCycleAdder) lanes(seg []fixed.Code, pos int) (lanes [Lanes]fixed.Acc, saturated int) {
-	if pos < 0 || pos > len(seg) {
-		panic("datapath: sign boundary outside the segment")
-	}
 	gain := int64(max(a.Gain, 1))
 	if len(seg) <= Lanes {
 		// One sample a lane: nothing to sum, nothing to saturate.

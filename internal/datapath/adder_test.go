@@ -161,8 +161,10 @@ func checkDot(t testing.TB, seg []fixed.Code, pos, gain int) [Lanes]fixed.Acc {
 // reference: every segment length to five cycles and three past, at every
 // sign boundary, then lengths past the 256-cycle field flush with sign
 // boundaries either side of a cycle edge and of the flush; at gains either
-// side of 128, above which one sample can exceed AccMax; on random codes
-// and on runs that pin each rail.
+// side of 8, above which sixteen MaxCode samples can reach a rail (a dot of
+// 15 or 16 samples takes Dot's short path at 8 and the lanes at 9, one of 17
+// the lanes at both), and either side of 128, above which one sample can
+// exceed AccMax; on random codes and on runs that pin each rail.
 func TestAdderDotMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
 	// Each fill writes the segment given its sign boundary: the positive
@@ -190,7 +192,7 @@ func TestAdderDotMatchesPerSample(t *testing.T) {
 	}
 	long := flushCycles * Lanes
 	for _, f := range fills {
-		for _, gain := range []int{1, 2, 128, 129, 255} {
+		for _, gain := range []int{1, 2, 8, 9, 128, 129, 255} {
 			for n := 0; n <= 5*Lanes+3; n++ {
 				seg := make([]fixed.Code, n)
 				for pos := 0; pos <= n; pos++ {
@@ -218,9 +220,16 @@ func TestAdderDotMatchesPerSample(t *testing.T) {
 }
 
 // FuzzAdderDot holds Dot to the per-sample reference on arbitrary codes,
-// sign boundaries and gains.
+// sign boundaries and gains. The seeds put MaxCode runs of 15, 16 and 17
+// samples either side of the short path's gain bound.
 func FuzzAdderDot(f *testing.F) {
 	f.Add([]byte{10, 20, 7, 5, 1}, uint16(1), uint8(1))
+	for _, n := range []int{15, 16, 17} {
+		for _, gain := range []uint8{8, 9} {
+			f.Add(bytes.Repeat([]byte{fixed.MaxCode}, n), uint16(n), gain)
+			f.Add(bytes.Repeat([]byte{fixed.MaxCode}, n), uint16(0), gain)
+		}
+	}
 	f.Add(bytes.Repeat([]byte{250}, 100*Lanes), uint16(80*Lanes), uint8(2))
 	f.Add(bytes.Repeat([]byte{fixed.MaxCode}, 2*flushCycles*Lanes+9), uint16(flushCycles*Lanes+3), uint8(129))
 	f.Fuzz(func(t *testing.T, raw []byte, pos uint16, gain uint8) {

@@ -23,9 +23,9 @@ import (
 //   - one preamble prefix, one readout phase, one preamble detection;
 //   - one count-action reconfiguration and one DRAM weight stream (see
 //     dagloader.ServeBatch);
-//
-// and a batch once per row instead of Q times: the LUT-validity sweep of the
-// photonic pass.
+//   - one LUT-validity sweep of the photonic core, taken as the burst opens:
+//     faults land between queries, never inside a layer, and the helpers
+//     that run a wide row's blocks only read the core.
 //
 // Equivalence contract: on an ideal (noiseless) channel a batched pass is
 // bit-identical to running its queries one batch each — the analog steps per
@@ -101,19 +101,21 @@ func (e *Engine) issueRow(w fixed.Row, row int, xs [][]fixed.Code, stats *LayerS
 		return
 	}
 
-	// One photonic pass in blocks (rowpass.go): a single LUT-validity
-	// decision covers every query's sign groups, each step drawing its noise
-	// at its own position in the row's stream, each block quantizing into
-	// its own span of the burst reserved here.
+	// One photonic pass in blocks (rowpass.go): the layer's LUT-validity
+	// decision, taken as its first live row opens the burst, covers every
+	// row and every query's sign groups, each step drawing its noise at its
+	// own position in the row's stream, each block quantizing into its own
+	// span of the burst reserved here.
 	if len(s.stream) == 0 {
 		s.phase = e.ADC.RandomPhase()
 		s.stream = e.ADC.OpenBurst(s.stream, e.pre, s.phase)
+		s.pass.fast = e.Core.LUTsValid()
 	}
 	at := len(s.stream)
 	s.stream = e.ADC.Reserve(s.stream, total)
 	key := noiseKey(e.bursts, row)
 	p := &s.pass
-	p.core, p.key, p.fast, p.lanes = e.Core, key, e.Core.LUTsValid(), lanes
+	p.core, p.key, p.lanes = e.Core, key, lanes
 	p.a, p.b, p.bounds, p.starts = s.bW[:bi], s.bX[:bi], s.bounds, s.starts
 	p.out, p.blocks = s.stream[at:], (total+blockSteps-1)/blockSteps
 	p.issue(s.parts)
@@ -294,7 +296,7 @@ func partition(bW, bX []fixed.Code, w fixed.Row, x []fixed.Code, pos, neg int) (
 func liveMask(mw, xw uint64) uint8 {
 	const lows, tops = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
 	nz := ((mw&lows + lows) | mw) & ((xw&lows + lows) | xw) & tops // top bit of each live byte
-	return uint8((nz >> 7) * 0x0102040810204080 >> 56)
+	return topBits(nz)
 }
 
 // compressStages holds what compacting the bytes of a word selected by one

@@ -3,8 +3,10 @@ package datapath
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
@@ -108,5 +110,69 @@ func TestRunDotBatchAllZeroProducts(t *testing.T) {
 	res2 := e2.ExecuteFCBiasBatch(weights, nil, [][]fixed.Code{{200, 0, 200}, {7, 0, 7}}, ActIdentity, 0)
 	if res2.Stats.PhotonicSteps != 0 {
 		t.Errorf("photonic steps = %d, want 0 (all-zero batch)", res2.Stats.PhotonicSteps)
+	}
+}
+
+// TestLayerLUTDecisionSeesFaultBetweenLayers: the engine decides LUT
+// validity once a layer, so a fault landing between two layers must be seen
+// by the second. A modulator bias moved after a layer sends the next layer
+// through Step, reading the bytes of a twin that was stale from the start; a
+// relock between layers brings the fast path back. A decision kept from an
+// earlier layer would serve the moved bias from the LUTs baked before it,
+// which read what a healthy core reads.
+func TestLayerLUTDecisionSeesFaultBetweenLayers(t *testing.T) {
+	weights, bias, xs := batchLayer(4, 64, 2)
+	// layer serves the layer and returns what it read — every accumulator
+	// and the burst's samples — and whether it took the fast path.
+	layer := func(e *Engine) (string, bool) {
+		res := e.ExecuteFCBiasBatch(weights, bias, xs, ActIdentity, 2)
+		var b strings.Builder
+		for _, r := range res.PerQuery {
+			fmt.Fprintln(&b, r.Raw)
+		}
+		frames := int(res.Stats.DatapathCycles) - PerLayerOverheadCycles
+		fmt.Fprintln(&b, e.scratch.stream[:frames*converter.SamplesPerCycle])
+		return b.String(), e.scratch.pass.fast
+	}
+	fault := func(e *Engine) { e.Core.Lanes()[0].Mod1.Bias += 0.3 }
+	relock := func(e *Engine) {
+		if err := e.Core.Relock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, stale, healthy := newTestEngine(t, 2, true), newTestEngine(t, 2, true), newTestEngine(t, 2, true)
+	fault(stale)
+	for _, c := range []struct {
+		e    *Engine
+		fast bool
+	}{{e, true}, {stale, false}, {healthy, true}} {
+		if _, fast := layer(c.e); fast != c.fast {
+			t.Fatalf("first layer: fast path %v, want %v", fast, c.fast)
+		}
+	}
+
+	fault(e)
+	got, fast := layer(e)
+	want, _ := layer(stale)
+	clean, _ := layer(healthy)
+	if fast {
+		t.Fatal("the layer after a fault took the fast path")
+	}
+	if got != want {
+		t.Fatalf("the layer after a fault read\n%s\nthe twin stale from the start\n%s", got, want)
+	}
+	if got == clean {
+		t.Fatal("the fault does not change what the layer reads: the test cannot tell the paths apart")
+	}
+
+	relock(e)
+	relock(stale)
+	got, fast = layer(e)
+	want, _ = layer(stale)
+	if !fast {
+		t.Fatal("the layer after a relock did not return to the fast path")
+	}
+	if got != want {
+		t.Fatalf("after a relock the layer read\n%s\nthe relocked twin\n%s", got, want)
 	}
 }

@@ -7,6 +7,7 @@ package datapath
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/countaction"
@@ -213,35 +214,64 @@ func (d *Detector) Reset() {
 
 // levelMasks thresholds a frame once for all sixteen shifts: bit j of hi is
 // set where sample j reads H (≥ HighThreshold), bit j of lo where it reads L
-// (≤ LowThreshold). A sample between the thresholds sets neither.
+// (≤ LowThreshold). A sample between the thresholds sets neither. Each half
+// of the frame is one word, tested a byte at a time in partition's idiom:
+// adding 0x80 − t to a byte's low seven bits carries into its top bit
+// exactly when they reach t. A byte reads H when its top bit and that carry
+// at t = HighThreshold − 0x80 are set, and L when neither is at
+// t = LowThreshold + 1.
+//
+//lint:hotpath
 func levelMasks(f *converter.Frame) (hi, lo uint16) {
-	for j, c := range f {
-		if c >= HighThreshold {
-			hi |= 1 << j
-		}
-		if c <= LowThreshold {
-			lo |= 1 << j
-		}
+	const (
+		ones, low7, tops = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+		hiAdd            = (0x80 - (uint64(HighThreshold) - 0x80)) * ones
+		loAdd            = (0x7f - uint64(LowThreshold)) * ones
+	)
+	for i, w := range [2]uint64{octet(f[:8:8]), octet(f[8:16:16])} {
+		h := w & (w&low7 + hiAdd) & tops
+		l := ^(w | (w&low7 + loAdd)) & tops
+		hi |= uint16(topBits(h)) << (8 * i)
+		lo |= uint16(topBits(l)) << (8 * i)
 	}
 	return hi, lo
+}
+
+// topBits gathers the top bit of each byte of w into a byte, byte k's into
+// bit k.
+func topBits(w uint64) uint8 { return uint8((w >> 7) * 0x0102040810204080 >> 56) }
+
+// shifts returns the shifts, bit k for shift k, whose pattern a frame with
+// level masks hi and lo matches. A sample reads H, L or neither, so a frame
+// matches shift k only when every sample reads one of the two (lo == ^hi)
+// and its H samples are the shifted pattern's (hi == high[k]).
+func (d *Detector) shifts(hi, lo uint16) (m uint16) {
+	if lo != ^hi {
+		return 0
+	}
+	for k, h := range d.high {
+		if h == hi {
+			m |= 1 << k
+		}
+	}
+	return m
 }
 
 // Offer feeds one ADC readout frame to the detector. It returns the detected
 // phase k (the position of the first meaningful sample within a cycle,
 // triggering the "stream ADC.data[k:]" action) and true once the preamble
 // has been counted the required number of times; until then it returns
-// (-1, false). Shift k's rule observes Pattern.Shifted(k).MatchFrame(f),
-// evaluated on the frame's two level masks: every sample the shifted pattern
-// wants high reads H and every other sample reads L.
+// (-1, false). Shift k's rule observes Pattern.Shifted(k).MatchFrame(f):
+// the rules of the shifts the frame matches (shifts) observe it, in k order,
+// and every other rule's observation is false, which changes nothing.
 //
 //lint:hotpath
 func (d *Detector) Offer(f converter.Frame) (phase int, ok bool) {
 	if d.detected >= 0 {
 		return d.detected, true
 	}
-	hi, lo := levelMasks(&f)
-	for k, h := range d.high {
-		if d.rules[k].Observe(hi&h == h && lo&^h == ^h) && d.detected >= 0 {
+	for m := d.shifts(levelMasks(&f)); m != 0; m &= m - 1 {
+		if d.rules[bits.TrailingZeros16(m)].Observe(true) && d.detected >= 0 {
 			return d.detected, true
 		}
 	}

@@ -53,9 +53,12 @@ func (d *refDetector) detect(frames []converter.Frame) (phase, frameIdx int, ok 
 
 // FuzzDetectorMaskEquivalence: for any pattern, repetition count,
 // MinMatches, phase and noise floor — clean bursts, bursts whose idle noise
-// reads as H, L or neither, and bursts with corrupted samples — the mask
-// predicate is Shifted(k).MatchFrame(f) for every shift of every frame, and
-// Detect ends where the reference ends with every rule in the same state.
+// reads as H, L or neither, and bursts with corrupted samples — the shifts
+// the level masks look up for a frame are exactly those whose
+// Shifted(k).MatchFrame(f) holds, and Detect ends where the reference ends
+// with every rule in the same state. Patterns whose rotations coincide
+// (0xaaaa has two distinct rotations, 0x3333 four) match several shifts on
+// one frame.
 func FuzzDetectorMaskEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(0x00ff), uint8(10), uint8(0), uint8(0), uint8(12), uint8(0))
 	f.Add(uint64(2), uint16(0x00ff), uint8(10), uint8(0), uint8(6), uint8(12), uint8(3))
@@ -63,6 +66,9 @@ func FuzzDetectorMaskEquivalence(f *testing.F) {
 	f.Add(uint64(4), uint16(0xf0f0), uint8(6), uint8(3), uint8(15), uint8(200), uint8(40))
 	f.Add(uint64(5), uint16(0xffff), uint8(3), uint8(0), uint8(1), uint8(255), uint8(200))
 	f.Add(uint64(6), uint16(0x0000), uint8(2), uint8(1), uint8(13), uint8(64), uint8(1))
+	f.Add(uint64(7), uint16(0xaaaa), uint8(5), uint8(0), uint8(3), uint8(12), uint8(0))
+	f.Add(uint64(8), uint16(0x3333), uint8(4), uint8(0), uint8(6), uint8(12), uint8(0))
+	f.Add(uint64(9), uint16(0x3333), uint8(8), uint8(2), uint8(9), uint8(30), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, bits uint16, reps, minMatches, phase, noiseFloor, corrupt uint8) {
 		cfg := PreambleConfig{Repetitions: 2 + int(reps)%14, MinMatches: int(minMatches) % 16}
 		for j := range cfg.Pattern {
@@ -84,11 +90,14 @@ func FuzzDetectorMaskEquivalence(f *testing.F) {
 
 		d, ref := NewDetector(cfg), newRefDetector(cfg)
 		for i := range frames {
-			hi, lo := levelMasks(&frames[i])
-			for k, h := range d.high {
-				if got, want := hi&h == h && lo&^h == ^h, ref.shifted[k].MatchFrame(frames[i]); got != want {
-					t.Fatalf("frame %d %v shift %d: mask predicate %v, MatchFrame %v", i, frames[i], k, got, want)
+			var want uint16
+			for k := range ref.shifted {
+				if ref.shifted[k].MatchFrame(frames[i]) {
+					want |= 1 << k
 				}
+			}
+			if got := d.shifts(levelMasks(&frames[i])); got != want {
+				t.Fatalf("frame %d %v: shifts %016b, MatchFrame holds for %016b", i, frames[i], got, want)
 			}
 		}
 		for round := 0; round < 2; round++ { // the second round checks Reset rearms both alike
@@ -105,6 +114,32 @@ func FuzzDetectorMaskEquivalence(f *testing.F) {
 			ref.module.Reset()
 		}
 	})
+}
+
+// TestLevelMasksEveryCode holds the word-wide levelMasks to the per-sample
+// threshold tests for every code in every one of the sixteen positions.
+func TestLevelMasksEveryCode(t *testing.T) {
+	for j := 0; j < converter.SamplesPerCycle; j++ {
+		for c := 0; c < fixed.Levels; c++ {
+			var f converter.Frame
+			for i := range f {
+				f[i] = fixed.Code((c + 97*i) % fixed.Levels) // every other sample a different code
+			}
+			f[j] = fixed.Code(c)
+			var wantHi, wantLo uint16
+			for i, s := range f {
+				if s >= HighThreshold {
+					wantHi |= 1 << i
+				}
+				if s <= LowThreshold {
+					wantLo |= 1 << i
+				}
+			}
+			if hi, lo := levelMasks(&f); hi != wantHi || lo != wantLo {
+				t.Fatalf("code %d at %d in %v: masks %016b %016b, want %016b %016b", c, j, f, hi, lo, wantHi, wantLo)
+			}
+		}
+	}
 }
 
 // TestStreamPayloadMatchesPerSample holds the two payload forms — the flat

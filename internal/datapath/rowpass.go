@@ -53,7 +53,8 @@ type rowPass struct {
 
 	core *photonic.Core
 	key  uint64
-	// fast records that the core's LUTs held when the row began.
+	// fast records that the core's LUTs held when the layer's burst
+	// opened.
 	fast  bool
 	lanes int
 	// a and b are the row's sign-partitioned operands, group g spanning
@@ -90,11 +91,16 @@ func (p *rowPass) run(k int, parts []float64) {
 		first := p.bounds[g] + (s-p.starts[g])*p.lanes
 		last := min(p.bounds[g]+(end-p.starts[g])*p.lanes, p.bounds[g+1])
 		if p.fast {
-			p.core.PartialsAt(parts[s-lo:end-lo], p.a[first:last], p.b[first:last], p.key, uint64(s))
+			p.core.ReadingsInto(parts[s-lo:end-lo], p.a[first:last], p.b[first:last])
 		} else {
 			p.core.DotPartialsInto(parts[s-lo:end-lo], p.a[first:last], p.b[first:last])
 		}
 		s = end
+	}
+	if p.fast {
+		// The groups' steps are the block's consecutive positions, so one
+		// noise pass over the block draws what one a group would.
+		p.core.AddNoiseAt(parts, p.key, uint64(lo))
 	}
 	converter.QuantizeInto(p.out[lo:hi], parts)
 }

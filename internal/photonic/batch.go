@@ -74,16 +74,38 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 // the cursor there. A group cut at a multiple of NumLanes operands and issued
 // piecewise at the matching positions reads the same as issued whole.
 //
-// It only reads the core: the cursor does not move and Steps is not counted,
-// so several goroutines may call it at once on disjoint dst while nothing
-// else touches the core. The caller counts the steps. Valid only while
-// LUTsValid holds; a stale core takes Step, through DotPartialsInto.
+// It is ReadingsInto then AddNoiseAt over the same span; a caller with
+// several groups whose steps sit at consecutive positions may run
+// ReadingsInto per group and one AddNoiseAt over them all, and reads the
+// same. Like its halves, it only reads the core: the cursor does not move
+// and Steps is not counted, so several goroutines may call it at once on
+// disjoint dst while nothing else touches the core. The caller counts the
+// steps. Valid only while LUTsValid holds; a stale core takes Step, through
+// DotPartialsInto.
 //
 //lint:hotpath
 func (c *Core) PartialsAt(dst []float64, a, b []fixed.Code, key, ctr uint64) {
+	dst = c.ReadingsInto(dst, a, b)
+	c.AddNoiseAt(dst, key, ctr)
+}
+
+// ReadingsInto writes the ⌈len(a)/NumLanes⌉ noiseless readings of one
+// operand group into dst and returns them: the kernel half of PartialsAt.
+//
+//lint:hotpath
+func (c *Core) ReadingsInto(dst []float64, a, b []fixed.Code) []float64 {
 	n := len(c.lanes)
 	dst = dst[:(len(a)+n-1)/n]
 	c.pass(dst, a, b)
+	return dst
+}
+
+// AddNoiseAt adds draws ctr, ctr+1, … of key's noise stream to the readings
+// in dst, in order: the noise half of PartialsAt. A noiseless core adds
+// nothing.
+//
+//lint:hotpath
+func (c *Core) AddNoiseAt(dst []float64, key, ctr uint64) {
 	if m := c.noise; m != nil {
 		m.addAt(dst, streamBase(m.seeded, key), ctr)
 	}
