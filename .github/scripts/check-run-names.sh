@@ -11,7 +11,9 @@ shift
 listed=$(go test -list . "$@" | grep -E '^(Test|Fuzz|Benchmark|Example)')
 missing=""
 for name in $(echo "$pattern" | tr '|' ' '); do
-  echo "$listed" | grep -qE "$name" || missing="$missing $name"
+  # A here-string, not a pipe: grep -q exits at its first match, and under
+  # pipefail the echo it cut off would fail the test of a name that exists.
+  grep -qE "$name" <<<"$listed" || missing="$missing $name"
 done
 if [ -n "$missing" ]; then
   echo "names that match no test in $*:$missing"

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -26,13 +27,18 @@ func (c *Coordinator) ServeUDP(ctx context.Context, pc net.PacketConn, workers i
 	if workers < 1 {
 		workers = 1
 	}
-	return c.door.Serve(ctx, pc, workers, func(req frontdoor.Request) (*nic.Response, error) {
+	return c.door.Serve(ctx, pc, workers, func(req frontdoor.Request, resp *nic.Response) error {
 		if req.Control || req.Model != c.cfg.ModelID {
-			return &nic.Response{RequestID: req.ID, ModelID: req.Model, Err: true}, errNotServed
+			resp.Err = true
+			return errNotServed
 		}
-		resp, err := c.Infer(ctx, req.Query) // the Err flag rides in the response
+		// A losing hedge may still be sending its payload after Infer
+		// returns, past the point where the door reuses the query's
+		// storage, so the pipeline gets a copy of its own.
+		r, err := c.Infer(ctx, bytes.Clone(req.Query)) // the Err flag rides in the response
+		*resp = *r
 		resp.RequestID = req.ID
-		return resp, err
+		return err
 	}, nil)
 }
 

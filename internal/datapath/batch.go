@@ -363,11 +363,12 @@ func putOctet(d []fixed.Code, v uint64) {
 // batch of queries in a single matrix pass.
 type BatchFCResult struct {
 	// PerQuery holds each query's layer output in batch order. The slice
-	// itself is the engine's: it is valid until the engine's next layer
-	// execution, while the Raw/Quantized/Probs vectors it points at are
-	// freshly allocated and the caller's to keep. The per-query Stats
-	// fields are zero: cycle accounting for a batched pass is inherently
-	// shared, so it lives in Stats below.
+	// and the Raw/Quantized/Probs vectors it points at are the engine's:
+	// they are valid until the engine's next layer execution, which may
+	// overwrite them, so a caller that keeps an output past that copies
+	// it (ExecuteFCBias does). A vector's capacity ends at its length.
+	// The per-query Stats fields are zero: cycle accounting for a batched
+	// pass is inherently shared, so it lives in Stats below.
 	PerQuery []FCResult
 	// Stats is the whole-batch accounting for this layer pass. Shared
 	// overheads (the per-layer reconfiguration cost, preambles, ADC
@@ -388,13 +389,18 @@ type BatchFCResult struct {
 // onto 8-bit activation codes for the next layer (computed offline by the DAG
 // loader together with the weight scales). The fixed per-layer datapath
 // overhead is paid once for the whole batch.
+//
+// The outputs are written into engine storage (BatchFCResult.PerQuery) only
+// after every row has been issued, so the steady state allocates nothing.
+// An input must still not alias them: the caller that chains layers hands
+// each the previous layer's outputs copied into storage of its own
+// (dagloader.Loader.ServeBatch).
+//
+//lint:hotpath
 func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs [][]fixed.Code, act Activation, requantShift uint) BatchFCResult {
 	rows, _ := weights.Dims()
 	q := len(xs)
-	perQuery, acc := e.scratch.layerOut(rows, q)
-	for qi := range perQuery {
-		perQuery[qi] = FCResult{Raw: make([]fixed.Acc, rows)}
-	}
+	perQuery, acc := e.scratch.layerOut(rows, q, act == ActSoftmax)
 	res := BatchFCResult{PerQuery: perQuery}
 	e.scratch.beginLayer()
 	e.armAdder()
@@ -424,10 +430,10 @@ func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs 
 			ReLUVec(r.Raw)
 			res.Stats.ComputeCycles += CyclesReLU
 		case ActSoftmax:
-			r.Probs = Softmax(r.Raw)
+			softmaxInto(r.Probs, r.Raw)
 			res.Stats.ComputeCycles += CyclesSoftmax
 		}
-		r.Quantized = RequantizeVec(r.Raw, requantShift)
+		requantizeInto(r.Quantized, r.Raw, requantShift)
 	}
 	return res
 }

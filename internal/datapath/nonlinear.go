@@ -69,27 +69,39 @@ func Softmax(xs []fixed.Acc) []fixed.Code {
 	if len(xs) == 0 {
 		return nil
 	}
+	out := make([]fixed.Code, len(xs))
+	softmaxInto(out, xs)
+	return out
+}
+
+// softmaxInto is Softmax into out, which is as long as xs. The LUT is read
+// twice, once for the normalizer and once for each output, so no vector of
+// exponentials is kept.
+//
+//lint:hotpath
+func softmaxInto(out []fixed.Code, xs []fixed.Acc) {
+	if len(xs) == 0 {
+		return
+	}
 	max := xs[0]
 	for _, x := range xs[1:] {
 		if x > max {
 			max = x
 		}
 	}
-	exps := make([]int64, len(xs))
 	var total int64
+	for _, x := range xs {
+		total += int64(expFixed(int32(max) - int32(x)))
+	}
+	out = out[:len(xs)]
+	if total == 0 {
+		clear(out)
+		return
+	}
 	for i, x := range xs {
 		e := int64(expFixed(int32(max) - int32(x)))
-		exps[i] = e
-		total += e
-	}
-	out := make([]fixed.Code, len(xs))
-	if total == 0 {
-		return out
-	}
-	for i, e := range exps {
 		out[i] = fixed.Code((e*255 + total/2) / total)
 	}
-	return out
 }
 
 // Argmax returns the index of the largest accumulator value — the

@@ -1,6 +1,8 @@
 package datapath
 
 import (
+	"slices"
+
 	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 	"github.com/lightning-smartnic/lightning/internal/photonic"
@@ -131,7 +133,9 @@ func (e *Engine) armAdder() {
 	e.adder.Gain = e.Core.FullScaleLanes
 }
 
-// FCResult is the output of one fully-connected layer execution.
+// FCResult is the output of one fully-connected layer execution. Its
+// vectors are the caller's when ExecuteFCBias or ExecuteFC returned it, and
+// the engine's, until its next layer execution, when ExecuteFCBiasBatch did.
 type FCResult struct {
 	// Raw holds the 16-bit accumulator outputs after the activation.
 	Raw []fixed.Acc
@@ -152,10 +156,12 @@ func (e *Engine) ExecuteFC(weights fixed.Weights, x []fixed.Code, act Activation
 // ExecuteFCBias runs a fully-connected layer for one query:
 // out[j] = act(Σ_i W[j][i]·x[i] + bias[j]) — ExecuteFCBiasBatch for a batch
 // of one, with the pass's cycle accounting attached to the single result.
+// The result's vectors are copies, the caller's to keep across calls.
 func (e *Engine) ExecuteFCBias(weights fixed.Weights, bias []fixed.Acc, x []fixed.Code, act Activation, requantShift uint) FCResult {
 	xs := [1][]fixed.Code{x}
 	batch := e.ExecuteFCBiasBatch(weights, bias, xs[:], act, requantShift)
 	res := batch.PerQuery[0]
+	res.Raw, res.Quantized, res.Probs = slices.Clone(res.Raw), slices.Clone(res.Quantized), slices.Clone(res.Probs)
 	res.Stats = batch.Stats
 	return res
 }
@@ -185,8 +191,16 @@ func Requantize(x fixed.Acc, shift uint) fixed.Code {
 // RequantizeVec applies Requantize element-wise.
 func RequantizeVec(xs []fixed.Acc, shift uint) []fixed.Code {
 	out := make([]fixed.Code, len(xs))
+	requantizeInto(out, xs, shift)
+	return out
+}
+
+// requantizeInto is RequantizeVec into out, which is as long as xs.
+//
+//lint:hotpath
+func requantizeInto(out []fixed.Code, xs []fixed.Acc, shift uint) {
+	out = out[:len(xs)]
 	for i, x := range xs {
 		out[i] = Requantize(x, shift)
 	}
-	return out
 }

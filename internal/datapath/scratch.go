@@ -50,8 +50,14 @@ type engineScratch struct {
 
 	// perQuery and acc are ExecuteFCBiasBatch's per-layer result slots: the
 	// returned PerQuery slice and the rows × q reassembled accumulators.
+	// raw, quant and probs hold the vectors PerQuery points at, rows a
+	// query back to back: a layer's outputs live here until the engine's
+	// next layer execution, so a served layer allocates no result.
 	perQuery []FCResult
 	acc      []fixed.Acc
+	raw      []fixed.Acc
+	quant    []fixed.Code
+	probs    []fixed.Code
 }
 
 // dotCount is one dot product's share of a burst: it put parts partials on
@@ -86,13 +92,41 @@ func (s *engineScratch) beginLayer() {
 }
 
 // layerOut returns the result slots for one layer execution of rows output
-// neurons × q queries, grown only when the layer outgrows any before it.
-func (s *engineScratch) layerOut(rows, q int) ([]FCResult, []fixed.Acc) {
+// neurons × q queries, each query's Raw and Quantized vectors (and its Probs
+// under a softmax) sliced out of the engine's storage, grown only when the
+// layer outgrows any before it. Every vector's capacity ends where its
+// length does, so a caller's append cannot run into the next query's.
+func (s *engineScratch) layerOut(rows, q int, softmax bool) ([]FCResult, []fixed.Acc) {
+	n := rows * q
+	if cap(s.perQuery) < q || cap(s.acc) < n || cap(s.raw) < n || (softmax && cap(s.probs) < n) {
+		s.grow(rows, q, softmax)
+	}
+	perQuery := s.perQuery[:q]
+	for qi := range perQuery {
+		lo, hi := qi*rows, (qi+1)*rows
+		r := FCResult{Raw: s.raw[lo:hi:hi], Quantized: s.quant[lo:hi:hi]}
+		if softmax {
+			r.Probs = s.probs[lo:hi:hi]
+		}
+		perQuery[qi] = r
+	}
+	return perQuery, s.acc[:n]
+}
+
+// grow is layerOut's cold path: it sizes the result storage for rows × q.
+func (s *engineScratch) grow(rows, q int, softmax bool) {
+	n := rows * q
 	if cap(s.perQuery) < q {
 		s.perQuery = make([]FCResult, q)
 	}
-	if cap(s.acc) < rows*q {
-		s.acc = make([]fixed.Acc, rows*q)
+	if cap(s.acc) < n {
+		s.acc = make([]fixed.Acc, n)
 	}
-	return s.perQuery[:q], s.acc[:rows*q]
+	if cap(s.raw) < n {
+		s.raw = make([]fixed.Acc, n)
+		s.quant = make([]fixed.Code, n)
+	}
+	if softmax && cap(s.probs) < n {
+		s.probs = make([]fixed.Code, n)
+	}
 }

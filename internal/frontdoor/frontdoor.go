@@ -45,14 +45,24 @@ type Request struct {
 	// Control marks a control-plane message (nic.FlagControl), answered
 	// inline: a full inference queue must not starve a coordinator's re-plan.
 	Control bool
-	// Query may alias the read buffer on an inline call, valid until the
-	// handler returns; a request that waited in admission owns its bytes.
+	// Query is valid until the handler returns, and only read: it may
+	// alias the read buffer (an inline call), a copy the door made at
+	// admission, or a reassembly buffer, each of which the door reuses
+	// once the request is answered.
 	Query []byte
+	// reassembled marks a Query that is a reassembly buffer, handed back
+	// to the reassembler once the request is answered.
+	reassembled bool
 }
 
-// Handler answers one complete request — the front door's only seam. A
-// failure rides in the response's Err flag, with the error beside it.
-type Handler func(Request) (*nic.Response, error)
+// Handler answers one complete request into resp — the front door's only
+// seam. resp arrives with the request's ID and model set, Probs an empty
+// slice whose array the handler may fill instead of allocating one, and
+// everything else zero. resp is the caller's: the
+// serve loop encodes it before it reuses it, and Door.Handle returns it, so
+// the handler keeps no reference to it past its return. A failure rides in
+// the response's Err flag, with the error beside it.
+type Handler func(req Request, resp *nic.Response) error
 
 // errStrayResponse rejects a response sent to a server: no work, no answer.
 var errStrayResponse = errors.New("lightning: received a response message")
@@ -80,6 +90,11 @@ type Door struct {
 	// dropsMu guards dropsByModel, the per-model partition of queueFull.
 	dropsMu      sync.Mutex
 	dropsByModel map[uint16]uint64
+	// jobsMu guards jobs, the admitted-request slots not in use. A slot
+	// is taken at admission and comes back once its request is answered,
+	// dropped or shed, so at most the admission bound's worth exist.
+	jobsMu sync.Mutex
+	jobs   []*job
 }
 
 // New builds a front door over a reassembly table. A zero admission policy
@@ -93,67 +108,145 @@ func New(reasm *nic.Reassembler, admission nic.AdmissionConfig, now func() time.
 // Handle runs one decoded message through the front half with no socket —
 // the NIC's HandleMessage and HandleFrame. src is the sender its fragments
 // reassemble under (the zero source where the entry has none). A non-final
-// fragment and a stray response return no response.
+// fragment and a stray response return no response; any other returns a
+// fresh response, the caller's to keep.
 func (d *Door) Handle(msg *nic.Message, src netip.AddrPort, h Handler) (*nic.Response, error) {
-	return d.handle(msg, src, h, nil, nil)
+	req, ok, err := d.handle(msg, src, nil, nil)
+	if !ok {
+		return nil, err
+	}
+	resp := new(nic.Response)
+	err = d.answer(req, err, h, resp)
+	d.release(req)
+	return resp, err
 }
 
 // handle is the one decision point: reject a stray response, reassemble
-// under the sender, answer a control message inline, then run the complete
-// query inline (admit nil) or copy it out of the read buffer and offer it to
-// admission.
-func (d *Door) handle(msg *nic.Message, src netip.AddrPort, h Handler, admit *nic.Admitter, addr net.Addr) (*nic.Response, error) {
+// under the sender, then hand back a control message, or a complete query
+// with no admission (admit nil), for the caller to answer inline — ok —
+// or copy the query out of the read buffer and offer it to admission. A
+// fragment the reassembler refuses comes back ok with its error, to be
+// answered with an Err-flagged response.
+//
+//lint:hotpath
+func (d *Door) handle(msg *nic.Message, src netip.AddrPort, admit *nic.Admitter, addr net.Addr) (req Request, ok bool, err error) {
 	if msg.IsResponse() {
-		return nil, errStrayResponse
+		return req, false, errStrayResponse
 	}
 	// Reassembly runs ahead of admission so admission judges complete
 	// queries: fragment bookkeeping is cheap, and a query rejected at
 	// admission must not leave a partial pinned in the reassembly table.
 	query, model, done, err := d.reasm.OfferFrom(src, msg)
 	if err != nil {
-		return &nic.Response{RequestID: msg.RequestID, ModelID: msg.ModelID, Err: true}, err
+		return Request{ID: msg.RequestID, Model: msg.ModelID}, true, err
 	}
 	if !done {
-		return nil, nil
+		return req, false, nil
 	}
 	// The control flag survives fragmentation, so the completing fragment
 	// carries it here.
-	req := Request{ID: msg.RequestID, Model: model, Control: msg.Flags&nic.FlagControl != 0, Query: query}
+	req = Request{
+		ID: msg.RequestID, Model: model, Control: msg.Flags&nic.FlagControl != 0,
+		Query: query, reassembled: msg.Flags&nic.FlagFragment != 0,
+	}
 	if req.Control || admit == nil {
-		return h(req)
+		return req, true, nil
 	}
-	if msg.Flags&nic.FlagFragment == 0 {
-		// An unfragmented query aliases the shared read buffer; copy it out
-		// before queueing. Reassembled queries already own their array.
-		req.Query = append([]byte(nil), query...)
-	}
-	if !admit.Offer(model, job{req: req, addr: addr}) {
-		// The model's queue is at bound: drop at ingress and account it,
-		// per model and in aggregate.
-		d.queueFull.Add(1)
-		d.dropsMu.Lock()
-		if d.dropsByModel == nil {
-			d.dropsByModel = make(map[uint16]uint64)
-		}
-		d.dropsByModel[model]++
-		d.dropsMu.Unlock()
-	}
-	return nil, nil
+	d.offer(admit, req, addr)
+	return req, false, nil
 }
 
-// job is one complete request admitted toward the worker pool.
+// answer fills resp for a request handle returned: with h, or — when err is
+// the reassembler's refusal — with an Err-flagged response. The caller then
+// releases the request.
+//
+//lint:hotpath
+func (d *Door) answer(req Request, err error, h Handler, resp *nic.Response) error {
+	*resp = nic.Response{RequestID: req.ID, ModelID: req.Model, Probs: resp.Probs[:0]}
+	if err != nil {
+		resp.Err = true
+		return err
+	}
+	return h(req, resp)
+}
+
+// release hands a reassembled query's buffer back to the reassembler once
+// its request is answered.
+func (d *Door) release(req Request) {
+	if req.reassembled {
+		d.reasm.Release(req.Query)
+	}
+}
+
+// offer admits one complete query toward the worker pool in a recycled job
+// slot. An unfragmented query aliases the shared read buffer, so it is
+// copied into the slot's own storage first; a reassembled one is already
+// the request's. A query its model's full queue refuses is dropped here and
+// its slot recycled at once.
+func (d *Door) offer(admit *nic.Admitter, req Request, addr net.Addr) {
+	j := d.getJob()
+	if !req.reassembled {
+		j.query = append(j.query[:0], req.Query...)
+		req.Query = j.query
+	}
+	j.req, j.addr = req, addr
+	if admit.Offer(req.Model, j) {
+		return
+	}
+	d.putJob(j)
+	// The model's queue is at bound: drop at ingress and account it, per
+	// model and in aggregate.
+	d.queueFull.Add(1)
+	d.dropsMu.Lock()
+	if d.dropsByModel == nil {
+		d.dropsByModel = make(map[uint16]uint64)
+	}
+	d.dropsByModel[req.Model]++
+	d.dropsMu.Unlock()
+}
+
+// job is one complete request admitted toward the worker pool, in a slot
+// the door recycles: query is the slot's storage for an unfragmented
+// query's bytes.
 type job struct {
-	req  Request
-	addr net.Addr
+	req   Request
+	addr  net.Addr
+	query []byte
 }
 
-// loop is one Serve call's state.
+// getJob takes a free job slot, or makes one.
+func (d *Door) getJob() *job {
+	d.jobsMu.Lock()
+	defer d.jobsMu.Unlock()
+	k := len(d.jobs)
+	if k == 0 {
+		return new(job)
+	}
+	j := d.jobs[k-1]
+	d.jobs[k-1] = nil
+	d.jobs = d.jobs[:k-1]
+	return j
+}
+
+// putJob recycles a slot whose request was answered, dropped or shed,
+// handing a reassembled query's buffer back first.
+func (d *Door) putJob(j *job) {
+	d.release(j.req)
+	j.req, j.addr = Request{}, nil
+	d.jobsMu.Lock()
+	d.jobs = append(d.jobs, j)
+	d.jobsMu.Unlock()
+}
+
+// loop is one Serve call's state. resp is the reader's response, reused
+// for every request it answers inline; each worker has its own.
 type loop struct {
 	d     *Door
 	h     Handler
 	bc    netbatch.BatchConn
 	admit *nic.Admitter // nil at zero workers
 	tx    *txBatcher
+	resp  nic.Response
 }
 
 // Serve answers every complete request arriving on pc with h until ctx is
@@ -202,18 +295,21 @@ func (l *loop) startWorkers(workers int) (stop func()) {
 		pool.Add(1)
 		go func() {
 			defer pool.Done()
+			var resp nic.Response
 			for {
 				aj, ok := l.admit.Pop()
 				if !ok {
 					return
 				}
+				j := aj.Payload.(*job)
 				if aj.Expired(l.d.now()) {
 					l.d.shedDrops.Add(1)
+					l.d.putJob(j)
 					continue
 				}
-				j := aj.Payload.(job)
-				resp, _ := l.h(j.req) // the error rides in the Err flag
-				l.tx.queue(resp, j.addr)
+				_ = l.d.answer(j.req, nil, l.h, &resp) // the error rides in the Err flag
+				l.tx.queue(&resp, j.addr)
+				l.d.putJob(j)
 				l.tx.flush()
 			}
 		}()
@@ -283,6 +379,8 @@ func (l *loop) readLoop(ctx context.Context) error {
 // error, a malformed tail after at least one valid frame counts
 // OversizedCoalesce — and in both cases the rest of the datagram is dropped
 // without a response, so a partial frame can never be served.
+//
+//lint:hotpath
 func (l *loop) walkDatagram(data []byte, addr net.Addr) {
 	first := true
 	for len(data) > 0 {
@@ -307,8 +405,10 @@ func (l *loop) walkDatagram(data []byte, addr net.Addr) {
 		if msg.Flags&nic.FlagFragment != 0 {
 			src = nic.Source(addr)
 		}
-		if resp, _ := l.d.handle(&msg, src, l.h, l.admit, addr); resp != nil {
-			l.tx.queue(resp, addr)
+		if req, ok, err := l.d.handle(&msg, src, l.admit, addr); ok {
+			_ = l.d.answer(req, err, l.h, &l.resp) // the error rides in the Err flag
+			l.d.release(req)
+			l.tx.queue(&l.resp, addr)
 		}
 	}
 }

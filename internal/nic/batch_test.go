@@ -51,7 +51,7 @@ func (r *batchRecorder) exec(modelID uint16, items []*BatchItem) {
 	ids := make([]uint32, len(items))
 	for i, it := range items {
 		ids[i] = it.RequestID
-		it.Resp = Response{RequestID: it.RequestID, ModelID: modelID, Class: uint16(it.RequestID)}
+		*it.Resp = Response{RequestID: it.RequestID, ModelID: modelID, Class: uint16(it.RequestID)}
 	}
 	r.mu.Lock()
 	r.batches = append(r.batches, ids)
@@ -87,7 +87,8 @@ func newTestBatcher(cfg BatchConfig) (*Batcher, *batchRecorder, *sync.Map) {
 func do(b *Batcher, modelID uint16, requestID uint32) <-chan Response {
 	ch := make(chan Response, 1)
 	go func() {
-		resp, _ := b.Do(modelID, requestID, []fixed.Code{fixed.Code(requestID)})
+		var resp Response
+		_ = b.Do(modelID, requestID, []fixed.Code{fixed.Code(requestID)}, &resp)
 		ch <- resp
 	}()
 	return ch
@@ -273,17 +274,18 @@ func TestBatcherDoSteadyStateZeroAllocs(t *testing.T) {
 		BatchConfig{MaxBatch: 1, MaxDelay: time.Hour},
 		func(modelID uint16, items []*BatchItem) {
 			for _, it := range items {
-				it.Resp = Response{RequestID: it.RequestID, ModelID: modelID}
+				*it.Resp = Response{RequestID: it.RequestID, ModelID: modelID}
 			}
 		},
 		func(fire func()) BatchTimer { return &fakeTimer{fire: fire} },
 	)
 	input := []fixed.Code{1, 2, 3}
-	if _, err := b.Do(9, 1, input); err != nil { // warm-up: pools fill
+	var resp Response
+	if err := b.Do(9, 1, input, &resp); err != nil { // warm-up: pools fill
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := b.Do(9, 2, input); err != nil {
+		if err := b.Do(9, 2, input, &resp); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

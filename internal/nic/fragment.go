@@ -124,7 +124,9 @@ type partialQuery struct {
 	// lengths: overlapping retransmissions must not double-count and
 	// release a query with zero-filled holes.
 	spans []span
-	buf   []byte
+	// buf holds the train's bytes; it is nil while the entry's buffer is
+	// out with its released query.
+	buf []byte
 	// deadline is when this entry expires, fixed at creation (the
 	// reassembly timer starts with the first fragment).
 	deadline time.Time
@@ -196,6 +198,15 @@ func Source(addr net.Addr) netip.AddrPort {
 // lost fragments cannot pin slots forever. All methods are safe for
 // concurrent use: fragments of distinct requests arrive interleaved across
 // worker goroutines.
+//
+// Buffers are recycled. A released query's buffer is the caller's until it
+// hands it back with Release, and a buffer handed back, or one whose train
+// was discarded, waits in a sync.Pool for the next train whose total fits
+// it: a steady stream of same-sized queries reuses one buffer and allocates
+// nothing. The pool is the GC's to empty, so an idle reassembler pins no
+// buffer. A caller that never releases its buffers leaves each to the GC.
+// What a pending entry's buffer can hold, not just its total, is charged to
+// MaxPendingBytes.
 type Reassembler struct {
 	mu      sync.Mutex
 	cap     int
@@ -206,8 +217,14 @@ type Reassembler struct {
 	// entry creation with a constant TTL, so creation order is deadline order
 	// and expiry sweeps only the head.
 	order []trainKey
-	// bytes is the sum of the pending entries' buffer lengths.
+	// bytes is the sum of the pending entries' buffer capacities.
 	bytes int
+	// idle holds buffers no pending entry or caller owns, each in the entry
+	// that last held it; spare holds entries without a buffer, whose
+	// buffers went out with their queries, for Release to hand them back
+	// in.
+	idle  sync.Pool
+	spare []*partialQuery
 
 	// drops counts discarded in-flight queries (table or byte-budget
 	// pressure, inconsistent fragments); expired counts deadline evictions;
@@ -314,7 +331,10 @@ func (r *Reassembler) Offer(m *Message) (query []byte, modelID uint16, done bool
 // pass straight through as (query, true). Fragments accumulate per sender and
 // request ID — two senders that both number a request 1 never share a buffer
 // — and the fragment that completes byte coverage of a request releases the
-// assembled query. Inconsistent fragments drop the whole request.
+// assembled query, in a buffer that is the caller's until it hands it back
+// with Release. Inconsistent fragments drop the whole request.
+//
+//lint:hotpath
 func (r *Reassembler) OfferFrom(src netip.AddrPort, m *Message) (query []byte, modelID uint16, done bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -323,63 +343,156 @@ func (r *Reassembler) OfferFrom(src netip.AddrPort, m *Message) (query []byte, m
 		return m.Payload, m.ModelID, true, nil
 	}
 	if len(m.Payload) < FragHeaderLen {
-		return nil, 0, false, fmt.Errorf("%w: fragment header", ErrTruncated)
+		return nil, 0, false, errFragmentHeader
 	}
 	lo := int(binary.BigEndian.Uint32(m.Payload[0:4]))
 	total := int(binary.BigEndian.Uint32(m.Payload[4:8]))
 	body := m.Payload[FragHeaderLen:]
 	if total <= 0 || len(body) == 0 {
-		return nil, 0, false, fmt.Errorf("nic: empty fragment for request %d", m.RequestID)
+		return nil, 0, false, errEmptyFragment(m.RequestID)
 	}
 	if total > MaxQueryBytes {
 		r.oversize++
-		return nil, 0, false, fmt.Errorf("%w: request %d declares %d bytes", ErrQueryTooLarge, m.RequestID, total)
+		return nil, 0, false, errDeclaresTooMuch(m.RequestID, total)
 	}
 
 	key := trainKey{from: src, id: m.RequestID}
 	pq := r.pending[key]
 	if pq == nil {
-		for len(r.pending) >= r.cap || r.bytes+total > MaxPendingBytes {
-			r.remove(r.order[0])
-			r.drops++
-		}
-		r.bytes += total
-		pq = &partialQuery{
-			modelID:  m.ModelID,
-			total:    total,
-			buf:      make([]byte, total),
-			deadline: r.now().Add(r.ttl),
-		}
-		r.pending[key] = pq
-		r.order = append(r.order, key)
+		pq = r.open(key, m.ModelID, total)
 	}
 	if pq.total != total || pq.modelID != m.ModelID {
 		r.remove(key)
 		r.drops++
-		return nil, 0, false, fmt.Errorf("nic: inconsistent fragment for request %d", m.RequestID)
+		return nil, 0, false, errInconsistent(m.RequestID)
 	}
 	hi := lo + len(body)
 	if lo < 0 || hi > total {
 		r.remove(key)
 		r.drops++
-		return nil, 0, false, fmt.Errorf("nic: fragment [%d,%d) overflows %d-byte query", lo, hi, total)
+		return nil, 0, false, errOverflow(lo, hi, total)
 	}
 	copy(pq.buf[lo:hi], body)
 	pq.cover(lo, hi)
 	if !pq.complete() {
 		return nil, 0, false, nil
 	}
-	r.remove(key)
-	return pq.buf, pq.modelID, true, nil
+	return r.finish(key), pq.modelID, true, nil
 }
 
-// remove deletes an in-flight entry without counting a drop.
-func (r *Reassembler) remove(key trainKey) {
-	pq, ok := r.pending[key]
-	if !ok {
+// finish takes a complete train out of the table and returns its buffer,
+// which is the caller's from here on; the entry waits in spare for the
+// buffer to come back. Caller holds r.mu.
+func (r *Reassembler) finish(key trainKey) []byte {
+	pq := r.unlink(key)
+	query := pq.buf
+	pq.buf = nil
+	r.spare = append(r.spare, pq)
+	return query
+}
+
+// open starts a train of total bytes under key, in a recycled buffer when an
+// idle one fits, and makes room for it first: the oldest entries give way
+// while the table is full or the buffer would overrun MaxPendingBytes.
+// Caller holds r.mu.
+func (r *Reassembler) open(key trainKey, modelID uint16, total int) *partialQuery {
+	pq := r.entry(total)
+	for len(r.pending) >= r.cap || r.bytes+cap(pq.buf) > MaxPendingBytes {
+		r.remove(r.order[0])
+		r.drops++
+	}
+	r.bytes += cap(pq.buf)
+	pq.modelID, pq.total = modelID, total
+	pq.spans = pq.spans[:0]
+	pq.deadline = r.now().Add(r.ttl)
+	r.pending[key] = pq
+	r.order = append(r.order, key)
+	return pq
+}
+
+// entry returns an entry with a buffer of total bytes: an idle one whose
+// buffer holds total and is less than twice as long — so a reused buffer
+// is charged at most double its train's bytes — or a fresh one. An idle
+// buffer that does not fit goes back to the pool. Caller holds r.mu.
+func (r *Reassembler) entry(total int) *partialQuery {
+	if pq, _ := r.idle.Get().(*partialQuery); pq != nil {
+		if c := cap(pq.buf); total <= c && c < 2*total {
+			pq.buf = pq.buf[:total]
+			return pq
+		}
+		r.idle.Put(pq)
+	}
+	pq := r.spareEntry()
+	pq.buf = make([]byte, total)
+	return pq
+}
+
+// spareEntry pops an entry without a buffer, or makes one. Caller holds
+// r.mu.
+func (r *Reassembler) spareEntry() *partialQuery {
+	k := len(r.spare)
+	if k == 0 {
+		return new(partialQuery)
+	}
+	pq := r.spare[k-1]
+	r.spare[k-1] = nil // the entry will hold a buffer: the list must not pin it
+	r.spare = r.spare[:k-1]
+	return pq
+}
+
+// Release hands back the buffer of a query OfferFrom released, once the
+// caller is done reading it: the next train that fits reuses it, or the GC
+// takes it while it sits idle. It must be called at most once a query, and
+// only with a buffer of a fragmented query — never with an unfragmented
+// query, whose bytes are the message's own.
+func (r *Reassembler) Release(query []byte) {
+	if cap(query) == 0 {
 		return
 	}
-	r.bytes -= pq.total
+	r.mu.Lock()
+	pq := r.spareEntry()
+	r.mu.Unlock()
+	pq.buf = query[:0]
+	r.idle.Put(pq)
+}
+
+// errFragmentHeader refuses a fragment too short for its header.
+var errFragmentHeader = fmt.Errorf("%w: fragment header", ErrTruncated)
+
+// The refusals below are built off OfferFrom's hot path.
+
+func errEmptyFragment(id uint32) error {
+	return fmt.Errorf("nic: empty fragment for request %d", id)
+}
+
+func errDeclaresTooMuch(id uint32, total int) error {
+	return fmt.Errorf("%w: request %d declares %d bytes", ErrQueryTooLarge, id, total)
+}
+
+func errInconsistent(id uint32) error {
+	return fmt.Errorf("nic: inconsistent fragment for request %d", id)
+}
+
+func errOverflow(lo, hi, total int) error {
+	return fmt.Errorf("nic: fragment [%d,%d) overflows %d-byte query", lo, hi, total)
+}
+
+// remove discards an in-flight entry without counting a drop; its buffer
+// goes idle.
+func (r *Reassembler) remove(key trainKey) {
+	if pq := r.unlink(key); pq != nil {
+		r.idle.Put(pq)
+	}
+}
+
+// unlink takes an entry out of the table and returns it (nil if key has
+// none), its buffer no longer charged.
+func (r *Reassembler) unlink(key trainKey) *partialQuery {
+	pq, ok := r.pending[key]
+	if !ok {
+		return nil
+	}
+	r.bytes -= cap(pq.buf)
 	delete(r.pending, key)
 	for i, v := range r.order {
 		if v == key {
@@ -387,4 +500,5 @@ func (r *Reassembler) remove(key trainKey) {
 			break
 		}
 	}
+	return pq
 }

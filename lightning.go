@@ -169,8 +169,10 @@ type shard struct {
 	index int
 
 	// totals aggregates datapath cycle accounting across this shard's
-	// served queries (guarded by mu).
+	// served queries, and inputs is where execBatch gathers a batch's
+	// inputs (both guarded by mu).
 	totals datapath.LayerStats
+	inputs [][]fixed.Code
 
 	// breaker is the shard's health state machine (window scoring, trip,
 	// half-open probation) — the shared internal/health core the cluster
@@ -491,13 +493,15 @@ func (n *NIC) HandleMessage(msg *Message) (*Response, error) {
 // built with Config.AllowModelInstall.
 var ErrInstallDisabled = fmt.Errorf("lightning: wire model install disabled (Config.AllowModelInstall)")
 
-// handleControl serves one reassembled control-plane message. Every outcome
-// is acked: success with a plain response, rejection with an Err-flagged one,
-// so the coordinator never hangs on a silently dropped install.
-func (n *NIC) handleControl(requestID uint32, modelID uint16, payload []byte) (*Response, error) {
-	fail := func(err error) (*Response, error) {
+// handleControl serves one reassembled control-plane message into resp,
+// which already carries its request and model IDs. Every outcome is acked:
+// success with a plain response, rejection with an Err-flagged one, so the
+// coordinator never hangs on a silently dropped install.
+func (n *NIC) handleControl(modelID uint16, payload []byte, resp *Response) error {
+	fail := func(err error) error {
 		n.installErrors.Add(1)
-		return &Response{RequestID: requestID, ModelID: modelID, Err: true}, err
+		resp.Err = true
+		return err
 	}
 	op, body, err := nic.ParseControl(payload)
 	if err != nil {
@@ -521,18 +525,20 @@ func (n *NIC) handleControl(requestID uint32, modelID uint16, payload []byte) (*
 			return fail(err)
 		}
 		n.installs.Add(1)
-		return &Response{RequestID: requestID, ModelID: modelID}, nil
+		return nil
 	default:
 		return fail(fmt.Errorf("lightning: unknown control op %d", op))
 	}
 }
 
 // serveRequest is the NIC's front-door handler: it runs one complete
-// request, a control message through the control plane and a query through
-// the datapath.
-func (n *NIC) serveRequest(req frontdoor.Request) (*Response, error) {
+// request into resp, a control message through the control plane and a
+// query through the datapath.
+//
+//lint:hotpath
+func (n *NIC) serveRequest(req frontdoor.Request, resp *Response) error {
 	if req.Control {
-		return n.handleControl(req.ID, req.Model, req.Query)
+		return n.handleControl(req.Model, req.Query, resp)
 	}
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
@@ -543,27 +549,27 @@ func (n *NIC) serveRequest(req frontdoor.Request) (*Response, error) {
 	// enter the batch queue either: they carry no analog work to amortize
 	// and must not delay a real batch.
 	if err := n.store.Validate(req.Model, len(req.Query)); err != nil {
-		return &Response{RequestID: req.ID, ModelID: req.Model, Err: true}, err
+		resp.Err = true
+		return err
 	}
 	// The query's bytes are the engine's operand, not a copy of them: the
 	// engine only reads its input, and the bytes stay put until this call
-	// returns — the inline caller's buffer is not reused before then, a
-	// queued query was copied out of the read buffer at admission, a
-	// reassembled one owns its array, and Batcher.Do blocks until the batch
-	// has run and then drops the item's reference.
+	// returns — the front door reuses a query's storage (the read buffer,
+	// its admission copy, a reassembly buffer) only once it has been
+	// answered, and Batcher.Do blocks until the batch has run and then
+	// drops the item's reference.
 	input := fixed.CodesOf(req.Query)
 	if n.batcher != nil {
 		// Batched dispatch: park the query in its model's batch queue and
 		// block until the coalesced matrix pass (or a flush of one) has
-		// produced this request's verdict.
-		resp, err := n.batcher.Do(req.Model, req.ID, input)
-		return &resp, err
+		// written this request's verdict into resp.
+		return n.batcher.Do(req.Model, req.ID, input, resp)
 	}
 	// Unbatched: the same pass for a batch of one, run inline.
-	it := nic.BatchItem{RequestID: req.ID, Input: input}
+	it := nic.BatchItem{RequestID: req.ID, Input: input, Resp: resp}
 	items := [1]*nic.BatchItem{&it}
 	n.execBatch(req.Model, items[:])
-	return &it.Resp, it.Err
+	return it.Err
 }
 
 // HandleFrame processes one raw Ethernet frame exactly as the datapath

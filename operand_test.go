@@ -16,10 +16,12 @@ import (
 // overwrites it with the opposite class's query the moment the response
 // arrives, and serves a fresh buffer; every answer must be its own query's
 // oracle. Inline and batched rounds hand the NIC caller-owned buffers through
-// HandleMessage, unfragmented and as a fragment train; the worker-pool round
-// pipelines alternating classes down one socket so the reader recycles its rx
-// buffers under the workers. The race detector sees any read that outlives a
-// response as a race with the overwrite.
+// HandleMessage, unfragmented and as a fragment train; the worker-pool rounds
+// pipeline alternating classes down one socket so the reader recycles its rx
+// buffers — and, for fragment trains, its reassembly buffers, each written by
+// a later train once its query is answered — under the workers. The race
+// detector sees any read that outlives a response as a race with the
+// overwrite.
 func TestServeDoesNotRetainQueryBuffer(t *testing.T) {
 	const width, model = 4096, 9
 	build := func(cfg Config) *NIC {
@@ -53,8 +55,8 @@ func TestServeDoesNotRetainQueryBuffer(t *testing.T) {
 			}
 			if resp != nil {
 				// Overwrite what was served with the other class's query.
-				// (A train was served from the reassembler's own buffer,
-				// which nothing outside can reach once it is released.)
+				// (A train was served from a reassembly buffer, which the
+				// next train of its size writes once this one is answered.)
 				copy(q, halvesQuery(width, resp.Class != 0))
 				return resp.Class
 			}
@@ -128,6 +130,71 @@ func TestServeDoesNotRetainQueryBuffer(t *testing.T) {
 		for id := 1; id <= queries; id++ {
 			if _, err := conn.Write(encodeQuery(t, uint32(id), model+1, halvesQuery(small, id%2 == 0))); err != nil {
 				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, 2048)
+		for seen := 0; seen < queries; seen++ {
+			if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			k, err := conn.Read(buf)
+			if err != nil {
+				t.Fatalf("after %d of %d responses: %v", seen, queries, err)
+			}
+			var m Message
+			if err := m.Decode(buf[:k]); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := nic.ParseResponse(&m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Err || int(resp.Class) != int(resp.RequestID)%2 {
+				t.Fatalf("request %d: err=%v class %d, oracle %d", resp.RequestID, resp.Err, resp.Class, resp.RequestID%2)
+			}
+		}
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("ServeUDPWorkers returned %v", err)
+		}
+	})
+
+	t.Run("worker trains", func(t *testing.T) {
+		const queries = 16
+		n := build(Config{
+			Cores:     2,
+			Batch:     BatchConfig{MaxBatch: 2, MaxDelay: time.Millisecond},
+			Admission: AdmissionConfig{MaxQueue: queries},
+		})
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pc.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- n.ServeUDPWorkers(ctx, pc, 4) }()
+		conn, err := net.Dial("udp", pc.LocalAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// Every train is in flight at once, all of one size: the reader
+		// reassembles the later ones while workers serve the earlier, into
+		// the buffers those hand back.
+		for id := 1; id <= queries; id++ {
+			msgs, err := nic.Fragment(uint32(id), model, halvesQuery(width, id%2 == 0), 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range msgs {
+				d, err := m.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := conn.Write(d); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		buf := make([]byte, 2048)
