@@ -27,10 +27,10 @@ func (c *Coordinator) ServeUDP(ctx context.Context, pc net.PacketConn, workers i
 	if workers < 1 {
 		workers = 1
 	}
-	return c.door.Serve(ctx, pc, workers, func(req frontdoor.Request, resp *nic.Response) error {
+	return c.door.Serve(ctx, pc, workers, func(req frontdoor.Request, resp *nic.Response) (nic.BatchShare, error) {
 		if req.Control || req.Model != c.cfg.ModelID {
 			resp.Err = true
-			return errNotServed
+			return nic.BatchShare{}, errNotServed
 		}
 		// A losing hedge may still be sending its payload after Infer
 		// returns, past the point where the door reuses the query's
@@ -38,7 +38,8 @@ func (c *Coordinator) ServeUDP(ctx context.Context, pc net.PacketConn, workers i
 		r, err := c.Infer(ctx, bytes.Clone(req.Query)) // the Err flag rides in the response
 		*resp = *r
 		resp.RequestID = req.ID
-		return err
+		// The pipeline batches nothing, so every response flushes on its own.
+		return nic.BatchShare{}, err
 	}, nil)
 }
 

@@ -62,7 +62,14 @@ type Request struct {
 // serve loop encodes it before it reuses it, and Door.Handle returns it, so
 // the handler keeps no reference to it past its return. A failure rides in
 // the response's Err flag, with the error beside it.
-type Handler func(req Request, resp *nic.Response) error
+//
+// A handler that answered the request in a batch (nic.Batcher) returns the
+// request's share of it; any other returns the zero share. The door
+// releases every share exactly once, after the response is queued, and the
+// release that completes a batch flushes every tx batcher the door is
+// serving through, so a batch's responses leave in one write, whichever of
+// its callers — a worker, the reader, a Handle caller — releases last.
+type Handler func(req Request, resp *nic.Response) (nic.BatchShare, error)
 
 // errStrayResponse rejects a response sent to a server: no work, no answer.
 var errStrayResponse = errors.New("lightning: received a response message")
@@ -95,6 +102,11 @@ type Door struct {
 	// dropped or shed, so at most the admission bound's worth exist.
 	jobsMu sync.Mutex
 	jobs   []*job
+	// txs lists the tx batchers of the Serve calls running now: where a
+	// batch's responses may sit until its last share is released. It is
+	// replaced whole, under txMu, so settle reads it without a lock.
+	txMu sync.Mutex
+	txs  atomic.Pointer[[]*txBatcher]
 }
 
 // New builds a front door over a reassembly table. A zero admission policy
@@ -116,8 +128,11 @@ func (d *Door) Handle(msg *nic.Message, src netip.AddrPort, h Handler) (*nic.Res
 		return nil, err
 	}
 	resp := new(nic.Response)
-	err = d.answer(req, err, h, resp)
+	share, err := d.answer(req, err, h, resp)
 	d.release(req)
+	// The response is returned, not queued, but a batch-mate's queued
+	// response may be waiting on this share.
+	d.settle(share)
 	return resp, err
 }
 
@@ -158,16 +173,45 @@ func (d *Door) handle(msg *nic.Message, src netip.AddrPort, admit *nic.Admitter,
 
 // answer fills resp for a request handle returned: with h, or — when err is
 // the reassembler's refusal — with an Err-flagged response. The caller then
-// releases the request.
+// releases the request, and settles the share once the response is queued.
 //
 //lint:hotpath
-func (d *Door) answer(req Request, err error, h Handler, resp *nic.Response) error {
+func (d *Door) answer(req Request, err error, h Handler, resp *nic.Response) (nic.BatchShare, error) {
 	*resp = nic.Response{RequestID: req.ID, ModelID: req.Model, Probs: resp.Probs[:0]}
 	if err != nil {
 		resp.Err = true
-		return err
+		return nic.BatchShare{}, err
 	}
 	return h(req, resp)
+}
+
+// settle releases a batched request's share; the release that completes
+// its batch flushes every running Serve call's tx batcher, where the
+// batch's other responses wait. The zero share does nothing.
+//
+//lint:hotpath
+func (d *Door) settle(share nic.BatchShare) {
+	if !share.Release() {
+		return
+	}
+	if txs := d.txs.Load(); txs != nil {
+		for _, t := range *txs {
+			t.flush()
+		}
+	}
+}
+
+// editTxs replaces the running Serve calls' tx batchers with edit's result
+// on a copy of them.
+func (d *Door) editTxs(edit func([]*txBatcher) []*txBatcher) {
+	d.txMu.Lock()
+	defer d.txMu.Unlock()
+	var txs []*txBatcher
+	if p := d.txs.Load(); p != nil {
+		txs = slices.Clone(*p)
+	}
+	txs = edit(txs)
+	d.txs.Store(&txs)
 }
 
 // release hands a reassembled query's buffer back to the reassembler once
@@ -254,7 +298,9 @@ type loop struct {
 // reader runs each request inline; with workers > 0 requests pass per-model
 // admission (bound workers*4 unless the policy sets one) to a worker pool.
 // On return every admitted request has been answered and flushed: the
-// reader flushes after each batch read, a worker after each response.
+// reader flushes after each batch read, a worker after a response that ran
+// alone, and the last caller to release its share of a batch flushes the
+// whole batch's responses (Handler).
 //
 // rail, when not nil, wraps pc in place of the default rail (the batch
 // seam's best path, GRO on): the differential tests' hook that serves the
@@ -273,6 +319,7 @@ func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Hand
 	}
 	d.conn.Store(&bc)
 	l := &loop{d: d, h: h, bc: bc, tx: &txBatcher{d: d, bc: bc}}
+	d.editTxs(func(txs []*txBatcher) []*txBatcher { return append(txs, l.tx) })
 	stopWorkers := func() {}
 	if workers > 0 {
 		l.admit = nic.NewAdmitter(d.admission, workers*4)
@@ -282,13 +329,21 @@ func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Hand
 	}
 	err := l.readLoop(ctx)
 	stopWorkers()
+	// Once off the list, no batch's last share flushes this batcher, so
+	// whatever a batch left on it leaves now.
+	d.editTxs(func(txs []*txBatcher) []*txBatcher {
+		return slices.DeleteFunc(txs, func(t *txBatcher) bool { return t == l.tx })
+	})
+	l.tx.flush()
 	return err
 }
 
 // startWorkers launches the worker pool and returns the function that
 // retires it: close admission, then let the workers finish every admitted
-// request. Each worker writes its response through at once, so no response
-// waits on another's company.
+// request. A worker whose request ran alone writes its response through at
+// once; the workers of one batch queue theirs, and the last to release its
+// share flushes them all in one write (Handler), so a batch's responses
+// leave together and no response waits on traffic outside its batch.
 func (l *loop) startWorkers(workers int) (stop func()) {
 	var pool sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -307,10 +362,14 @@ func (l *loop) startWorkers(workers int) (stop func()) {
 					l.d.putJob(j)
 					continue
 				}
-				_ = l.d.answer(j.req, nil, l.h, &resp) // the error rides in the Err flag
+				share, _ := l.d.answer(j.req, nil, l.h, &resp) // the error rides in the Err flag
 				l.tx.queue(&resp, j.addr)
 				l.d.putJob(j)
-				l.tx.flush()
+				if share.Batched() {
+					l.d.settle(share)
+				} else {
+					l.tx.flush()
+				}
 			}
 		}()
 	}
@@ -406,9 +465,12 @@ func (l *loop) walkDatagram(data []byte, addr net.Addr) {
 			src = nic.Source(addr)
 		}
 		if req, ok, err := l.d.handle(&msg, src, l.admit, addr); ok {
-			_ = l.d.answer(req, err, l.h, &l.resp) // the error rides in the Err flag
+			share, _ := l.d.answer(req, err, l.h, &l.resp) // the error rides in the Err flag
 			l.d.release(req)
 			l.tx.queue(&l.resp, addr)
+			// A batch-mate's response may be waiting on this share; the
+			// reader's own flush comes after the batch read.
+			l.d.settle(share)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package frontdoor
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -16,6 +17,10 @@ import (
 // back at once — the door's job slot, and a reassembled query's buffer,
 // which the reassembler's next train of that size then reuses.
 func TestAdmissionReturnsStorage(t *testing.T) {
+	// The reassembler's idle buffers sit in a sync.Pool, whose Get never
+	// takes another P's private slot: on one P, a buffer a worker goroutine
+	// put back is the one the test's next train gets.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const total = 3000
 	train := func(t *testing.T, id uint32) []*nic.Message {
 		msgs, err := nic.Fragment(id, 1, make([]byte, total), 1000)
@@ -88,7 +93,7 @@ func TestAdmissionReturnsStorage(t *testing.T) {
 		*now = now.Add(2 * time.Millisecond)
 		called := 0
 		l := &loop{d: d, admit: admit, tx: &txBatcher{d: d, bc: netbatch.Wrap(fault.NewStubConn(), &d.ctr)},
-			h: func(Request, *nic.Response) error { called++; return nil }}
+			h: func(Request, *nic.Response) (nic.BatchShare, error) { called++; return nic.BatchShare{}, nil }}
 		l.startWorkers(1)()
 		if got := d.Stats().Shed; got != 1 || called != 0 {
 			t.Fatalf("shed %d, handler called %d times: want 1 and 0", got, called)

@@ -71,7 +71,9 @@ func (h SizeHist) Mean() float64 {
 
 // txBatcher collects encoded response datagrams, one response each, and
 // flushes them through one WriteBatch call (one sendmmsg on the Linux fast
-// path), so any client that speaks the wire protocol stays compatible.
+// path), so any client that speaks the wire protocol stays compatible. A
+// flush first groups the datagrams by destination, so the segmentation
+// offload sends each client's run as one datagram train.
 // Buffers recycle through an internal free list, so steady-state queueing
 // costs no allocation. The batcher is mutex-guarded: the inline reader uses
 // it uncontended, the worker pool shares it.
@@ -133,6 +135,7 @@ func (t *txBatcher) flush() {
 		return
 	}
 	t.d.txHist.observe(len(t.pending))
+	groupByAddr(t.pending)
 	ms := t.pending
 	for len(ms) > 0 {
 		sent, err := t.bc.WriteBatch(ms)
@@ -153,4 +156,28 @@ func (t *txBatcher) flush() {
 		t.pending[i] = netbatch.Message{}
 	}
 	t.pending = t.pending[:0]
+}
+
+// groupByAddr reorders ms so each destination's datagrams sit together:
+// destinations in the order of their first datagram, each one's datagrams
+// in queue order. The batch seam segments only a run of datagrams to one
+// destination (pointer-equal Addr), so grouping is what lets a flush to
+// two interleaved clients leave as two trains. A datagram whose
+// destination ends the grouped prefix — every datagram of a one-client
+// flush — costs one comparison.
+//
+//lint:hotpath
+func groupByAddr(ms []netbatch.Message) {
+	for i := 1; i < len(ms); i++ {
+		j := i - 1
+		for j >= 0 && ms[j].Addr != ms[i].Addr {
+			j--
+		}
+		if j < 0 || j == i-1 {
+			continue
+		}
+		m := ms[i]
+		copy(ms[j+2:i+1], ms[j+1:i])
+		ms[j+1] = m
+	}
 }

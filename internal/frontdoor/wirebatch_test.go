@@ -2,6 +2,7 @@ package frontdoor
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,10 +44,38 @@ func TestTxBatcherWriteErrorSkipsAndCounts(t *testing.T) {
 	}
 }
 
+// TestTxBatcherGroupsByDestination: a flush sends each destination's
+// datagrams next to each other, destinations in the order of their first
+// datagram and each one's datagrams in the order they were queued — queued
+// A B A C B A, it writes A A A B B C.
+func TestTxBatcherGroupsByDestination(t *testing.T) {
+	pc := fault.NewStubConn()
+	pc.RecordWrites = true
+	_, tx := newTestTx(pc)
+	a := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}
+	b := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 2}
+	c := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 3}
+	for i, addr := range []net.Addr{a, b, a, c, b, a} {
+		tx.queue(&nic.Response{RequestID: uint32(i + 1), ModelID: 4, Probs: []uint8{0, 0}}, addr)
+	}
+	tx.flush()
+	var ids []uint32
+	for _, d := range pc.Sent() {
+		var m nic.Message
+		if err := m.Decode(d); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, m.RequestID)
+	}
+	if want := []uint32{1, 3, 6, 2, 5, 4}; !slices.Equal(ids, want) {
+		t.Errorf("flushed request IDs %v, want %v (A A A B B C)", ids, want)
+	}
+}
+
 // TestTxBatcherSteadyStateZeroAllocs is the batcher's AllocsPerRun guard
 // (CI bench-smoke runs it by name): once the free list and pending storage
 // are warm, queue+flush cycles of plain one-frame-per-response sends
-// allocate nothing.
+// allocate nothing, to one client or regrouped from two interleaved ones.
 func TestTxBatcherSteadyStateZeroAllocs(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		_, tx := newTestTx(fault.NewStubConn())
@@ -62,6 +91,24 @@ func TestTxBatcherSteadyStateZeroAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 			t.Errorf("queue+flush allocates %.1f per cycle, want 0", allocs)
+		}
+	})
+	t.Run("grouped", func(t *testing.T) {
+		_, tx := newTestTx(fault.NewStubConn())
+		a := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}
+		b := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 2}
+		resp := &nic.Response{RequestID: 1, ModelID: 4, Class: 1, Probs: []uint8{3, 250}}
+		cycle := func() {
+			for _, addr := range []net.Addr{a, b, a, b} {
+				tx.queue(resp, addr)
+			}
+			tx.flush() // regroups to a a b b
+		}
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("interleaved queue+flush allocates %.1f per cycle, want 0", allocs)
 		}
 	})
 }

@@ -62,7 +62,7 @@ func (r *groReceiver) read(t *testing.T, k int) (bufs [][2]int, dgrams [][]byte)
 }
 
 // offloadSender is an unconnected fast-path socket with GSO live.
-func offloadSender(t *testing.T) *mmsgConn {
+func offloadSender(t testing.TB) *mmsgConn {
 	t.Helper()
 	uc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -252,4 +252,77 @@ func first(b []byte) int {
 		return -1
 	}
 	return int(b[0])
+}
+
+// BenchmarkSendEightToTwoClients prices the three ways a server can send
+// one batch's eight 40-byte responses to two clients, A B A B … as they
+// were queued: one WriteBatch a datagram ("8x1"), one WriteBatch of all
+// eight ("1x8-interleaved"), and one WriteBatch grouped by client
+// ("1x8-grouped"), whose two runs GSO sends as one segmented send each.
+// Each op also reads the eight back on the two clients, whose sockets have
+// no GRO, so cpu-us/dgram — the process's user and system CPU from
+// getrusage — counts the sender's and the receivers' work together.
+//
+//	go test -run '^$' -bench SendEightToTwoClients ./internal/netbatch
+func BenchmarkSendEightToTwoClients(b *testing.B) {
+	if FallbackForced() {
+		b.Skip("offload is a fast-path property")
+	}
+	const k, size = 8, 40
+	for _, c := range []struct {
+		name    string
+		perCall int
+		grouped bool
+	}{{"8x1", 1, false}, {"1x8-interleaved", k, false}, {"1x8-grouped", k, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := offloadSender(b)
+			var clients [2]BatchConn
+			var addrs [2]net.Addr
+			for i := range clients {
+				uc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(func() { uc.Close() })
+				clients[i], addrs[i] = Wrap(uc, nil), uc.LocalAddr()
+				if err := clients[i].SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ms := payloads(repeat(k, size), func(i int) net.Addr {
+				if c.grouped {
+					return addrs[i*2/k]
+				}
+				return addrs[i%2]
+			})
+			rx := MakeMessages(k, 2048)
+			var before, after syscall.Rusage
+			if err := syscall.Getrusage(syscall.RUSAGE_SELF, &before); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for range b.N {
+				for i := 0; i < k; i += c.perCall {
+					if n, err := s.WriteBatch(ms[i : i+c.perCall]); n != c.perCall || err != nil {
+						b.Fatalf("WriteBatch = %d, %v", n, err)
+					}
+				}
+				for _, cl := range clients {
+					for got := 0; got < k/2; {
+						n, err := cl.ReadBatch(rx)
+						if err != nil {
+							b.Fatal(err)
+						}
+						got += n
+					}
+				}
+			}
+			b.StopTimer()
+			if err := syscall.Getrusage(syscall.RUSAGE_SELF, &after); err != nil {
+				b.Fatal(err)
+			}
+			cpu := time.Duration(after.Utime.Nano() + after.Stime.Nano() - before.Utime.Nano() - before.Stime.Nano())
+			b.ReportMetric(float64(cpu.Microseconds())/float64(b.N*k), "cpu-us/dgram")
+		})
+	}
 }

@@ -18,7 +18,9 @@ import (
 // happens on whichever goroutine triggered the flush: the pusher that
 // filled the batch, the delay timer for a partial batch, or the drainer.
 // Every item points at its own caller's response, so fan-out preserves
-// per-request verdicts whatever the batch outcome.
+// per-request verdicts whatever the batch outcome. Each caller also gets a
+// share of its batch back (BatchShare), so the callers that send the
+// batch's responses can tell which of them sends last.
 
 // DefaultBatchDelay is the max-delay flush default when batching is enabled
 // without an explicit delay: long enough to coalesce a concurrent burst,
@@ -56,6 +58,8 @@ type BatchItem struct {
 	// done carries the batch-executed signal back to the blocked Do call.
 	// Capacity 1: the executor never blocks on a waiter.
 	done chan struct{}
+	// share is the caller's share of its executed batch, set before done.
+	share BatchShare
 	// next links the item free list.
 	next *BatchItem
 }
@@ -96,13 +100,68 @@ func (a *afterFuncTimer) Stop() {
 	}
 }
 
+// batchBuf is one batch's item array and the release countdown of the
+// batch it last carried. The two recycle together, so counting a batch's
+// releases costs no allocation, and a countdown its callers never finish
+// is simply overwritten by the buffer's next batch.
+type batchBuf struct {
+	items []*BatchItem
+	// left packs the generation of the batch the buffer last carried (high
+	// 32 bits) with how many of its shares are still out (low 32 bits).
+	left atomic.Uint64
+}
+
+// arm starts a new generation counting k shares and returns the share
+// every caller of the batch holds.
+//
+//lint:hotpath
+func (bb *batchBuf) arm(k int) BatchShare {
+	gen := uint32(bb.left.Load()>>32) + 1
+	bb.left.Store(uint64(gen)<<32 | uint64(k))
+	return BatchShare{buf: bb, gen: gen}
+}
+
+// BatchShare is one caller's share of an executed batch. The callers that
+// send a batch's responses each queue theirs and then release their share;
+// the one whose release is the last flushes every response at once, so a
+// matrix pass's answers leave together. The zero share, a query that ran
+// alone, belongs to no batch.
+type BatchShare struct {
+	buf *batchBuf
+	gen uint32
+}
+
+// Batched reports whether the share belongs to an executed batch.
+func (s BatchShare) Batched() bool { return s.buf != nil }
+
+// Release drops the share, once per caller, and reports whether the caller
+// must now flush for the whole batch: its release was the last, or the
+// batch can no longer be counted because its buffer has since carried
+// another. The zero share reports false.
+//
+//lint:hotpath
+func (s BatchShare) Release() bool {
+	if s.buf == nil {
+		return false
+	}
+	for {
+		w := s.buf.left.Load()
+		if uint32(w>>32) != s.gen || uint32(w) == 0 {
+			return true
+		}
+		if s.buf.left.CompareAndSwap(w, w-1) {
+			return uint32(w) == 1
+		}
+	}
+}
+
 // modelBatch is one model's pending queue.
 type modelBatch struct {
-	// buf is the preallocated item buffer (len == MaxBatch); n is the fill
-	// level. On flush the whole buffer is handed to the executor and a
-	// spare swapped in, so a concurrent executor never shares an array
-	// with new pushes.
-	buf []*BatchItem
+	// buf is the preallocated item buffer (len(buf.items) == MaxBatch); n
+	// is the fill level. On flush the whole buffer is handed to the
+	// executor and a spare swapped in, so a concurrent executor never
+	// shares an array with new pushes.
+	buf *batchBuf
 	n   int
 	// gen counts flushes; armed records the generation the delay timer was
 	// armed for. A timer fire only flushes when armed == gen, which makes
@@ -135,11 +194,11 @@ type Batcher struct {
 
 	mu     sync.Mutex
 	queues map[uint16]*modelBatch
-	// free is the BatchItem free list; spares holds flushed batch arrays
+	// free is the BatchItem free list; spares holds flushed batch buffers
 	// returned by executors. Both make the steady-state queue path
 	// allocation-free.
 	free   *BatchItem
-	spares [][]*BatchItem
+	spares []*batchBuf
 
 	queries      atomic.Uint64
 	flushes      atomic.Uint64
@@ -197,13 +256,15 @@ func (b *Batcher) Pending() int {
 }
 
 // Do queues one query and blocks until its batch has executed, with this
-// query's verdict written into resp and its error returned. resp is the
-// caller's: the exec callback fills it in place, reusing the array of the
-// Probs slice it holds, and nothing references it once Do returns. The
-// query joins its model's pending batch; the batch flushes when it reaches
-// MaxBatch (executed on this caller), when the MaxDelay timer fires
-// (executed on the timer goroutine), or when FlushAll drains it.
-func (b *Batcher) Do(modelID uint16, requestID uint32, input []fixed.Code, resp *Response) error {
+// query's verdict written into resp and its error returned beside the
+// caller's share of the batch. resp is the caller's: the exec callback
+// fills it in place, reusing the array of the Probs slice it holds, and
+// nothing references it once Do returns. The query joins its model's
+// pending batch; the batch flushes when it reaches MaxBatch (executed on
+// this caller), when the MaxDelay timer fires (executed on the timer
+// goroutine), or when FlushAll drains it. A caller that ignores its share
+// costs nothing: the batch's buffer recounts on its next use.
+func (b *Batcher) Do(modelID uint16, requestID uint32, input []fixed.Code, resp *Response) (BatchShare, error) {
 	b.queries.Add(1)
 	b.mu.Lock()
 	it := b.getItemLocked()
@@ -216,7 +277,7 @@ func (b *Batcher) Do(modelID uint16, requestID uint32, input []fixed.Code, resp 
 		mb = b.newModelBatchLocked(modelID)
 	}
 	full := b.push(mb, it)
-	var out []*BatchItem
+	var out *batchBuf
 	if full {
 		out = b.takeLocked(mb)
 	} else if mb.n == 1 {
@@ -231,11 +292,11 @@ func (b *Batcher) Do(modelID uint16, requestID uint32, input []fixed.Code, resp 
 		b.runBatch(modelID, out)
 	}
 	<-it.done
-	err := it.Err
+	share, err := it.share, it.Err
 	b.mu.Lock()
 	b.putItemLocked(it)
 	b.mu.Unlock()
-	return err
+	return share, err
 }
 
 // FlushAll drains every model's pending batch, executing each on the
@@ -245,7 +306,7 @@ func (b *Batcher) FlushAll() {
 	for {
 		b.mu.Lock()
 		var modelID uint16
-		var out []*BatchItem
+		var out *batchBuf
 		for id, mb := range b.queues {
 			if mb.n > 0 {
 				modelID = id
@@ -268,18 +329,19 @@ func (b *Batcher) FlushAll() {
 //
 //lint:hotpath
 func (b *Batcher) push(mb *modelBatch, it *BatchItem) bool {
-	mb.buf[mb.n] = it
+	mb.buf.items[mb.n] = it
 	mb.n++
 	return mb.n >= b.cfg.MaxBatch || b.cfg.MaxDelay <= 0
 }
 
 // takeLocked removes and returns a model's pending batch, swapping a spare
-// buffer in so the executor owns the returned array exclusively. Bumping
+// buffer in so the executor owns the returned buffer exclusively. Bumping
 // gen invalidates any armed delay timer for the taken batch.
 //
 //lint:hotpath
-func (b *Batcher) takeLocked(mb *modelBatch) []*BatchItem {
-	out := mb.buf[:mb.n]
+func (b *Batcher) takeLocked(mb *modelBatch) *batchBuf {
+	out := mb.buf
+	out.items = out.items[:mb.n]
 	mb.buf = b.spareLocked()
 	mb.n = 0
 	mb.gen++
@@ -287,9 +349,10 @@ func (b *Batcher) takeLocked(mb *modelBatch) []*BatchItem {
 	return out
 }
 
-// runBatch executes one taken batch, fans the signal out to every blocked
-// caller, and recycles the batch array.
-func (b *Batcher) runBatch(modelID uint16, out []*BatchItem) {
+// runBatch executes one taken batch, fans the signal and a share of the
+// batch out to every blocked caller, and recycles the batch buffer.
+func (b *Batcher) runBatch(modelID uint16, buf *batchBuf) {
+	out := buf.items
 	b.flushes.Add(1)
 	for {
 		cur := b.maxBatch.Load()
@@ -298,11 +361,13 @@ func (b *Batcher) runBatch(modelID uint16, out []*BatchItem) {
 		}
 	}
 	b.exec(modelID, out)
+	share := buf.arm(len(out))
 	for _, it := range out {
+		it.share = share
 		it.done <- struct{}{}
 	}
 	b.mu.Lock()
-	b.releaseLocked(out)
+	b.releaseLocked(buf)
 	b.mu.Unlock()
 }
 
@@ -324,7 +389,7 @@ func (b *Batcher) timerFire(modelID uint16) {
 // newModelBatchLocked is the cold per-model setup: buffer and flush timer
 // are created once and reused for the queue's lifetime.
 func (b *Batcher) newModelBatchLocked(modelID uint16) *modelBatch {
-	mb := &modelBatch{buf: make([]*BatchItem, b.cfg.MaxBatch)}
+	mb := &modelBatch{buf: b.spareLocked()}
 	mb.timer = b.newTimer(func() { b.timerFire(modelID) })
 	b.queues[modelID] = mb
 	return mb
@@ -345,25 +410,26 @@ func (b *Batcher) putItemLocked(it *BatchItem) {
 	it.Input = nil
 	it.Resp = nil
 	it.Err = nil
+	it.share = BatchShare{}
 	it.next = b.free
 	b.free = it
 }
 
-// spareLocked pops a recycled batch array, or cold-allocates one.
-func (b *Batcher) spareLocked() []*BatchItem {
+// spareLocked pops a recycled batch buffer, or cold-allocates one.
+func (b *Batcher) spareLocked() *batchBuf {
 	if k := len(b.spares); k > 0 {
 		s := b.spares[k-1]
+		b.spares[k-1] = nil
 		b.spares = b.spares[:k-1]
-		return s[:cap(s)]
+		s.items = s.items[:cap(s.items)]
+		return s
 	}
-	return make([]*BatchItem, b.cfg.MaxBatch)
+	return &batchBuf{items: make([]*BatchItem, b.cfg.MaxBatch)}
 }
 
-// releaseLocked recycles an executed batch array, dropping item references
-// so pooled items are not pinned by the array.
-func (b *Batcher) releaseLocked(out []*BatchItem) {
-	for i := range out {
-		out[i] = nil
-	}
-	b.spares = append(b.spares, out)
+// releaseLocked recycles an executed batch buffer, dropping item
+// references so pooled items are not pinned by its array.
+func (b *Batcher) releaseLocked(buf *batchBuf) {
+	clear(buf.items)
+	b.spares = append(b.spares, buf)
 }

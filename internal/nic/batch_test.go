@@ -88,7 +88,7 @@ func do(b *Batcher, modelID uint16, requestID uint32) <-chan Response {
 	ch := make(chan Response, 1)
 	go func() {
 		var resp Response
-		_ = b.Do(modelID, requestID, []fixed.Code{fixed.Code(requestID)}, &resp)
+		_, _ = b.Do(modelID, requestID, []fixed.Code{fixed.Code(requestID)}, &resp)
 		ch <- resp
 	}()
 	return ch
@@ -281,15 +281,57 @@ func TestBatcherDoSteadyStateZeroAllocs(t *testing.T) {
 	)
 	input := []fixed.Code{1, 2, 3}
 	var resp Response
-	if err := b.Do(9, 1, input, &resp); err != nil { // warm-up: pools fill
+	if _, err := b.Do(9, 1, input, &resp); err != nil { // warm-up: pools fill
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if err := b.Do(9, 2, input, &resp); err != nil {
+		if _, err := b.Do(9, 2, input, &resp); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Fatalf("batch queue round trip allocates %v times per query, want 0", n)
+	}
+}
+
+// TestBatchShareCountsDown: of one executed batch's k shares exactly one
+// release reports the batch complete, and a share whose buffer has since
+// carried another batch reports it too, without touching that batch's
+// count. The zero share, a query that ran alone, never does.
+func TestBatchShareCountsDown(t *testing.T) {
+	b, _, _ := newTestBatcher(BatchConfig{MaxBatch: 4, MaxDelay: time.Hour})
+	shares := make(chan BatchShare, 4)
+	for id := uint32(1); id <= 4; id++ {
+		go func() {
+			var resp Response
+			share, _ := b.Do(7, id, []fixed.Code{1}, &resp)
+			shares <- share
+		}()
+	}
+	lasts := 0
+	for i := 0; i < 4; i++ {
+		s := <-shares
+		if !s.Batched() {
+			t.Fatal("a batched query's share is the zero share")
+		}
+		if s.Release() {
+			lasts++
+		}
+	}
+	if lasts != 1 {
+		t.Errorf("%d of 4 releases completed the batch, want 1", lasts)
+	}
+
+	var bb batchBuf
+	stale := bb.arm(2)
+	live := bb.arm(2)
+	if !stale.Release() {
+		t.Error("a share of a recounted buffer did not report its batch complete")
+	}
+	if live.Release() || !live.Release() {
+		t.Error("the stale release moved the live batch's count")
+	}
+	if (BatchShare{}).Release() || (BatchShare{}).Batched() {
+		t.Error("the zero share claims a batch")
 	}
 }
 

@@ -533,12 +533,13 @@ func (n *NIC) handleControl(modelID uint16, payload []byte, resp *Response) erro
 
 // serveRequest is the NIC's front-door handler: it runs one complete
 // request into resp, a control message through the control plane and a
-// query through the datapath.
+// query through the datapath. A query that ran in a batch hands back its
+// share of the batch, for the door to release once its response is queued.
 //
 //lint:hotpath
-func (n *NIC) serveRequest(req frontdoor.Request, resp *Response) error {
+func (n *NIC) serveRequest(req frontdoor.Request, resp *Response) (nic.BatchShare, error) {
 	if req.Control {
-		return n.handleControl(req.Model, req.Query, resp)
+		return nic.BatchShare{}, n.handleControl(req.Model, req.Query, resp)
 	}
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
@@ -550,7 +551,7 @@ func (n *NIC) serveRequest(req frontdoor.Request, resp *Response) error {
 	// and must not delay a real batch.
 	if err := n.store.Validate(req.Model, len(req.Query)); err != nil {
 		resp.Err = true
-		return err
+		return nic.BatchShare{}, err
 	}
 	// The query's bytes are the engine's operand, not a copy of them: the
 	// engine only reads its input, and the bytes stay put until this call
@@ -569,7 +570,7 @@ func (n *NIC) serveRequest(req frontdoor.Request, resp *Response) error {
 	it := nic.BatchItem{RequestID: req.ID, Input: input, Resp: resp}
 	items := [1]*nic.BatchItem{&it}
 	n.execBatch(req.Model, items[:])
-	return it.Err
+	return nic.BatchShare{}, it.Err
 }
 
 // HandleFrame processes one raw Ethernet frame exactly as the datapath

@@ -1,0 +1,309 @@
+package lightning
+
+import (
+	"context"
+	"encoding/binary"
+	"net"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/lightning-smartnic/lightning/internal/fault"
+	"github.com/lightning-smartnic/lightning/internal/netbatch"
+	"github.com/lightning-smartnic/lightning/internal/nic"
+)
+
+// sent is one response datagram as flushConn saw it leave.
+type sent struct {
+	id    uint32
+	class int
+	to    net.Addr
+	err   bool
+}
+
+// sourced is one query datagram and the client it arrives from.
+type sourced struct {
+	data []byte
+	from net.Addr
+}
+
+// flushConn is a batch seam that shows how responses leave: ReadBatch
+// serves each batch the test sends on in, every datagram from its own
+// client, and WriteBatch records each call's datagrams as one flush and
+// reports every datagram on written.
+type flushConn struct {
+	in      chan []sourced
+	closed  chan struct{}
+	written chan sent
+
+	mu      sync.Mutex
+	flushes [][]sent
+}
+
+func newFlushConn() *flushConn {
+	return &flushConn{
+		in:      make(chan []sourced),
+		closed:  make(chan struct{}),
+		written: make(chan sent, 64),
+	}
+}
+
+func (c *flushConn) ReadBatch(ms []netbatch.Message) (int, error) {
+	select {
+	case batch := <-c.in:
+		for i, d := range batch {
+			ms[i].N = copy(ms[i].Buf, d.data)
+			ms[i].Addr, ms[i].Seg = d.from, 0
+		}
+		return len(batch), nil
+	case <-c.closed:
+		return 0, fault.ErrTimeout
+	}
+}
+
+func (c *flushConn) WriteBatch(ms []netbatch.Message) (int, error) {
+	flush := make([]sent, len(ms))
+	for i := range ms {
+		b := ms[i].Bytes()
+		flush[i] = sent{
+			id: binary.BigEndian.Uint32(b[4:8]), class: int(binary.BigEndian.Uint16(b[12:14])),
+			to: ms[i].Addr, err: b[3]&nic.FlagError != 0,
+		}
+	}
+	c.mu.Lock()
+	c.flushes = append(c.flushes, flush)
+	c.mu.Unlock()
+	for _, s := range flush {
+		c.written <- s
+	}
+	return len(ms), nil
+}
+
+func (c *flushConn) SetReadDeadline(time.Time) error { return nil }
+func (c *flushConn) FastPath() bool                  { return true }
+
+// recorded returns the flushes so far.
+func (c *flushConn) recorded() [][]sent {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.flushes)
+}
+
+// await collects k written responses, failing if any takes longer than a
+// second: a response left queued waits for traffic that never comes.
+func (c *flushConn) await(t *testing.T, k int) []sent {
+	t.Helper()
+	var got []sent
+	for len(got) < k {
+		select {
+		case s := <-c.written:
+			got = append(got, s)
+		case <-time.After(time.Second):
+			t.Fatalf("%d of %d responses written within 1 s: the rest are stranded", len(got), k)
+		}
+	}
+	return got
+}
+
+// Two clients' sources for the flush tests.
+var (
+	clientA net.Addr = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7001}
+	clientB net.Addr = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7002}
+)
+
+const flushWidth, flushModel = 32, 4
+
+// serveFlush serves a NIC built from cfg through a flushConn with a worker
+// pool until the test ends. also starts one more Serve call on the same NIC,
+// through a flushConn of its own.
+func serveFlush(t *testing.T, cfg Config, workers int) (n *NIC, conn *flushConn, also func(workers int) *flushConn) {
+	t.Helper()
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RegisterModel(flushModel, "halves", halvesModel(flushWidth)); err != nil {
+		t.Fatal(err)
+	}
+	next := make(chan *flushConn, 1)
+	n.rail = func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn { return <-next }
+	also = func(workers int) *flushConn {
+		conn := newFlushConn()
+		next <- conn
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			if workers > 0 {
+				done <- n.ServeUDPWorkers(ctx, nil, workers)
+			} else {
+				done <- n.ServeUDP(ctx, nil)
+			}
+		}()
+		t.Cleanup(func() {
+			cancel()
+			close(conn.closed)
+			if err := <-done; err != nil {
+				t.Errorf("serve returned %v", err)
+			}
+		})
+		return conn
+	}
+	return n, also(workers), also
+}
+
+// queries encodes k queries, request IDs first..first+k-1, alternating
+// between clients A and B; request id's oracle class is id%2.
+func queries(t *testing.T, first uint32, k int) []sourced {
+	t.Helper()
+	out := make([]sourced, k)
+	for i := range out {
+		id := first + uint32(i)
+		d, err := (&nic.Message{RequestID: id, ModelID: flushModel, Payload: halvesQuery(flushWidth, id%2 == 0)}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = sourced{data: d, from: clientA}
+		if i%2 == 1 {
+			out[i].from = clientB
+		}
+	}
+	return out
+}
+
+// runs counts the maximal runs of one destination in a flush.
+func runs(flush []sent) int {
+	r := 0
+	for i := range flush {
+		if i == 0 || flush[i].to != flush[i-1].to {
+			r++
+		}
+	}
+	return r
+}
+
+// TestServeUDPBatchLeavesInOneFlush: a full batch of eight queries from two
+// interleaved clients, served by a worker pool, leaves in one WriteBatch of
+// eight datagrams, each client's responses next to each other (the run the
+// segmentation offload sends as one train), every answer its oracle's.
+func TestServeUDPBatchLeavesInOneFlush(t *testing.T) {
+	n, conn, _ := serveFlush(t, Config{
+		Lanes: 2, Noiseless: true, Seed: 3,
+		Batch: BatchConfig{MaxBatch: 8, MaxDelay: time.Hour},
+	}, 8)
+	conn.in <- queries(t, 1, 8)
+	for _, s := range conn.await(t, 8) {
+		if s.err || s.class != int(s.id%2) {
+			t.Errorf("request %d answered class %d (error %v), want its oracle %d", s.id, s.class, s.err, s.id%2)
+		}
+	}
+	flushes := conn.recorded()
+	if len(flushes) != 1 || len(flushes[0]) != 8 {
+		t.Fatalf("flush sizes %v, want one flush of 8", flushSizes(flushes))
+	}
+	if r := runs(flushes[0]); r != 2 {
+		t.Errorf("the flush's destinations form %d runs, want 2 (one per client)", r)
+	}
+	if h := n.Metrics().Serve.TxBatchSize; h.Count != 1 || h.Sum != 8 {
+		t.Errorf("TxBatchSize Count %d Sum %d, want 1 and 8", h.Count, h.Sum)
+	}
+}
+
+// flushSizes lists each flush's datagram count.
+func flushSizes(flushes [][]sent) []int {
+	sizes := make([]int, len(flushes))
+	for i, f := range flushes {
+		sizes[i] = len(f)
+	}
+	return sizes
+}
+
+// TestServeUDPBatchNeverStrandsAResponse: whatever executes a batch and
+// whoever releases its last share, every response the worker pool queued
+// is written within a second with no further traffic — a partial batch the
+// MaxDelay timer flushes, one Drain flushes, a batch shared with a
+// HandleMessage caller or with another Serve call's inline reader, and a
+// batch every quarantined shard refuses.
+func TestServeUDPBatchNeverStrandsAResponse(t *testing.T) {
+	batched := func(delay time.Duration) Config {
+		return Config{Lanes: 2, Noiseless: true, Seed: 3, Batch: BatchConfig{MaxBatch: 8, MaxDelay: delay}}
+	}
+
+	t.Run("max-delay", func(t *testing.T) {
+		_, conn, _ := serveFlush(t, batched(20*time.Millisecond), 8)
+		conn.in <- queries(t, 1, 3)
+		conn.await(t, 3)
+		if sizes := flushSizes(conn.recorded()); !slices.Equal(sizes, []int{3}) {
+			t.Errorf("flush sizes %v, want the partial batch in one flush of 3", sizes)
+		}
+	})
+
+	t.Run("drain", func(t *testing.T) {
+		n, conn, _ := serveFlush(t, batched(time.Hour), 8)
+		conn.in <- queries(t, 1, 3)
+		for i := 0; i < 20000 && n.Metrics().BatchPending != 3; i++ {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if err := n.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		conn.await(t, 3)
+	})
+
+	t.Run("mixed-with-handle-message", func(t *testing.T) {
+		n, conn, _ := serveFlush(t, batched(time.Hour), 8)
+		// Which caller releases last varies round to round.
+		for round := uint32(0); round < 10; round++ {
+			first := 1 + 8*round
+			var resp *Response
+			var herr error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				resp, herr = serveQuery(t, n, first+7, flushModel, brightHalfQuery(flushWidth, int(first+7)%2))
+			}()
+			conn.in <- queries(t, first, 7)
+			conn.await(t, 7)
+			<-done
+			if herr != nil || resp == nil || int(resp.Class) != int(first+7)%2 {
+				t.Fatalf("round %d: HandleMessage got %+v, %v", round, resp, herr)
+			}
+		}
+	})
+
+	t.Run("mixed-with-inline-reader", func(t *testing.T) {
+		// A second Serve call on the same NIC reads inline, with no
+		// workers; its query completes the pool's batch.
+		_, pool, also := serveFlush(t, batched(time.Hour), 8)
+		inline := also(0)
+		for round := uint32(0); round < 10; round++ {
+			first := 1 + 8*round
+			pool.in <- queries(t, first, 7)
+			inline.in <- queries(t, first+7, 1)
+			pool.await(t, 7)
+			inline.await(t, 1)
+		}
+	})
+
+	t.Run("all-quarantined", func(t *testing.T) {
+		cfg := batched(time.Hour)
+		cfg.Cores, cfg.RelockAttempts, cfg.RelockBackoff = 1, 1, time.Millisecond
+		n, conn, _ := serveFlush(t, cfg, 8)
+		runner := fault.NewRunner(fault.NewPlan().At(0, 0, fault.DeadLane{Lane: 0}), n)
+		if fired := runner.Step(); len(fired) != 1 || fired[0].Err != nil {
+			t.Fatalf("injection: %v", fired)
+		}
+		if errs := n.ProbeShards(); errs[0] == nil {
+			t.Fatal("probe sweep missed the dead lane")
+		}
+		if err := n.Drain(context.Background()); err != nil { // recovery attempts exhaust
+			t.Fatal(err)
+		}
+		conn.in <- queries(t, 1, 8)
+		for _, s := range conn.await(t, 8) {
+			if !s.err {
+				t.Errorf("request %d served through a fully quarantined NIC", s.id)
+			}
+		}
+	})
+}
