@@ -3,13 +3,16 @@ package lightning
 import (
 	"github.com/lightning-smartnic/lightning/internal/dagloader"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
+	"github.com/lightning-smartnic/lightning/internal/frontdoor"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
 // execBatch is the NIC's one execution path: it runs a batch of same-model
 // queries through a shard as one matrix pass and fans per-request verdicts
 // back into the items' responses. The Batcher calls it with each flushed
-// batch; an unbatched NIC calls it inline with a batch of one.
+// batch; an unbatched NIC calls it with each model's queries of an inline
+// read group (readGroup), and inline with a batch of one for a worker or a
+// HandleMessage caller.
 //
 // The shard is picked at flush time, not enqueue time, so a shard
 // quarantined while the batch was queuing is routed around without
@@ -109,4 +112,63 @@ func probsBuf(b []uint8, n int) []uint8 {
 // array of its Probs for the next.
 func refuse(resp *nic.Response, id uint32, modelID uint16) {
 	*resp = nic.Response{RequestID: id, ModelID: modelID, Err: true, Probs: resp.Probs[:0]}
+}
+
+// readGroup is one Serve call's inline-reader storage on a NIC with no batch
+// queue: a BatchItem per query of a group and one pass's item pointers,
+// grown only when a group outgrows every one before it. Only that call's
+// reader touches it.
+type readGroup struct {
+	n     *NIC
+	items []nic.BatchItem
+	pass  []*nic.BatchItem
+}
+
+// serve is serveRequest's group form, the inline reader's GroupHandler: it
+// answers the complete queries of one batched read as one execBatch pass
+// per model, each model's pass in the order of its first query. Client
+// mistakes are refused per query before any pass, as serveRequest refuses
+// them, so a wrong-width query costs its groupmates nothing. Noiselessly
+// every response is byte-equal to serveRequest's for the same query.
+//
+//lint:hotpath
+func (g *readGroup) serve(reqs []frontdoor.Request, resps []Response, _ []nic.BatchShare) {
+	n := g.n
+	n.inflight.Add(1)
+	defer n.inflight.Add(-1)
+	if len(g.items) < len(reqs) {
+		g.grow(len(reqs))
+	}
+	items := g.items[:len(reqs)]
+	for i := range reqs {
+		if err := n.store.Validate(reqs[i].Model, len(reqs[i].Query)); err != nil {
+			resps[i].Err = true
+			continue
+		}
+		items[i] = nic.BatchItem{RequestID: reqs[i].ID, Input: fixed.CodesOf(reqs[i].Query), Resp: &resps[i]}
+	}
+	// An item with a response still owes its pass; each pass hands its
+	// items back zeroed, so the storage pins no query once it returns.
+	for i := range items {
+		if items[i].Resp == nil {
+			continue
+		}
+		model, k := reqs[i].Model, 0
+		for j := i; j < len(items); j++ {
+			if items[j].Resp != nil && reqs[j].Model == model {
+				g.pass[k] = &items[j]
+				k++
+			}
+		}
+		n.execBatch(model, g.pass[:k])
+		for _, it := range g.pass[:k] {
+			*it = nic.BatchItem{}
+		}
+	}
+}
+
+// grow is serve's cold path.
+func (g *readGroup) grow(k int) {
+	g.items = make([]nic.BatchItem, k)
+	g.pass = make([]*nic.BatchItem, k)
 }

@@ -38,6 +38,24 @@ func checkModelFlags(model, load, save string) error {
 	return nil
 }
 
+// checkServeFlags refuses the batching and admission flags the chosen serve
+// loop would silently ignore or misuse. -workers 1 or less serves through
+// ServeUDP's inline reader, which already answers each batched read's
+// queries as one matrix pass per model: a batch queue there makes every
+// query wait out -max-delay alone, and it has no admission stage.
+func checkServeFlags(workers, maxBatch int, maxDelay time.Duration, admitQueue int, admitBudget time.Duration, admitWeights string) error {
+	if maxBatch > 1 && workers <= 1 {
+		return errors.New("-max-batch > 1 with -workers <= 1: the inline reader already serves each read as one pass, and a queue would hold every query for -max-delay; add -workers or drop -max-batch")
+	}
+	if maxDelay != 0 && maxBatch <= 1 {
+		return errors.New("-max-delay without -max-batch > 1: there is no batch queue to flush")
+	}
+	if (admitQueue != 0 || admitBudget != 0 || admitWeights != "") && workers <= 1 {
+		return errors.New("-admit-queue, -admit-budget or -admit-weights with -workers <= 1: the inline reader has no admission stage; add -workers")
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":4055", "UDP listen address")
 	modelName := flag.String("model", "anomaly", "model to serve: anomaly | iot | digits | none (a bare cluster node: serve nothing until a coordinator installs partitions, and accept those wire installs)")
@@ -46,20 +64,25 @@ func main() {
 	noiseless := flag.Bool("noiseless", false, "disable the analog noise model")
 	loadPath := flag.String("load", "", "load a saved model instead of training")
 	savePath := flag.String("save", "", "save the trained model to this file")
-	workers := flag.Int("workers", 1, "UDP worker pool size")
+	workers := flag.Int("workers", 1, "UDP worker pool size (1 = no pool: the reader serves each batched read inline, one matrix pass per model)")
 	cores := flag.Int("cores", 1, "photonic core shards (1 = the §6 prototype)")
-	maxBatch := flag.Int("max-batch", 1, "coalesce up to this many same-model queries into one matrix pass (1 = no queue: every query runs inline as a batch of one)")
+	maxBatch := flag.Int("max-batch", 1, "queue up to this many same-model queries into one matrix pass (1 = no queue; needs -workers > 1)")
 	maxDelay := flag.Duration("max-delay", 0, "flush a partial batch after this long (0 = default; needs -max-batch > 1)")
 	statsEvery := flag.Duration("stats", 10*time.Second, "periodic stats line interval (0 disables)")
 	probeEvery := flag.Int("probe-every", 0, "known-answer probe cadence in served queries per shard (0 disables)")
-	admitQueue := flag.Int("admit-queue", 0, "per-model admission queue bound (0 = default workers*4)")
-	admitBudget := flag.Duration("admit-budget", 0, "per-request latency budget; queued requests past it are shed instead of served (0 disables)")
-	admitWeights := flag.String("admit-weights", "", "per-model service weights as id:weight pairs, comma-separated (empty = equal)")
+	admitQueue := flag.Int("admit-queue", 0, "per-model admission queue bound (0 = default workers*4; needs -workers > 1)")
+	admitBudget := flag.Duration("admit-budget", 0, "per-request latency budget; queued requests past it are shed instead of served (0 disables; needs -workers > 1)")
+	admitWeights := flag.String("admit-weights", "", "per-model service weights as id:weight pairs, comma-separated (empty = equal; needs -workers > 1)")
 	flag.Parse()
-	if err := checkModelFlags(*modelName, *loadPath, *savePath); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
+	for _, err := range []error{
+		checkModelFlags(*modelName, *loadPath, *savePath),
+		checkServeFlags(*workers, *maxBatch, *maxDelay, *admitQueue, *admitBudget, *admitWeights),
+	} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 
 	admission := lightning.AdmissionConfig{MaxQueue: *admitQueue, Budget: *admitBudget}

@@ -27,7 +27,7 @@ func (c *Coordinator) ServeUDP(ctx context.Context, pc net.PacketConn, workers i
 	if workers < 1 {
 		workers = 1
 	}
-	return c.door.Serve(ctx, pc, workers, func(req frontdoor.Request, resp *nic.Response) (nic.BatchShare, error) {
+	h := func(req frontdoor.Request, resp *nic.Response) (nic.BatchShare, error) {
 		if req.Control || req.Model != c.cfg.ModelID {
 			resp.Err = true
 			return nic.BatchShare{}, errNotServed
@@ -40,7 +40,10 @@ func (c *Coordinator) ServeUDP(ctx context.Context, pc net.PacketConn, workers i
 		resp.RequestID = req.ID
 		// The pipeline batches nothing, so every response flushes on its own.
 		return nic.BatchShare{}, err
-	}, nil)
+	}
+	// Nor across a read: its group form takes one request at a time (at
+	// one worker or more the reader never holds a query anyway).
+	return c.door.Serve(ctx, pc, workers, h, frontdoor.Each(h), nil)
 }
 
 // NodeMetrics is one node's health and traffic snapshot.

@@ -71,6 +71,28 @@ type Request struct {
 // its callers — a worker, the reader, a Handle caller — releases last.
 type Handler func(req Request, resp *nic.Response) (nic.BatchShare, error)
 
+// GroupHandler answers the complete queries of one batched read together —
+// the inline reader's seam, where Handler is the workers' and Door.Handle's.
+// Each resps[i] arrives as Handler's resp does for reqs[i], and each
+// shares[i] as the zero share. The handler fills every response, and leaves
+// the share of a query it answered in a queued batch in shares[i]. The door
+// then queues the responses in request order, releasing each share after
+// its response, as it does for Handler. The slices are the door's: the
+// handler keeps none of them past its return. A group holds at most rxBatch
+// queries and never a control message, which the reader answers with
+// Handler.
+type GroupHandler func(reqs []Request, resps []nic.Response, shares []nic.BatchShare)
+
+// Each is the group form of h for a handler that shares no work across
+// requests: it answers a group one request at a time.
+func Each(h Handler) GroupHandler {
+	return func(reqs []Request, resps []nic.Response, shares []nic.BatchShare) {
+		for i := range reqs {
+			shares[i], _ = h(reqs[i], &resps[i]) // the error rides in the Err flag
+		}
+	}
+}
+
 // errStrayResponse rejects a response sent to a server: no work, no answer.
 var errStrayResponse = errors.New("lightning: received a response message")
 
@@ -89,8 +111,9 @@ type Door struct {
 	conn  atomic.Pointer[netbatch.BatchConn]
 	admit atomic.Pointer[nic.Admitter]
 
-	// rxHist and txHist count datagrams per batched read and per tx flush.
-	rxHist, txHist sizeHist
+	// rxHist and txHist count datagrams per batched read and per tx flush,
+	// groupHist queries per inline group.
+	rxHist, txHist, groupHist sizeHist
 	// Edge losses, one counter per reason (Stats documents each).
 	queueFull, shedDrops, decodeErrors, writeErrors, deadlineErrors atomic.Uint64
 	coalescedFrames, oversizedCoalesce                              atomic.Uint64
@@ -283,20 +306,39 @@ func (d *Door) putJob(j *job) {
 }
 
 // loop is one Serve call's state. resp is the reader's response, reused
-// for every request it answers inline; each worker has its own.
+// for every control message and refusal it answers inline; each worker has
+// its own.
 type loop struct {
 	d     *Door
 	h     Handler
+	group GroupHandler
 	bc    netbatch.BatchConn
 	admit *nic.Admitter // nil at zero workers
 	tx    *txBatcher
 	resp  nic.Response
+
+	// The inline group: the first k complete queries of the current read,
+	// their senders, and the responses and shares group fills. The arrays
+	// are the loop's for its lifetime, so a group costs no allocation, and
+	// a response's Probs array serves every query that takes its slot.
+	k      int
+	reqs   [rxBatch]Request
+	addrs  [rxBatch]net.Addr
+	resps  [rxBatch]nic.Response
+	shares [rxBatch]nic.BatchShare
 }
 
-// Serve answers every complete request arriving on pc with h until ctx is
+// Serve answers every complete request arriving on pc until ctx is
 // cancelled (nil) or a read fails fatally (the error). With workers == 0 the
-// reader runs each request inline; with workers > 0 requests pass per-model
-// admission (bound workers*4 unless the policy sets one) to a worker pool.
+// reader answers queries inline: it collects the complete queries of one
+// batched read — every frame of every datagram, up to rxBatch of them — and
+// answers them in one group call, before the read's flush, so no response
+// waits on traffic that had not yet arrived. With workers > 0 queries pass
+// per-model admission (bound workers*4 unless the policy sets one) to a
+// worker pool, whose workers answer each with h. The reader answers
+// control messages with h, and reassembly refusals Err-flagged, after the
+// group of queries that arrived ahead of them, so responses keep arrival
+// order.
 // On return every admitted request has been answered and flushed: the
 // reader flushes after each batch read, a worker after a response that ran
 // alone, and the last caller to release its share of a batch flushes the
@@ -305,7 +347,7 @@ type loop struct {
 // rail, when not nil, wraps pc in place of the default rail (the batch
 // seam's best path, GRO on): the differential tests' hook that serves the
 // same traffic with offload off or on the portable fallback.
-func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Handler, rail func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn) error {
+func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Handler, group GroupHandler, rail func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn) error {
 	var bc netbatch.BatchConn
 	if rail != nil {
 		bc = rail(pc, &d.ctr)
@@ -318,7 +360,7 @@ func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Hand
 		}
 	}
 	d.conn.Store(&bc)
-	l := &loop{d: d, h: h, bc: bc, tx: &txBatcher{d: d, bc: bc}}
+	l := &loop{d: d, h: h, group: group, bc: bc, tx: &txBatcher{d: d, bc: bc}}
 	d.editTxs(func(txs []*txBatcher) []*txBatcher { return append(txs, l.tx) })
 	stopWorkers := func() {}
 	if workers > 0 {
@@ -428,6 +470,7 @@ func (l *loop) readLoop(ctx context.Context) error {
 		}
 		// Everything the reader produced for this batch — inline answers,
 		// reassembly errors, control acks — leaves in one batched write.
+		l.answerGroup()
 		l.tx.flush()
 	}
 }
@@ -464,15 +507,67 @@ func (l *loop) walkDatagram(data []byte, addr net.Addr) {
 		if msg.Flags&nic.FlagFragment != 0 {
 			src = nic.Source(addr)
 		}
-		if req, ok, err := l.d.handle(&msg, src, l.admit, addr); ok {
-			share, _ := l.d.answer(req, err, l.h, &l.resp) // the error rides in the Err flag
-			l.d.release(req)
-			l.tx.queue(&l.resp, addr)
-			// A batch-mate's response may be waiting on this share; the
-			// reader's own flush comes after the batch read.
-			l.d.settle(share)
+		req, ok, err := l.d.handle(&msg, src, l.admit, addr)
+		if !ok {
+			continue
 		}
+		if err == nil && !req.Control {
+			l.join(req, addr)
+			continue
+		}
+		// The queries ahead of a control message or a refusal are answered
+		// first: responses keep arrival order, and an install between two
+		// queries lands between them.
+		l.answerGroup()
+		share, _ := l.d.answer(req, err, l.h, &l.resp) // the error rides in the Err flag
+		l.d.release(req)
+		l.tx.queue(&l.resp, addr)
+		// A batch-mate's response may be waiting on this share; the
+		// reader's own flush comes after the batch read.
+		l.d.settle(share)
 	}
+}
+
+// join adds a complete inline query to the read's group, answering the
+// group first when it already holds rxBatch queries: under GRO one read can
+// carry hundreds of frames, and a group's storage, and the engine's, stays
+// bounded.
+//
+//lint:hotpath
+func (l *loop) join(req Request, addr net.Addr) {
+	if l.k == len(l.reqs) {
+		l.answerGroup()
+	}
+	l.reqs[l.k], l.addrs[l.k] = req, addr
+	l.k++
+}
+
+// answerGroup answers the pending group in one group call and queues its
+// responses in request order, each share settled after its response, as
+// walkDatagram settles one. The group's request slots are cleared, so an
+// idle loop pins no reassembly buffer or sender.
+//
+//lint:hotpath
+func (l *loop) answerGroup() {
+	k := l.k
+	if k == 0 {
+		return
+	}
+	l.k = 0
+	reqs, resps, shares := l.reqs[:k], l.resps[:k], l.shares[:k]
+	for i := range reqs {
+		resps[i] = nic.Response{RequestID: reqs[i].ID, ModelID: reqs[i].Model, Probs: resps[i].Probs[:0]}
+		shares[i] = nic.BatchShare{}
+	}
+	l.d.groupHist.observe(k)
+	l.group(reqs, resps, shares)
+	for i := range reqs {
+		l.d.release(reqs[i])
+		l.tx.queue(&resps[i], l.addrs[i])
+		l.d.settle(shares[i])
+	}
+	clear(reqs)
+	clear(l.addrs[:k])
 }
 
 // Stats counts datagrams and responses lost at the front door's edges, per
@@ -524,6 +619,12 @@ type Stats struct {
 	// divided by their sum is the amortized queries-per-syscall figure the
 	// bench suite gates on.
 	RxSyscalls, TxSyscalls uint64
+	// InlineBatchSize is a histogram of queries per inline group: the
+	// complete queries of one batched read that a worker-less Serve
+	// answered together. On a NIC without a batch queue a group is one
+	// matrix pass per model, which the NIC's Batch stats do not count;
+	// on one with a queue its queries join the queue one by one.
+	InlineBatchSize SizeHist
 	// GSO and GRO report whether segmented sends and coalesced reads are
 	// live on the most recently attached serve socket, after any sticky
 	// fallback — false on the portable path or where the kernel refused.
@@ -541,6 +642,7 @@ func (d *Door) Stats() Stats {
 		Truncated:         d.ctr.Truncated.Load(),
 		RxBatchSize:       d.rxHist.snapshot(),
 		TxBatchSize:       d.txHist.snapshot(),
+		InlineBatchSize:   d.groupHist.snapshot(),
 		CoalescedFrames:   d.coalescedFrames.Load(),
 		OversizedCoalesce: d.oversizedCoalesce.Load(),
 		RxSyscalls:        d.ctr.ReadCalls.Load(),
@@ -590,6 +692,9 @@ func (s Stats) Line(served uint64) string {
 		s.RxBatchSize.Mean(), s.TxBatchSize.Mean(), s.RxSyscalls, s.TxSyscalls)
 	if served > 0 && s.RxSyscalls+s.TxSyscalls > 0 {
 		line += fmt.Sprintf(" (%.2f/query)", float64(s.RxSyscalls+s.TxSyscalls)/float64(served))
+	}
+	if s.InlineBatchSize.Count > 0 {
+		line += fmt.Sprintf(", inline-batch mean %.1f", s.InlineBatchSize.Mean())
 	}
 	line += fmt.Sprintf(", offload gso %s gro %s", onOff(s.GSO), onOff(s.GRO))
 	if s.Truncated > 0 {

@@ -123,13 +123,15 @@ func TestStatsLine(t *testing.T) {
 		QueueDepth:        map[uint16]int{4: 1, 7: 2},
 		RxBatchSize:       SizeHist{Count: 4, Sum: 10},
 		TxBatchSize:       SizeHist{Count: 5, Sum: 5},
+		InlineBatchSize:   SizeHist{Count: 2, Sum: 7},
 		CoalescedFrames:   7,
 		OversizedCoalesce: 1,
 		RxSyscalls:        6, TxSyscalls: 4,
 		GRO: true,
 	}
 	const want = "queue-full 5, shed 2, decode-err 3, write-err 1 | admission drops [4:3 7:2] | admitted backlog 3" +
-		" | wire: rx-batch mean 2.5, tx-batch mean 1.0, syscalls rx 6 tx 4 (2.50/query), offload gso off gro on" +
+		" | wire: rx-batch mean 2.5, tx-batch mean 1.0, syscalls rx 6 tx 4 (2.50/query), inline-batch mean 3.5" +
+		", offload gso off gro on" +
 		", truncated 6, coalesced frames 7 (oversized drops 1), deadline-err 4"
 	if got := s.Line(4); got != want {
 		t.Errorf("Line =\n %q\nwant\n %q", got, want)

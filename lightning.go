@@ -118,13 +118,15 @@ type Config struct {
 	// model coalesce into a single matrix pass per shard, amortizing
 	// preamble detection, LUT-validity checks, ADC readout, and per-layer
 	// reconfiguration + DRAM weight streaming across the batch. There is one
-	// execution path either way: with the zero value (MaxBatch <= 1) every
-	// query runs that pass inline as a batch of one, no queue and no timer —
-	// bit-for-bit what a batching NIC computes when it flushes a lone query.
-	// With batching enabled and MaxDelay unset, the delay defaults to
-	// nic.DefaultBatchDelay. Batching pays off with the concurrent ingest of
-	// ServeUDPWorkers — a single-threaded caller only ever forms batches of
-	// one, and pays MaxDelay for each.
+	// execution path either way. With the zero value (MaxBatch <= 1) there
+	// is no queue and no timer: ServeUDP's reader runs the complete queries
+	// of each batched read as that pass, one per model, and a worker or a
+	// HandleMessage caller runs its query as a batch of one — noiselessly
+	// bit-for-bit what a batching NIC computes for the same queries. With
+	// batching enabled and MaxDelay unset, the delay defaults to
+	// nic.DefaultBatchDelay. A queue pays off with the concurrent ingest of
+	// ServeUDPWorkers; ServeUDP's single reader puts one query at a time in
+	// it, so each waits out MaxDelay alone.
 	Batch BatchConfig
 	// Admission configures the admission stage ahead of ServeUDPWorkers'
 	// worker pool: per-model bounded queues (arrivals beyond the bound are

@@ -1,6 +1,7 @@
 package lightning
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"net"
@@ -69,11 +70,12 @@ func (c *chanConn) FastPath() bool                  { return true }
 
 // TestServeSteadyStateZeroAllocsPerQuery: from the rx batch to the tx flush
 // the serve path allocates nothing per query once its storage is warm — the
-// reader's inline path for an unfragmented query and for a fragment train
-// (reassembled into a recycled buffer), and the worker pool with batching
-// on, where admission copies the query into a recycled slot and a batch of
-// two runs as one matrix pass. Every answer must still be its query's
-// oracle.
+// reader's inline path for an unfragmented query, for a fragment train
+// (reassembled into a recycled buffer) and for four queries coalesced into
+// one datagram (one inline group, one matrix pass), and the worker pool
+// with batching on, where admission copies the query into a recycled slot
+// and a batch of two runs as one matrix pass. Every answer must still be
+// its query's oracle.
 func TestServeSteadyStateZeroAllocsPerQuery(t *testing.T) {
 	const width, model = 1024, 5
 	for _, c := range []struct {
@@ -81,11 +83,13 @@ func TestServeSteadyStateZeroAllocsPerQuery(t *testing.T) {
 		batch      BatchConfig
 		workers    int
 		maxPayload int
-		queries    int // per round, served together
+		queries    int  // per round, served together
+		coalesce   bool // a round's frames share one datagram
 	}{
-		{"unfragmented", BatchConfig{}, 0, width, 1},
-		{"train", BatchConfig{}, 0, 300, 1},
-		{"workers-batched", BatchConfig{MaxBatch: 2, MaxDelay: time.Hour}, 2, width, 2},
+		{"unfragmented", BatchConfig{}, 0, width, 1, false},
+		{"train", BatchConfig{}, 0, 300, 1, false},
+		{"coalesced", BatchConfig{}, 0, width, 4, true},
+		{"workers-batched", BatchConfig{MaxBatch: 2, MaxDelay: time.Hour}, 2, width, 2, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 3, Batch: c.batch})
@@ -131,6 +135,9 @@ func TestServeSteadyStateZeroAllocsPerQuery(t *testing.T) {
 						}
 						rounds[r] = append(rounds[r], d)
 					}
+				}
+				if c.coalesce {
+					rounds[r] = [][]byte{bytes.Join(rounds[r], nil)}
 				}
 			}
 			if c.name == "train" && len(rounds[0]) < 3 {

@@ -1,6 +1,7 @@
 package lightning
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"net"
@@ -20,6 +21,7 @@ type sent struct {
 	class int
 	to    net.Addr
 	err   bool
+	data  []byte
 }
 
 // sourced is one query datagram and the client it arrives from.
@@ -68,7 +70,7 @@ func (c *flushConn) WriteBatch(ms []netbatch.Message) (int, error) {
 		b := ms[i].Bytes()
 		flush[i] = sent{
 			id: binary.BigEndian.Uint32(b[4:8]), class: int(binary.BigEndian.Uint16(b[12:14])),
-			to: ms[i].Addr, err: b[3]&nic.FlagError != 0,
+			to: ms[i].Addr, err: b[3]&nic.FlagError != 0, data: bytes.Clone(b),
 		}
 	}
 	c.mu.Lock()

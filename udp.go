@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/lightning-smartnic/lightning/internal/frontdoor"
 	"github.com/lightning-smartnic/lightning/internal/netbatch"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
@@ -27,11 +28,17 @@ var rxBufPool = sync.Pool{
 // ServeUDP attaches the NIC to a UDP socket and serves Lightning wire
 // messages until the context is cancelled (requirement R1: live user
 // traffic from remote users). It is the front door (DESIGN.md §16) at zero
-// workers: the reader executes every query inline — no admission stage, no
-// query copy. Malformed frames and failed writes are counted per reason in
-// Metrics.Serve, never fatal. On cancellation the loop stops reading, waits
-// for in-flight datapath work, and returns the drain's verdict (nil unless
-// Config.DrainTimeout fired).
+// workers: the reader executes queries inline — no admission stage, no
+// query copy. The complete queries of one batched read (every frame of
+// every datagram it drained, up to 16 queries) are answered together, as
+// one matrix pass per model on a NIC without a batch queue, so a layer's
+// reconfiguration, weight stream and readout lock are paid once per read,
+// not once per query; no query waits for one that had not arrived. With
+// Config.Batch enabled each query joins the batch queue instead and waits
+// there for companions. Malformed frames and failed writes are counted per
+// reason in Metrics.Serve, never fatal. On cancellation the loop stops
+// reading, waits for in-flight datapath work, and returns the drain's
+// verdict (nil unless Config.DrainTimeout fired).
 func (n *NIC) ServeUDP(ctx context.Context, pc net.PacketConn) error {
 	return n.serve(ctx, pc, 0)
 }
@@ -75,7 +82,13 @@ func (n *NIC) ServeUDPWorkers(ctx context.Context, pc net.PacketConn, workers in
 // a wedged datapath or a recovery loop mid-backoff cannot hang shutdown. The
 // read error, not any drain error, is the story when both exist.
 func (n *NIC) serve(ctx context.Context, pc net.PacketConn, workers int) error {
-	err := n.door.Serve(ctx, pc, workers, n.serveRequest, n.rail)
+	// The inline reader's group: a queue forms its own batches, so there
+	// each query joins it as serveRequest's would.
+	group := frontdoor.Each(n.serveRequest)
+	if n.batcher == nil {
+		group = (&readGroup{n: n}).serve
+	}
+	err := n.door.Serve(ctx, pc, workers, n.serveRequest, group, n.rail)
 	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), n.drainTimeout)
 	defer cancel()
 	if derr := n.Drain(dctx); err == nil {
