@@ -2,101 +2,153 @@ package lightning
 
 import (
 	"github.com/lightning-smartnic/lightning/internal/dagloader"
+	"github.com/lightning-smartnic/lightning/internal/datapath"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 	"github.com/lightning-smartnic/lightning/internal/frontdoor"
-	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
-// execBatch is the NIC's one execution path: it runs a batch of same-model
-// queries through a shard as one matrix pass and fans per-request verdicts
-// back into the items' responses. The Batcher calls it with each flushed
-// batch; an unbatched NIC calls it with each model's queries of an inline
-// read group (readGroup), and inline with a batch of one for a worker or a
-// HandleMessage caller.
+// serveGroup is the NIC's front-door handler (frontdoor.Handler) and its one
+// way into the datapath: a read's queries, a worker's admission pop and
+// HandleMessage's batch of one all arrive here. A control message is
+// answered through the control plane in its place: the queries ahead of it
+// run before it, the rest after. The queries' bytes are the engine's
+// operand, not a copy: the engine only reads them, and the front door
+// reuses their storage only once the group is answered.
 //
-// The shard is picked at flush time, not enqueue time, so a shard
-// quarantined while the batch was queuing is routed around without
-// dropping a single query; if every shard is quarantined each request gets
-// its own Err-flagged response and ErrUnavailable — degraded-mode semantics
-// per request. Health scoring records one outcome per request, so the
-// circuit breaker sees the same evidence stream whatever the batch size.
+//lint:hotpath
+func (n *NIC) serveGroup(reqs []frontdoor.Request, resps []Response, errs []error) {
+	n.inflight.Add(1)
+	defer n.inflight.Add(-1)
+	start := 0
+	for i := range reqs {
+		if reqs[i].Control {
+			n.serveQueries(reqs[start:i], resps[start:i], errs[start:i])
+			errs[i] = n.handleControl(reqs[i].Model, reqs[i].Query, &resps[i])
+			start = i + 1
+		}
+	}
+	n.serveQueries(reqs[start:], resps[start:], errs[start:])
+}
+
+// serveQueries runs one execBatch pass per model, in the order of each
+// model's first query.
+//
+//lint:hotpath
+func (n *NIC) serveQueries(reqs []frontdoor.Request, resps []Response, errs []error) {
+next:
+	for i := range reqs {
+		for j := range reqs[:i] {
+			if reqs[j].Model == reqs[i].Model {
+				continue next // answered by the earlier query's pass
+			}
+		}
+		n.execBatch(reqs[i].Model, reqs[i:], resps[i:], errs[i:])
+	}
+}
+
+// execBatch is the NIC's one execution path: it runs the queries of reqs
+// for modelID through a shard as one matrix pass and writes each verdict
+// into its response, leaving the other models' queries alone.
+//
+// Client mistakes (unknown model, wrong input width) are refused first, each
+// on its own: they never touch analog hardware, so they count against no
+// shard's health and a degraded NIC still answers them. The shard is picked
+// for the pass, so one quarantined while the queries waited is routed
+// around; if every shard is quarantined each request gets its own
+// Err-flagged response and ErrUnavailable. Health scoring records one
+// outcome per request, whatever the batch size.
 //
 // The loader's results are its own until its next batch, so each verdict is
 // copied into its response while the shard is still held; the inputs are
 // gathered into shard storage and let go of before the shard is released.
 //
 //lint:hotpath
-func (n *NIC) execBatch(modelID uint16, items []*nic.BatchItem) {
+func (n *NIC) execBatch(modelID uint16, reqs []frontdoor.Request, resps []Response, errs []error) {
+	k := 0
+	for j := range reqs {
+		if reqs[j].Model != modelID {
+			continue
+		}
+		if err := n.store.Validate(modelID, len(reqs[j].Query)); err != nil {
+			resps[j].Err = true
+			errs[j] = err
+			continue
+		}
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	member := func(j int) bool { return reqs[j].Model == modelID && errs[j] == nil }
+	err := ErrUnavailable
 	sh := n.pickShard()
 	if sh == nil {
-		n.unavailable.Add(uint64(len(items)))
-		for _, it := range items {
-			refuse(it.Resp, it.RequestID, modelID)
-			it.Err = ErrUnavailable
+		n.unavailable.Add(uint64(k))
+	} else {
+		sh.mu.Lock()
+		if cap(sh.inputs) < k {
+			sh.growInputs(k)
 		}
-		return
-	}
-	sh.mu.Lock()
-	inputs := sh.gather(items)
-	results, stats, err := sh.loader.ServeBatch(modelID, inputs)
-	clear(inputs)
-	if err == nil {
-		n.served.Add(uint64(len(items)))
-		// Batch-level cycle accounting lands once: the whole point of the
-		// matrix pass is that framing and reconfiguration are shared.
-		sh.totals.Add(stats)
-		for qi, it := range items {
-			verdict(it.Resp, it.RequestID, modelID, &results[qi])
+		inputs, qi := sh.inputs[:k], 0
+		for j := range reqs {
+			if member(j) {
+				inputs[qi] = fixed.CodesOf(reqs[j].Query)
+				qi++
+			}
 		}
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		// Whole-batch failures are server-side (model dropped mid-flight,
-		// DRAM fault): every request gets its own Err-flagged response,
-		// and each counts against the shard's health window.
-		sh.errQ.Add(uint64(len(items)))
-		for _, it := range items {
-			refuse(it.Resp, it.RequestID, modelID)
-			it.Err = err
-			n.recordOutcome(sh, true)
+		var results []dagloader.Result
+		var stats datapath.LayerStats
+		results, stats, err = sh.loader.ServeBatch(modelID, inputs)
+		clear(inputs)
+		if err == nil {
+			n.served.Add(uint64(k))
+			// Batch-level cycle accounting lands once: the whole point of
+			// the matrix pass is that framing and reconfiguration are shared.
+			sh.totals.Add(stats)
+			qi = 0
+			for j := range reqs {
+				if member(j) {
+					verdict(&resps[j], reqs[j].ID, modelID, &results[qi])
+					qi++
+				}
+			}
+			sh.servedQ.Add(uint64(k))
+		} else {
+			sh.errQ.Add(uint64(k))
 		}
-		return
+		sh.mu.Unlock()
 	}
-	sh.servedQ.Add(uint64(len(items)))
-	for _, it := range items {
-		it.Err = nil
-		n.recordOutcome(sh, false)
+	// A whole-pass failure is server-side (every shard down, a model dropped
+	// mid-flight, a DRAM fault): every request gets its own Err-flagged
+	// response, and each outcome counts in the shard's health window.
+	for j := range reqs {
+		if !member(j) {
+			continue
+		}
+		if err != nil {
+			refuse(&resps[j], reqs[j].ID, modelID)
+			errs[j] = err
+		}
+		if sh != nil {
+			n.recordOutcome(sh, err != nil)
+		}
 	}
 }
 
-// gather collects the items' inputs into the shard's storage, grown only
-// when a batch outgrows every one before it. Caller holds sh.mu.
-//
-//lint:hotpath
-func (sh *shard) gather(items []*nic.BatchItem) [][]fixed.Code {
-	if cap(sh.inputs) < len(items) {
-		sh.growInputs(len(items))
-	}
-	inputs := sh.inputs[:len(items)]
-	for i, it := range items {
-		inputs[i] = it.Input
-	}
-	return inputs
-}
-
-// growInputs is gather's cold path.
+// growInputs is execBatch's cold path: the shard's input storage, grown
+// only when a pass outgrows every one before it. Caller holds sh.mu.
 func (sh *shard) growInputs(n int) { sh.inputs = make([][]fixed.Code, n) }
 
 // verdict writes one served result into resp, its probabilities into the
 // array resp.Probs holds, grown only when it is short.
 //
 //lint:hotpath
-func verdict(resp *nic.Response, id uint32, modelID uint16, res *dagloader.Result) {
+func verdict(resp *Response, id uint32, modelID uint16, res *dagloader.Result) {
 	probs := probsBuf(resp.Probs, len(res.Probs))
 	for i, p := range res.Probs {
 		probs[i] = uint8(p)
 	}
-	*resp = nic.Response{RequestID: id, ModelID: modelID, Class: uint16(res.Class), Probs: probs}
+	*resp = Response{RequestID: id, ModelID: modelID, Class: uint16(res.Class), Probs: probs}
 }
 
 // probsBuf returns n bytes of b's array, or a fresh array when b's is
@@ -110,65 +162,6 @@ func probsBuf(b []uint8, n int) []uint8 {
 
 // refuse makes resp the Err-flagged response to one request, keeping the
 // array of its Probs for the next.
-func refuse(resp *nic.Response, id uint32, modelID uint16) {
-	*resp = nic.Response{RequestID: id, ModelID: modelID, Err: true, Probs: resp.Probs[:0]}
-}
-
-// readGroup is one Serve call's inline-reader storage on a NIC with no batch
-// queue: a BatchItem per query of a group and one pass's item pointers,
-// grown only when a group outgrows every one before it. Only that call's
-// reader touches it.
-type readGroup struct {
-	n     *NIC
-	items []nic.BatchItem
-	pass  []*nic.BatchItem
-}
-
-// serve is serveRequest's group form, the inline reader's GroupHandler: it
-// answers the complete queries of one batched read as one execBatch pass
-// per model, each model's pass in the order of its first query. Client
-// mistakes are refused per query before any pass, as serveRequest refuses
-// them, so a wrong-width query costs its groupmates nothing. Noiselessly
-// every response is byte-equal to serveRequest's for the same query.
-//
-//lint:hotpath
-func (g *readGroup) serve(reqs []frontdoor.Request, resps []Response, _ []nic.BatchShare) {
-	n := g.n
-	n.inflight.Add(1)
-	defer n.inflight.Add(-1)
-	if len(g.items) < len(reqs) {
-		g.grow(len(reqs))
-	}
-	items := g.items[:len(reqs)]
-	for i := range reqs {
-		if err := n.store.Validate(reqs[i].Model, len(reqs[i].Query)); err != nil {
-			resps[i].Err = true
-			continue
-		}
-		items[i] = nic.BatchItem{RequestID: reqs[i].ID, Input: fixed.CodesOf(reqs[i].Query), Resp: &resps[i]}
-	}
-	// An item with a response still owes its pass; each pass hands its
-	// items back zeroed, so the storage pins no query once it returns.
-	for i := range items {
-		if items[i].Resp == nil {
-			continue
-		}
-		model, k := reqs[i].Model, 0
-		for j := i; j < len(items); j++ {
-			if items[j].Resp != nil && reqs[j].Model == model {
-				g.pass[k] = &items[j]
-				k++
-			}
-		}
-		n.execBatch(model, g.pass[:k])
-		for _, it := range g.pass[:k] {
-			*it = nic.BatchItem{}
-		}
-	}
-}
-
-// grow is serve's cold path.
-func (g *readGroup) grow(k int) {
-	g.items = make([]nic.BatchItem, k)
-	g.pass = make([]*nic.BatchItem, k)
+func refuse(resp *Response, id uint32, modelID uint16) {
+	*resp = Response{RequestID: id, ModelID: modelID, Err: true, Probs: resp.Probs[:0]}
 }

@@ -1,20 +1,24 @@
 package lightning
 
-// Batch/serial differential suite: the batched serve path must be provably
-// equivalent to the serial one — bit-identical responses per request on an
-// ideal channel, for random workloads (property test) and adversarial
-// arrival orders and fragment interleavings (fuzz target). Equivalence is
+// Batch/serial differential suite: the NIC's group handler — the one way
+// into the datapath, whatever group the front door hands it — must be
+// provably equivalent to serving one query at a time: bit-identical
+// responses per request on an ideal channel, for random workloads and
+// splits (property test, plus a live batching worker pool) and adversarial
+// fragment interleavings and fuzzed splits (fuzz target). Equivalence is
 // asserted on the wire encoding, not on floats: if any analog coupling
-// leaked between batched queries, the response bytes would diverge.
+// leaked between grouped queries, the response bytes would diverge.
 
 import (
 	"bytes"
 	"context"
 	"math/rand"
-	"sync"
+	"net"
 	"testing"
 	"time"
 
+	"github.com/lightning-smartnic/lightning/internal/frontdoor"
+	"github.com/lightning-smartnic/lightning/internal/netbatch"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
@@ -58,45 +62,63 @@ func outcomeOf(t testing.TB, resp *Response, err error) diffOutcome {
 	return o
 }
 
-// drainUntil keeps flushing the NIC's pending batches until every
-// concurrent caller has finished — the test-side pump for workloads too
-// small or too ragged to fill batches on their own.
-func drainUntil(t testing.TB, n *NIC, wg *sync.WaitGroup) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	for {
-		select {
-		case <-done:
-			if err := n.Drain(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			return
-		default:
-			if err := n.Drain(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(100 * time.Microsecond)
+// diffQuery is one query of a differential workload.
+type diffQuery struct {
+	id      uint32
+	modelID uint16
+	payload []byte
+}
+
+// diffQueries draws nq queries over the model zoo, with a sprinkle of
+// client mistakes (wrong input width, unknown model).
+func diffQueries(rng *rand.Rand, widths map[uint16]int, nq int) []diffQuery {
+	queries := make([]diffQuery, nq)
+	ids := []uint16{4, 5, 6}
+	for i := range queries {
+		modelID := ids[rng.Intn(len(ids))]
+		w := widths[modelID]
+		switch rng.Intn(10) {
+		case 0:
+			w-- // client mistake: wrong input width
+		case 1:
+			modelID = 77 // client mistake: unknown model
 		}
+		payload := make([]byte, w)
+		rng.Read(payload)
+		queries[i] = diffQuery{id: uint32(i + 1), modelID: modelID, payload: payload}
 	}
+	return queries
+}
+
+// groupOutcomes hands reqs to n's group handler as one group, as the front
+// door does, and returns each request's outcome.
+func groupOutcomes(t testing.TB, n *NIC, reqs []frontdoor.Request) []diffOutcome {
+	t.Helper()
+	resps := make([]Response, len(reqs))
+	errs := make([]error, len(reqs))
+	for i, r := range reqs {
+		resps[i] = Response{RequestID: r.ID, ModelID: r.Model}
+	}
+	n.serveGroup(reqs, resps, errs)
+	out := make([]diffOutcome, len(reqs))
+	for i := range reqs {
+		out[i] = outcomeOf(t, &resps[i], errs[i])
+	}
+	return out
 }
 
 // TestBatchSerialDifferential is the property test: for random seeded
 // workloads — mixed models, mixed widths, a sprinkle of client mistakes,
-// batch sizes 1..16, faults off — every batched response is bit-identical
-// to the serial path's. The two NICs deliberately run different Seeds:
-// on an ideal channel a served result is a pure function of (model, input),
-// so no rng stream may show through, batched or not.
+// faults off — split into groups of 1..maxBatch queries handed to the
+// NIC's group handler, every response is bit-identical to the serial
+// path's. The two NICs deliberately run different Seeds: on an ideal
+// channel a served result is a pure function of (model, input), so no rng
+// stream may show through, grouped or not. A live round then serves one
+// workload through a batching worker pool.
 func TestBatchSerialDifferential(t *testing.T) {
 	for _, maxBatch := range []int{1, 2, 3, 8, 16} {
 		for seed := int64(1); seed <= 3; seed++ {
-			batched, err := New(Config{
-				Lanes: 2, Noiseless: true, Seed: 99, Cores: 2,
-				Batch: BatchConfig{MaxBatch: maxBatch, MaxDelay: 500 * time.Microsecond},
-			})
+			batched, err := New(Config{Lanes: 2, Noiseless: true, Seed: 99, Cores: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,40 +130,21 @@ func TestBatchSerialDifferential(t *testing.T) {
 			diffModels(t, serial)
 
 			rng := rand.New(rand.NewSource(seed*1000 + int64(maxBatch)))
-			type query struct {
-				id      uint32
-				modelID uint16
-				payload []byte
-			}
 			const nq = 48
-			queries := make([]query, nq)
-			ids := []uint16{4, 5, 6}
-			for i := range queries {
-				modelID := ids[rng.Intn(len(ids))]
-				w := widths[modelID]
-				switch rng.Intn(10) {
-				case 0:
-					w-- // client mistake: wrong input width
-				case 1:
-					modelID = 77 // client mistake: unknown model
-				}
-				payload := make([]byte, w)
-				rng.Read(payload)
-				queries[i] = query{id: uint32(i + 1), modelID: modelID, payload: payload}
-			}
+			queries := diffQueries(rng, widths, nq)
 
-			// Batched side: all queries in flight concurrently.
-			got := make([]diffOutcome, nq)
-			var wg sync.WaitGroup
-			for i, q := range queries {
-				wg.Add(1)
-				go func(i int, q query) {
-					defer wg.Done()
-					resp, err := batched.HandleMessage(&Message{RequestID: q.id, ModelID: q.modelID, Payload: q.payload})
-					got[i] = outcomeOf(t, resp, err)
-				}(i, q)
+			// Batched side: the queries in arrival order, split into
+			// groups of 1..maxBatch.
+			var got []diffOutcome
+			for lo := 0; lo < nq; {
+				hi := min(nq, lo+1+rng.Intn(maxBatch))
+				reqs := make([]frontdoor.Request, 0, hi-lo)
+				for _, q := range queries[lo:hi] {
+					reqs = append(reqs, frontdoor.Request{ID: q.id, Model: q.modelID, Query: q.payload})
+				}
+				got = append(got, groupOutcomes(t, batched, reqs)...)
+				lo = hi
 			}
-			drainUntil(t, batched, &wg)
 
 			// Serial side: same queries, one at a time.
 			for i, q := range queries {
@@ -152,93 +155,120 @@ func TestBatchSerialDifferential(t *testing.T) {
 						maxBatch, seed, q.id, q.modelID, got[i], want)
 				}
 			}
-
-			m := batched.Metrics()
-			if m.Served != serial.Metrics().Served {
-				t.Fatalf("maxBatch=%d seed=%d served %d != serial %d", maxBatch, seed, m.Served, serial.Metrics().Served)
-			}
-			if maxBatch > 1 && m.Batch.Queries == 0 {
-				t.Fatalf("maxBatch=%d: no queries went through the batch queue", maxBatch)
-			}
-			if m.BatchPending != 0 {
-				t.Fatalf("maxBatch=%d: %d queries still pending after drain", maxBatch, m.BatchPending)
+			if b, s := batched.Metrics().Served, serial.Metrics().Served; b != s {
+				t.Fatalf("maxBatch=%d seed=%d served %d != serial %d", maxBatch, seed, b, s)
 			}
 		}
 	}
+
+	t.Run("live", func(t *testing.T) {
+		batched, err := New(Config{
+			Lanes: 2, Noiseless: true, Seed: 99, Cores: 2,
+			Batch: BatchConfig{MaxBatch: 8, MaxDelay: 500 * time.Microsecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := New(Config{Lanes: 2, Noiseless: true, Seed: 1, Cores: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		widths := diffModels(t, batched)
+		diffModels(t, serial)
+		conn := newFlushConn()
+		batched.rail = func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn { return conn }
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- batched.ServeUDPWorkers(ctx, nil, 8) }()
+		defer func() {
+			cancel()
+			close(conn.closed)
+			if err := <-done; err != nil {
+				t.Errorf("serve returned %v", err)
+			}
+		}()
+
+		const nq = 48
+		queries := diffQueries(rand.New(rand.NewSource(1000+8)), widths, nq)
+		for lo := 0; lo < nq; lo += 8 {
+			var read []sourced
+			for _, q := range queries[lo : lo+8] {
+				read = append(read, sourced{data: encodeQuery(t, q.id, q.modelID, q.payload), from: clientA})
+			}
+			conn.in <- read
+		}
+		got := make(map[uint32][]byte, nq)
+		for _, s := range conn.await(t, nq) {
+			got[s.id] = s.data
+		}
+		for _, q := range queries {
+			resp, _ := serial.HandleMessage(&Message{RequestID: q.id, ModelID: q.modelID, Payload: q.payload})
+			want, err := nic.AppendResponseFrame(nil, resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[q.id], want) {
+				t.Fatalf("query %d (model %d): served %x != serial %x", q.id, q.modelID, got[q.id], want)
+			}
+		}
+		if m := batched.Metrics(); m.Batch.Queries != nq || m.Served != serial.Metrics().Served {
+			t.Fatalf("batch queries %d, served %d: want %d through the batch pop and serial's %d served",
+				m.Batch.Queries, m.Served, nq, serial.Metrics().Served)
+		}
+	})
 }
 
 // TestBatchDrainFlushesPending pins the NIC.Drain contract directly: with a
-// delay too long to fire during the test, queued queries complete only
-// because Drain flushes them.
+// delay too long to fire during the test, queries waiting in admission for
+// their batch are answered only because Drain releases them.
 func TestBatchDrainFlushesPending(t *testing.T) {
-	n, err := New(Config{
+	const width = 32
+	n, conn := serveFlush(t, Config{
 		Lanes: 2, Noiseless: true, Seed: 7,
 		Batch: BatchConfig{MaxBatch: 8, MaxDelay: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const width = 32
-	if err := n.RegisterModel(4, "halves", halvesModel(width)); err != nil {
-		t.Fatal(err)
-	}
+	}, 8)
 	const k = 3 // strictly fewer than MaxBatch: nothing flushes on its own
-	var wg sync.WaitGroup
-	resps := make([]*Response, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := serveQuery(t, n, uint32(i+1), 4, brightHalfQuery(width, i%2))
-			if err != nil {
-				t.Errorf("query %d: %v", i, err)
-			}
-			resps[i] = resp
-		}(i)
+	payloads := make([][]Code, k)
+	for i := range payloads {
+		payloads[i] = brightHalfQuery(width, i%2)
 	}
-	for i := 0; i < 10000 && n.Metrics().BatchPending != k; i++ {
-		time.Sleep(50 * time.Microsecond)
-	}
-	if got := n.Metrics().BatchPending; got != k {
-		t.Fatalf("pending = %d, want %d queued behind the delay timer", got, k)
-	}
+	conn.in <- codeQueries(t, flushModel, payloads...)
+	waitQueued(t, n, k)
 	if err := n.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, resp := range resps {
-		if resp == nil || int(resp.Class) != i%2 || resp.Err {
+	got := conn.responses(t, k)
+	for i := 0; i < k; i++ {
+		if resp := got[uint32(i+1)]; resp == nil || int(resp.Class) != i%2 || resp.Err {
 			t.Fatalf("drained query %d got %+v", i, resp)
 		}
 	}
 	m := n.Metrics()
-	if m.Batch.DrainFlushes == 0 || m.BatchPending != 0 {
-		t.Fatalf("drain accounting: %+v pending=%d", m.Batch, m.BatchPending)
+	if m.Batch.DrainFlushes == 0 || queued(n) != 0 {
+		t.Fatalf("drain accounting: %+v pending=%d", m.Batch, queued(n))
 	}
 }
 
-// FuzzBatchEquivalence feeds adversarial arrival orders and fragment
-// interleavings through the batch queue: every query is split into
-// fragments, fragments are shuffled and interleaved across requests (a
-// random prefix arrives serially, the rest race from per-request
-// goroutines), and whichever fragment completes reassembly enters the
-// batch. However the batches form, each response must be bit-identical to
-// the serial twin's answer for the same whole query.
+// FuzzBatchEquivalence feeds adversarial arrival orders, fragment
+// interleavings and group splits through the group handler: every query is
+// split into fragments, and every fragment of every request arrives in one
+// random global order (within a request any permutation is legal, since
+// reassembly is offset-based). Each request that completes reassembly
+// joins the current group, and the fuzzed split byte ends a group after
+// completion c when its bit c%8 is set — 0 one group of all, 255 groups of
+// one. However the groups form, each response must be bit-identical to the
+// serial twin's answer for the same whole query.
 func FuzzBatchEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(6), uint8(9))
 	f.Add(int64(2), uint8(0), uint8(1), uint8(0))
 	f.Add(int64(3), uint8(6), uint8(12), uint8(28))
 	f.Add(int64(4), uint8(2), uint8(3), uint8(255))
-	f.Fuzz(func(t *testing.T, seed int64, maxBatchB, nqB, fragB uint8) {
-		maxBatch := 2 + int(maxBatchB%7) // 2..8
-		nq := 1 + int(nqB%12)            // 1..12
-		maxPayload := 9 + int(fragB)%24  // 9..32: > FragHeaderLen, forces multi-fragment queries
+	f.Fuzz(func(t *testing.T, seed int64, split, nqB, fragB uint8) {
+		nq := 1 + int(nqB%16)           // 1..16
+		maxPayload := 9 + int(fragB)%24 // 9..32: > FragHeaderLen, forces multi-fragment queries
 		rng := rand.New(rand.NewSource(seed))
 
-		batched, err := New(Config{
-			Lanes: 2, Noiseless: true, Seed: 99, Cores: 2,
-			Batch: BatchConfig{MaxBatch: maxBatch, MaxDelay: 50 * time.Millisecond},
-		})
+		batched, err := New(Config{Lanes: 2, Noiseless: true, Seed: 99, Cores: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,13 +280,12 @@ func FuzzBatchEquivalence(f *testing.F) {
 		diffModels(t, serial)
 
 		type query struct {
-			id      uint32
-			modelID uint16
-			payload []byte
-			frags   []*Message
+			diffQuery
+			frags []*Message
 		}
 		queries := make([]query, nq)
 		ids := []uint16{4, 5, 6}
+		var arrivals []*Message
 		for i := range queries {
 			modelID := ids[rng.Intn(len(ids))]
 			w := widths[modelID]
@@ -269,60 +298,42 @@ func FuzzBatchEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Adversarial arrival order within the request: reassembly is
-			// offset-based, so any permutation is legal.
-			rng.Shuffle(len(frags), func(a, b int) { frags[a], frags[b] = frags[b], frags[a] })
-			queries[i] = query{id: uint32(i + 1), modelID: modelID, payload: payload, frags: frags}
+			queries[i] = query{diffQuery{id: uint32(i + 1), modelID: modelID, payload: payload}, frags}
+			arrivals = append(arrivals, frags...)
 		}
+		rng.Shuffle(len(arrivals), func(a, b int) { arrivals[a], arrivals[b] = arrivals[b], arrivals[a] })
 
-		// A random strict prefix of each request's fragments arrives
-		// serially, interleaved across requests in random global order.
-		type arrival struct{ q, frag int }
-		var prefix []arrival
-		rest := make([][]int, nq)
-		for qi := range queries {
-			cut := rng.Intn(len(queries[qi].frags)) // strict: completion never happens here
-			for fi := 0; fi < cut; fi++ {
-				prefix = append(prefix, arrival{qi, fi})
+		got := make(map[uint32]diffOutcome, nq)
+		var group []frontdoor.Request
+		answer := func() {
+			for i, o := range groupOutcomes(t, batched, group) {
+				got[group[i].ID] = o
 			}
-			for fi := cut; fi < len(queries[qi].frags); fi++ {
-				rest[qi] = append(rest[qi], fi)
-			}
+			group = group[:0]
 		}
-		rng.Shuffle(len(prefix), func(a, b int) { prefix[a], prefix[b] = prefix[b], prefix[a] })
-		for _, ar := range prefix {
-			fr := queries[ar.q].frags[ar.frag]
-			if resp, err := batched.HandleMessage(fr); resp != nil || err != nil {
-				t.Fatalf("prefix fragment completed query %d early: %+v %v", ar.q, resp, err)
+		completed := 0
+		for _, fr := range arrivals {
+			q, model, done, err := batched.reassembly.Offer(fr)
+			if err != nil {
+				t.Fatalf("fragment of request %d refused: %v", fr.RequestID, err)
 			}
+			if !done {
+				continue
+			}
+			group = append(group, frontdoor.Request{ID: fr.RequestID, Model: model, Query: q})
+			if split&(1<<(completed%8)) != 0 {
+				answer()
+			}
+			completed++
 		}
+		answer()
 
-		// The remaining fragments race: one goroutine per request, started
-		// in shuffled order. Exactly one HandleMessage call per request
-		// completes reassembly and rides the batch queue.
-		order := rng.Perm(nq)
-		got := make([]diffOutcome, nq)
-		var wg sync.WaitGroup
-		for _, qi := range order {
-			wg.Add(1)
-			go func(qi int) {
-				defer wg.Done()
-				for _, fi := range rest[qi] {
-					resp, err := batched.HandleMessage(queries[qi].frags[fi])
-					if resp != nil || err != nil {
-						got[qi] = outcomeOf(t, resp, err)
-					}
-				}
-			}(qi)
-		}
-		drainUntil(t, batched, &wg)
-
-		for qi, q := range queries {
+		for _, q := range queries {
 			resp, err := serial.HandleMessage(&Message{RequestID: q.id, ModelID: q.modelID, Payload: q.payload})
 			want := outcomeOf(t, resp, err)
-			if !bytes.Equal(got[qi].resp, want.resp) || got[qi].err != want.err {
-				t.Fatalf("query %d (model %d, %d frags): batched %+v != serial %+v",
-					q.id, q.modelID, len(q.frags), got[qi], want)
+			if o := got[q.id]; !bytes.Equal(o.resp, want.resp) || o.err != want.err {
+				t.Fatalf("query %d (model %d, %d frags): grouped %+v != serial %+v",
+					q.id, q.modelID, len(q.frags), o, want)
 			}
 		}
 	})

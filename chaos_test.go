@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -168,10 +167,10 @@ func TestChaosDeadLaneSurvivorsKeepServing(t *testing.T) {
 	}
 }
 
-// TestChaosBatchQuarantineMidBatch: a shard breaker opening while a batch is
-// still queued must not drop a single query. Shard choice happens at flush
-// time, so the parked batch re-routes to the survivor and every response
-// comes back correct.
+// TestChaosBatchQuarantineMidBatch: a shard breaker opening while a partial
+// batch still waits in admission must not drop a single query. Shard choice
+// happens when the batch is popped, so the parked batch re-routes to the
+// survivor and every response comes back correct.
 func TestChaosBatchQuarantineMidBatch(t *testing.T) {
 	const (
 		width = 64
@@ -188,21 +187,17 @@ func TestChaosBatchQuarantineMidBatch(t *testing.T) {
 	if err := n.RegisterModel(4, "halves", halvesModel(width)); err != nil {
 		t.Fatal(err)
 	}
-	// Park k queries in the batch queue behind the (never-firing) delay.
-	var wg sync.WaitGroup
-	resps := make([]*Response, k)
-	errs := make([]error, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i], errs[i] = serveQuery(t, n, uint32(i+1), 4, brightHalfQuery(width, i%2))
-		}(i)
+	// Park k queries in admission behind the (never-firing) delay.
+	conn, errOf := servePool(t, n, 8)
+	payloads := make([][]Code, k)
+	for i := range payloads {
+		payloads[i] = brightHalfQuery(width, i%2)
 	}
-	for i := 0; i < 10000 && n.Metrics().BatchPending != k; i++ {
+	conn.in <- codeQueries(t, 4, payloads...)
+	for i := 0; i < 10000 && queued(n) != k; i++ {
 		time.Sleep(50 * time.Microsecond)
 	}
-	if got := n.Metrics().BatchPending; got != k {
+	if got := queued(n); got != k {
 		t.Fatalf("pending = %d, want %d parked mid-batch", got, k)
 	}
 	// Mid-batch chaos: wreck shard 0 and trip its breaker while the batch
@@ -214,12 +209,17 @@ func TestChaosBatchQuarantineMidBatch(t *testing.T) {
 	if errs := n.ProbeShards(); errs[0] == nil || errs[1] != nil {
 		t.Fatalf("probe sweep = %v, want only shard 0 tripped", errs)
 	}
-	// Drain flushes the parked batch; the flush-time pick must route it to
+	// Drain releases the parked batch; the pop-time pick must route it to
 	// the surviving shard.
 	if err := n.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
+	got := conn.responses(t, k)
+	resps := make([]*Response, k)
+	errs := make([]error, k)
+	for i := range resps {
+		resps[i], errs[i] = got[uint32(i+1)], errOf(uint32(i+1))
+	}
 	for i := 0; i < k; i++ {
 		if errs[i] != nil {
 			t.Fatalf("query %d dropped across quarantine: %v", i+1, errs[i])
@@ -236,15 +236,15 @@ func TestChaosBatchQuarantineMidBatch(t *testing.T) {
 		t.Fatalf("served split %d/%d, want 0/%d (batch re-routed whole)",
 			m.Shards[0].Served, m.Shards[1].Served, k)
 	}
-	if m.Batch.DrainFlushes == 0 || m.BatchPending != 0 {
-		t.Fatalf("batch accounting after re-route: %+v pending=%d", m.Batch, m.BatchPending)
+	if m.Batch.DrainFlushes == 0 || queued(n) != 0 {
+		t.Fatalf("batch accounting after re-route: %+v pending=%d", m.Batch, queued(n))
 	}
 }
 
 // TestChaosBatchAllQuarantinedDegradedPerRequest: when every shard is
-// quarantined, a flushed batch must still answer each request individually
-// with an Err-flagged response and ErrUnavailable — degraded mode speaks
-// per request, never per batch, and never silently.
+// quarantined, a batch released from admission must still answer each
+// request individually with an Err-flagged response and ErrUnavailable —
+// degraded mode speaks per request, never per batch, and never silently.
 func TestChaosBatchAllQuarantinedDegradedPerRequest(t *testing.T) {
 	const (
 		width = 64
@@ -271,23 +271,24 @@ func TestChaosBatchAllQuarantinedDegradedPerRequest(t *testing.T) {
 	if err := n.Drain(t.Context()); err != nil { // recovery attempts exhaust
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	resps := make([]*Response, k)
-	errs := make([]error, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i], errs[i] = serveQuery(t, n, uint32(i+1), 4, brightHalfQuery(width, i%2))
-		}(i)
+	conn, errOf := servePool(t, n, 8)
+	payloads := make([][]Code, k)
+	for i := range payloads {
+		payloads[i] = brightHalfQuery(width, i%2)
 	}
-	for i := 0; i < 10000 && n.Metrics().BatchPending != k; i++ {
+	conn.in <- codeQueries(t, 4, payloads...)
+	for i := 0; i < 10000 && queued(n) != k; i++ {
 		time.Sleep(50 * time.Microsecond)
 	}
 	if err := n.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
+	got := conn.responses(t, k)
+	resps := make([]*Response, k)
+	errs := make([]error, k)
+	for i := range resps {
+		resps[i], errs[i] = got[uint32(i+1)], errOf(uint32(i+1))
+	}
 	for i := 0; i < k; i++ {
 		if !errors.Is(errs[i], ErrUnavailable) {
 			t.Fatalf("query %d error = %v, want ErrUnavailable", i+1, errs[i])

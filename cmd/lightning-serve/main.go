@@ -39,16 +39,16 @@ func checkModelFlags(model, load, save string) error {
 }
 
 // checkServeFlags refuses the batching and admission flags the chosen serve
-// loop would silently ignore or misuse. -workers 1 or less serves through
-// ServeUDP's inline reader, which already answers each batched read's
-// queries as one matrix pass per model: a batch queue there makes every
-// query wait out -max-delay alone, and it has no admission stage.
+// loop would silently ignore. -workers 1 or less serves through ServeUDP's
+// inline reader, which already answers each batched read's queries as one
+// matrix pass per model, at once: it has no admission stage, and batches
+// form only at the worker pool's admission pop.
 func checkServeFlags(workers, maxBatch int, maxDelay time.Duration, admitQueue int, admitBudget time.Duration, admitWeights string) error {
 	if maxBatch > 1 && workers <= 1 {
-		return errors.New("-max-batch > 1 with -workers <= 1: the inline reader already serves each read as one pass, and a queue would hold every query for -max-delay; add -workers or drop -max-batch")
+		return errors.New("-max-batch > 1 with -workers <= 1: batches form at the worker pool's admission pop, and the inline reader already serves each read as one pass; add -workers or drop -max-batch")
 	}
 	if maxDelay != 0 && maxBatch <= 1 {
-		return errors.New("-max-delay without -max-batch > 1: there is no batch queue to flush")
+		return errors.New("-max-delay without -max-batch > 1: there is no partial batch to flush")
 	}
 	if (admitQueue != 0 || admitBudget != 0 || admitWeights != "") && workers <= 1 {
 		return errors.New("-admit-queue, -admit-budget or -admit-weights with -workers <= 1: the inline reader has no admission stage; add -workers")
@@ -66,8 +66,8 @@ func main() {
 	savePath := flag.String("save", "", "save the trained model to this file")
 	workers := flag.Int("workers", 1, "UDP worker pool size (1 = no pool: the reader serves each batched read inline, one matrix pass per model)")
 	cores := flag.Int("cores", 1, "photonic core shards (1 = the §6 prototype)")
-	maxBatch := flag.Int("max-batch", 1, "queue up to this many same-model queries into one matrix pass (1 = no queue; needs -workers > 1)")
-	maxDelay := flag.Duration("max-delay", 0, "flush a partial batch after this long (0 = default; needs -max-batch > 1)")
+	maxBatch := flag.Int("max-batch", 1, "pop up to this many same-model queries from admission into one matrix pass (1 = one at a time; needs -workers > 1)")
+	maxDelay := flag.Duration("max-delay", 0, "let a partial batch leave after its oldest query waited this long (0 = default; needs -max-batch > 1)")
 	statsEvery := flag.Duration("stats", 10*time.Second, "periodic stats line interval (0 disables)")
 	probeEvery := flag.Int("probe-every", 0, "known-answer probe cadence in served queries per shard (0 disables)")
 	admitQueue := flag.Int("admit-queue", 0, "per-model admission queue bound (0 = default workers*4; needs -workers > 1)")
@@ -204,10 +204,9 @@ func main() {
 		if m.ModelInstalls > 0 || m.ModelInstallErrors > 0 {
 			line += fmt.Sprintf(" | installs %d (%d rejected)", m.ModelInstalls, m.ModelInstallErrors)
 		}
-		if b := m.Batch; b.Queries > 0 || m.BatchPending > 0 {
-			line += fmt.Sprintf(" | batch: %d queries / %d flushes (full %d, timer %d, drain %d), max %d, pending %d",
-				b.Queries, b.Flushes, b.FullFlushes, b.TimerFlushes, b.DrainFlushes,
-				b.MaxBatch, m.BatchPending)
+		if b := m.Batch; b.Queries > 0 {
+			line += fmt.Sprintf(" | batch: %d queries / %d flushes (full %d, timer %d, drain %d), max %d",
+				b.Queries, b.Flushes, b.FullFlushes, b.TimerFlushes, b.DrainFlushes, b.MaxBatch)
 		}
 		return line
 	}

@@ -27,23 +27,25 @@ func (c *Coordinator) ServeUDP(ctx context.Context, pc net.PacketConn, workers i
 	if workers < 1 {
 		workers = 1
 	}
-	h := func(req frontdoor.Request, resp *nic.Response) (nic.BatchShare, error) {
-		if req.Control || req.Model != c.cfg.ModelID {
-			resp.Err = true
-			return nic.BatchShare{}, errNotServed
+	// The pipeline batches nothing: it answers its group a request at a time.
+	h := func(reqs []frontdoor.Request, resps []nic.Response, errs []error) {
+		for i := range reqs {
+			req, resp := &reqs[i], &resps[i]
+			if req.Control || req.Model != c.cfg.ModelID {
+				resp.Err = true
+				errs[i] = errNotServed
+				continue
+			}
+			// A losing hedge may still be sending its payload after Infer
+			// returns, past the point where the door reuses the query's
+			// storage, so the pipeline gets a copy of its own.
+			r, err := c.Infer(ctx, bytes.Clone(req.Query)) // the Err flag rides in the response
+			*resp = *r
+			resp.RequestID = req.ID
+			errs[i] = err
 		}
-		// A losing hedge may still be sending its payload after Infer
-		// returns, past the point where the door reuses the query's
-		// storage, so the pipeline gets a copy of its own.
-		r, err := c.Infer(ctx, bytes.Clone(req.Query)) // the Err flag rides in the response
-		*resp = *r
-		resp.RequestID = req.ID
-		// The pipeline batches nothing, so every response flushes on its own.
-		return nic.BatchShare{}, err
 	}
-	// Nor across a read: its group form takes one request at a time (at
-	// one worker or more the reader never holds a query anyway).
-	return c.door.Serve(ctx, pc, workers, h, frontdoor.Each(h), nil)
+	return c.door.Serve(ctx, pc, workers, h, nil)
 }
 
 // NodeMetrics is one node's health and traffic snapshot.

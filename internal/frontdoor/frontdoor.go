@@ -2,8 +2,10 @@
 // batched rx loop, the strict frame walk, reassembly under the sender,
 // per-model admission ahead of a worker pool, and the tx batcher. A NIC
 // serves through it with its datapath as the Handler, the cluster
-// coordinator with its pipeline scatter. The Handler is the only seam:
-// everything between the socket and a complete request, and between a
+// coordinator with its pipeline scatter. The Handler is the only seam, and
+// it takes a group of requests: the inline reader's read, a worker's
+// admission pop and Door.Handle's single message all reach it the same way.
+// Everything between the socket and a complete request, and between a
 // response and the socket, exists once, and so does every counter it keeps.
 package frontdoor
 
@@ -55,43 +57,16 @@ type Request struct {
 	reassembled bool
 }
 
-// Handler answers one complete request into resp — the front door's only
-// seam. resp arrives with the request's ID and model set, Probs an empty
-// slice whose array the handler may fill instead of allocating one, and
-// everything else zero. resp is the caller's: the
-// serve loop encodes it before it reuses it, and Door.Handle returns it, so
-// the handler keeps no reference to it past its return. A failure rides in
-// the response's Err flag, with the error beside it.
-//
-// A handler that answered the request in a batch (nic.Batcher) returns the
-// request's share of it; any other returns the zero share. The door
-// releases every share exactly once, after the response is queued, and the
-// release that completes a batch flushes every tx batcher the door is
-// serving through, so a batch's responses leave in one write, whichever of
-// its callers — a worker, the reader, a Handle caller — releases last.
-type Handler func(req Request, resp *nic.Response) (nic.BatchShare, error)
-
-// GroupHandler answers the complete queries of one batched read together —
-// the inline reader's seam, where Handler is the workers' and Door.Handle's.
-// Each resps[i] arrives as Handler's resp does for reqs[i], and each
-// shares[i] as the zero share. The handler fills every response, and leaves
-// the share of a query it answered in a queued batch in shares[i]. The door
-// then queues the responses in request order, releasing each share after
-// its response, as it does for Handler. The slices are the door's: the
-// handler keeps none of them past its return. A group holds at most rxBatch
-// queries and never a control message, which the reader answers with
-// Handler.
-type GroupHandler func(reqs []Request, resps []nic.Response, shares []nic.BatchShare)
-
-// Each is the group form of h for a handler that shares no work across
-// requests: it answers a group one request at a time.
-func Each(h Handler) GroupHandler {
-	return func(reqs []Request, resps []nic.Response, shares []nic.BatchShare) {
-		for i := range reqs {
-			shares[i], _ = h(reqs[i], &resps[i]) // the error rides in the Err flag
-		}
-	}
-}
+// Handler answers a group of complete requests — the front door's only seam:
+// the complete queries of one batched read (at most rxBatch), one admission
+// pop (at most MaxBatch, one model), or one message (a control message, or
+// Door.Handle's). Each resps[i] arrives with reqs[i]'s ID and model set,
+// Probs an empty slice whose array the handler may fill, and everything
+// else zero; each errs[i] arrives nil. The handler fills every response, a
+// failure riding in its Err flag with the error in errs[i], and answers
+// control messages in their place among the queries. It keeps none of the
+// slices, nor any Query, past its return.
+type Handler func(reqs []Request, resps []nic.Response, errs []error)
 
 // errStrayResponse rejects a response sent to a server: no work, no answer.
 var errStrayResponse = errors.New("lightning: received a response message")
@@ -102,6 +77,12 @@ type Door struct {
 	reasm     *nic.Reassembler
 	admission nic.AdmissionConfig
 	now       func() time.Time
+
+	// batch is what each worker-pool Serve's admission pop batches by, and
+	// timers makes its MaxDelay timers; batches counts every batch popped.
+	batch   nic.BatchConfig
+	timers  nic.TimerFactory
+	batches nic.BatchCounters
 
 	// ctr is the batch seam's syscall accounting for every socket Serve wraps.
 	ctr netbatch.Counters
@@ -125,11 +106,6 @@ type Door struct {
 	// dropped or shed, so at most the admission bound's worth exist.
 	jobsMu sync.Mutex
 	jobs   []*job
-	// txs lists the tx batchers of the Serve calls running now: where a
-	// batch's responses may sit until its last share is released. It is
-	// replaced whole, under txMu, so settle reads it without a lock.
-	txMu sync.Mutex
-	txs  atomic.Pointer[[]*txBatcher]
 }
 
 // New builds a front door over a reassembly table. A zero admission policy
@@ -140,23 +116,47 @@ func New(reasm *nic.Reassembler, admission nic.AdmissionConfig, now func() time.
 	return &Door{reasm: reasm, admission: admission, now: now}
 }
 
+// SetBatch makes later Serve calls' workers pop batches by cfg
+// (nic.Admitter.SetBatch), with MaxDelay timers from timers:
+// nic.AfterFuncTimer, or a test's hand-fired fake. Call it before Serve.
+func (d *Door) SetBatch(cfg nic.BatchConfig, timers nic.TimerFactory) {
+	d.batch, d.timers = cfg, timers
+}
+
+// BatchStats returns the batch pop's accounting across every Serve call.
+func (d *Door) BatchStats() nic.BatchStats { return d.batches.Stats() }
+
+// Flush lets the partial batches in the most recent worker-pool Serve's
+// admission leave now.
+func (d *Door) Flush() {
+	if ad := d.admit.Load(); ad != nil {
+		ad.Flush()
+	}
+}
+
 // Handle runs one decoded message through the front half with no socket —
-// the NIC's HandleMessage and HandleFrame. src is the sender its fragments
-// reassemble under (the zero source where the entry has none). A non-final
-// fragment and a stray response return no response; any other returns a
-// fresh response, the caller's to keep.
+// the NIC's HandleMessage and HandleFrame — and a complete request through
+// h as a group of one. src is the sender its fragments reassemble under
+// (the zero source where the entry has none). A non-final fragment and a
+// stray response return no response; any other returns a fresh one.
 func (d *Door) Handle(msg *nic.Message, src netip.AddrPort, h Handler) (*nic.Response, error) {
 	req, ok, err := d.handle(msg, src, nil, nil)
 	if !ok {
 		return nil, err
 	}
-	resp := new(nic.Response)
-	share, err := d.answer(req, err, h, resp)
+	g := &struct { // the group of one, in one allocation
+		reqs  [1]Request
+		resps [1]nic.Response
+		errs  [1]error
+	}{[1]Request{req}, [1]nic.Response{{RequestID: req.ID, ModelID: req.Model}}, [1]error{err}}
+	if err != nil {
+		g.resps[0].Err = true
+	} else {
+		h(g.reqs[:], g.resps[:], g.errs[:])
+	}
 	d.release(req)
-	// The response is returned, not queued, but a batch-mate's queued
-	// response may be waiting on this share.
-	d.settle(share)
-	return resp, err
+	g.reqs[0] = Request{} // the response outlives the query's storage
+	return &g.resps[0], g.errs[0]
 }
 
 // handle is the one decision point: reject a stray response, reassemble
@@ -192,49 +192,6 @@ func (d *Door) handle(msg *nic.Message, src netip.AddrPort, admit *nic.Admitter,
 	}
 	d.offer(admit, req, addr)
 	return req, false, nil
-}
-
-// answer fills resp for a request handle returned: with h, or — when err is
-// the reassembler's refusal — with an Err-flagged response. The caller then
-// releases the request, and settles the share once the response is queued.
-//
-//lint:hotpath
-func (d *Door) answer(req Request, err error, h Handler, resp *nic.Response) (nic.BatchShare, error) {
-	*resp = nic.Response{RequestID: req.ID, ModelID: req.Model, Probs: resp.Probs[:0]}
-	if err != nil {
-		resp.Err = true
-		return nic.BatchShare{}, err
-	}
-	return h(req, resp)
-}
-
-// settle releases a batched request's share; the release that completes
-// its batch flushes every running Serve call's tx batcher, where the
-// batch's other responses wait. The zero share does nothing.
-//
-//lint:hotpath
-func (d *Door) settle(share nic.BatchShare) {
-	if !share.Release() {
-		return
-	}
-	if txs := d.txs.Load(); txs != nil {
-		for _, t := range *txs {
-			t.flush()
-		}
-	}
-}
-
-// editTxs replaces the running Serve calls' tx batchers with edit's result
-// on a copy of them.
-func (d *Door) editTxs(edit func([]*txBatcher) []*txBatcher) {
-	d.txMu.Lock()
-	defer d.txMu.Unlock()
-	var txs []*txBatcher
-	if p := d.txs.Load(); p != nil {
-		txs = slices.Clone(*p)
-	}
-	txs = edit(txs)
-	d.txs.Store(&txs)
 }
 
 // release hands a reassembled query's buffer back to the reassembler once
@@ -305,49 +262,98 @@ func (d *Door) putJob(j *job) {
 	d.jobsMu.Unlock()
 }
 
-// loop is one Serve call's state. resp is the reader's response, reused
-// for every control message and refusal it answers inline; each worker has
-// its own.
+// loop is one Serve call's state: resp is the reader's response to every
+// reassembly refusal, and in the reader's group.
 type loop struct {
 	d     *Door
 	h     Handler
-	group GroupHandler
 	bc    netbatch.BatchConn
 	admit *nic.Admitter // nil at zero workers
 	tx    *txBatcher
 	resp  nic.Response
+	in    *group
+}
 
-	// The inline group: the first k complete queries of the current read,
-	// their senders, and the responses and shares group fills. The arrays
-	// are the loop's for its lifetime, so a group costs no allocation, and
-	// a response's Probs array serves every query that takes its slot.
-	k      int
-	reqs   [rxBatch]Request
-	addrs  [rxBatch]net.Addr
-	resps  [rxBatch]nic.Response
-	shares [rxBatch]nic.BatchShare
+// group is a batch of requests answered in one handler call, where each
+// response goes, and a worker's admission slots. Its arrays are one owner's
+// — the reader's or a worker's — for the Serve call, so a group costs no
+// allocation and a response's Probs array serves each request in its slot.
+type group struct {
+	reqs  []Request
+	addrs []net.Addr
+	jobs  []*job
+	resps []nic.Response
+	errs  []error
+}
+
+// newGroup makes a group of at most size requests.
+func newGroup(size int) *group {
+	return &group{
+		reqs:  make([]Request, 0, size),
+		addrs: make([]net.Addr, size),
+		jobs:  make([]*job, size),
+		resps: make([]nic.Response, size),
+		errs:  make([]error, size),
+	}
+}
+
+// add puts one request in the group; j is nil for the reader's.
+//
+//lint:hotpath
+func (g *group) add(req Request, addr net.Addr, j *job) {
+	k := len(g.reqs)
+	g.reqs = g.reqs[:k+1]
+	g.reqs[k], g.addrs[k], g.jobs[k] = req, addr, j
+}
+
+// answer runs the group through the handler and queues its responses in
+// request order — with flush, written at once (txBatcher.send). It then
+// lets go of each request's slot or reassembly buffer and empties the
+// group, so an idle owner pins no query or sender.
+//
+//lint:hotpath
+func (l *loop) answer(g *group, flush bool) {
+	k := len(g.reqs)
+	if k == 0 {
+		return
+	}
+	resps, errs := g.resps[:k], g.errs[:k]
+	for i := range g.reqs {
+		resps[i] = nic.Response{RequestID: g.reqs[i].ID, ModelID: g.reqs[i].Model, Probs: resps[i].Probs[:0]}
+		errs[i] = nil
+	}
+	l.h(g.reqs, resps, errs)
+	l.tx.send(resps, g.addrs[:k], flush)
+	for i := range g.reqs {
+		if j := g.jobs[i]; j != nil {
+			l.d.putJob(j)
+		} else {
+			l.d.release(g.reqs[i])
+		}
+	}
+	clear(g.reqs)
+	clear(g.addrs[:k])
+	clear(g.jobs[:k])
+	clear(errs)
+	g.reqs = g.reqs[:0]
 }
 
 // Serve answers every complete request arriving on pc until ctx is
 // cancelled (nil) or a read fails fatally (the error). With workers == 0 the
-// reader answers queries inline: it collects the complete queries of one
-// batched read — every frame of every datagram, up to rxBatch of them — and
-// answers them in one group call, before the read's flush, so no response
-// waits on traffic that had not yet arrived. With workers > 0 queries pass
-// per-model admission (bound workers*4 unless the policy sets one) to a
-// worker pool, whose workers answer each with h. The reader answers
-// control messages with h, and reassembly refusals Err-flagged, after the
-// group of queries that arrived ahead of them, so responses keep arrival
-// order.
-// On return every admitted request has been answered and flushed: the
-// reader flushes after each batch read, a worker after a response that ran
-// alone, and the last caller to release its share of a batch flushes the
-// whole batch's responses (Handler).
+// reader answers the complete queries of one batched read — up to rxBatch —
+// in one handler call before the read's flush, so no response waits on
+// traffic that had not yet arrived. With workers > 0 queries pass per-model
+// admission (bound workers*4 unless the policy sets one) to a worker pool:
+// a worker pops a batch (SetBatch; else one query), sheds what outlived
+// its budget, answers the rest in one call and flushes their responses.
+// The reader answers control messages as groups of one, and reassembly
+// refusals Err-flagged, after the queries that arrived ahead of them.
+// On return every admitted request has been answered and flushed.
 //
 // rail, when not nil, wraps pc in place of the default rail (the batch
 // seam's best path, GRO on): the differential tests' hook that serves the
 // same traffic with offload off or on the portable fallback.
-func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Handler, group GroupHandler, rail func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn) error {
+func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Handler, rail func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn) error {
 	var bc netbatch.BatchConn
 	if rail != nil {
 		bc = rail(pc, &d.ctr)
@@ -360,58 +366,35 @@ func (d *Door) Serve(ctx context.Context, pc net.PacketConn, workers int, h Hand
 		}
 	}
 	d.conn.Store(&bc)
-	l := &loop{d: d, h: h, group: group, bc: bc, tx: &txBatcher{d: d, bc: bc}}
-	d.editTxs(func(txs []*txBatcher) []*txBatcher { return append(txs, l.tx) })
+	l := &loop{d: d, h: h, bc: bc, tx: &txBatcher{d: d, bc: bc}, in: newGroup(rxBatch)}
 	stopWorkers := func() {}
 	if workers > 0 {
 		l.admit = nic.NewAdmitter(d.admission, workers*4)
 		l.admit.SetClock(d.now)
+		l.admit.SetBatch(d.batch, d.timers, &d.batches)
 		d.admit.Store(l.admit)
 		stopWorkers = l.startWorkers(workers)
 	}
 	err := l.readLoop(ctx)
 	stopWorkers()
-	// Once off the list, no batch's last share flushes this batcher, so
-	// whatever a batch left on it leaves now.
-	d.editTxs(func(txs []*txBatcher) []*txBatcher {
-		return slices.DeleteFunc(txs, func(t *txBatcher) bool { return t == l.tx })
-	})
-	l.tx.flush()
 	return err
 }
 
 // startWorkers launches the worker pool and returns the function that
 // retires it: close admission, then let the workers finish every admitted
-// request. A worker whose request ran alone writes its response through at
-// once; the workers of one batch queue theirs, and the last to release its
-// share flushes them all in one write (Handler), so a batch's responses
-// leave together and no response waits on traffic outside its batch.
+// request.
 func (l *loop) startWorkers(workers int) (stop func()) {
+	size := 1
+	if l.d.batch.Enabled() {
+		size = l.d.batch.MaxBatch
+	}
 	var pool sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		pool.Add(1)
 		go func() {
 			defer pool.Done()
-			var resp nic.Response
-			for {
-				aj, ok := l.admit.Pop()
-				if !ok {
-					return
-				}
-				j := aj.Payload.(*job)
-				if aj.Expired(l.d.now()) {
-					l.d.shedDrops.Add(1)
-					l.d.putJob(j)
-					continue
-				}
-				share, _ := l.d.answer(j.req, nil, l.h, &resp) // the error rides in the Err flag
-				l.tx.queue(&resp, j.addr)
-				l.d.putJob(j)
-				if share.Batched() {
-					l.d.settle(share)
-				} else {
-					l.tx.flush()
-				}
+			g, popped := newGroup(size), make([]nic.AdmitJob, size)
+			for l.serveBatch(g, popped) {
 			}
 		}()
 	}
@@ -419,6 +402,31 @@ func (l *loop) startWorkers(workers int) (stop func()) {
 		l.admit.Close()
 		pool.Wait()
 	}
+}
+
+// serveBatch is one worker turn: pop a batch, shed the jobs whose budget
+// ran out while they waited — queued, or for the batch to fill — and answer
+// the rest. It reports false once admission is closed and empty.
+//
+//lint:hotpath
+func (l *loop) serveBatch(g *group, popped []nic.AdmitJob) bool {
+	k, ok := l.admit.PopBatch(popped)
+	if !ok {
+		return false
+	}
+	now := l.d.now()
+	for i := range popped[:k] {
+		j := popped[i].Payload.(*job)
+		if popped[i].Expired(now) {
+			l.d.shedDrops.Add(1)
+			l.d.putJob(j)
+			continue
+		}
+		g.add(j.req, j.addr, j)
+	}
+	clear(popped[:k])
+	l.answer(g, true)
+	return true
 }
 
 // readLoop is the batched rx read loop: one deadline arm per batch read,
@@ -519,12 +527,13 @@ func (l *loop) walkDatagram(data []byte, addr net.Addr) {
 		// first: responses keep arrival order, and an install between two
 		// queries lands between them.
 		l.answerGroup()
-		share, _ := l.d.answer(req, err, l.h, &l.resp) // the error rides in the Err flag
-		l.d.release(req)
-		l.tx.queue(&l.resp, addr)
-		// A batch-mate's response may be waiting on this share; the
-		// reader's own flush comes after the batch read.
-		l.d.settle(share)
+		if err != nil {
+			l.resp = nic.Response{RequestID: req.ID, ModelID: req.Model, Err: true, Probs: l.resp.Probs[:0]}
+			l.tx.queue(&l.resp, addr)
+			continue
+		}
+		l.in.add(req, addr, nil)
+		l.answer(l.in, false)
 	}
 }
 
@@ -535,39 +544,19 @@ func (l *loop) walkDatagram(data []byte, addr net.Addr) {
 //
 //lint:hotpath
 func (l *loop) join(req Request, addr net.Addr) {
-	if l.k == len(l.reqs) {
+	if len(l.in.reqs) == cap(l.in.reqs) {
 		l.answerGroup()
 	}
-	l.reqs[l.k], l.addrs[l.k] = req, addr
-	l.k++
+	l.in.add(req, addr, nil)
 }
 
-// answerGroup answers the pending group in one group call and queues its
-// responses in request order, each share settled after its response, as
-// walkDatagram settles one. The group's request slots are cleared, so an
-// idle loop pins no reassembly buffer or sender.
+// answerGroup answers the read's pending queries as one group; the read's
+// flush comes after.
 //
 //lint:hotpath
 func (l *loop) answerGroup() {
-	k := l.k
-	if k == 0 {
-		return
-	}
-	l.k = 0
-	reqs, resps, shares := l.reqs[:k], l.resps[:k], l.shares[:k]
-	for i := range reqs {
-		resps[i] = nic.Response{RequestID: reqs[i].ID, ModelID: reqs[i].Model, Probs: resps[i].Probs[:0]}
-		shares[i] = nic.BatchShare{}
-	}
-	l.d.groupHist.observe(k)
-	l.group(reqs, resps, shares)
-	for i := range reqs {
-		l.d.release(reqs[i])
-		l.tx.queue(&resps[i], l.addrs[i])
-		l.d.settle(shares[i])
-	}
-	clear(reqs)
-	clear(l.addrs[:k])
+	l.d.groupHist.observe(len(l.in.reqs))
+	l.answer(l.in, false)
 }
 
 // Stats counts datagrams and responses lost at the front door's edges, per
@@ -579,14 +568,16 @@ type Stats struct {
 	QueueFull uint64
 	// Shed counts admitted requests dropped at dequeue because their
 	// latency budget (AdmitPolicy.Budget) had already elapsed while they
-	// sat queued — served-late answers the clients would have discarded.
+	// sat queued — waiting their turn or, under batching, for their batch
+	// to fill — served-late answers the clients would have discarded.
 	Shed uint64
 	// AdmissionDrops is the per-model breakdown of QueueFull, keyed by
 	// wire model ID (nil until a drop happens).
 	AdmissionDrops map[uint16]uint64
 	// QueueDepth is the instantaneous per-model admission queue depth
 	// while a worker pool is (or was last) attached (nil otherwise) — the
-	// gauge that shows where backlog is building.
+	// gauge that shows where backlog is building. Under batching it
+	// includes the queries waiting for their batch to fill.
 	QueueDepth map[uint16]int
 	// DecodeErrors counts datagrams that failed wire decode.
 	DecodeErrors uint64
@@ -621,9 +612,8 @@ type Stats struct {
 	RxSyscalls, TxSyscalls uint64
 	// InlineBatchSize is a histogram of queries per inline group: the
 	// complete queries of one batched read that a worker-less Serve
-	// answered together. On a NIC without a batch queue a group is one
-	// matrix pass per model, which the NIC's Batch stats do not count;
-	// on one with a queue its queries join the queue one by one.
+	// answered together, as one matrix pass per model. The NIC's Batch
+	// stats count the worker pool's batches, not these.
 	InlineBatchSize SizeHist
 	// GSO and GRO report whether segmented sends and coalesced reads are
 	// live on the most recently attached serve socket, after any sticky

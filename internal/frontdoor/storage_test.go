@@ -93,7 +93,7 @@ func TestAdmissionReturnsStorage(t *testing.T) {
 		*now = now.Add(2 * time.Millisecond)
 		called := 0
 		l := &loop{d: d, admit: admit, tx: &txBatcher{d: d, bc: netbatch.Wrap(fault.NewStubConn(), &d.ctr)},
-			h: func(Request, *nic.Response) (nic.BatchShare, error) { called++; return nic.BatchShare{}, nil }}
+			h: func([]Request, []nic.Response, []error) { called++ }}
 		l.startWorkers(1)()
 		if got := d.Stats().Shed; got != 1 || called != 0 {
 			t.Fatalf("shed %d, handler called %d times: want 1 and 0", got, called)

@@ -106,6 +106,24 @@ func (t *txBatcher) getBuf() []byte {
 func (t *txBatcher) queue(resp *nic.Response, addr net.Addr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.queueLocked(resp, addr)
+}
+
+// send queues resps[i] for addrs[i] and, with flush, writes everything
+// pending, in one hold of the lock: no other flush splits a worker's batch.
+func (t *txBatcher) send(resps []nic.Response, addrs []net.Addr, flush bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range resps {
+		t.queueLocked(&resps[i], addrs[i])
+	}
+	if flush {
+		t.flushLocked()
+	}
+}
+
+// queueLocked is queue with t.mu held.
+func (t *txBatcher) queueLocked(resp *nic.Response, addr net.Addr) {
 	buf, err := nic.AppendResponseFrame(t.getBuf(), resp)
 	if err != nil {
 		t.d.writeErrors.Add(1)
@@ -131,6 +149,13 @@ func (t *txBatcher) putBuf(b []byte) {
 func (t *txBatcher) flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.flushLocked()
+}
+
+// flushLocked is flush with t.mu held.
+//
+//lint:hotpath
+func (t *txBatcher) flushLocked() {
 	if len(t.pending) == 0 {
 		return
 	}

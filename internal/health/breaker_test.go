@@ -125,7 +125,7 @@ func TestBreakerConcurrentProbationReadmitsOnce(t *testing.T) {
 }
 
 // TestBreakerConcurrentProbationMixedVerdicts races clean and bad outcomes
-// on the last trials: whichever wins, the breaker must settle in a legal
+// on the last trials: whichever wins, the breaker must end in a legal
 // state (healthy with one readmission, or quarantined via exactly one
 // successful Trip) and never both.
 func TestBreakerConcurrentProbationMixedVerdicts(t *testing.T) {

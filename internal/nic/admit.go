@@ -30,9 +30,12 @@ import (
 //     already elapsed sheds it (the caller counts the shed) rather than
 //     burning a photonic pass on an answer the client has given up on.
 //
+//   - Batching at dequeue (SetBatch): a pop takes up to MaxBatch of one
+//     model's jobs, from a queue whose batch is ready.
+//
 // The Admitter owns queueing policy only — no sockets, no datapath — so the
-// whole admission/priority/shedding surface is testable with an injected
-// clock and opaque payloads.
+// whole admission/priority/shedding/batching surface is testable with an
+// injected clock, hand-fired timers and opaque payloads.
 
 // AdmitPolicy is one model's admission-control knobs. The zero value means
 // "inherit the AdmissionConfig defaults".
@@ -46,8 +49,11 @@ type AdmitPolicy struct {
 	MaxQueue int
 	// Budget is the model's latency budget, measured from admission to
 	// dequeue: a job still queued past it is shed instead of served late.
-	// 0 inherits AdmissionConfig.Budget; negative disables shedding for
-	// this model even when a default budget is set.
+	// Under batching the dequeue is the batch's pop, so the wait for a
+	// batch to fill counts too. Only a worker pool queues: the inline
+	// reader answers each read at once, and HandleMessage runs each call
+	// as a batch of one. 0 inherits AdmissionConfig.Budget; negative
+	// disables shedding for this model even when a default budget is set.
 	Budget time.Duration
 }
 
@@ -128,6 +134,13 @@ type admitQueue struct {
 	// current is the smooth-WRR accumulator: every selection round adds
 	// weight, the winner pays the round's total back.
 	current int
+
+	// Batching only: timer is the MaxDelay timer, armed for generation
+	// armed; each pop bumps gen, so a fire for popped jobs readies
+	// nothing. due says why a partial batch may leave now.
+	timer      BatchTimer
+	gen, armed uint64
+	due        uint8
 }
 
 func (q *admitQueue) pending() int { return len(q.jobs) - q.head }
@@ -148,6 +161,12 @@ type Admitter struct {
 	order   []*admitQueue
 	pending int
 	closed  bool
+
+	// SetBatch's: a pop takes up to maxBatch jobs (1 when off).
+	maxBatch int
+	maxDelay time.Duration
+	newTimer TimerFactory
+	batches  *BatchCounters
 }
 
 // NewAdmitter builds an Admitter. defaultBound is the per-model queue bound
@@ -161,6 +180,7 @@ func NewAdmitter(cfg AdmissionConfig, defaultBound int) *Admitter {
 		cfg:      cfg,
 		defBound: defaultBound,
 		queues:   make(map[uint16]*admitQueue),
+		maxBatch: 1,
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a
@@ -172,6 +192,18 @@ func (a *Admitter) SetClock(now func() time.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.now = now
+}
+
+// SetBatch makes a queue ready to pop only once MaxBatch jobs wait, the
+// MaxDelay timer newTimer made for it fired, Flush was called, or admission
+// closed; a pop then takes up to MaxBatch jobs, and batches counts it. A
+// disabled cfg keeps one-job pops. Call it before the first Offer.
+func (a *Admitter) SetBatch(cfg BatchConfig, newTimer TimerFactory, batches *BatchCounters) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if cfg.Enabled() {
+		a.maxBatch, a.maxDelay, a.newTimer, a.batches = cfg.MaxBatch, cfg.MaxDelay, newTimer, batches
+	}
 }
 
 // queueFor resolves (or lazily creates) a model's queue; callers hold a.mu.
@@ -196,9 +228,45 @@ func (a *Admitter) queueFor(model uint16) *admitQueue {
 	if q.budget < 0 {
 		q.budget = 0 // explicit per-model opt-out of a default budget
 	}
+	if a.maxBatch > 1 {
+		q.timer = a.newTimer(func() { a.fire(q) })
+	}
 	a.queues[model] = q
 	a.order = append(a.order, q)
 	return q
+}
+
+// ready reports whether q has a batch to pop (any job, batching off).
+// Callers hold a.mu.
+//
+//lint:hotpath
+func (a *Admitter) ready(q *admitQueue) bool {
+	n := q.pending()
+	return n >= a.maxBatch || (n > 0 && (q.due != notDue || a.closed))
+}
+
+// arm starts the MaxDelay wait of q's head batch: the first job of an empty
+// queue, or what a pop left. Callers hold a.mu.
+func (a *Admitter) arm(q *admitQueue) {
+	if a.maxDelay <= 0 {
+		q.due = dueTimer
+		return
+	}
+	q.armed = q.gen
+	q.timer.Reset(a.maxDelay)
+}
+
+// fire is a queue timer's callback: the batch it was armed for may leave,
+// unless a pop has taken it since.
+func (a *Admitter) fire(q *admitQueue) {
+	a.mu.Lock()
+	if q.armed != q.gen || q.pending() == 0 || q.due != notDue {
+		a.mu.Unlock()
+		return
+	}
+	q.due = dueTimer
+	a.mu.Unlock()
+	a.cond.Signal()
 }
 
 // Offer asks admission for one job. It returns false — and the job is the
@@ -223,50 +291,106 @@ func (a *Admitter) Offer(model uint16, payload any) bool {
 		Payload: payload,
 	})
 	a.pending++
+	if a.maxBatch > 1 && q.pending() == 1 {
+		a.arm(q)
+	}
+	ready := a.ready(q)
 	a.mu.Unlock()
-	a.cond.Signal()
+	if ready {
+		a.cond.Signal()
+	}
 	return true
 }
 
-// Pop blocks until a job is available and returns it, selecting across the
-// per-model queues by smooth weighted round-robin. After Close, Pop keeps
-// returning queued jobs until every queue is empty — the drain the serve
-// loop's workers run on shutdown — then reports ok=false.
+// Pop is PopBatch for one job. After Close it keeps returning queued jobs
+// until every queue is empty — the workers' shutdown drain — then reports
+// ok=false.
 func (a *Admitter) Pop() (AdmitJob, bool) {
+	var one [1]AdmitJob
+	_, ok := a.PopBatch(one[:])
+	return one[0], ok
+}
+
+// PopBatch blocks until some model's queue is ready, picks one of the ready
+// queues by smooth weighted round-robin, and moves up to MaxBatch of its
+// oldest jobs into into[:k], k <= len(into). After Close every queue with a
+// job is ready; once all are empty PopBatch reports ok=false.
+//
+//lint:hotpath
+func (a *Admitter) PopBatch(into []AdmitJob) (k int, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for a.pending == 0 {
-		if a.closed {
-			return AdmitJob{}, false
+	for {
+		// Smooth WRR: each ready queue gains its weight, the strictly-largest
+		// accumulator wins (ties to creation order) and pays back the round
+		// total, so long-run service is weight-proportional while any single
+		// busy model still gets every slot.
+		total := 0
+		var best *admitQueue
+		for _, q := range a.order {
+			if !a.ready(q) {
+				continue
+			}
+			q.current += q.weight
+			total += q.weight
+			if best == nil || q.current > best.current {
+				best = q
+			}
+		}
+		if best != nil {
+			best.current -= total
+			return a.take(best, into), true
+		}
+		if a.closed { // closed, every queued job is ready: none is left
+			return 0, false
 		}
 		a.cond.Wait()
 	}
-	// Smooth WRR over the queues with work pending: each gains its weight,
-	// the strictly-largest accumulator wins (ties to creation order) and
-	// pays back the round total, so long-run service is weight-proportional
-	// while any single busy model still gets every slot.
-	total := 0
-	var best *admitQueue
+}
+
+// take moves q's oldest jobs into into, up to MaxBatch; under batching it
+// counts the batch and re-arms the timer for what it left. Callers hold a.mu.
+//
+//lint:hotpath
+func (a *Admitter) take(q *admitQueue, into []AdmitJob) int {
+	full := q.pending() >= a.maxBatch
+	k := min(q.pending(), a.maxBatch, len(into))
+	for i := range into[:k] {
+		into[i] = q.jobs[q.head]
+		q.jobs[q.head] = AdmitJob{} // drop the payload reference
+		q.head++
+	}
+	if q.head == len(q.jobs) {
+		q.jobs = q.jobs[:0]
+		q.head = 0
+	}
+	a.pending -= k
+	if a.maxBatch > 1 {
+		a.batches.count(k, full, q.due)
+		q.gen++
+		q.due = notDue
+		q.timer.Stop()
+		if q.pending() > 0 && !a.closed {
+			a.arm(q)
+			if a.ready(q) {
+				a.cond.Signal()
+			}
+		}
+	}
+	return k
+}
+
+// Flush lets every queued partial batch leave now, as a drain flush;
+// admission stays open.
+func (a *Admitter) Flush() {
+	a.mu.Lock()
 	for _, q := range a.order {
-		if q.pending() == 0 {
-			continue
-		}
-		q.current += q.weight
-		total += q.weight
-		if best == nil || q.current > best.current {
-			best = q
+		if q.pending() > 0 {
+			q.due = dueDrain
 		}
 	}
-	best.current -= total
-	job := best.jobs[best.head]
-	best.jobs[best.head] = AdmitJob{} // drop the payload reference
-	best.head++
-	if best.head == len(best.jobs) {
-		best.jobs = best.jobs[:0]
-		best.head = 0
-	}
-	a.pending--
-	return job, true
+	a.mu.Unlock()
+	a.cond.Broadcast()
 }
 
 // Close stops admission and wakes every blocked Pop. Jobs already admitted

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
 // fakeTimer is the injected flush timer: it never consults a clock — tests
@@ -18,16 +16,18 @@ type fakeTimer struct {
 	stops  int
 }
 
-func (f *fakeTimer) Reset(time.Duration) {
+func (f *fakeTimer) Reset(time.Duration) bool {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.resets++
-	f.mu.Unlock()
+	return false
 }
 
-func (f *fakeTimer) Stop() {
+func (f *fakeTimer) Stop() bool {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.stops++
-	f.mu.Unlock()
+	return false
 }
 
 func (f *fakeTimer) Fire() { f.fire() }
@@ -38,71 +38,65 @@ func (f *fakeTimer) Resets() int {
 	return f.resets
 }
 
-// batchRecorder is a test exec sink: it answers every item with its own
-// RequestID echoed in Class (so fan-out mix-ups are visible) and records
-// batch shapes.
-type batchRecorder struct {
-	mu      sync.Mutex
-	batches [][]uint32 // request IDs per executed batch
-	models  []uint16
-}
-
-func (r *batchRecorder) exec(modelID uint16, items []*BatchItem) {
-	ids := make([]uint32, len(items))
-	for i, it := range items {
-		ids[i] = it.RequestID
-		*it.Resp = Response{RequestID: it.RequestID, ModelID: modelID, Class: uint16(it.RequestID)}
-	}
-	r.mu.Lock()
-	r.batches = append(r.batches, ids)
-	r.models = append(r.models, modelID)
-	r.mu.Unlock()
-}
-
-func (r *batchRecorder) snapshot() ([][]uint32, []uint16) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([][]uint32(nil), r.batches...), append([]uint16(nil), r.models...)
-}
-
-// newTestBatcher wires a Batcher to a recorder and per-model fake timers.
-func newTestBatcher(cfg BatchConfig) (*Batcher, *batchRecorder, *sync.Map) {
-	rec := &batchRecorder{}
-	timers := &sync.Map{} // one fakeTimer per model queue, keyed by creation order
+// newBatchAdmitter builds an Admitter that batches by cfg, with one fake
+// timer per model queue, keyed by creation order.
+func newBatchAdmitter(cfg BatchConfig) (*Admitter, *BatchCounters, *sync.Map) {
+	timers := &sync.Map{}
 	var n int
 	var mu sync.Mutex
-	b := NewBatcherWithTimer(cfg, rec.exec, func(fire func()) BatchTimer {
+	a := NewAdmitter(AdmissionConfig{MaxQueue: 64}, 64)
+	ctr := &BatchCounters{}
+	a.SetBatch(cfg, func(fire func()) BatchTimer {
 		ft := &fakeTimer{fire: fire}
 		mu.Lock()
 		timers.Store(n, ft)
 		n++
 		mu.Unlock()
 		return ft
-	})
-	return b, rec, timers
+	}, ctr)
+	return a, ctr, timers
 }
 
-// do launches one Do call in the background and returns a channel carrying
-// its result.
-func do(b *Batcher, modelID uint16, requestID uint32) <-chan Response {
-	ch := make(chan Response, 1)
-	go func() {
-		var resp Response
-		_, _ = b.Do(modelID, requestID, []fixed.Code{fixed.Code(requestID)}, &resp)
-		ch <- resp
-	}()
-	return ch
-}
-
-func waitPending(t *testing.T, b *Batcher, want int) {
+// offer admits one query per id for a model, each id its own payload.
+func offer(t *testing.T, a *Admitter, modelID uint16, ids ...uint32) {
 	t.Helper()
-	for i := 0; i < 10000; i++ {
-		if b.Pending() == want {
-			return
+	for _, id := range ids {
+		if !a.Offer(modelID, id) {
+			t.Fatalf("query %d refused", id)
 		}
-		time.Sleep(50 * time.Microsecond)
 	}
-	t.Fatalf("pending never reached %d (at %d)", want, b.Pending())
+}
+
+// popBatch pops one batch and returns its model and request IDs, failing
+// if the pop does not return within a second.
+func popBatch(t *testing.T, a *Admitter) (uint16, []uint32) {
+	t.Helper()
+	type popped struct {
+		model uint16
+		ids   []uint32
+		ok    bool
+	}
+	ch := make(chan popped, 1)
+	go func() {
+		into := make([]AdmitJob, 64)
+		k, ok := a.PopBatch(into)
+		p := popped{ok: ok}
+		for _, j := range into[:k] {
+			p.model = j.Model
+			p.ids = append(p.ids, j.Payload.(uint32))
+		}
+		ch <- p
+	}()
+	select {
+	case p := <-ch:
+		if !p.ok {
+			t.Fatal("PopBatch reported closed")
+		}
+		return p.model, p.ids
+	case <-time.After(time.Second):
+		t.Fatal("no batch became ready")
+		return 0, nil
+	}
 }
 
 func timerFor(t *testing.T, timers *sync.Map, i int) *fakeTimer {
@@ -114,224 +108,170 @@ func timerFor(t *testing.T, timers *sync.Map, i int) *fakeTimer {
 	return v.(*fakeTimer)
 }
 
-// TestBatcherFullFlush: MaxBatch concurrent queries coalesce into exactly
-// one full-flush batch, and every caller gets its own verdict back.
+// TestBatcherFullFlush: MaxBatch queued queries leave admission as exactly
+// one full batch, in arrival order, with no timer involved.
 func TestBatcherFullFlush(t *testing.T) {
-	b, rec, _ := newTestBatcher(BatchConfig{MaxBatch: 4, MaxDelay: time.Hour})
-	chans := make([]<-chan Response, 4)
-	for i := range chans {
-		chans[i] = do(b, 7, uint32(i+1))
+	a, ctr, _ := newBatchAdmitter(BatchConfig{MaxBatch: 4, MaxDelay: time.Hour})
+	offer(t, a, 7, 1, 2, 3, 4)
+	model, ids := popBatch(t, a)
+	if model != 7 || len(ids) != 4 {
+		t.Fatalf("popped model %d ids %v, want one batch of 4 for model 7", model, ids)
 	}
-	for i, ch := range chans {
-		resp := <-ch
-		if resp.RequestID != uint32(i+1) || resp.Class != uint16(i+1) {
-			t.Fatalf("caller %d got response %+v — fan-out misrouted", i, resp)
+	for i, id := range ids {
+		if id != uint32(i+1) {
+			t.Fatalf("popped ids %v, want arrival order", ids)
 		}
 	}
-	batches, models := rec.snapshot()
-	if len(batches) != 1 || len(batches[0]) != 4 {
-		t.Fatalf("batches = %v, want one batch of 4", batches)
-	}
-	if models[0] != 7 {
-		t.Fatalf("batch model = %d", models[0])
-	}
-	s := b.Stats()
+	s := ctr.Stats()
 	if s.Flushes != 1 || s.FullFlushes != 1 || s.TimerFlushes != 0 || s.Queries != 4 || s.MaxBatch != 4 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
 
-// TestBatcherTimerFiresExactlyOncePerPartialBatch is the flush-timer
-// correctness pin: a partial batch flushes on the injected timer exactly
-// once — re-firing the same armed generation is a no-op, and a fire racing
-// a completed full flush is a no-op too.
+// TestBatcherTimerFiresExactlyOnce is the flush-timer correctness pin: a
+// partial batch becomes ready on the injected timer, and a fire left over
+// from a batch already popped readies nothing after it.
 func TestBatcherTimerFiresExactlyOnce(t *testing.T) {
-	b, rec, timers := newTestBatcher(BatchConfig{MaxBatch: 8, MaxDelay: time.Hour})
-	chans := []<-chan Response{do(b, 7, 1), do(b, 7, 2), do(b, 7, 3)}
-	waitPending(t, b, 3)
+	a, ctr, timers := newBatchAdmitter(BatchConfig{MaxBatch: 8, MaxDelay: time.Hour})
+	offer(t, a, 7, 1, 2, 3)
 	ft := timerFor(t, timers, 0)
 	if ft.Resets() != 1 {
 		t.Fatalf("timer armed %d times for one batch head, want 1", ft.Resets())
 	}
-
 	ft.Fire()
-	for _, ch := range chans {
-		<-ch
+	if _, ids := popBatch(t, a); len(ids) != 3 {
+		t.Fatalf("timer flush popped %v, want the partial batch of 3", ids)
 	}
-	if s := b.Stats(); s.Flushes != 1 || s.TimerFlushes != 1 {
+	if s := ctr.Stats(); s.Flushes != 1 || s.TimerFlushes != 1 {
 		t.Fatalf("after fire: stats = %+v, want exactly one timer flush", s)
 	}
 
-	// A duplicate fire of the same generation must not flush anything.
+	// A duplicate fire of the popped generation, and a stale one after a
+	// full batch, must leave the next partial batch waiting: it leaves
+	// only when admission closes, as a drain flush.
 	ft.Fire()
-	if s := b.Stats(); s.Flushes != 1 {
-		t.Fatalf("duplicate fire flushed: stats = %+v", s)
+	offer(t, a, 7, 10, 11, 12, 13, 14, 15, 16, 17)
+	if _, ids := popBatch(t, a); len(ids) != 8 {
+		t.Fatalf("full batch popped %v", ids)
 	}
-
-	// Fill a full batch, then deliver the (stale) timer fire that a racing
-	// time.AfterFunc could produce: the generation check makes it a no-op.
-	chans = nil
-	for i := 0; i < 8; i++ {
-		chans = append(chans, do(b, 7, uint32(10+i)))
-	}
-	for _, ch := range chans {
-		<-ch
-	}
-	before := b.Stats()
 	ft.Fire()
-	if s := b.Stats(); s.Flushes != before.Flushes {
-		t.Fatalf("stale fire after full flush flushed again: %+v -> %+v", before, s)
+	offer(t, a, 7, 20)
+	a.Close()
+	if _, ids := popBatch(t, a); len(ids) != 1 {
+		t.Fatalf("drain popped %v, want the lone query", ids)
 	}
-	batches, _ := rec.snapshot()
-	if len(batches) != 2 {
-		t.Fatalf("batches = %v, want partial(3) + full(8)", batches)
+	if s := ctr.Stats(); s.Flushes != 3 || s.FullFlushes != 1 || s.TimerFlushes != 1 || s.DrainFlushes != 1 {
+		t.Fatalf("stats = %+v, want one full, one timer and one drain flush", s)
 	}
 }
 
-// TestBatcherRearmsPerBatchHead: each new partial batch re-arms the delay
-// timer exactly once (at its first query), not per query.
+// TestBatcherRearmsPerBatchHead: the delay timer is armed once per batch
+// head — the first query of an empty queue, and the remainder a full pop
+// leaves behind — not per query.
 func TestBatcherRearmsPerBatchHead(t *testing.T) {
-	b, _, timers := newTestBatcher(BatchConfig{MaxBatch: 8, MaxDelay: time.Hour})
-	c1, c2 := do(b, 7, 1), do(b, 7, 2)
-	waitPending(t, b, 2)
+	a, _, timers := newBatchAdmitter(BatchConfig{MaxBatch: 8, MaxDelay: time.Hour})
+	offer(t, a, 7, 1, 2)
 	ft := timerFor(t, timers, 0)
 	if ft.Resets() != 1 {
 		t.Fatalf("resets = %d after two queries of one batch, want 1", ft.Resets())
 	}
 	ft.Fire()
-	<-c1
-	<-c2
-	c3 := do(b, 7, 3)
-	waitPending(t, b, 1)
+	popBatch(t, a)
+	offer(t, a, 7, 3)
 	if ft.Resets() != 2 {
 		t.Fatalf("resets = %d after a second batch head, want 2", ft.Resets())
 	}
 	ft.Fire()
-	<-c3
+	popBatch(t, a)
+	offer(t, a, 7, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)
+	if ft.Resets() != 3 {
+		t.Fatalf("resets = %d after a third batch head, want 3", ft.Resets())
+	}
+	popBatch(t, a) // full: two left behind
+	if ft.Resets() != 4 {
+		t.Fatalf("resets = %d after a full pop left a remainder, want 4", ft.Resets())
+	}
+	ft.Fire()
+	if _, ids := popBatch(t, a); len(ids) != 2 {
+		t.Fatalf("remainder popped %v, want 2", ids)
+	}
 }
 
-// TestBatcherFlushAll: FlushAll drains every model's partial batch (the
-// NIC.Drain contract) and is a no-op when nothing is pending.
+// TestBatcherFlushAll: Flush lets every model's partial batch leave (the
+// NIC.Drain contract), each as a drain flush, and readies nothing when
+// nothing is queued.
 func TestBatcherFlushAll(t *testing.T) {
-	b, rec, _ := newTestBatcher(BatchConfig{MaxBatch: 8, MaxDelay: time.Hour})
-	chans := []<-chan Response{do(b, 1, 10), do(b, 2, 20), do(b, 2, 21)}
-	waitPending(t, b, 3)
-	b.FlushAll()
-	for _, ch := range chans {
-		<-ch
+	a, ctr, _ := newBatchAdmitter(BatchConfig{MaxBatch: 8, MaxDelay: time.Hour})
+	offer(t, a, 1, 10)
+	offer(t, a, 2, 20, 21)
+	a.Flush()
+	m1, ids1 := popBatch(t, a)
+	m2, ids2 := popBatch(t, a)
+	if m1 == m2 || len(ids1)+len(ids2) != 3 {
+		t.Fatalf("drained %d:%v and %d:%v, want the two distinct queues", m1, ids1, m2, ids2)
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("pending = %d after FlushAll", b.Pending())
+	if a.Pending() != 0 {
+		t.Fatalf("pending = %d after Flush", a.Pending())
 	}
-	s := b.Stats()
-	if s.DrainFlushes != 2 || s.Flushes != 2 {
+	if s := ctr.Stats(); s.DrainFlushes != 2 || s.Flushes != 2 {
 		t.Fatalf("stats = %+v, want 2 drain flushes (one per model)", s)
 	}
-	_, models := rec.snapshot()
-	if len(models) != 2 || models[0] == models[1] {
-		t.Fatalf("drained models = %v, want the two distinct queues", models)
+	a.Flush() // empty: must not ready a flush
+	a.Close()
+	if k, ok := a.PopBatch(make([]AdmitJob, 8)); ok || k != 0 {
+		t.Fatalf("empty admitter popped %d (ok %v)", k, ok)
 	}
-	b.FlushAll() // empty: must not count a flush
-	if s := b.Stats(); s.Flushes != 2 {
-		t.Fatalf("empty FlushAll flushed: %+v", s)
+	if s := ctr.Stats(); s.Flushes != 2 {
+		t.Fatalf("empty Flush flushed: %+v", s)
 	}
 }
 
 // TestBatcherPerModelIsolation: queries for different models never share a
 // batch, whatever the arrival interleaving.
 func TestBatcherPerModelIsolation(t *testing.T) {
-	b, rec, _ := newTestBatcher(BatchConfig{MaxBatch: 2, MaxDelay: time.Hour})
-	chans := []<-chan Response{do(b, 1, 1), do(b, 2, 2), do(b, 1, 3), do(b, 2, 4)}
-	for _, ch := range chans {
-		resp := <-ch
-		if uint16(resp.RequestID) != resp.Class {
-			t.Fatalf("misrouted response %+v", resp)
+	a, _, _ := newBatchAdmitter(BatchConfig{MaxBatch: 2, MaxDelay: time.Hour})
+	offer(t, a, 1, 1)
+	offer(t, a, 2, 2)
+	offer(t, a, 1, 3)
+	offer(t, a, 2, 4)
+	for range 2 {
+		model, ids := popBatch(t, a)
+		if len(ids) != 2 {
+			t.Fatalf("batch %v, want 2 full per-model batches", ids)
 		}
-	}
-	batches, models := rec.snapshot()
-	if len(batches) != 2 {
-		t.Fatalf("batches = %v, want 2 full per-model batches", batches)
-	}
-	for i, ids := range batches {
 		for _, id := range ids {
 			wantModel := uint16(1)
 			if id%2 == 0 {
 				wantModel = 2
 			}
-			if models[i] != wantModel {
-				t.Fatalf("request %d flushed under model %d", id, models[i])
+			if model != wantModel {
+				t.Fatalf("request %d popped under model %d", id, model)
 			}
 		}
 	}
 }
 
-// TestBatcherDoSteadyStateZeroAllocs guards the queue hot path: with the
-// item pool and batch arrays warm, a queue→flush→respond round trip must
-// not allocate (exec itself is a no-op here — the datapath has its own
-// guard).
-func TestBatcherDoSteadyStateZeroAllocs(t *testing.T) {
-	b := NewBatcherWithTimer(
-		BatchConfig{MaxBatch: 1, MaxDelay: time.Hour},
-		func(modelID uint16, items []*BatchItem) {
-			for _, it := range items {
-				*it.Resp = Response{RequestID: it.RequestID, ModelID: modelID}
+// TestAdmitterPopBatchZeroAllocs guards the batch pop's hot path: with the
+// queue's array and the caller's buffer warm, an offer→pop round trip of a
+// full batch, and of a lone query with batching off, allocates nothing.
+func TestAdmitterPopBatchZeroAllocs(t *testing.T) {
+	payload := new(int) // a pointer payload: boxing it costs nothing
+	for _, cfg := range []BatchConfig{{MaxBatch: 4, MaxDelay: time.Hour}, {}} {
+		a, _, _ := newBatchAdmitter(cfg)
+		k := max(cfg.MaxBatch, 1)
+		into := make([]AdmitJob, k)
+		round := func() {
+			for range k {
+				a.Offer(9, payload)
 			}
-		},
-		func(fire func()) BatchTimer { return &fakeTimer{fire: fire} },
-	)
-	input := []fixed.Code{1, 2, 3}
-	var resp Response
-	if _, err := b.Do(9, 1, input, &resp); err != nil { // warm-up: pools fill
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := b.Do(9, 2, input, &resp); err != nil {
-			t.Fatal(err)
+			if got, ok := a.PopBatch(into); !ok || got != k {
+				t.Fatalf("popped %d (ok %v), want %d", got, ok, k)
+			}
 		}
-	}); n != 0 {
-		t.Fatalf("batch queue round trip allocates %v times per query, want 0", n)
-	}
-}
-
-// TestBatchShareCountsDown: of one executed batch's k shares exactly one
-// release reports the batch complete, and a share whose buffer has since
-// carried another batch reports it too, without touching that batch's
-// count. The zero share, a query that ran alone, never does.
-func TestBatchShareCountsDown(t *testing.T) {
-	b, _, _ := newTestBatcher(BatchConfig{MaxBatch: 4, MaxDelay: time.Hour})
-	shares := make(chan BatchShare, 4)
-	for id := uint32(1); id <= 4; id++ {
-		go func() {
-			var resp Response
-			share, _ := b.Do(7, id, []fixed.Code{1}, &resp)
-			shares <- share
-		}()
-	}
-	lasts := 0
-	for i := 0; i < 4; i++ {
-		s := <-shares
-		if !s.Batched() {
-			t.Fatal("a batched query's share is the zero share")
+		round() // warm-up: the queue and its array
+		if n := testing.AllocsPerRun(100, round); n != 0 {
+			t.Errorf("MaxBatch %d: offer+pop allocates %v times per batch, want 0", cfg.MaxBatch, n)
 		}
-		if s.Release() {
-			lasts++
-		}
-	}
-	if lasts != 1 {
-		t.Errorf("%d of 4 releases completed the batch, want 1", lasts)
-	}
-
-	var bb batchBuf
-	stale := bb.arm(2)
-	live := bb.arm(2)
-	if !stale.Release() {
-		t.Error("a share of a recounted buffer did not report its batch complete")
-	}
-	if live.Release() || !live.Release() {
-		t.Error("the stale release moved the live batch's count")
-	}
-	if (BatchShare{}).Release() || (BatchShare{}).Batched() {
-		t.Error("the zero share claims a batch")
 	}
 }
 

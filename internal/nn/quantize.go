@@ -57,7 +57,7 @@ func Quantize(n *Network, calib *dataset.Set) *QuantizedNetwork {
 	}
 
 	// Calibrate shifts and raw-unit biases layer by layer: the raw unit of
-	// layer l depends on all upstream shifts, so layers settle in order.
+	// layer l depends on all upstream shifts, so layers are fixed in order.
 	// inScale[l] is the real value one input code LSB of layer l denotes.
 	inScale := 1.0 / 255 // layer-0 inputs are [0,1] images/features
 	samples := calibSamples(calib)

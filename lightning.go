@@ -114,19 +114,16 @@ type Config struct {
 	// RelockBackoff is the delay before the second recovery attempt,
 	// doubling each attempt after (default 10ms).
 	RelockBackoff time.Duration
-	// Batch enables cross-query batching: concurrent queries for the same
-	// model coalesce into a single matrix pass per shard, amortizing
-	// preamble detection, LUT-validity checks, ADC readout, and per-layer
-	// reconfiguration + DRAM weight streaming across the batch. There is one
-	// execution path either way. With the zero value (MaxBatch <= 1) there
-	// is no queue and no timer: ServeUDP's reader runs the complete queries
-	// of each batched read as that pass, one per model, and a worker or a
-	// HandleMessage caller runs its query as a batch of one — noiselessly
-	// bit-for-bit what a batching NIC computes for the same queries. With
-	// batching enabled and MaxDelay unset, the delay defaults to
-	// nic.DefaultBatchDelay. A queue pays off with the concurrent ingest of
-	// ServeUDPWorkers; ServeUDP's single reader puts one query at a time in
-	// it, so each waits out MaxDelay alone.
+	// Batch enables cross-query batching in ServeUDPWorkers' worker pool:
+	// a worker pops up to MaxBatch same-model queries from admission at once
+	// — when that many are queued, when the oldest has waited MaxDelay
+	// (default nic.DefaultBatchDelay), or on a drain — and runs them as one
+	// matrix pass, amortizing preamble detection, LUT checks, ADC readout,
+	// and per-layer reconfiguration and weight streaming across the batch.
+	// It governs the worker pool only, on one execution path: ServeUDP
+	// answers each read's queries at once as one pass per model, and
+	// HandleMessage runs each call as a batch of one — noiselessly
+	// bit-for-bit what a batched pass computes for the same queries.
 	Batch BatchConfig
 	// Admission configures the admission stage ahead of ServeUDPWorkers'
 	// worker pool: per-model bounded queues (arrivals beyond the bound are
@@ -205,13 +202,9 @@ type NIC struct {
 	// next drives round-robin query dispatch across shards.
 	next atomic.Uint64
 
-	// batcher coalesces concurrent same-model queries into matrix passes;
-	// nil when batching is disabled (every query is an inline batch of one).
-	batcher *nic.Batcher
-
 	// served counts completed inference responses.
 	served atomic.Uint64
-	// inflight counts HandleMessage calls currently in the datapath;
+	// inflight counts groups currently in the datapath (serveGroup);
 	// Drain waits for it to reach zero.
 	inflight atomic.Int64
 	// recovering counts in-flight shard recovery goroutines; Drain waits
@@ -290,11 +283,9 @@ type Metrics struct {
 	ReassemblyOversize uint64
 	// Serve accounts per-reason losses at the UDP serve path's edges.
 	Serve ServeDrops
-	// Batch is the cross-query batch queue's flush accounting (all zero
-	// when batching is disabled).
+	// Batch counts the worker pool's popped batches (all zero when
+	// batching is disabled); queries still waiting show in Serve.QueueDepth.
 	Batch BatchStats
-	// BatchPending is the instantaneous queued-but-unflushed query count.
-	BatchPending int
 	// ModelInstalls and ModelInstallErrors count wire control-plane model
 	// installs accepted and rejected (always zero unless the NIC was built
 	// with Config.AllowModelInstall).
@@ -323,10 +314,7 @@ func (n *NIC) Metrics() Metrics {
 		ModelInstalls:      n.installs.Load(),
 		ModelInstallErrors: n.installErrors.Load(),
 		Serve:              n.door.Stats(),
-	}
-	if n.batcher != nil {
-		m.Batch = n.batcher.Stats()
-		m.BatchPending = n.batcher.Pending()
+		Batch:              n.door.BatchStats(),
 	}
 	m.Shards = make([]ShardHealth, len(n.shards))
 	m.Health.Unavailable = n.unavailable.Load()
@@ -419,25 +407,18 @@ func New(cfg Config) (*NIC, error) {
 		closing:        make(chan struct{}),
 	}
 	n.door = frontdoor.New(n.reassembly, cfg.Admission, time.Now)
-	if cfg.Batch.Enabled() {
-		n.batcher = nic.NewBatcher(cfg.Batch, n.execBatch)
-	}
+	n.door.SetBatch(cfg.Batch, nic.AfterFuncTimer)
 	return n, nil
 }
 
-// Drain blocks until every in-flight HandleMessage call has left the
-// datapath and every background shard recovery has finished, or the context
-// expires. It does not stop new work from arriving; callers stop their
-// ingest first (ServeUDP and ServeUDPWorkers do this internally on context
-// cancellation before they return).
+// Drain lets every partial batch waiting in admission leave now, then blocks
+// until every in-flight query has left the datapath and every background
+// shard recovery has finished, or the context expires. It does not stop new
+// work from arriving; callers stop their ingest first (ServeUDP and
+// ServeUDPWorkers do this on cancellation before they return).
 func (n *NIC) Drain(ctx context.Context) error {
+	n.door.Flush()
 	for {
-		if n.batcher != nil {
-			// Flush partial batches first: their queries sit inside
-			// blocked HandleMessage calls, so inflight cannot reach zero
-			// while a batch is parked behind its delay timer.
-			n.batcher.FlushAll()
-		}
 		if n.inflight.Load() == 0 && n.recovering.Load() == 0 {
 			return nil
 		}
@@ -478,9 +459,9 @@ func (n *NIC) UpdateModel(id uint16, q *TrainedModel) error {
 }
 
 // HandleMessage serves one inference query (already parsed from the wire)
-// through the photonic datapath and returns the response. Fragmented
-// queries (large vision inputs, §4/Table 6) accumulate in the packet
-// assembler; non-final fragments return (nil, nil).
+// through the photonic datapath, as a batch of one, and returns the
+// response. Fragmented queries (large vision inputs, §4/Table 6) accumulate
+// in the packet assembler; non-final fragments return (nil, nil).
 //
 // Queries dispatch round-robin across the healthy core shards; with
 // Cores > 1, concurrent callers run inference truly in parallel. Quarantined
@@ -488,7 +469,7 @@ func (n *NIC) UpdateModel(id uint16, q *TrainedModel) error {
 // an Err-flagged response and ErrUnavailable rather than a silently wrong
 // result.
 func (n *NIC) HandleMessage(msg *Message) (*Response, error) {
-	return n.door.Handle(msg, netip.AddrPort{}, n.serveRequest)
+	return n.door.Handle(msg, netip.AddrPort{}, n.serveGroup)
 }
 
 // ErrInstallDisabled rejects wire model installs on a NIC that was not
@@ -533,48 +514,6 @@ func (n *NIC) handleControl(modelID uint16, payload []byte, resp *Response) erro
 	}
 }
 
-// serveRequest is the NIC's front-door handler: it runs one complete
-// request into resp, a control message through the control plane and a
-// query through the datapath. A query that ran in a batch hands back its
-// share of the batch, for the door to release once its response is queued.
-//
-//lint:hotpath
-func (n *NIC) serveRequest(req frontdoor.Request, resp *Response) (nic.BatchShare, error) {
-	if req.Control {
-		return nic.BatchShare{}, n.handleControl(req.Model, req.Query, resp)
-	}
-	n.inflight.Add(1)
-	defer n.inflight.Add(-1)
-	// Classify client mistakes (unknown model, wrong input width) before
-	// dispatch: they never touch analog hardware, so they must not count
-	// against any shard's health — a burst of malformed queries is not a
-	// hardware fault — and a degraded NIC still answers them. They never
-	// enter the batch queue either: they carry no analog work to amortize
-	// and must not delay a real batch.
-	if err := n.store.Validate(req.Model, len(req.Query)); err != nil {
-		resp.Err = true
-		return nic.BatchShare{}, err
-	}
-	// The query's bytes are the engine's operand, not a copy of them: the
-	// engine only reads its input, and the bytes stay put until this call
-	// returns — the front door reuses a query's storage (the read buffer,
-	// its admission copy, a reassembly buffer) only once it has been
-	// answered, and Batcher.Do blocks until the batch has run and then
-	// drops the item's reference.
-	input := fixed.CodesOf(req.Query)
-	if n.batcher != nil {
-		// Batched dispatch: park the query in its model's batch queue and
-		// block until the coalesced matrix pass (or a flush of one) has
-		// written this request's verdict into resp.
-		return n.batcher.Do(req.Model, req.ID, input, resp)
-	}
-	// Unbatched: the same pass for a batch of one, run inline.
-	it := nic.BatchItem{RequestID: req.ID, Input: input, Resp: resp}
-	items := [1]*nic.BatchItem{&it}
-	n.execBatch(req.Model, items[:])
-	return nic.BatchShare{}, it.Err
-}
-
 // HandleFrame processes one raw Ethernet frame exactly as the datapath
 // would: parse, classify, and — for inference queries — serve and return the
 // response frame addressed by the exact reverse of the query's five-tuple
@@ -591,7 +530,7 @@ func (n *NIC) HandleFrame(frame []byte) ([]byte, Verdict, error) {
 	// Fragments reassemble per flow: two hosts that both number a request 1
 	// keep their own buffers.
 	src := netip.AddrPortFrom(parsed.Flow.Src, parsed.Flow.SrcPort)
-	resp, herr := n.door.Handle(&parsed.Msg, src, n.serveRequest)
+	resp, herr := n.door.Handle(&parsed.Msg, src, n.serveGroup)
 	if resp == nil {
 		if herr != nil {
 			return nil, nic.VerdictDrop, herr

@@ -24,7 +24,7 @@ func TestServeUDPReadBatchIsOneMatrixPass(t *testing.T) {
 	// and builds its HandleMessage twin.
 	start := func(t *testing.T) (n, twin *NIC, conn *flushConn) {
 		t.Helper()
-		n, conn, _ = serveFlush(t, cfg, 0)
+		n, conn = serveFlush(t, cfg, 0)
 		twin, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

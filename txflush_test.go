@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/lightning-smartnic/lightning/internal/fault"
+	"github.com/lightning-smartnic/lightning/internal/frontdoor"
 	"github.com/lightning-smartnic/lightning/internal/netbatch"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
@@ -116,10 +117,9 @@ var (
 
 const flushWidth, flushModel = 32, 4
 
-// serveFlush serves a NIC built from cfg through a flushConn with a worker
-// pool until the test ends. also starts one more Serve call on the same NIC,
-// through a flushConn of its own.
-func serveFlush(t *testing.T, cfg Config, workers int) (n *NIC, conn *flushConn, also func(workers int) *flushConn) {
+// serveFlush serves a NIC built from cfg through a flushConn, with a worker
+// pool when workers > 0, until the test ends.
+func serveFlush(t *testing.T, cfg Config, workers int) (*NIC, *flushConn) {
 	t.Helper()
 	n, err := New(cfg)
 	if err != nil {
@@ -128,30 +128,25 @@ func serveFlush(t *testing.T, cfg Config, workers int) (n *NIC, conn *flushConn,
 	if err := n.RegisterModel(flushModel, "halves", halvesModel(flushWidth)); err != nil {
 		t.Fatal(err)
 	}
-	next := make(chan *flushConn, 1)
-	n.rail = func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn { return <-next }
-	also = func(workers int) *flushConn {
-		conn := newFlushConn()
-		next <- conn
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			if workers > 0 {
-				done <- n.ServeUDPWorkers(ctx, nil, workers)
-			} else {
-				done <- n.ServeUDP(ctx, nil)
-			}
-		}()
-		t.Cleanup(func() {
-			cancel()
-			close(conn.closed)
-			if err := <-done; err != nil {
-				t.Errorf("serve returned %v", err)
-			}
-		})
-		return conn
-	}
-	return n, also(workers), also
+	conn := newFlushConn()
+	n.rail = func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn { return conn }
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		if workers > 0 {
+			done <- n.ServeUDPWorkers(ctx, nil, workers)
+		} else {
+			done <- n.ServeUDP(ctx, nil)
+		}
+	}()
+	t.Cleanup(func() {
+		cancel()
+		close(conn.closed)
+		if err := <-done; err != nil {
+			t.Errorf("serve returned %v", err)
+		}
+	})
+	return n, conn
 }
 
 // queries encodes k queries, request IDs first..first+k-1, alternating
@@ -189,7 +184,7 @@ func runs(flush []sent) int {
 // eight datagrams, each client's responses next to each other (the run the
 // segmentation offload sends as one train), every answer its oracle's.
 func TestServeUDPBatchLeavesInOneFlush(t *testing.T) {
-	n, conn, _ := serveFlush(t, Config{
+	n, conn := serveFlush(t, Config{
 		Lanes: 2, Noiseless: true, Seed: 3,
 		Batch: BatchConfig{MaxBatch: 8, MaxDelay: time.Hour},
 	}, 8)
@@ -220,19 +215,18 @@ func flushSizes(flushes [][]sent) []int {
 	return sizes
 }
 
-// TestServeUDPBatchNeverStrandsAResponse: whatever executes a batch and
-// whoever releases its last share, every response the worker pool queued
-// is written within a second with no further traffic — a partial batch the
-// MaxDelay timer flushes, one Drain flushes, a batch shared with a
-// HandleMessage caller or with another Serve call's inline reader, and a
-// batch every quarantined shard refuses.
+// TestServeUDPBatchNeverStrandsAResponse: whatever lets a batch leave
+// admission, every response the worker pool queued is written within a
+// second with no further traffic — a partial batch the MaxDelay timer
+// releases, one Drain releases, and a batch every quarantined shard
+// refuses.
 func TestServeUDPBatchNeverStrandsAResponse(t *testing.T) {
 	batched := func(delay time.Duration) Config {
 		return Config{Lanes: 2, Noiseless: true, Seed: 3, Batch: BatchConfig{MaxBatch: 8, MaxDelay: delay}}
 	}
 
 	t.Run("max-delay", func(t *testing.T) {
-		_, conn, _ := serveFlush(t, batched(20*time.Millisecond), 8)
+		_, conn := serveFlush(t, batched(20*time.Millisecond), 8)
 		conn.in <- queries(t, 1, 3)
 		conn.await(t, 3)
 		if sizes := flushSizes(conn.recorded()); !slices.Equal(sizes, []int{3}) {
@@ -241,9 +235,9 @@ func TestServeUDPBatchNeverStrandsAResponse(t *testing.T) {
 	})
 
 	t.Run("drain", func(t *testing.T) {
-		n, conn, _ := serveFlush(t, batched(time.Hour), 8)
+		n, conn := serveFlush(t, batched(time.Hour), 8)
 		conn.in <- queries(t, 1, 3)
-		for i := 0; i < 20000 && n.Metrics().BatchPending != 3; i++ {
+		for i := 0; i < 20000 && queued(n) != 3; i++ {
 			time.Sleep(50 * time.Microsecond)
 		}
 		if err := n.Drain(context.Background()); err != nil {
@@ -252,45 +246,10 @@ func TestServeUDPBatchNeverStrandsAResponse(t *testing.T) {
 		conn.await(t, 3)
 	})
 
-	t.Run("mixed-with-handle-message", func(t *testing.T) {
-		n, conn, _ := serveFlush(t, batched(time.Hour), 8)
-		// Which caller releases last varies round to round.
-		for round := uint32(0); round < 10; round++ {
-			first := 1 + 8*round
-			var resp *Response
-			var herr error
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				resp, herr = serveQuery(t, n, first+7, flushModel, brightHalfQuery(flushWidth, int(first+7)%2))
-			}()
-			conn.in <- queries(t, first, 7)
-			conn.await(t, 7)
-			<-done
-			if herr != nil || resp == nil || int(resp.Class) != int(first+7)%2 {
-				t.Fatalf("round %d: HandleMessage got %+v, %v", round, resp, herr)
-			}
-		}
-	})
-
-	t.Run("mixed-with-inline-reader", func(t *testing.T) {
-		// A second Serve call on the same NIC reads inline, with no
-		// workers; its query completes the pool's batch.
-		_, pool, also := serveFlush(t, batched(time.Hour), 8)
-		inline := also(0)
-		for round := uint32(0); round < 10; round++ {
-			first := 1 + 8*round
-			pool.in <- queries(t, first, 7)
-			inline.in <- queries(t, first+7, 1)
-			pool.await(t, 7)
-			inline.await(t, 1)
-		}
-	})
-
 	t.Run("all-quarantined", func(t *testing.T) {
 		cfg := batched(time.Hour)
 		cfg.Cores, cfg.RelockAttempts, cfg.RelockBackoff = 1, 1, time.Millisecond
-		n, conn, _ := serveFlush(t, cfg, 8)
+		n, conn := serveFlush(t, cfg, 8)
 		runner := fault.NewRunner(fault.NewPlan().At(0, 0, fault.DeadLane{Lane: 0}), n)
 		if fired := runner.Step(); len(fired) != 1 || fired[0].Err != nil {
 			t.Fatalf("injection: %v", fired)
@@ -308,4 +267,94 @@ func TestServeUDPBatchNeverStrandsAResponse(t *testing.T) {
 			}
 		}
 	})
+}
+
+// queued returns how many queries wait in n's admission, their batch not
+// yet popped.
+func queued(n *NIC) int {
+	k := 0
+	for _, d := range n.Metrics().Serve.QueueDepth {
+		k += d
+	}
+	return k
+}
+
+// waitQueued waits until k queries wait in n's admission.
+func waitQueued(t *testing.T, n *NIC, k int) {
+	t.Helper()
+	for i := 0; i < 20000 && queued(n) != k; i++ {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if got := queued(n); got != k {
+		t.Fatalf("queued = %d, want %d waiting in admission", got, k)
+	}
+}
+
+// servePool serves n's worker pool through a flushConn until the test ends,
+// with the NIC's own handler, recording each request's handler error — the
+// one thing the wire does not carry — for errOf.
+func servePool(t *testing.T, n *NIC, workers int) (conn *flushConn, errOf func(id uint32) error) {
+	t.Helper()
+	conn = newFlushConn()
+	var mu sync.Mutex
+	errs := make(map[uint32]error)
+	h := func(reqs []frontdoor.Request, resps []Response, es []error) {
+		n.serveGroup(reqs, resps, es)
+		mu.Lock()
+		for i := range reqs {
+			errs[reqs[i].ID] = es[i]
+		}
+		mu.Unlock()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- n.door.Serve(ctx, nil, workers, h, func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn { return conn })
+	}()
+	t.Cleanup(func() {
+		cancel()
+		close(conn.closed)
+		if err := <-done; err != nil {
+			t.Errorf("serve returned %v", err)
+		}
+	})
+	return conn, func(id uint32) error {
+		mu.Lock()
+		defer mu.Unlock()
+		return errs[id]
+	}
+}
+
+// codeQueries encodes one query per payload, request IDs 1..k, all from
+// client A.
+func codeQueries(t *testing.T, modelID uint16, payloads ...[]Code) []sourced {
+	t.Helper()
+	out := make([]sourced, len(payloads))
+	for i, q := range payloads {
+		raw := make([]byte, len(q))
+		for j, c := range q {
+			raw[j] = byte(c)
+		}
+		out[i] = sourced{data: encodeQuery(t, uint32(i+1), modelID, raw), from: clientA}
+	}
+	return out
+}
+
+// responses awaits k responses and decodes each, by request ID.
+func (c *flushConn) responses(t *testing.T, k int) map[uint32]*Response {
+	t.Helper()
+	out := make(map[uint32]*Response, k)
+	for _, s := range c.await(t, k) {
+		var m Message
+		if err := m.Decode(s.data); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := nic.ParseResponse(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Probs = bytes.Clone(resp.Probs)
+		out[s.id] = resp
+	}
+	return out
 }

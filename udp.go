@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/lightning-smartnic/lightning/internal/frontdoor"
 	"github.com/lightning-smartnic/lightning/internal/netbatch"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
@@ -31,12 +30,12 @@ var rxBufPool = sync.Pool{
 // workers: the reader executes queries inline — no admission stage, no
 // query copy. The complete queries of one batched read (every frame of
 // every datagram it drained, up to 16 queries) are answered together, as
-// one matrix pass per model on a NIC without a batch queue, so a layer's
-// reconfiguration, weight stream and readout lock are paid once per read,
-// not once per query; no query waits for one that had not arrived. With
-// Config.Batch enabled each query joins the batch queue instead and waits
-// there for companions. Malformed frames and failed writes are counted per
-// reason in Metrics.Serve, never fatal. On cancellation the loop stops
+// one matrix pass per model, so a layer's reconfiguration, weight stream
+// and readout lock are paid once per read, not once per query; no query
+// waits for one that had not arrived. Config.Batch does not apply: each
+// read is answered at once, as HandleMessage runs each call as a batch of
+// one. Malformed frames and failed writes are counted per reason in
+// Metrics.Serve, never fatal. On cancellation the loop stops
 // reading, waits for in-flight datapath work, and returns the drain's
 // verdict (nil unless Config.DrainTimeout fired).
 func (n *NIC) ServeUDP(ctx context.Context, pc net.PacketConn) error {
@@ -66,9 +65,12 @@ func (n *NIC) ServeUDP(ctx context.Context, pc net.PacketConn) error {
 // cancellation admitted queries drain through the workers and the call
 // returns as ServeUDP does.
 //
-// With Config.Batch enabled, workers are also what fills batches: size
-// workers at or above Cores × MaxBatch to let every shard flush full
-// batches.
+// With Config.Batch enabled, a worker pops up to MaxBatch same-model
+// queries at once, answers them as one matrix pass and sends their
+// responses in one write; the budget is judged at that pop, so the wait for
+// a batch to fill counts against it. Only the pool batches: ServeUDP
+// answers each read at once, and HandleMessage runs each call as a batch
+// of one.
 func (n *NIC) ServeUDPWorkers(ctx context.Context, pc net.PacketConn, workers int) error {
 	if workers < 1 {
 		workers = 1
@@ -77,18 +79,12 @@ func (n *NIC) ServeUDPWorkers(ctx context.Context, pc net.PacketConn, workers in
 }
 
 // serve runs the front door with the datapath as its handler, then drains
-// queries parked behind a MaxDelay timer. ctx is already cancelled by then,
-// so the drain sheds its cancellation, re-bounded by Config.DrainTimeout so
-// a wedged datapath or a recovery loop mid-backoff cannot hang shutdown. The
+// the datapath and any recovery. ctx is already cancelled by then, so the
+// drain sheds its cancellation, re-bounded by Config.DrainTimeout so a
+// wedged datapath or a recovery loop mid-backoff cannot hang shutdown. The
 // read error, not any drain error, is the story when both exist.
 func (n *NIC) serve(ctx context.Context, pc net.PacketConn, workers int) error {
-	// The inline reader's group: a queue forms its own batches, so there
-	// each query joins it as serveRequest's would.
-	group := frontdoor.Each(n.serveRequest)
-	if n.batcher == nil {
-		group = (&readGroup{n: n}).serve
-	}
-	err := n.door.Serve(ctx, pc, workers, n.serveRequest, group, n.rail)
+	err := n.door.Serve(ctx, pc, workers, n.serveGroup, n.rail)
 	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), n.drainTimeout)
 	defer cancel()
 	if derr := n.Drain(dctx); err == nil {

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/lightning-smartnic/lightning/internal/fault"
+	"github.com/lightning-smartnic/lightning/internal/frontdoor"
+	"github.com/lightning-smartnic/lightning/internal/netbatch"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
@@ -82,68 +85,144 @@ func TestClientInferConcurrent(t *testing.T) {
 	}
 }
 
-// neverTimer is a batch flush timer that never fires — it models a parked
-// partial batch whose MaxDelay has not elapsed when the serve loop dies.
+// neverTimer is a batch flush timer that never fires on its own — it models
+// a parked partial batch whose MaxDelay has not elapsed.
 type neverTimer struct{}
 
-func (neverTimer) Reset(time.Duration) {}
-func (neverTimer) Stop()               {}
+func (neverTimer) Reset(time.Duration) bool { return false }
+func (neverTimer) Stop() bool               { return false }
 
 // TestServeUDPFatalReadErrorDrainsParkedBatch is the regression test for
-// the fatal-exit drain bug: when ServeUDP's read fails with a non-timeout
-// error, queries parked in a per-model batch queue behind a MaxDelay timer
-// (a concurrent HandleMessage caller's) must flush through Drain the way
-// the worker path's defer and the cancellation path already do — not be
-// abandoned mid-flight. The injected timer never fires, so pre-fix the
-// parked caller hangs forever.
+// the fatal-exit drain bug: when the serve socket's read fails with a
+// non-timeout error, a query parked in admission behind a MaxDelay timer
+// must be answered on the way out, the way the cancellation path already
+// does — not abandoned mid-flight. The injected timer never fires, so only
+// the exit's drain can release the parked query.
 func TestServeUDPFatalReadErrorDrainsParkedBatch(t *testing.T) {
 	const width = 64
-	n, _ := New(Config{
-		Lanes: 2, Noiseless: true, Seed: 42,
-		Batch: BatchConfig{MaxBatch: 4, MaxDelay: time.Hour},
-	})
+	batch := BatchConfig{MaxBatch: 4, MaxDelay: time.Hour}
+	n, _ := New(Config{Lanes: 2, Noiseless: true, Seed: 42, Batch: batch})
 	if err := n.RegisterModel(4, "halves", halvesModel(width)); err != nil {
 		t.Fatal(err)
 	}
-	// Swap in a batcher whose delay timer never fires: only a full batch or
-	// a drain can flush it.
-	n.batcher = nic.NewBatcherWithTimer(
-		nic.BatchConfig{MaxBatch: 4, MaxDelay: time.Hour},
-		n.execBatch,
-		func(func()) nic.BatchTimer { return neverTimer{} },
-	)
+	n.door.SetBatch(batch, func(func()) nic.BatchTimer { return neverTimer{} })
 
-	// A concurrent caller parks one query in the batch queue.
-	parked := make(chan error, 1)
-	go func() {
-		payload := make([]byte, width)
-		_, err := n.HandleMessage(&Message{RequestID: 9, ModelID: 4, Payload: payload})
-		parked <- err
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for n.batcher.Pending() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("query never parked in the batch queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The serve socket fails fatally with the batch still parked.
+	// The serve socket delivers one query, which parks in admission, then
+	// fails fatally with the batch still partial.
 	fatal := errors.New("socket torn down")
 	pc := fault.NewStubConn()
+	pc.Enqueue(encodeQuery(t, 9, 4, make([]byte, width)))
 	pc.ReadErr = fatal
-	if err := n.ServeUDP(context.Background(), pc); !errors.Is(err, fatal) {
-		t.Fatalf("ServeUDP = %v, want the fatal read error", err)
-	}
+	served := make(chan error, 1)
+	go func() { served <- n.ServeUDPWorkers(context.Background(), pc, 2) }()
 	select {
-	case err := <-parked:
-		if err != nil {
-			t.Fatalf("flushed parked query failed: %v", err)
+	case err := <-served:
+		if !errors.Is(err, fatal) {
+			t.Fatalf("ServeUDPWorkers = %v, want the fatal read error", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("parked query abandoned: fatal-error exit did not drain the batch queue")
+		t.Fatal("parked query abandoned: fatal-error exit did not drain admission")
 	}
-	if p := n.batcher.Pending(); p != 0 {
-		t.Errorf("batch queue still holds %d queries after fatal-exit drain", p)
+	if m := n.Metrics(); pc.Writes() != 1 || m.Served != 1 {
+		t.Fatalf("flushed parked query: %d responses written, %d served, want 1 and 1", pc.Writes(), m.Served)
+	}
+	if p := queued(n); p != 0 {
+		t.Errorf("admission still holds %d queries after fatal-exit drain", p)
+	}
+}
+
+// TestServeUDPWorkersBudgetCoversBatchWait: under batching a query's latency
+// budget runs from admission to the pop of its batch, so a partial batch
+// that waited out its budget for companions is shed — counted in
+// Serve.Shed, never answered — not served late. Time is the admitter's
+// logical clock and MaxDelay a hand-fired timer; a full batch inside its
+// budget is still served.
+func TestServeUDPWorkersBudgetCoversBatchWait(t *testing.T) {
+	cfg := Config{
+		Lanes: 2, Noiseless: true, Seed: 18,
+		Batch:     BatchConfig{MaxBatch: 8, MaxDelay: time.Hour},
+		Admission: AdmissionConfig{Budget: 10 * time.Millisecond},
+	}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RegisterModel(flushModel, "halves", halvesModel(flushWidth)); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	now := time.Unix(5000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	fires := make(chan func(), 1)
+	n.door = frontdoor.New(n.reassembly, cfg.Admission, clock)
+	n.door.SetBatch(cfg.Batch, func(fire func()) nic.BatchTimer {
+		fires <- fire
+		return neverTimer{}
+	})
+	conn := newFlushConn()
+	n.rail = func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn { return conn }
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- n.ServeUDPWorkers(ctx, nil, 8) }()
+	defer func() {
+		cancel()
+		close(conn.closed)
+		if err := <-done; err != nil {
+			t.Errorf("serve returned %v", err)
+		}
+	}()
+
+	// Three queries wait for companions past their budget, then MaxDelay
+	// lets their batch go.
+	conn.in <- queries(t, 1, 3)
+	waitQueued(t, n, 3)
+	mu.Lock()
+	now = now.Add(20 * time.Millisecond)
+	mu.Unlock()
+	(<-fires)()
+	for i := 0; i < 20000 && n.Metrics().Serve.Shed != 3; i++ {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if m := n.Metrics(); m.Serve.Shed != 3 || m.Served != 0 {
+		t.Fatalf("after the batch outwaited its budget: shed %d, served %d, want 3 and 0", m.Serve.Shed, m.Served)
+	}
+
+	// A full batch inside its budget leaves at once, every answer its
+	// oracle's, and the shed batch wrote nothing.
+	conn.in <- queries(t, 11, 8)
+	for _, s := range conn.await(t, 8) {
+		if s.err || s.class != int(s.id%2) || s.id < 11 {
+			t.Errorf("request %d answered class %d (error %v)", s.id, s.class, s.err)
+		}
+	}
+	if sizes := flushSizes(conn.recorded()); !slices.Equal(sizes, []int{8}) {
+		t.Errorf("flush sizes %v, want the full batch's one flush of 8", sizes)
+	}
+}
+
+// TestServeUDPBatchConfigAnswersEachReadAtOnce: Config.Batch governs the
+// worker pool's admission pop only, so ServeUDP's inline reader on a NIC
+// with Batch{8, time.Hour} answers a read of three queries at once, in the
+// read's one flush, with no drain and no batch counted.
+func TestServeUDPBatchConfigAnswersEachReadAtOnce(t *testing.T) {
+	n, conn := serveFlush(t, Config{
+		Lanes: 2, Noiseless: true, Seed: 3,
+		Batch: BatchConfig{MaxBatch: 8, MaxDelay: time.Hour},
+	}, 0)
+	conn.in <- queries(t, 1, 3)
+	for _, s := range conn.await(t, 3) {
+		if s.err || s.class != int(s.id%2) {
+			t.Errorf("request %d answered class %d (error %v), want its oracle %d", s.id, s.class, s.err, s.id%2)
+		}
+	}
+	if sizes := flushSizes(conn.recorded()); !slices.Equal(sizes, []int{3}) {
+		t.Errorf("flush sizes %v, want the read's one flush of 3", sizes)
+	}
+	if m := n.Metrics(); m.Batch.Flushes != 0 || m.Serve.InlineBatchSize.Sum != 3 {
+		t.Errorf("batch flushes %d, inline group queries %d: want 0 and 3", m.Batch.Flushes, m.Serve.InlineBatchSize.Sum)
 	}
 }
