@@ -102,23 +102,25 @@ func NewADC(seed uint64) *ADC {
 // rounding and saturating at the rails.
 func (a *ADC) Quantize(v float64) fixed.Code {
 	a.Quantized++
-	return quantize(v)
+	return Quantize(v)
 }
 
-// quantize is Quantize without the sample count: round half away from zero,
-// as math.Round does, saturating at the rails. Between the rails v is
-// positive and below 255, so truncation is the floor and v−⌊v⌋ is exact; the
-// branch-and-call of math.Round showed as 8 % of a long-vector query.
-func quantize(v float64) fixed.Code {
-	if v <= 0 {
-		return 0
+// Quantize is the ADC's rounding rule, the one every digitization applies:
+// round half away from zero, as math.Round does, saturating at the rails. For
+// 0.5 ≤ v < 254.5 the code is ⌊v+0.5⌋ by truncation: v+0.5 is exact unless
+// it crosses a power of two 2ᵖ ≥ 1, and then it rounds to no less than 2ᵖ
+// and below 2ᵖ+1, whose floor 2ᵖ is v's rounding too. Below 0.5 the code is
+// 0 (v+0.5 itself may round up to 1) and from 254.5 it is 255, both picked by
+// a conditional move, so the rule inlines into a noise pass without a branch
+// or a call (math.Round's showed as 8 % of a long-vector query). It counts
+// nothing, so any goroutine may call it.
+func Quantize(v float64) fixed.Code {
+	t := int(v + 0.5)
+	if v < 0.5 {
+		t = 0
 	}
-	if v >= fixed.MaxCode {
-		return fixed.MaxCode
-	}
-	t := int(v)
-	if v-float64(t) >= 0.5 {
-		t++
+	if v >= fixed.MaxCode-0.5 {
+		t = fixed.MaxCode
 	}
 	return fixed.Code(t)
 }
@@ -161,7 +163,7 @@ func (a *ADC) ReadoutBurstInto(dst []Frame, prefix []fixed.Code, readings []floa
 // A burst readout is kept as the flat sample stream the datapath sees, frame
 // f being samples [f·SamplesPerCycle, (f+1)·SamplesPerCycle): OpenBurst,
 // any number of Digitize calls as readings arrive (or Reserve, with the
-// reserved span filled by QuantizeInto), CloseBurst. Idle noise is
+// reserved span filled by Quantize's codes), CloseBurst. Idle noise is
 // drawn for the positions before the burst (on open) and then for those
 // after it (on close), and for nothing in between; prefix and readings both
 // count as digitized samples.
@@ -196,9 +198,9 @@ func (a *ADC) Digitize(burst []fixed.Code, readings []float64) []fixed.Code {
 }
 
 // Reserve extends an open burst by n samples, counted as digitized, whose
-// codes the caller fills with QuantizeInto — in pieces, in any order, from
-// any goroutine, so long as the pieces cover them and the burst is not
-// closed first.
+// codes the caller fills by Quantize — QuantizeInto, or a pass that rounds
+// as it reads — in pieces, in any order, from any goroutine, so long as the
+// pieces cover them and the burst is not closed first.
 //
 //lint:hotpath
 func (a *ADC) Reserve(burst []fixed.Code, n int) []fixed.Code {
@@ -216,7 +218,7 @@ func (a *ADC) Reserve(burst []fixed.Code, n int) []fixed.Code {
 func QuantizeInto(dst []fixed.Code, readings []float64) {
 	dst = dst[:len(readings)]
 	for i, v := range readings {
-		dst[i] = quantize(v)
+		dst[i] = Quantize(v)
 	}
 }
 

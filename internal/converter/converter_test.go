@@ -88,15 +88,19 @@ func roundQuantize(v float64) fixed.Code {
 	return fixed.Code(math.Round(v))
 }
 
-// FuzzQuantizeMatchesRound holds quantize to math.Round's half-away-from-zero
+// FuzzQuantizeMatchesRound holds Quantize to math.Round's half-away-from-zero
 // on every reading: the seeds are the values where a hand-written rounding
 // goes wrong — the largest double below one half, every exact tie, the rails
-// and their neighbours, both zeros, negatives — and each fuzzed value is also
-// tried one ulp either side.
+// and their neighbours, both zeros, negatives, the values whose v+0.5 crosses
+// a power of two — and each fuzzed value is also tried one ulp either side.
 func FuzzQuantizeMatchesRound(f *testing.F) {
 	f.Add(0.49999999999999994)
 	for k := 0; k < fixed.MaxCode; k++ {
 		f.Add(float64(k) + 0.5)
+	}
+	for p := 0.25; p <= 256; p *= 2 {
+		f.Add(p - 0.5)
+		f.Add(math.Nextafter(p, 0))
 	}
 	for _, v := range []float64{
 		254.5, 255, 254.99999999999997, 255.00000000000003, 254.49999999999997, 300, 1e300, math.Inf(1),
@@ -110,8 +114,8 @@ func FuzzQuantizeMatchesRound(f *testing.F) {
 			t.Skip("a NaN reading converts to an implementation-defined code, before and after")
 		}
 		for _, x := range []float64{v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1))} {
-			if got, want := quantize(x), roundQuantize(x); got != want {
-				t.Fatalf("quantize(%v) = %d, math.Round says %d", x, got, want)
+			if got, want := Quantize(x), roundQuantize(x); got != want {
+				t.Fatalf("Quantize(%v) = %d, math.Round says %d", x, got, want)
 			}
 		}
 	})

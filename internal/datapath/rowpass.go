@@ -11,10 +11,12 @@ import (
 )
 
 // A row's photonic pass and digitization run as blocks of blockSteps steps.
-// Block k streams its lane-aligned operand slices through the core, adds the
-// noise drawn at its own positions in the row's keyed stream — step s of the
-// row draws draw s of noiseKey(burst, row) — and quantizes into its own span
-// of the layer's burst, which the caller has already opened and reserved.
+// Block k streams its lane-aligned operand slices through the core into
+// noiseless readings, then reads them out in one pass that adds the noise
+// drawn at its own positions in the row's keyed stream — step s of the row
+// draws draw s of noiseKey(burst, row) — and writes the ADC codes into its own
+// span of the layer's burst, which the caller has already opened and
+// reserved.
 // No block reads another's output and every draw is named by its position,
 // so the burst's bytes are the same whichever goroutine ran which block and
 // in what order.
@@ -29,9 +31,10 @@ import (
 
 const (
 	// blockSteps is the unit of work: 16 KB of partials, so a block's
-	// readings are still in L1 when it quantizes them, and ≈ 15 µs of
-	// work at ≈ 7 ns a noisy step, which bounds how long the caller waits
-	// for a helper's last block.
+	// readings are still in L1 when it reads them out, and ≈ 16 µs of
+	// work at ≈ 8 ns a step (readings, noise and ADC codes of a two-lane
+	// core, on a 2-vCPU KVM guest), which bounds how long the caller
+	// waits for a helper's last block.
 	blockSteps = 2048
 	// fanOutSteps is the smallest row offered to helpers. A handoff costs
 	// the caller its P until the runtime has woken another (offer), and up
@@ -70,7 +73,7 @@ type rowPass struct {
 // open is rowPass.state's flag for a row helpers may attach to.
 const open = 1 << 32
 
-// run issues block k through the photonic core and quantizes it into the
+// run issues block k through the photonic core and reads it out into the
 // row's span of the burst, using parts (blockSteps long at least) for the
 // readings.
 //
@@ -99,10 +102,11 @@ func (p *rowPass) run(k int, parts []float64) {
 	}
 	if p.fast {
 		// The groups' steps are the block's consecutive positions, so one
-		// noise pass over the block draws what one a group would.
-		p.core.AddNoiseAt(parts, p.key, uint64(lo))
+		// readout over the block draws what one a group would.
+		p.core.ReadoutAt(p.out[lo:hi], parts, p.key, uint64(lo))
+	} else {
+		converter.QuantizeInto(p.out[lo:hi], parts)
 	}
-	converter.QuantizeInto(p.out[lo:hi], parts)
 }
 
 // issue runs every block of the row, offering a wide one to the helpers.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 	"github.com/lightning-smartnic/lightning/internal/mem"
 	"github.com/lightning-smartnic/lightning/internal/photonic"
@@ -190,6 +191,54 @@ func TestLaserSagShrinksReadingsAndRelockHeals(t *testing.T) {
 	healed := core.Step(a, b)
 	if math.Abs(healed-before) > 1 {
 		t.Fatalf("relock did not heal sag: %.2f, want ≈ %.2f", healed, before)
+	}
+}
+
+// TestLaserSagReachesTheKernel injects the sag as the fault runner does and
+// holds the fast path — the kernel's readings and its readout's codes — to
+// Step's live chain at the sagged carrier, and again once Relock has
+// renormalized the decode at it.
+func TestLaserSagReachesTheKernel(t *testing.T) {
+	core, err := photonic.NewCore(2, photonic.PrototypeNoise(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.FullScaleLanes = 2
+	if err := (LaserSag{Factor: 0.55}).Apply(Target{Core: core}); err != nil {
+		t.Fatal(err)
+	}
+	if core.CarrierPower() != 0.55 {
+		t.Fatalf("carrier %v after the sag, want 0.55", core.CarrierPower())
+	}
+	kernelMatchesStep(t, core, "sagged")
+	if err := core.Relock(); err != nil {
+		t.Fatal(err)
+	}
+	kernelMatchesStep(t, core, "sagged and relocked")
+}
+
+// kernelMatchesStep fails t unless core's fast path reads and reads out what
+// its Step reads, over a group of 129 operands at one noise key.
+func kernelMatchesStep(t *testing.T, core *photonic.Core, when string) {
+	t.Helper()
+	const key = 6<<32 | 1
+	a, b := make([]fixed.Code, 129), make([]fixed.Code, 129)
+	for i := range a {
+		a[i], b[i] = fixed.Code(i*37+5), fixed.Code(255-i*11)
+	}
+	core.SeekNoise(key)
+	var want []float64
+	for lo := 0; lo < len(a); lo += 2 {
+		hi := min(lo+2, len(a))
+		want = append(want, core.Step(a[lo:hi], b[lo:hi]))
+	}
+	got, codes := make([]float64, len(want)), make([]fixed.Code, len(want))
+	core.PartialsAt(got, a, b, key, 0)
+	core.ReadoutAt(codes, core.ReadingsInto(make([]float64, len(want)), a, b), key, 0)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || codes[i] != converter.Quantize(want[i]) {
+			t.Fatalf("%s: step %d reads %v (code %d) on the fast path, %v through Step", when, i, got[i], codes[i], want[i])
+		}
 	}
 }
 

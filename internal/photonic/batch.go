@@ -1,6 +1,9 @@
 package photonic
 
-import "github.com/lightning-smartnic/lightning/internal/fixed"
+import (
+	"github.com/lightning-smartnic/lightning/internal/converter"
+	"github.com/lightning-smartnic/lightning/internal/fixed"
+)
 
 // The core's one partials loop. The serve path coalesces the photonic work
 // of many queries into one pass: a sequence of operand groups — each group is
@@ -74,23 +77,24 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 // the cursor there. A group cut at a multiple of NumLanes operands and issued
 // piecewise at the matching positions reads the same as issued whole.
 //
-// It is ReadingsInto then AddNoiseAt over the same span; a caller with
-// several groups whose steps sit at consecutive positions may run
-// ReadingsInto per group and one AddNoiseAt over them all, and reads the
-// same. Like its halves, it only reads the core: the cursor does not move
-// and Steps is not counted, so several goroutines may call it at once on
-// disjoint dst while nothing else touches the core. The caller counts the
-// steps. Valid only while LUTsValid holds; a stale core takes Step, through
-// DotPartialsInto.
+// It only reads the core: the cursor does not move and Steps is not counted,
+// so several goroutines may call it at once on disjoint dst while nothing
+// else touches the core. The caller counts the steps. Valid only while
+// LUTsValid holds; a stale core takes Step, through DotPartialsInto.
 //
 //lint:hotpath
 func (c *Core) PartialsAt(dst []float64, a, b []fixed.Code, key, ctr uint64) {
 	dst = c.ReadingsInto(dst, a, b)
-	c.AddNoiseAt(dst, key, ctr)
+	if m := c.noise; m != nil {
+		m.addAt(dst, streamBase(m.seeded, key), ctr)
+	}
 }
 
 // ReadingsInto writes the ⌈len(a)/NumLanes⌉ noiseless readings of one
-// operand group into dst and returns them: the kernel half of PartialsAt.
+// operand group into dst and returns them: the kernel half of PartialsAt,
+// and the first half of a readout. A caller with several groups whose steps
+// sit at consecutive positions runs it per group and ReadoutAt over them
+// all.
 //
 //lint:hotpath
 func (c *Core) ReadingsInto(dst []float64, a, b []fixed.Code) []float64 {
@@ -100,14 +104,19 @@ func (c *Core) ReadingsInto(dst []float64, a, b []fixed.Code) []float64 {
 	return dst
 }
 
-// AddNoiseAt adds draws ctr, ctr+1, … of key's noise stream to the readings
-// in dst, in order: the noise half of PartialsAt. A noiseless core adds
-// nothing.
+// ReadoutAt digitizes noiseless readings at the detector: code i of dst is
+// converter.Quantize of readings[i] with draw ctr+i of key's noise stream
+// added — bit for bit QuantizeInto of what PartialsAt reads at ctr — in one
+// pass that writes no reading back. A noiseless core only rounds. Like
+// PartialsAt it only reads the core, so goroutines may call it at once on
+// disjoint spans.
 //
 //lint:hotpath
-func (c *Core) AddNoiseAt(dst []float64, key, ctr uint64) {
+func (c *Core) ReadoutAt(dst []fixed.Code, readings []float64, key, ctr uint64) {
 	if m := c.noise; m != nil {
-		m.addAt(dst, streamBase(m.seeded, key), ctr)
+		m.readoutAt(dst, readings, streamBase(m.seeded, key), ctr)
+	} else {
+		converter.QuantizeInto(dst, readings)
 	}
 }
 
@@ -127,14 +136,16 @@ func (c *Core) pass(dst []float64, a, b []fixed.Code) {
 // stream is the dot kernel's first pass: one operand group's noiseless
 // readings, ⌈len(a)/lanes⌉ of them into dst, valid while the LUTs are. It is
 // the generic kernel — any lane count, dead lanes skipped — and pass gives it
-// every core but one of two live lanes. The carrier and the detector
-// constants sit in registers and each lane's tables and taps one pointer
-// away; nothing in the body is a call, so consecutive
-// steps' multiply chains and decode divides overlap in the processor. The
-// group's short tail step is the same body over the lanes that still have an
-// operand. The noise is the second pass, NoiseModel.addAt over the same span
-// in step order: the draw's rare slow path is a call that does not inline,
-// and inside this loop it would push every held value back to memory around
+// every core but one of two live lanes. A lane's product starts from its
+// front table, carrier·g1[a]·tap1 folded at the core's carrier, and is
+// multiplied by g2[b] and tap2; the detector constants sit in registers and
+// each lane's tables and taps one pointer away; nothing in the body is a
+// call, so consecutive steps' multiply chains and decode divides overlap in
+// the processor. The group's short tail step is the same body over the lanes
+// that still have an operand. The noise is the second pass, over the same
+// span in step order (NoiseModel.addAt, or readoutAt with the ADC's rounding
+// behind it): the draw's rare slow path is a call that does not inline, and
+// inside this loop it would push every held value back to memory around
 // itself on each step and leave the steps nothing to overlap with — the
 // per-step cost this kernel exists to remove. A reading's float operations
 // and their order, and the order of the draws, are Step's, so the readings
@@ -148,7 +159,7 @@ func (c *Core) pass(dst []float64, a, b []fixed.Code) {
 //
 //lint:hotpath
 func (c *Core) stream(dst []float64, a, b []fixed.Code) {
-	lanes, n, carrier := c.lanes, len(c.lanes), c.carrier
+	lanes, n := c.lanes, len(c.lanes)
 	dark, resp, darkPerLane := c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
 	span := c.spanPerLane * float64(max(c.FullScaleLanes, 1))
 	idle := float64(n) * darkPerLane
@@ -161,7 +172,7 @@ func (c *Core) stream(dst []float64, a, b []fixed.Code) {
 		var detected float64
 		for t, l := range lanes {
 			if !l.dead {
-				detected += carrier * l.g1[a[off+t]] * l.tap1 * l.g2[b[off+t]] * l.tap2
+				detected += l.front[a[off+t]] * l.g2[b[off+t]] * l.tap2
 			}
 		}
 		dst[i] = (dark + resp*detected - idle) / span * fixed.MaxCode
@@ -174,29 +185,29 @@ func (c *Core) stream(dst []float64, a, b []fixed.Code) {
 // lanes' table addresses and taps are named locals the loop keeps in
 // registers, a step takes two operands, and an odd group ends in one
 // single-lane step. A reading is the same float operations in the same order
-// as stream's and Step's — lane 0's product, lane 1's added to it, then the
-// decode — only where the operands are loaded from differs, so readings are
-// bit-identical to theirs.
+// as stream's and Step's — lane 0's front·g2·tap2, lane 1's added to it, then
+// the decode — only where the operands are loaded from differs, so readings
+// are bit-identical to theirs.
 //
 //lint:hotpath
 func (c *Core) stream2(dst []float64, a, b []fixed.Code) {
 	l0, l1 := c.lanes[0], c.lanes[1]
-	g10, g20, t10, t20 := &l0.g1, &l0.g2, l0.tap1, l0.tap2
-	g11, g21, t11, t21 := &l1.g1, &l1.g2, l1.tap1, l1.tap2
-	carrier, dark, resp, darkPerLane := c.carrier, c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
+	f0, g20, t20 := &l0.front, &l0.g2, l0.tap2
+	f1, g21, t21 := &l1.front, &l1.g2, l1.tap2
+	dark, resp, darkPerLane := c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
 	span := c.spanPerLane * float64(max(c.FullScaleLanes, 1))
 	idle := 2 * darkPerLane
 	b = b[:len(a)]
 	i := 0
 	for off := 1; off < len(a); off += 2 {
-		d := carrier * g10[a[off-1]] * t10 * g20[b[off-1]] * t20
-		d += carrier * g11[a[off]] * t11 * g21[b[off]] * t21
+		d := f0[a[off-1]] * g20[b[off-1]] * t20
+		d += f1[a[off]] * g21[b[off]] * t21
 		dst[i] = (dark + resp*d - idle) / span * fixed.MaxCode
 		i++
 	}
 	if len(a)%2 == 1 {
 		k := len(a) - 1
-		d := carrier * g10[a[k]] * t10 * g20[b[k]] * t20
+		d := f0[a[k]] * g20[b[k]] * t20
 		dst[i] = (dark + resp*d - darkPerLane) / span * fixed.MaxCode
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
@@ -111,7 +112,9 @@ func TestDotPartialsBatchIntoZeroAllocs(t *testing.T) {
 // pass from the cursor: a group cut at lane-aligned points and issued piece
 // by piece, last piece first, each at its own noise position, reads bit for
 // bit what DotPartialsInto reads after SeekNoise — and moves neither the
-// cursor nor the step count.
+// cursor nor the step count. The readout issued at the same cuts, noise and
+// rounding in one pass, writes the codes QuantizeInto makes of those
+// readings.
 func TestPartialsAtMatchesCursorPass(t *testing.T) {
 	const key = 3<<32 | 7
 	rng := rand.New(rand.NewPCG(41, 2))
@@ -129,7 +132,9 @@ func TestPartialsAtMatchesCursorPass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([]float64, len(want))
+			got, readings := make([]float64, len(want)), make([]float64, len(want))
+			codes, wantCodes := make([]fixed.Code, len(want)), make([]fixed.Code, len(want))
+			converter.QuantizeInto(wantCodes, want)
 			cuts := []int{len(want)}
 			for s := len(want); s > 0; {
 				s = rng.IntN(s)
@@ -137,11 +142,16 @@ func TestPartialsAtMatchesCursorPass(t *testing.T) {
 			}
 			for i := 1; i < len(cuts); i++ {
 				lo, hi := cuts[i], cuts[i-1]
-				c.PartialsAt(got[lo:hi], a[lo*lanes:min(hi*lanes, n)], b[lo*lanes:min(hi*lanes, n)], key, uint64(lo))
+				pa, pb := a[lo*lanes:min(hi*lanes, n)], b[lo*lanes:min(hi*lanes, n)]
+				c.PartialsAt(got[lo:hi], pa, pb, key, uint64(lo))
+				c.ReadoutAt(codes[lo:hi], c.ReadingsInto(readings[lo:hi], pa, pb), key, uint64(lo))
 			}
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%d lanes, %d operands: partial %d is %v by position, %v from the cursor", lanes, n, i, got[i], want[i])
+				}
+				if codes[i] != wantCodes[i] {
+					t.Fatalf("%d lanes, %d operands: step %d reads out %d, QuantizeInto of its partial %d", lanes, n, i, codes[i], wantCodes[i])
 				}
 			}
 			if c.Steps != 0 {
@@ -303,8 +313,9 @@ func TestStreamKernelMatchesStep(t *testing.T) {
 // (stream2) to Step bit for bit over arbitrary operand bytes: the first half
 // of ops is a and the second b, so groups of either parity arrive, under a
 // fuzzed carrier and full scale, on NewCore's lanes and the prototype's, with
-// noise off and on. Both entries are held to it: the pass from the cursor
-// and PartialsAt at the same position of the same stream.
+// noise off and on. Every entry is held to it: the pass from the cursor,
+// PartialsAt at the same position of the same stream, and the readout there,
+// whose codes are Quantize of Step's readings.
 func FuzzTwoLaneKernel(f *testing.F) {
 	f.Add([]byte{}, uint16(0x8000), uint8(2), false, false)
 	f.Add([]byte{255, 255}, uint16(0x8000), uint8(0), true, false)
@@ -353,9 +364,14 @@ func FuzzTwoLaneKernel(f *testing.F) {
 		got := kern.DotPartialsInto(nil, a, b)
 		at := make([]float64, len(want))
 		kern.PartialsAt(at, a, b, key, 0)
+		codes := make([]fixed.Code, len(want))
+		kern.ReadoutAt(codes, kern.ReadingsInto(make([]float64, len(want)), a, b), key, 0)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(at[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%d operands, partial %d: pass %v, PartialsAt %v, Step %v", n, i, got[i], at[i], want[i])
+			}
+			if codes[i] != converter.Quantize(want[i]) {
+				t.Fatalf("%d operands, step %d: readout %d, Quantize of Step's %v", n, i, codes[i], want[i])
 			}
 		}
 		if kern.Steps != ref.Steps {

@@ -26,11 +26,20 @@ type Lane struct {
 	// transcendentals on the per-element analog path) into table loads.
 	// The tap factors are kept as separate multiplicands (tap1, tap2)
 	// rather than folded into g1/g2 because float multiplication is not
-	// associative: keeping carrier·g1·tap1·g2·tap2 in exactly Modulate's
-	// order makes the LUT path bit-identical to the live transfer chain.
+	// associative: a product is carrier·g1·tap1·g2·tap2, evaluated left to
+	// right exactly in Modulate's order, which makes the LUT path
+	// bit-identical to the live transfer chain.
 	g1, g2 [256]float64
 	// tap1, tap2 cache each modulator's through-path factor 1−TapFraction.
 	tap1, tap2 float64
+	// front[code] is the product's first three factors, carrier·g1[code]·
+	// tap1, at the carrier frontCarrier: left to right they are the same
+	// bits wherever the product is evaluated, so the core's kernels load
+	// them and multiply by g2 and tap2 only. bakeLUTs refolds the table
+	// with g1 and tap1, and Core.SetCarrierPower with the carrier, which
+	// keeps frontCarrier the carrier of the core the lane belongs to.
+	front        [256]float64
+	frontCarrier float64
 	// baked1, baked2 snapshot the modulator states the LUTs were built
 	// at; lutOK arms the fast path. TransmitCodes compares the live state
 	// against the snapshot on every call, so any fault that moves a
@@ -58,9 +67,18 @@ func (l *Lane) bakeLUTs() {
 	}
 	l.tap1 = 1 - l.Mod1.TapFraction
 	l.tap2 = 1 - l.Mod2.TapFraction
+	l.fold(l.frontCarrier)
 	l.baked1 = l.Mod1.state()
 	l.baked2 = l.Mod2.state()
 	l.lutOK = true
+}
+
+// fold rebuilds front at the given carrier from the baked g1 and tap1.
+func (l *Lane) fold(carrier float64) {
+	l.frontCarrier = carrier
+	for code := range l.front {
+		l.front[code] = carrier * l.g1[code] * l.tap1
+	}
 }
 
 // lutValid reports whether the LUT fast path is armed and still matches the
@@ -97,7 +115,7 @@ func NewLane(w Wavelength, phase1, phase2 float64) (*Lane, error) {
 	if err != nil {
 		return nil, fmt.Errorf("calibrating modulator 2: %w", err)
 	}
-	l := &Lane{Lambda: w, Mod1: m1, Mod2: m2, Cal1: c1, Cal2: c2}
+	l := &Lane{Lambda: w, Mod1: m1, Mod2: m2, Cal1: c1, Cal2: c2, frontCarrier: 1}
 	for code := 0; code < 256; code++ {
 		u := float64(code) / 255
 		l.volt1[code] = c1.VoltageFor(u)
@@ -111,9 +129,12 @@ func NewLane(w Wavelength, phase1, phase2 float64) (*Lane, error) {
 // codes and the calibrated transfer comes from the baked transmission LUTs
 // — two table loads and four multiplies, no transcendentals, in exactly the
 // live chain's multiplication order so the output is bit-identical to
-// Modulate∘Modulate. When a fault has moved a modulator off the baked
-// operating point the LUT is stale, and the call drops to the live transfer
-// chain so the corruption stays physically visible until Relock re-bakes.
+// Modulate∘Modulate. It takes the carrier as given and so multiplies it in;
+// the core's kernels start from the lane's front table instead, which holds
+// the same first three factors at the core's carrier. When a fault has moved
+// a modulator off the baked operating point the LUT is stale, and the call
+// drops to the live transfer chain so the corruption stays physically
+// visible until Relock re-bakes.
 //
 //lint:hotpath
 func (l *Lane) TransmitCodes(carrier float64, a, b fixed.Code) float64 {
@@ -175,11 +196,18 @@ type Core struct {
 func (c *Core) CarrierPower() float64 { return c.carrier }
 
 // SetCarrierPower changes the laser output power driving every lane — the
-// slow sag (or an operator-commanded trim) of a real source. The detector
-// decode constants are deliberately left stale: a sagging laser scales every
-// reading until Relock recalibrates at the new operating point, which is
-// exactly the failure signature a deployment's health monitor must catch.
-func (c *Core) SetCarrierPower(p float64) { c.carrier = p }
+// slow sag (or an operator-commanded trim) of a real source — and refolds
+// each lane's front table at it, so the kernels see the new power at once.
+// The detector decode constants are deliberately left stale: a sagging laser
+// scales every reading until Relock recalibrates at the new operating point,
+// which is exactly the failure signature a deployment's health monitor must
+// catch.
+func (c *Core) SetCarrierPower(p float64) {
+	c.carrier = p
+	for _, l := range c.lanes {
+		l.fold(p)
+	}
+}
 
 // SeekNoise moves the noise model's cursor to the head of key's stream (see
 // NoiseModel): the next readings draw their noise from that stream whatever

@@ -1,5 +1,10 @@
 package photonic
 
+import (
+	"github.com/lightning-smartnic/lightning/internal/converter"
+	"github.com/lightning-smartnic/lightning/internal/fixed"
+)
+
 // Photodetector converts incident light intensity into voltage by Einstein's
 // photoelectric effect: output current (and hence, through a transimpedance
 // stage, voltage) is proportional to total incident intensity, summed across
@@ -141,6 +146,32 @@ func (n *NoiseModel) addAt(readings []float64, base, ctr uint64) {
 			x = normSlow(u, s)
 		}
 		readings[i] += mean + sigma*x
+	}
+}
+
+// readoutAt is addAt with the ADC behind it: dst[i] is converter.Quantize of
+// readings[i] plus draw ctr+i of the stream whose origin is base — the same
+// float operations as addAt and then QuantizeInto, in one pass that writes no
+// reading back and reads none again. Quantize inlines without a branch, and
+// the loop's values stay in registers on the fast path: only the rare
+// normSlow call saves and restores them around itself.
+//
+//lint:hotpath
+func (n *NoiseModel) readoutAt(dst []fixed.Code, readings []float64, base, ctr uint64) {
+	mean, sigma := n.Mean, n.Sigma
+	s := base + ctr*weyl
+	dst = dst[:len(readings)]
+	for i := 0; i < len(readings); i++ {
+		s += weyl
+		u := wyfold(s, wyMul)
+		j := int32(u)
+		k := u >> 32 & 0x7f
+		m := j >> 31
+		x := float64(j) * wn[k]
+		if uint32((j^m)-m) >= kn[k] {
+			x = normSlow(u, s)
+		}
+		dst[i] = converter.Quantize(readings[i] + (mean + sigma*x))
 	}
 }
 

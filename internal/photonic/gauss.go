@@ -13,10 +13,13 @@ import (
 // 128-strip tables, acceptance test, wedge test and Marsaglia tail as
 // math/rand/v2's NormFloat64. The fast path, taken by ≈ 97.2 % of draws
 // (Σ kn[i]/2³¹ / 128), is one multiply, one table compare and one table
-// multiply, written into NoiseModel.addTo's loop; the ≈ 2.8 % rest (normSlow)
-// draws its further words from a second stream keyed by the same counter, so
-// every draw consumes exactly one counter position and any position can be
-// drawn without the ones before it.
+// multiply, written into the loops of NoiseModel.addAt and readoutAt; the
+// ≈ 2.8 % rest (normSlow) draws its further words from a second stream keyed
+// by the same counter, so every draw consumes exactly one counter position
+// and any position can be drawn without the ones before it. normSlow's wedge
+// test is squeezed between two straight lines in x² per strip (sq), and
+// reaches math.Exp only for a candidate inside the band between them — 0.7 %
+// of wedge candidates — with every decision the one math.Exp would make.
 
 const (
 	// weyl is wyrand's counter increment (odd, so the counter has full
@@ -60,7 +63,33 @@ func init() {
 		fn[i] = float32(math.Exp(-.5 * dn * dn))
 		wn[i] = float64(float32(dn / m1))
 	}
+	for i := 1; i < 128; i++ {
+		// A wedge candidate of strip i has kn[i] ≤ |j| ≤ 2³¹, and x and
+		// t = x·x grow with |j| however they round.
+		x0, x1 := float64(kn[i])*wn[i], (1<<31)*wn[i]
+		t0, t1 := x0*x0, x1*x1
+		e0, e1 := math.Exp(-.5*t0), math.Exp(-.5*t1)
+		tm := (t0 + t1) / 2
+		em := math.Exp(-.5 * tm)
+		sq[i].loA, sq[i].loB = em*(1+tm/2)-squeezeShade, em/2
+		sq[i].hiB = (e0 - e1) / (t1 - t0)
+		sq[i].hiA = e0 + sq[i].hiB*t0 + squeezeShade
+	}
 }
+
+// squeezeShade is how far each squeeze bound is moved off exp(−t/2):
+// 2¹² ulps of 1, against math.Exp's error of under one ulp and the few ulps
+// of rounding in the bound's own tables and evaluation, so each
+// shaded bound lies on its side of whatever math.Exp returns. Against
+// float32's spacing of the wedge's y (2⁻²⁴ near 1, 2⁻³³ near the last
+// strip's density) it widens the band by next to nothing.
+const squeezeShade = 0x1p-40
+
+// sq holds each wedge strip's squeeze on exp(−t/2) over its candidates' t:
+// lo(t) = loA − loB·t is the tangent at the middle of the strip's t range,
+// below the convex exp(−t/2) everywhere, and hi(t) = hiA − hiB·t the chord
+// through its ends, above it across the range; both shaded by squeezeShade.
+var sq [128]struct{ loA, loB, hiA, hiB float64 }
 
 // mix64 is SplitMix64's finalizer, a bijection with full avalanche.
 func mix64(z uint64) uint64 {
@@ -113,7 +142,14 @@ func normSlow(u, s uint64) float64 {
 			}
 			return -zigR - x
 		}
-		if fn[i]+float32(unit())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+		// The wedge: accept when y < exp(−x²/2) as float32. The squeeze
+		// settles it without math.Exp outside the band between its bounds:
+		// float32 rounding is monotone and lo ≤ math.Exp ≤ hi, so y below
+		// float32(lo) is below float32(math.Exp) and y at or above
+		// float32(hi) is not.
+		y := fn[i] + float32(unit())*(fn[i-1]-fn[i])
+		t, b := x*x, &sq[i]
+		if y < float32(b.loA-b.loB*t) || y < float32(b.hiA-b.hiB*t) && y < float32(math.Exp(-.5*x*x)) {
 			return x
 		}
 		u = next()

@@ -161,3 +161,107 @@ func TestNoiseCursorIsPositionAddressed(t *testing.T) {
 		}
 	}
 }
+
+// normSlowUnsqueezed is normSlow as it stood before the wedge test's squeeze:
+// math.Exp on every wedge candidate. The squeezed normSlow is held to it bit
+// for bit.
+func normSlowUnsqueezed(u, s uint64) float64 {
+	t := s ^ slowSalt
+	next := func() uint64 {
+		t += weyl
+		return wyfold(t, slowMul)
+	}
+	unit := func() float64 { return float64(next()<<11>>11) / (1 << 53) }
+	for {
+		j := int32(u)
+		i := u >> 32 & 0x7f
+		x := float64(j) * wn[i]
+		m := j >> 31
+		if uint32((j^m)-m) < kn[i] {
+			return x
+		}
+		if i == 0 {
+			for {
+				x = -math.Log(unit()) * (1.0 / zigR)
+				y := -math.Log(unit())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return zigR + x
+			}
+			return -zigR - x
+		}
+		if fn[i]+float32(unit())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
+		}
+		u = next()
+	}
+}
+
+// slowDraws calls f with the first word and counter of every draw of key's
+// stream (under seed) at positions [ctr, ctr+n) that misses the fast path.
+func slowDraws(seed, key, ctr uint64, n int, f func(u, s uint64)) {
+	s := streamBase(mix64(seed), key) + ctr*weyl
+	for ; n > 0; n-- {
+		s += weyl
+		u := wyfold(s, wyMul)
+		j := int32(u)
+		m := j >> 31
+		if uint32((j^m)-m) >= kn[u>>32&0x7f] {
+			f(u, s)
+		}
+	}
+}
+
+// TestNormSlowMatchesUnsqueezed holds the squeezed wedge test to math.Exp's
+// decision on every one of 10⁷ slow-path draws, taken from the streams of
+// 64 keys as the noise passes take them.
+func TestNormSlowMatchesUnsqueezed(t *testing.T) {
+	const want = 10_000_000
+	got := 0
+	for key := uint64(0); got < want; key++ {
+		slowDraws(0x5eed, key<<32|key, 0, 6_000_000, func(u, s uint64) {
+			if a, b := normSlow(u, s), normSlowUnsqueezed(u, s); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("key %d, counter %#x: squeezed %v, math.Exp %v", key, s, a, b)
+			}
+			got++
+		})
+	}
+}
+
+// TestSqueezeBoundsExp checks each wedge strip's squeeze against math.Exp
+// itself: lo ≤ math.Exp(−x²/2) ≤ hi, at both ends of the strip's candidate
+// range and at 1 000 points between them, as normSlow evaluates all three.
+func TestSqueezeBoundsExp(t *testing.T) {
+	for i := 1; i < 128; i++ {
+		j0, j1 := float64(kn[i]), float64(1<<31)
+		b := &sq[i]
+		for k := 0; k <= 1001; k++ {
+			j := math.Round(j0 + (j1-j0)*float64(k)/1001)
+			x := j * wn[i]
+			tt := x * x
+			e := math.Exp(-.5 * x * x)
+			if lo, hi := b.loA-b.loB*tt, b.hiA-b.hiB*tt; !(lo <= e && e <= hi) {
+				t.Fatalf("strip %d, |j| %v: exp %v outside squeeze [%v, %v]", i, j, e, lo, hi)
+			}
+		}
+	}
+}
+
+// FuzzNormSlowMatchesUnsqueezed runs the squeezed normSlow against the
+// unsqueezed one on the slow-path draws of 4 096 positions of a fuzzed
+// (key, counter).
+func FuzzNormSlowMatchesUnsqueezed(f *testing.F) {
+	f.Add(uint64(0), uint64(0))
+	f.Add(uint64(3<<32|5), uint64(1<<40))
+	f.Add(^uint64(0), ^uint64(0)-100)
+	f.Fuzz(func(t *testing.T, key, ctr uint64) {
+		slowDraws(0x5eed, key, ctr, 4096, func(u, s uint64) {
+			if a, b := normSlow(u, s), normSlowUnsqueezed(u, s); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("counter %#x: squeezed %v, math.Exp %v", s, a, b)
+			}
+		})
+	})
+}

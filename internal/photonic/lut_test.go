@@ -2,8 +2,10 @@ package photonic
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
+	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
@@ -140,9 +142,10 @@ func TestRelockRebakesLUT(t *testing.T) {
 }
 
 // TestCarrierPowerChangeStaysVisible pins the laser-sag semantics: carrier
-// power is not baked into the LUTs (both paths multiply the live carrier),
-// so a sag scales readings immediately — with the fast path still armed —
-// rather than being frozen at the calibrated power.
+// power is not baked into the LUTs (Step multiplies the live carrier, and
+// the kernels' front tables are refolded at it), so a sag scales readings
+// immediately — with the fast path still armed — rather than being frozen at
+// the calibrated power.
 func TestCarrierPowerChangeStaysVisible(t *testing.T) {
 	core, err := NewCore(2, nil)
 	if err != nil {
@@ -158,6 +161,76 @@ func TestCarrierPowerChangeStaysVisible(t *testing.T) {
 	after := core.Step(a, b)
 	if after >= before*0.75 {
 		t.Fatalf("3 dB laser sag invisible through the fast path: %v -> %v", before, after)
+	}
+}
+
+// kernelMatchesStep fails t unless the fast path on c — PartialsAt's
+// readings and ReadoutAt's codes — reads what Step's live chain reads, over
+// a group whose steps take every lane and whose tail takes one.
+func kernelMatchesStep(t *testing.T, c *Core, when string) {
+	t.Helper()
+	if !c.LUTsValid() {
+		t.Fatalf("%s: LUTs not armed", when)
+	}
+	const key = 4<<32 | 2
+	n := 64*c.NumLanes() + 1
+	rng := rand.New(rand.NewPCG(uint64(n), 5))
+	a, b := make([]fixed.Code, n), make([]fixed.Code, n)
+	for i := range a {
+		a[i], b[i] = fixed.Code(rng.IntN(256)), fixed.Code(rng.IntN(256))
+	}
+	c.SeekNoise(key)
+	want := stepPartials(c, a, b, []int{0, n})
+	got, codes := make([]float64, len(want)), make([]fixed.Code, len(want))
+	c.PartialsAt(got, a, b, key, 0)
+	c.ReadoutAt(codes, c.ReadingsInto(make([]float64, len(want)), a, b), key, 0)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s, %d lanes: step %d reads %v on the fast path, %v through Step", when, c.NumLanes(), i, got[i], want[i])
+		}
+		if q := converter.Quantize(want[i]); codes[i] != q {
+			t.Fatalf("%s, %d lanes: step %d reads out %d, Step's reading rounds to %d", when, c.NumLanes(), i, codes[i], q)
+		}
+	}
+}
+
+// TestFoldFollowsCarrierAndRelock holds the kernels' front tables
+// (carrier·g1·tap1, folded) to Step's live chain after everything that moves
+// a factor in them: a carrier change, a drift of every modulator healed by
+// Core.Relock, and a drift of one lane's first modulator healed by that
+// lane's own Relock, reached through Core.Lanes — on the two-lane kernel and
+// the generic one, and again at a new carrier after both relocks.
+func TestFoldFollowsCarrierAndRelock(t *testing.T) {
+	for lanes := 2; lanes <= 3; lanes++ {
+		c, err := NewCore(lanes, PrototypeNoise(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.FullScaleLanes = lanes
+		kernelMatchesStep(t, c, "as built")
+		c.SetCarrierPower(0.61)
+		kernelMatchesStep(t, c, "after SetCarrierPower")
+		d := NewThermalDrift(0.08, 3)
+		for i := 0; i < 30; i++ {
+			for _, l := range c.Lanes() {
+				d.Apply(l.Mod1)
+				d.Apply(l.Mod2)
+			}
+		}
+		if err := c.Relock(); err != nil {
+			t.Fatal(err)
+		}
+		kernelMatchesStep(t, c, "after Core.Relock")
+		l := c.Lanes()[1]
+		for i := 0; i < 30; i++ {
+			d.Apply(l.Mod1)
+		}
+		if err := l.Relock(); err != nil {
+			t.Fatal(err)
+		}
+		kernelMatchesStep(t, c, "after a lane's Relock")
+		c.SetCarrierPower(1.3)
+		kernelMatchesStep(t, c, "after a second SetCarrierPower")
 	}
 }
 
