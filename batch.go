@@ -14,8 +14,6 @@ import (
 // run before it, the rest after. The queries' bytes are the engine's
 // operand, not a copy: the engine only reads them, and the front door
 // reuses their storage only once the group is answered.
-//
-//lint:hotpath
 func (n *NIC) serveGroup(reqs []frontdoor.Request, resps []Response, errs []error) {
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
@@ -32,8 +30,6 @@ func (n *NIC) serveGroup(reqs []frontdoor.Request, resps []Response, errs []erro
 
 // serveQueries runs one execBatch pass per model, in the order of each
 // model's first query.
-//
-//lint:hotpath
 func (n *NIC) serveQueries(reqs []frontdoor.Request, resps []Response, errs []error) {
 next:
 	for i := range reqs {
@@ -61,8 +57,6 @@ next:
 // The loader's results are its own until its next batch, so each verdict is
 // copied into its response while the shard is still held; the inputs are
 // gathered into shard storage and let go of before the shard is released.
-//
-//lint:hotpath
 func (n *NIC) execBatch(modelID uint16, reqs []frontdoor.Request, resps []Response, errs []error) {
 	k := 0
 	for j := range reqs {
@@ -141,8 +135,6 @@ func (sh *shard) growInputs(n int) { sh.inputs = make([][]fixed.Code, n) }
 
 // verdict writes one served result into resp, its probabilities into the
 // array resp.Probs holds, grown only when it is short.
-//
-//lint:hotpath
 func verdict(resp *Response, id uint32, modelID uint16, res *dagloader.Result) {
 	probs := probsBuf(resp.Probs, len(res.Probs))
 	for i, p := range res.Probs {

@@ -1,8 +1,9 @@
 // Command lightning-lint runs Lightning's project-specific static-analysis
-// suite: the analyzers that enforce the determinism, race-safety,
-// concurrency-lifecycle and wire-hygiene invariants the compiler cannot see
-// (run with -help for the full list, or see DESIGN.md §8 and §14 for what
-// each analyzer guards and its annotation escape hatch).
+// suite: the seven analyzers that enforce the race-safety, quantization,
+// concurrency-lifecycle, wire-hygiene and suppression-hygiene invariants the
+// compiler and go vet cannot see (run with -help for the list, or see
+// DESIGN.md §8 and §14 for what each analyzer guards, its annotation escape
+// hatch, and the ledger of what each has caught).
 //
 // Usage:
 //

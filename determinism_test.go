@@ -23,8 +23,8 @@ const goldenCores1 = "testdata/deterministic_cores1.hex"
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenCores1+" from this run")
 
-// TestDeterministicCores1 pins the invariant the globalrand and clockinject
-// analyzers guard: with a fixed Config.Seed and Cores=1, an end-to-end
+// TestDeterministicCores1 pins the reproducibility invariant: with a fixed
+// Config.Seed and Cores=1, an end-to-end
 // inference run — analog noise model, ADC phase and DRAM jitter included —
 // is bit-identical across fresh NICs. Every stochastic element must
 // therefore draw from a seed derived from Config.Seed through an injected

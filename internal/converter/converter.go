@@ -171,8 +171,6 @@ func (a *ADC) ReadoutBurstInto(dst []Frame, prefix []fixed.Code, readings []floa
 // OpenBurst starts a burst in buf's storage (contents discarded) at sample
 // position phase of its first frame: idle noise ahead of it, then the prefix
 // of known codes.
-//
-//lint:hotpath
 func (a *ADC) OpenBurst(buf, prefix []fixed.Code, phase int) []fixed.Code {
 	if phase < 0 || phase >= SamplesPerCycle {
 		panic("converter: readout phase out of range")
@@ -188,8 +186,6 @@ func (a *ADC) OpenBurst(buf, prefix []fixed.Code, phase int) []fixed.Code {
 
 // Digitize quantizes analog readings onto the tail of an open burst: Reserve
 // then QuantizeInto.
-//
-//lint:hotpath
 func (a *ADC) Digitize(burst []fixed.Code, readings []float64) []fixed.Code {
 	at := len(burst)
 	burst = a.Reserve(burst, len(readings))
@@ -201,8 +197,6 @@ func (a *ADC) Digitize(burst []fixed.Code, readings []float64) []fixed.Code {
 // codes the caller fills by Quantize — QuantizeInto, or a pass that rounds
 // as it reads — in pieces, in any order, from any goroutine, so long as the
 // pieces cover them and the burst is not closed first.
-//
-//lint:hotpath
 func (a *ADC) Reserve(burst []fixed.Code, n int) []fixed.Code {
 	at := len(burst)
 	burst = slices.Grow(burst, n)[:at+n]
@@ -213,8 +207,6 @@ func (a *ADC) Reserve(burst []fixed.Code, n int) []fixed.Code {
 // QuantizeInto writes the code of each reading into dst, which must be at
 // least as long: the ADC's rounding without its counters, so it is safe to
 // call on disjoint spans at once.
-//
-//lint:hotpath
 func QuantizeInto(dst []fixed.Code, readings []float64) {
 	dst = dst[:len(readings)]
 	for i, v := range readings {
@@ -224,8 +216,6 @@ func QuantizeInto(dst []fixed.Code, readings []float64) {
 
 // CloseBurst ends a burst: idle noise fills its last frame (a burst with no
 // samples at all still reads one frame of noise).
-//
-//lint:hotpath
 func (a *ADC) CloseBurst(burst []fixed.Code) []fixed.Code {
 	at := len(burst)
 	n := max(1, (at+SamplesPerCycle-1)/SamplesPerCycle) * SamplesPerCycle

@@ -62,8 +62,6 @@ func (r *Rule) Count() Value { return r.count }
 // multi-valued variables like Σ DAC[i].valid) still fire once and reset, per
 // the semantics of §5 ("Once the result reaches the target, the count
 // variable is set back to zero, and the actions are triggered").
-//
-//lint:hotpath
 func (r *Rule) Add(delta Value) bool {
 	t := r.Target()
 	if t <= 0 {

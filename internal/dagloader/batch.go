@@ -37,8 +37,6 @@ import (
 // per-query preconditions (Store.Validate) before enqueueing, so a failure
 // here means the batch itself cannot run (model dropped, a faulted DRAM
 // read), not that one query was bad.
-//
-//lint:hotpath
 func (ld *Loader) ServeBatch(id uint16, inputs [][]fixed.Code) ([]Result, datapath.LayerStats, error) {
 	var batchStats datapath.LayerStats
 	if len(inputs) == 0 {
@@ -130,8 +128,6 @@ type batchStore struct {
 }
 
 // results returns q zeroed result slots.
-//
-//lint:hotpath
 func (b *batchStore) results(q int) []Result {
 	if cap(b.res) < q {
 		b.growResults(q)
@@ -148,8 +144,6 @@ func (b *batchStore) growResults(q int) { b.res = make([]Result, q) }
 // returns the next layer's inputs, views of that buffer. The engine
 // overwrites its outputs at its next layer, so the next layer must not read
 // them in place.
-//
-//lint:hotpath
 func (b *batchStore) carry(p int, outs []datapath.FCResult) [][]fixed.Code {
 	q := len(outs)
 	width := len(outs[0].Quantized)

@@ -77,8 +77,6 @@ func (a *CrossCycleAdder) SetPartialsPerDot(n int) {
 // MaxCode samples sum below AccMax — reaches no rail anywhere in the tree,
 // so its sum is gain·(Σ⁺ − Σ⁻) in the tree's 4 cycles, and Dot computes
 // that without building the lanes.
-//
-//lint:hotpath
 func (a *CrossCycleAdder) Dot(seg []fixed.Code, pos int) (sum fixed.Acc, treeCycles, saturated int) {
 	if pos < 0 || pos > len(seg) {
 		panic("datapath: sign boundary outside the segment")
@@ -109,8 +107,6 @@ func (a *CrossCycleAdder) Dot(seg []fixed.Code, pos int) (sum fixed.Acc, treeCyc
 // counts its MaxCode samples. Samples are 8-bit codes zero-padded to 16
 // bits; sample i streams on lane i mod Lanes, added if i < pos and
 // subtracted otherwise; pos splits seg (Dot checks it).
-//
-//lint:hotpath
 func (a *CrossCycleAdder) lanes(seg []fixed.Code, pos int) (lanes [Lanes]fixed.Acc, saturated int) {
 	gain := int64(max(a.Gain, 1))
 	if len(seg) <= Lanes {
@@ -152,8 +148,6 @@ const flushCycles = 256
 // the dot's sample first+j — and returns how many read MaxCode. Whole
 // cycles go as two 64-bit words, each split into its even and its odd
 // bytes as four 16-bit fields, flushed into dst every flushCycles cycles.
-//
-//lint:hotpath
 func codeSums(dst *[Lanes]int64, seg []fixed.Code, first int) (maxed int) {
 	const evens = 0x00ff00ff00ff00ff
 	head := min(-first&(Lanes-1), len(seg)) // samples before the first cycle edge

@@ -63,8 +63,6 @@ func noiseKey(burst uint64, row int) uint64 { return burst<<32 | uint64(uint32(r
 // performs zero heap allocations (see the AllocsPerRun guard). The body
 // therefore sticks to indexed writes, reslices and copies — growth lives in
 // the cold helper. Not reentrant; the engine's single-owner contract applies.
-//
-//lint:hotpath
 func (e *Engine) issueRow(w fixed.Row, row int, xs [][]fixed.Code, stats *LayerStats) {
 	q := len(xs)
 	n := len(w.Mags)
@@ -133,8 +131,6 @@ func (e *Engine) issueRow(w fixed.Row, row int, xs [][]fixed.Code, stats *LayerS
 // preamble detection, and the count table slicing the payload back into the
 // segments each dot reassembles from on its own. A layer with no live
 // product emitted no burst: it reads nothing and draws nothing.
-//
-//lint:hotpath
 func (e *Engine) readBurst(out []fixed.Acc, stats *LayerStats) {
 	s := &e.scratch
 	counts := s.counts
@@ -176,8 +172,6 @@ func (e *Engine) locate(stream []fixed.Code, phase, total int, stats *LayerStats
 // reassemble folds one dot's payload segment — its first pos samples under a
 // positive sign, the rest negative — through the cross-cycle adder and the
 // intra-cycle tree, charging the hardware's cycle a readout and the tree.
-//
-//lint:hotpath
 func (e *Engine) reassemble(seg []fixed.Code, pos int, stats *LayerStats) fixed.Acc {
 	e.adder.SetPartialsPerDot(len(seg))
 	sum, treeCycles, saturated := e.adder.Dot(seg, pos)
@@ -206,8 +200,6 @@ func (e *Engine) reassemble(seg []fixed.Code, pos int, stats *LayerStats) fixed.
 // the group's region: at octet [i, i+8) the cursors are at most pos+i and
 // neg+i, so the caller grants n bytes from each of pos and neg, and the
 // regions must not overlap (issueRow stages neg one row width past pos).
-//
-//lint:hotpath
 func partition(bW, bX []fixed.Code, w fixed.Row, x []fixed.Code, pos, neg int) (int, int) {
 	const ones, tops = 0x0101010101010101, 0x8080808080808080
 	mags, signs := w.Mags, w.Signs
@@ -395,8 +387,6 @@ type BatchFCResult struct {
 // An input must still not alias them: the caller that chains layers hands
 // each the previous layer's outputs copied into storage of its own
 // (dagloader.Loader.ServeBatch).
-//
-//lint:hotpath
 func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs [][]fixed.Code, act Activation, requantShift uint) BatchFCResult {
 	rows, _ := weights.Dims()
 	q := len(xs)

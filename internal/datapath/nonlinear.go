@@ -77,8 +77,6 @@ func Softmax(xs []fixed.Acc) []fixed.Code {
 // softmaxInto is Softmax into out, which is as long as xs. The LUT is read
 // twice, once for the normalizer and once for each output, so no vector of
 // exponentials is kept.
-//
-//lint:hotpath
 func softmaxInto(out []fixed.Code, xs []fixed.Acc) {
 	if len(xs) == 0 {
 		return

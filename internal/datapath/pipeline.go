@@ -196,8 +196,6 @@ func RequantizeVec(xs []fixed.Acc, shift uint) []fixed.Code {
 }
 
 // requantizeInto is RequantizeVec into out, which is as long as xs.
-//
-//lint:hotpath
 func requantizeInto(out []fixed.Code, xs []fixed.Acc, shift uint) {
 	out = out[:len(xs)]
 	for i, x := range xs {

@@ -220,8 +220,6 @@ func (d *Detector) Reset() {
 // exactly when they reach t. A byte reads H when its top bit and that carry
 // at t = HighThreshold − 0x80 are set, and L when neither is at
 // t = LowThreshold + 1.
-//
-//lint:hotpath
 func levelMasks(f *converter.Frame) (hi, lo uint16) {
 	const (
 		ones, low7, tops = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
@@ -264,8 +262,6 @@ func (d *Detector) shifts(hi, lo uint16) (m uint16) {
 // (-1, false). Shift k's rule observes Pattern.Shifted(k).MatchFrame(f):
 // the rules of the shifts the frame matches (shifts) observe it, in k order,
 // and every other rule's observation is false, which changes nothing.
-//
-//lint:hotpath
 func (d *Detector) Offer(f converter.Frame) (phase int, ok bool) {
 	if d.detected >= 0 {
 		return d.detected, true
@@ -293,8 +289,6 @@ func (d *Detector) Detect(frames []converter.Frame) (phase, frameIdx int, ok boo
 
 // DetectStream is Detect over a readout kept as one flat sample stream
 // (converter.ADC.OpenBurst), a frame every SamplesPerCycle samples.
-//
-//lint:hotpath
 func (d *Detector) DetectStream(stream []fixed.Code) (phase, frameIdx int, ok bool) {
 	const spc = converter.SamplesPerCycle
 	for i := 0; i+spc <= len(stream); i += spc {

@@ -76,8 +76,6 @@ const open = 1 << 32
 // run issues block k through the photonic core and reads it out into the
 // row's span of the burst, using parts (blockSteps long at least) for the
 // readings.
-//
-//lint:hotpath
 func (p *rowPass) run(k int, parts []float64) {
 	lo := k * blockSteps
 	hi := min(lo+blockSteps, len(p.out))
@@ -110,8 +108,6 @@ func (p *rowPass) run(k int, parts []float64) {
 }
 
 // issue runs every block of the row, offering a wide one to the helpers.
-//
-//lint:hotpath
 func (p *rowPass) issue(parts []float64) {
 	if p.fast && len(p.out) >= fanOutSteps {
 		if procs := runtime.GOMAXPROCS(0); procs > 1 {
@@ -196,8 +192,6 @@ var (
 // attached ≈ 70 µs after the offer on a 2-vCPU KVM guest. Yielding runs it
 // here at once (≈ 5 µs) while the caller waits in the global run queue for
 // the P the runtime is waking; the row's blocks are claimed in the meantime.
-//
-//lint:hotpath
 func offer(p *rowPass, n int) {
 	if int(helpersRunning.Load()) < n {
 		startHelpers(n)

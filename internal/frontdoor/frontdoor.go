@@ -165,8 +165,6 @@ func (d *Door) Handle(msg *nic.Message, src netip.AddrPort, h Handler) (*nic.Res
 // or copy the query out of the read buffer and offer it to admission. A
 // fragment the reassembler refuses comes back ok with its error, to be
 // answered with an Err-flagged response.
-//
-//lint:hotpath
 func (d *Door) handle(msg *nic.Message, src netip.AddrPort, admit *nic.Admitter, addr net.Addr) (req Request, ok bool, err error) {
 	if msg.IsResponse() {
 		return req, false, errStrayResponse
@@ -298,8 +296,6 @@ func newGroup(size int) *group {
 }
 
 // add puts one request in the group; j is nil for the reader's.
-//
-//lint:hotpath
 func (g *group) add(req Request, addr net.Addr, j *job) {
 	k := len(g.reqs)
 	g.reqs = g.reqs[:k+1]
@@ -310,8 +306,6 @@ func (g *group) add(req Request, addr net.Addr, j *job) {
 // request order — with flush, written at once (txBatcher.send). It then
 // lets go of each request's slot or reassembly buffer and empties the
 // group, so an idle owner pins no query or sender.
-//
-//lint:hotpath
 func (l *loop) answer(g *group, flush bool) {
 	k := len(g.reqs)
 	if k == 0 {
@@ -407,8 +401,6 @@ func (l *loop) startWorkers(workers int) (stop func()) {
 // serveBatch is one worker turn: pop a batch, shed the jobs whose budget
 // ran out while they waited — queued, or for the batch to fill — and answer
 // the rest. It reports false once admission is closed and empty.
-//
-//lint:hotpath
 func (l *loop) serveBatch(g *group, popped []nic.AdmitJob) bool {
 	k, ok := l.admit.PopBatch(popped)
 	if !ok {
@@ -489,8 +481,6 @@ func (l *loop) readLoop(ctx context.Context) error {
 // error, a malformed tail after at least one valid frame counts
 // OversizedCoalesce — and in both cases the rest of the datagram is dropped
 // without a response, so a partial frame can never be served.
-//
-//lint:hotpath
 func (l *loop) walkDatagram(data []byte, addr net.Addr) {
 	first := true
 	for len(data) > 0 {
@@ -541,8 +531,6 @@ func (l *loop) walkDatagram(data []byte, addr net.Addr) {
 // group first when it already holds rxBatch queries: under GRO one read can
 // carry hundreds of frames, and a group's storage, and the engine's, stays
 // bounded.
-//
-//lint:hotpath
 func (l *loop) join(req Request, addr net.Addr) {
 	if len(l.in.reqs) == cap(l.in.reqs) {
 		l.answerGroup()
@@ -552,8 +540,6 @@ func (l *loop) join(req Request, addr net.Addr) {
 
 // answerGroup answers the read's pending queries as one group; the read's
 // flush comes after.
-//
-//lint:hotpath
 func (l *loop) answerGroup() {
 	l.d.groupHist.observe(len(l.in.reqs))
 	l.answer(l.in, false)

@@ -25,8 +25,6 @@ type sizeHist struct {
 }
 
 // observe records one batch of n messages.
-//
-//lint:hotpath
 func (h *sizeHist) observe(n int) {
 	if n <= 0 {
 		return
@@ -100,9 +98,8 @@ func (t *txBatcher) getBuf() []byte {
 
 // queue appends one response bound for addr. Encode failures are counted
 // as write errors (the response is lost either way). Like AppendEncode,
-// queue appends into retained storage (pending and the recycled buffers),
-// so it carries no hotpath marker — growth amortizes to zero in steady
-// state.
+// queue appends into retained storage (pending and the recycled buffers):
+// growth amortizes to zero in steady state.
 func (t *txBatcher) queue(resp *nic.Response, addr net.Addr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -144,8 +141,6 @@ func (t *txBatcher) putBuf(b []byte) {
 // flush writes every pending datagram in one WriteBatch (looping past
 // per-message failures, which are counted like the single-message path
 // counted them) and recycles the buffers.
-//
-//lint:hotpath
 func (t *txBatcher) flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -153,8 +148,6 @@ func (t *txBatcher) flush() {
 }
 
 // flushLocked is flush with t.mu held.
-//
-//lint:hotpath
 func (t *txBatcher) flushLocked() {
 	if len(t.pending) == 0 {
 		return
@@ -190,8 +183,6 @@ func (t *txBatcher) flushLocked() {
 // two interleaved clients leave as two trains. A datagram whose
 // destination ends the grouped prefix — every datagram of a one-client
 // flush — costs one comparison.
-//
-//lint:hotpath
 func groupByAddr(ms []netbatch.Message) {
 	for i := 1; i < len(ms); i++ {
 		j := i - 1

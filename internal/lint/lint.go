@@ -1,28 +1,25 @@
 // Package lint is Lightning's project-specific static-analysis suite.
 //
 // The repo's correctness claims rest on invariants the Go compiler cannot
-// see: a fixed-seed Cores=1 run must stay bit-identical (so no simulation
-// package may draw from the global math/rand source or read the wall
-// clock outside an injectable seam), the sharded serve path must stay
-// race-clean (shared counters use sync/atomic or sit behind their owning
-// mutex), wire-facing errors must be counted rather than silently dropped,
-// the analog model must not mix fixed-point codes with floats without
-// an explicit quantization step, and functions marked //lint:hotpath must
-// stay free of allocating builtins so the zero-allocation serve path holds.
+// see: the sharded serve path must stay race-clean (shared counters use
+// sync/atomic or sit behind their owning mutex), wire-facing errors must be
+// counted rather than silently dropped, and the datapath must not mix
+// fixed-point codes with floats without an explicit quantization step.
 //
 // A second family guards the concurrency lifecycle, where bugs are
 // invisible to go build and only probabilistically visible to -race: every
 // spawned goroutine must carry a provable shutdown path (goleak), the
-// lock-acquisition graph must stay acyclic and lock values uncopied
-// (lockorder), the serve path must thread its caller's context rather than
-// re-rooting with context.Background (ctxflow), and //lint:hotpath
-// functions must not box values into interfaces (hotbox). Finally,
-// stalesuppress flags escape-hatch annotations that no longer suppress
-// anything, so a fixed violation's hatch cannot quietly outlive it.
+// lock-acquisition graph must stay acyclic (lockorder), and the serve path
+// must thread its caller's context rather than re-rooting with
+// context.Background (ctxflow). Finally, stalesuppress flags escape-hatch
+// annotations that no longer suppress anything, so a fixed violation's
+// hatch cannot quietly outlive it.
 //
-// Each analyzer in this package guards one of those invariants;
-// cmd/lightning-lint runs them all over the module and CI fails on any
-// diagnostic.
+// Each analyzer in this package has caught a real bug in the repo's history
+// or is the only check that catches a realistic one (DESIGN.md §8 keeps the
+// ledger); cmd/lightning-lint runs them all over the module and CI fails on
+// any diagnostic. Lock copies are go vet's copylocks check, and the
+// zero-allocation hot path is held by the AllocsPerRun guard tests.
 //
 // The suite is stdlib-only: packages are parsed with go/parser and
 // type-checked with go/types (see loader.go), so linting needs nothing
@@ -42,7 +39,7 @@ import (
 type Diagnostic struct {
 	// Pos locates the violating expression or statement.
 	Pos token.Position
-	// Analyzer names the check that fired (e.g. "globalrand").
+	// Analyzer names the check that fired (e.g. "errdrop").
 	Analyzer string
 	// Message explains the violation and the sanctioned alternative.
 	Message string
@@ -63,7 +60,7 @@ type Analyzer struct {
 	Doc string
 	// Match reports whether the analyzer applies to a package, keyed by
 	// import path. Analyzers that guard package-local invariants (e.g.
-	// globalrand's reproducibility set) scope themselves here.
+	// fixedmix's datapath packages) scope themselves here.
 	Match func(pkgPath string) bool
 	// Run inspects one package and returns its findings.
 	Run func(p *Package) []Diagnostic
@@ -72,16 +69,12 @@ type Analyzer struct {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		GlobalRand(),
-		ClockInject(),
 		AtomicCounter(),
 		ErrDrop(),
 		FixedMix(),
-		HotAlloc(),
 		GoLeak(),
 		LockOrder(),
 		CtxFlow(),
-		HotBox(),
 		StaleSuppress(),
 	}
 }

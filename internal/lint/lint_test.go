@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/lint"
@@ -13,10 +14,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite fixture want.txt golden files")
 
+// sharedLoader is the one loader the fixture and tree tests load through,
+// so the standard library is type-checked from source once, not once per
+// case. It caches packages by directory; analyzers only read them, so a
+// fixture loaded twice is the same package both times.
+var sharedLoader = sync.OnceValues(func() (*lint.Loader, error) { return lint.NewLoader(".") })
+
 // loadFixture loads one testdata fixture package.
 func loadFixture(t *testing.T, dir string) []*lint.Package {
 	t.Helper()
-	loader, err := lint.NewLoader(".")
+	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +50,13 @@ func formatDiags(diags []lint.Diagnostic) string {
 	return b.String()
 }
 
-// TestAnalyzerFixtures runs each analyzer over its flagged and clean fixture
-// packages under testdata/src/<analyzer>/<case>/ and compares the
-// diagnostics against the case's want.txt golden (regenerate with
-// `go test ./internal/lint -run TestAnalyzerFixtures -update`).
+// TestAnalyzerFixtures runs each analyzer over its fixture packages under
+// testdata/src/<analyzer>/<case>/ and compares the diagnostics against the
+// case's want.txt golden (regenerate with
+// `go test ./internal/lint -run TestAnalyzerFixtures -update`). A flagged
+// case must draw diagnostics and a clean one none; a mutation case is a
+// realistic bug that only the analyzer catches (DESIGN.md §8's ledger), so
+// it must draw diagnostics too.
 func TestAnalyzerFixtures(t *testing.T) {
 	byName := make(map[string]*lint.Analyzer)
 	for _, a := range lint.Analyzers() {
@@ -103,7 +113,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 					t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
 				}
 				switch cname {
-				case "flagged":
+				case "flagged", "mutation":
 					if len(diags) == 0 {
 						t.Error("flagged fixture produced no diagnostics")
 					}
@@ -142,7 +152,7 @@ func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	loader, err := lint.NewLoader(".")
+	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,21 +176,19 @@ func TestSuppression(t *testing.T) {
 
 package fixture
 
-import "time"
-
-func bare() time.Time {
-	//lint:allow clockinject
-	return time.Now()
+func bare() {
+	//lint:allow goleak
+	go func() {}()
 }
 
-func reasoned() time.Time {
-	//lint:allow clockinject fixture exercising the escape hatch
-	return time.Now()
+func reasoned() {
+	//lint:allow goleak fixture exercising the escape hatch
+	go func() {}()
 }
 
-func wrongAnalyzer() time.Time {
-	//lint:allow globalrand wrong analyzer named
-	return time.Now()
+func wrongAnalyzer() {
+	//lint:allow lockorder wrong analyzer named
+	go func() {}()
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(src), 0o644); err != nil {
@@ -188,18 +196,18 @@ func wrongAnalyzer() time.Time {
 	}
 	pkgs := loadFixture(t, dir)
 	diags := lint.Run(pkgs, lint.Analyzers())
-	// Four survivors: the two clockinject diagnostics the bare and
+	// Four survivors: the two goleak diagnostics the bare and
 	// wrong-analyzer annotations fail to silence, plus the stalesuppress
 	// reports on those two dead annotations. The reasoned one suppresses its
 	// diagnostic and, being live, draws no stale report.
 	if len(diags) != 4 {
-		t.Fatalf("want 4 diagnostics (2 unsuppressed clockinject + 2 stale annotations), got %d:\n%s", len(diags), formatDiags(diags))
+		t.Fatalf("want 4 diagnostics (2 unsuppressed goleak + 2 stale annotations), got %d:\n%s", len(diags), formatDiags(diags))
 	}
 	byAnalyzer := map[string]int{}
 	for _, d := range diags {
 		byAnalyzer[d.Analyzer]++
 	}
-	if byAnalyzer["clockinject"] != 2 || byAnalyzer["stalesuppress"] != 2 {
-		t.Fatalf("diagnostic split = %v, want 2 clockinject + 2 stalesuppress", byAnalyzer)
+	if byAnalyzer["goleak"] != 2 || byAnalyzer["stalesuppress"] != 2 {
+		t.Fatalf("diagnostic split = %v, want 2 goleak + 2 stalesuppress", byAnalyzer)
 	}
 }

@@ -8,30 +8,27 @@ import (
 	"strings"
 )
 
-// LockOrder guards against deadlock by lock-order inversion and against
-// accidental lock copies — the two mutex hazard classes the sharded serve
-// path (per-shard mu + hmu, the admission mutex, the batcher's queue locks)
-// makes live. It builds the package's lock-acquisition graph with the same
-// call-graph machinery as atomiccounter: a node is a mutex identity (a named
-// struct's mutex field, or a package-level mutex var), and an edge A→B means
-// some path acquires B while holding A — directly in one function, or
-// through a call to an in-package function that (transitively) acquires B.
-// A cycle in that graph is a potential deadlock: two goroutines entering the
-// cycle from different edges wait on each other forever. Separately, any
-// assignment or range clause that copies a value containing a sync.Mutex,
-// sync.RWMutex or sync.WaitGroup is flagged: the copy's lock state diverges
-// from the original's, which silently unguards whatever the original
-// protected.
+// LockOrder guards against deadlock by lock-order inversion, the mutex
+// hazard the sharded serve path (per-shard mu + hmu, the admission mutex,
+// the batcher's queue locks) makes live. It builds the package's
+// lock-acquisition graph with the same call-graph machinery as
+// atomiccounter: a node is a mutex identity (a named struct's mutex field,
+// or a package-level mutex var), and an edge A→B means some path acquires B
+// while holding A — directly in one function, or through a call to an
+// in-package function that (transitively) acquires B. A cycle in that graph
+// is a potential deadlock: two goroutines entering the cycle from different
+// edges wait on each other forever. Lock copies are go vet's copylocks
+// check, which CI runs.
 func LockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
-		Doc:  "flags cycles in the lock-acquisition graph and copies of sync.Mutex/RWMutex/WaitGroup values",
+		Doc:  "flags cycles in the lock-acquisition graph (potential lock-order deadlocks)",
 		Match: func(pkgPath string) bool {
 			return pkgPath == ModulePath ||
 				underInternal(pkgPath, ModulePath) ||
 				strings.HasPrefix(pkgPath, ModulePath+"/cmd/")
 		},
-		Run: runLockOrder,
+		Run: lockCycleDiags,
 	}
 }
 
@@ -59,13 +56,6 @@ type lockEdge struct {
 	node     ast.Node
 }
 
-func runLockOrder(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	diags = append(diags, lockCopyDiags(p)...)
-	diags = append(diags, lockCycleDiags(p)...)
-	return diags
-}
-
 // lockCycleDiags builds the acquisition graph and reports every edge that
 // participates in a cycle.
 func lockCycleDiags(p *Package) []Diagnostic {
@@ -77,31 +67,54 @@ func lockCycleDiags(p *Package) []Diagnostic {
 		}
 	}
 
-	// Pass 1, per function in source order: the locks it acquires directly,
-	// and the calls it makes with the held-lock set at each call site. The
-	// held set is tracked linearly (an Unlock releases, a deferred Unlock
-	// holds to function end), which is exact for the straight-line
+	// The held set is tracked per body: each declared function, and each
+	// function literal on its own, because a literal runs when it is called
+	// (on another goroutine, from a timer, deferred), not where it is
+	// written, so what it locks is not held or acquired by its encloser.
+	var bodies []ast.Node
+	for _, fd := range funcs {
+		if fd.Body == nil {
+			continue
+		}
+		bodies = append(bodies, fd)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				bodies = append(bodies, lit)
+			}
+			return true
+		})
+	}
+
+	// Pass 1, per body in source order: the locks it acquires directly,
+	// and the in-package calls it makes with the held-lock set at each call
+	// site. The held set is tracked linearly (an Unlock releases, a deferred
+	// Unlock holds to function end), which is exact for the straight-line
 	// lock/unlock bracketing the codebase uses.
 	type callSite struct {
 		callee types.Object
 		held   []lockNode
 	}
-	directAcquires := make(map[*ast.FuncDecl][]lockNode)
-	callSites := make(map[*ast.FuncDecl][]callSite)
+	directAcquires := make(map[ast.Node][]lockNode)
+	callSites := make(map[ast.Node][]callSite)
 	var edges []lockEdge
-	for _, fd := range funcs {
-		if fd.Body == nil {
-			continue
+	for _, fn := range bodies {
+		var block *ast.BlockStmt
+		switch fn := fn.(type) {
+		case *ast.FuncDecl:
+			block = fn.Body
+		case *ast.FuncLit:
+			block = fn.Body
 		}
 		var held []lockNode
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if def, ok := n.(*ast.DeferStmt); ok {
+		ast.Inspect(block, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false // its own body
+			case *ast.DeferStmt:
 				// A deferred Unlock holds the lock for the rest of the
 				// function; don't treat it as a release at this point.
-				if _, isUnlock := mutexCallNode(p, def.Call, "Unlock", "RUnlock"); isUnlock {
-					return false
-				}
-				return true
+				_, isUnlock := mutexCallNode(p, n.Call, "Unlock", "RUnlock")
+				return !isUnlock
 			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -112,7 +125,7 @@ func lockCycleDiags(p *Package) []Diagnostic {
 					edges = append(edges, lockEdge{from: h, to: node, pos: p.Fset.Position(call.Pos()), node: call})
 				}
 				held = append(held, node)
-				directAcquires[fd] = append(directAcquires[fd], node)
+				directAcquires[fn] = append(directAcquires[fn], node)
 				return true
 			}
 			if node, ok := mutexCallNode(p, call, "Unlock", "RUnlock"); ok {
@@ -124,9 +137,12 @@ func lockCycleDiags(p *Package) []Diagnostic {
 				}
 				return true
 			}
+			// Every in-package call is kept, held set or not: a callee
+			// reached through a helper that holds nothing still adds to
+			// the helper's transitive acquires.
 			if callee := calleeObj(p, call); callee != nil {
-				if _, inPkg := byObj[callee]; inPkg && len(held) > 0 {
-					callSites[fd] = append(callSites[fd], callSite{callee: callee, held: append([]lockNode(nil), held...)})
+				if _, inPkg := byObj[callee]; inPkg {
+					callSites[fn] = append(callSites[fn], callSite{callee: callee, held: append([]lockNode(nil), held...)})
 				}
 			}
 			return true
@@ -134,22 +150,21 @@ func lockCycleDiags(p *Package) []Diagnostic {
 	}
 
 	// Pass 2: transitive acquire sets via fixpoint over the call graph.
-	trans := make(map[*ast.FuncDecl]map[lockNode]bool)
-	for _, fd := range funcs {
+	trans := make(map[ast.Node]map[lockNode]bool)
+	for _, fn := range bodies {
 		set := make(map[lockNode]bool)
-		for _, n := range directAcquires[fd] {
+		for _, n := range directAcquires[fn] {
 			set[n] = true
 		}
-		trans[fd] = set
+		trans[fn] = set
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, fd := range funcs {
-			for _, cs := range callSites[fd] {
-				callee := byObj[cs.callee]
-				for n := range trans[callee] {
-					if !trans[fd][n] {
-						trans[fd][n] = true
+		for _, fn := range bodies {
+			for _, cs := range callSites[fn] {
+				for n := range trans[byObj[cs.callee]] {
+					if !trans[fn][n] {
+						trans[fn][n] = true
 						changed = true
 					}
 				}
@@ -158,13 +173,12 @@ func lockCycleDiags(p *Package) []Diagnostic {
 	}
 	// Interprocedural edges: holding H across a call whose callee
 	// transitively acquires B yields H→B.
-	for _, fd := range funcs {
-		for _, cs := range callSites[fd] {
-			callee := byObj[cs.callee]
-			pos := p.Fset.Position(fd.Pos())
+	for _, fn := range bodies {
+		for _, cs := range callSites[fn] {
+			pos := p.Fset.Position(fn.Pos())
 			for _, h := range cs.held {
-				for n := range trans[callee] {
-					edges = append(edges, lockEdge{from: h, to: n, pos: pos, node: fd})
+				for n := range trans[byObj[cs.callee]] {
+					edges = append(edges, lockEdge{from: h, to: n, pos: pos, node: fn})
 				}
 			}
 		}
@@ -255,108 +269,4 @@ func mutexCallNode(p *Package, call *ast.CallExpr, names ...string) (lockNode, b
 		}
 	}
 	return lockNode{}, false
-}
-
-// lockCopyDiags flags assignments and range clauses that copy a value
-// containing a lock.
-func lockCopyDiags(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					if !copiesLockValue(p, rhs) {
-						continue
-					}
-					tv := p.Info.Types[rhs]
-					diags = append(diags, diag(p, n, "lockorder",
-						"assignment copies %s, which contains %s; the copy's lock state diverges from the original — use a pointer", tv.Type, lockKindIn(tv.Type)))
-				}
-			case *ast.RangeStmt:
-				if n.Value == nil {
-					return true
-				}
-				tv, ok := p.Info.Types[n.Value]
-				if !ok {
-					// A `for _, v := range xs` value lands in Defs, not
-					// Types: the ident is a definition, not an expression.
-					if id, isIdent := n.Value.(*ast.Ident); isIdent {
-						if obj := p.Info.Defs[id]; obj != nil {
-							tv = types.TypeAndValue{Type: obj.Type()}
-							ok = true
-						}
-					}
-				}
-				if !ok {
-					return true
-				}
-				if kind := lockKindIn(tv.Type); kind != "" && !isPointerOrRef(tv.Type) {
-					diags = append(diags, diag(p, n.Value, "lockorder",
-						"range value copies %s, which contains %s; iterate by index or over pointers", tv.Type, kind))
-				}
-			}
-			return true
-		})
-	}
-	return diags
-}
-
-// copiesLockValue reports whether evaluating rhs for assignment copies a
-// lock-containing value: the static type contains a lock, the expression is
-// not a pointer/reference, and it is not a fresh composite literal or a
-// call result (creation and returns are the callee's concern).
-func copiesLockValue(p *Package, rhs ast.Expr) bool {
-	switch ast.Unparen(rhs).(type) {
-	case *ast.CompositeLit, *ast.CallExpr, *ast.UnaryExpr, *ast.FuncLit:
-		return false
-	}
-	tv, ok := p.Info.Types[rhs]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	return lockKindIn(tv.Type) != "" && !isPointerOrRef(tv.Type)
-}
-
-// lockKindIn names the first sync lock type found in t (descending into
-// struct fields and arrays), or "" when t carries none.
-func lockKindIn(t types.Type) string {
-	seen := make(map[types.Type]bool)
-	var walk func(t types.Type) string
-	walk = func(t types.Type) string {
-		if t == nil || seen[t] {
-			return ""
-		}
-		seen[t] = true
-		if named, ok := t.(*types.Named); ok {
-			if pkg := named.Obj().Pkg(); pkg != nil && pkg.Path() == "sync" {
-				switch named.Obj().Name() {
-				case "Mutex", "RWMutex", "WaitGroup":
-					return "sync." + named.Obj().Name()
-				}
-			}
-		}
-		switch u := t.Underlying().(type) {
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if k := walk(u.Field(i).Type()); k != "" {
-					return k
-				}
-			}
-		case *types.Array:
-			return walk(u.Elem())
-		}
-		return ""
-	}
-	return walk(t)
-}
-
-// isPointerOrRef reports whether t is a pointer, map, chan, slice or
-// interface — types whose assignment copies a reference, not the lock.
-func isPointerOrRef(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Map, *types.Chan, *types.Slice, *types.Interface, *types.Signature:
-		return true
-	}
-	return false
 }

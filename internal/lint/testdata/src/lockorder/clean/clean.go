@@ -1,8 +1,8 @@
 //lintpath github.com/lightning-smartnic/lightning/internal/nic
 
 // Package fixture exercises lockorder's clean cases: one total lock order
-// held everywhere (including through a callee), sequential release-then-
-// acquire, and lock-bearing state handled by pointer.
+// held everywhere (including through a callee) and sequential
+// release-then-acquire.
 package fixture
 
 import "sync"
@@ -54,11 +54,11 @@ func (r *Registry) Tally() int {
 	return n
 }
 
-// SumAll iterates over pointers, so no lock value is copied.
-func SumAll(all []*Stats) int {
-	total := 0
-	for _, s := range all {
-		total += s.served
-	}
-	return total
+// Arm hands a timer a closure that takes Registry.mu when it fires, later
+// and on the timer's goroutine: the closure's locks are not acquired under
+// the lock Arm holds.
+func (r *Registry) Arm(after func(func())) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	after(func() { r.Snapshot() })
 }

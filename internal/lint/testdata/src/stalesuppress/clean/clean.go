@@ -4,10 +4,9 @@
 // annotation that still silences a live diagnostic is not stale.
 package fixture
 
-import "time"
-
-// Stamp reads the wall clock deliberately; the reasoned allow is live.
-func Stamp() time.Time {
-	//lint:allow clockinject fixture needs one real wall-clock read
-	return time.Now()
+// Spawn leaves one goroutine unbounded deliberately; the reasoned allow is
+// live.
+func Spawn() {
+	//lint:allow goleak fixture keeps one goroutine unbounded
+	go func() {}()
 }

@@ -4,7 +4,7 @@
 // that silence nothing. Bare annotations never suppress, a typo'd analyzer
 // name suppresses nothing (and would outlive a rename silently), and a
 // reasoned annotation whose violation has since been fixed is dead weight.
-// The live clockinject diagnostics under the non-suppressing annotations
+// The live goleak diagnostics under the non-suppressing annotations
 // surface too: this fixture runs under the full suite, because staleness is
 // only decidable relative to a whole run.
 package fixture
@@ -12,21 +12,21 @@ package fixture
 import "time"
 
 // bare annotations suppress nothing by design.
-func bare() time.Time {
-	//lint:allow clockinject
-	return time.Now()
+func bare() {
+	//lint:allow goleak
+	go func() {}()
 }
 
 // misnamed names no analyzer in the suite.
-func misnamed() time.Time {
+func misnamed() {
 	//lint:allow clockwork simulated time is fine here
-	return time.Now()
+	go func() {}()
 }
 
 // healed fixed the violation its annotation excused; the hatch is now dead.
-func healed(now func() time.Time) time.Time {
-	//lint:allow clockinject fixture exercising staleness
-	return now()
+func healed(done chan struct{}) {
+	//lint:allow goleak fixture exercising staleness
+	go func() { <-done }()
 }
 
 // dropped carries a bare drop with no reason.

@@ -185,8 +185,6 @@ func (c *mmsgConn) offload() (gso, gro bool) { return !c.gsoOff.Load(), c.groOn.
 // recvmmsg is the RawConn read closure: one recvmmsg syscall per poll
 // wake-up, retried through EINTR; EAGAIN returns false to park on the
 // netpoller.
-//
-//lint:hotpath
 func (c *mmsgConn) recvmmsg(fd uintptr) bool {
 	for {
 		n, _, e := syscall.Syscall6(sysRecvmmsg, fd,
@@ -214,8 +212,6 @@ func (c *mmsgConn) recvmmsg(fd uintptr) bool {
 // netpoller for the first. Message buffers must be non-empty. A datagram
 // longer than its slot is counted in Counters.Truncated and never returned;
 // if a read returns nothing else, ReadBatch waits for the next datagram.
-//
-//lint:hotpath
 func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
@@ -256,8 +252,6 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 // collect fills the messages of a finished recvmmsg. Truncated slots are
 // counted and dropped, the rest compacted to the front by swapping slots,
 // so every caller buffer stays in ms. Caller holds rdMu.
-//
-//lint:hotpath
 func (c *mmsgConn) collect(ms []Message) int {
 	w, dgrams := 0, 0
 	for i := 0; i < c.rdN; i++ {
@@ -282,8 +276,6 @@ func (c *mmsgConn) collect(ms []Message) int {
 
 // segOf reads rx header i's UDP_GRO cmsg: the sender's segment size when
 // the kernel returned a coalesced train of n bytes, else 0.
-//
-//lint:hotpath
 func (c *mmsgConn) segOf(i, n int) int {
 	if c.rd.hdrs[i].hdr.Controllen < syscall.SizeofCmsghdr+4 {
 		return 0
@@ -300,8 +292,6 @@ func (c *mmsgConn) segOf(i, n int) int {
 }
 
 // addrOf interns one raw source sockaddr (caller holds rdMu).
-//
-//lint:hotpath
 func (c *mmsgConn) addrOf(ra *syscall.RawSockaddrInet6, nlen uint32) net.Addr {
 	var k internKey
 	k.fam = ra.Family
@@ -341,8 +331,6 @@ func (c *mmsgConn) internMiss(k internKey) net.Addr {
 
 // sendmmsg is the RawConn write closure: one sendmmsg syscall per poll
 // wake-up over the not-yet-sent tail of the batch.
-//
-//lint:hotpath
 func (c *mmsgConn) sendmmsg(fd uintptr) bool {
 	for {
 		n, _, e := syscall.Syscall6(sysSendmmsg, fd,
@@ -374,8 +362,6 @@ var emptyByte byte
 // stops the batch before it with errBadAddr after flushing the prefix. If
 // the kernel refuses a segmented header, GSO goes off for good and the
 // unsent messages go again one per header.
-//
-//lint:hotpath
 func (c *mmsgConn) WriteBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
@@ -427,8 +413,6 @@ func gsoRefused(e syscall.Errno) bool {
 // cmsg, at most maxGSOSegs segments and maxGSOBytes bytes. first[h] is
 // header h's first message and first[nh] the end; a destination
 // putSockaddr cannot encode ends the layout before its message.
-//
-//lint:hotpath
 func (c *mmsgConn) pack(ms []Message, from int) (nh int, badAddr bool) {
 	s := &c.wr
 	gso := !c.gsoOff.Load()
@@ -481,8 +465,6 @@ func (c *mmsgConn) pack(ms []Message, from int) (nh int, badAddr bool) {
 }
 
 // setIovec points iovec i at message m's valid bytes.
-//
-//lint:hotpath
 func (s *mmsgScratch) setIovec(i int, m *Message) {
 	if m.N > 0 {
 		s.iovecs[i].Base = &m.Buf[0]
@@ -493,8 +475,6 @@ func (s *mmsgScratch) setIovec(i int, m *Message) {
 }
 
 // segCmsg attaches a UDP_SEGMENT cmsg of segment size seg to tx header h.
-//
-//lint:hotpath
 func (s *mmsgScratch) segCmsg(h, seg int) {
 	cm := (*syscall.Cmsghdr)(unsafe.Pointer(&s.ctl[h*ctlWords]))
 	cm.Level = solUDP
@@ -508,8 +488,6 @@ func (s *mmsgScratch) segCmsg(h, seg int) {
 // putSockaddr encodes a *net.UDPAddr into a raw sockaddr, returning its
 // length. Non-UDP addrs report false (the fast path only ever sees UDP
 // peers; anything else is a caller bug surfaced as errBadAddr).
-//
-//lint:hotpath
 func putSockaddr(ra *syscall.RawSockaddrInet6, addr net.Addr) (uint32, bool) {
 	ua, ok := addr.(*net.UDPAddr)
 	if !ok {
@@ -536,8 +514,8 @@ func putSockaddr(ra *syscall.RawSockaddrInet6, addr net.Addr) (uint32, bool) {
 	return syscall.SizeofSockaddrInet6, true
 }
 
-// errnoErr wraps a raw errno. Deliberately not hotpath-marked: it runs only
-// on the failure path and may allocate.
+// errnoErr wraps a raw errno. It runs only on the failure path and may
+// allocate.
 func errnoErr(op string, e syscall.Errno) error {
 	return os.NewSyscallError(op, e)
 }

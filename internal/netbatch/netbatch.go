@@ -45,13 +45,9 @@ type Message struct {
 }
 
 // Bytes returns the valid slice of the message.
-//
-//lint:hotpath
 func (m *Message) Bytes() []byte { return m.Buf[:m.N] }
 
 // Datagrams returns how many datagrams the message holds.
-//
-//lint:hotpath
 func (m *Message) Datagrams() int {
 	if m.Seg <= 0 {
 		return 1
@@ -243,8 +239,6 @@ func (n *nativeConn) FastPath() bool { return true }
 func (n *nativeConn) SetReadDeadline(t time.Time) error { return n.setDeadline(t) }
 
 // ReadBatch delegates one batched read, counted as one would-be syscall.
-//
-//lint:hotpath
 func (n *nativeConn) ReadBatch(ms []Message) (int, error) {
 	n.ctr.ReadCalls.Add(1)
 	cnt, err := n.bio.ReadBatch(ms)
@@ -255,8 +249,6 @@ func (n *nativeConn) ReadBatch(ms []Message) (int, error) {
 }
 
 // WriteBatch delegates one batched write, counted as one would-be syscall.
-//
-//lint:hotpath
 func (n *nativeConn) WriteBatch(ms []Message) (int, error) {
 	n.ctr.WriteCalls.Add(1)
 	cnt, err := n.bio.WriteBatch(ms)
@@ -291,8 +283,6 @@ func (f *fallbackConn) SetReadDeadline(t time.Time) error { return f.pc.SetReadD
 
 // ReadBatch fills at most one message — a portable PacketConn offers no way
 // to drain several datagrams without re-arming deadlines between reads.
-//
-//lint:hotpath
 func (f *fallbackConn) ReadBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
@@ -310,8 +300,6 @@ func (f *fallbackConn) ReadBatch(ms []Message) (int, error) {
 
 // WriteBatch loops single sends; the first failure stops the batch with the
 // failed message at ms[n].
-//
-//lint:hotpath
 func (f *fallbackConn) WriteBatch(ms []Message) (int, error) {
 	for i := range ms {
 		if ms[i].Addr == nil {
@@ -338,8 +326,6 @@ func (f *connFallback) FastPath() bool { return false }
 func (f *connFallback) SetReadDeadline(t time.Time) error { return f.c.SetReadDeadline(t) }
 
 // ReadBatch fills at most one message from the connected peer.
-//
-//lint:hotpath
 func (f *connFallback) ReadBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
@@ -356,8 +342,6 @@ func (f *connFallback) ReadBatch(ms []Message) (int, error) {
 }
 
 // WriteBatch loops single sends to the connected peer.
-//
-//lint:hotpath
 func (f *connFallback) WriteBatch(ms []Message) (int, error) {
 	for i := range ms {
 		f.ctr.WriteCalls.Add(1)

@@ -238,8 +238,6 @@ func (a *Admitter) queueFor(model uint16) *admitQueue {
 
 // ready reports whether q has a batch to pop (any job, batching off).
 // Callers hold a.mu.
-//
-//lint:hotpath
 func (a *Admitter) ready(q *admitQueue) bool {
 	n := q.pending()
 	return n >= a.maxBatch || (n > 0 && (q.due != notDue || a.closed))
@@ -315,8 +313,6 @@ func (a *Admitter) Pop() (AdmitJob, bool) {
 // queues by smooth weighted round-robin, and moves up to MaxBatch of its
 // oldest jobs into into[:k], k <= len(into). After Close every queue with a
 // job is ready; once all are empty PopBatch reports ok=false.
-//
-//lint:hotpath
 func (a *Admitter) PopBatch(into []AdmitJob) (k int, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -350,8 +346,6 @@ func (a *Admitter) PopBatch(into []AdmitJob) (k int, ok bool) {
 
 // take moves q's oldest jobs into into, up to MaxBatch; under batching it
 // counts the batch and re-arms the timer for what it left. Callers hold a.mu.
-//
-//lint:hotpath
 func (a *Admitter) take(q *admitQueue, into []AdmitJob) int {
 	full := q.pending() >= a.maxBatch
 	k := min(q.pending(), a.maxBatch, len(into))

@@ -30,7 +30,7 @@ func (c BatchConfig) Enabled() bool { return c.MaxBatch > 1 }
 
 // BatchTimer is the max-delay flush timer seam, which *time.Timer
 // satisfies; tests inject a hand-fired fake, which keeps the flush tests
-// clockless (clockinject stays clean). Stop is best-effort: a fire already
+// clockless. Stop is best-effort: a fire already
 // in flight is made harmless by the Admitter's generation check.
 type BatchTimer interface {
 	Reset(d time.Duration) bool
@@ -80,8 +80,6 @@ type BatchCounters struct {
 
 // count records one popped batch of k queries; full says it was full, and
 // cause why a partial one left.
-//
-//lint:hotpath
 func (c *BatchCounters) count(k int, full bool, cause uint8) {
 	c.queries.Add(uint64(k))
 	c.flushes.Add(1)

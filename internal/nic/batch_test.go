@@ -7,8 +7,7 @@ import (
 )
 
 // fakeTimer is the injected flush timer: it never consults a clock — tests
-// fire it by hand — which keeps the flush-correctness suite deterministic
-// and the clockinject analyzer clean.
+// fire it by hand — which keeps the flush-correctness suite deterministic.
 type fakeTimer struct {
 	mu     sync.Mutex
 	fire   func()

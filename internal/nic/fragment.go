@@ -333,8 +333,6 @@ func (r *Reassembler) Offer(m *Message) (query []byte, modelID uint16, done bool
 // — and the fragment that completes byte coverage of a request releases the
 // assembled query, in a buffer that is the caller's until it hands it back
 // with Release. Inconsistent fragments drop the whole request.
-//
-//lint:hotpath
 func (r *Reassembler) OfferFrom(src netip.AddrPort, m *Message) (query []byte, modelID uint16, done bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -178,8 +178,7 @@ func (r *Response) ToMessage() *Message {
 // intermediate Message or its payload copy. The serve path's tx batcher
 // encodes every response with it; equivalence with the two-step encoding is
 // pinned by TestAppendResponseFrameMatchesToMessage. Like AppendEncode it
-// appends (growth amortizes into the caller's pooled buffer), so it carries
-// no hotpath marker.
+// appends; growth amortizes into the caller's pooled buffer.
 func AppendResponseFrame(dst []byte, r *Response) ([]byte, error) {
 	plen := 2 + len(r.Probs)
 	if plen > 0xffff {

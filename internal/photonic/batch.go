@@ -30,8 +30,6 @@ import (
 //
 // dst is caller-owned storage, reallocated only when capacity is short;
 // with sufficient capacity the call performs zero heap allocations.
-//
-//lint:hotpath
 func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []int) []float64 {
 	if len(a) != len(b) {
 		panic("photonic: dot product operand length mismatch")
@@ -81,8 +79,6 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 // so several goroutines may call it at once on disjoint dst while nothing
 // else touches the core. The caller counts the steps. Valid only while
 // LUTsValid holds; a stale core takes Step, through DotPartialsInto.
-//
-//lint:hotpath
 func (c *Core) PartialsAt(dst []float64, a, b []fixed.Code, key, ctr uint64) {
 	dst = c.ReadingsInto(dst, a, b)
 	if m := c.noise; m != nil {
@@ -95,8 +91,6 @@ func (c *Core) PartialsAt(dst []float64, a, b []fixed.Code, key, ctr uint64) {
 // and the first half of a readout. A caller with several groups whose steps
 // sit at consecutive positions runs it per group and ReadoutAt over them
 // all.
-//
-//lint:hotpath
 func (c *Core) ReadingsInto(dst []float64, a, b []fixed.Code) []float64 {
 	n := len(c.lanes)
 	dst = dst[:(len(a)+n-1)/n]
@@ -110,8 +104,6 @@ func (c *Core) ReadingsInto(dst []float64, a, b []fixed.Code) []float64 {
 // pass that writes no reading back. A noiseless core only rounds. Like
 // PartialsAt it only reads the core, so goroutines may call it at once on
 // disjoint spans.
-//
-//lint:hotpath
 func (c *Core) ReadoutAt(dst []fixed.Code, readings []float64, key, ctr uint64) {
 	if m := c.noise; m != nil {
 		m.readoutAt(dst, readings, streamBase(m.seeded, key), ctr)
@@ -123,8 +115,6 @@ func (c *Core) ReadoutAt(dst []fixed.Code, readings []float64, key, ctr uint64) 
 // pass is the one place a group's kernel is picked: stream2 on a core of
 // exactly two lanes, neither dead, and stream on any other. It is asked on
 // every call, because Kill can land between two.
-//
-//lint:hotpath
 func (c *Core) pass(dst []float64, a, b []fixed.Code) {
 	if l := c.lanes; len(l) == 2 && !l[0].dead && !l[1].dead {
 		c.stream2(dst, a, b)
@@ -156,8 +146,6 @@ func (c *Core) pass(dst []float64, a, b []fixed.Code) {
 // this small: the same loops written inside DotPartialsBatchInto, or with the
 // noise pass and the step count below them, reload spilled values in the
 // lane loop and measured half as fast again.
-//
-//lint:hotpath
 func (c *Core) stream(dst []float64, a, b []fixed.Code) {
 	lanes, n := c.lanes, len(c.lanes)
 	dark, resp, darkPerLane := c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
@@ -188,8 +176,6 @@ func (c *Core) stream(dst []float64, a, b []fixed.Code) {
 // as stream's and Step's — lane 0's front·g2·tap2, lane 1's added to it, then
 // the decode — only where the operands are loaded from differs, so readings
 // are bit-identical to theirs.
-//
-//lint:hotpath
 func (c *Core) stream2(dst []float64, a, b []fixed.Code) {
 	l0, l1 := c.lanes[0], c.lanes[1]
 	f0, g20, t20 := &l0.front, &l0.g2, l0.tap2

@@ -135,8 +135,6 @@ func NewLane(w Wavelength, phase1, phase2 float64) (*Lane, error) {
 // a modulator off the baked operating point the LUT is stale, and the call
 // drops to the live transfer chain so the corruption stays physically
 // visible until Relock re-bakes.
-//
-//lint:hotpath
 func (l *Lane) TransmitCodes(carrier float64, a, b fixed.Code) float64 {
 	if l.dead {
 		return 0
@@ -297,8 +295,6 @@ func (c *Core) NumLanes() int { return len(c.lanes) }
 // returns a single reading proportional to Σ a[i]·b[i] (Fig 2c). The reading
 // is in code units where one lane at full scale reads 255; analog noise is
 // added once per detector readout. Unused lanes idle dark.
-//
-//lint:hotpath
 func (c *Core) Step(a, b []fixed.Code) float64 {
 	if len(a) != len(b) {
 		panic("photonic: Step operand length mismatch")
@@ -363,8 +359,6 @@ func (c *Core) DotPartials(a, b []fixed.Code) []float64 {
 // filled slice (length ⌈len(a)/NumLanes⌉) is returned. It is the one-group
 // case of DotPartialsBatchInto and, like it, performs zero heap allocations
 // once dst has the capacity.
-//
-//lint:hotpath
 func (c *Core) DotPartialsInto(dst []float64, a, b []fixed.Code) []float64 {
 	bounds := [2]int{0, len(a)}
 	return c.DotPartialsBatchInto(dst, a, b, bounds[:])

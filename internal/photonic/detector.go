@@ -129,8 +129,6 @@ func (n *NoiseModel) addTo(readings []float64) {
 // addAt adds draws ctr, ctr+1, … of the stream whose origin is base to the
 // readings, in order, with the draw's fast path in the loop body and only the
 // rare slow path a call. It reads the model and writes only the readings.
-//
-//lint:hotpath
 func (n *NoiseModel) addAt(readings []float64, base, ctr uint64) {
 	mean, sigma := n.Mean, n.Sigma
 	s := base + ctr*weyl
@@ -155,8 +153,6 @@ func (n *NoiseModel) addAt(readings []float64, base, ctr uint64) {
 // reading back and reads none again. Quantize inlines without a branch, and
 // the loop's values stay in registers on the fast path: only the rare
 // normSlow call saves and restores them around itself.
-//
-//lint:hotpath
 func (n *NoiseModel) readoutAt(dst []fixed.Code, readings []float64, base, ctr uint64) {
 	mean, sigma := n.Mean, n.Sigma
 	s := base + ctr*weyl

@@ -8,25 +8,31 @@ import (
 )
 
 // BenchmarkPartialsAt times the photonic pass of vision_frag's wide row: one
-// operand group of 37 632 steps on a two-lane core — noiseless, with the
-// prototype's noise, and as the datapath reads it out (readout: the readings,
-// then the noise and the ADC codes in one pass). It calls only exported API.
+// operand group of 37 632 steps on the prototype core at the engine's full
+// scale of two lanes — noiseless, with the prototype's noise, and as the
+// datapath reads it out (readout: the readings, then the noise and the ADC
+// codes in one pass). The operands are the served row's: weights at 255
+// against a bright half's codes in [128, 240), so the readings sit inside the
+// ADC's range as they do when served.
 func BenchmarkPartialsAt(b *testing.B) {
 	const steps = 37632
 	rng := rand.New(rand.NewPCG(3, 9))
 	x, w := make([]fixed.Code, 2*steps), make([]fixed.Code, 2*steps)
 	for i := range x {
-		x[i], w[i] = fixed.Code(rng.IntN(256)), fixed.Code(rng.IntN(256))
+		x[i], w[i] = fixed.Code(128+rng.IntN(112)), 255
 	}
 	for _, bc := range []struct {
-		name    string
-		noise   *NoiseModel
-		readout bool
-	}{{"noiseless", nil, false}, {"noisy", PrototypeNoise(7), false}, {"readout", PrototypeNoise(7), true}} {
+		name           string
+		noise, readout bool
+	}{{"noiseless", false, false}, {"noisy", true, false}, {"readout", true, true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			core, err := NewCore(2, bc.noise)
+			core, err := NewPrototypeCore(7)
 			if err != nil {
 				b.Fatal(err)
+			}
+			core.FullScaleLanes = core.NumLanes()
+			if !bc.noise {
+				core.noise = nil
 			}
 			dst, codes := make([]float64, steps), make([]fixed.Code, steps)
 			b.ResetTimer()
