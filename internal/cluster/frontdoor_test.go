@@ -153,11 +153,16 @@ func TestFrontDoorParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s, %s: %d replies of %d: %v", name, st.name, len(errFlag), want, err)
 				}
-				var reply nic.Message
-				if _, err := reply.DecodeNext(buf[:k]); err != nil || !reply.IsResponse() {
-					t.Fatalf("%s, %s: bad reply %x (%v)", name, st.name, buf[:k], err)
+				// A datagram may pack several responses; walk every frame.
+				for data := buf[:k]; len(data) > 0; {
+					var reply nic.Message
+					n, err := reply.DecodeNext(data)
+					if err != nil || !reply.IsResponse() {
+						t.Fatalf("%s, %s: bad reply %x (%v)", name, st.name, buf[:k], err)
+					}
+					errFlag[reply.RequestID] = reply.IsError()
+					data = data[n:]
 				}
-				errFlag[reply.RequestID] = reply.IsError()
 			}
 		}
 		errIDs := make(map[uint32]bool)

@@ -2,6 +2,8 @@ package datapath
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/fixed"
@@ -50,6 +52,45 @@ func TestSoftmaxMatchesFloat(t *testing.T) {
 		want := math.Exp(l) / denom * 255
 		if math.Abs(float64(probs[i])-want) > 3 {
 			t.Errorf("prob[%d] = %d, want ≈%.1f", i, probs[i], want)
+		}
+	}
+}
+
+// TestSoftmaxRoundsHalfUpExactly pins the probability codes' rounding:
+// over seeded inputs, every code equals an exact rational reference,
+// round half up of e·255/total, where e is round(exp(-d/16)·2^14) of the
+// input's distance d below the maximum (0 past the table's 128 entries)
+// and total sums e over the inputs.
+func TestSoftmaxRoundsHalfUpExactly(t *testing.T) {
+	half := big.NewRat(1, 2)
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		xs := make([]fixed.Acc, 1+rng.Intn(16))
+		spread := 1 + rng.Intn(300)
+		for i := range xs {
+			xs[i] = fixed.Acc(rng.Intn(2*spread+1) - spread)
+		}
+		max := xs[0]
+		for _, x := range xs {
+			if x > max {
+				max = x
+			}
+		}
+		es := make([]int64, len(xs))
+		var total int64
+		for i, x := range xs {
+			if d := int64(max) - int64(x); d < 128 {
+				es[i] = int64(math.Round(math.Exp(-float64(d)/16) * 16384))
+			}
+			total += es[i]
+		}
+		got := Softmax(xs)
+		for i, e := range es {
+			r := new(big.Rat).Add(big.NewRat(e*255, total), half)
+			want := new(big.Int).Quo(r.Num(), r.Denom()) // floor: r is non-negative
+			if int64(got[i]) != want.Int64() {
+				t.Fatalf("Softmax(%v)[%d] = %d, want %v (round half up of %d·255/%d)", xs, i, got[i], want, e, total)
+			}
 		}
 	}
 }

@@ -33,8 +33,8 @@ const (
 	// blockSteps is the unit of work: 16 KB of partials, so a block's
 	// readings are still in L1 when it reads them out, and ≈ 16 µs of
 	// work at ≈ 8 ns a step (readings, noise and ADC codes of a two-lane
-	// core, on a 2-vCPU KVM guest), which bounds how long the caller
-	// waits for a helper's last block.
+	// core, on a 2-vCPU KVM guest): how long the caller waits for a
+	// helper's last block, unless the helper is preempted.
 	blockSteps = 2048
 	// fanOutSteps is the smallest row offered to helpers. A handoff costs
 	// the caller its P until the runtime has woken another (offer), and up
@@ -122,10 +122,11 @@ func (p *rowPass) issue(parts []float64) {
 
 // fanOut opens the row, offers it to up to helpers parked helpers, claims
 // blocks alongside them, then closes it and waits out the blocks they hold.
-// The wait spins, yielding the P, rather than parking: the last block a
-// helper holds ends within a block's work, and a parked caller wakes tens of
-// microseconds after it is readied. A helper that has not attached by then is
-// not waited for; it finds the row closed.
+// The wait spins, yielding the P, rather than parking: most rows wait under
+// a microsecond, a parked caller wakes tens of microseconds after it is
+// readied, and parking measured no better on the rows that wait
+// milliseconds for a preempted helper (DESIGN.md §11). A helper that has not
+// attached by then is not waited for; it finds the row closed.
 func (p *rowPass) fanOut(parts []float64, helpers int) {
 	p.next.Store(0)
 	p.state.Add(open)

@@ -84,8 +84,8 @@ func (c *StubConn) Enqueue(d []byte) {
 	c.mu.Unlock()
 }
 
-// Writes returns the count of successful WriteTo calls (batched writes
-// count once per message, so the tally stays one-per-response either way).
+// Writes returns the count of datagrams written (a batched write counts
+// once per message). A datagram may pack several response frames.
 func (c *StubConn) Writes() uint64 { return c.writes.Load() }
 
 // DeadlineCalls returns how many times SetReadDeadline was armed — the

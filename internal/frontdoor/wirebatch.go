@@ -3,6 +3,7 @@ package frontdoor
 import (
 	"math/bits"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,8 +13,8 @@ import (
 
 // This file is the tx half of the batched wire path (DESIGN.md §16): a
 // bounded batch-size histogram for observability, and the response batcher
-// that turns many single-datagram sends into a few WriteBatch flushes — one
-// sendmmsg on the Linux fast path.
+// that packs a flush's responses into one datagram per client and writes
+// them in one WriteBatch — one sendmmsg on the Linux fast path.
 
 // sizeHist is a bounded, atomic batch-size histogram: power-of-two buckets
 // 1, 2, 3-4, 5-8, 9-16, 17-32, 33-64, 65+. Fixed storage, lock-free
@@ -67,11 +68,14 @@ func (h SizeHist) Mean() float64 {
 	return float64(h.Sum) / float64(h.Count)
 }
 
-// txBatcher collects encoded response datagrams, one response each, and
-// flushes them through one WriteBatch call (one sendmmsg on the Linux fast
-// path), so any client that speaks the wire protocol stays compatible. A
-// flush first groups the datagrams by destination, so the segmentation
-// offload sends each client's run as one datagram train.
+// txBatcher packs encoded response frames into datagrams and flushes them
+// through one WriteBatch call (one sendmmsg on the Linux fast path). A
+// response joins the datagram its destination already has open in the
+// current flush while that stays within maxPacked bytes, so a flush sends
+// each client one datagram per maxPacked bytes of responses; every
+// receiver walks a datagram's frames by their length prefixes, so any
+// client that speaks the wire protocol stays compatible. No response waits
+// for company: only responses queued for the same flush share a datagram.
 // Buffers recycle through an internal free list, so steady-state queueing
 // costs no allocation. The batcher is mutex-guarded: the inline reader uses
 // it uncontended, the worker pool shares it.
@@ -80,11 +84,19 @@ type txBatcher struct {
 	bc netbatch.BatchConn
 
 	mu sync.Mutex
-	// pending holds the datagrams awaiting flush; their Bufs are owned by
-	// the batcher and recycle through free.
+	// pending holds the datagrams awaiting flush, each destination's
+	// together in queue order and destinations in the order of their first
+	// response; their Bufs are owned by the batcher and recycle through
+	// free. frames[i] counts the responses packed in pending[i].
 	pending []netbatch.Message
+	frames  []int
 	free    [][]byte
 }
+
+// maxPacked bounds a packed response datagram: the size of one fragment
+// datagram, which every receiver's read slot already holds and a 1500-byte
+// MTU carries. A response longer than that on its own leaves alone.
+const maxPacked = nic.WireHeaderLen + nic.MaxFragPayload
 
 // getBuf pops a recycled datagram buffer (cold path allocates).
 func (t *txBatcher) getBuf() []byte {
@@ -119,15 +131,39 @@ func (t *txBatcher) send(resps []nic.Response, addrs []net.Addr, flush bool) {
 	}
 }
 
-// queueLocked is queue with t.mu held.
+// queueLocked is queue with t.mu held. The response is appended to addr's
+// last datagram when it fits under maxPacked; otherwise it opens a new
+// datagram right after that one, which keeps pending grouped by
+// destination — the run the segmentation offload sends as one train. A
+// failed encode leaves every datagram as it was.
 func (t *txBatcher) queueLocked(resp *nic.Response, addr net.Addr) {
+	i := len(t.pending) - 1
+	for i >= 0 && t.pending[i].Addr != addr {
+		i--
+	}
+	if i >= 0 && t.pending[i].N+nic.ResponseFrameLen(resp) <= maxPacked {
+		m := &t.pending[i]
+		buf, err := nic.AppendResponseFrame(m.Buf, resp)
+		if err != nil {
+			t.d.writeErrors.Add(1)
+			return
+		}
+		m.Buf, m.N = buf, len(buf)
+		t.frames[i]++
+		return
+	}
 	buf, err := nic.AppendResponseFrame(t.getBuf(), resp)
 	if err != nil {
 		t.d.writeErrors.Add(1)
 		t.putBuf(buf)
 		return
 	}
-	t.pending = append(t.pending, netbatch.Message{Buf: buf, N: len(buf), Addr: addr})
+	at := len(t.pending)
+	if i >= 0 {
+		at = i + 1
+	}
+	t.pending = slices.Insert(t.pending, at, netbatch.Message{Buf: buf, N: len(buf), Addr: addr})
+	t.frames = slices.Insert(t.frames, at, 1)
 }
 
 // putBuf recycles one datagram buffer (caller holds mu).
@@ -139,8 +175,8 @@ func (t *txBatcher) putBuf(b []byte) {
 }
 
 // flush writes every pending datagram in one WriteBatch (looping past
-// per-message failures, which are counted like the single-message path
-// counted them) and recycles the buffers.
+// per-datagram failures, each counted as one write error per response it
+// carried) and recycles the buffers.
 func (t *txBatcher) flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -153,7 +189,6 @@ func (t *txBatcher) flushLocked() {
 		return
 	}
 	t.d.txHist.observe(len(t.pending))
-	groupByAddr(t.pending)
 	ms := t.pending
 	for len(ms) > 0 {
 		sent, err := t.bc.WriteBatch(ms)
@@ -162,9 +197,10 @@ func (t *txBatcher) flushLocked() {
 			if len(ms) == 0 {
 				break
 			}
-			// The failed message is ms[0]: count it, skip it, keep going —
-			// one unreachable client must not drop the rest of the batch.
-			t.d.writeErrors.Add(1)
+			// The failed datagram is ms[0]: count its responses, skip it,
+			// keep going — one unreachable client must not drop the rest
+			// of the batch.
+			t.d.writeErrors.Add(uint64(t.frames[len(t.pending)-len(ms)]))
 			ms = ms[1:]
 			continue
 		}
@@ -174,26 +210,5 @@ func (t *txBatcher) flushLocked() {
 		t.pending[i] = netbatch.Message{}
 	}
 	t.pending = t.pending[:0]
-}
-
-// groupByAddr reorders ms so each destination's datagrams sit together:
-// destinations in the order of their first datagram, each one's datagrams
-// in queue order. The batch seam segments only a run of datagrams to one
-// destination (pointer-equal Addr), so grouping is what lets a flush to
-// two interleaved clients leave as two trains. A datagram whose
-// destination ends the grouped prefix — every datagram of a one-client
-// flush — costs one comparison.
-func groupByAddr(ms []netbatch.Message) {
-	for i := 1; i < len(ms); i++ {
-		j := i - 1
-		for j >= 0 && ms[j].Addr != ms[i].Addr {
-			j--
-		}
-		if j < 0 || j == i-1 {
-			continue
-		}
-		m := ms[i]
-		copy(ms[j+2:i+1], ms[j+1:i])
-		ms[j+1] = m
-	}
+	t.frames = t.frames[:0]
 }

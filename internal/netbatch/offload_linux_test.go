@@ -254,14 +254,16 @@ func first(b []byte) int {
 	return int(b[0])
 }
 
-// BenchmarkSendEightToTwoClients prices the three ways a server can send
-// one batch's eight 40-byte responses to two clients, A B A B … as they
-// were queued: one WriteBatch a datagram ("8x1"), one WriteBatch of all
-// eight ("1x8-interleaved"), and one WriteBatch grouped by client
-// ("1x8-grouped"), whose two runs GSO sends as one segmented send each.
-// Each op also reads the eight back on the two clients, whose sockets have
-// no GRO, so cpu-us/dgram — the process's user and system CPU from
-// getrusage — counts the sender's and the receivers' work together.
+// BenchmarkSendEightToTwoClients prices the ways a server can send one
+// batch's eight 40-byte responses to two clients, A B A B … as they were
+// queued: one WriteBatch a datagram ("8x1"), one WriteBatch of all eight
+// ("1x8-interleaved"), one WriteBatch grouped by client ("1x8-grouped"),
+// whose two runs GSO sends as one segmented send each, and one WriteBatch
+// of two datagrams that each pack one client's four responses ("packed").
+// Each op also reads the responses back on the two clients, whose sockets
+// have no GRO, so cpu-us/response — the process's user and system CPU from
+// getrusage over the eight responses — counts the sender's and the
+// receivers' work together.
 //
 //	go test -run '^$' -bench SendEightToTwoClients ./internal/netbatch
 func BenchmarkSendEightToTwoClients(b *testing.B) {
@@ -273,7 +275,8 @@ func BenchmarkSendEightToTwoClients(b *testing.B) {
 		name    string
 		perCall int
 		grouped bool
-	}{{"8x1", 1, false}, {"1x8-interleaved", k, false}, {"1x8-grouped", k, true}} {
+		packed  bool
+	}{{"8x1", 1, false, false}, {"1x8-interleaved", k, false, false}, {"1x8-grouped", k, true, false}, {"packed", 2, true, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			s := offloadSender(b)
 			var clients [2]BatchConn
@@ -289,9 +292,14 @@ func BenchmarkSendEightToTwoClients(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ms := payloads(repeat(k, size), func(i int) net.Addr {
+			// dgrams datagrams leave, dgrams/2 to each client.
+			dgrams, sizes := k, repeat(k, size)
+			if c.packed {
+				dgrams, sizes = 2, repeat(2, k/2*size)
+			}
+			ms := payloads(sizes, func(i int) net.Addr {
 				if c.grouped {
-					return addrs[i*2/k]
+					return addrs[i*2/dgrams]
 				}
 				return addrs[i%2]
 			})
@@ -302,13 +310,13 @@ func BenchmarkSendEightToTwoClients(b *testing.B) {
 			}
 			b.ResetTimer()
 			for range b.N {
-				for i := 0; i < k; i += c.perCall {
+				for i := 0; i < dgrams; i += c.perCall {
 					if n, err := s.WriteBatch(ms[i : i+c.perCall]); n != c.perCall || err != nil {
 						b.Fatalf("WriteBatch = %d, %v", n, err)
 					}
 				}
 				for _, cl := range clients {
-					for got := 0; got < k/2; {
+					for got := 0; got < dgrams/2; {
 						n, err := cl.ReadBatch(rx)
 						if err != nil {
 							b.Fatal(err)
@@ -322,7 +330,7 @@ func BenchmarkSendEightToTwoClients(b *testing.B) {
 				b.Fatal(err)
 			}
 			cpu := time.Duration(after.Utime.Nano() + after.Stime.Nano() - before.Utime.Nano() - before.Stime.Nano())
-			b.ReportMetric(float64(cpu.Microseconds())/float64(b.N*k), "cpu-us/dgram")
+			b.ReportMetric(float64(cpu.Microseconds())/float64(b.N*k), "cpu-us/response")
 		})
 	}
 }

@@ -197,6 +197,10 @@ func AppendResponseFrame(dst []byte, r *Response) ([]byte, error) {
 	return append(dst, r.Probs...), nil
 }
 
+// ResponseFrameLen is the length of r's frame as AppendResponseFrame
+// encodes it.
+func ResponseFrameLen(r *Response) int { return WireHeaderLen + 2 + len(r.Probs) }
+
 // errResponseTooLarge rejects a response payload past the wire's 16-bit
 // length field.
 var errResponseTooLarge = fmt.Errorf("nic: response payload exceeds 64 KiB")

@@ -215,6 +215,7 @@ func TestServeUDPWorkersDrainOnCancel(t *testing.T) {
 	payload := make([]byte, width)
 	const sent = 40
 	pc := fault.NewStubConn()
+	pc.RecordWrites = true
 	for i := 0; i < sent; i++ {
 		pc.Enqueue(encodeQuery(t, uint32(i+1), 4, payload))
 	}
@@ -230,7 +231,7 @@ func TestServeUDPWorkersDrainOnCancel(t *testing.T) {
 	if m.Served+m.Serve.QueueFull != sent {
 		t.Errorf("Served (%d) + QueueFull (%d) != sent (%d)", m.Served, m.Serve.QueueFull, sent)
 	}
-	if got := pc.Writes(); got != m.Served {
+	if got := uint64(len(sentFrames(t, pc))); got != m.Served {
 		t.Errorf("responses flushed = %d, served = %d", got, m.Served)
 	}
 	if err := n.Drain(context.Background()); err != nil {
@@ -345,6 +346,7 @@ func TestServeUDPWorkersDeadlineShed(t *testing.T) {
 	payload := make([]byte, width)
 	const sent = 24
 	pc := fault.NewStubConn()
+	pc.RecordWrites = true
 	for i := 0; i < sent; i++ {
 		pc.Enqueue(encodeQuery(t, uint32(i+1), 4, payload))
 	}
@@ -361,7 +363,7 @@ func TestServeUDPWorkersDeadlineShed(t *testing.T) {
 		t.Errorf("Served (%d) + QueueFull (%d) + Shed (%d) != sent (%d)",
 			m.Served, m.Serve.QueueFull, m.Serve.Shed, sent)
 	}
-	if got := pc.Writes(); got != m.Served {
+	if got := uint64(len(sentFrames(t, pc))); got != m.Served {
 		t.Errorf("responses flushed = %d, served = %d (shed requests must not answer)", got, m.Served)
 	}
 }

@@ -1,6 +1,7 @@
 package lightning
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"sync"
@@ -132,23 +133,7 @@ func TestServeDoesNotRetainQueryBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		buf := make([]byte, 2048)
-		for seen := 0; seen < queries; seen++ {
-			if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-				t.Fatal(err)
-			}
-			k, err := conn.Read(buf)
-			if err != nil {
-				t.Fatalf("after %d of %d responses: %v", seen, queries, err)
-			}
-			var m Message
-			if err := m.Decode(buf[:k]); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := nic.ParseResponse(&m)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, resp := range readResponses(t, conn, queries) {
 			if resp.Err || int(resp.Class) != int(resp.RequestID)%2 {
 				t.Fatalf("request %d: err=%v class %d, oracle %d", resp.RequestID, resp.Err, resp.Class, resp.RequestID%2)
 			}
@@ -197,23 +182,7 @@ func TestServeDoesNotRetainQueryBuffer(t *testing.T) {
 				}
 			}
 		}
-		buf := make([]byte, 2048)
-		for seen := 0; seen < queries; seen++ {
-			if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-				t.Fatal(err)
-			}
-			k, err := conn.Read(buf)
-			if err != nil {
-				t.Fatalf("after %d of %d responses: %v", seen, queries, err)
-			}
-			var m Message
-			if err := m.Decode(buf[:k]); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := nic.ParseResponse(&m)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, resp := range readResponses(t, conn, queries) {
 			if resp.Err || int(resp.Class) != int(resp.RequestID)%2 {
 				t.Fatalf("request %d: err=%v class %d, oracle %d", resp.RequestID, resp.Err, resp.Class, resp.RequestID%2)
 			}
@@ -223,4 +192,36 @@ func TestServeDoesNotRetainQueryBuffer(t *testing.T) {
 			t.Errorf("ServeUDPWorkers returned %v", err)
 		}
 	})
+}
+
+// readResponses reads k responses from conn, walking each datagram's
+// response frames as every receiver does, within 5 s of each read.
+func readResponses(t *testing.T, conn net.Conn, k int) []*Response {
+	t.Helper()
+	var out []*Response
+	buf := make([]byte, 2048)
+	for len(out) < k {
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("after %d of %d responses: %v", len(out), k, err)
+		}
+		for data := buf[:n]; len(data) > 0; {
+			var m Message
+			consumed, err := m.DecodeNext(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = data[consumed:]
+			resp, err := nic.ParseResponse(&m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Probs = bytes.Clone(resp.Probs)
+			out = append(out, resp)
+		}
+	}
+	return out
 }

@@ -12,7 +12,8 @@ import (
 // model, and every response is byte-equal to its HandleMessage twin's (both
 // NICs noiseless). Each case sends its frames coalesced into one datagram:
 //   - eight queries for a three-layer model cost three reconfigurations,
-//     one per layer, not twenty-four, and leave in one flush;
+//     one per layer, not twenty-four, and leave in one flush, packed in
+//     one datagram;
 //   - a group mixing two models, with one wrong-width query, gets one pass
 //     per model and an answer per query, the wrong-width one Err-flagged;
 //   - an install between two queries splits the group: the earlier query
@@ -89,8 +90,12 @@ func TestServeUDPReadBatchIsOneMatrixPass(t *testing.T) {
 				t.Errorf("request %d answered class %d (error %v), want its oracle %d", id, s.class, s.err, id%2)
 			}
 		}
-		if sizes := flushSizes(conn.recorded()); len(sizes) != 1 || sizes[0] != k {
-			t.Errorf("flush sizes %v, want one flush of %d", sizes, k)
+		flushes := conn.recorded()
+		if sizes := flushSizes(flushes); len(sizes) != 1 || sizes[0] != k {
+			t.Fatalf("flush sizes %v, want one flush of %d", sizes, k)
+		}
+		if n := datagrams(flushes[0]); n != 1 {
+			t.Errorf("one client's %d responses left in %d datagrams, want 1", k, n)
 		}
 		if h := n.Metrics().Serve.InlineBatchSize; h.Count != 1 || h.Sum != k {
 			t.Errorf("InlineBatchSize Count %d Sum %d, want 1 and %d", h.Count, h.Sum, k)

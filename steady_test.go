@@ -23,7 +23,8 @@ type answer struct {
 // chanConn is a batch seam fed through channels, for measuring the serve
 // path alone: ReadBatch blocks until the test sends a batch of datagrams
 // (after close it reads as a timeout, so the loop sees its cancellation),
-// and WriteBatch reports each response on answers. Neither allocates.
+// and WriteBatch walks each datagram's response frames, as every receiver
+// does, and reports each response on answers. Neither allocates.
 type chanConn struct {
 	in      chan [][]byte
 	answers chan answer
@@ -55,12 +56,19 @@ func (c *chanConn) ReadBatch(ms []netbatch.Message) (int, error) {
 
 func (c *chanConn) WriteBatch(ms []netbatch.Message) (int, error) {
 	for i := range ms {
-		b := ms[i].Bytes()
-		a := answer{id: binary.BigEndian.Uint32(b[4:8]), class: int(binary.BigEndian.Uint16(b[12:14]))}
-		if b[3]&nic.FlagError != 0 {
-			a.class = -1
+		for b := ms[i].Bytes(); len(b) > 0; {
+			var m nic.Message
+			k, err := m.DecodeNext(b)
+			if err != nil {
+				return i, err
+			}
+			a := answer{id: m.RequestID, class: int(binary.BigEndian.Uint16(m.Payload[0:2]))}
+			if m.IsError() {
+				a.class = -1
+			}
+			c.answers <- a
+			b = b[k:]
 		}
-		c.answers <- a
 	}
 	return len(ms), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"slices"
 	"sync"
@@ -16,13 +17,15 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
-// sent is one response datagram as flushConn saw it leave.
+// sent is one response frame as flushConn saw it leave: dgram is the index
+// of the datagram that carried it within its flush.
 type sent struct {
 	id    uint32
 	class int
 	to    net.Addr
 	err   bool
 	data  []byte
+	dgram int
 }
 
 // sourced is one query datagram and the client it arrives from.
@@ -33,8 +36,9 @@ type sourced struct {
 
 // flushConn is a batch seam that shows how responses leave: ReadBatch
 // serves each batch the test sends on in, every datagram from its own
-// client, and WriteBatch records each call's datagrams as one flush and
-// reports every datagram on written.
+// client, and WriteBatch splits each call's datagrams into their response
+// frames, as every receiver does, records them as one flush and reports
+// every response on written.
 type flushConn struct {
 	in      chan []sourced
 	closed  chan struct{}
@@ -66,12 +70,19 @@ func (c *flushConn) ReadBatch(ms []netbatch.Message) (int, error) {
 }
 
 func (c *flushConn) WriteBatch(ms []netbatch.Message) (int, error) {
-	flush := make([]sent, len(ms))
+	var flush []sent
 	for i := range ms {
-		b := ms[i].Bytes()
-		flush[i] = sent{
-			id: binary.BigEndian.Uint32(b[4:8]), class: int(binary.BigEndian.Uint16(b[12:14])),
-			to: ms[i].Addr, err: b[3]&nic.FlagError != 0, data: bytes.Clone(b),
+		for b := ms[i].Bytes(); len(b) > 0; {
+			var m nic.Message
+			k, err := m.DecodeNext(b)
+			if err != nil {
+				panic(fmt.Sprintf("datagram %d of a flush holds a malformed frame: %v", i, err))
+			}
+			flush = append(flush, sent{
+				id: m.RequestID, class: int(binary.BigEndian.Uint16(m.Payload[0:2])),
+				to: ms[i].Addr, err: m.IsError(), data: bytes.Clone(b[:k]), dgram: i,
+			})
+			b = b[k:]
 		}
 	}
 	c.mu.Lock()
@@ -179,10 +190,18 @@ func runs(flush []sent) int {
 	return r
 }
 
+// datagrams counts the datagrams that carried a flush's responses.
+func datagrams(flush []sent) int {
+	if len(flush) == 0 {
+		return 0
+	}
+	return flush[len(flush)-1].dgram + 1
+}
+
 // TestServeUDPBatchLeavesInOneFlush: a full batch of eight queries from two
 // interleaved clients, served by a worker pool, leaves in one WriteBatch of
-// eight datagrams, each client's responses next to each other (the run the
-// segmentation offload sends as one train), every answer its oracle's.
+// two datagrams, each client's four responses packed in its own, every
+// answer its oracle's.
 func TestServeUDPBatchLeavesInOneFlush(t *testing.T) {
 	n, conn := serveFlush(t, Config{
 		Lanes: 2, Noiseless: true, Seed: 3,
@@ -201,12 +220,15 @@ func TestServeUDPBatchLeavesInOneFlush(t *testing.T) {
 	if r := runs(flushes[0]); r != 2 {
 		t.Errorf("the flush's destinations form %d runs, want 2 (one per client)", r)
 	}
-	if h := n.Metrics().Serve.TxBatchSize; h.Count != 1 || h.Sum != 8 {
-		t.Errorf("TxBatchSize Count %d Sum %d, want 1 and 8", h.Count, h.Sum)
+	if k := datagrams(flushes[0]); k != 2 {
+		t.Errorf("the flush's 8 responses left in %d datagrams, want 2 (one per client)", k)
+	}
+	if h := n.Metrics().Serve.TxBatchSize; h.Count != 1 || h.Sum != 2 {
+		t.Errorf("TxBatchSize Count %d Sum %d, want 1 and 2", h.Count, h.Sum)
 	}
 }
 
-// flushSizes lists each flush's datagram count.
+// flushSizes lists each flush's response count.
 func flushSizes(flushes [][]sent) []int {
 	sizes := make([]int, len(flushes))
 	for i, f := range flushes {

@@ -29,6 +29,25 @@ func countDecodableFrames(data []byte) int {
 	return n
 }
 
+// sentFrames splits the response datagrams pc recorded (RecordWrites) into
+// their frames, walking each datagram as every receiver does.
+func sentFrames(t testing.TB, pc *fault.StubConn) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, d := range pc.Sent() {
+		for len(d) > 0 {
+			var m Message
+			k, err := m.DecodeNext(d)
+			if err != nil {
+				t.Fatalf("a response datagram holds a malformed frame: %v", err)
+			}
+			out = append(out, d[:k])
+			d = d[k:]
+		}
+	}
+	return out
+}
+
 // TestServeUDPDeadlineArmsPerBatchNotPerDatagram is the deadline-cadence
 // regression test: the batched serve loop arms the read deadline once per
 // batch read, so the deadline syscalls for N buffered datagrams collapse
@@ -48,6 +67,7 @@ func TestServeUDPDeadlineArmsPerBatchNotPerDatagram(t *testing.T) {
 			t.Fatal(err)
 		}
 		pc := fault.NewStubConn()
+		pc.RecordWrites = true
 		for i := 0; i < sent; i++ {
 			pc.Enqueue(encodeQuery(t, uint32(i+1), 4, make([]byte, width)))
 		}
@@ -56,7 +76,7 @@ func TestServeUDPDeadlineArmsPerBatchNotPerDatagram(t *testing.T) {
 		if err := n.ServeUDP(ctx, pc); err != nil {
 			t.Fatalf("ServeUDP: %v", err)
 		}
-		if got := pc.Writes(); got != sent {
+		if got := len(sentFrames(t, pc)); got != sent {
 			t.Fatalf("responses = %d, want %d", got, sent)
 		}
 		return pc.DeadlineCalls(), n.Metrics().Serve.RxBatchSize.Sum
@@ -85,9 +105,10 @@ func TestServeUDPDeadlineArmsPerBatchNotPerDatagram(t *testing.T) {
 // TestWireFallbackByteIdenticalResponses is the differential test for the
 // portable fallback: identical seeded traffic — single frames, coalesced
 // multi-frame datagrams, a fragment train, garbage, and a truncated
-// coalesced tail — must produce byte-identical response streams whether the
-// serve loop reads through the batch seam's native path or the forced
-// single-message fallback.
+// coalesced tail — must produce byte-identical response streams, frame by
+// frame, whether the serve loop reads through the batch seam's native path
+// or the forced single-message fallback. (How the frames share datagrams
+// differs: the fallback reads, and so flushes, one datagram at a time.)
 func TestWireFallbackByteIdenticalResponses(t *testing.T) {
 	const width = 64
 	traffic := func() [][]byte {
@@ -152,7 +173,7 @@ func TestWireFallbackByteIdenticalResponses(t *testing.T) {
 		if err := n.ServeUDP(ctx, pc); err != nil {
 			t.Fatalf("ServeUDP (fallback=%v): %v", fallback, err)
 		}
-		return pc.Sent(), n.Metrics()
+		return sentFrames(t, pc), n.Metrics()
 	}
 
 	fastSent, fastM := run(false)
@@ -325,14 +346,18 @@ func TestWireOffloadDifferential(t *testing.T) {
 					t.Fatalf("%s: %d of %d responses: %v", mode, len(resp), want, err)
 				}
 				for _, m := range rx[:k] {
-					var reply Message
-					if _, err := reply.DecodeNext(m.Bytes()); err != nil {
-						t.Fatalf("%s: undecodable response: %v", mode, err)
+					for data := m.Bytes(); len(data) > 0; {
+						var reply Message
+						consumed, err := reply.DecodeNext(data)
+						if err != nil {
+							t.Fatalf("%s: undecodable response: %v", mode, err)
+						}
+						if r, err := nic.ParseResponse(&reply); err != nil || r.Err {
+							t.Fatalf("%s: response %d is an error (%v)", mode, reply.RequestID, err)
+						}
+						resp[reply.RequestID] = append([]byte(nil), data[:consumed]...)
+						data = data[consumed:]
 					}
-					if r, err := nic.ParseResponse(&reply); err != nil || r.Err {
-						t.Fatalf("%s: response %d is an error (%v)", mode, reply.RequestID, err)
-					}
-					resp[reply.RequestID] = append([]byte(nil), m.Bytes()...)
 				}
 			}
 		}
@@ -393,6 +418,7 @@ func TestServeWireMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := fault.NewStubConn()
+	pc.RecordWrites = true
 	co := append([]byte(nil), encodeQuery(t, 1, 4, make([]byte, width))...)
 	co = append(co, encodeQuery(t, 2, 4, make([]byte, width))...)
 	co = append(co, encodeQuery(t, 3, 4, make([]byte, width))...)
@@ -410,7 +436,7 @@ func TestServeWireMetrics(t *testing.T) {
 	if m.Served != 5 {
 		t.Errorf("Served = %d, want 5", m.Served)
 	}
-	if got := pc.Writes(); got != 5 {
+	if got := len(sentFrames(t, pc)); got != 5 {
 		t.Errorf("responses = %d, want 5", got)
 	}
 	s := m.Serve
@@ -426,8 +452,9 @@ func TestServeWireMetrics(t *testing.T) {
 	if s.RxBatchSize.Sum != 4 || s.RxBatchSize.Count == 0 {
 		t.Errorf("RxBatchSize = %+v, want Sum 4 over >= 1 batch", s.RxBatchSize)
 	}
-	if s.TxBatchSize.Sum != 5 || s.TxBatchSize.Count == 0 {
-		t.Errorf("TxBatchSize = %+v, want Sum 5 over >= 1 flush", s.TxBatchSize)
+	// Every response goes to the one client, so each flush is one datagram.
+	if s.TxBatchSize.Sum != s.TxBatchSize.Count || s.TxBatchSize.Count == 0 || s.TxBatchSize.Count > 4 {
+		t.Errorf("TxBatchSize = %+v, want one datagram in each of 1 to 4 flushes", s.TxBatchSize)
 	}
 	if s.RxSyscalls == 0 || s.TxSyscalls == 0 {
 		t.Errorf("seam syscall counters empty: rx %d, tx %d", s.RxSyscalls, s.TxSyscalls)
@@ -477,6 +504,7 @@ func FuzzCoalescedFrameDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pc := fault.NewStubConn()
+		pc.RecordWrites = true
 		pc.Enqueue(data)
 		valid := countDecodableFrames(data)
 		ctx, cancel := context.WithCancel(context.Background())
@@ -484,11 +512,11 @@ func FuzzCoalescedFrameDecode(f *testing.F) {
 		if err := n.ServeUDP(ctx, pc); err != nil {
 			t.Fatal(err)
 		}
-		writes := pc.Writes()
+		writes := len(sentFrames(t, pc))
 		if valid == 0 && writes != 0 {
 			t.Fatalf("undecodable datagram %x produced %d responses", data, writes)
 		}
-		if writes > uint64(valid) {
+		if writes > valid {
 			t.Fatalf("datagram %x: %d responses for %d decodable frames — a partial frame was served",
 				data, writes, valid)
 		}
