@@ -11,21 +11,26 @@ import (
 
 // The engine's one execution path. The layer, not the neuron, is the unit of
 // a burst: the streamer feeds the DACs continuously (§5.1) and the preamble
-// exists to find the ADC's phase at the head of a burst (§5.2). issueRow
-// pushes one output neuron's dot product for Q queries through the photonic
-// core, in blocks of steps (rowpass.go), and digitizes the partials onto the
-// tail of the layer's one sample stream; after the last row readBurst reads
-// that stream once and reassembles every (row, query) dot from it. A lone query is the batch of one, and a
-// convolution the layer whose rows are its kernels and whose batch is its
-// im2col windows (ExecuteConv); there is no other way to a dot product. What
-// a layer pays once for all its rows and all its queries:
+// exists to find the ADC's phase at the head of a burst (§5.2). The unit the
+// host issues is a span of consecutive rows, as many as keep their step
+// bounds within fanOutSteps (spanRows): a small layer's rows are one span,
+// and a row too wide to share one is a span of its own. issueSpan
+// sign-partitions every (row, query) of a span into one operand buffer and
+// pushes the span through the photonic core in blocks of steps (rowpass.go),
+// one kernel call a block and one readout a row's part of a block,
+// digitizing onto the tail of the layer's one sample stream; after the last
+// span readBurst reads that stream once and reassembles every (row, query)
+// dot from it. A lone query is the batch of one, and a convolution the layer
+// whose rows are its kernels and whose batch is its im2col windows
+// (ExecuteConv); there is no other way to a dot product. What a layer pays
+// once for all its rows and all its queries:
 //
 //   - one preamble prefix, one readout phase, one preamble detection;
 //   - one count-action reconfiguration and one DRAM weight stream (see
 //     dagloader.ServeBatch);
 //   - one LUT-validity sweep of the photonic core, taken as the burst opens:
 //     faults land between queries, never inside a layer, and the helpers
-//     that run a wide row's blocks only read the core.
+//     that run a wide span's blocks only read the core.
 //
 // Equivalence contract: on an ideal (noiseless) channel a batched pass is
 // bit-identical to running its queries one batch each — the analog steps per
@@ -37,62 +42,86 @@ import (
 // are framed into bursts; the core's per-step noise does not. Each row draws
 // from its own keyed stream (noiseKey: the engine's burst count and the
 // row's index), step s of the row at position s, so a row's noisy partials
-// do not depend on the order rows are issued in, on which goroutines ran
-// its blocks, or on anything — a health probe's Step, another row — that
-// drew from the core in between.
+// do not depend on the order rows are issued in, on how they were grouped
+// into spans and blocks, on which goroutines ran its blocks, or on anything
+// — a health probe's Step, another row — that drew from the core in between.
 
 // noiseKey names the noise stream of one row of the engine's burst'th layer
 // burst: distinct for every (burst, row) below 2^32 rows.
 func noiseKey(burst uint64, row int) uint64 { return burst<<32 | uint64(uint32(row)) }
 
-// issueRow issues one output neuron's dot product W·x_q for every query q in
-// the batch onto the layer's burst. The weight row arrives in DRAM wire
-// layout (fixed.Row: magnitude bytes plus the packed sign bitmap);
-// activations are non-negative codes. Each query's elements are grouped by
-// weight sign so that every photonic accumulation step carries a single
-// sign, which the cross-cycle adder-subtractor applies when reassembling
-// (§5.3, Appendix C). The partials are digitized a block at a time into the
-// samples the row reserves on the burst — the first live row opens the
-// burst, at an arbitrary phase behind the preamble prefix — and a
-// count-table entry per query records where they sit. A wide row's blocks
-// may be run by helper goroutines (rowpass.go); the row is theirs only
-// until issueRow returns.
+// spanRows is how many rows of width n a span takes at batch q on a core of
+// lanes lanes: as many as keep the sum of their step bounds within
+// fanOutSteps, and at least one. A query's two sign groups each round up to
+// a step, so a row takes at most q·⌊(n+2·lanes−2)/lanes⌋ steps —
+// q·⌈(n+1)/2⌉ on two lanes — and a row wider than fanOutSteps allows is a
+// span of its own, with the blocks and fan-out it had as a row.
+func spanRows(n, q, lanes int) int {
+	return max(1, fanOutSteps/max(1, q*((n+2*lanes-2)/lanes)))
+}
+
+// issueSpan issues the dot products W_j·x_q of rows [lo, hi) of w — a span —
+// for every query q in the batch onto the layer's burst. Each row is read
+// in DRAM wire layout straight from the view (magnitude bytes plus the
+// packed sign bitmap); activations are non-negative codes. Each (row, query)
+// is grouped by weight sign so that every photonic accumulation step carries
+// a single sign, which the cross-cycle adder-subtractor applies when
+// reassembling (§5.3, Appendix C), into one flat operand buffer, row-major
+// then query order, with a count-table entry per (row, query) in that order.
+// The span's partials are digitized a block at a time (rowpass.go) into the
+// samples it reserves on the burst — the first live span opens the burst,
+// at an arbitrary phase behind the preamble prefix. A wide span's blocks may
+// be run by helper goroutines; the span is theirs only until issueSpan
+// returns.
 //
 // All working storage comes from the engine's scratch: after ensure has
-// grown the buffers to the layer geometry × batch size, the steady state
+// grown the buffers to the span's geometry × batch size, the steady state
 // performs zero heap allocations (see the AllocsPerRun guard). The body
 // therefore sticks to indexed writes, reslices and copies — growth lives in
 // the cold helper. Not reentrant; the engine's single-owner contract applies.
-func (e *Engine) issueRow(w fixed.Row, row int, xs [][]fixed.Code, stats *LayerStats) {
+func (e *Engine) issueSpan(w fixed.Packed, lo, hi int, xs [][]fixed.Code, stats *LayerStats) {
 	q := len(xs)
-	n := len(w.Mags)
+	_, n := w.Dims()
 	lanes := e.Core.NumLanes()
+	dots := q * (hi - lo)
 	s := &e.scratch
-	s.ensure(n, q)
-	s.bounds, s.starts = s.bounds[:2*q+1], s.starts[:2*q+1]
-	s.counts = s.counts[:len(s.counts)+q]
-	counts := s.counts[len(s.counts)-q:]
+	s.ensure(n, dots)
+	s.bounds, s.starts = s.bounds[:2*dots+1], s.starts[:2*dots+1]
+	s.counts = s.counts[:len(s.counts)+dots]
+	counts := s.counts[len(s.counts)-dots:]
 	s.bounds[0], s.starts[0] = 0, 0
-	bi, total := 0, 0
-	for qi, x := range xs {
-		if len(x) != n {
-			panic(fmt.Sprintf("datapath: weight row length %d != activation length %d", n, len(x)))
+	bi, total, d := 0, 0, 0
+	// last is the span's last row with a live product and lastSteps its
+	// step count: where a pass from the cursor would leave it.
+	last, lastSteps := 0, 0
+	for j := lo; j < hi; j++ {
+		row, _ := w.Row(j, nil)
+		rowStart := total
+		for _, x := range xs {
+			if len(x) != n {
+				panic(fmt.Sprintf("datapath: weight row length %d != activation length %d", n, len(x)))
+			}
+			// Positive-weight products land in place (the streamer orders
+			// them first); negative ones stage one row width up — ensure
+			// left the room — and close the gap once the positive count is
+			// known.
+			stage := bi + n
+			pi, ni := partition(s.bW, s.bX, row, x, bi, stage)
+			np, nn := pi-bi, ni-stage
+			copy(s.bW[pi:], s.bW[stage:ni])
+			copy(s.bX[pi:], s.bX[stage:ni])
+			bi = pi + nn
+			posSteps := (np + lanes - 1) / lanes
+			negSteps := (nn + lanes - 1) / lanes
+			counts[d] = dotCount{pos: posSteps, parts: posSteps + negSteps}
+			s.bounds[2*d+1], s.bounds[2*d+2] = pi, bi
+			s.starts[2*d+1], s.starts[2*d+2] = total+posSteps, total+posSteps+negSteps
+			total += posSteps + negSteps
+			d++
 		}
-		// Positive-weight products land in place (the streamer orders them
-		// first); negative ones stage one row width up — ensure left the
-		// room — and close the gap once the positive count is known.
-		stage := bi + n
-		pi, ni := partition(s.bW, s.bX, w, x, bi, stage)
-		np, nn := pi-bi, ni-stage
-		copy(s.bW[pi:], s.bW[stage:ni])
-		copy(s.bX[pi:], s.bX[stage:ni])
-		s.bounds[2*qi+1], s.bounds[2*qi+2] = pi, pi+nn
-		bi = pi + nn
-		posSteps := (np + lanes - 1) / lanes
-		negSteps := (nn + lanes - 1) / lanes
-		counts[qi] = dotCount{pos: posSteps, parts: posSteps + negSteps}
-		s.starts[2*qi+1], s.starts[2*qi+2] = total+posSteps, total+posSteps+negSteps
-		total += posSteps + negSteps
+		if total > rowStart {
+			last, lastSteps = j, total-rowStart
+		}
 	}
 	stats.PhotonicSteps += uint64(total)
 	if total == 0 {
@@ -100,10 +129,10 @@ func (e *Engine) issueRow(w fixed.Row, row int, xs [][]fixed.Code, stats *LayerS
 	}
 
 	// One photonic pass in blocks (rowpass.go): the layer's LUT-validity
-	// decision, taken as its first live row opens the burst, covers every
+	// decision, taken as its first live span opens the burst, covers every
 	// row and every query's sign groups, each step drawing its noise at its
-	// own position in the row's stream, each block quantizing into its own
-	// span of the burst reserved here.
+	// own position in its row's stream, each block quantizing into its own
+	// stretch of the burst reserved here.
 	if len(s.stream) == 0 {
 		s.phase = e.ADC.RandomPhase()
 		s.stream = e.ADC.OpenBurst(s.stream, e.pre, s.phase)
@@ -111,17 +140,16 @@ func (e *Engine) issueRow(w fixed.Row, row int, xs [][]fixed.Code, stats *LayerS
 	}
 	at := len(s.stream)
 	s.stream = e.ADC.Reserve(s.stream, total)
-	key := noiseKey(e.bursts, row)
 	p := &s.pass
-	p.core, p.key, p.lanes = e.Core, key, lanes
+	p.core, p.lanes, p.burst, p.row0, p.groups = e.Core, lanes, e.bursts, lo, 2*q
 	p.a, p.b, p.bounds, p.starts = s.bW[:bi], s.bX[:bi], s.bounds, s.starts
 	p.out, p.blocks = s.stream[at:], (total+blockSteps-1)/blockSteps
-	p.issue(s.parts)
+	p.issue(&s.block)
 	if p.fast {
 		// Step counted its own steps and left the cursor here on a stale
 		// core; leave both where they stand after a pass from the cursor.
 		e.Core.Steps += uint64(total)
-		e.Core.SeekNoiseAt(key, uint64(total))
+		e.Core.SeekNoiseAt(noiseKey(e.bursts, last), uint64(lastSteps))
 	}
 }
 
@@ -199,7 +227,7 @@ func (e *Engine) reassemble(seg []fixed.Code, pos int, stats *LayerStats) fixed.
 // The word stores reach up to seven bytes past a group's end. They stay in
 // the group's region: at octet [i, i+8) the cursors are at most pos+i and
 // neg+i, so the caller grants n bytes from each of pos and neg, and the
-// regions must not overlap (issueRow stages neg one row width past pos).
+// regions must not overlap (issueSpan stages neg one row width past pos).
 func partition(bW, bX []fixed.Code, w fixed.Row, x []fixed.Code, pos, neg int) (int, int) {
 	const ones, tops = 0x0101010101010101, 0x8080808080808080
 	mags, signs := w.Mags, w.Signs
@@ -371,10 +399,10 @@ type BatchFCResult struct {
 
 // ExecuteFCBiasBatch runs a fully-connected layer for every query in xs as
 // one matrix-matrix pass: out_q[j] = act(Σ_i W[j][i]·x_q[i] + bias[j]).
-// Each output neuron's weight row is taken in DRAM wire layout — straight
-// from a Packed view, or packed into engine scratch from an in-memory
-// Matrix — sign-partitioned once per query and issued onto the layer's one
-// burst (issueRow), which is read back once after the last row (readBurst).
+// The weights are taken in DRAM wire layout — a Packed view as it is, a
+// Matrix packed into engine scratch once a layer — and the rows are issued
+// onto the layer's one burst a span of them at a time (issueSpan), which is
+// read back once after the last span (readBurst).
 // The bias (in raw accumulator units) is added digitally after the
 // intra-cycle adder tree.
 // requantShift is the per-layer right-shift mapping 16-bit accumulators back
@@ -388,7 +416,9 @@ type BatchFCResult struct {
 // each the previous layer's outputs copied into storage of its own
 // (dagloader.Loader.ServeBatch).
 func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs [][]fixed.Code, act Activation, requantShift uint) BatchFCResult {
-	rows, _ := weights.Dims()
+	var w fixed.Packed
+	w, e.scratch.packed = weights.PackInto(e.scratch.packed)
+	rows, n := w.Dims()
 	q := len(xs)
 	perQuery, acc := e.scratch.layerOut(rows, q, act == ActSoftmax)
 	res := BatchFCResult{PerQuery: perQuery}
@@ -399,10 +429,9 @@ func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs 
 	// and stream setup (the 193 ns/layer of §9 at 253.44 MHz ≈ 49 cycles) —
 	// once per batch, not once per query.
 	res.Stats.DatapathCycles += PerLayerOverheadCycles
-	for j := 0; j < rows; j++ {
-		var row fixed.Row
-		row, e.scratch.row = weights.Row(j, e.scratch.row)
-		e.issueRow(row, j, xs, &res.Stats)
+	span := spanRows(n, q, e.Core.NumLanes())
+	for lo := 0; lo < rows; lo += span {
+		e.issueSpan(w, lo, min(lo+span, rows), xs, &res.Stats)
 	}
 	e.readBurst(acc, &res.Stats)
 	for j := 0; j < rows; j++ {

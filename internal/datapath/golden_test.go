@@ -230,7 +230,7 @@ func TestConvNoiseOffGolden(t *testing.T) {
 }
 
 // TestRowOrderIndependentNoise: with the prototype noise on, issuing a
-// layer's rows in reverse order gives every row's payload codes in the burst
+// layer's rows in reverse order, each a span of its own, gives every row's payload codes in the burst
 // — each (row, query) segment as the ADC quantized it — byte-identical to
 // forward order, on the golden net at batch 1 and 8. Each row draws from its
 // own keyed stream, so no row's noise depends on which rows went before.
@@ -250,10 +250,10 @@ func TestRowOrderIndependentNoise(t *testing.T) {
 		e.armAdder()
 		parts := make([][]fixed.Code, len(w))
 		var stats LayerStats
+		p := packedView(t, w...)
 		for _, j := range order {
-			row, _ := fixed.PackRow(w[j], nil)
 			at := len(e.scratch.stream)
-			e.issueRow(row, j, xs, &stats)
+			e.issueSpan(p, j, j+1, xs, &stats)
 			if at == 0 { // the row that opened the burst: skip the phase and preamble
 				at = e.scratch.phase + len(e.pre)
 			}

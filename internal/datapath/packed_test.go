@@ -152,13 +152,13 @@ func TestScratchFootprintOneWideLayer(t *testing.T) {
 	if len(s.bW) != (q+1)*n || len(s.bX) != (q+1)*n {
 		t.Errorf("operand buffers %d, %d; want %d", len(s.bW), len(s.bX), (q+1)*n)
 	}
-	if s.row != nil {
-		t.Errorf("a packed view grew a %d-byte row buffer", cap(s.row))
+	if s.packed != nil {
+		t.Errorf("a packed view grew a %d-byte weight buffer", cap(s.packed))
 	}
 	// Each row has n/2 live products: n/2/lanes partials a row.
 	const rowPartials = n / 2 / lanes
-	if cap(s.parts) != blockSteps {
-		t.Errorf("partials buffer holds %d readings; want one block's %d", cap(s.parts), blockSteps)
+	if cap(s.block.parts) != blockSteps {
+		t.Errorf("partials buffer holds %d readings; want one block's %d", cap(s.block.parts), blockSteps)
 	}
 	burst := 2*rowPartials + PrototypePreamble().Samples() + 2*Lanes
 	if cap(s.stream) < burst-2*Lanes || cap(s.stream) > burst*5/4 {
@@ -168,8 +168,8 @@ func TestScratchFootprintOneWideLayer(t *testing.T) {
 	// bW, bX and bParts 301056 each, bounds 24, qPos and qParts 8 each,
 	// negs 75265, frames 40960, payload 40960, rowOut 2.
 	const perNeuronBytes = 3*301056 + 24 + 8 + 8 + 75265 + 40960 + 40960 + 2
-	got := cap(s.bW) + cap(s.bX) + 8*cap(s.bounds) + 8*cap(s.starts) + cap(s.row) + 8*cap(s.parts) +
-		cap(s.stream) + 16*cap(s.counts) + 2*cap(s.acc)
+	got := cap(s.bW) + cap(s.bX) + 8*cap(s.bounds) + 8*cap(s.starts) + cap(s.packed) + 8*cap(s.block.parts) +
+		8*cap(s.block.cuts) + cap(s.stream) + 16*cap(s.counts) + 2*cap(s.acc)
 	if got > perNeuronBytes {
 		t.Errorf("scratch holds %d bytes after one 2×%d layer; the per-neuron burst held %d", got, n, perNeuronBytes)
 	}

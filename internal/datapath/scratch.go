@@ -7,9 +7,9 @@ import (
 )
 
 // engineScratch is the engine's reusable working storage. Every slice
-// issueRow and readBurst touch lives here and is resized — never reallocated
-// in steady state — so executing a layer performs zero allocations per
-// output neuron once the buffers have grown to the layer's geometry × batch
+// issueSpan and readBurst touch lives here and is resized — never
+// reallocated in steady state — so executing a layer performs zero
+// allocations once the buffers have grown to the layer's geometry × batch
 // size (see DESIGN.md §11).
 //
 // Ownership follows the engine's single-owner contract: an Engine (and so
@@ -17,25 +17,26 @@ import (
 // rule the sharded NIC already enforces for the photonic core and DRAM
 // reader it wraps. Nothing here is safe for concurrent use, and a burst is
 // not reentrant — callers must not feed slices that alias the scratch back
-// into the engine. The one sharing is internal: while issueRow runs a wide
-// row, helper goroutines read that row's operands and write its span of the
-// stream through pass, and issueRow returns only once they have let go.
+// into the engine. The one sharing is internal: while issueSpan runs a wide
+// span, helper goroutines read that span's operands and write its stretch of
+// the stream through pass, and issueSpan returns only once they have let go.
 type engineScratch struct {
-	// bW/bX hold one row's sign-partitioned operands for every query,
-	// flattened back to back (positive group then negative group per
-	// query), with one spare row width at the end where the query being
-	// partitioned stages its negative group. bounds delimits the 2Q groups
-	// for the core's pass and starts the row step each group begins at.
+	// bW/bX hold one span's sign-partitioned operands for every (row,
+	// query), flattened back to back in that order (positive group then
+	// negative group each), with one spare row width at the end where the
+	// dot being partitioned stages its negative group. bounds delimits the
+	// span's groups for the core's pass and starts the span step each group
+	// begins at.
 	bW, bX         []fixed.Code
 	bounds, starts []int
-	// row is where a weight row held as []fixed.Signed is packed into wire
-	// layout on entry (fixed.PackRow); a Packed view never touches it.
-	row []byte
-	// parts holds the analog readings of the block the engine's goroutine
-	// is running (at most blockSteps); pass is the row those blocks belong
-	// to (rowpass.go). Helpers bring their own parts.
-	parts []float64
-	pass  rowPass
+	// packed is where a Matrix is packed into wire layout once a layer
+	// (fixed.Weights.PackInto); a Packed view never touches it.
+	packed []byte
+	// block holds the readings and group bounds of the block the engine's
+	// goroutine is running (rowpass.go); pass is the span those blocks
+	// belong to. Helpers bring their own block storage.
+	block blockBuf
+	pass  spanPass
 
 	// stream is the layer's one burst as the ADC reads it, flat: idle noise
 	// up to phase, the preamble prefix, then every row's digitized partials
@@ -64,24 +65,26 @@ type engineScratch struct {
 // the stream, the first pos of them under a positive weight sign.
 type dotCount struct{ pos, parts int }
 
-// ensure is issueRow's cold path: it grows the buffers to q queries of layer
-// width n. A query contributes at most n operands, so q·n bounds the
-// flattened operand buffers, plus the staging row in bW/bX, and q·(n+2) the
-// steps of a row, two groups a query each rounding up to a step. After it
-// returns, the hot body runs on indexed writes and reslices only.
-func (s *engineScratch) ensure(n, q int) {
-	if len(s.bW) < (q+1)*n {
-		s.bW = make([]fixed.Code, (q+1)*n)
-		s.bX = make([]fixed.Code, (q+1)*n)
+// ensure is issueSpan's cold path: it grows the buffers to dots (row,
+// query) dot products of layer width n. A dot contributes at most n
+// operands, so dots·n bounds the flattened operand buffers, plus the staging
+// row in bW/bX, and dots·(n+2) the steps of a span, two groups a dot each
+// rounding up to a step. After it returns, the hot body runs on indexed
+// writes and reslices only.
+func (s *engineScratch) ensure(n, dots int) {
+	if len(s.bW) < (dots+1)*n {
+		s.bW = make([]fixed.Code, (dots+1)*n)
+		s.bX = make([]fixed.Code, (dots+1)*n)
 	}
-	if cap(s.bounds) < 2*q+1 {
-		s.bounds = make([]int, 2*q+1)
-		s.starts = make([]int, 2*q+1)
+	if cap(s.bounds) < 2*dots+1 {
+		s.bounds = make([]int, 2*dots+1)
+		s.starts = make([]int, 2*dots+1)
 	}
-	if steps := min(blockSteps, q*(n+2)); len(s.parts) < steps {
-		s.parts = make([]float64, steps)
+	if steps := min(blockSteps, dots*(n+2)); len(s.block.parts) < steps {
+		s.block.parts = make([]float64, steps)
 	}
-	s.counts = slices.Grow(s.counts, q)
+	s.block.fit(2 * dots)
+	s.counts = slices.Grow(s.counts, dots)
 }
 
 // beginLayer discards whatever burst a layer that panicked between issue and

@@ -12,12 +12,12 @@ import (
 
 // TestLayerBurstZeroSteadyStateAllocs guards the engine's layer routine, for
 // a lone query and for a full batch: once the scratch has grown to the layer
-// geometry × batch size (one warm-up layer), issuing rows and reading their
-// burst back through the full analog+digital pipeline — sign partition,
-// photonic pass, digitization behind the preamble, preamble detection,
-// cross-cycle reassembly, adder tree — must not allocate. The wide case's
-// rows are long enough to be offered to helpers, at two Ps or more, so
-// dispatch and the wait for helpers are held to it too.
+// geometry × batch size (one warm-up layer), issuing the layer's spans and
+// reading their burst back through the full analog+digital pipeline — sign
+// partition, photonic pass, digitization behind the preamble, preamble
+// detection, cross-cycle reassembly, adder tree — must not allocate. The
+// wide case's rows are each a span long enough to be offered to helpers, at
+// two Ps or more, so dispatch and the wait for helpers are held to it too.
 func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -44,11 +44,9 @@ func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 			const rows = 3
 			out := make([]fixed.Acc, rows*q)
 			var stats LayerStats
-			row, _ := fixed.PackRow(w, nil)
+			p := packedView(t, w, w, w)
 			layer := func() {
-				for j := 0; j < rows; j++ {
-					e.issueRow(row, j, xs, &stats)
-				}
+				issueLayer(e, p, xs, &stats)
 				e.readBurst(out, &stats)
 			}
 			layer() // warm-up: grows scratch and starts the helpers
@@ -65,8 +63,9 @@ func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 				// The smallest layer, one row in a burst of its own, must
 				// not add any either.
 				var sink fixed.Acc
+				one := packedView(t, w)
 				if n := testing.AllocsPerRun(100, func() {
-					sink += oneRowLayer(e, row, xs, &stats)
+					sink += oneRowLayer(e, one, xs, &stats)
 				}); n != 0 {
 					t.Fatalf("a one-row layer allocates %v times in steady state, want 0", n)
 				}
@@ -77,13 +76,34 @@ func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 }
 
 // oneRowLayer drives the burst stages for the smallest layer there is: one
-// row, issued onto an empty burst and read straight back.
-func oneRowLayer(e *Engine, row fixed.Row, xs [][]fixed.Code, stats *LayerStats) fixed.Acc {
+// row, a span of its own, issued onto an empty burst and read straight back.
+func oneRowLayer(e *Engine, w fixed.Packed, xs [][]fixed.Code, stats *LayerStats) fixed.Acc {
 	var out [1]fixed.Acc
 	e.scratch.beginLayer()
-	e.issueRow(row, 0, xs, stats)
+	e.issueSpan(w, 0, 1, xs, stats)
 	e.readBurst(out[:], stats)
 	return out[0]
+}
+
+// issueLayer issues every row of w onto the engine's burst in the spans
+// ExecuteFCBiasBatch cuts.
+func issueLayer(e *Engine, w fixed.Packed, xs [][]fixed.Code, stats *LayerStats) {
+	rows, n := w.Dims()
+	span := spanRows(n, len(xs), e.Core.NumLanes())
+	for lo := 0; lo < rows; lo += span {
+		e.issueSpan(w, lo, min(lo+span, rows), xs, stats)
+	}
+}
+
+// packedView packs rows, equally wide, into a fresh wire-layout view.
+func packedView(t testing.TB, rows ...[]fixed.Signed) fixed.Packed {
+	t.Helper()
+	m := fixed.Matrix(rows)
+	p, err := fixed.View(m.Pack(), len(rows), len(rows[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestLayerBurstScratchRegrowth checks the cold path the guard above never
@@ -129,16 +149,14 @@ func TestLayerStartsOnAnEmptyBurst(t *testing.T) {
 			}
 		}()
 		var stats LayerStats
-		row, _ := weights.Row(0, nil)
-		e.issueRow(row, 0, xs, &stats)
-		short, _ := fixed.PackRow(make([]fixed.Signed, 32), nil)
-		e.issueRow(short, 1, xs, &stats)
+		e.issueSpan(packedView(t, weights[0]), 0, 1, xs, &stats)
+		e.issueSpan(packedView(t, make([]fixed.Signed, 32)), 0, 1, xs, &stats)
 	}
 
 	fresh := newTestEngine(t, 2, false)
 	want := fresh.ExecuteFCBiasBatch(weights, bias, xs, ActReLU, 2)
 	var wantStats LayerStats
-	row1, _ := weights.Row(1, nil)
+	row1 := packedView(t, weights[1])
 	wantDot := oneRowLayer(fresh, row1, xs[:1], &wantStats)
 
 	e := newTestEngine(t, 2, false)

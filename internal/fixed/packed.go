@@ -14,14 +14,14 @@ import (
 // the cross-cycle adder-subtractor (§5.1, §5.3, footnote 2), so nothing
 // between DRAM and the DACs rebuilds a matrix of Signed structs.
 
-// Weights is a weight matrix the engine can stream row by row in wire
-// layout: a Packed view over a DRAM blob, or an in-memory Matrix.
+// Weights is a weight matrix the engine can stream in wire layout: a Packed
+// view over a DRAM blob, or an in-memory Matrix.
 type Weights interface {
 	Dims() (rows, cols int)
-	// Row returns row j in wire layout. An implementation that does not
-	// store that layout packs the row into buf, growing it if needed, and
-	// returns it for reuse; one that does returns buf untouched.
-	Row(j int, buf []byte) (Row, []byte)
+	// PackInto returns the matrix as a wire-layout view. An implementation
+	// that does not store that layout packs it into buf, growing it if
+	// needed, and returns it for reuse; one that does returns buf untouched.
+	PackInto(buf []byte) (Packed, []byte)
 }
 
 // Row is one weight row in wire layout.
@@ -68,19 +68,6 @@ func packRow(mags, signs []byte, bit int, row []Signed) {
 	}
 }
 
-// PackRow writes row into buf in wire layout (signs from bit 0), growing buf
-// if it is too small, and returns the packed row and the buffer.
-func PackRow(row []Signed, buf []byte) (Row, []byte) {
-	n := len(row)
-	if need := n + bitmapLen(n); cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	r := Row{Mags: buf[:n], Signs: buf[n : n+bitmapLen(n)]}
-	clear(r.Signs)
-	packRow(r.Mags, r.Signs, 0, row)
-	return r, buf
-}
-
 // Matrix is an in-memory sign/magnitude weight matrix, one []Signed per
 // output neuron: what quantization produces and the digital references read.
 // All rows must be equally wide.
@@ -94,18 +81,28 @@ func (m Matrix) Dims() (rows, cols int) {
 	return len(m), len(m[0])
 }
 
-// Row implements Weights by packing row j into buf.
-func (m Matrix) Row(j int, buf []byte) (Row, []byte) { return PackRow(m[j], buf) }
-
 // Pack serializes the matrix into a fresh wire-layout blob.
 func (m Matrix) Pack() []byte {
+	_, blob := m.PackInto(nil)
+	return blob
+}
+
+// PackInto implements Weights: it serializes the matrix into buf, growing
+// buf if it is too small, and returns a view over the blob and the buffer,
+// which is the blob.
+func (m Matrix) PackInto(buf []byte) (Packed, []byte) {
 	rows, cols := m.Dims()
 	n := rows * cols
-	out := make([]byte, n+bitmapLen(n))
-	for j, row := range m {
-		packRow(out[j*cols:(j+1)*cols], out[n:], j*cols, row)
+	if need := n + bitmapLen(n); cap(buf) < need {
+		buf = make([]byte, need)
+	} else {
+		buf = buf[:need]
 	}
-	return out
+	clear(buf[n:])
+	for j, row := range m {
+		packRow(buf[j*cols:(j+1)*cols], buf[n:], j*cols, row)
+	}
+	return Packed{rows: rows, cols: cols, mags: buf[:n], signs: buf[n:]}, buf
 }
 
 // Packed is a zero-copy view of a wire-layout blob. It aliases the bytes it
@@ -129,7 +126,11 @@ func View(blob []byte, rows, cols int) (Packed, error) {
 // Dims implements Weights.
 func (p Packed) Dims() (rows, cols int) { return p.rows, p.cols }
 
-// Row implements Weights with subslices of the blob; buf is not used.
+// PackInto implements Weights: the view is the layout, and buf is not used.
+func (p Packed) PackInto(buf []byte) (Packed, []byte) { return p, buf }
+
+// Row returns row j in wire layout as subslices of the blob; buf is not
+// used.
 func (p Packed) Row(j int, buf []byte) (Row, []byte) {
 	lo := j * p.cols
 	return Row{Mags: p.mags[lo : lo+p.cols], Signs: p.signs, Bit: lo}, buf

@@ -22,7 +22,7 @@ func randMatrix(rng *rand.Rand, rows, cols int) Matrix {
 // blobs and nn's serialized models both use this codec): Pack → View →
 // Matrix is the identity, the wire layout is the documented one, and every
 // row the view hands out — including rows that start mid-byte in the bitmap
-// — reads the same as the row PackRow builds from the in-memory matrix.
+// — reads the same magnitudes and signs as the in-memory matrix's row.
 func TestPackedRoundTrip(t *testing.T) {
 	w := Matrix{
 		{{Mag: 1}, {Mag: 255, Neg: true}, {Mag: 0}},
@@ -51,20 +51,14 @@ func TestPackedRoundTrip(t *testing.T) {
 		if got := p.Matrix(); !reflect.DeepEqual(got, m) {
 			t.Fatalf("%dx%d: round trip changed the matrix", rows, cols)
 		}
-		var buf []byte
 		for j := 0; j < rows; j++ {
 			fromView, _ := p.Row(j, nil)
-			var fromMem Row
-			fromMem, buf = m.Row(j, buf)
-			if fromView.Bit != j*cols || fromMem.Bit != 0 {
-				t.Fatalf("row %d: sign offsets %d (view) and %d (matrix)", j, fromView.Bit, fromMem.Bit)
-			}
-			if !reflect.DeepEqual(fromView.Mags, fromMem.Mags) {
-				t.Fatalf("%dx%d row %d: magnitudes differ", rows, cols, j)
+			if fromView.Bit != j*cols {
+				t.Fatalf("row %d: sign offset %d", j, fromView.Bit)
 			}
 			for i := 0; i < cols; i++ {
-				if fromView.Neg(i) != m[j][i].Neg || fromMem.Neg(i) != m[j][i].Neg {
-					t.Fatalf("%dx%d element (%d,%d): sign differs", rows, cols, j, i)
+				if Code(fromView.Mags[i]) != m[j][i].Mag || fromView.Neg(i) != m[j][i].Neg {
+					t.Fatalf("%dx%d element (%d,%d) differs", rows, cols, j, i)
 				}
 			}
 		}
@@ -92,22 +86,24 @@ func TestViewRejectsWrongLength(t *testing.T) {
 	}
 }
 
-// TestPackRowReusesBuffer pins PackRow's scratch contract: a large enough
-// buffer is packed in place with stale sign bits cleared, a small one grows.
-func TestPackRowReusesBuffer(t *testing.T) {
+// TestMatrixPackIntoReusesBuffer pins PackInto's scratch contract: a large
+// enough buffer is packed in place with stale sign bits cleared and the view
+// reads the matrix, and a small one grows.
+func TestMatrixPackIntoReusesBuffer(t *testing.T) {
 	buf := make([]byte, 16)
 	for i := range buf {
 		buf[i] = 0xff
 	}
-	row, got := PackRow([]Signed{{Mag: 3}, {Mag: 4, Neg: true}, {Mag: 5}}, buf)
+	m := Matrix{{{Mag: 3}, {Mag: 4, Neg: true}, {Mag: 5}}}
+	p, got := m.PackInto(buf)
 	if &got[0] != &buf[0] {
-		t.Fatal("PackRow reallocated a buffer that was large enough")
+		t.Fatal("PackInto reallocated a buffer that was large enough")
 	}
-	if !reflect.DeepEqual(row.Mags, []byte{3, 4, 5}) || !reflect.DeepEqual(row.Signs, []byte{0b010}) {
-		t.Fatalf("packed row = %v / %v", row.Mags, row.Signs)
+	if !reflect.DeepEqual(got, []byte{3, 4, 5, 0b010}) || !reflect.DeepEqual(p.Matrix(), m) {
+		t.Fatalf("packed %v, view reads %v", got, p.Matrix())
 	}
-	if _, grown := PackRow(make([]Signed, 100), buf); len(grown) < 113 {
-		t.Fatalf("PackRow left a %d-byte buffer for a 100-wide row", len(grown))
+	if _, grown := (Matrix{make([]Signed, 100)}).PackInto(buf); len(grown) != 113 {
+		t.Fatalf("PackInto left a %d-byte blob for a 100-wide row", len(grown))
 	}
 }
 

@@ -306,8 +306,12 @@ func (r *Reassembler) GC() int {
 }
 
 // gc sweeps expired entries from the head of the creation order; callers
-// hold r.mu.
+// hold r.mu. An empty table has nothing to expire, so it does not read the
+// clock: every unfragmented query passes through here.
 func (r *Reassembler) gc() int {
+	if len(r.order) == 0 {
+		return 0
+	}
 	now := r.now()
 	n := 0
 	for len(r.order) > 0 {

@@ -365,6 +365,42 @@ func TestReassemblerExpirySweepsLazily(t *testing.T) {
 	}
 }
 
+// TestReassemblerReadsClockOnlyWhenPending: with no train pending there is
+// nothing to expire, so unfragmented queries through an empty table never
+// read the clock; once a train is pending, the first offer past its
+// deadline still expires it.
+func TestReassemblerReadsClockOnlyWhenPending(t *testing.T) {
+	now, reads := time.Unix(3000, 0), 0
+	r := NewReassemblerTTL(8, time.Second)
+	r.SetClock(func() time.Time { reads++; return now })
+	plain := &Message{Payload: []byte{1, 2, 3}}
+	for i := 0; i < 1000; i++ {
+		if _, _, done, err := r.Offer(plain); !done || err != nil {
+			t.Fatalf("unfragmented offer %d: done=%v err=%v", i, done, err)
+		}
+	}
+	if reads != 0 {
+		t.Fatalf("1000 unfragmented offers on an empty table read the clock %d times, want 0", reads)
+	}
+	train, _ := Fragment(7, 1, make([]byte, 3000), 512)
+	r.Offer(train[0])
+	if reads == 0 {
+		t.Fatal("a pending train's deadline was stamped without reading the clock")
+	}
+	now = now.Add(time.Second - time.Nanosecond)
+	r.Offer(plain)
+	if r.Pending() != 1 || r.Expired() != 0 {
+		t.Fatalf("before the deadline: pending=%d expired=%d", r.Pending(), r.Expired())
+	}
+	now = now.Add(time.Nanosecond)
+	if _, _, done, err := r.Offer(plain); !done || err != nil {
+		t.Fatalf("offer past the deadline: done=%v err=%v", done, err)
+	}
+	if r.Pending() != 0 || r.Expired() != 1 {
+		t.Fatalf("the first offer past the deadline left pending=%d expired=%d", r.Pending(), r.Expired())
+	}
+}
+
 // Property: fragmentation then reassembly is the identity for any payload
 // and any fragment-delivery permutation.
 func TestFragmentRoundTripProperty(t *testing.T) {

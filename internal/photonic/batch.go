@@ -46,24 +46,20 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 		total += (bounds[g+1] - bounds[g] + n - 1) / n
 	}
 	dst = growPartials(dst, total)
-	fast := c.LUTsValid()
-	i := 0
-	for g := 0; g+1 < len(bounds); g++ {
-		lo, hi := bounds[g], bounds[g+1]
-		if !fast {
-			for ; lo < hi; lo += n {
+	if !c.LUTsValid() {
+		i := 0
+		for g := 0; g+1 < len(bounds); g++ {
+			for lo, hi := bounds[g], bounds[g+1]; lo < hi; lo += n {
 				end := min(lo+n, hi)
 				dst[i] = c.Step(a[lo:end], b[lo:end])
 				i++
 			}
-			continue
 		}
-		part := dst[i : i+(hi-lo+n-1)/n]
-		c.pass(part, a[lo:hi], b[lo:hi])
-		c.noise.addTo(part)
-		c.Steps += uint64(len(part))
-		i += len(part)
+		return dst
 	}
+	c.pass(dst, a, b, bounds)
+	c.noise.addTo(dst)
+	c.Steps += uint64(total)
 	return dst
 }
 
@@ -87,15 +83,26 @@ func (c *Core) PartialsAt(dst []float64, a, b []fixed.Code, key, ctr uint64) {
 }
 
 // ReadingsInto writes the ⌈len(a)/NumLanes⌉ noiseless readings of one
-// operand group into dst and returns them: the kernel half of PartialsAt,
-// and the first half of a readout. A caller with several groups whose steps
-// sit at consecutive positions runs it per group and ReadoutAt over them
-// all.
+// operand group into dst and returns them: ReadingsGroupsInto over a single
+// group, and the kernel half of PartialsAt.
 func (c *Core) ReadingsInto(dst []float64, a, b []fixed.Code) []float64 {
 	n := len(c.lanes)
 	dst = dst[:(len(a)+n-1)/n]
-	c.pass(dst, a, b)
+	bounds := [2]int{0, len(a)}
+	c.pass(dst, a, b, bounds[:])
 	return dst
+}
+
+// ReadingsGroupsInto writes the noiseless readings of a sequence of operand
+// groups into dst, back to back: group g is a[bounds[g]:bounds[g+1]] against
+// the same span of b, bounds running from 0 to len(a), and takes
+// ⌈(bounds[g+1]−bounds[g])/NumLanes⌉ steps, its tail step its own — what a
+// ReadingsInto call per group writes. dst must hold those steps. It is the
+// first half of a readout: a caller whose groups' steps sit at consecutive
+// positions of a keyed stream reads them out with one ReadoutAt, and one with
+// several streams with one ReadoutAt a stream.
+func (c *Core) ReadingsGroupsInto(dst []float64, a, b []fixed.Code, bounds []int) {
+	c.pass(dst, a, b, bounds)
 }
 
 // ReadoutAt digitizes noiseless readings at the detector: code i of dst is
@@ -112,59 +119,63 @@ func (c *Core) ReadoutAt(dst []fixed.Code, readings []float64, key, ctr uint64) 
 	}
 }
 
-// pass is the one place a group's kernel is picked: stream2 on a core of
-// exactly two lanes, neither dead, and stream on any other. It is asked on
-// every call, because Kill can land between two.
-func (c *Core) pass(dst []float64, a, b []fixed.Code) {
+// pass is the one place the kernel is picked: stream2 on a core of exactly
+// two lanes, neither dead, and stream on any other. It is asked on every
+// call, because Kill can land between two.
+func (c *Core) pass(dst []float64, a, b []fixed.Code, bounds []int) {
 	if l := c.lanes; len(l) == 2 && !l[0].dead && !l[1].dead {
-		c.stream2(dst, a, b)
+		c.stream2(dst, a, b, bounds)
 	} else {
-		c.stream(dst, a, b)
+		c.stream(dst, a, b, bounds)
 	}
 }
 
-// stream is the dot kernel's first pass: one operand group's noiseless
-// readings, ⌈len(a)/lanes⌉ of them into dst, valid while the LUTs are. It is
-// the generic kernel — any lane count, dead lanes skipped — and pass gives it
-// every core but one of two live lanes. A lane's product starts from its
-// front table, carrier·g1[a]·tap1 folded at the core's carrier, and is
-// multiplied by g2[b] and tap2; the detector constants sit in registers and
-// each lane's tables and taps one pointer away; nothing in the body is a
-// call, so consecutive steps' multiply chains and decode divides overlap in
-// the processor. The group's short tail step is the same body over the lanes
-// that still have an operand. The noise is the second pass, over the same
-// span in step order (NoiseModel.addAt, or readoutAt with the ADC's rounding
-// behind it): the draw's rare slow path is a call that does not inline, and
-// inside this loop it would push every held value back to memory around
-// itself on each step and leave the steps nothing to overlap with — the
-// per-step cost this kernel exists to remove. A reading's float operations
-// and their order, and the order of the draws, are Step's, so the readings
-// are bit-identical to Step's and the rng stays in lockstep with it.
+// stream is the dot kernel's first pass: the noiseless readings of a
+// sequence of operand groups (ReadingsGroupsInto), ⌈len/lanes⌉ a group into
+// dst, valid while the LUTs are. It is the generic kernel — any lane count,
+// dead lanes skipped — and pass gives it every core but one of two live
+// lanes. A lane's product starts from its front table, carrier·g1[a]·tap1
+// folded at the core's carrier, and is multiplied by g2[b] and tap2; the
+// detector constants sit in registers and each lane's tables and taps one
+// pointer away; nothing in the body is a call, so consecutive steps' multiply
+// chains and decode divides overlap in the processor. A group's short tail
+// step is the same body over the lanes that still have an operand. The noise
+// is the second pass, over the same span in step order (NoiseModel.addAt, or
+// readoutAt with the ADC's rounding behind it): the draw's rare slow path is
+// a call that does not inline, and inside this loop it would push every held
+// value back to memory around itself on each step and leave the steps
+// nothing to overlap with — the per-step cost this kernel exists to remove. A
+// reading's float operations and their order, and the order of the draws,
+// are Step's, so the readings are bit-identical to Step's and the rng stays
+// in lockstep with it.
 //
-// The group is the unit, not the call, and the core is only read, because the
-// compiler keeps this body's values in registers only while the function is
-// this small: the same loops written inside DotPartialsBatchInto, or with the
-// noise pass and the step count below them, reload spilled values in the
-// lane loop and measured half as fast again.
-func (c *Core) stream(dst []float64, a, b []fixed.Code) {
-	lanes, n := c.lanes, len(c.lanes)
+// The core is only read, and the noise and the step count stay out of the
+// body, because the compiler keeps its values in registers only while the
+// function is this small: the same loops written inside DotPartialsBatchInto,
+// or with the noise pass and the step count below them, reload spilled values
+// in the lane loop and measured half as fast again. The loop over groups
+// adds only a reslice a group to that body.
+func (c *Core) stream(dst []float64, a, b []fixed.Code, bounds []int) {
+	n := len(c.lanes)
 	dark, resp, darkPerLane := c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
 	span := c.spanPerLane * float64(max(c.FullScaleLanes, 1))
-	idle := float64(n) * darkPerLane
-	b = b[:len(a)]
 	i := 0
-	for off := 0; off < len(a); off += n {
-		if k := len(a) - off; k < n {
-			lanes, idle = lanes[:k], float64(k)*darkPerLane
-		}
-		var detected float64
-		for t, l := range lanes {
-			if !l.dead {
-				detected += l.front[a[off+t]] * l.g2[b[off+t]] * l.tap2
+	for g := 1; g < len(bounds); g++ {
+		ga, gb := a[bounds[g-1]:bounds[g]], b[bounds[g-1]:bounds[g]]
+		lanes, idle := c.lanes, float64(n)*darkPerLane
+		for off := 0; off < len(ga); off += n {
+			if k := len(ga) - off; k < n {
+				lanes, idle = lanes[:k], float64(k)*darkPerLane
 			}
+			var detected float64
+			for t, l := range lanes {
+				if !l.dead {
+					detected += l.front[ga[off+t]] * l.g2[gb[off+t]] * l.tap2
+				}
+			}
+			dst[i] = (dark + resp*detected - idle) / span * fixed.MaxCode
+			i++
 		}
-		dst[i] = (dark + resp*detected - idle) / span * fixed.MaxCode
-		i++
 	}
 }
 
@@ -176,24 +187,28 @@ func (c *Core) stream(dst []float64, a, b []fixed.Code) {
 // as stream's and Step's — lane 0's front·g2·tap2, lane 1's added to it, then
 // the decode — only where the operands are loaded from differs, so readings
 // are bit-identical to theirs.
-func (c *Core) stream2(dst []float64, a, b []fixed.Code) {
+func (c *Core) stream2(dst []float64, a, b []fixed.Code, bounds []int) {
 	l0, l1 := c.lanes[0], c.lanes[1]
 	f0, g20, t20 := &l0.front, &l0.g2, l0.tap2
 	f1, g21, t21 := &l1.front, &l1.g2, l1.tap2
 	dark, resp, darkPerLane := c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
 	span := c.spanPerLane * float64(max(c.FullScaleLanes, 1))
 	idle := 2 * darkPerLane
-	b = b[:len(a)]
 	i := 0
-	for off := 1; off < len(a); off += 2 {
-		d := f0[a[off-1]] * g20[b[off-1]] * t20
-		d += f1[a[off]] * g21[b[off]] * t21
-		dst[i] = (dark + resp*d - idle) / span * fixed.MaxCode
-		i++
-	}
-	if len(a)%2 == 1 {
-		k := len(a) - 1
-		d := f0[a[k]] * g20[b[k]] * t20
-		dst[i] = (dark + resp*d - darkPerLane) / span * fixed.MaxCode
+	for g := 1; g < len(bounds); g++ {
+		ga, gb := a[bounds[g-1]:bounds[g]], b[bounds[g-1]:bounds[g]]
+		gb = gb[:len(ga)]
+		for off := 1; off < len(ga); off += 2 {
+			d := f0[ga[off-1]] * g20[gb[off-1]] * t20
+			d += f1[ga[off]] * g21[gb[off]] * t21
+			dst[i] = (dark + resp*d - idle) / span * fixed.MaxCode
+			i++
+		}
+		if len(ga)%2 == 1 {
+			k := len(ga) - 1
+			d := f0[ga[k]] * g20[gb[k]] * t20
+			dst[i] = (dark + resp*d - darkPerLane) / span * fixed.MaxCode
+			i++
+		}
 	}
 }

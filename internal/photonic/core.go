@@ -376,9 +376,9 @@ func growPartials(s []float64, n int) []float64 {
 // LUTsValid reports whether every live lane's transmission LUT matches its
 // modulators' current operating points. DotPartialsBatchInto samples it once
 // per call and streams through its kernel while it holds, as the datapath
-// does once per layer for ReadingsInto; a fault injected between queries (the
-// granularity the fault runner operates at) is seen at the next call's first
-// step. Dead lanes don't count against validity: they contribute exact zero
+// does once per layer for ReadingsGroupsInto; a fault injected between
+// queries (the granularity the fault runner operates at) is seen at the next
+// call's first step. Dead lanes don't count against validity: they contribute exact zero
 // on both paths.
 func (c *Core) LUTsValid() bool {
 	for _, l := range c.lanes {
