@@ -1,5 +1,5 @@
 // Command lightning-lint runs Lightning's project-specific static-analysis
-// suite: the seven analyzers that enforce the race-safety, quantization,
+// suite: the seven analyzers that enforce the race-safety, reachability,
 // concurrency-lifecycle, wire-hygiene and suppression-hygiene invariants the
 // compiler and go vet cannot see (run with -help for the list, or see
 // DESIGN.md §8 and §14 for what each analyzer guards, its annotation escape

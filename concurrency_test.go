@@ -27,10 +27,11 @@ func TestNICConcurrentHandleFrame(t *testing.T) {
 		payload[j] = byte(c)
 	}
 	queryFrame := func(id uint32) []byte {
-		frame, err := nic.BuildQueryFrame(
+		frame, err := nic.BuildFrame(
 			nic.Ethernet{Dst: nic.MAC{2, 0, 0, 0, 0, 2}, Src: nic.MAC{2, 0, 0, 0, 0, 1}},
 			nic.IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")},
 			7777,
+			nic.InferencePort,
 			&Message{RequestID: id, ModelID: 1, Payload: payload},
 		)
 		if err != nil {
@@ -38,10 +39,11 @@ func TestNICConcurrentHandleFrame(t *testing.T) {
 		}
 		return frame
 	}
-	forwardFrame, err := nic.BuildQueryFrame(
+	forwardFrame, err := nic.BuildFrame(
 		nic.Ethernet{Dst: nic.MAC{2, 0, 0, 0, 0, 2}, Src: nic.MAC{2, 0, 0, 0, 0, 3}},
 		nic.IPv4{Src: netip.MustParseAddr("10.0.0.3"), Dst: netip.MustParseAddr("10.0.0.2")},
 		7777,
+		nic.InferencePort,
 		&Message{RequestID: 1, ModelID: 1, Payload: payload},
 	)
 	if err != nil {

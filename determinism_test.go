@@ -54,10 +54,11 @@ func TestDeterministicCores1(t *testing.T) {
 			for j, c := range test.Examples[i].X {
 				payload[j] = byte(c)
 			}
-			frame, err := nic.BuildQueryFrame(
+			frame, err := nic.BuildFrame(
 				nic.Ethernet{Dst: nic.MAC{2, 0, 0, 0, 0, 2}, Src: nic.MAC{2, 0, 0, 0, 0, 1}},
 				nic.IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")},
 				40000+uint16(i),
+				nic.InferencePort,
 				&Message{RequestID: uint32(i), ModelID: 4, Payload: payload},
 			)
 			if err != nil {

@@ -330,7 +330,7 @@ func TestCloseUnblocksRecoveryBackoff(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	n.shards[0].breaker.Reset()
+	n.shards[0].breaker.StartProbation()
 	n.trip(n.shards[0])
 	if got := n.recovering.Load(); got != 0 {
 		t.Fatalf("trip after Close spawned recovery (recovering = %d)", got)

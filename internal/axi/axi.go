@@ -44,9 +44,6 @@ func NewStream[T any](depth int) *Stream[T] {
 	return &Stream[T]{buf: make([]Beat[T], depth)}
 }
 
-// Depth returns the FIFO capacity in beats.
-func (s *Stream[T]) Depth() int { return len(s.buf) }
-
 // Len returns the number of beats currently buffered.
 func (s *Stream[T]) Len() int { return s.n }
 
@@ -79,10 +76,4 @@ func (s *Stream[T]) Pop() (Beat[T], error) {
 	s.n--
 	s.Pops++
 	return b, nil
-}
-
-// Reset discards all buffered beats and clears counters.
-func (s *Stream[T]) Reset() {
-	s.head, s.n = 0, 0
-	s.Pushes, s.Pops, s.Stalls = 0, 0, 0
 }

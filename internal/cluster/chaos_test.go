@@ -12,7 +12,7 @@ import (
 )
 
 // The cluster chaos suite: deterministic node-fault plans (internal/fault's
-// NodePlan/NodeRunner) driven against an in-process cluster, with every
+// NewNodePlan/NewNodeRunner) driven against an in-process cluster, with every
 // completed answer judged byte-for-byte against a fault-free monolithic
 // twin. The invariant under test is the cluster plane's contract: partial
 // failure may cost goodput, but a completed response is either exactly the
@@ -62,9 +62,9 @@ func TestClusterChaosKillOneNode(t *testing.T) {
 		}
 		for _, f := range runner.Advance(1) {
 			if f.Err != nil {
-				t.Fatalf("injecting %s on node %d: %v", f.Event.Fault.Name(), f.Event.Node, f.Err)
+				t.Fatalf("injecting %s on node %d: %v", f.Event.Fault.Name(), f.Event.Unit, f.Err)
 			}
-			t.Logf("query %d: injected %s on node %d", i, f.Event.Fault.Name(), f.Event.Node)
+			t.Logf("query %d: injected %s on node %d", i, f.Event.Fault.Name(), f.Event.Unit)
 		}
 	}
 

@@ -44,7 +44,7 @@ func (n *testNode) crash() error {
 }
 
 // harness runs a small cluster of in-process NICs and implements
-// fault.NodeApplier so NodePlans drive it.
+// fault.NodeApplier so node-fault plans drive it.
 type harness struct {
 	nodes []*testNode
 	addrs []string
@@ -52,7 +52,7 @@ type harness struct {
 
 // startHarness spins up n serving NICs on loopback UDP, each accepting wire
 // model installs (as lightning-serve -model none does) and each behind a
-// fault.Conn for partition/slow/corrupt injection.
+// fault.Conn for partition and slow-node injection.
 func startHarness(t *testing.T, n int, seed uint64) *harness {
 	t.Helper()
 	h := &harness{}

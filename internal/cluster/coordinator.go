@@ -207,10 +207,6 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// SetClock replaces the coordinator's time source, front door included
-// (tests drive budget math with a logical clock). Call before serving.
-func (c *Coordinator) SetClock(now func() time.Time) { c.now = now }
-
 // Close tears down the recovery loop and every node channel.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {

@@ -98,13 +98,6 @@ func NewADC(seed uint64) *ADC {
 	return &ADC{NoiseFloor: 12, rng: rand.New(rand.NewPCG(seed, 0xadc))}
 }
 
-// Quantize converts one analog reading (in code units) to an 8-bit code,
-// rounding and saturating at the rails.
-func (a *ADC) Quantize(v float64) fixed.Code {
-	a.Quantized++
-	return Quantize(v)
-}
-
 // Quantize is the ADC's rounding rule, the one every digitization applies:
 // round half away from zero, as math.Round does, saturating at the rails. For
 // 0.5 ≤ v < 254.5 the code is ⌊v+0.5⌋ by truncation: v+0.5 is exact unless

@@ -167,6 +167,8 @@ func (m *Module) Reset() {
 
 // Snapshot returns the state of every rule, in attach order, for monitoring
 // and tests.
+//
+//lint:allow reachability TestModuleAttachAndSnapshot, TestDetectorCountTargets and FuzzDetectorMaskEquivalence read rule state through it
 func (m *Module) Snapshot() []RuleState {
 	out := make([]RuleState, 0, len(m.rules))
 	for _, r := range m.rules {

@@ -204,13 +204,6 @@ func (s *Store) Model(id uint16) (*ModelConfig, bool) {
 	return mc, ok
 }
 
-// Models returns the registered model count.
-func (s *Store) Models() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.models)
-}
-
 // validate is the per-query precondition check every entry shares: the model
 // is registered and the input fills its first layer. Caller holds s.mu.
 func (s *Store) validate(id uint16, inputLen int) (*ModelConfig, error) {
@@ -303,9 +296,6 @@ func (ld *Loader) UpdateModel(id uint16, q *nn.QuantizedNetwork) error {
 
 // Model returns a registered model's configuration.
 func (ld *Loader) Model(id uint16) (*ModelConfig, bool) { return ld.Store.Model(id) }
-
-// Models returns the registered model count.
-func (ld *Loader) Models() int { return ld.Store.Models() }
 
 // Result is one served inference.
 type Result struct {

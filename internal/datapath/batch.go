@@ -127,6 +127,7 @@ func (e *Engine) issueSpan(w fixed.Packed, lo, hi int, xs [][]fixed.Code, stats 
 	if total == 0 {
 		return
 	}
+	s.block.fit(2*dots, total)
 
 	// One photonic pass in blocks (rowpass.go): the layer's LUT-validity
 	// decision, taken as its first live span opens the burst, covers every

@@ -61,6 +61,8 @@ type ConvResult struct {
 // them — one burst, one preamble and one readout for the whole feature map,
 // and the kernel fetched once per output channel whatever the map's size.
 // The template's non-linear stage is ReLU or nothing (§5.4).
+//
+//lint:allow reachability TestConvNoiseOffGolden and TestConvEqualsPerWindowFC pin the conv layer a served CNN will run
 func (e *Engine) ExecuteConv(kernels [][]fixed.Signed, input []fixed.Code, spec ConvSpec, act Activation, requantShift uint) (ConvResult, error) {
 	var res ConvResult
 	if err := spec.Validate(); err != nil {
@@ -120,6 +122,8 @@ func gatherWindow(input []fixed.Code, spec ConvSpec, oy, ox int, dst []fixed.Cod
 
 // MaxPool2 applies a 2×2 stride-2 max pool to an H×W×C code map — the
 // digital pooling template between convolution layers.
+//
+//lint:allow reachability TestMaxPool2 and TestSmallCNNThroughDatapath pin the pooling a served CNN will run
 func MaxPool2(input []fixed.Code, h, w, c int) (out []fixed.Code, oh, ow int) {
 	oh, ow = h/2, w/2
 	out = make([]fixed.Code, oh*ow*c)

@@ -65,6 +65,8 @@ func expFixed(d int32) int32 {
 //
 // Inputs are interpreted on a 1/16-per-LSB logit scale, so an input range of
 // ±127 spans ±8 natural-log units, enough for 8-bit probability resolution.
+//
+//lint:allow reachability TestSoftmaxRoundsHalfUpExactly and the other softmax tests pin softmaxInto through it
 func Softmax(xs []fixed.Acc) []fixed.Code {
 	if len(xs) == 0 {
 		return nil

@@ -120,9 +120,6 @@ func TestArgmax(t *testing.T) {
 }
 
 func TestActivationMeta(t *testing.T) {
-	if ActReLU.Cycles() != 1 || ActSoftmax.Cycles() != 8 || ActIdentity.Cycles() != 0 {
-		t.Error("activation cycles wrong")
-	}
 	if ActReLU.String() != "relu" || ActSoftmax.String() != "softmax" || ActIdentity.String() != "identity" {
 		t.Error("activation names wrong")
 	}

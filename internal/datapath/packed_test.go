@@ -181,4 +181,31 @@ func TestScratchFootprintOneWideLayer(t *testing.T) {
 	if res.Stats.PhotonicSteps != 4/lanes+1 {
 		t.Errorf("odd sign groups took %d steps, want %d", res.Stats.PhotonicSteps, 4/lanes+1)
 	}
+
+	// A span shorter than a block holds only the readings it issues: the
+	// anomaly MLP's 32-32-16-2 layers, one span each at q = 1, leave at most
+	// the widest layer's steps of floats, where sizing by the step bound
+	// dots·(n+2) held 1 088.
+	mlp := newTestEngine(t, lanes, false)
+	rng := rand.New(rand.NewPCG(32, 2))
+	in := make([]fixed.Code, 32)
+	for i := range in {
+		in[i] = fixed.Code(rng.IntN(256))
+	}
+	widest := uint64(0)
+	for _, dims := range [][2]int{{32, 32}, {16, 32}, {2, 16}} {
+		w := make(fixed.Matrix, dims[0])
+		for j := range w {
+			w[j] = make([]fixed.Signed, dims[1])
+			for i := range w[j] {
+				w[j][i] = fixed.Signed{Mag: fixed.Code(rng.IntN(256)), Neg: rng.IntN(2) == 0}
+			}
+		}
+		res := mlp.ExecuteFCBias(w, nil, in, ActReLU, 4)
+		widest = max(widest, res.Stats.PhotonicSteps)
+		in = res.Quantized
+	}
+	if got := cap(mlp.scratch.block.parts); uint64(got) > widest {
+		t.Errorf("anomaly MLP left %d readings in the block; its widest layer issued %d steps", got, widest)
+	}
 }

@@ -19,18 +19,6 @@ const (
 	ActSoftmax
 )
 
-// Cycles returns the activation's pipeline latency in digital clock cycles.
-func (a Activation) Cycles() int {
-	switch a {
-	case ActReLU:
-		return CyclesReLU
-	case ActSoftmax:
-		return CyclesSoftmax
-	default:
-		return 0
-	}
-}
-
 // String names the activation.
 func (a Activation) String() string {
 	switch a {
@@ -70,14 +58,6 @@ func (s *LayerStats) Add(o LayerStats) {
 	s.DatapathCycles += o.DatapathCycles
 	s.SaturatedSamples += o.SaturatedSamples
 	s.PreambleMisses += o.PreambleMisses
-}
-
-// TotalCycles is the layer's end-to-end digital-clock cost.
-func (s LayerStats) TotalCycles() uint64 { return s.ComputeCycles + s.DatapathCycles }
-
-// Seconds converts total cycles to wall time at the prototype clock.
-func (s LayerStats) Seconds() float64 {
-	return float64(s.TotalCycles()) / converter.DigitalClockHz
 }
 
 // Engine executes DNN layers on a photonic core through the full prototype
@@ -149,6 +129,8 @@ type FCResult struct {
 }
 
 // ExecuteFC runs a fully-connected layer without bias; see ExecuteFCBias.
+//
+//lint:allow reachability TestExecuteFCMatchesDigital and TestSmallCNNThroughDatapath drive one query through it
 func (e *Engine) ExecuteFC(weights fixed.Weights, x []fixed.Code, act Activation, requantShift uint) FCResult {
 	return e.ExecuteFCBias(weights, nil, x, act, requantShift)
 }

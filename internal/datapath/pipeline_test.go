@@ -152,12 +152,6 @@ func TestLayerStatsAccounting(t *testing.T) {
 	if res.Stats.DatapathCycles <= PerLayerOverheadCycles {
 		t.Error("datapath cycles missing framing cost")
 	}
-	if res.Stats.TotalCycles() != res.Stats.ComputeCycles+res.Stats.DatapathCycles {
-		t.Error("TotalCycles mismatch")
-	}
-	if res.Stats.Seconds() <= 0 {
-		t.Error("Seconds not positive")
-	}
 	var agg LayerStats
 	agg.Add(res.Stats)
 	agg.Add(res.Stats)

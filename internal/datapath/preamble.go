@@ -44,6 +44,8 @@ func PrototypePattern() Pattern {
 
 // ParsePattern builds a pattern from a string of 'H' and 'L' runes, e.g.
 // "HHHHHHHHLLLLLLLL".
+//
+//lint:allow reachability TestParsePattern and TestNonDefaultPreambleServesOracle build preambles with it
 func ParsePattern(s string) (Pattern, error) {
 	var p Pattern
 	if len(s) != converter.SamplesPerCycle {
@@ -103,6 +105,8 @@ func (p Pattern) Shifted(k int) Pattern {
 
 // MatchFrame reports whether an ADC readout frame structurally matches the
 // pattern under the H/L thresholds.
+//
+//lint:allow reachability FuzzDetectorMaskEquivalence holds the mask detector to it
 func (p Pattern) MatchFrame(f converter.Frame) bool {
 	for i, h := range p {
 		if h {

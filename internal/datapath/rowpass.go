@@ -91,11 +91,15 @@ type blockBuf struct {
 	cuts  []int
 }
 
-// fit is the cold path that gives b room for the bounds of a span of n
-// groups.
-func (b *blockBuf) fit(n int) {
+// fit is the cold path that gives b room for a block of a span of n groups
+// and total steps: the bounds of every group, and readings for one block,
+// or for the whole span when it is shorter than a block.
+func (b *blockBuf) fit(n, total int) {
 	if len(b.cuts) <= n {
 		b.cuts = make([]int, n+1)
+	}
+	if steps := min(blockSteps, total); len(b.parts) < steps {
+		b.parts = make([]float64, steps)
 	}
 }
 
@@ -219,7 +223,7 @@ func (p *spanPass) help(buf *blockBuf) {
 			break
 		}
 	}
-	buf.fit(len(p.bounds) - 1)
+	buf.fit(len(p.bounds)-1, len(p.out))
 	p.claim(buf)
 	p.state.Add(-1)
 }

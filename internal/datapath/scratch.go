@@ -68,9 +68,9 @@ type dotCount struct{ pos, parts int }
 // ensure is issueSpan's cold path: it grows the buffers to dots (row,
 // query) dot products of layer width n. A dot contributes at most n
 // operands, so dots·n bounds the flattened operand buffers, plus the staging
-// row in bW/bX, and dots·(n+2) the steps of a span, two groups a dot each
-// rounding up to a step. After it returns, the hot body runs on indexed
-// writes and reslices only.
+// row in bW/bX. After it returns, the hot body runs on indexed writes and
+// reslices only. The block's readings are sized once the span is
+// partitioned, by the steps it issues (blockBuf.fit).
 func (s *engineScratch) ensure(n, dots int) {
 	if len(s.bW) < (dots+1)*n {
 		s.bW = make([]fixed.Code, (dots+1)*n)
@@ -80,10 +80,6 @@ func (s *engineScratch) ensure(n, dots int) {
 		s.bounds = make([]int, 2*dots+1)
 		s.starts = make([]int, 2*dots+1)
 	}
-	if steps := min(blockSteps, dots*(n+2)); len(s.block.parts) < steps {
-		s.block.parts = make([]float64, steps)
-	}
-	s.block.fit(2 * dots)
 	s.counts = slices.Grow(s.counts, dots)
 }
 

@@ -59,9 +59,6 @@ type StubConn struct {
 	// Sent() — the differential wire tests compare response byte streams
 	// with it. Set before serving.
 	RecordWrites bool
-	// MaxReadBatch caps how many datagrams one ReadBatch call drains
-	// (0 = no cap): rx-batch-size distribution tests shape bursts with it.
-	MaxReadBatch int
 	// FailDeadlines makes every SetReadDeadline arm fail (still counted) —
 	// a socket that refuses the serve loop's read deadline. Set before
 	// serving.
@@ -132,11 +129,7 @@ func (c *StubConn) ReadBatch(ms []netbatch.Message) (int, error) {
 		return 0, ErrTimeout
 	}
 	n := 0
-	limit := len(ms)
-	if c.MaxReadBatch > 0 && c.MaxReadBatch < limit {
-		limit = c.MaxReadBatch
-	}
-	for n < limit && len(c.queue) > 0 {
+	for n < len(ms) && len(c.queue) > 0 {
 		d := c.queue[0]
 		c.queue = c.queue[1:]
 		ms[n].N = copy(ms[n].Buf, d)
@@ -289,9 +282,6 @@ type ConnConfig struct {
 // ConnStats counts the faults a Conn has injected.
 type ConnStats struct {
 	RxDropped, RxCorrupted, TxDropped, TxDuplicated uint64
-	// TxCorrupted counts outbound datagrams damaged by CorruptNextTx —
-	// the corrupted-partials fault of the cluster chaos suite.
-	TxCorrupted uint64
 	// Blackholed counts datagrams (both directions) lost to a partition
 	// (Blackhole(true)).
 	Blackholed uint64
@@ -299,11 +289,10 @@ type ConnStats struct {
 
 // Conn wraps a net.PacketConn with seeded, per-datagram network faults:
 // inbound drop and bit corruption, outbound drop and duplication, rx/tx
-// latency with jitter, and runtime partition (Blackhole) and targeted
-// corruption (CorruptNextTx) controls. It generalizes the ad-hoc lossy
-// wrappers the lifecycle tests grew, as one reusable chaos component — and
-// is the network surface node-level faults (NodeSlow, NodePartition,
-// NodeCorrupt) act on.
+// latency with jitter, and a runtime partition (Blackhole) control. It
+// generalizes the ad-hoc lossy wrappers the lifecycle tests grew, as one
+// reusable chaos component — and is the network surface node-level faults
+// (NodeSlow, NodePartition) act on.
 type Conn struct {
 	net.PacketConn
 
@@ -314,9 +303,6 @@ type Conn struct {
 	// blackhole, while set, loses every datagram in both directions — a
 	// network partition around this endpoint.
 	blackhole bool
-	// corruptTx flips one bit in each of the next corruptTx outbound
-	// datagrams.
-	corruptTx int
 }
 
 // NewConn wraps pc with the configured fault behaviour.
@@ -346,14 +332,6 @@ func (c *Conn) SetLatency(rxLat, rxJit, txLat, txJit time.Duration) {
 	c.mu.Lock()
 	c.cfg.RxLatency, c.cfg.RxJitter = rxLat, rxJit
 	c.cfg.TxLatency, c.cfg.TxJitter = txLat, txJit
-	c.mu.Unlock()
-}
-
-// CorruptNextTx flips one seeded-random bit in each of the next n outbound
-// datagrams — a node emitting corrupted partials while still responsive.
-func (c *Conn) CorruptNextTx(n int) {
-	c.mu.Lock()
-	c.corruptTx += n
 	c.mu.Unlock()
 }
 
@@ -405,8 +383,7 @@ func (c *Conn) ReadFrom(p []byte) (int, net.Addr, error) {
 }
 
 // WriteTo implements net.PacketConn: datagrams may be silently dropped
-// (reported as sent), duplicated, bit-corrupted (CorruptNextTx), or delayed
-// (TxLatency/TxJitter).
+// (reported as sent), duplicated, or delayed (TxLatency/TxJitter).
 func (c *Conn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	c.mu.Lock()
 	if c.blackhole {
@@ -422,12 +399,6 @@ func (c *Conn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	if dup {
 		c.stats.TxDuplicated++
 	}
-	corrupt := -1
-	if !drop && c.corruptTx > 0 && len(p) > 0 {
-		c.corruptTx--
-		c.stats.TxCorrupted++
-		corrupt = c.rng.IntN(len(p) * 8)
-	}
 	delay := time.Duration(0)
 	if !drop {
 		delay = c.delayLocked(c.cfg.TxLatency, c.cfg.TxJitter)
@@ -436,22 +407,15 @@ func (c *Conn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	if drop {
 		return len(p), nil
 	}
-	out := p
-	if corrupt >= 0 {
-		// Corrupt a copy: WriteTo must not damage the caller's buffer (the
-		// client retries with it).
-		out = append([]byte(nil), p...)
-		out[corrupt/8] ^= 1 << (corrupt % 8)
-	}
 	if delay > 0 {
 		time.Sleep(delay)
 	}
-	n, err := c.PacketConn.WriteTo(out, addr)
+	n, err := c.PacketConn.WriteTo(p, addr)
 	if err != nil {
 		return n, err
 	}
 	if dup {
-		if _, derr := c.PacketConn.WriteTo(out, addr); derr != nil {
+		if _, derr := c.PacketConn.WriteTo(p, addr); derr != nil {
 			return n, derr
 		}
 	}

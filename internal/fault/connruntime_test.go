@@ -7,8 +7,7 @@ import (
 
 // Tests for Conn's runtime fault controls — the surfaces node-level faults
 // drive mid-run: Blackhole (partition), SetLatency (straggler), and the
-// latency/jitter config. CorruptNextTx is covered with NodeCorrupt in
-// node_test.go.
+// latency/jitter config.
 
 func TestConnBlackholeBothDirections(t *testing.T) {
 	inner := NewStubConn([][]byte{{1}, {2}, {3}})

@@ -9,15 +9,18 @@
 //
 //   - photonic faults (BiasRunaway, LaserSag, DeadLane, DriftBurst) corrupt
 //     a shard's analog core through the hooks internal/photonic exposes;
-//   - memory faults (ReadErrorBurst, BitFlips) corrupt the shared DRAM
-//     weight store through mem.DRAM's ReadFault seam;
+//   - memory faults (ReadErrorBurst) fail loads from the shared DRAM weight
+//     store through mem.DRAM's ReadFault seam;
 //   - network faults (Conn, StubConn, DropFirst) wrap a net.PacketConn with
 //     seeded loss, corruption and duplication in front of the serve loop.
 //
 // Faults are scheduled in a Plan — a logical-step schedule with no wall
-// clock anywhere — and fired by a Runner against an Applier (the NIC). The
-// same seed and plan always produce the same fault sequence, so a chaos
-// soak is a regression test, not a dice roll.
+// clock anywhere — and fired by a Runner against an Applier (the NIC), or
+// against a cluster's nodes (node.go). The same seed and plan always produce
+// the same fault sequence, so a chaos soak is a regression test, not a dice
+// roll.
+//
+//lint:allow reachability test support: the chaos tests (TestChaos*, TestClusterChaos*) and the wire tests' StubConn inject faults through it
 package fault
 
 import (
@@ -47,51 +50,55 @@ type Fault interface {
 	Apply(t Target) error
 }
 
-// Event schedules a fault against a shard at a logical plan step.
-type Event struct {
+// Event schedules a fault at a logical plan step against one unit: a shard
+// of a NIC for a Fault, a node of a cluster for a NodeFault.
+type Event[F any] struct {
 	// Step is the plan-clock tick at which the event fires (a Runner whose
 	// clock reaches or passes Step fires it).
 	Step uint64
-	// Shard selects which core shard's Target receives the fault. Memory
-	// faults act on the shared DRAM regardless of shard.
-	Shard int
+	// Unit selects the shard or node that receives the fault. Memory faults
+	// act on the shared DRAM regardless of shard.
+	Unit int
 	// Fault is the fault to inject.
-	Fault Fault
+	Fault F
 }
 
 // Plan is a deterministic fault schedule: a set of events ordered by step.
 // Build one with At, or derive a randomized-but-reproducible one with
 // Scatter. Plans are immutable once handed to a Runner.
-type Plan struct {
-	events []Event
+type Plan[F any] struct {
+	events []Event[F]
 }
 
-// NewPlan returns an empty fault plan.
-func NewPlan() *Plan { return &Plan{} }
+// NewPlan returns an empty shard-fault plan.
+func NewPlan() *Plan[Fault] { return &Plan[Fault]{} }
 
-// At schedules a fault on a shard at a plan step and returns the plan for
+// NewNodePlan returns an empty node-fault plan.
+func NewNodePlan() *Plan[NodeFault] { return &Plan[NodeFault]{} }
+
+// At schedules a fault on a unit at a plan step and returns the plan for
 // chaining. Events keep their insertion order within a step.
-func (p *Plan) At(step uint64, shard int, f Fault) *Plan {
-	p.events = append(p.events, Event{Step: step, Shard: shard, Fault: f})
+func (p *Plan[F]) At(step uint64, unit int, f F) *Plan[F] {
+	p.events = append(p.events, Event[F]{Step: step, Unit: unit, Fault: f})
 	return p
 }
 
 // Scatter schedules n copies of the faults produced by mk at seeded-random
-// steps in [0, window) across seeded-random shards in [0, shards) — the
-// bulk loader for chaos soaks. mk receives the event index so callers can
-// vary fault parameters (and their seeds) per event.
-func (p *Plan) Scatter(seed uint64, n int, window uint64, shards int, mk func(i int) Fault) *Plan {
+// steps in [0, window) across seeded-random units in [0, units) — the bulk
+// loader for chaos soaks. mk receives the event index so callers can vary
+// fault parameters (and their seeds) per event.
+func (p *Plan[F]) Scatter(seed uint64, n int, window uint64, units int, mk func(i int) F) *Plan[F] {
 	rng := rand.New(rand.NewPCG(seed, 0xfa17))
 	for i := 0; i < n; i++ {
-		p.At(rng.Uint64N(window), rng.IntN(shards), mk(i))
+		p.At(rng.Uint64N(window), rng.IntN(units), mk(i))
 	}
 	return p
 }
 
 // Events returns the plan's events sorted by step (stable, so same-step
 // events keep insertion order).
-func (p *Plan) Events() []Event {
-	out := append([]Event(nil), p.events...)
+func (p *Plan[F]) Events() []Event[F] {
+	out := append([]Event[F](nil), p.events...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Step < out[j].Step })
 	return out
 }
@@ -103,46 +110,52 @@ type Applier interface {
 }
 
 // Fired records one event's injection outcome.
-type Fired struct {
-	Event Event
+type Fired[F any] struct {
+	Event Event[F]
 	// Err is the injection error, if any (e.g. a fault aimed at a lane the
 	// core doesn't have). The runner keeps going: a chaos plan with one
 	// misaimed event still exercises the rest.
 	Err error
 }
 
-// Runner binds a plan to an applier and fires events as its logical clock
-// advances. The caller owns the clock: advance it per served query, per
-// wall-tick, per test phase — whatever makes the experiment reproducible.
-// Safe for concurrent use.
-type Runner struct {
-	mu      sync.Mutex
-	events  []Event
-	applier Applier
-	step    uint64
-	next    int
-	fired   []Fired
+// Runner binds a plan to the units it injects into and fires events as its
+// logical clock advances. The caller owns the clock: advance it per served
+// query, per wall-tick, per test phase — whatever makes the experiment
+// reproducible. Safe for concurrent use.
+type Runner[F any] struct {
+	mu     sync.Mutex
+	events []Event[F]
+	inject func(unit int, f F) error
+	step   uint64
+	next   int
+	fired  []Fired[F]
 }
 
-// NewRunner prepares a plan for execution against an applier. Events
-// scheduled at step 0 fire on the first Advance (the clock starts at 0 and
-// an event fires when the clock reaches or passes its step).
-func NewRunner(p *Plan, a Applier) *Runner {
-	return &Runner{events: p.Events(), applier: a}
+// NewRunner prepares a shard-fault plan for execution against an applier
+// (a NIC). Events scheduled at step 0 fire on the first Advance (the clock
+// starts at 0 and an event fires when the clock reaches or passes its step).
+func NewRunner(p *Plan[Fault], a Applier) *Runner[Fault] {
+	return &Runner[Fault]{events: p.Events(), inject: a.InjectFault}
+}
+
+// NewNodeRunner prepares a node-fault plan for execution against a cluster
+// harness, as NewRunner does for a NIC.
+func NewNodeRunner(p *Plan[NodeFault], a NodeApplier) *Runner[NodeFault] {
+	return &Runner[NodeFault]{events: p.Events(), inject: a.InjectNodeFault}
 }
 
 // Advance moves the plan clock forward n ticks and injects every event
 // whose step the clock has now reached, in step order. It returns the
 // events fired by this call.
-func (r *Runner) Advance(n uint64) []Fired {
+func (r *Runner[F]) Advance(n uint64) []Fired[F] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.step += n
-	var out []Fired
+	var out []Fired[F]
 	for r.next < len(r.events) && r.events[r.next].Step <= r.step {
 		ev := r.events[r.next]
 		r.next++
-		f := Fired{Event: ev, Err: r.applier.InjectFault(ev.Shard, ev.Fault)}
+		f := Fired[F]{Event: ev, Err: r.inject(ev.Unit, ev.Fault)}
 		r.fired = append(r.fired, f)
 		out = append(out, f)
 	}
@@ -150,24 +163,24 @@ func (r *Runner) Advance(n uint64) []Fired {
 }
 
 // Step advances the plan clock one tick.
-func (r *Runner) Step() []Fired { return r.Advance(1) }
+func (r *Runner[F]) Step() []Fired[F] { return r.Advance(1) }
 
 // Clock returns the current plan-clock value.
-func (r *Runner) Clock() uint64 {
+func (r *Runner[F]) Clock() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.step
 }
 
 // Fired returns every event injected so far, in firing order.
-func (r *Runner) Fired() []Fired {
+func (r *Runner[F]) Fired() []Fired[F] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Fired(nil), r.fired...)
+	return append([]Fired[F](nil), r.fired...)
 }
 
 // Pending returns the count of events not yet fired.
-func (r *Runner) Pending() int {
+func (r *Runner[F]) Pending() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.events) - r.next

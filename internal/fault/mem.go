@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"math/rand/v2"
-	"sync"
-)
+import "sync"
 
 // ReadErrorBurst fails the next Reads loads from the DRAM weight store —
 // an uncorrectable-read-error burst (a failing rank, a controller brownout).
@@ -36,60 +33,5 @@ func (f ReadErrorBurst) Apply(t Target) error {
 		}
 		return blob, true
 	})
-	return nil
-}
-
-// BitFlips corrupts every DRAM load: PerRead seeded-random bit flips in a
-// private copy of the blob (the stored data is never mutated — the flips
-// model a noisy read path, not stuck cells). Weight-blob flips produce
-// silently wrong inference results; the known-answer probes cannot see them
-// (they bypass DRAM), so this fault exercises the Err-verdict and
-// wrong-answer paths a deployment monitors end to end. Remove with ClearMem.
-type BitFlips struct {
-	// PerRead is the number of bit flips injected into each load.
-	PerRead int
-	// Seed drives flip positions deterministically.
-	Seed uint64
-}
-
-// Name implements Fault.
-func (f BitFlips) Name() string { return "mem-bit-flips" }
-
-// Apply implements Fault.
-func (f BitFlips) Apply(t Target) error {
-	if t.DRAM == nil {
-		return errNoSurface(f.Name(), "DRAM")
-	}
-	var mu sync.Mutex
-	rng := rand.New(rand.NewPCG(f.Seed, 0xb17f))
-	t.DRAM.SetReadFault(func(key string, blob []byte) ([]byte, bool) {
-		if len(blob) == 0 || f.PerRead <= 0 {
-			return blob, true
-		}
-		cp := append([]byte(nil), blob...)
-		mu.Lock()
-		for i := 0; i < f.PerRead; i++ {
-			pos := rng.IntN(len(cp) * 8)
-			cp[pos/8] ^= 1 << (pos % 8)
-		}
-		mu.Unlock()
-		return cp, true
-	})
-	return nil
-}
-
-// ClearMem removes any installed DRAM fault hook — the repair action a plan
-// schedules to end a memory-fault window.
-type ClearMem struct{}
-
-// Name implements Fault.
-func (ClearMem) Name() string { return "mem-clear" }
-
-// Apply implements Fault.
-func (ClearMem) Apply(t Target) error {
-	if t.DRAM == nil {
-		return errNoSurface(ClearMem{}.Name(), "DRAM")
-	}
-	t.DRAM.SetReadFault(nil)
 	return nil
 }

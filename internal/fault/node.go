@@ -1,19 +1,15 @@
 package fault
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
 // Node-level faults: the cluster-plane mirror of the shard-level Fault
 // machinery. Where a Fault corrupts one shard's hardware inside a NIC, a
 // NodeFault degrades a whole serving node as the network sees it — crash,
-// partition, slow node, corrupted partials — through the surfaces a cluster
-// harness owns: the node's fault.Conn and a kill switch for its process (or
-// in-process serve loop). Same discipline as the shard plane: logical-step
-// plans, seeded scatter, no wall clock in the schedule, so a cluster chaos
-// run is a regression test.
+// partition, slow node — through the surfaces a cluster harness owns: the
+// node's fault.Conn and a kill switch for its process (or in-process serve
+// loop). The same Plan and Runner schedule them, so a cluster chaos run is a
+// regression test. Wrong compute on a node is a shard fault on its NIC
+// (BiasRunaway), injected with NIC.InjectFault.
 
 // NodeTarget bundles the surfaces a node fault can act on. Either may be nil
 // when the harness lacks that surface; faults must check.
@@ -27,7 +23,7 @@ type NodeTarget struct {
 
 // NodeFault is one injectable node-level fault.
 type NodeFault interface {
-	// Name identifies the fault in logs and NodeFired records.
+	// Name identifies the fault in logs and Fired records.
 	Name() string
 	// ApplyNode injects the fault into the node's surfaces.
 	ApplyNode(t NodeTarget) error
@@ -89,131 +85,8 @@ func (f NodeSlow) ApplyNode(t NodeTarget) error {
 	return nil
 }
 
-// NodeCorrupt bit-flips the node's next N outbound datagrams — well-formed
-// channel, corrupted partials. Downstream decode failures (or known-answer
-// probe mismatches) are how a coordinator is supposed to catch it.
-type NodeCorrupt struct{ N int }
-
-// Name implements NodeFault.
-func (NodeCorrupt) Name() string { return "node-corrupt" }
-
-// ApplyNode implements NodeFault.
-func (f NodeCorrupt) ApplyNode(t NodeTarget) error {
-	if t.Conn == nil {
-		return errNoSurface("node-corrupt", "fault.Conn")
-	}
-	n := f.N
-	if n <= 0 {
-		n = 1
-	}
-	t.Conn.CorruptNextTx(n)
-	return nil
-}
-
-// NodeEvent schedules a node fault at a logical plan step.
-type NodeEvent struct {
-	// Step is the plan-clock tick at which the event fires.
-	Step uint64
-	// Node selects which cluster node receives the fault.
-	Node int
-	// Fault is the fault to inject.
-	Fault NodeFault
-}
-
-// NodePlan is a deterministic node-fault schedule, the cluster mirror of
-// Plan. Immutable once handed to a NodeRunner.
-type NodePlan struct {
-	events []NodeEvent
-}
-
-// NewNodePlan returns an empty node-fault plan.
-func NewNodePlan() *NodePlan { return &NodePlan{} }
-
-// At schedules a fault on a node at a plan step and returns the plan for
-// chaining. Events keep their insertion order within a step.
-func (p *NodePlan) At(step uint64, node int, f NodeFault) *NodePlan {
-	p.events = append(p.events, NodeEvent{Step: step, Node: node, Fault: f})
-	return p
-}
-
-// Events returns the plan's events sorted by step (stable, so same-step
-// events keep insertion order).
-func (p *NodePlan) Events() []NodeEvent {
-	out := append([]NodeEvent(nil), p.events...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Step < out[j].Step })
-	return out
-}
-
 // NodeApplier injects a node fault into one cluster node's surfaces. The
 // cluster chaos harness implements it over its per-node NodeTargets.
 type NodeApplier interface {
 	InjectNodeFault(node int, f NodeFault) error
-}
-
-// NodeFired records one node event's injection outcome.
-type NodeFired struct {
-	Event NodeEvent
-	// Err is the injection error, if any. The runner keeps going, as the
-	// shard-level Runner does.
-	Err error
-}
-
-// NodeRunner binds a node plan to an applier and fires events as its logical
-// clock advances — the caller owns the clock (per completed query, per test
-// phase). Safe for concurrent use.
-type NodeRunner struct {
-	mu      sync.Mutex
-	events  []NodeEvent
-	applier NodeApplier
-	step    uint64
-	next    int
-	fired   []NodeFired
-}
-
-// NewNodeRunner prepares a node plan for execution against an applier.
-// Events at step 0 fire on the first Advance.
-func NewNodeRunner(p *NodePlan, a NodeApplier) *NodeRunner {
-	return &NodeRunner{events: p.Events(), applier: a}
-}
-
-// Advance moves the plan clock forward n ticks and injects every event whose
-// step the clock has now reached, in step order, returning the events fired
-// by this call.
-func (r *NodeRunner) Advance(n uint64) []NodeFired {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.step += n
-	var out []NodeFired
-	for r.next < len(r.events) && r.events[r.next].Step <= r.step {
-		ev := r.events[r.next]
-		r.next++
-		f := NodeFired{Event: ev, Err: r.applier.InjectNodeFault(ev.Node, ev.Fault)}
-		r.fired = append(r.fired, f)
-		out = append(out, f)
-	}
-	return out
-}
-
-// Step advances the plan clock one tick.
-func (r *NodeRunner) Step() []NodeFired { return r.Advance(1) }
-
-// Clock returns the current plan-clock value.
-func (r *NodeRunner) Clock() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.step
-}
-
-// Fired returns every event injected so far, in firing order.
-func (r *NodeRunner) Fired() []NodeFired {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]NodeFired(nil), r.fired...)
-}
-
-// Pending returns the count of events not yet fired.
-func (r *NodeRunner) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events) - r.next
 }

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -9,13 +8,13 @@ import (
 
 // recordingNodeApplier records injections and can fail selected nodes.
 type recordingNodeApplier struct {
-	got     []NodeEvent
+	got     []Event[NodeFault]
 	failOn  int
 	failErr error
 }
 
 func (a *recordingNodeApplier) InjectNodeFault(node int, f NodeFault) error {
-	a.got = append(a.got, NodeEvent{Node: node, Fault: f})
+	a.got = append(a.got, Event[NodeFault]{Unit: node, Fault: f})
 	if a.failErr != nil && node == a.failOn {
 		return a.failErr
 	}
@@ -32,9 +31,9 @@ func TestNodePlanEventsSortedStable(t *testing.T) {
 	steps := []uint64{1, 1, 5, 5}
 	nodes := []int{1, 3, 0, 2} // same-step events keep insertion order
 	for i, e := range ev {
-		if e.Step != steps[i] || e.Node != nodes[i] {
+		if e.Step != steps[i] || e.Unit != nodes[i] {
 			t.Fatalf("event %d = step %d node %d, want step %d node %d",
-				i, e.Step, e.Node, steps[i], nodes[i])
+				i, e.Step, e.Unit, steps[i], nodes[i])
 		}
 	}
 }
@@ -43,7 +42,7 @@ func TestNodeRunnerAdvance(t *testing.T) {
 	p := NewNodePlan().
 		At(0, 0, NodeCrash{}).
 		At(2, 1, NodePartition{On: true}).
-		At(2, 2, NodeCorrupt{N: 3}).
+		At(2, 2, NodeSlow{Latency: time.Millisecond}).
 		At(5, 0, NodeSlow{})
 	a := &recordingNodeApplier{}
 	r := NewNodeRunner(p, a)
@@ -51,13 +50,13 @@ func TestNodeRunnerAdvance(t *testing.T) {
 		t.Fatalf("Pending = %d, want 4", r.Pending())
 	}
 	// Step-0 events fire on the first Advance.
-	if fired := r.Advance(1); len(fired) != 1 || fired[0].Event.Node != 0 {
+	if fired := r.Advance(1); len(fired) != 1 || fired[0].Event.Unit != 0 {
 		t.Fatalf("first advance fired %+v", fired)
 	}
 	// Both step-2 events fire together once the clock reaches 2, in
 	// insertion order.
 	fired := r.Advance(1)
-	if len(fired) != 2 || fired[0].Event.Node != 1 || fired[1].Event.Node != 2 {
+	if len(fired) != 2 || fired[0].Event.Unit != 1 || fired[1].Event.Unit != 2 {
 		t.Fatalf("step 2 fired %+v", fired)
 	}
 	if r.Clock() != 2 || r.Pending() != 1 {
@@ -89,7 +88,7 @@ func TestNodeRunnerKeepsGoingPastErrors(t *testing.T) {
 // lacking the surface it acts on, instead of panicking or silently no-opping.
 func TestNodeFaultsNeedTheirSurfaces(t *testing.T) {
 	for _, f := range []NodeFault{
-		NodeCrash{}, NodePartition{On: true}, NodeSlow{Latency: time.Millisecond}, NodeCorrupt{N: 1},
+		NodeCrash{}, NodePartition{On: true}, NodeSlow{Latency: time.Millisecond},
 	} {
 		if err := f.ApplyNode(NodeTarget{}); err == nil {
 			t.Errorf("%s applied to an empty target without error", f.Name())
@@ -154,52 +153,6 @@ func TestNodeSlowInjectsLatency(t *testing.T) {
 	// Zero values heal the straggler.
 	if err := (NodeSlow{}).ApplyNode(NodeTarget{Conn: c}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestNodeCorruptDamagesNextWrites: the corrupted-partials fault flips one
-// bit in each of the next N sends — in a copy, never the caller's buffer —
-// and defaults N to 1.
-func TestNodeCorruptDamagesNextWrites(t *testing.T) {
-	inner := &memConn{}
-	c := NewConn(inner, ConnConfig{Seed: 3})
-	if err := (NodeCorrupt{N: 2}).ApplyNode(NodeTarget{Conn: c}); err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte{0xAA, 0xAA, 0xAA, 0xAA}
-	for i := 0; i < 3; i++ {
-		buf := append([]byte(nil), payload...)
-		if _, err := c.WriteTo(buf, Addr{}); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, payload) {
-			t.Fatalf("write %d damaged the caller's buffer", i)
-		}
-	}
-	wrote := inner.written()
-	if len(wrote) != 3 {
-		t.Fatalf("wrote %d datagrams, want 3", len(wrote))
-	}
-	for i := 0; i < 2; i++ {
-		if diff := bitDiff(wrote[i], payload); diff != 1 {
-			t.Errorf("corrupted write %d differs by %d bits, want exactly 1", i, diff)
-		}
-	}
-	if !bytes.Equal(wrote[2], payload) {
-		t.Error("third write corrupted past the N=2 budget")
-	}
-	if st := c.Stats(); st.TxCorrupted != 2 {
-		t.Fatalf("TxCorrupted = %d, want 2", st.TxCorrupted)
-	}
-	// Default budget: N <= 0 means one datagram.
-	if err := (NodeCorrupt{}).ApplyNode(NodeTarget{Conn: c}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WriteTo(append([]byte(nil), payload...), Addr{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.TxCorrupted != 3 {
-		t.Fatalf("TxCorrupted after default-N fault = %d, want 3", st.TxCorrupted)
 	}
 }
 

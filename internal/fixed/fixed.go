@@ -67,6 +67,8 @@ func SatAdd(a, b Acc) Acc {
 }
 
 // SatSub subtracts b from a with saturation.
+//
+//lint:allow reachability TestSatSub, and FuzzAdderDot's per-sample adder subtracts with it
 func SatSub(a, b Acc) Acc {
 	s := int32(a) - int32(b)
 	switch {
@@ -88,15 +90,6 @@ type Signed struct {
 	// Neg is true when the original value is negative. It becomes the
 	// control signal of a cross-cycle adder-subtractor lane.
 	Neg bool
-}
-
-// Value returns the signed normalized value in [-1, 1].
-func (s Signed) Value() float64 {
-	v := s.Mag.Unit()
-	if s.Neg {
-		return -v
-	}
-	return v
 }
 
 // SplitSigned quantizes a real value in [-1, 1] into sign/magnitude form,

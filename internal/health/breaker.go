@@ -254,14 +254,3 @@ func (b *Breaker) StartProbation() {
 	b.mu.Unlock()
 	b.state.Store(int32(Probation))
 }
-
-// Reset forces the breaker back to Healthy with a cleared window — the
-// operator override ("I replaced the hardware, readmit it now") and the
-// test seam for constructing states directly.
-func (b *Breaker) Reset() {
-	b.mu.Lock()
-	b.trialsLeft = 0
-	b.resetLocked()
-	b.mu.Unlock()
-	b.state.Store(int32(Healthy))
-}

@@ -200,15 +200,6 @@ func TestBreakerQuarantinedOutcomesIgnored(t *testing.T) {
 	}
 }
 
-func TestBreakerReset(t *testing.T) {
-	b := NewBreaker(Config{Window: 2, Threshold: 0.5, Trials: 2})
-	b.Trip()
-	b.Reset()
-	if b.State() != Healthy || b.Score() != 0 {
-		t.Fatalf("after Reset: state %v score %.2f", b.State(), b.Score())
-	}
-}
-
 func TestStateString(t *testing.T) {
 	for want, s := range map[string]State{
 		"healthy": Healthy, "quarantined": Quarantined, "probation": Probation,

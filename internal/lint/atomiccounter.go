@@ -6,16 +6,13 @@ import (
 	"regexp"
 )
 
-// AtomicCounter guards race-cleanliness of shared counters, the bug class
-// PR 1 fixed on the sharded serve path: a struct field named like a counter
-// (served, *Drops, *Errors, *Bytes, ...) that is a plain machine integer and
-// is incremented from code reachable without the struct's owning mutex is a
-// data race under -cores N. Such fields must either be sync/atomic types or
-// be mutated only while the owning mutex is held. The analyzer builds the
-// package's static call graph and flags mutations in functions reachable
-// from an exported entry point along a path that never takes the lock —
-// the "callers hold mu" helper convention (Reassembler.gc) passes because
-// every path to it locks first.
+// AtomicCounter guards race-cleanliness of shared counters on the sharded
+// serve path: a plain-integer field named like a counter (served, *Drops,
+// *Errors, ...) mutated from code reachable without the struct's owning
+// mutex is a data race under -cores N. The analyzer builds the package's
+// static call graph and flags mutations reachable from an exported entry
+// point along a path that never takes the lock; the "callers hold mu" helper
+// convention (Reassembler.gc) passes because every path to it locks first.
 func AtomicCounter() *Analyzer {
 	return &Analyzer{
 		Name: "atomiccounter",
@@ -44,7 +41,7 @@ func runAtomicCounter(p *Package) []Diagnostic {
 	if len(structs) == 0 {
 		return nil
 	}
-	funcs := collectFuncs(p)
+	funcs, byObj := collectFuncs(p)
 
 	// For every function: which structs' mutexes it locks, which in-package
 	// functions it calls, and which counter fields it mutates.
@@ -60,12 +57,6 @@ func runAtomicCounter(p *Package) []Diagnostic {
 	locksAny := make(map[*ast.FuncDecl]bool)
 	calls := make(map[*ast.FuncDecl][]*ast.FuncDecl)
 	muts := make(map[*ast.FuncDecl][]mutation)
-	byObj := make(map[types.Object]*ast.FuncDecl)
-	for _, fd := range funcs {
-		if obj := p.Info.Defs[fd.Name]; obj != nil {
-			byObj[obj] = fd
-		}
-	}
 	valueUsed := make(map[*ast.FuncDecl]bool)
 
 	// callIdents marks identifiers that sit in the function position of a
@@ -222,29 +213,24 @@ func collectCounterStructs(p *Package) []*counterStruct {
 	return out
 }
 
-func isMutexType(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "sync" &&
-		(named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex")
-}
+func isMutexType(t types.Type) bool { return isNamed(t, "sync", "Mutex", "RWMutex") }
 
-// collectFuncs returns every function and method declaration in the package.
-func collectFuncs(p *Package) []*ast.FuncDecl {
+// collectFuncs returns every function and method declaration in the
+// package, and each one by its object.
+func collectFuncs(p *Package) ([]*ast.FuncDecl, map[types.Object]*ast.FuncDecl) {
 	var out []*ast.FuncDecl
+	byObj := make(map[types.Object]*ast.FuncDecl)
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok {
 				out = append(out, fd)
+				if obj := p.Info.Defs[fd.Name]; obj != nil {
+					byObj[obj] = fd
+				}
 			}
 		}
 	}
-	return out
+	return out, byObj
 }
 
 // lockedStruct reports whether call is base.mu.Lock() for a mutex field mu

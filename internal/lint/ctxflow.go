@@ -5,24 +5,17 @@ import (
 	"go/types"
 )
 
-// CtxFlow guards context propagation on the serve path: cancellation and
-// deadlines only bound the work they actually reach, so a helper that quietly
-// substitutes context.Background() for the caller's context detaches exactly
-// the work shutdown most needs to bound (PR 7's admission queues and PR 2's
-// drain path both hang off the serve context). Two rules, scoped to the wire,
-// front-door and load-generation packages and the serve/client/loadgen
-// binaries:
+// CtxFlow guards context propagation on the serve path: a helper that
+// substitutes context.Background() for the caller's context detaches the
+// work shutdown most needs to bound (the admission queues and the drain path
+// hang off the serve context). Two rules, scoped to the wire, front-door and
+// load-generation packages and the serve/client/loadgen binaries:
 //
-//  1. No context.Background() or context.TODO() outside func main — roots
-//     belong at the program's entry point (or in tests, which the loader
-//     never parses). A detached context that is genuinely required (e.g.
-//     draining after the serve context is already cancelled) is spelled
-//     context.WithoutCancel(ctx), which keeps the caller's values while
-//     shedding cancellation — visibly, at the call site.
-//  2. A function that receives a context.Context must hand that context (or
-//     a derivation via context.With*) to every callee that accepts one;
-//     passing some other locally-rooted context severs the chain the caller
-//     thought it was extending.
+//  1. No context.Background() or context.TODO() outside func main. A
+//     detached context that is genuinely required (draining after the serve
+//     context is cancelled) is spelled context.WithoutCancel(ctx), visibly.
+//  2. A function that receives a context.Context hands it (or a
+//     context.With* derivation) to every callee that accepts one.
 func CtxFlow() *Analyzer {
 	return &Analyzer{
 		Name: "ctxflow",
@@ -38,7 +31,8 @@ func CtxFlow() *Analyzer {
 
 func runCtxFlow(p *Package) []Diagnostic {
 	var diags []Diagnostic
-	for _, fd := range collectFuncs(p) {
+	funcs, _ := collectFuncs(p)
+	for _, fd := range funcs {
 		if fd.Body == nil {
 			continue
 		}
@@ -163,10 +157,4 @@ func contextRootCall(p *Package, call *ast.CallExpr) (string, bool) {
 }
 
 // isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
-}
+func isContextType(t types.Type) bool { return isNamed(t, "context", "Context") }

@@ -10,17 +10,15 @@ import (
 // (Encode/Decode/DecodeFromBytes) and by socket writes (net.PacketConn.WriteTo,
 // net.Conn.Write, deadline setters) carry operational signal — a lost
 // response, a malformed datagram — and discarding one hides a fault class a
-// deployment needs to count. The analyzer flags call statements and blank assignments that throw
-// such an error away. Sites where the drop is the designed behaviour
-// annotate with //lint:drop <reason>, which doubles as documentation.
+// deployment needs to count. The analyzer flags, module-wide, call
+// statements and blank assignments that throw such an error away. Sites
+// where the drop is the designed behaviour annotate with //lint:drop
+// <reason>, which doubles as documentation.
 func ErrDrop() *Analyzer {
 	return &Analyzer{
 		Name: "errdrop",
 		Doc:  "flags discarded errors from wire codec and socket calls; count them or annotate //lint:drop",
-		// Wire hygiene applies module-wide: the root serve path, the
-		// internal packages, the commands and the examples.
-		Match: func(pkgPath string) bool { return true },
-		Run:   runErrDrop,
+		Run:  runErrDrop,
 	}
 }
 

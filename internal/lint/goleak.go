@@ -8,24 +8,15 @@ import (
 
 // GoLeak guards goroutine lifecycles on the serve path: every `go` statement
 // in the module's serving packages must have a provable shutdown path, so a
-// cancelled ServeUDP or a drained NIC leaves no background work running.
-// PR 4's Relock recovery, PR 6's batch flush timer and PR 7's loadgen
-// workers all spawn goroutines whose leak would be invisible to `go build`
-// and only probabilistically visible to tests — exactly the hazard class
-// static analysis is for. A spawn passes when the spawned body (the literal,
-// or the in-package named function's body) shows one of:
-//
-//   - a receive on ctx.Done() for a context.Context in scope (select-driven
-//     cancellation);
-//   - a receive on — or a range over — any channel (a done/stop channel, or
-//     a work queue whose close is the shutdown signal);
-//   - sync.WaitGroup tracking: the body calls wg.Done() and the spawn site's
-//     enclosing function arms wg.Add(...), so a visible Wait can fence it;
-//   - a context.Context handed to a callee (the callee's contract bounds the
-//     goroutine, as in `go func() { done <- n.ServeUDP(ctx, pc) }()`).
-//
-// Anything else — including spawns of functions the analyzer cannot resolve
-// within the package — needs a reasoned //lint:allow goleak.
+// cancelled ServeUDP or a drained NIC leaves no background work running; a
+// leak is invisible to `go build` and only sometimes visible to tests. A
+// spawn passes when the spawned body (the literal, or the in-package named
+// function's) receives on or ranges over a channel (ctx.Done(), a done
+// channel, a work queue whose close is the signal), calls wg.Done() where
+// the spawn site arms wg.Add, or hands a context.Context to a callee (`go
+// func() { done <- n.ServeUDP(ctx, pc) }()`). Anything else, including a
+// spawn the analyzer cannot resolve in the package, needs a reasoned
+// //lint:allow goleak.
 func GoLeak() *Analyzer {
 	return &Analyzer{
 		Name: "goleak",
@@ -40,14 +31,9 @@ func GoLeak() *Analyzer {
 }
 
 func runGoLeak(p *Package) []Diagnostic {
-	byObj := make(map[types.Object]*ast.FuncDecl)
-	for _, fd := range collectFuncs(p) {
-		if obj := p.Info.Defs[fd.Name]; obj != nil {
-			byObj[obj] = fd
-		}
-	}
+	funcs, byObj := collectFuncs(p)
 	var diags []Diagnostic
-	for _, fd := range collectFuncs(p) {
+	for _, fd := range funcs {
 		if fd.Body == nil {
 			continue
 		}
@@ -177,16 +163,5 @@ func isWaitGroupCall(p *Package, call *ast.CallExpr, method string) bool {
 		return false
 	}
 	tv, ok := p.Info.Types[sel.X]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
+	return ok && isNamed(tv.Type, "sync", "WaitGroup")
 }

@@ -1,36 +1,27 @@
-// Package lint is Lightning's project-specific static-analysis suite.
+// Package lint is Lightning's project-specific static-analysis suite: the
+// invariants the Go compiler cannot see. Counters on the sharded serve path
+// are atomic or held under their owning mutex (atomiccounter), wire-facing
+// errors are counted rather than dropped (errdrop), every spawned goroutine
+// has a provable shutdown path (goleak), the lock graph stays acyclic
+// (lockorder), the serve path threads its caller's context (ctxflow), every
+// function has a path from a program (reachability), and no escape-hatch
+// annotation outlives its violation (stalesuppress).
 //
-// The repo's correctness claims rest on invariants the Go compiler cannot
-// see: the sharded serve path must stay race-clean (shared counters use
-// sync/atomic or sit behind their owning mutex), wire-facing errors must be
-// counted rather than silently dropped, and the datapath must not mix
-// fixed-point codes with floats without an explicit quantization step.
-//
-// A second family guards the concurrency lifecycle, where bugs are
-// invisible to go build and only probabilistically visible to -race: every
-// spawned goroutine must carry a provable shutdown path (goleak), the
-// lock-acquisition graph must stay acyclic (lockorder), and the serve path
-// must thread its caller's context rather than re-rooting with
-// context.Background (ctxflow). Finally, stalesuppress flags escape-hatch
-// annotations that no longer suppress anything, so a fixed violation's
-// hatch cannot quietly outlive it.
-//
-// Each analyzer in this package has caught a real bug in the repo's history
-// or is the only check that catches a realistic one (DESIGN.md §8 keeps the
-// ledger); cmd/lightning-lint runs them all over the module and CI fails on
-// any diagnostic. Lock copies are go vet's copylocks check, and the
-// zero-allocation hot path is held by the AllocsPerRun guard tests.
-//
-// The suite is stdlib-only: packages are parsed with go/parser and
-// type-checked with go/types (see loader.go), so linting needs nothing
-// beyond the Go toolchain.
+// Each analyzer has caught a real bug in the repo's history or is the only
+// check that catches a realistic one (DESIGN.md §8 keeps the ledger);
+// cmd/lightning-lint runs them all and CI fails on any diagnostic. Lock
+// copies are go vet's copylocks check. The suite is stdlib-only: go/parser
+// and go/types (loader.go).
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,8 +50,7 @@ type Analyzer struct {
 	// Doc is a one-line description of the guarded invariant.
 	Doc string
 	// Match reports whether the analyzer applies to a package, keyed by
-	// import path. Analyzers that guard package-local invariants (e.g.
-	// fixedmix's datapath packages) scope themselves here.
+	// import path; nil matches every package.
 	Match func(pkgPath string) bool
 	// Run inspects one package and returns its findings.
 	Run func(p *Package) []Diagnostic
@@ -71,23 +61,20 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AtomicCounter(),
 		ErrDrop(),
-		FixedMix(),
 		GoLeak(),
 		LockOrder(),
 		CtxFlow(),
+		Reachability(),
 		StaleSuppress(),
 	}
 }
 
 // StaleSuppress is the suppression-hygiene check: a //lint:allow or
-// //lint:drop annotation that no longer silences any diagnostic is itself a
-// diagnostic, so an escape hatch cannot outlive the violation it excused —
-// the suppressed invariant quietly becomes enforceable again the moment the
-// code is fixed. Liveness is a property of a whole analyzer run, not of one
-// package walk, so the engine (Run) performs the check; this Analyzer exists
-// to opt the check into a run and to carry its name and documentation.
-// Annotations naming an analyzer outside the run set are left alone — only a
-// run that includes the named analyzer can prove an annotation dead.
+// //lint:drop annotation that silences no diagnostic is itself one, so an
+// escape hatch cannot outlive the violation it excused. Liveness is a
+// property of a whole run, so the engine (Run) performs the check; this
+// Analyzer opts a run into it. Annotations naming an analyzer outside the
+// run are left alone: only a run of that analyzer can prove them dead.
 func StaleSuppress() *Analyzer {
 	return &Analyzer{
 		Name: "stalesuppress",
@@ -133,33 +120,22 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Analyzer < b.Analyzer
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			strings.Compare(a.Analyzer, b.Analyzer)) < 0
 	})
 	return out
 }
 
-// annotation is one parsed //lint:allow or //lint:drop escape hatch.
+// annotation is one parsed //lint:allow or //lint:drop escape hatch
+// (Directive "allow" or "drop"). Analyzer is the silenced analyzer
+// ("errdrop" for a drop). Bare marks an
+// annotation with no reason, which suppresses nothing, so every silenced
+// site says why. Used records that it silenced a diagnostic in this run,
+// the liveness bit stalesuppress reads.
 type annotation struct {
-	// Pos locates the annotation comment itself.
-	Pos token.Position
-	// Directive is "allow" or "drop".
-	Directive string
-	// Analyzer is the silenced analyzer name ("errdrop" for drop
-	// annotations; empty when a bare allow names none).
-	Analyzer string
-	// Bare marks an annotation with no reason (and, for allow, possibly no
-	// analyzer): it suppresses nothing, so every silenced site documents why
-	// the invariant does not apply.
-	Bare bool
-	// Used records whether the annotation silenced at least one diagnostic
-	// in this run — the liveness bit the stalesuppress check reads.
-	Used bool
+	Pos                 token.Position
+	Directive, Analyzer string
+	Bare, Used          bool
 }
 
 // suppressions indexes the escape-hatch annotations of one package:
@@ -273,17 +249,21 @@ func diag(p *Package, n ast.Node, analyzer, format string, args ...any) Diagnost
 // modPath when rels contains "").
 func pathIn(pkgPath, modPath string, rels ...string) bool {
 	for _, rel := range rels {
-		if rel == "" {
-			if pkgPath == modPath {
-				return true
-			}
-			continue
-		}
-		if pkgPath == modPath+"/"+rel {
+		if pkgPath == strings.TrimSuffix(modPath+"/"+rel, "/") {
 			return true
 		}
 	}
 	return false
+}
+
+// isNamed reports whether t, or the type t points to, is pkg.name for one
+// of names.
+func isNamed(t types.Type, pkg string, names ...string) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkg && slices.Contains(names, n.Obj().Name())
 }
 
 // underInternal reports whether pkgPath is any internal package of the

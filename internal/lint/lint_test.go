@@ -169,12 +169,14 @@ func TestTreeClean(t *testing.T) {
 // TestSuppression pins the annotation escape hatches: a bare annotation
 // (no reason) suppresses nothing, a reasoned one silences exactly its
 // analyzer, and — with stalesuppress in the suite — the bare annotation and
-// the one naming the wrong analyzer are themselves reported as dead.
+// the one naming the wrong analyzer are themselves reported as dead. The
+// fixture is a program, so the suite's reachability check finds its
+// functions reached.
 func TestSuppression(t *testing.T) {
 	dir := t.TempDir()
 	src := `//lintpath github.com/lightning-smartnic/lightning/internal/sim
 
-package fixture
+package main
 
 func bare() {
 	//lint:allow goleak
@@ -189,6 +191,12 @@ func reasoned() {
 func wrongAnalyzer() {
 	//lint:allow lockorder wrong analyzer named
 	go func() {}()
+}
+
+func main() {
+	bare()
+	reasoned()
+	wrongAnalyzer()
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(src), 0o644); err != nil {

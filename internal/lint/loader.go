@@ -19,22 +19,19 @@ import (
 // module-internal import resolution key on it.
 const ModulePath = "github.com/lightning-smartnic/lightning"
 
-// Package is one loaded, type-checked package ready for analysis.
+// Package is one loaded, type-checked package ready for analysis: its
+// logical import path (from the directory, or a fixture's "//lintpath
+// <path>" directive so analyzers scope to it as if it lived there), the
+// directory it was loaded from, the loader's shared position set, its
+// non-test files sorted by name, and the go/types results.
 type Package struct {
-	// Path is the package's logical import path. For packages inside the
-	// module tree it is derived from the directory; fixture packages under
-	// testdata override it with a "//lintpath <path>" directive so
-	// analyzers scope to them as if they lived at the claimed path.
-	Path string
-	// Dir is the directory the package was loaded from.
-	Dir string
-	// Fset is the loader's shared position set.
-	Fset *token.FileSet
-	// Files are the parsed non-test source files, sorted by name.
-	Files []*ast.File
-	// Types and Info are the go/types results for the package.
-	Types *types.Package
-	Info  *types.Info
+	Path   string
+	Dir    string
+	Fset   *token.FileSet
+	Files  []*ast.File
+	Types  *types.Package
+	Info   *types.Info
+	loader *Loader
 }
 
 // Loader parses and type-checks packages of this module using only the
@@ -50,6 +47,8 @@ type Loader struct {
 	byDir map[string]*Package
 	// loading guards against import cycles.
 	loading map[string]bool
+	// prog caches the reachability walk.
+	prog *program
 }
 
 // NewLoader builds a loader rooted at the module containing dir (go.mod is
@@ -84,9 +83,6 @@ func NewLoader(dir string) (*Loader, error) {
 	l.std = src
 	return l, nil
 }
-
-// Root returns the module root directory.
-func (l *Loader) Root() string { return l.root }
 
 // Load resolves the given patterns to packages. Supported patterns:
 //
@@ -230,17 +226,14 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", path, typeErrs[0])
 	}
-	p := &Package{Path: path, Dir: abs, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: path, Dir: abs, Fset: l.Fset, Files: files, Types: tpkg, Info: info, loader: l}
 	l.byDir[abs] = p
 	return p, nil
 }
 
 // fileIncluded reports whether a parsed file survives its //go:build
-// constraint (if any) under the default build configuration: the running
-// GOOS/GOARCH plus the gc toolchain tag. A file whose constraint evaluates
-// false (a different platform, or a sentinel tag like "ignore") is excluded
-// exactly as `go build` would exclude it. Only constraint comments above the
-// package clause count, per the build-constraint placement rule.
+// constraint (if any, above the package clause) under the running GOOS and
+// GOARCH and the gc tag, exactly as `go build` would include it.
 func fileIncluded(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		if cg.Pos() >= f.Package {

@@ -1,24 +1,21 @@
 package lint
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// LockOrder guards against deadlock by lock-order inversion, the mutex
-// hazard the sharded serve path (per-shard mu + hmu, the admission mutex,
-// the batcher's queue locks) makes live. It builds the package's
-// lock-acquisition graph with the same call-graph machinery as
-// atomiccounter: a node is a mutex identity (a named struct's mutex field,
-// or a package-level mutex var), and an edge A→B means some path acquires B
-// while holding A — directly in one function, or through a call to an
-// in-package function that (transitively) acquires B. A cycle in that graph
-// is a potential deadlock: two goroutines entering the cycle from different
-// edges wait on each other forever. Lock copies are go vet's copylocks
-// check, which CI runs.
+// LockOrder guards against deadlock by lock-order inversion on the sharded
+// serve path. It builds the package's lock-acquisition graph: a node is a
+// mutex identity (a named struct's mutex field, or a package-level mutex
+// var), and an edge A→B means some path acquires B while holding A,
+// directly or through an in-package call that transitively acquires B. A
+// cycle is a potential deadlock.
 func LockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
@@ -59,13 +56,7 @@ type lockEdge struct {
 // lockCycleDiags builds the acquisition graph and reports every edge that
 // participates in a cycle.
 func lockCycleDiags(p *Package) []Diagnostic {
-	funcs := collectFuncs(p)
-	byObj := make(map[types.Object]*ast.FuncDecl)
-	for _, fd := range funcs {
-		if obj := p.Info.Defs[fd.Name]; obj != nil {
-			byObj[obj] = fd
-		}
-	}
+	funcs, byObj := collectFuncs(p)
 
 	// The held set is tracked per body: each declared function, and each
 	// function literal on its own, because a literal runs when it is called
@@ -213,10 +204,7 @@ func lockCycleDiags(p *Package) []Diagnostic {
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		a, b := edges[i].pos, edges[j].pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
+		return cmp.Or(strings.Compare(a.Filename, b.Filename), cmp.Compare(a.Line, b.Line)) < 0
 	})
 	reported := make(map[string]bool)
 	var diags []Diagnostic
@@ -242,16 +230,7 @@ func lockCycleDiags(p *Package) []Diagnostic {
 // package-level mutex var.
 func mutexCallNode(p *Package, call *ast.CallExpr, names ...string) (lockNode, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return lockNode{}, false
-	}
-	match := false
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			match = true
-		}
-	}
-	if !match {
+	if !ok || !slices.Contains(names, sel.Sel.Name) {
 		return lockNode{}, false
 	}
 	tv, ok := p.Info.Types[sel.X]

@@ -1,8 +1,8 @@
 //lintpath github.com/lightning-smartnic/lightning/internal/sim
 
-// Package fixture exercises stalesuppress's clean case: a reasoned
+// Package main exercises stalesuppress's clean case: a reasoned
 // annotation that still silences a live diagnostic is not stale.
-package fixture
+package main
 
 // Spawn leaves one goroutine unbounded deliberately; the reasoned allow is
 // live.
@@ -10,3 +10,7 @@ func Spawn() {
 	//lint:allow goleak fixture keeps one goroutine unbounded
 	go func() {}()
 }
+
+// main makes the fixture a program, so the full suite's reachability check
+// has roots and reaches Spawn.
+func main() { Spawn() }

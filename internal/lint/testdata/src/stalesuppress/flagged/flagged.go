@@ -1,13 +1,13 @@
 //lintpath github.com/lightning-smartnic/lightning/internal/sim
 
-// Package fixture exercises stalesuppress's flagged cases: escape hatches
+// Package main exercises stalesuppress's flagged cases: escape hatches
 // that silence nothing. Bare annotations never suppress, a typo'd analyzer
 // name suppresses nothing (and would outlive a rename silently), and a
 // reasoned annotation whose violation has since been fixed is dead weight.
 // The live goleak diagnostics under the non-suppressing annotations
 // surface too: this fixture runs under the full suite, because staleness is
 // only decidable relative to a whole run.
-package fixture
+package main
 
 import "time"
 
@@ -33,4 +33,13 @@ func healed(done chan struct{}) {
 func dropped() {
 	//lint:drop
 	_ = time.Unix(0, 0)
+}
+
+// main makes the fixture a program, so the full suite's reachability check
+// has roots and reaches every case.
+func main() {
+	bare()
+	misnamed()
+	healed(nil)
+	dropped()
 }

@@ -65,6 +65,8 @@ type DRAM struct {
 type ReadFault func(key string, blob []byte) ([]byte, bool)
 
 // SetReadFault installs (or, with nil, removes) the read-fault hook.
+//
+//lint:allow reachability TestReadFaultFailsReads and TestServeFaultedBiasReadFails inject read faults through it
 func (d *DRAM) SetReadFault(f ReadFault) {
 	d.mu.Lock()
 	d.fault = f

@@ -142,63 +142,11 @@ func (l Layer) Params() int64 {
 	}
 }
 
-// OutputSize returns the activation element count the layer produces.
-func (l Layer) OutputSize() int {
-	switch l.Kind {
-	case FullyConnected:
-		return l.Out
-	case Conv2D:
-		oh, ow := l.outHW()
-		return oh * ow * l.OutC
-	case MaxPool:
-		oh := (l.H - l.K) / l.S // pool over H×W×InC
-		ow := (l.W - l.K) / l.S
-		return (oh + 1) * (ow + 1) * l.InC
-	case Attention:
-		return l.D * l.Seq
-	case Embedding:
-		return l.Dim * l.Lookups
-	case Interaction:
-		return l.In
-	default:
-		return 0
-	}
-}
-
 func (l Layer) outHW() (int, int) {
 	if l.S == 0 {
 		return 0, 0
 	}
 	return (l.H-l.K)/l.S + 1, (l.W-l.K)/l.S + 1
-}
-
-// Validate checks the layer geometry is well formed.
-func (l Layer) Validate() error {
-	switch l.Kind {
-	case FullyConnected:
-		if l.In <= 0 || l.Out <= 0 {
-			return fmt.Errorf("model: fc layer %q needs positive In/Out", l.Name)
-		}
-	case Conv2D, MaxPool:
-		if l.H <= 0 || l.W <= 0 || l.K <= 0 || l.S <= 0 {
-			return fmt.Errorf("model: %s layer %q needs positive geometry", l.Kind, l.Name)
-		}
-		if l.K > l.H || l.K > l.W {
-			return fmt.Errorf("model: %s layer %q kernel exceeds input", l.Kind, l.Name)
-		}
-		if l.Kind == Conv2D && (l.InC <= 0 || l.OutC <= 0) {
-			return fmt.Errorf("model: conv layer %q needs channels", l.Name)
-		}
-	case Attention:
-		if l.D <= 0 || l.Seq <= 0 || l.Heads <= 0 {
-			return fmt.Errorf("model: attention layer %q needs D/Seq/Heads", l.Name)
-		}
-	case Embedding:
-		if l.Rows <= 0 || l.Dim <= 0 || l.Lookups <= 0 {
-			return fmt.Errorf("model: embedding layer %q needs Rows/Dim/Lookups", l.Name)
-		}
-	}
-	return nil
 }
 
 // Domain classifies a model's workload for reports (Table 6's Type column).
@@ -234,19 +182,6 @@ type Model struct {
 	// number includes structures our layer list abstracts away (e.g.
 	// DLRM's full embedding tables). Zero means derive from Params().
 	SizeMBOverride float64
-}
-
-// Validate checks every layer.
-func (m *Model) Validate() error {
-	if len(m.Layers) == 0 {
-		return fmt.Errorf("model: %s has no layers", m.Name)
-	}
-	for _, l := range m.Layers {
-		if err := l.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TotalMACs sums MAC counts across layers.

@@ -15,11 +15,6 @@ func conv(name string, h, w, inC, outC, k, s int, act Act) Layer {
 	return Layer{Name: name, Kind: Conv2D, H: h, W: w, InC: inC, OutC: outC, K: k, S: s, Act: act}
 }
 
-// pool builds a max-pool layer.
-func pool(name string, h, w, c, k, s int) Layer {
-	return Layer{Name: name, Kind: MaxPool, H: h, W: w, InC: c, K: k, S: s}
-}
-
 // attn builds one transformer block's attention+FFN compute, expressed as an
 // attention layer followed by the two FFN matmuls.
 func attnBlock(name string, d, heads, seq, ffn int) []Layer {
@@ -128,12 +123,6 @@ func vggHead() []Layer {
 		fc("fc7", 4096, 4096, ReLU),
 		fc("fc8", 4096, 1000, Softmax),
 	}
-}
-
-// VGG11 (configuration A): 8 conv + 3 fc.
-func VGG11() *Model {
-	ls := append(vggConvStack([5]int{1, 1, 2, 2, 2}), vggHead()...)
-	return &Model{Name: "vgg11", Domain: Vision, Layers: ls, QueryBytes: 150 * 1024, DatapathLayers: 11}
 }
 
 // VGG16 (configuration D): 13 conv + 3 fc, 528 MB fp32 (Table 6).
@@ -248,22 +237,7 @@ func SimulationModels() []*Model {
 	return []*Model{AlexNet(), ResNet18(), VGG16(), VGG19(), BERTLarge(), GPT2XL(), DLRM()}
 }
 
-// EmulationModels returns the four models of §7 / Fig 19.
-func EmulationModels() []*Model {
-	return []*Model{AlexNet(), VGG11(), VGG16(), VGG19()}
-}
-
 // PrototypeModels returns the three models served on the testbed (§6.3).
 func PrototypeModels() []*Model {
 	return []*Model{SecurityModel(), TrafficClassModel(), LeNet300100()}
-}
-
-// ByName looks a model up across all zoos.
-func ByName(name string) (*Model, bool) {
-	for _, m := range append(append(SimulationModels(), PrototypeModels()...), VGG11()) {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return nil, false
 }

@@ -174,6 +174,8 @@ func EnableGRO(bc BatchConn, slot int) error {
 // datagram per header and the socket's GRO is cleared. It is the state a
 // kernel refusal leaves behind, and how the differential tests run the fast
 // path without offload.
+//
+//lint:allow reachability TestWireOffloadDifferential runs the fast path without offload
 func DisableOffload(bc BatchConn) {
 	if o, ok := bc.(offloader); ok {
 		o.disableOffload()
@@ -192,6 +194,8 @@ func Offload(bc BatchConn) (gso, gro bool) {
 // WrapFallback always returns the portable single-message path — the rail
 // the differential tests pin to compare against the fast path. Operators
 // select the same path with LIGHTNING_NETBATCH=fallback, which Wrap honours.
+//
+//lint:allow reachability TestWireFallbackByteIdenticalResponses and TestFallbackMatchesFastPath pin the portable rail through it
 func WrapFallback(pc net.PacketConn, ctr *Counters) BatchConn {
 	if ctr == nil {
 		ctr = &discard
@@ -219,6 +223,8 @@ func WrapConn(c net.Conn, ctr *Counters) BatchConn {
 }
 
 // WrapConnFallback is WrapFallback for a connected conn.
+//
+//lint:allow reachability TestWireOffloadDifferential's client takes the portable rail through it
 func WrapConnFallback(c net.Conn, ctr *Counters) BatchConn {
 	if ctr == nil {
 		ctr = &discard

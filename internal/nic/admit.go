@@ -158,9 +158,8 @@ type Admitter struct {
 	queues   map[uint16]*admitQueue
 	// order fixes queue iteration for deterministic WRR selection: creation
 	// order, ties going to the earliest-created queue.
-	order   []*admitQueue
-	pending int
-	closed  bool
+	order  []*admitQueue
+	closed bool
 
 	// SetBatch's: a pop takes up to maxBatch jobs (1 when off).
 	maxBatch int
@@ -288,7 +287,6 @@ func (a *Admitter) Offer(model uint16, payload any) bool {
 		Budget:  q.budget,
 		Payload: payload,
 	})
-	a.pending++
 	if a.maxBatch > 1 && q.pending() == 1 {
 		a.arm(q)
 	}
@@ -298,15 +296,6 @@ func (a *Admitter) Offer(model uint16, payload any) bool {
 		a.cond.Signal()
 	}
 	return true
-}
-
-// Pop is PopBatch for one job. After Close it keeps returning queued jobs
-// until every queue is empty — the workers' shutdown drain — then reports
-// ok=false.
-func (a *Admitter) Pop() (AdmitJob, bool) {
-	var one [1]AdmitJob
-	_, ok := a.PopBatch(one[:])
-	return one[0], ok
 }
 
 // PopBatch blocks until some model's queue is ready, picks one of the ready
@@ -358,7 +347,6 @@ func (a *Admitter) take(q *admitQueue, into []AdmitJob) int {
 		q.jobs = q.jobs[:0]
 		q.head = 0
 	}
-	a.pending -= k
 	if a.maxBatch > 1 {
 		a.batches.count(k, full, q.due)
 		q.gen++
@@ -394,13 +382,6 @@ func (a *Admitter) Close() {
 	a.closed = true
 	a.mu.Unlock()
 	a.cond.Broadcast()
-}
-
-// Pending returns the total queued-but-undequeued job count.
-func (a *Admitter) Pending() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.pending
 }
 
 // Depths returns the instantaneous per-model queue depths — the gauge

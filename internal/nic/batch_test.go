@@ -209,8 +209,8 @@ func TestBatcherFlushAll(t *testing.T) {
 	if m1 == m2 || len(ids1)+len(ids2) != 3 {
 		t.Fatalf("drained %d:%v and %d:%v, want the two distinct queues", m1, ids1, m2, ids2)
 	}
-	if a.Pending() != 0 {
-		t.Fatalf("pending = %d after Flush", a.Pending())
+	if d := a.Depths(); d[1]+d[2] != 0 {
+		t.Fatalf("depths %v after Flush, want every queue empty", d)
 	}
 	if s := ctr.Stats(); s.DrainFlushes != 2 || s.Flushes != 2 {
 		t.Fatalf("stats = %+v, want 2 drain flushes (one per model)", s)

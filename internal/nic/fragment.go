@@ -161,15 +161,6 @@ func (pq *partialQuery) complete() bool {
 	return len(pq.spans) == 1 && pq.spans[0].lo == 0 && pq.spans[0].hi == pq.total
 }
 
-// covered returns the distinct byte count received so far.
-func (pq *partialQuery) covered() int {
-	n := 0
-	for _, s := range pq.spans {
-		n += s.hi - s.lo
-	}
-	return n
-}
-
 // trainKey names a fragment train by its sender and the request ID the sender
 // chose: every client numbers its requests from 1, so the ID alone does not
 // tell two clients' trains apart.
@@ -260,6 +251,8 @@ func NewReassemblerTTL(capacity int, ttl time.Duration) *Reassembler {
 
 // SetClock replaces the reassembler's time source (tests drive expiry with a
 // logical clock instead of waiting out real TTLs).
+//
+//lint:allow reachability TestReassemblerTTLExpiry and the other TTL tests expire entries on a logical clock
 func (r *Reassembler) SetClock(now func() time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -191,12 +192,25 @@ func TestReassemblerRejectsMalformed(t *testing.T) {
 	if _, _, _, err := r.Offer(&Message{Flags: FlagFragment, Payload: []byte{1}}); err == nil {
 		t.Error("short fragment accepted")
 	}
+	// A zero-byte train is empty: refused before it opens a train.
+	if _, _, _, err := r.Offer(frag(4, 2, 0, 0, []byte{1})); err == nil || !strings.Contains(err.Error(), "empty fragment") {
+		t.Errorf("zero-total fragment: err %v, want the empty-fragment error", err)
+	}
+	if r.Drops() != 0 {
+		t.Errorf("refusals before a train opens dropped %d trains", r.Drops())
+	}
 	// Offset beyond the declared total.
 	bad := &Message{Flags: FlagFragment, RequestID: 5, Payload: make([]byte, FragHeaderLen+4)}
 	bad.Payload[3] = 200 // offset 200
 	bad.Payload[7] = 8   // total 8
 	if _, _, _, err := r.Offer(bad); err == nil {
 		t.Error("out-of-range offset accepted")
+	}
+	// A fragment ending one byte past its train's total overflows it, and
+	// nothing is released.
+	r.Offer(frag(1, 2, 0, 16, make([]byte, 8)))
+	if q, _, done, err := r.Offer(frag(1, 2, 8, 16, make([]byte, 9))); err == nil || !strings.Contains(err.Error(), "overflows") || done || q != nil {
+		t.Errorf("fragment [8,17) of a 16-byte train: done %v, %d bytes, err %v; want the overflow error", done, len(q), err)
 	}
 	// Inconsistent metadata across fragments of one request.
 	msgs, _ := Fragment(6, 1, make([]byte, 3000), 512)
@@ -209,6 +223,10 @@ func TestReassemblerRejectsMalformed(t *testing.T) {
 	}
 	if r.Pending() != 0 {
 		t.Error("inconsistent request not dropped")
+	}
+	// Each train a malformed fragment ended counts one drop.
+	if r.Drops() != 3 {
+		t.Errorf("drops = %d, want 3: the out-of-range, overflowing and inconsistent trains", r.Drops())
 	}
 }
 

@@ -32,10 +32,11 @@ func FuzzMessageDecode(f *testing.F) {
 }
 
 func FuzzParserParse(f *testing.F) {
-	frame, _ := BuildQueryFrame(
+	frame, _ := BuildFrame(
 		Ethernet{Dst: MAC{2, 0, 0, 0, 0, 2}, Src: MAC{2, 0, 0, 0, 0, 1}},
 		IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")},
-		5000, &Message{RequestID: 1, ModelID: 1, Payload: []byte{9}})
+		5000,
+		InferencePort, &Message{RequestID: 1, ModelID: 1, Payload: []byte{9}})
 	f.Add(frame)
 	f.Add([]byte{})
 	f.Add(make([]byte, 64))

@@ -192,11 +192,6 @@ type FiveTuple struct {
 	Proto            uint8
 }
 
-// Reverse returns the opposite-direction tuple.
-func (f FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{Src: f.Dst, Dst: f.Src, SrcPort: f.DstPort, DstPort: f.SrcPort, Proto: f.Proto}
-}
-
 // String formats the tuple.
 func (f FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d>%s:%d/%d", f.Src, f.SrcPort, f.Dst, f.DstPort, f.Proto)

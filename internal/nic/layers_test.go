@@ -118,17 +118,3 @@ func TestChecksumKnownVector(t *testing.T) {
 		t.Errorf("odd checksum = %#04x", Checksum([]byte{0xff}))
 	}
 }
-
-func TestFiveTupleReverse(t *testing.T) {
-	f := FiveTuple{Src: testSrcIP, Dst: testDstIP, SrcPort: 1, DstPort: 2, Proto: 17}
-	r := f.Reverse()
-	if r.Src != testDstIP || r.SrcPort != 2 || r.DstPort != 1 {
-		t.Errorf("Reverse = %+v", r)
-	}
-	if r.Reverse() != f {
-		t.Error("double reverse != identity")
-	}
-	if f.String() == "" {
-		t.Error("empty String")
-	}
-}

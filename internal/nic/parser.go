@@ -165,20 +165,11 @@ type FlowTable struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[FiveTuple]*FlowStats
-	// evictions counts table-full discards.
-	evictions uint64
 }
 
 // NewFlowTable allocates a table bounded to capacity flows.
 func NewFlowTable(capacity int) *FlowTable {
 	return &FlowTable{cap: capacity, entries: make(map[FiveTuple]*FlowStats)}
-}
-
-// Evictions returns the table-full discard count.
-func (t *FlowTable) Evictions() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evictions
 }
 
 // Record accounts one frame to its flow and returns a snapshot of the
@@ -193,7 +184,6 @@ func (t *FlowTable) Record(f FiveTuple, frameLen int) FlowStats {
 			// hash table would on collision.
 			for victim := range t.entries {
 				delete(t.entries, victim)
-				t.evictions++
 				break
 			}
 		}
@@ -211,58 +201,6 @@ func (t *FlowTable) Record(f FiveTuple, frameLen int) FlowStats {
 	return *st
 }
 
-// Lookup returns a snapshot of a flow's stats.
-func (t *FlowTable) Lookup(f FiveTuple) (FlowStats, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, ok := t.entries[f]
-	if !ok {
-		return FlowStats{}, false
-	}
-	return *st, true
-}
-
-// Len returns the tracked flow count.
-func (t *FlowTable) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.entries)
-}
-
-// Features extracts the 32-element normalized feature vector (packet and
-// byte counts, length extremes, port entropy proxies) the NIC-resident
-// classification models consume.
-func (t *FlowTable) Features(f FiveTuple) [32]uint8 {
-	var out [32]uint8
-	st, ok := t.Lookup(f)
-	if !ok {
-		return out
-	}
-	clamp := func(v uint64) uint8 {
-		if v > 255 {
-			return 255
-		}
-		return uint8(v)
-	}
-	out[0] = clamp(st.Packets)
-	out[1] = clamp(st.Bytes / 64)
-	out[2] = clamp(uint64(st.MinLen / 8))
-	out[3] = clamp(uint64(st.MaxLen / 8))
-	out[4] = uint8(f.SrcPort >> 8)
-	out[5] = uint8(f.SrcPort)
-	out[6] = uint8(f.DstPort >> 8)
-	out[7] = uint8(f.DstPort)
-	out[8] = f.Proto
-	src := f.Src.As4()
-	dst := f.Dst.As4()
-	copy(out[9:13], src[:])
-	copy(out[13:17], dst[:])
-	if st.Packets > 0 {
-		out[17] = clamp(st.Bytes / st.Packets / 8) // mean length proxy
-	}
-	return out
-}
-
 // IDS is a per-source-address rate-based intrusion detector: a source that
 // touches too many distinct destination ports (a scan) or exceeds a packet
 // budget is blocked. It stands in for the prototype's intrusion-detection
@@ -277,9 +215,6 @@ type IDS struct {
 	ports   map[string]map[uint16]struct{}
 	packets map[string]uint64
 	blocked map[string]string
-
-	// blocks counts the distinct sources blocked.
-	blocks uint64
 }
 
 // NewIDS returns an IDS with scan-detection defaults.
@@ -291,13 +226,6 @@ func NewIDS() *IDS {
 		packets:          make(map[string]uint64),
 		blocked:          make(map[string]string),
 	}
-}
-
-// Blocks returns the count of distinct sources blocked.
-func (s *IDS) Blocks() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.blocks
 }
 
 // Inspect examines one frame's flow; it reports whether the frame must be
@@ -318,27 +246,11 @@ func (s *IDS) Inspect(f FiveTuple, frameLen int) (blocked bool, reason string) {
 	pp[f.DstPort] = struct{}{}
 	switch {
 	case len(pp) > s.MaxPortsPerSrc:
-		s.block(src, "port scan")
+		s.blocked[src] = "port scan"
 		return true, "port scan"
 	case s.packets[src] > s.MaxPacketsPerSrc:
-		s.block(src, "packet flood")
+		s.blocked[src] = "packet flood"
 		return true, "packet flood"
 	}
 	return false, ""
-}
-
-// block records a source as blocked; callers hold s.mu.
-func (s *IDS) block(src, why string) {
-	if _, dup := s.blocked[src]; !dup {
-		s.blocks++
-	}
-	s.blocked[src] = why
-}
-
-// Blocked reports whether a source address is currently blocked.
-func (s *IDS) Blocked(src string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.blocked[src]
-	return ok
 }

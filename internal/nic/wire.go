@@ -222,22 +222,12 @@ func ParseResponse(m *Message) (*Response, error) {
 	}, nil
 }
 
-// BuildQueryFrame assembles a full Ethernet/IPv4/UDP/Lightning query frame —
-// what a remote user's stack emits toward the smartNIC: from the caller's
-// (ephemeral) source port to InferencePort.
-func BuildQueryFrame(eth Ethernet, ip IPv4, srcPort uint16, msg *Message) ([]byte, error) {
-	return buildUDPFrame(eth, ip, srcPort, InferencePort, msg)
-}
-
-// BuildResponseFrame assembles the frame the NIC emits back toward a
-// requester: from InferencePort to the requester's source port — the exact
-// reverse of the query's five-tuple, so the reply reaches the socket the
-// query left from rather than port 4055 at the client.
-func BuildResponseFrame(eth Ethernet, ip IPv4, dstPort uint16, msg *Message) ([]byte, error) {
-	return buildUDPFrame(eth, ip, InferencePort, dstPort, msg)
-}
-
-func buildUDPFrame(eth Ethernet, ip IPv4, srcPort, dstPort uint16, msg *Message) ([]byte, error) {
+// BuildFrame assembles a full Ethernet/IPv4/UDP/Lightning frame from srcPort
+// to dstPort. A query goes from the caller's (ephemeral) source port to
+// InferencePort. The NIC's response goes back from InferencePort to the
+// query's source port, the exact reverse of the query's five-tuple, so the
+// reply reaches the socket the query left from.
+func BuildFrame(eth Ethernet, ip IPv4, srcPort, dstPort uint16, msg *Message) ([]byte, error) {
 	body, err := msg.Encode()
 	if err != nil {
 		return nil, err

@@ -74,10 +74,28 @@ func TestMessageDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestMessageEncodeTooLarge: the length field is 16 bits, so a 65 535-byte
+// payload is the largest that encodes, and decodes back whole; a 65 536-byte
+// one would carry a length of 0, so both encoders refuse it.
 func TestMessageEncodeTooLarge(t *testing.T) {
-	m := Message{Payload: make([]byte, 70000)}
-	if _, err := m.Encode(); err == nil {
-		t.Error("oversized payload accepted")
+	for _, n := range []int{0xffff, 0x10000} {
+		fits := n <= 0xffff
+		m := Message{Payload: make([]byte, n)}
+		frame, err := m.AppendEncode(nil)
+		if (err == nil) != fits {
+			t.Fatalf("AppendEncode of a %d-byte payload: err %v", n, err)
+		}
+		var d Message
+		if fits && (d.Decode(frame) != nil || len(d.Payload) != n) {
+			t.Fatalf("a %d-byte payload did not decode whole (%d bytes)", n, len(d.Payload))
+		}
+		frame, err = AppendResponseFrame(nil, &Response{Probs: make([]uint8, n-2)})
+		if (err == nil) != fits {
+			t.Fatalf("AppendResponseFrame of a %d-byte payload: err %v", n, err)
+		}
+		if fits && (d.Decode(frame) != nil || len(d.Payload) != n) {
+			t.Fatalf("a %d-byte response payload did not decode whole (%d bytes)", n, len(d.Payload))
+		}
 	}
 }
 
@@ -119,10 +137,11 @@ func TestParseResponseRejectsQuery(t *testing.T) {
 
 func TestBuildQueryFrameParses(t *testing.T) {
 	msg := &Message{RequestID: 42, ModelID: 1, Payload: []byte{10, 20, 30}}
-	frame, err := BuildQueryFrame(
+	frame, err := BuildFrame(
 		Ethernet{Dst: testDstMAC, Src: testSrcMAC},
 		IPv4{Src: netip.MustParseAddr("192.0.2.1"), Dst: netip.MustParseAddr("192.0.2.2")},
-		9000, msg)
+		9000,
+		InferencePort, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +163,10 @@ func TestBuildQueryFrameParses(t *testing.T) {
 // the requester's ephemeral port, the exact reverse of the query tuple.
 func TestBuildResponseFrameReversesTuple(t *testing.T) {
 	resp := Response{RequestID: 42, ModelID: 1, Class: 3, Probs: []uint8{1, 2}}
-	frame, err := BuildResponseFrame(
+	frame, err := BuildFrame(
 		Ethernet{Dst: testSrcMAC, Src: testDstMAC},
 		IPv4{Src: netip.MustParseAddr("192.0.2.2"), Dst: netip.MustParseAddr("192.0.2.1")},
+		InferencePort,
 		9000, resp.ToMessage())
 	if err != nil {
 		t.Fatal(err)

@@ -49,9 +49,6 @@ func New(seed uint64, sizes ...int) *Network {
 	return n
 }
 
-// NumLayers returns the number of weight layers.
-func (n *Network) NumLayers() int { return len(n.W) }
-
 // Forward runs inference, returning per-layer pre-activations and
 // activations (activations[0] is the input).
 func (n *Network) forward(x []float64) (zs, as [][]float64) {

@@ -10,8 +10,8 @@ import (
 
 func TestNewShapes(t *testing.T) {
 	n := New(1, 4, 8, 3)
-	if n.NumLayers() != 2 {
-		t.Fatalf("layers = %d", n.NumLayers())
+	if len(n.W) != 2 {
+		t.Fatalf("layers = %d", len(n.W))
 	}
 	if len(n.W[0]) != 8 || len(n.W[0][0]) != 4 || len(n.W[1]) != 3 {
 		t.Error("weight shapes wrong")
@@ -148,9 +148,6 @@ func TestQuantizedLayerStructure(t *testing.T) {
 	}
 	if !foundFull {
 		t.Error("no weight uses the full 8-bit range")
-	}
-	if q.NumParams() != int64(32*8+8+8*2+2) {
-		t.Errorf("NumParams = %d", q.NumParams())
 	}
 }
 

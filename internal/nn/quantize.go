@@ -203,15 +203,3 @@ func (q *QuantizedNetwork) Accuracy(set *dataset.Set) float64 {
 	}
 	return float64(correct) / float64(len(set.Examples))
 }
-
-// NumParams returns the weight+bias count.
-func (q *QuantizedNetwork) NumParams() int64 {
-	var s int64
-	for _, l := range q.Layers {
-		for _, row := range l.Weights {
-			s += int64(len(row))
-		}
-		s += int64(len(l.Bias))
-	}
-	return s
-}

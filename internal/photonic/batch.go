@@ -75,6 +75,8 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 // so several goroutines may call it at once on disjoint dst while nothing
 // else touches the core. The caller counts the steps. Valid only while
 // LUTsValid holds; a stale core takes Step, through DotPartialsInto.
+//
+//lint:allow reachability TestPartialsAtMatchesCursorPass and FuzzTwoLaneKernel hold the kernel to Step through it
 func (c *Core) PartialsAt(dst []float64, a, b []fixed.Code, key, ctr uint64) {
 	dst = c.ReadingsInto(dst, a, b)
 	if m := c.noise; m != nil {
@@ -85,6 +87,8 @@ func (c *Core) PartialsAt(dst []float64, a, b []fixed.Code, key, ctr uint64) {
 // ReadingsInto writes the ⌈len(a)/NumLanes⌉ noiseless readings of one
 // operand group into dst and returns them: ReadingsGroupsInto over a single
 // group, and the kernel half of PartialsAt.
+//
+//lint:allow reachability FuzzTwoLaneKernel, and TestSpanMatchesPerRow's per-row reference issues through it
 func (c *Core) ReadingsInto(dst []float64, a, b []fixed.Code) []float64 {
 	n := len(c.lanes)
 	dst = dst[:(len(a)+n-1)/n]

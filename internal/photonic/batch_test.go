@@ -111,7 +111,7 @@ func TestDotPartialsBatchIntoZeroAllocs(t *testing.T) {
 // TestPartialsAtMatchesCursorPass holds the position-addressed entry to a
 // pass from the cursor: a group cut at lane-aligned points and issued piece
 // by piece, last piece first, each at its own noise position, reads bit for
-// bit what DotPartialsInto reads after SeekNoise — and moves neither the
+// bit what DotPartialsInto reads after SeekNoiseAt — and moves neither the
 // cursor nor the step count. The readout issued at the same cuts, noise and
 // rounding in one pass, writes the codes QuantizeInto makes of those
 // readings.
@@ -125,7 +125,7 @@ func TestPartialsAtMatchesCursorPass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref.SeekNoise(key)
+			ref.SeekNoiseAt(key, 0)
 			want := ref.DotPartialsInto(nil, a, b)
 
 			c, err := NewCore(lanes, PrototypeNoise(13))
@@ -186,7 +186,7 @@ func stepPartials(c *Core, a, b []fixed.Code, bounds []int) []float64 {
 // TestStreamKernelMatchesStep holds the streaming kernel to Step bit for bit:
 // the partials, the step count, and — with a noise model — the draw that
 // follows, so the kernel consumed exactly Step's draws in Step's order, from
-// wherever SeekNoise put the cursor. Group
+// wherever SeekNoiseAt put the cursor. Group
 // lengths cover the empty group, a lone operand, every tail length and long
 // runs; cores cover one to three lanes, a dead lane, a sagged carrier, every
 // full scale, the prototype's lanes, and a lane killed between two passes on
@@ -262,8 +262,8 @@ func TestStreamKernelMatchesStep(t *testing.T) {
 			// Both sides seek: the kernel's draws start at the cursor the
 			// seek left, as Step's do.
 			ref, kern := mk(), mk()
-			ref.SeekNoise(5<<32 | 1)
-			kern.SeekNoise(5<<32 | 1)
+			ref.SeekNoiseAt(5<<32|1, 0)
+			kern.SeekNoiseAt(5<<32|1, 0)
 			want := stepPartials(ref, a, b, bounds)
 			got := kern.DotPartialsBatchInto(nil, a, b, bounds)
 			name := fmt.Sprintf("%s noise=%v", v.name, noisy)
@@ -290,8 +290,8 @@ func TestStreamKernelMatchesStep(t *testing.T) {
 				kern.Lanes()[v.kill].Kill()
 			}
 			lo, hi := bounds[len(bounds)-2], bounds[len(bounds)-1]
-			ref.SeekNoise(6 << 32)
-			kern.SeekNoise(6 << 32)
+			ref.SeekNoiseAt(6<<32, 0)
+			kern.SeekNoiseAt(6<<32, 0)
 			var sum float64
 			for _, p := range stepPartials(ref, a[lo:hi], b[lo:hi], []int{0, hi - lo}) {
 				sum += p
@@ -358,7 +358,7 @@ func FuzzTwoLaneKernel(f *testing.F) {
 		for _, c := range []*Core{ref, kern} {
 			c.SetCarrierPower(float64(carrier) / 0x8000)
 			c.FullScaleLanes = int(scale % 4)
-			c.SeekNoise(key)
+			c.SeekNoiseAt(key, 0)
 		}
 		want := stepPartials(ref, a, b, []int{0, n})
 		got := kern.DotPartialsInto(nil, a, b)

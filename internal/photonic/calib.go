@@ -157,40 +157,3 @@ func (c *ModulatorCalibration) VoltageFor(u float64) float64 {
 	}
 	return (lo + hi) / 2
 }
-
-// DetectorCalibration is the linear decode map f_PD of Appendix A, mapping
-// detected intensity onto the ADC digital range using the measured extremes:
-// r_max→I_max, r_min→I_min.
-type DetectorCalibration struct {
-	IMin, IMax float64
-	RMin, RMax float64
-}
-
-// CalibrateDetector measures the photodetector response at dark and at the
-// maximum expected intensity and constructs the linear readout map.
-func CalibrateDetector(pd *Photodetector, imax float64, rmin, rmax float64) *DetectorCalibration {
-	return &DetectorCalibration{
-		IMin: pd.Detect(Light{}),
-		IMax: pd.Detect(Light{Lambda1: imax}),
-		RMin: rmin,
-		RMax: rmax,
-	}
-}
-
-// Reading converts a detected voltage into a digital readout value r.
-func (c *DetectorCalibration) Reading(detected float64) float64 {
-	if c.IMax == c.IMin {
-		return c.RMin
-	}
-	u := (detected - c.IMin) / (c.IMax - c.IMin)
-	return c.RMin + u*(c.RMax-c.RMin)
-}
-
-// Intensity inverts Reading: digital readout → detected voltage.
-func (c *DetectorCalibration) Intensity(r float64) float64 {
-	if c.RMax == c.RMin {
-		return c.IMin
-	}
-	u := (r - c.RMin) / (c.RMax - c.RMin)
-	return c.IMin + u*(c.IMax-c.IMin)
-}

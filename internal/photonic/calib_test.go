@@ -72,32 +72,3 @@ func TestVoltageForClamps(t *testing.T) {
 		t.Errorf("VoltageFor(1.5) = %v, want Hi", v)
 	}
 }
-
-func TestDetectorCalibrationLinearMap(t *testing.T) {
-	pd := NewPhotodetector()
-	cal := CalibrateDetector(pd, 1.0, 0, 255)
-	if r := cal.Reading(pd.Detect(Light{})); math.Abs(r) > 1e-12 {
-		t.Errorf("dark reading = %v, want 0", r)
-	}
-	if r := cal.Reading(pd.Detect(Light{Lambda1: 1})); math.Abs(r-255) > 1e-9 {
-		t.Errorf("full reading = %v, want 255", r)
-	}
-	if r := cal.Reading(pd.Detect(Light{Lambda1: 0.5})); math.Abs(r-127.5) > 1e-9 {
-		t.Errorf("half reading = %v, want 127.5", r)
-	}
-	// Round trip.
-	if i := cal.Intensity(cal.Reading(0.42)); math.Abs(i-0.42) > 1e-9 {
-		t.Errorf("intensity round trip = %v", i)
-	}
-}
-
-func TestDetectorCalibrationDegenerate(t *testing.T) {
-	c := &DetectorCalibration{IMin: 1, IMax: 1, RMin: 5, RMax: 9}
-	if r := c.Reading(1); r != 5 {
-		t.Errorf("degenerate Reading = %v, want RMin", r)
-	}
-	c2 := &DetectorCalibration{IMin: 0, IMax: 1, RMin: 3, RMax: 3}
-	if i := c2.Intensity(3); i != 0 {
-		t.Errorf("degenerate Intensity = %v, want IMin", i)
-	}
-}

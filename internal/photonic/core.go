@@ -92,9 +92,6 @@ func (l *Lane) lutValid() bool {
 // and Relock refuses it.
 func (l *Lane) Kill() { l.dead = true }
 
-// Dead reports whether the lane's laser line is lost.
-func (l *Lane) Dead() bool { return l.dead }
-
 // NewLane builds and calibrates a lane at the given wavelength. Each
 // modulator gets its own intrinsic phase offset (devices differ), is locked
 // at maximum extinction by the bias controller, and is swept to fit its
@@ -206,11 +203,6 @@ func (c *Core) SetCarrierPower(p float64) {
 		l.fold(p)
 	}
 }
-
-// SeekNoise moves the noise model's cursor to the head of key's stream (see
-// NoiseModel): the next readings draw their noise from that stream whatever
-// drew from the core before. It is a no-op on an ideal channel.
-func (c *Core) SeekNoise(key uint64) { c.noise.Seek(key) }
 
 // SeekNoiseAt moves the noise model's cursor to draw ctr of key's stream, as
 // if ctr readings had drawn from it since SeekNoise(key).
@@ -331,19 +323,21 @@ func (c *Core) Multiply(a, b fixed.Code) float64 {
 }
 
 // DotSingleWavelength computes a full dot product on one wavelength by
-// streaming the vectors through lane 0 over len(a) time steps and
-// accumulating with the integrator (Fig 2b). The result is in code units
-// (digital equivalent: Σ a_i·b_i/255), and may exceed 255: range management
-// is the digital datapath's job.
+// streaming the vectors through lane 0 over len(a) time steps and summing
+// the readings, as the integrating circuit of Fig 2b does. The result is in
+// code units (digital equivalent: Σ a_i·b_i/255), and may exceed 255: range
+// management is the digital datapath's job.
+//
+//lint:allow reachability TestDotSingleWavelengthMatchesDigital checks §2.1's single-wavelength dot with it
 func (c *Core) DotSingleWavelength(a, b []fixed.Code) float64 {
 	if len(a) != len(b) {
 		panic("photonic: dot product operand length mismatch")
 	}
-	var integ Integrator
+	var sum float64
 	for i := range a {
-		integ.Add(c.Step(a[i:i+1], b[i:i+1]))
+		sum += c.Step(a[i:i+1], b[i:i+1])
 	}
-	return integ.Sum()
+	return sum
 }
 
 // DotPartials computes a dot product using all lanes: each analog step

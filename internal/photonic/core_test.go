@@ -11,7 +11,7 @@ import (
 
 func idealCore(t *testing.T, lanes int) *Core {
 	t.Helper()
-	c, err := NewCore(lanes, Noiseless())
+	c, err := NewCore(lanes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestNoiseModelStatistics(t *testing.T) {
 	if math.Abs(g.Sigma-1.65) > 0.1 {
 		t.Errorf("noise sigma = %v, want 1.65", g.Sigma)
 	}
-	if Noiseless().Sample() != 0 {
+	if (*NoiseModel)(nil).Sample() != 0 {
 		t.Error("nil noise must sample 0")
 	}
 }

@@ -23,39 +23,14 @@ func NewPhotodetector() *Photodetector {
 	return &Photodetector{Responsivity: 1}
 }
 
-// Detect returns the output voltage for an incident optical field.
-func (pd *Photodetector) Detect(l Light) float64 {
-	return pd.DarkLevel + pd.Responsivity*l.Total()
-}
-
-// Integrator accumulates photodetector output over multiple samples — the
-// "integrating circuit, such as a capacitor attached to the photodetector's
-// output port" used by the single-wavelength dot-product technique (§2.1).
-type Integrator struct {
-	sum float64
-	n   int
-}
-
-// Add accumulates one detected voltage sample.
-func (g *Integrator) Add(v float64) { g.sum += v; g.n++ }
-
-// Sum returns the accumulated voltage.
-func (g *Integrator) Sum() float64 { return g.sum }
-
-// Samples returns the number of accumulated samples.
-func (g *Integrator) Samples() int { return g.n }
-
-// Reset discharges the integrator.
-func (g *Integrator) Reset() { g.sum, g.n = 0, 0 }
-
 // NoiseModel is the calibrated analog noise of §7: shot noise and thermal
 // noise jointly modeled as an additive Gaussian in ADC code units. The
 // prototype measurement of Fig 18 fits mean 2.32 and σ 1.65 on the 0–255
 // scale (0.65% of full range).
 //
 // The draws are keyed, not sequential: draw n of key k is a pure function of
-// (seed, k, n) (gauss.go). The model holds a cursor (key, ctr); Seek moves it
-// to the head of a key's stream, and every draw is taken at the cursor and
+// (seed, k, n) (gauss.go). The model holds a cursor (key, ctr); seekAt moves
+// it to a draw of a key's stream, and every draw is taken at the cursor and
 // advances it by one. A caller that never seeks reads one stream from key 0
 // on. The datapath keys each (layer burst, row) and names every block's
 // position in that stream (Core.PartialsAt), so a row's noise does not depend
@@ -94,9 +69,6 @@ func NewNoiseModel(mean, sigma float64, seed uint64) *NoiseModel {
 	seeded := mix64(seed)
 	return &NoiseModel{Mean: mean, Sigma: sigma, seeded: seeded, base: streamBase(seeded, 0)}
 }
-
-// Seek moves the cursor to the head of key's stream.
-func (n *NoiseModel) Seek(key uint64) { n.seekAt(key, 0) }
 
 // seekAt moves the cursor to draw ctr of key's stream.
 func (n *NoiseModel) seekAt(key, ctr uint64) {
@@ -170,6 +142,3 @@ func (n *NoiseModel) readoutAt(dst []fixed.Code, readings []float64, base, ctr u
 		dst[i] = converter.Quantize(readings[i] + (mean + sigma*x))
 	}
 }
-
-// Noiseless is a nil-safe zero-noise model for ideal-channel tests.
-func Noiseless() *NoiseModel { return nil }

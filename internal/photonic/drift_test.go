@@ -141,7 +141,7 @@ func TestRelockRefusesDeadLane(t *testing.T) {
 	}
 	healthy := knownAnswerError(c)
 	c.Lanes()[1].Kill()
-	if !c.Lanes()[1].Dead() {
+	if !c.Lanes()[1].dead {
 		t.Fatal("Kill did not mark the lane dead")
 	}
 	degraded := knownAnswerError(c)

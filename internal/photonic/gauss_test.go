@@ -41,7 +41,7 @@ func TestZigguratTablesMatchStdlib(t *testing.T) {
 func TestKeyedNoiseStatisticalGate(t *testing.T) {
 	const n = 1 << 20
 	draw := func(m *NoiseModel, key uint64) []float64 {
-		m.Seek(key)
+		m.seekAt(key, 0)
 		xs := make([]float64, n)
 		m.addTo(xs)
 		return xs
@@ -123,7 +123,7 @@ func correlation(a, b []float64) float64 {
 func TestNoiseCursorIsPositionAddressed(t *testing.T) {
 	const key = 9<<32 | 4
 	ref := PrototypeNoise(3)
-	ref.Seek(key)
+	ref.seekAt(key, 0)
 	want := make([]float64, 300)
 	for i := range want {
 		want[i] = ref.Sample()
@@ -131,7 +131,7 @@ func TestNoiseCursorIsPositionAddressed(t *testing.T) {
 
 	m := PrototypeNoise(3)
 	m.addTo(make([]float64, 17)) // draws from key 0 first
-	m.Seek(key)
+	m.seekAt(key, 0)
 	got := make([]float64, len(want))
 	got[0] = m.Sample()
 	m.addTo(got[1:100])
@@ -149,7 +149,7 @@ func TestNoiseCursorIsPositionAddressed(t *testing.T) {
 		if name == "key" {
 			k++
 		}
-		other.Seek(k)
+		other.seekAt(k, 0)
 		same := 0
 		for i := range want {
 			if other.Sample() == want[i] {

@@ -1,9 +1,6 @@
 package photonic
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Wavelength identifies an optical carrier in nanometres. The prototype uses
 // two tunable telecom lasers at 1544.53 nm and 1552.52 nm (§6.1).
@@ -15,42 +12,6 @@ const (
 	Lambda2 Wavelength = 1552.52
 )
 
-// Light is a multi-wavelength optical field: intensity per carrier.
-// Intensities are normalized so a fresh laser carrier has intensity 1.
-type Light map[Wavelength]float64
-
-// Clone returns a deep copy of the field.
-func (l Light) Clone() Light {
-	out := make(Light, len(l))
-	for w, i := range l {
-		out[w] = i
-	}
-	return out
-}
-
-// Total returns the summed intensity across all wavelengths — what a
-// photodetector sees, since detection is wavelength-agnostic (§2.1).
-func (l Light) Total() float64 {
-	var s float64
-	for _, i := range l {
-		s += i
-	}
-	return s
-}
-
-// Laser is a single-wavelength continuous-wave source.
-type Laser struct {
-	Lambda Wavelength
-	// Power is the normalized emitted intensity (1.0 nominal).
-	Power float64
-}
-
-// NewLaser returns a unit-power laser at the given wavelength.
-func NewLaser(w Wavelength) *Laser { return &Laser{Lambda: w, Power: 1} }
-
-// Emit produces the laser's optical field.
-func (l *Laser) Emit() Light { return Light{l.Lambda: l.Power} }
-
 // CombLaser generates n evenly spaced carriers, the Kerr-comb source used by
 // the scaled chip design (§8, Appendix E: "a comb laser to generate three
 // different wavelengths ... split the light into two identical copies").
@@ -58,22 +19,12 @@ type CombLaser struct {
 	Base    Wavelength // first carrier
 	Spacing Wavelength // channel spacing
 	Lines   int        // number of comb lines
-	Power   float64    // per-line normalized intensity
 }
 
 // NewCombLaser returns an n-line comb starting at 1530 nm with 0.8 nm
-// spacing (100 GHz grid) and unit per-line power.
+// spacing (100 GHz grid).
 func NewCombLaser(n int) *CombLaser {
-	return &CombLaser{Base: 1530, Spacing: 0.8, Lines: n, Power: 1}
-}
-
-// Emit produces all comb lines.
-func (c *CombLaser) Emit() Light {
-	out := make(Light, c.Lines)
-	for i := 0; i < c.Lines; i++ {
-		out[c.Base+Wavelength(i)*c.Spacing] = c.Power
-	}
-	return out
+	return &CombLaser{Base: 1530, Spacing: 0.8, Lines: n}
 }
 
 // Carrier returns the i-th comb wavelength.
@@ -82,57 +33,4 @@ func (c *CombLaser) Carrier(i int) Wavelength {
 		panic(fmt.Sprintf("photonic: comb carrier %d out of range [0,%d)", i, c.Lines))
 	}
 	return c.Base + Wavelength(i)*c.Spacing
-}
-
-// Splitter divides an optical field into n equal copies, each carrying 1/n
-// of the input intensity (used for photonic broadcasting of the weight
-// matrix across batch lanes in Fig 25).
-type Splitter struct {
-	Ways int
-	// ExcessLossDB is additional insertion loss per output in dB.
-	ExcessLossDB float64
-}
-
-// Split returns the n output fields.
-func (s *Splitter) Split(in Light) []Light {
-	if s.Ways <= 0 {
-		panic("photonic: splitter needs at least one way")
-	}
-	loss := dbToLinear(-s.ExcessLossDB)
-	out := make([]Light, s.Ways)
-	for i := range out {
-		o := make(Light, len(in))
-		for w, inten := range in {
-			o[w] = inten / float64(s.Ways) * loss
-		}
-		out[i] = o
-	}
-	return out
-}
-
-// Mux combines several optical fields onto one fibre (a WDM multiplexer).
-// Intensities on the same wavelength add.
-func Mux(fields ...Light) Light {
-	out := make(Light)
-	for _, f := range fields {
-		for w, i := range f {
-			out[w] += i
-		}
-	}
-	return out
-}
-
-// Demux splits an optical field into per-wavelength fields in the order
-// given (a WDM demultiplexer). Wavelengths absent from the input produce
-// dark outputs.
-func Demux(in Light, order []Wavelength) []Light {
-	out := make([]Light, len(order))
-	for i, w := range order {
-		out[i] = Light{w: in[w]}
-	}
-	return out
-}
-
-func dbToLinear(db float64) float64 {
-	return math.Pow(10, db/10)
 }

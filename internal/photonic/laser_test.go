@@ -5,23 +5,8 @@ import (
 	"testing"
 )
 
-func TestLaserEmit(t *testing.T) {
-	l := NewLaser(Lambda1)
-	f := l.Emit()
-	if f[Lambda1] != 1 || len(f) != 1 {
-		t.Errorf("Emit = %v", f)
-	}
-}
-
 func TestCombLaser(t *testing.T) {
 	c := NewCombLaser(4)
-	f := c.Emit()
-	if len(f) != 4 {
-		t.Fatalf("comb lines = %d, want 4", len(f))
-	}
-	if f[c.Carrier(0)] != 1 || f[c.Carrier(3)] != 1 {
-		t.Error("comb line power != 1")
-	}
 	if d := c.Carrier(1) - c.Carrier(0); math.Abs(float64(d-c.Spacing)) > 1e-12 {
 		t.Errorf("spacing = %v", d)
 	}
@@ -34,61 +19,4 @@ func TestCombCarrierPanics(t *testing.T) {
 		}
 	}()
 	NewCombLaser(2).Carrier(2)
-}
-
-func TestSplitterConservesAndDivides(t *testing.T) {
-	s := &Splitter{Ways: 4}
-	in := Light{Lambda1: 1.0, Lambda2: 0.5}
-	outs := s.Split(in)
-	if len(outs) != 4 {
-		t.Fatalf("ways = %d", len(outs))
-	}
-	var total float64
-	for _, o := range outs {
-		total += o.Total()
-	}
-	if math.Abs(total-in.Total()) > 1e-12 {
-		t.Errorf("split total %v != input %v", total, in.Total())
-	}
-	if math.Abs(outs[0][Lambda1]-0.25) > 1e-12 {
-		t.Errorf("per-way intensity = %v, want 0.25", outs[0][Lambda1])
-	}
-}
-
-func TestSplitterExcessLoss(t *testing.T) {
-	s := &Splitter{Ways: 2, ExcessLossDB: 3}
-	outs := s.Split(Light{Lambda1: 1})
-	want := 0.5 * math.Pow(10, -0.3)
-	if math.Abs(outs[0][Lambda1]-want) > 1e-9 {
-		t.Errorf("lossy split = %v, want %v", outs[0][Lambda1], want)
-	}
-}
-
-func TestMuxDemuxRoundTrip(t *testing.T) {
-	a := Light{Lambda1: 0.3}
-	b := Light{Lambda2: 0.7}
-	m := Mux(a, b)
-	if m.Total() != 1.0 {
-		t.Errorf("mux total = %v", m.Total())
-	}
-	parts := Demux(m, []Wavelength{Lambda1, Lambda2})
-	if parts[0][Lambda1] != 0.3 || parts[1][Lambda2] != 0.7 {
-		t.Errorf("demux = %v", parts)
-	}
-}
-
-func TestMuxSameWavelengthAdds(t *testing.T) {
-	m := Mux(Light{Lambda1: 0.25}, Light{Lambda1: 0.5})
-	if m[Lambda1] != 0.75 {
-		t.Errorf("coherent add = %v, want 0.75", m[Lambda1])
-	}
-}
-
-func TestLightClone(t *testing.T) {
-	a := Light{Lambda1: 1}
-	b := a.Clone()
-	b[Lambda1] = 2
-	if a[Lambda1] != 1 {
-		t.Error("Clone aliases original")
-	}
 }

@@ -179,7 +179,7 @@ func kernelMatchesStep(t *testing.T, c *Core, when string) {
 	for i := range a {
 		a[i], b[i] = fixed.Code(rng.IntN(256)), fixed.Code(rng.IntN(256))
 	}
-	c.SeekNoise(key)
+	c.SeekNoiseAt(key, 0)
 	want := stepPartials(c, a, b, []int{0, n})
 	got, codes := make([]float64, len(want)), make([]fixed.Code, len(want))
 	c.PartialsAt(got, a, b, key, 0)

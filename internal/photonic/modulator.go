@@ -144,26 +144,3 @@ func (bc *BiasController) Lock(m *MZModulator, carrier float64) float64 {
 	m.Bias = best.Bias
 	return best.Bias
 }
-
-// RFAmplifier models the LMH5401 amplifiers of Appendix B that match the
-// ~1 V FPGA DAC swing to the modulator's Vpi, and add the 1.2 V common-mode
-// voltage the RFSoC ADC requires on the receive side.
-type RFAmplifier struct {
-	// Gain is the voltage gain (e.g. 3 to produce the 3 V encoding range
-	// measured from the prototype).
-	Gain float64
-	// CommonMode is the DC offset added to the output.
-	CommonMode float64
-}
-
-// Amplify returns the amplified output voltage.
-func (a *RFAmplifier) Amplify(v float64) float64 {
-	return v*a.Gain + a.CommonMode
-}
-
-// DriveAmp returns the transmit-side amplifier (DAC → modulator).
-func DriveAmp() *RFAmplifier { return &RFAmplifier{Gain: 3.0} }
-
-// ReceiveAmp returns the receive-side amplifier (photodetector → ADC),
-// which adds the RFSoC's 1.2 V common-mode requirement.
-func ReceiveAmp() *RFAmplifier { return &RFAmplifier{Gain: 1.0, CommonMode: 1.2} }

@@ -83,15 +83,6 @@ func TestTapConservesEnergy(t *testing.T) {
 	}
 }
 
-func TestRFAmplifiers(t *testing.T) {
-	if got := DriveAmp().Amplify(1.0); got != 3.0 {
-		t.Errorf("drive amp: %v, want 3", got)
-	}
-	if got := ReceiveAmp().Amplify(0.5); got != 1.7 {
-		t.Errorf("receive amp: %v, want 1.7", got)
-	}
-}
-
 func TestEncodingRangeMonotone(t *testing.T) {
 	m := NewMZModulator(1.1)
 	NewBiasController().Lock(m, 1)

@@ -47,10 +47,11 @@ func TestHandleFrameResponsePortRegression(t *testing.T) {
 		payload[i] = 200
 	}
 	const ephemeral = 50123
-	frame, err := nic.BuildQueryFrame(
+	frame, err := nic.BuildFrame(
 		nic.Ethernet{Dst: nic.MAC{2, 0, 0, 0, 0, 2}, Src: nic.MAC{2, 0, 0, 0, 0, 1}},
 		nic.IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")},
 		ephemeral,
+		nic.InferencePort,
 		&Message{RequestID: 21, ModelID: 4, Payload: payload},
 	)
 	if err != nil {
@@ -97,10 +98,11 @@ func TestHandleFrameResponsePortRegression(t *testing.T) {
 // the same visibility UDP clients get — alongside the error, not silence.
 func TestHandleFrameErrorResponseFrame(t *testing.T) {
 	n, _ := New(Config{Lanes: 2, Noiseless: true, Seed: 6})
-	frame, err := nic.BuildQueryFrame(
+	frame, err := nic.BuildFrame(
 		nic.Ethernet{Dst: nic.MAC{2, 0, 0, 0, 0, 2}, Src: nic.MAC{2, 0, 0, 0, 0, 1}},
 		nic.IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")},
 		40001,
+		nic.InferencePort,
 		&Message{RequestID: 8, ModelID: 99, Payload: []byte{1, 2, 3}}, // unregistered model
 	)
 	if err != nil {

@@ -544,9 +544,10 @@ func (n *NIC) HandleFrame(frame []byte) ([]byte, Verdict, error) {
 	if derr := eth.DecodeFromBytes(frame); derr != nil {
 		return nil, nic.VerdictDrop, derr
 	}
-	out, err := nic.BuildResponseFrame(
+	out, err := nic.BuildFrame(
 		nic.Ethernet{Dst: eth.Src, Src: eth.Dst},
 		nic.IPv4{Src: parsed.Flow.Dst, Dst: parsed.Flow.Src, TTL: 64},
+		nic.InferencePort,
 		parsed.Flow.SrcPort,
 		resp.ToMessage(),
 	)

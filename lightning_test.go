@@ -94,10 +94,11 @@ func TestNICHandleFrameRoundTrip(t *testing.T) {
 	for j, c := range test.Examples[0].X {
 		payload[j] = byte(c)
 	}
-	frame, err := nic.BuildQueryFrame(
+	frame, err := nic.BuildFrame(
 		nic.Ethernet{Dst: nic.MAC{2, 0, 0, 0, 0, 2}, Src: nic.MAC{2, 0, 0, 0, 0, 1}},
 		nic.IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")},
 		7777,
+		nic.InferencePort,
 		&Message{RequestID: 5, ModelID: 3, Payload: payload},
 	)
 	if err != nil {
