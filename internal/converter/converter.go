@@ -88,8 +88,6 @@ type ADC struct {
 	// noise samples surrounding meaningful data.
 	NoiseFloor fixed.Code
 	rng        *rand.Rand
-	// Quantized counts samples digitized.
-	Quantized uint64
 }
 
 // NewADC returns an ADC with a small idle-channel noise floor, seeded for
@@ -105,7 +103,7 @@ func NewADC(seed uint64) *ADC {
 // and below 2ᵖ+1, whose floor 2ᵖ is v's rounding too. Below 0.5 the code is
 // 0 (v+0.5 itself may round up to 1) and from 254.5 it is 255, both picked by
 // a conditional move, so the rule inlines into a noise pass without a branch
-// or a call (math.Round's showed as 8 % of a long-vector query). It counts
+// or a call (math.Round's showed as 8 % of a long-vector query). It writes
 // nothing, so any goroutine may call it.
 func Quantize(v float64) fixed.Code {
 	t := int(v + 0.5)
@@ -158,8 +156,7 @@ func (a *ADC) ReadoutBurstInto(dst []Frame, prefix []fixed.Code, readings []floa
 // any number of Digitize calls as readings arrive (or Reserve, with the
 // reserved span filled by Quantize's codes), CloseBurst. Idle noise is
 // drawn for the positions before the burst (on open) and then for those
-// after it (on close), and for nothing in between; prefix and readings both
-// count as digitized samples.
+// after it (on close), and for nothing in between.
 
 // OpenBurst starts a burst in buf's storage (contents discarded) at sample
 // position phase of its first frame: idle noise ahead of it, then the prefix
@@ -173,7 +170,6 @@ func (a *ADC) OpenBurst(buf, prefix []fixed.Code, phase int) []fixed.Code {
 		buf[i] = a.noiseSample()
 	}
 	copy(buf[phase:], prefix)
-	a.Quantized += uint64(len(prefix))
 	return buf
 }
 
@@ -186,19 +182,16 @@ func (a *ADC) Digitize(burst []fixed.Code, readings []float64) []fixed.Code {
 	return burst
 }
 
-// Reserve extends an open burst by n samples, counted as digitized, whose
-// codes the caller fills by Quantize — QuantizeInto, or a pass that rounds
-// as it reads — in pieces, in any order, from any goroutine, so long as the
-// pieces cover them and the burst is not closed first.
+// Reserve extends an open burst by n samples whose codes the caller fills
+// by Quantize — QuantizeInto, or a pass that rounds as it reads — in pieces,
+// in any order, from any goroutine, so long as the pieces cover them and
+// the burst is not closed first.
 func (a *ADC) Reserve(burst []fixed.Code, n int) []fixed.Code {
-	at := len(burst)
-	burst = slices.Grow(burst, n)[:at+n]
-	a.Quantized += uint64(n)
-	return burst
+	return slices.Grow(burst, n)[:len(burst)+n]
 }
 
 // QuantizeInto writes the code of each reading into dst, which must be at
-// least as long: the ADC's rounding without its counters, so it is safe to
+// least as long: the ADC's rounding, with no ADC state, so it is safe to
 // call on disjoint spans at once.
 func QuantizeInto(dst []fixed.Code, readings []float64) {
 	dst = dst[:len(readings)]

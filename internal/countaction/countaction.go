@@ -11,8 +11,9 @@
 // Unlike Tofino's match-action units, count-action units are reconfigurable
 // at runtime (§5.4): Rule.SetTarget retargets a rule mid-count, taking effect
 // at its next evaluation with no pipeline flush. The datapath retargets the
-// cross-cycle adder's rule this way before every dot, from the length of the
-// dot's segment.
+// cross-cycle adder's rule this way to the length of every dot's segment:
+// reassembling a layer in one walk, it settles the dots it sums in closed
+// form with one Fire and leaves the rule targeted at the last dot's length.
 package countaction
 
 import "fmt"
@@ -80,6 +81,25 @@ func (r *Rule) Add(delta Value) bool {
 		r.action()
 	}
 	return true
+}
+
+// Fire records n evaluations that each reach the target, in one step: what
+// n Adds of a full count leave. The count resets to zero, the action fires
+// n times and Fires grows by n; n = 0 changes nothing. A rule retargeted
+// before every evaluation to exactly what that evaluation counts fires on
+// each, so a datapath that settles many such evaluations at once — the
+// cross-cycle adder reassembling a layer's dots — fires it this way.
+func (r *Rule) Fire(n uint64) {
+	if n == 0 {
+		return
+	}
+	r.count = 0
+	r.Fires += n
+	if r.action != nil {
+		for range n {
+			r.action()
+		}
+	}
 }
 
 // Check evaluates a per-cycle count: the counted variable is recomputed

@@ -61,18 +61,18 @@ func spanRows(n, q, lanes int) int {
 }
 
 // issueSpan issues the dot products W_j·x_q of rows [lo, hi) of w — a span —
-// for every query q in the batch onto the layer's burst. Each row is read
-// in DRAM wire layout straight from the view (magnitude bytes plus the
-// packed sign bitmap); activations are non-negative codes. Each (row, query)
-// is grouped by weight sign so that every photonic accumulation step carries
-// a single sign, which the cross-cycle adder-subtractor applies when
-// reassembling (§5.3, Appendix C), into one flat operand buffer, row-major
-// then query order, with a count-table entry per (row, query) in that order.
-// The span's partials are digitized a block at a time (rowpass.go) into the
-// samples it reserves on the burst — the first live span opens the burst,
-// at an arbitrary phase behind the preamble prefix. A wide span's blocks may
-// be run by helper goroutines; the span is theirs only until issueSpan
-// returns.
+// for every query q in the batch onto the layer's burst. The span's rows are
+// read in DRAM wire layout straight from the view (magnitude bytes plus the
+// packed sign bitmap); activations are non-negative codes. One partition
+// call groups every (row, query) by weight sign so that every photonic
+// accumulation step carries a single sign, which the cross-cycle
+// adder-subtractor applies when reassembling (§5.3, Appendix C), into one
+// flat operand buffer, row-major then query order, with a count-table entry
+// per (row, query) in that order. The span's partials are digitized a block
+// at a time (rowpass.go) into the samples it reserves on the burst — the
+// first live span opens the burst, at an arbitrary phase behind the preamble
+// prefix. A wide span's blocks may be run by helper goroutines; the span is
+// theirs only until issueSpan returns.
 //
 // All working storage comes from the engine's scratch: after ensure has
 // grown the buffers to the span's geometry × batch size, the steady state
@@ -82,47 +82,17 @@ func spanRows(n, q, lanes int) int {
 func (e *Engine) issueSpan(w fixed.Packed, lo, hi int, xs [][]fixed.Code, stats *LayerStats) {
 	q := len(xs)
 	_, n := w.Dims()
-	lanes := e.Core.NumLanes()
 	dots := q * (hi - lo)
 	s := &e.scratch
-	s.ensure(n, dots)
-	s.bounds, s.starts = s.bounds[:2*dots+1], s.starts[:2*dots+1]
-	s.counts = s.counts[:len(s.counts)+dots]
-	counts := s.counts[len(s.counts)-dots:]
-	s.bounds[0], s.starts[0] = 0, 0
-	bi, total, d := 0, 0, 0
-	// last is the span's last row with a live product and lastSteps its
-	// step count: where a pass from the cursor would leave it.
-	last, lastSteps := 0, 0
-	for j := lo; j < hi; j++ {
-		row, _ := w.Row(j, nil)
-		rowStart := total
-		for _, x := range xs {
-			if len(x) != n {
-				panic(fmt.Sprintf("datapath: weight row length %d != activation length %d", n, len(x)))
-			}
-			// Positive-weight products land in place (the streamer orders
-			// them first); negative ones stage one row width up — ensure
-			// left the room — and close the gap once the positive count is
-			// known.
-			stage := bi + n
-			pi, ni := partition(s.bW, s.bX, row, x, bi, stage)
-			np, nn := pi-bi, ni-stage
-			copy(s.bW[pi:], s.bW[stage:ni])
-			copy(s.bX[pi:], s.bX[stage:ni])
-			bi = pi + nn
-			posSteps := (np + lanes - 1) / lanes
-			negSteps := (nn + lanes - 1) / lanes
-			counts[d] = dotCount{pos: posSteps, parts: posSteps + negSteps}
-			s.bounds[2*d+1], s.bounds[2*d+2] = pi, bi
-			s.starts[2*d+1], s.starts[2*d+2] = total+posSteps, total+posSteps+negSteps
-			total += posSteps + negSteps
-			d++
-		}
-		if total > rowStart {
-			last, lastSteps = j, total-rowStart
-		}
-	}
+	s.ensure(n, hi-lo, q)
+	at := len(s.counts)
+	s.counts = s.counts[:at+dots]
+	p := &s.pass
+	p.lanes = e.Core.NumLanes()
+	p.div = newCeilDiv(p.lanes)
+	p.bounds, p.rows = s.bounds[:2*dots+1], s.rows[:hi-lo+1]
+	p.bounds[0] = 0
+	total := partition(s.bW, s.bX, w.Rows(lo, hi), n, xs, p.div, p.bounds, p.rows, s.counts[at:])
 	stats.PhotonicSteps += uint64(total)
 	if total == 0 {
 		return
@@ -137,29 +107,37 @@ func (e *Engine) issueSpan(w fixed.Packed, lo, hi int, xs [][]fixed.Code, stats 
 	if len(s.stream) == 0 {
 		s.phase = e.ADC.RandomPhase()
 		s.stream = e.ADC.OpenBurst(s.stream, e.pre, s.phase)
-		s.pass.fast = e.Core.LUTsValid()
+		p.fast = e.Core.LUTsValid()
 	}
-	at := len(s.stream)
+	start := len(s.stream)
 	s.stream = e.ADC.Reserve(s.stream, total)
-	p := &s.pass
-	p.core, p.lanes, p.burst, p.row0, p.groups = e.Core, lanes, e.bursts, lo, 2*q
-	p.a, p.b, p.bounds, p.starts = s.bW[:bi], s.bX[:bi], s.bounds, s.starts
-	p.out, p.blocks = s.stream[at:], (total+blockSteps-1)/blockSteps
+	p.core, p.burst, p.row0, p.groups = e.Core, e.bursts, lo, 2*q
+	p.a, p.b = s.bW[:p.bounds[2*dots]], s.bX[:p.bounds[2*dots]]
+	p.out, p.blocks = s.stream[start:], (total+blockSteps-1)/blockSteps
+	if p.blocks > 1 {
+		p.starts = groupStarts(s.starts[:2*dots+1], s.counts[at:])
+	}
 	p.issue(&s.block)
 	if p.fast {
 		// Step counted its own steps and left the cursor here on a stale
-		// core; leave both where they stand after a pass from the cursor.
+		// core; leave both where they stand after a pass from the cursor:
+		// at the end of the span's last row with a live product.
+		last := hi - lo - 1
+		for p.rows[last] == p.rows[last+1] {
+			last--
+		}
 		e.Core.Steps += uint64(total)
-		e.Core.SeekNoiseAt(noiseKey(e.bursts, last), uint64(lastSteps))
+		e.Core.SeekNoiseAt(noiseKey(e.bursts, lo+last), uint64(p.rows[last+1]-p.rows[last]))
 	}
 }
 
 // readBurst closes the layer's burst and writes every issued dot's
 // reassembled accumulator into out, in issue order (row-major, then query):
 // one readout of the preamble and every row's partials, one count-action
-// preamble detection, and the count table slicing the payload back into the
-// segments each dot reassembles from on its own. A layer with no live
-// product emitted no burst: it reads nothing and draws nothing.
+// preamble detection, and one walk of the count table through the
+// cross-cycle adder, which slices the payload back into the segments each
+// dot reassembles from on its own. A layer with no live product emitted no
+// burst: it reads nothing and draws nothing.
 func (e *Engine) readBurst(out []fixed.Acc, stats *LayerStats) {
 	s := &e.scratch
 	counts := s.counts
@@ -175,10 +153,9 @@ func (e *Engine) readBurst(out []fixed.Acc, stats *LayerStats) {
 		stats.DatapathCycles += uint64(len(stream) / converter.SamplesPerCycle)
 		payload = e.locate(stream, s.phase, total, stats)
 	}
-	for i, c := range counts {
-		out[i] = e.reassemble(payload[:c.parts], c.pos, stats)
-		payload = payload[c.parts:]
-	}
+	cycles, saturated := e.adder.reassemble(out, payload, counts)
+	stats.ComputeCycles += cycles
+	stats.SaturatedSamples += saturated
 }
 
 // locate finds a burst's total payload samples in its readout. An
@@ -198,24 +175,21 @@ func (e *Engine) locate(stream []fixed.Code, phase, total int, stats *LayerStats
 	return payload
 }
 
-// reassemble folds one dot's payload segment — its first pos samples under a
-// positive sign, the rest negative — through the cross-cycle adder and the
-// intra-cycle tree, charging the hardware's cycle a readout and the tree.
-func (e *Engine) reassemble(seg []fixed.Code, pos int, stats *LayerStats) fixed.Acc {
-	e.adder.SetPartialsPerDot(len(seg))
-	sum, treeCycles, saturated := e.adder.Dot(seg, pos)
-	stats.ComputeCycles += uint64((len(seg)+Lanes-1)/Lanes + treeCycles)
-	stats.SaturatedSamples += uint64(saturated)
-	return sum
-}
-
-// partition sign-partitions one weight row against one activation vector
-// into the flat operand buffers: products under a positive weight go to
-// bW/bX from pos on, those under a negative weight from neg on, both in
-// element order, and it returns where each group ends. Zero products are
-// left out: they need no analog step (sparse skip).
+// partition sign-partitions a span: the len(rows)−1 rows of w, n elements
+// each with their magnitudes back to back (fixed.Packed.Rows), against
+// every activation vector in xs, into the flat operand buffers bW/bX,
+// row-major then query order. Dot d — row d/q, query d%q — lays its
+// products under a positive weight from bounds[2d] on and those under a
+// negative weight right after them, both in element order, and takes one
+// entry of each table: bounds[2d+1] and bounds[2d+2] end its two groups,
+// dots[d] counts their steps (⌈group/lanes⌉ each), and rows[r] is the span
+// step row r begins at. The caller sets bounds[0], where the first dot
+// starts; partition sets the rest and returns the span's step count, which
+// it also leaves in rows' last entry. Zero products are left out: they need
+// no analog step (sparse skip). A row's setup — its magnitudes and its sign
+// window — is done once for all its queries.
 //
-// The row is walked the way it sits in DRAM, 32 elements to four magnitude
+// A row is walked the way it sits in DRAM, 32 elements to four magnitude
 // words and a 32-bit sign window. A chunk whose magnitude words or whose
 // activations are all zero is skipped whole, and one with no zero product
 // under an all-positive window is moved as eight word stores. Any other
@@ -225,90 +199,148 @@ func (e *Engine) reassemble(seg []fixed.Code, pos int, stats *LayerStats) fixed.
 // one word at each cursor, which advances by its group's count. A row whose
 // first sign sits mid-byte reads its window across the bitmap's bytes.
 //
-// The word stores reach up to seven bytes past a group's end. They stay in
-// the group's region: at octet [i, i+8) the cursors are at most pos+i and
-// neg+i, so the caller grants n bytes from each of pos and neg, and the
-// regions must not overlap (issueSpan stages neg one row width past pos).
-func partition(bW, bX []fixed.Code, w fixed.Row, x []fixed.Code, pos, neg int) (int, int) {
+// A dot's negative group is staged one row width past its start while its
+// positive count is unknown, and moved down onto the end of the positive
+// group once it is, a word at a time. The word stores reach up to seven
+// bytes past a group's end, and every access stays inside the dot's region:
+// a dot starting at c reads and writes only [c, c+2n), which the buffers
+// must hold (ensure grants a span's dots one spare row width beyond their
+// n bytes each).
+func partition(bW, bX []fixed.Code, w fixed.Row, n int, xs [][]fixed.Code, lanes ceilDiv, bounds, rows []int, dots []dotCount) int {
 	const ones, tops = 0x0101010101010101, 0x8080808080808080
-	mags, signs := w.Mags, w.Signs
-	n := len(mags)
-	x = x[:n]
-	sh := uint(w.Bit & 7)
-	i := 0
-	for i+8 <= n {
-		end := i + 32
-		var sw uint32 // the signs of the octets [i, end), element i in bit 0
-		if end <= n {
-			m, xc := mags[i:end:end], x[i:end:end]
-			m0, m1 := binary.LittleEndian.Uint64(m), binary.LittleEndian.Uint64(m[8:])
-			m2, m3 := binary.LittleEndian.Uint64(m[16:]), binary.LittleEndian.Uint64(m[24:])
-			x0, x1, x2, x3 := octet(xc[0:8]), octet(xc[8:16]), octet(xc[16:24]), octet(xc[24:32])
-			if m0|m1|m2|m3 == 0 || x0|x1|x2|x3 == 0 {
-				i = end
-				continue
-			}
-			b := (w.Bit + i) >> 3
-			sw = binary.LittleEndian.Uint32(signs[b:]) >> sh
-			if sh != 0 {
-				sw |= uint32(signs[b+4]) << (32 - sh)
-			}
-			zero := (m0-ones)&^m0 | (m1-ones)&^m1 | (m2-ones)&^m2 | (m3-ones)&^m3 |
-				(x0-ones)&^x0 | (x1-ones)&^x1 | (x2-ones)&^x2 | (x3-ones)&^x3
-			if sw == 0 && zero&tops == 0 {
-				dw, dx := bW[pos:pos+32:pos+32], bX[pos:pos+32:pos+32]
-				putOctet(dw[0:8], m0)
-				putOctet(dw[8:16], m1)
-				putOctet(dw[16:24], m2)
-				putOctet(dw[24:32], m3)
-				putOctet(dx[0:8], x0)
-				putOctet(dx[8:16], x1)
-				putOctet(dx[16:24], x2)
-				putOctet(dx[24:32], x3)
-				pos += 32
-				i = end
-				continue
-			}
-		} else {
-			end = n &^ 7
-			for k := uint(0); k < uint(end-i); k += 8 {
-				b := (w.Bit + i + int(k)) >> 3
-				sb := signs[b] >> sh
-				if sh != 0 {
-					sb |= signs[b+1] << (8 - sh)
+	for _, x := range xs {
+		if len(x) != n {
+			panic(fmt.Sprintf("datapath: weight row length %d != activation length %d", n, len(x)))
+		}
+	}
+	c, total, d := bounds[0], 0, 0
+	rows[0] = 0
+	for r := 1; r < len(rows); r++ {
+		mags := w.Mags[(r-1)*n : r*n : r*n]
+		bit := w.Bit + (r-1)*n
+		signs, sh := w.Signs[bit>>3:], uint(bit&7)
+		for _, x := range xs {
+			x = x[:n]
+			pos, neg := c, c+n
+			i := 0
+			for i+8 <= n {
+				end := i + 32
+				var sw uint32 // the signs of the octets [i, end), element i in bit 0
+				if end <= n {
+					m, xc := mags[i:end:end], x[i:end:end]
+					m0, m1 := binary.LittleEndian.Uint64(m), binary.LittleEndian.Uint64(m[8:])
+					m2, m3 := binary.LittleEndian.Uint64(m[16:]), binary.LittleEndian.Uint64(m[24:])
+					x0, x1, x2, x3 := octet(xc[0:8]), octet(xc[8:16]), octet(xc[16:24]), octet(xc[24:32])
+					if m0|m1|m2|m3 == 0 || x0|x1|x2|x3 == 0 {
+						i = end
+						continue
+					}
+					b := i >> 3
+					sw = binary.LittleEndian.Uint32(signs[b:]) >> sh
+					if sh != 0 {
+						sw |= uint32(signs[b+4]) << (32 - sh)
+					}
+					zero := (m0-ones)&^m0 | (m1-ones)&^m1 | (m2-ones)&^m2 | (m3-ones)&^m3 |
+						(x0-ones)&^x0 | (x1-ones)&^x1 | (x2-ones)&^x2 | (x3-ones)&^x3
+					if sw == 0 && zero&tops == 0 {
+						dw, dx := bW[pos:pos+32:pos+32], bX[pos:pos+32:pos+32]
+						putOctet(dw[0:8], m0)
+						putOctet(dw[8:16], m1)
+						putOctet(dw[16:24], m2)
+						putOctet(dw[24:32], m3)
+						putOctet(dx[0:8], x0)
+						putOctet(dx[8:16], x1)
+						putOctet(dx[16:24], x2)
+						putOctet(dx[24:32], x3)
+						pos += 32
+						i = end
+						continue
+					}
+				} else {
+					end = n &^ 7
+					for k := uint(0); k < uint(end-i); k += 8 {
+						b := (i + int(k)) >> 3
+						sb := signs[b] >> sh
+						if sh != 0 {
+							sb |= signs[b+1] << (8 - sh)
+						}
+						sw |= uint32(sb) << k
+					}
 				}
-				sw |= uint32(sb) << k
+				for ; i < end; i, sw = i+8, sw>>8 {
+					mw := binary.LittleEndian.Uint64(mags[i:])
+					xw := octet(x[i : i+8 : i+8])
+					live := liveMask(mw, xw)
+					pm, nm := live&^uint8(sw), live&uint8(sw)
+					cs := &compress[pm]
+					putOctet(bW[pos:pos+8:pos+8], cs.apply(mw))
+					putOctet(bX[pos:pos+8:pos+8], cs.apply(xw))
+					cs = &compress[nm]
+					putOctet(bW[neg:neg+8:neg+8], cs.apply(mw))
+					putOctet(bX[neg:neg+8:neg+8], cs.apply(xw))
+					pos += bits.OnesCount8(pm)
+					neg += bits.OnesCount8(nm)
+				}
 			}
+			for ; i < n; i++ {
+				m, xv := fixed.Code(mags[i]), x[i]
+				if m == 0 || xv == 0 {
+					continue
+				}
+				if b := int(sh) + i; signs[b>>3]>>(b&7)&1 != 0 {
+					bW[neg], bX[neg] = m, xv
+					neg++
+				} else {
+					bW[pos], bX[pos] = m, xv
+					pos++
+				}
+			}
+			// Move the negative group down from its stage, a word at a
+			// time while a whole word of the stage is left to read.
+			stage := c + n
+			nn := neg - stage
+			k := 0
+			for ; k < nn && k+8 <= n; k += 8 {
+				from, to := stage+k, pos+k
+				putOctet(bW[to:to+8:to+8], octet(bW[from:from+8:from+8]))
+				putOctet(bX[to:to+8:to+8], octet(bX[from:from+8:from+8]))
+			}
+			for ; k < nn; k++ {
+				bW[pos+k], bX[pos+k] = bW[stage+k], bX[stage+k]
+			}
+			ps, ns := lanes.of(pos-c), lanes.of(nn)
+			c = pos + nn
+			bounds[2*d+1], bounds[2*d+2] = pos, c
+			dots[d] = dotCount{pos: ps, parts: ps + ns}
+			total += ps + ns
+			d++
 		}
-		for ; i < end; i, sw = i+8, sw>>8 {
-			mw := binary.LittleEndian.Uint64(mags[i:])
-			xw := octet(x[i : i+8 : i+8])
-			live := liveMask(mw, xw)
-			pm, nm := live&^uint8(sw), live&uint8(sw)
-			c := &compress[pm]
-			putOctet(bW[pos:pos+8:pos+8], c.apply(mw))
-			putOctet(bX[pos:pos+8:pos+8], c.apply(xw))
-			c = &compress[nm]
-			putOctet(bW[neg:neg+8:neg+8], c.apply(mw))
-			putOctet(bX[neg:neg+8:neg+8], c.apply(xw))
-			pos += bits.OnesCount8(pm)
-			neg += bits.OnesCount8(nm)
-		}
+		rows[r] = total
 	}
-	for ; i < n; i++ {
-		m, xv := fixed.Code(mags[i]), x[i]
-		if m == 0 || xv == 0 {
-			continue
-		}
-		if w.Neg(i) {
-			bW[neg], bX[neg] = m, xv
-			neg++
-		} else {
-			bW[pos], bX[pos] = m, xv
-			pos++
-		}
+	return total
+}
+
+// ceilDiv divides by a core's lane count, rounding up, with one multiply in
+// place of a division: m is ⌈2^64/lanes⌉, and the high word of m·x is ⌊x/lanes⌋
+// for every x below 2^32 (Lemire, Kaser and Kurz, "Faster remainder by direct
+// computation", 2019). One lane, whose 2^64 does not fit, has m zero and
+// divides by nothing.
+type ceilDiv struct{ m, bias uint64 }
+
+func newCeilDiv(lanes int) ceilDiv {
+	if lanes == 1 {
+		return ceilDiv{}
 	}
-	return pos, neg
+	return ceilDiv{m: ^uint64(0)/uint64(lanes) + 1, bias: uint64(lanes) - 1}
+}
+
+// of returns ⌈x/lanes⌉ for 0 ≤ x < 2^32 − lanes.
+func (d ceilDiv) of(x int) int {
+	if d.m == 0 {
+		return x
+	}
+	hi, _ := bits.Mul64(d.m, uint64(x)+d.bias)
+	return int(hi)
 }
 
 // liveMask returns the octet's live products as a byte, element k in bit k:

@@ -108,9 +108,11 @@ func goldenRun(t *testing.T, q int) (invariant, burst string) {
 	fmt.Fprintf(&inv, "batch %d\n", q)
 	fmt.Fprintf(&bur, "batch %d\n", q)
 	acts := []Activation{ActReLU, ActReLU, ActSoftmax}
+	quantized := uint64(0)
 	for l, w := range layers {
 		res := e.ExecuteFCBiasBatch(w, biases[l], xs, acts[l], 3)
 		st := res.Stats
+		quantized += digitized(e, st)
 		fmt.Fprintf(&inv, "layer %d PhotonicSteps:%d ComputeCycles:%d SaturatedSamples:%d PreambleMisses:%d\n",
 			l, st.PhotonicSteps, st.ComputeCycles, st.SaturatedSamples, st.PreambleMisses)
 		fmt.Fprintf(&bur, "layer %d DatapathCycles:%d\n", l, st.DatapathCycles)
@@ -120,8 +122,18 @@ func goldenRun(t *testing.T, q int) (invariant, burst string) {
 		}
 	}
 	fmt.Fprintf(&inv, "core.steps %d\n", core.Steps)
-	fmt.Fprintf(&bur, "adc.quantized %d next.phase %d\n", e.ADC.Quantized, e.ADC.RandomPhase())
+	fmt.Fprintf(&bur, "adc.quantized %d next.phase %d\n", quantized, e.ADC.RandomPhase())
 	return inv.String(), bur.String()
+}
+
+// digitized is how many samples the ADC quantized for a layer e ran with
+// stats st: the preamble prefix and a sample a photonic step, or nothing
+// when the layer had no live product and opened no burst.
+func digitized(e *Engine, st LayerStats) uint64 {
+	if st.PhotonicSteps == 0 {
+		return 0
+	}
+	return uint64(len(e.pre)) + st.PhotonicSteps
 }
 
 func TestEngineNoiseOnGolden(t *testing.T) {

@@ -47,7 +47,7 @@ func packedCase(seed uint64, rows, cols, q int) (fixed.Matrix, []fixed.Acc, [][]
 
 // TestPartitionMatchesReference holds the chunked partition to the
 // per-element loop it replaced: same operands, same order, positive group and
-// negative group, no store outside either group's region. It runs rows of
+// negative group, no store outside the dot's region. It runs rows of
 // packed layers and the skip, move and compaction shapes at widths around
 // one and several chunks, each with its first sign at every bit of a byte.
 func TestPartitionMatchesReference(t *testing.T) {
@@ -60,14 +60,14 @@ func TestPartitionMatchesReference(t *testing.T) {
 		}
 		for j := 0; j < rows; j++ {
 			row, _ := p.Row(j, nil)
-			checkPartition(t, fmt.Sprintf("packed cols %d row %d", cols, j), row, m[j], xs[0], 0, 0)
+			checkPartition(t, fmt.Sprintf("packed cols %d row %d", cols, j), row, m[j], xs[0], 0, 2)
 		}
 	}
 	for _, n := range []int{31, 32, 33, 63, 64, 65, 96, 257, 1000} {
 		for _, r := range partitionRows(n, 3) {
 			for bit := 0; bit < 8; bit++ {
-				for _, at := range [][2]int{{0, 0}, {5, 3}, {n, 1}} { // pos, gap
-					checkPartition(t, fmt.Sprintf("%s %d bit %d pos %d gap %d", r.kind, n, bit, at[0], at[1]), rowAt(r.w, bit), r.w, r.x, at[0], at[1])
+				for _, at := range [][2]int{{0, 2}, {5, 3}, {n, 1}} { // pos, lanes
+					checkPartition(t, fmt.Sprintf("%s %d bit %d pos %d lanes %d", r.kind, n, bit, at[0], at[1]), rowAt(r.w, bit), r.w, r.x, at[0], at[1])
 				}
 			}
 		}

@@ -28,13 +28,13 @@ func rowAt(w []fixed.Signed, bit int) fixed.Row {
 	return fixed.Row{Mags: mags, Signs: signs, Bit: bit}
 }
 
-// checkPartition partitions row (w in wire layout) against x with the
-// positive group from pos and the negative group gap bytes past that group's
-// n-byte region, in buffers ending where the negative region ends — the
-// tightest ensure grants — whose capacity runs on into sentinels. It requires
-// the per-element loop's operands in its order and every byte outside the two
-// regions untouched.
-func checkPartition(t *testing.T, name string, row fixed.Row, w []fixed.Signed, x []fixed.Code, pos, gap int) {
+// checkPartition partitions row (w in wire layout) against x as a span of
+// one dot starting at pos on a core of lanes lanes, in buffers ending where
+// the dot's 2n-byte region ends — the tightest ensure grants — whose capacity
+// runs on into sentinels. It requires the per-element loop's operands in its
+// order, the positive group then the negative one right after it, each
+// group's steps in the table, and every byte outside the region untouched.
+func checkPartition(t *testing.T, name string, row fixed.Row, w []fixed.Signed, x []fixed.Code, pos, lanes int) {
 	t.Helper()
 	n := len(w)
 	var wantW, wantX [2][]fixed.Code
@@ -48,27 +48,32 @@ func checkPartition(t *testing.T, name string, row fixed.Row, w []fixed.Signed, 
 		}
 		wantW[g], wantX[g] = append(wantW[g], wi.Mag), append(wantX[g], x[i])
 	}
-	neg := pos + n + gap
-	backW, backX := make([]fixed.Code, neg+n+8), make([]fixed.Code, neg+n+8)
+	end := pos + 2*n
+	backW, backX := make([]fixed.Code, end+8), make([]fixed.Code, end+8)
 	for i := range backW {
 		backW[i], backX[i] = sentinel, sentinel
 	}
-	bW, bX := backW[:neg+n], backX[:neg+n]
-	pi, ni := partition(bW, bX, row, x, pos, neg)
-	if pi-pos != len(wantW[0]) || ni-neg != len(wantW[1]) {
+	bW, bX := backW[:end], backX[:end]
+	bounds, rows, dots := []int{pos, -1, -1}, make([]int, 2), make([]dotCount, 1)
+	total := partition(bW, bX, row, n, [][]fixed.Code{x}, newCeilDiv(lanes), bounds, rows, dots)
+	if bounds[1]-pos != len(wantW[0]) || bounds[2]-bounds[1] != len(wantW[1]) {
 		t.Fatalf("%s: %d positive, %d negative operands; want %d, %d",
-			name, pi-pos, ni-neg, len(wantW[0]), len(wantW[1]))
+			name, bounds[1]-pos, bounds[2]-bounds[1], len(wantW[0]), len(wantW[1]))
 	}
-	for g, at := range [2]int{pos, neg} {
+	for g, at := range [2]int{pos, bounds[1]} {
 		k := len(wantW[g])
 		if !slices.Equal(bW[at:at+k], wantW[g]) || !slices.Equal(bX[at:at+k], wantX[g]) {
 			t.Fatalf("%s group %d: operands\n%v\n%v\nwant\n%v\n%v", name, g, bW[at:at+k], bX[at:at+k], wantW[g], wantX[g])
 		}
 	}
-	for _, span := range [][2]int{{0, pos}, {pos + n, neg}, {neg + n, len(backW)}} {
+	ps, ns := (len(wantW[0])+lanes-1)/lanes, (len(wantW[1])+lanes-1)/lanes
+	if want := (dotCount{pos: ps, parts: ps + ns}); dots[0] != want || total != ps+ns || rows[0] != 0 || rows[1] != total {
+		t.Fatalf("%s on %d lanes: table %+v, rows %v, %d steps; want %+v, %d", name, lanes, dots[0], rows, total, want, ps+ns)
+	}
+	for _, span := range [][2]int{{0, pos}, {end, len(backW)}} {
 		for i := span[0]; i < span[1]; i++ {
 			if backW[i] != sentinel || backX[i] != sentinel {
-				t.Fatalf("%s: byte %d outside the regions [%d, %d) and [%d, %d) written", name, i, pos, pos+n, neg, neg+n)
+				t.Fatalf("%s: byte %d outside the region [%d, %d) written", name, i, pos, end)
 			}
 		}
 	}
@@ -119,25 +124,25 @@ func partitionRows(n int, seed uint64) []partitionRow {
 
 // FuzzPartition checks partition against the per-element loop on arbitrary
 // magnitudes, activations and signs (cycled over the row), with the row's
-// first sign at any bit and the groups at any cursors.
+// first sign at any bit, the dot at any cursor and any lane count.
 func FuzzPartition(f *testing.F) {
 	for _, n := range []int{40, 100} {
 		for _, r := range partitionRows(n, 5) {
 			row := rowAt(r.w, 0)
-			f.Add(row.Mags, codeBytes(r.x), row.Signs, uint8(3), uint16(n), uint8(0))
+			f.Add(row.Mags, codeBytes(r.x), row.Signs, uint8(3), uint16(n), uint8(1))
 		}
 	}
 	dark := bytes.Repeat([]byte{9}, 70) // a dense positive chunk but for one dark code in its last octet
 	dark[29] = 0
-	f.Add(bytes.Repeat([]byte{255}, 70), dark, []byte{0}, uint8(5), uint16(2), uint8(1))
-	f.Fuzz(func(t *testing.T, mags, acts, signs []byte, bit uint8, pos uint16, gap uint8) {
+	f.Add(bytes.Repeat([]byte{255}, 70), dark, []byte{0}, uint8(5), uint16(2), uint8(2))
+	f.Fuzz(func(t *testing.T, mags, acts, signs []byte, bit uint8, pos uint16, lanes uint8) {
 		n := min(len(mags), len(acts))
 		w, x := make([]fixed.Signed, n), make([]fixed.Code, n)
 		for i := range w {
 			neg := len(signs) > 0 && signs[(i/8)%len(signs)]>>(i%8)&1 != 0
 			w[i], x[i] = fixed.Signed{Mag: fixed.Code(mags[i]), Neg: neg}, fixed.Code(acts[i])
 		}
-		checkPartition(t, "fuzz", rowAt(w, int(bit&7)), w, x, int(pos)%2048, int(gap)%16)
+		checkPartition(t, "fuzz", rowAt(w, int(bit&7)), w, x, int(pos)%2048, 1+int(lanes)%4)
 	})
 }
 
@@ -166,9 +171,10 @@ func coinFlipLayer(rows, cols, q int, seed uint64) (fixed.Matrix, [][]fixed.Code
 }
 
 // BenchmarkPartition times partition alone over every (row, query) of a
-// layer, the cursors advancing as issueRow advances them: the vision-width
-// halves layer (dense positive runs, one dim half mostly dark) and a 32×32
-// coin-flip-sign layer with half its activations zero, at batch 1 and 8.
+// layer, one call a layer as issueSpan makes it for a layer of one span: the
+// vision-width halves layer (dense positive runs, one dim half mostly dark)
+// and a 32×32 coin-flip-sign layer with half its activations zero, at batch
+// 1 and 8.
 func BenchmarkPartition(b *testing.B) {
 	type layer struct {
 		name string
@@ -185,17 +191,13 @@ func BenchmarkPartition(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				bW, bX := make([]fixed.Code, (q+1)*n), make([]fixed.Code, (q+1)*n)
+				dots := rows * q
+				bW, bX := make([]fixed.Code, (dots+1)*n), make([]fixed.Code, (dots+1)*n)
+				bounds, rowSteps, table := make([]int, 2*dots+1), make([]int, rows+1), make([]dotCount, dots)
+				div := newCeilDiv(2)
 				b.ResetTimer()
 				for it := 0; it < b.N; it++ {
-					for j := 0; j < rows; j++ {
-						row, _ := p.Row(j, nil)
-						bi := 0
-						for _, x := range l.xs {
-							pi, ni := partition(bW, bX, row, x, bi, bi+n)
-							bi = pi + ni - (bi + n)
-						}
-					}
+					partition(bW, bX, p.Rows(0, rows), n, l.xs, div, bounds, rowSteps, table)
 				}
 			})
 		}

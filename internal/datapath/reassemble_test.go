@@ -12,7 +12,7 @@ import (
 var reassembleSink fixed.Acc
 
 // BenchmarkReassemble folds one dot's payload segment through the engine's
-// cross-cycle adder and tree, at the segment lengths the benchmark's
+// cross-cycle adder and tree, a count table of one dot, at the segment lengths the benchmark's
 // workloads carry: 9–33 samples (the MLP's dots), 9000 (the mixed wide
 // layer's rows) and 37 632 (vision_frag's wide row). Codes are drawn from
 // [0, 16), the first half of each segment under a positive sign, so no lane
@@ -30,11 +30,13 @@ func BenchmarkReassemble(b *testing.B) {
 		for i := range seg {
 			seg[i] = fixed.Code(rng.IntN(16))
 		}
+		table := []dotCount{{pos: n / 2, parts: n}}
 		b.Run(fmt.Sprintf("len%d", n), func(b *testing.B) {
-			var stats LayerStats
+			var out [1]fixed.Acc
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				reassembleSink = e.reassemble(seg, n/2, &stats)
+				e.adder.reassemble(out[:], seg, table)
+				reassembleSink = out[0]
 			}
 		})
 	}

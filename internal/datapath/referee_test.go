@@ -127,8 +127,8 @@ func TestEngineClockAgreesWithPrototypeLatency(t *testing.T) {
 	// where a twin that never ran the layer has it.
 	e, twin := newTestEngine(t, 2, false), newTestEngine(t, 2, false)
 	dead := e.ExecuteFCBias(fixed.Matrix{{{Mag: 9}, {}}, {{}, {Mag: 9, Neg: true}}}, nil, []fixed.Code{0, 0}, ActReLU, 0)
-	if dead.Stats.DatapathCycles != PerLayerOverheadCycles || e.ADC.Quantized != 0 {
-		t.Errorf("dead layer read %d cycles and digitized %d samples; want %d and 0", dead.Stats.DatapathCycles, e.ADC.Quantized, PerLayerOverheadCycles)
+	if dead.Stats.DatapathCycles != PerLayerOverheadCycles || cap(e.scratch.stream) != 0 {
+		t.Errorf("dead layer read %d cycles and digitized into a %d-sample stream; want %d and none", dead.Stats.DatapathCycles, cap(e.scratch.stream), PerLayerOverheadCycles)
 	}
 	if got, want := e.ADC.RandomPhase(), twin.ADC.RandomPhase(); got != want {
 		t.Errorf("dead layer advanced the ADC's rng: next phase %d, twin's %d", got, want)

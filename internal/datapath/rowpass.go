@@ -67,20 +67,33 @@ type spanPass struct {
 	// opened.
 	fast  bool
 	lanes int
+	div   ceilDiv
 	// burst and row0 name the noise stream of the span's rows: row row0+r
 	// draws from noiseKey(burst, row0+r). A row has groups sign groups, two
 	// a query.
 	burst        uint64
 	row0, groups int
 	// a and b are the span's sign-partitioned operands, group g spanning
-	// [bounds[g], bounds[g+1]); starts[g] is the span step group g begins
-	// at, and its last entry the span's step count. Row r's steps are
-	// [starts[r·groups], starts[(r+1)·groups]).
-	a, b           []fixed.Code
-	bounds, starts []int
+	// [bounds[g], bounds[g+1]), and row r's steps are [rows[r], rows[r+1]).
+	// starts[g] is the span step group g begins at, and its last entry the
+	// span's step count; only a span of several blocks, which has to find
+	// each block's groups, has it.
+	a, b                 []fixed.Code
+	bounds, rows, starts []int
 	// out is the span's stretch of the layer's burst, one sample a step.
 	out    []fixed.Code
 	blocks int
+}
+
+// groupStarts fills starts from a span's dot table: the span step each of
+// its groups begins at, and the span's step count last.
+func groupStarts(starts []int, dots []dotCount) []int {
+	starts[0] = 0
+	for d, c := range dots {
+		starts[2*d+1] = starts[2*d] + c.pos
+		starts[2*d+2] = starts[2*d] + c.parts
+	}
+	return starts
 }
 
 // blockBuf is the working storage of whoever runs a block: readings for up
@@ -112,24 +125,16 @@ func (p *spanPass) run(k int, buf *blockBuf) {
 	lo := k * blockSteps
 	hi := min(lo+blockSteps, len(p.out))
 	parts := buf.parts[:hi-lo]
-	// g0 is the group holding step lo: the last to start at or before it.
-	g0, _ := slices.BinarySearch(p.starts, lo+1)
-	g0--
-	// The block's operands run from first to last; cuts holds its groups'
-	// bounds within them, the first and last group cut at the block's
-	// edges.
-	first := p.bounds[g0] + (lo-p.starts[g0])*p.lanes
-	cuts, c := buf.cuts[:len(p.bounds)], 1
-	cuts[0] = 0
-	for g := g0; p.starts[g] < hi; g++ {
-		end := min(p.starts[g+1], hi)
-		cuts[c] = min(p.bounds[g]+(end-p.starts[g])*p.lanes, p.bounds[g+1]) - first
-		c++
+	// The block's operands start at first in a and b; cuts holds its
+	// groups' bounds within them, from g0, the group holding step lo. A
+	// span of one block hands the kernel its bounds as they are.
+	g0, first, cuts := 0, 0, p.bounds
+	if p.blocks > 1 {
+		g0, first, cuts = p.cut(lo, hi, buf.cuts)
 	}
-	cuts = cuts[:c]
-	a, b := p.a[first:first+cuts[c-1]], p.b[first:first+cuts[c-1]]
+	a, b := p.a[first:first+cuts[len(cuts)-1]], p.b[first:first+cuts[len(cuts)-1]]
 	if !p.fast {
-		p.step(lo, hi, g0, parts, a, b, cuts)
+		p.step(lo, g0, parts, a, b, cuts)
 		converter.QuantizeInto(p.out[lo:hi], parts)
 		return
 	}
@@ -137,27 +142,46 @@ func (p *spanPass) run(k int, buf *blockBuf) {
 	// Each row's part of the block is one readout at its own position in
 	// its own stream.
 	for r, s := g0/p.groups, lo; s < hi; r++ {
-		rs, re := p.starts[r*p.groups], p.starts[(r+1)*p.groups]
-		if end := min(re, hi); end > s {
-			p.core.ReadoutAt(p.out[s:end], parts[s-lo:end-lo], noiseKey(p.burst, p.row0+r), uint64(s-rs))
+		if end := min(p.rows[r+1], hi); end > s {
+			p.core.ReadoutAt(p.out[s:end], parts[s-lo:end-lo], noiseKey(p.burst, p.row0+r), uint64(s-p.rows[r]))
 			s = end
 		}
 	}
 }
 
+// cut finds block [lo, hi) of a span of several blocks: g0, the group
+// holding step lo — the last to start at or before it —, where the block's
+// operands begin, and its groups' bounds within them in buf, the first and
+// last group cut at the block's edges.
+func (p *spanPass) cut(lo, hi int, buf []int) (g0, first int, cuts []int) {
+	g0, _ = slices.BinarySearch(p.starts, lo+1)
+	g0--
+	first = p.bounds[g0] + (lo-p.starts[g0])*p.lanes
+	cuts, c := buf[:len(p.bounds)], 1
+	cuts[0] = 0
+	for g := g0; p.starts[g] < hi; g++ {
+		end := min(p.starts[g+1], hi)
+		cuts[c] = min(p.bounds[g]+(end-p.starts[g])*p.lanes, p.bounds[g+1]) - first
+		c++
+	}
+	return g0, first, cuts[:c]
+}
+
 // step is run's stale-core pass: each of the block's groups, cut as in cuts,
 // goes through Step from the cursor, sought first to the group's row and
-// position.
-func (p *spanPass) step(lo, hi, g0 int, parts []float64, a, b []fixed.Code, cuts []int) {
+// position. A group's steps are its operands over the lanes, rounded up;
+// the first one's were cut lane-aligned at the block's start.
+func (p *spanPass) step(lo, g0 int, parts []float64, a, b []fixed.Code, cuts []int) {
+	s := lo
 	for i := 1; i < len(cuts); i++ {
-		g := g0 + i - 1
-		s, end := max(lo, p.starts[g]), min(hi, p.starts[g+1])
+		end := s + p.div.of(cuts[i]-cuts[i-1])
 		if s == end {
 			continue
 		}
-		r := g / p.groups
-		p.core.SeekNoiseAt(noiseKey(p.burst, p.row0+r), uint64(s-p.starts[r*p.groups]))
+		r := (g0 + i - 1) / p.groups
+		p.core.SeekNoiseAt(noiseKey(p.burst, p.row0+r), uint64(s-p.rows[r]))
 		p.core.DotPartialsInto(parts[s-lo:end-lo], a[cuts[i-1]:cuts[i]], b[cuts[i-1]:cuts[i]])
+		s = end
 	}
 }
 

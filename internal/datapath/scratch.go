@@ -25,10 +25,11 @@ type engineScratch struct {
 	// query), flattened back to back in that order (positive group then
 	// negative group each), with one spare row width at the end where the
 	// dot being partitioned stages its negative group. bounds delimits the
-	// span's groups for the core's pass and starts the span step each group
-	// begins at.
-	bW, bX         []fixed.Code
-	bounds, starts []int
+	// span's groups for the core's pass, rows the span step each row begins
+	// at, and starts, for a span of several blocks only, the span step each
+	// group begins at (spanPass).
+	bW, bX               []fixed.Code
+	bounds, rows, starts []int
 	// packed is where a Matrix is packed into wire layout once a layer
 	// (fixed.Weights.PackInto); a Packed view never touches it.
 	packed []byte
@@ -44,7 +45,7 @@ type engineScratch struct {
 	// empty until a row has a live product, and never empty after: the
 	// preamble is at least two cycles long (NewDetector). counts is the table
 	// that slices its payload back apart: one entry per (row, query) in issue
-	// order.
+	// order, which the cross-cycle adder walks once a layer.
 	stream []fixed.Code
 	phase  int
 	counts []dotCount
@@ -65,13 +66,14 @@ type engineScratch struct {
 // the stream, the first pos of them under a positive weight sign.
 type dotCount struct{ pos, parts int }
 
-// ensure is issueSpan's cold path: it grows the buffers to dots (row,
-// query) dot products of layer width n. A dot contributes at most n
-// operands, so dots·n bounds the flattened operand buffers, plus the staging
-// row in bW/bX. After it returns, the hot body runs on indexed writes and
-// reslices only. The block's readings are sized once the span is
-// partitioned, by the steps it issues (blockBuf.fit).
-func (s *engineScratch) ensure(n, dots int) {
+// ensure is issueSpan's cold path: it grows the buffers to a span of rows
+// rows of layer width n at batch q. A dot contributes at most n operands, so
+// dots·n bounds the flattened operand buffers, plus the staging row in
+// bW/bX. After it returns, the hot body runs on indexed writes and reslices
+// only. The block's readings are sized once the span is partitioned, by the
+// steps it issues (blockBuf.fit).
+func (s *engineScratch) ensure(n, rows, q int) {
+	dots := rows * q
 	if len(s.bW) < (dots+1)*n {
 		s.bW = make([]fixed.Code, (dots+1)*n)
 		s.bX = make([]fixed.Code, (dots+1)*n)
@@ -79,6 +81,9 @@ func (s *engineScratch) ensure(n, dots int) {
 	if cap(s.bounds) < 2*dots+1 {
 		s.bounds = make([]int, 2*dots+1)
 		s.starts = make([]int, 2*dots+1)
+	}
+	if cap(s.rows) < rows+1 {
+		s.rows = make([]int, rows+1)
 	}
 	s.counts = slices.Grow(s.counts, dots)
 }

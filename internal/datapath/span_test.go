@@ -12,31 +12,19 @@ import (
 )
 
 // issueRowRef is the per-row issue loop the span pass replaced, kept as its
-// reference: one row sign-partitioned on its own, its steps run inline in
-// blocks of the row, a kernel call per group and one readout a block under
-// the row's key from the block's row position, or through Step from the
-// cursor sought there on a stale core, and the cursor left where a pass from
-// it would stand after the row.
+// reference: one row sign-partitioned on its own (a span of one row), its
+// steps run inline in blocks of the row, a kernel call per group and one
+// readout a block under the row's key from the block's row position, or
+// through Step from the cursor sought there on a stale core, and the cursor
+// left where a pass from it would stand after the row.
 func issueRowRef(e *Engine, w fixed.Row, row int, xs [][]fixed.Code, stats *LayerStats) {
 	q, n, lanes := len(xs), len(w.Mags), e.Core.NumLanes()
 	s := &e.scratch
 	bW, bX := make([]fixed.Code, (q+1)*n), make([]fixed.Code, (q+1)*n)
-	bounds, starts := make([]int, 2*q+1), make([]int, 2*q+1)
-	bi, total := 0, 0
-	for qi, x := range xs {
-		stage := bi + n
-		pi, ni := partition(bW, bX, w, x, bi, stage)
-		np, nn := pi-bi, ni-stage
-		copy(bW[pi:], bW[stage:ni])
-		copy(bX[pi:], bX[stage:ni])
-		bounds[2*qi+1], bounds[2*qi+2] = pi, pi+nn
-		bi = pi + nn
-		posSteps := (np + lanes - 1) / lanes
-		negSteps := (nn + lanes - 1) / lanes
-		s.counts = append(s.counts, dotCount{pos: posSteps, parts: posSteps + negSteps})
-		starts[2*qi+1], starts[2*qi+2] = total+posSteps, total+posSteps+negSteps
-		total += posSteps + negSteps
-	}
+	bounds, dots := make([]int, 2*q+1), make([]dotCount, q)
+	total := partition(bW, bX, w, n, xs, newCeilDiv(lanes), bounds, make([]int, 2), dots)
+	s.counts = append(s.counts, dots...)
+	starts := groupStarts(make([]int, 2*q+1), dots)
 	stats.PhotonicSteps += uint64(total)
 	if total == 0 {
 		return

@@ -120,9 +120,11 @@ func wideCase(out *strings.Builder, name string, m fixed.Matrix, bias []fixed.Ac
 		core.Lanes()[0].Mod1.Bias += 0.01
 	}
 	e := NewEngine(core, 7)
+	quantized := uint64(0)
 	for pass := 0; pass < times; pass++ {
 		res := e.ExecuteFCBiasBatch(m, bias, xs, ActIdentity, 8)
 		st := res.Stats
+		quantized += digitized(e, st)
 		fmt.Fprintf(out, "%s pass %d PhotonicSteps:%d ComputeCycles:%d DatapathCycles:%d SaturatedSamples:%d PreambleMisses:%d\n",
 			name, pass, st.PhotonicSteps, st.ComputeCycles, st.DatapathCycles, st.SaturatedSamples, st.PreambleMisses)
 		for qi, r := range res.PerQuery {
@@ -135,7 +137,7 @@ func wideCase(out *strings.Builder, name string, m fixed.Matrix, bias []fixed.Ac
 		for _, c := range e.scratch.stream[:frames*converter.SamplesPerCycle] {
 			h.Write([]byte{byte(c)})
 		}
-		fmt.Fprintf(out, "%s pass %d core.steps %d adc.quantized %d burst.fnv64a %016x\n", name, pass, core.Steps, e.ADC.Quantized, h.Sum64())
+		fmt.Fprintf(out, "%s pass %d core.steps %d adc.quantized %d burst.fnv64a %016x\n", name, pass, core.Steps, quantized, h.Sum64())
 	}
 	return nil
 }

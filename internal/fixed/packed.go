@@ -24,7 +24,8 @@ type Weights interface {
 	PackInto(buf []byte) (Packed, []byte)
 }
 
-// Row is one weight row in wire layout.
+// Row is one weight row in wire layout, or consecutive rows back to back
+// (Packed.Rows).
 type Row struct {
 	// Mags holds the row's magnitude bytes, one per column.
 	Mags []byte
@@ -132,8 +133,14 @@ func (p Packed) PackInto(buf []byte) (Packed, []byte) { return p, buf }
 // Row returns row j in wire layout as subslices of the blob; buf is not
 // used.
 func (p Packed) Row(j int, buf []byte) (Row, []byte) {
-	lo := j * p.cols
-	return Row{Mags: p.mags[lo : lo+p.cols], Signs: p.signs, Bit: lo}, buf
+	return p.Rows(j, j+1), buf
+}
+
+// Rows returns rows [lo, hi) in wire layout as one Row, as subslices of the
+// blob: their magnitude bytes back to back, (hi−lo)·cols of them, with row
+// lo's first sign at Bit and row j's cols·(j−lo) bits past it.
+func (p Packed) Rows(lo, hi int) Row {
+	return Row{Mags: p.mags[lo*p.cols : hi*p.cols], Signs: p.signs, Bit: lo * p.cols}
 }
 
 // Matrix unpacks the view into a fresh in-memory matrix.

@@ -140,7 +140,8 @@ func (d *Door) Flush() {
 // (the zero source where the entry has none). A non-final fragment and a
 // stray response return no response; any other returns a fresh one.
 func (d *Door) Handle(msg *nic.Message, src netip.AddrPort, h Handler) (*nic.Response, error) {
-	req, ok, err := d.handle(msg, src, nil, nil)
+	var clk nic.BatchClock
+	req, ok, err := d.handle(msg, src, &clk, nil, nil)
 	if !ok {
 		return nil, err
 	}
@@ -160,19 +161,20 @@ func (d *Door) Handle(msg *nic.Message, src netip.AddrPort, h Handler) (*nic.Res
 }
 
 // handle is the one decision point: reject a stray response, reassemble
-// under the sender, then hand back a control message, or a complete query
-// with no admission (admit nil), for the caller to answer inline — ok —
-// or copy the query out of the read buffer and offer it to admission. A
-// fragment the reassembler refuses comes back ok with its error, to be
-// answered with an Err-flagged response.
-func (d *Door) handle(msg *nic.Message, src netip.AddrPort, admit *nic.Admitter, addr net.Addr) (req Request, ok bool, err error) {
+// under the sender, with the reassembler's clock read at most once into clk
+// for the messages that share it, then hand back a control message, or a
+// complete query with no admission (admit nil), for the caller to answer
+// inline — ok — or copy the query out of the read buffer and offer it to
+// admission. A fragment the reassembler refuses comes back ok with its
+// error, to be answered with an Err-flagged response.
+func (d *Door) handle(msg *nic.Message, src netip.AddrPort, clk *nic.BatchClock, admit *nic.Admitter, addr net.Addr) (req Request, ok bool, err error) {
 	if msg.IsResponse() {
 		return req, false, errStrayResponse
 	}
 	// Reassembly runs ahead of admission so admission judges complete
 	// queries: fragment bookkeeping is cheap, and a query rejected at
 	// admission must not leave a partial pinned in the reassembly table.
-	query, model, done, err := d.reasm.OfferFrom(src, msg)
+	query, model, done, err := d.reasm.OfferBatch(src, msg, clk)
 	if err != nil {
 		return Request{ID: msg.RequestID, Model: msg.ModelID}, true, err
 	}
@@ -270,6 +272,9 @@ type loop struct {
 	tx    *txBatcher
 	resp  nic.Response
 	in    *group
+	// clk is the reassembler's clock reading for the batch being walked,
+	// empty until the batch's first offer that needs one.
+	clk nic.BatchClock
 }
 
 // group is a batch of requests answered in one handler call, where each
@@ -422,7 +427,8 @@ func (l *loop) serveBatch(g *group, popped []nic.AdmitJob) bool {
 }
 
 // readLoop is the batched rx read loop: one deadline arm per batch read,
-// idle-tick reassembly GC, cancellation observed at every tick. It returns
+// at most one reassembler clock read per batch, idle-tick reassembly GC,
+// cancellation observed at every tick. It returns
 // nil on cancellation and the error on a fatal read failure.
 func (l *loop) readLoop(ctx context.Context) error {
 	d := l.d
@@ -452,6 +458,7 @@ func (l *loop) readLoop(ctx context.Context) error {
 			}
 			return err
 		}
+		l.clk = nic.BatchClock{}
 		dgrams := 0
 		for i := 0; i < cnt; i++ {
 			dgrams += ms[i].Datagrams()
@@ -505,7 +512,7 @@ func (l *loop) walkDatagram(data []byte, addr net.Addr) {
 		if msg.Flags&nic.FlagFragment != 0 {
 			src = nic.Source(addr)
 		}
-		req, ok, err := l.d.handle(&msg, src, l.admit, addr)
+		req, ok, err := l.d.handle(&msg, src, &l.clk, l.admit, addr)
 		if !ok {
 			continue
 		}

@@ -51,7 +51,7 @@ func TestAdmissionReturnsStorage(t *testing.T) {
 	}
 	offer := func(t *testing.T, d *Door, admit *nic.Admitter, msgs ...*nic.Message) {
 		for _, m := range msgs {
-			if _, ok, err := d.handle(m, netip.AddrPort{}, admit, fault.Addr{}); ok || err != nil {
+			if _, ok, err := d.handle(m, netip.AddrPort{}, &nic.BatchClock{}, admit, fault.Addr{}); ok || err != nil {
 				t.Fatalf("request %d answered inline (%v, %v)", m.RequestID, ok, err)
 			}
 		}

@@ -127,9 +127,6 @@ type partialQuery struct {
 	// buf holds the train's bytes; it is nil while the entry's buffer is
 	// out with its released query.
 	buf []byte
-	// deadline is when this entry expires, fixed at creation (the
-	// reassembly timer starts with the first fragment).
-	deadline time.Time
 }
 
 // cover merges [lo, hi) into the coverage intervals, in place: the spans it
@@ -204,10 +201,10 @@ type Reassembler struct {
 	ttl     time.Duration
 	now     func() time.Time
 	pending map[trainKey]*partialQuery
-	// order lists the pending entries oldest-first. Deadlines are fixed at
-	// entry creation with a constant TTL, so creation order is deadline order
-	// and expiry sweeps only the head.
-	order []trainKey
+	// order lists the pending entries oldest-first, each with its
+	// deadline. Deadlines are fixed at entry creation with a constant TTL,
+	// so creation order is deadline order and expiry sweeps only the head.
+	order []deadline
 	// bytes is the sum of the pending entries' buffer capacities.
 	bytes int
 	// idle holds buffers no pending entry or caller owns, each in the entry
@@ -295,23 +292,46 @@ func (r *Reassembler) Oversize() uint64 {
 func (r *Reassembler) GC() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gc()
+	var clk BatchClock
+	return r.gc(&clk)
+}
+
+// deadline is a pending entry's key beside the time it expires, fixed at
+// creation: the reassembly timer starts with the first fragment.
+type deadline struct {
+	key trainKey
+	at  time.Time
+}
+
+// BatchClock is one reading of a reassembler's clock shared by the offers of
+// one rx batch (OfferBatch): the first offer that needs the time reads the
+// clock, and the rest of the batch reuses that reading. The zero value holds
+// no reading; a reader resets its clock to zero after each read returns.
+type BatchClock struct {
+	now  time.Time
+	read bool
+}
+
+// time returns clk's reading, reading the clock into it first if it holds
+// none. Caller holds r.mu.
+func (r *Reassembler) time(clk *BatchClock) time.Time {
+	if !clk.read {
+		clk.now, clk.read = r.now(), true
+	}
+	return clk.now
 }
 
 // gc sweeps expired entries from the head of the creation order; callers
 // hold r.mu. An empty table has nothing to expire, so it does not read the
 // clock: every unfragmented query passes through here.
-func (r *Reassembler) gc() int {
+func (r *Reassembler) gc(clk *BatchClock) int {
 	if len(r.order) == 0 {
 		return 0
 	}
-	now := r.now()
+	now := r.time(clk)
 	n := 0
-	for len(r.order) > 0 {
-		if r.pending[r.order[0]].deadline.After(now) {
-			break
-		}
-		r.remove(r.order[0])
+	for len(r.order) > 0 && !r.order[0].at.After(now) {
+		r.remove(r.order[0].key)
 		r.expired++
 		n++
 	}
@@ -331,9 +351,17 @@ func (r *Reassembler) Offer(m *Message) (query []byte, modelID uint16, done bool
 // assembled query, in a buffer that is the caller's until it hands it back
 // with Release. Inconsistent fragments drop the whole request.
 func (r *Reassembler) OfferFrom(src netip.AddrPort, m *Message) (query []byte, modelID uint16, done bool, err error) {
+	var clk BatchClock
+	return r.OfferBatch(src, m, &clk)
+}
+
+// OfferBatch is OfferFrom for one message of an rx batch whose offers share
+// clk: a train's fragments that arrive in one batch read the clock once
+// between them, where each OfferFrom behind a pending train reads it.
+func (r *Reassembler) OfferBatch(src netip.AddrPort, m *Message, clk *BatchClock) (query []byte, modelID uint16, done bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.gc()
+	r.gc(clk)
 	if m.Flags&FlagFragment == 0 {
 		return m.Payload, m.ModelID, true, nil
 	}
@@ -354,7 +382,7 @@ func (r *Reassembler) OfferFrom(src netip.AddrPort, m *Message) (query []byte, m
 	key := trainKey{from: src, id: m.RequestID}
 	pq := r.pending[key]
 	if pq == nil {
-		pq = r.open(key, m.ModelID, total)
+		pq = r.open(key, m.ModelID, total, r.time(clk))
 	}
 	if pq.total != total || pq.modelID != m.ModelID {
 		r.remove(key)
@@ -386,22 +414,21 @@ func (r *Reassembler) finish(key trainKey) []byte {
 	return query
 }
 
-// open starts a train of total bytes under key, in a recycled buffer when an
-// idle one fits, and makes room for it first: the oldest entries give way
-// while the table is full or the buffer would overrun MaxPendingBytes.
-// Caller holds r.mu.
-func (r *Reassembler) open(key trainKey, modelID uint16, total int) *partialQuery {
+// open starts a train of total bytes under key at time now, in a recycled
+// buffer when an idle one fits, and makes room for it first: the oldest
+// entries give way while the table is full or the buffer would overrun
+// MaxPendingBytes. Caller holds r.mu.
+func (r *Reassembler) open(key trainKey, modelID uint16, total int, now time.Time) *partialQuery {
 	pq := r.entry(total)
 	for len(r.pending) >= r.cap || r.bytes+cap(pq.buf) > MaxPendingBytes {
-		r.remove(r.order[0])
+		r.remove(r.order[0].key)
 		r.drops++
 	}
 	r.bytes += cap(pq.buf)
 	pq.modelID, pq.total = modelID, total
 	pq.spans = pq.spans[:0]
-	pq.deadline = r.now().Add(r.ttl)
 	r.pending[key] = pq
-	r.order = append(r.order, key)
+	r.order = append(r.order, deadline{key, now.Add(r.ttl)})
 	return pq
 }
 
@@ -490,7 +517,7 @@ func (r *Reassembler) unlink(key trainKey) *partialQuery {
 	r.bytes -= cap(pq.buf)
 	delete(r.pending, key)
 	for i, v := range r.order {
-		if v == key {
+		if v.key == key {
 			r.order = append(r.order[:i], r.order[i+1:]...)
 			break
 		}

@@ -60,22 +60,20 @@ type ParserStats struct {
 //
 // Parse is safe for concurrent use: the hardware parser serves every RX
 // queue at line rate, so the model keeps per-outcome counters atomic and
-// locks the flow table and IDS internally.
+// locks the IDS internally.
 type Parser struct {
 	// Port is the inference destination port (InferencePort by default).
 	Port uint16
 	// IDS, when set, can veto frames before any other processing.
 	IDS *IDS
-	// Flows, when set, tracks per-flow statistics.
-	Flows *FlowTable
 
 	frames, inference, forwarded, dropped, malformed atomic.Uint64
 }
 
-// NewParser returns a parser with the default port and the standard IDS and
-// flow table attached.
+// NewParser returns a parser with the default port and the standard IDS
+// attached.
 func NewParser() *Parser {
-	return &Parser{Port: InferencePort, IDS: NewIDS(), Flows: NewFlowTable(65536)}
+	return &Parser{Port: InferencePort, IDS: NewIDS()}
 }
 
 // Stats returns a snapshot of the parser's outcome counters.
@@ -119,9 +117,6 @@ func (p *Parser) Parse(frame []byte) Parsed {
 		}
 		out.Flow.SrcPort, out.Flow.DstPort = udp.SrcPort, udp.DstPort
 
-		if p.Flows != nil {
-			p.Flows.Record(out.Flow, len(frame))
-		}
 		if p.IDS != nil {
 			if blocked, why := p.IDS.Inspect(out.Flow, len(frame)); blocked {
 				p.dropped.Add(1)
@@ -142,8 +137,6 @@ func (p *Parser) Parse(frame []byte) Parsed {
 			out.Verdict = VerdictInference
 			return out
 		}
-	} else if p.Flows != nil {
-		p.Flows.Record(out.Flow, len(frame))
 	}
 	p.forwarded.Add(1)
 	out.Verdict = VerdictForward

@@ -80,9 +80,6 @@ func TestParserTCPForwards(t *testing.T) {
 	if v := p.Parse(frame).Verdict; v != VerdictForward {
 		t.Errorf("tcp → %v", v)
 	}
-	if len(p.Flows.entries) != 1 {
-		t.Error("tcp flow not tracked")
-	}
 }
 
 func TestFlowTableAccounting(t *testing.T) {

@@ -45,6 +45,10 @@ func randomQuery(rng *rand.Rand, n int) []byte {
 // twice as long — and that train's bytes overwrite every one the previous
 // query left; a train that does not fit gets a buffer of its own.
 func TestReassemblerRecyclesReleasedBuffers(t *testing.T) {
+	// The idle buffers sit in a sync.Pool, whose Get never takes another
+	// P's private slot: on one P, the buffer Release put back is the one
+	// the next train gets, whichever P the goroutine ran on.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewPCG(3, 4))
 	for _, c := range []struct {
 		size  int

@@ -1,15 +1,19 @@
 package lightning
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/lightning-smartnic/lightning/internal/fault"
+	"github.com/lightning-smartnic/lightning/internal/netbatch"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
 
@@ -259,5 +263,105 @@ func TestTwoClientsSameRequestIDFragmentedOverUDP(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Errorf("ServeUDP returned %v", err)
+	}
+}
+
+// trainConn is a batch seam that delivers one fragment train in a single
+// read, coalesced into GRO slots as the kernel hands a train to the serve
+// socket, and reports each datagram written; every later read times out.
+type trainConn struct {
+	dgrams  [][]byte
+	closed  chan struct{}
+	written chan []byte
+}
+
+func (c *trainConn) ReadBatch(ms []netbatch.Message) (int, error) {
+	if len(c.dgrams) == 0 {
+		<-c.closed
+		return 0, fault.ErrTimeout
+	}
+	k := 0
+	for ; k < len(ms) && len(c.dgrams) > 0; k++ {
+		m := &ms[k]
+		m.N, m.Seg, m.Addr = 0, len(c.dgrams[0]), clientA
+		// Equal segments, the slot's last one possibly shorter.
+		for len(c.dgrams) > 0 && len(c.dgrams[0]) <= m.Seg && m.N+len(c.dgrams[0]) <= len(m.Buf) {
+			d := c.dgrams[0]
+			m.N += copy(m.Buf[m.N:], d)
+			c.dgrams = c.dgrams[1:]
+			if len(d) < m.Seg {
+				break
+			}
+		}
+	}
+	if len(c.dgrams) > 0 {
+		panic("the train does not fit one read")
+	}
+	return k, nil
+}
+
+func (c *trainConn) WriteBatch(ms []netbatch.Message) (int, error) {
+	for i := range ms {
+		c.written <- bytes.Clone(ms[i].Bytes())
+	}
+	return len(ms), nil
+}
+
+func (c *trainConn) SetReadDeadline(time.Time) error { return nil }
+func (c *trainConn) FastPath() bool                  { return true }
+
+// TestReassemblerReadsClockOncePerBatch: a vision-sized query's 109-fragment
+// train that arrives in one read is reassembled with at most one read of
+// the reassembler's clock, not one per fragment behind the pending train,
+// and is answered.
+func TestReassemblerReadsClockOncePerBatch(t *testing.T) {
+	const width, model = 150528, 4
+	n, err := New(Config{Lanes: 2, Noiseless: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RegisterModel(model, "halves", halvesModel(width)); err != nil {
+		t.Fatal(err)
+	}
+	var reads atomic.Int64
+	n.reassembly.SetClock(func() time.Time { reads.Add(1); return time.Unix(3000, 0) })
+	msgs, err := nic.Fragment(8, model, halvesQuery(width, true), nic.MaxFragPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msgs) != 109 {
+		t.Fatalf("the query travels as %d fragments, want 109", len(msgs))
+	}
+	conn := &trainConn{closed: make(chan struct{}), written: make(chan []byte, 1)}
+	for _, m := range msgs {
+		d, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.dgrams = append(conn.dgrams, d)
+	}
+	n.rail = func(net.PacketConn, *netbatch.Counters) netbatch.BatchConn { return conn }
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- n.ServeUDP(ctx, nil) }()
+	var resp nic.Message
+	select {
+	case d := <-conn.written:
+		if err := resp.Decode(d); err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reassembled query was not answered within 10 s")
+	}
+	cancel()
+	close(conn.closed)
+	if err := <-done; err != nil {
+		t.Fatalf("serve returned %v", err)
+	}
+	if resp.RequestID != 8 || resp.IsError() {
+		t.Fatalf("response to request %d, error flag %v; want request 8 answered", resp.RequestID, resp.IsError())
+	}
+	if got := reads.Load(); got > 1 {
+		t.Fatalf("a 109-fragment train in one read read the reassembler's clock %d times, want at most 1", got)
 	}
 }
