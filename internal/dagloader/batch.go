@@ -44,10 +44,13 @@ func (ld *Loader) ServeBatch(id uint16, inputs [][]fixed.Code) ([]Result, datapa
 	}
 	ld.Store.mu.RLock()
 	defer ld.Store.mu.RUnlock()
-	var mc *ModelConfig
-	for _, input := range inputs {
-		var err error
-		if mc, err = ld.Store.validate(id, len(input)); err != nil {
+	// One model lookup for the batch; every input is checked against it.
+	mc, err := ld.Store.validate(id, len(inputs[0]))
+	if err != nil {
+		return nil, batchStats, err
+	}
+	for _, input := range inputs[1:] {
+		if err := mc.checkWidth(len(input)); err != nil {
 			return nil, batchStats, err
 		}
 	}
@@ -63,7 +66,6 @@ func (ld *Loader) ServeBatch(id uint16, inputs [][]fixed.Code) ([]Result, datapa
 		if !ok {
 			return nil, batchStats, errMissing("weights", lc.WeightsKey)
 		}
-		var err error
 		if ld.view, err = DecodeWeights(blob, lc.Out, lc.In); err != nil {
 			return nil, batchStats, err
 		}

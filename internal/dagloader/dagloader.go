@@ -211,11 +211,17 @@ func (s *Store) validate(id uint16, inputLen int) (*ModelConfig, error) {
 	if !ok {
 		return nil, fmt.Errorf("dagloader: unknown model id %d", id)
 	}
+	return mc, mc.checkWidth(inputLen)
+}
+
+// checkWidth reports an input of inputLen codes that does not fill mc's
+// first layer.
+func (mc *ModelConfig) checkWidth(inputLen int) error {
 	if inputLen != mc.Layers[0].In {
-		return nil, fmt.Errorf("dagloader: input length %d != model %s first-layer width %d",
+		return fmt.Errorf("dagloader: input length %d != model %s first-layer width %d",
 			inputLen, mc.Name, mc.Layers[0].In)
 	}
-	return mc, nil
+	return nil
 }
 
 // Validate reports why a query of inputLen codes for model id cannot be

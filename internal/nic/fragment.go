@@ -16,12 +16,17 @@ import (
 // assembler reassembles before the datapath runs (§4's packet parser reads
 // "the payload as the user data" across however many packets carry it).
 //
-// A fragmented query's payload begins with a fragment header:
+// On the wire, a fragmented query's payload begins with a fragment header:
 //
 //	offset size field
 //	0      4    byte offset of this fragment within the query
 //	4      4    total query length
 //	8      n    fragment bytes
+//
+// A decoded fragment keeps the header in its payload. A fragment that
+// Fragment built holds it in the message's Frag field instead, so its
+// payload is the fragment bytes alone, a view of the query; the encoders
+// write the header ahead of the payload, and the frame is the same.
 const (
 	// FragHeaderLen is the per-fragment header size.
 	FragHeaderLen = 8
@@ -57,6 +62,11 @@ var ErrQueryTooLarge = errors.New("nic: fragmented query exceeds MaxQueryBytes")
 
 // Fragment splits a large query into fragment messages sharing the request
 // ID. Queries that already fit return a single unfragmented message.
+//
+// The messages alias query: each fragment's Payload is a view of its bytes,
+// its header carried in Frag, and an unfragmented query's Payload is query
+// itself. The caller keeps query unchanged until it has encoded every
+// message it sends.
 func Fragment(requestID uint32, modelID uint16, query []byte, maxPayload int) ([]*Message, error) {
 	return FragmentFlags(requestID, modelID, 0, query, maxPayload)
 }
@@ -64,13 +74,20 @@ func Fragment(requestID uint32, modelID uint16, query []byte, maxPayload int) ([
 // FragmentFlags is Fragment with caller flags preserved: every fragment
 // carries flags|FlagFragment, and an unfragmented query keeps flags as-is.
 // Control messages (FlagControl) use this so a multi-fragment model install
-// is still recognizable as control traffic on its completing fragment.
+// is still recognizable as control traffic on its completing fragment. The
+// messages alias query as Fragment's do.
 func FragmentFlags(requestID uint32, modelID uint16, flags uint8, query []byte, maxPayload int) ([]*Message, error) {
 	if maxPayload <= 0 {
 		maxPayload = MaxFragPayload
 	}
 	if len(query) <= maxPayload {
-		return []*Message{{Flags: flags, RequestID: requestID, ModelID: modelID, Payload: query}}, nil
+		// The message and the pointer to it share one allocation.
+		one := &struct {
+			ptr [1]*Message
+			msg Message
+		}{msg: Message{Flags: flags, RequestID: requestID, ModelID: modelID, Payload: query}}
+		one.ptr[0] = &one.msg
+		return one.ptr[:], nil
 	}
 	if len(query) > MaxQueryBytes {
 		// The far end's reassembler would refuse it; fail where the
@@ -85,27 +102,20 @@ func FragmentFlags(requestID uint32, modelID uint16, flags uint8, query []byte, 
 	if count > 0xffff {
 		return nil, fmt.Errorf("nic: query of %d bytes needs %d fragments (max 65535)", len(query), count)
 	}
-	// One slab of messages and one of payload bytes for the whole train: a
-	// 150 KB query is 109 fragments, and a message and a payload apiece was
-	// 218 allocations a query on every sender. Each payload's capacity ends
-	// where its bytes do, so an append to one cannot run into the next.
+	// One slab of messages for the whole train (a 150 KB query is 109
+	// fragments). Each payload is a view of query whose capacity ends where
+	// its bytes do, so an append to one cannot run into the next.
 	msgs := make([]*Message, count)
 	slab := make([]Message, count)
-	payloads := make([]byte, count*FragHeaderLen+len(query))
 	for i := range slab {
 		lo := i * chunk
 		hi := min(lo+chunk, len(query))
-		n := FragHeaderLen + hi - lo
-		payload := payloads[:n:n]
-		payloads = payloads[n:]
-		binary.BigEndian.PutUint32(payload[0:4], uint32(lo))
-		binary.BigEndian.PutUint32(payload[4:8], uint32(len(query)))
-		copy(payload[FragHeaderLen:], query[lo:hi])
 		slab[i] = Message{
 			Flags:     flags | FlagFragment,
 			RequestID: requestID,
 			ModelID:   modelID,
-			Payload:   payload,
+			Frag:      FragHeader{Offset: uint32(lo), Total: uint32(len(query))},
+			Payload:   query[lo:hi:hi],
 		}
 		msgs[i] = &slab[i]
 	}
@@ -365,12 +375,10 @@ func (r *Reassembler) OfferBatch(src netip.AddrPort, m *Message, clk *BatchClock
 	if m.Flags&FlagFragment == 0 {
 		return m.Payload, m.ModelID, true, nil
 	}
-	if len(m.Payload) < FragHeaderLen {
+	lo, total, body, ok := fragmentOf(m)
+	if !ok {
 		return nil, 0, false, errFragmentHeader
 	}
-	lo := int(binary.BigEndian.Uint32(m.Payload[0:4]))
-	total := int(binary.BigEndian.Uint32(m.Payload[4:8]))
-	body := m.Payload[FragHeaderLen:]
 	if total <= 0 || len(body) == 0 {
 		return nil, 0, false, errEmptyFragment(m.RequestID)
 	}
@@ -401,6 +409,22 @@ func (r *Reassembler) OfferBatch(src netip.AddrPort, m *Message, clk *BatchClock
 		return nil, 0, false, nil
 	}
 	return r.finish(key), pq.modelID, true, nil
+}
+
+// fragmentOf reads a fragment's header and body: from m.Frag when the
+// sender's message carries it (Fragment's trains), from the first
+// FragHeaderLen bytes of the payload when the message was decoded off the
+// wire. ok is false for a payload too short for the header.
+func fragmentOf(m *Message) (lo, total int, body []byte, ok bool) {
+	if m.Frag.Total != 0 {
+		return int(m.Frag.Offset), int(m.Frag.Total), m.Payload, true
+	}
+	if len(m.Payload) < FragHeaderLen {
+		return 0, 0, nil, false
+	}
+	lo = int(binary.BigEndian.Uint32(m.Payload[0:4]))
+	total = int(binary.BigEndian.Uint32(m.Payload[4:8]))
+	return lo, total, m.Payload[FragHeaderLen:], true
 }
 
 // finish takes a complete train out of the table and returns its buffer,

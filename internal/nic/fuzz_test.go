@@ -1,7 +1,9 @@
 package nic
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -100,17 +102,64 @@ func FuzzReassemblerLifecycle(f *testing.F) {
 	})
 }
 
+// FuzzReassembler offers each generated train twice: to one reassembler as
+// the messages a sender builds, each header in Frag and each payload the
+// fragment's bytes alone, and to another as the frames a receiver decodes
+// from them, each header in the payload. spec is read 11 bytes a fragment —
+// offset, total, body length and which of four requests it belongs to — so
+// fragments overlap, repeat, overrun, lie about their totals and interleave
+// across a two-entry table. The two forms must give identical outcomes on
+// every offer and leave identical drops, refusals and pending trains.
 func FuzzReassembler(f *testing.F) {
 	msgs, _ := Fragment(1, 2, make([]byte, 4000), 512)
-	raw, _ := msgs[0].Encode()
-	f.Add(raw, uint32(1))
-	f.Fuzz(func(t *testing.T, payload []byte, reqID uint32) {
-		r := NewReassembler(4)
-		m := &Message{Flags: FlagFragment, RequestID: reqID, Payload: payload}
-		// Must never panic; errors are fine.
-		q, _, done, err := r.Offer(m)
-		if err == nil && done && q == nil {
-			t.Fatal("done with nil query")
+	var train []byte
+	for _, m := range msgs {
+		train = appendFuzzFragment(train, m.Frag.Offset, m.Frag.Total, len(m.Payload), 0)
+	}
+	f.Add(train, uint32(1))
+	f.Add(appendFuzzFragment(appendFuzzFragment(nil, 0, 16, 8, 0), 8, 16, 9, 0), uint32(7))
+	f.Add(appendFuzzFragment(nil, 0, MaxQueryBytes+1, 4, 1), uint32(3))
+	f.Fuzz(func(t *testing.T, spec []byte, reqID uint32) {
+		built, decoded := NewReassembler(2), NewReassembler(2)
+		for ; len(spec) >= 11; spec = spec[11:] {
+			lo := binary.BigEndian.Uint32(spec[0:4])
+			total := binary.BigEndian.Uint32(spec[4:8])
+			n := int(binary.BigEndian.Uint16(spec[8:10])) % 2048
+			m := &Message{Flags: FlagFragment, RequestID: reqID + uint32(spec[10]%4), ModelID: 2,
+				Frag: FragHeader{Offset: lo, Total: total}, Payload: bytes.Repeat([]byte{0xab}, n)}
+			frame, err := m.Encode()
+			if err != nil {
+				t.Fatalf("encoding a %d-byte fragment: %v", n, err)
+			}
+			var d Message
+			if err := d.Decode(frame); err != nil {
+				t.Fatalf("decoding a %d-byte fragment: %v", n, err)
+			}
+			q1, model1, done1, err1 := built.Offer(m)
+			q2, model2, done2, err2 := decoded.Offer(&d)
+			if done1 != done2 || model1 != model2 || !bytes.Equal(q1, q2) || fmt.Sprint(err1) != fmt.Sprint(err2) {
+				t.Fatalf("fragment [%d,+%d) of %d: built gives (%d bytes, model %d, done %v, %v), decoded (%d bytes, model %d, done %v, %v)",
+					lo, n, total, len(q1), model1, done1, err1, len(q2), model2, done2, err2)
+			}
+			if done1 {
+				if len(q1) != int(total) {
+					t.Fatalf("released %d bytes, declared total %d", len(q1), total)
+				}
+				built.Release(q1)
+				decoded.Release(q2)
+			}
+		}
+		if built.Drops() != decoded.Drops() || built.Oversize() != decoded.Oversize() || built.Pending() != decoded.Pending() {
+			t.Fatalf("built: drops %d oversize %d pending %d; decoded: drops %d oversize %d pending %d",
+				built.Drops(), built.Oversize(), built.Pending(), decoded.Drops(), decoded.Oversize(), decoded.Pending())
 		}
 	})
+}
+
+// appendFuzzFragment appends one FuzzReassembler spec record.
+func appendFuzzFragment(spec []byte, lo, total uint32, n int, req byte) []byte {
+	spec = binary.BigEndian.AppendUint32(spec, lo)
+	spec = binary.BigEndian.AppendUint32(spec, total)
+	spec = binary.BigEndian.AppendUint16(spec, uint16(n))
+	return append(spec, req)
 }

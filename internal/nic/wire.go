@@ -2,6 +2,7 @@ package nic
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -83,7 +84,28 @@ type Message struct {
 	Flags     uint8
 	RequestID uint32
 	ModelID   uint16
-	Payload   []byte
+	// Frag, when its Total is set, is a fragment header the encoders write
+	// ahead of Payload and count in the length field: the frame is the one
+	// a payload beginning with the header makes. Fragment sets it; Decode
+	// leaves a received fragment's header in its payload and Frag zero.
+	Frag    FragHeader
+	Payload []byte
+}
+
+// FragHeader is a fragment header held in a Message (see the layout in
+// fragment.go). The zero value is no header: a fragment's total is never 0.
+type FragHeader struct {
+	Offset uint32 // byte offset of the fragment within the query
+	Total  uint32 // total query length
+}
+
+// payloadLen is the length field m encodes with: its payload and, when set,
+// the fragment header ahead of it.
+func (m *Message) payloadLen() int {
+	if m.Frag.Total != 0 {
+		return FragHeaderLen + len(m.Payload)
+	}
+	return len(m.Payload)
 }
 
 // IsResponse reports whether the message is a response.
@@ -104,6 +126,7 @@ func (m *Message) Decode(data []byte) error {
 		return fmt.Errorf("nic: unsupported wire version %d", v)
 	}
 	m.Flags = data[3]
+	m.Frag = FragHeader{}
 	m.RequestID = binary.BigEndian.Uint32(data[4:8])
 	m.ModelID = binary.BigEndian.Uint16(data[8:10])
 	n := int(binary.BigEndian.Uint16(data[10:12]))
@@ -129,7 +152,7 @@ func (m *Message) DecodeNext(data []byte) (int, error) {
 
 // Encode serializes the message.
 func (m *Message) Encode() ([]byte, error) {
-	out, err := m.AppendEncode(make([]byte, 0, WireHeaderLen+len(m.Payload)))
+	out, err := m.AppendEncode(make([]byte, 0, WireHeaderLen+m.payloadLen()))
 	if err != nil {
 		return nil, err
 	}
@@ -140,14 +163,19 @@ func (m *Message) Encode() ([]byte, error) {
 // the extended slice — the allocation-free seam the serve path's pooled tx
 // frame buffers use. dst is returned unmodified on error.
 func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
-	if len(m.Payload) > 0xffff {
-		return dst, fmt.Errorf("nic: payload %d exceeds 64 KiB", len(m.Payload))
+	n := m.payloadLen()
+	if n > 0xffff {
+		return dst, fmt.Errorf("nic: payload %d exceeds 64 KiB", n)
 	}
 	dst = binary.BigEndian.AppendUint16(dst, WireMagic)
 	dst = append(dst, WireVersion, m.Flags)
 	dst = binary.BigEndian.AppendUint32(dst, m.RequestID)
 	dst = binary.BigEndian.AppendUint16(dst, m.ModelID)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Payload)))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(n))
+	if m.Frag.Total != 0 {
+		dst = binary.BigEndian.AppendUint32(dst, m.Frag.Offset)
+		dst = binary.BigEndian.AppendUint32(dst, m.Frag.Total)
+	}
 	return append(dst, m.Payload...), nil
 }
 
@@ -205,13 +233,15 @@ func ResponseFrameLen(r *Response) int { return WireHeaderLen + 2 + len(r.Probs)
 // length field.
 var errResponseTooLarge = fmt.Errorf("nic: response payload exceeds 64 KiB")
 
-// ParseResponse unpacks a response message.
+// ParseResponse unpacks a response message. Its refusals are fixed values,
+// so it is small enough to inline, and a caller that keeps the Response
+// local keeps it on its stack.
 func ParseResponse(m *Message) (*Response, error) {
 	if !m.IsResponse() {
-		return nil, fmt.Errorf("nic: message is not a response")
+		return nil, errNotResponse
 	}
 	if len(m.Payload) < 2 {
-		return nil, fmt.Errorf("%w: response payload", ErrTruncated)
+		return nil, errResponsePayload
 	}
 	return &Response{
 		RequestID: m.RequestID,
@@ -221,6 +251,12 @@ func ParseResponse(m *Message) (*Response, error) {
 		Err:       m.IsError(),
 	}, nil
 }
+
+// ParseResponse's refusals.
+var (
+	errNotResponse     = errors.New("nic: message is not a response")
+	errResponsePayload = fmt.Errorf("%w: response payload", ErrTruncated)
+)
 
 // BuildFrame assembles a full Ethernet/IPv4/UDP/Lightning frame from srcPort
 // to dstPort. A query goes from the caller's (ephemeral) source port to

@@ -2,6 +2,7 @@ package nic
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -76,7 +77,8 @@ func TestMessageDecodeErrors(t *testing.T) {
 
 // TestMessageEncodeTooLarge: the length field is 16 bits, so a 65 535-byte
 // payload is the largest that encodes, and decodes back whole; a 65 536-byte
-// one would carry a length of 0, so both encoders refuse it.
+// one would carry a length of 0, so both encoders refuse it. A fragment
+// header held in the message counts toward the same limit.
 func TestMessageEncodeTooLarge(t *testing.T) {
 	for _, n := range []int{0xffff, 0x10000} {
 		fits := n <= 0xffff
@@ -89,6 +91,17 @@ func TestMessageEncodeTooLarge(t *testing.T) {
 		if fits && (d.Decode(frame) != nil || len(d.Payload) != n) {
 			t.Fatalf("a %d-byte payload did not decode whole (%d bytes)", n, len(d.Payload))
 		}
+		frag := Message{Flags: FlagFragment, Frag: FragHeader{Offset: 1, Total: 2}, Payload: make([]byte, n-FragHeaderLen)}
+		frame, err = frag.AppendEncode(nil)
+		if (err == nil) != fits {
+			t.Fatalf("AppendEncode of a %d-byte header and payload: err %v", n, err)
+		}
+		if _, err := frag.Encode(); (err == nil) != fits {
+			t.Fatalf("Encode of a %d-byte header and payload: err %v", n, err)
+		}
+		if fits && (d.Decode(frame) != nil || len(d.Payload) != n || d.Frag != (FragHeader{})) {
+			t.Fatalf("a %d-byte header and payload did not decode whole (%d bytes, header %+v)", n, len(d.Payload), d.Frag)
+		}
 		frame, err = AppendResponseFrame(nil, &Response{Probs: make([]uint8, n-2)})
 		if (err == nil) != fits {
 			t.Fatalf("AppendResponseFrame of a %d-byte payload: err %v", n, err)
@@ -96,6 +109,43 @@ func TestMessageEncodeTooLarge(t *testing.T) {
 		if fits && (d.Decode(frame) != nil || len(d.Payload) != n) {
 			t.Fatalf("a %d-byte response payload did not decode whole (%d bytes)", n, len(d.Payload))
 		}
+	}
+}
+
+// TestDecodeResponseAllocs: a client that walks a datagram's response frames
+// with DecodeNext and ParseResponse, keeping each Response local as the
+// benchmark client does, allocates nothing per response.
+func TestDecodeResponseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	var data []byte
+	for id := uint32(1); id <= 4; id++ {
+		var err error
+		if data, err = AppendResponseFrame(data, &Response{RequestID: id, ModelID: 2, Class: 1, Probs: []uint8{9, 200}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	classes := 0
+	if n := testing.AllocsPerRun(100, func() {
+		for rest := data; len(rest) > 0; {
+			var m Message
+			consumed, err := m.DecodeNext(rest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[consumed:]
+			resp, err := ParseResponse(&m)
+			if err != nil || resp.Err {
+				t.Fatalf("response %d: err %v", m.RequestID, err)
+			}
+			classes += int(resp.Class)
+		}
+	}); n != 0 {
+		t.Errorf("decoding four responses allocates %v times, want 0", n)
+	}
+	if classes == 0 {
+		t.Error("no response decoded")
 	}
 }
 
@@ -127,11 +177,12 @@ func TestResponseErrorFlag(t *testing.T) {
 }
 
 func TestParseResponseRejectsQuery(t *testing.T) {
-	if _, err := ParseResponse(&Message{}); err == nil {
-		t.Error("query parsed as response")
+	if _, err := ParseResponse(&Message{}); err == nil || err.Error() != "nic: message is not a response" {
+		t.Errorf("query parsed as response: err %v", err)
 	}
-	if _, err := ParseResponse(&Message{Flags: FlagResponse, Payload: []byte{1}}); err == nil {
-		t.Error("short response accepted")
+	_, err := ParseResponse(&Message{Flags: FlagResponse, Payload: []byte{1}})
+	if !errors.Is(err, ErrTruncated) || err.Error() != "nic: truncated packet: response payload" {
+		t.Errorf("short response: err %v, want ErrTruncated", err)
 	}
 }
 
