@@ -8,7 +8,7 @@ import (
 
 // silentClient builds a Client aimed at a listener that never answers, with
 // the sleep seam recording the backoff schedule instead of waiting it out.
-func silentClient(t *testing.T, seed uint64, retries int, backoff, backoffMax time.Duration) (*Client, *[]time.Duration) {
+func silentClient(t *testing.T, seed uint64, retries int, backoff time.Duration) (*Client, *[]time.Duration) {
 	t.Helper()
 	srv, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -23,8 +23,7 @@ func silentClient(t *testing.T, seed uint64, retries int, backoff, backoffMax ti
 	c.Timeout = 2 * time.Millisecond
 	c.Retries = retries
 	c.RetryBackoff = backoff
-	c.RetryBackoffMax = backoffMax
-	c.JitterSeed = seed
+	c.jitterSeed = seed
 	waits := &[]time.Duration{}
 	c.sleep = func(d time.Duration) { *waits = append(*waits, d) }
 	return c, waits
@@ -36,13 +35,13 @@ func silentClient(t *testing.T, seed uint64, retries int, backoff, backoffMax ti
 // — never above the cap, never below half the base, and one wait per retry.
 func TestClientBackoffCapAndJitter(t *testing.T) {
 	const retries = 4
-	c, waits := silentClient(t, 42, retries, 20*time.Millisecond, 50*time.Millisecond)
+	c, waits := silentClient(t, 42, retries, 250*time.Millisecond)
 	if _, _, err := c.Infer(1, make([]Code, 4)); err == nil {
 		t.Fatal("Infer against a silent server succeeded")
 	}
-	// Bases double from RetryBackoff and clamp at RetryBackoffMax:
-	// 20ms, 40ms, 50ms, 50ms.
-	bases := []time.Duration{20 * time.Millisecond, 40 * time.Millisecond, 50 * time.Millisecond, 50 * time.Millisecond}
+	// Bases double from RetryBackoff and clamp at the 1s cap:
+	// 250ms, 500ms, 1s, 1s.
+	bases := []time.Duration{250 * time.Millisecond, 500 * time.Millisecond, time.Second, time.Second}
 	if len(*waits) != retries {
 		t.Fatalf("recorded %d waits, want %d (one per retry)", len(*waits), retries)
 	}
@@ -53,17 +52,17 @@ func TestClientBackoffCapAndJitter(t *testing.T) {
 		}
 	}
 	for i, w := range *waits {
-		if w > 50*time.Millisecond {
-			t.Errorf("wait %d = %v exceeds the 50ms cap", i, w)
+		if w > time.Second {
+			t.Errorf("wait %d = %v exceeds the 1s cap", i, w)
 		}
 	}
 }
 
 // TestClientBackoffDeepScheduleStaysCapped: a deep retry schedule must
-// plateau at RetryBackoffMax instead of growing without bound — the
+// plateau at the 1s cap instead of growing without bound — the
 // difference between a bounded stall and a multi-minute hang.
 func TestClientBackoffDeepScheduleStaysCapped(t *testing.T) {
-	c, waits := silentClient(t, 7, 8, 10*time.Millisecond, 40*time.Millisecond)
+	c, waits := silentClient(t, 7, 8, 250*time.Millisecond)
 	if _, _, err := c.Infer(1, make([]Code, 4)); err == nil {
 		t.Fatal("Infer against a silent server succeeded")
 	}
@@ -73,18 +72,18 @@ func TestClientBackoffDeepScheduleStaysCapped(t *testing.T) {
 	// From the 3rd retry on the base is pinned at the cap.
 	for i := 2; i < len(*waits); i++ {
 		w := (*waits)[i]
-		if w < 20*time.Millisecond || w > 40*time.Millisecond {
-			t.Errorf("capped wait %d = %v, want in [20ms, 40ms]", i, w)
+		if w < 500*time.Millisecond || w > time.Second {
+			t.Errorf("capped wait %d = %v, want in [500ms, 1s]", i, w)
 		}
 	}
 }
 
-// TestClientBackoffReproducibleBySeed: a fixed JitterSeed replays the exact
+// TestClientBackoffReproducibleBySeed: a fixed jitter seed replays the exact
 // backoff schedule — the property that makes retry storms debuggable — while
 // the jitter still varies across attempts (not a constant offset).
 func TestClientBackoffReproducibleBySeed(t *testing.T) {
 	run := func() []time.Duration {
-		c, waits := silentClient(t, 99, 5, 16*time.Millisecond, 64*time.Millisecond)
+		c, waits := silentClient(t, 99, 5, 250*time.Millisecond)
 		if _, _, err := c.Infer(1, make([]Code, 4)); err == nil {
 			t.Fatal("Infer against a silent server succeeded")
 		}

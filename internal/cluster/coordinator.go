@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,7 +86,7 @@ type Config struct {
 type node struct {
 	index   int
 	addr    string
-	nc      *nodeClient
+	nc      *nic.Channel
 	breaker *health.Breaker
 
 	served, errs          atomic.Uint64
@@ -182,15 +183,15 @@ func New(cfg Config) (*Coordinator, error) {
 		func() time.Time { return c.now() })
 	hc := health.Config{Window: healthWindow, Threshold: healthThreshold, ProbeEvery: cfg.ProbeEvery, Trials: healthTrials}
 	for i, addr := range cfg.Nodes {
-		nc, err := dialNode(addr)
+		conn, err := net.Dial("udp", addr)
 		if err != nil {
 			_ = c.Close()
-			return nil, err
+			return nil, fmt.Errorf("cluster: dialing node %s: %w", addr, err)
 		}
 		c.nodes = append(c.nodes, &node{
 			index:     i,
 			addr:      addr,
-			nc:        nc,
+			nc:        nic.NewChannel(conn),
 			breaker:   health.NewBreaker(hc),
 			baselines: make(map[uint16]baseline),
 		})
@@ -212,7 +213,7 @@ func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closing)
 		for _, n := range c.nodes {
-			if err := n.nc.close(); err != nil && c.closeErr == nil {
+			if err := n.nc.Close(); err != nil && c.closeErr == nil {
 				c.closeErr = err
 			}
 		}
@@ -320,7 +321,7 @@ func (c *Coordinator) install(n *node, modelID uint16, part *nn.QuantizedNetwork
 		return err
 	}
 	ctrl := nic.BuildControlMessage(0, modelID, nic.CtrlInstallModel, buf.Bytes())
-	resp, err := n.nc.call(context.Background(), nic.FlagControl, modelID, ctrl.Payload, c.cfg.InstallTimeout)
+	resp, err := n.nc.Call(nil, nic.FlagControl, modelID, ctrl.Payload, c.cfg.InstallTimeout)
 	if err != nil {
 		c.installErrors.Add(1)
 		return fmt.Errorf("cluster: installing model %d on %s: %w", modelID, n.addr, err)
@@ -330,7 +331,7 @@ func (c *Coordinator) install(n *node, modelID uint16, part *nn.QuantizedNetwork
 		return fmt.Errorf("cluster: node %s rejected install of model %d", n.addr, modelID)
 	}
 	in := c.probeInput(modelID, part.Sizes[0])
-	presp, err := n.nc.call(context.Background(), 0, modelID, in, c.cfg.InstallTimeout)
+	presp, err := n.nc.Call(nil, 0, modelID, in, c.cfg.InstallTimeout)
 	if err != nil || presp.Err {
 		c.installErrors.Add(1)
 		return fmt.Errorf("cluster: baseline probe of model %d on %s failed", modelID, n.addr)
@@ -388,7 +389,7 @@ func (c *Coordinator) probeNode(n *node) bool {
 		n.probeFailures.Add(1)
 		return false
 	}
-	resp, err := n.nc.call(context.Background(), 0, id, bl.input, c.cfg.InstallTimeout)
+	resp, err := n.nc.Call(nil, 0, id, bl.input, c.cfg.InstallTimeout)
 	if err != nil || resp.Err || resp.Class != bl.class || !withinTolerance(bl.probs, resp.Probs, probeTolerance) {
 		n.probeFailures.Add(1)
 		return false
@@ -586,9 +587,9 @@ func (c *Coordinator) callHedged(ctx context.Context, primary, replica *node, mo
 // callObserved is one node call whose outcome feeds the node's breaker.
 // Caller-side cancellation is not charged to the node.
 func (c *Coordinator) callObserved(ctx context.Context, n *node, modelID uint16, payload []byte, timeout time.Duration) (*nic.Response, error) {
-	resp, err := n.nc.call(ctx, 0, modelID, payload, timeout)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return nil, err
+	resp, err := n.nc.Call(ctx.Done(), 0, modelID, payload, timeout)
+	if err != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
 	c.observe(n, err != nil || resp.Err)
 	if err != nil {
@@ -656,7 +657,7 @@ func (c *Coordinator) readmissionProbe(n *node) bool {
 		id = partBase
 		bl = baseline{}
 	}
-	resp, err := n.nc.call(context.Background(), 0, id, bl.input, c.cfg.InstallTimeout)
+	resp, err := n.nc.Call(nil, 0, id, bl.input, c.cfg.InstallTimeout)
 	if err != nil {
 		n.probeFailures.Add(1)
 		return false

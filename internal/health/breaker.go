@@ -187,20 +187,22 @@ func (b *Breaker) Observe(bad bool) Verdict {
 		}
 		b.mu.Lock()
 		if b.trialsLeft <= 0 {
-			// A concurrent clean verdict already completed the run (the
-			// state flip to Healthy may still be in flight on that
-			// goroutine) — this outcome rides along, it must not re-readmit.
+			// A concurrent clean verdict already completed the run, or a
+			// Trip ended it — this outcome rides along, it must not
+			// re-readmit.
 			b.mu.Unlock()
 			return VerdictNone
 		}
 		b.trialsLeft--
-		done := b.trialsLeft == 0
-		if done {
+		// Readmit by a CAS from Probation under mu: a Trip that landed since
+		// this outcome read the state keeps its quarantine, and StartProbation
+		// publishes Probation under mu, so this cannot readmit a later run.
+		readmit := b.trialsLeft == 0 && b.state.CompareAndSwap(int32(Probation), int32(Healthy))
+		if readmit {
 			b.resetLocked()
 		}
 		b.mu.Unlock()
-		if done {
-			b.state.Store(int32(Healthy))
+		if readmit {
 			b.readmissions.Add(1)
 			return VerdictReadmit
 		}
@@ -249,8 +251,8 @@ func (b *Breaker) Trip() bool {
 // resource (one bad outcome re-quarantines it).
 func (b *Breaker) StartProbation() {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.trialsLeft = b.cfg.Trials
 	b.resetLocked()
-	b.mu.Unlock()
 	b.state.Store(int32(Probation))
 }

@@ -173,7 +173,6 @@ type connState struct {
 type burst struct {
 	cs     *connState
 	buf    []byte
-	offs   []int
 	ids    []uint32
 	models []uint16
 	msgs   []netbatch.Message
@@ -386,19 +385,13 @@ func (g *generator) queueArrival(b *burst, id uint32, model uint16, payload []by
 		b.cs = g.conns[b.seq%len(g.conns)]
 		b.seq++
 	}
-	msg := nic.Message{RequestID: id, ModelID: model, Payload: payload}
-	off := len(b.buf)
-	out, err := msg.AppendEncode(b.buf)
-	if err != nil {
+	var err error
+	if b.buf, b.msgs, err = nic.AppendTrain(b.buf, b.msgs, id, model, 0, payload); err != nil {
 		// Unencodable query (payload past the wire's length field): it never
 		// reaches the socket, which is a write error by the books.
-		g.mu.Lock()
-		g.res.WriteErrors++
-		g.mu.Unlock()
+		g.countWriteError()
 		return
 	}
-	b.buf = out
-	b.offs = append(b.offs, off)
 	b.ids = append(b.ids, id)
 	b.models = append(b.models, model)
 }
@@ -413,14 +406,6 @@ func (g *generator) flushBurst(b *burst) {
 		return
 	}
 	cs := b.cs
-	b.msgs = b.msgs[:0]
-	for i, off := range b.offs {
-		end := len(b.buf)
-		if i+1 < len(b.offs) {
-			end = b.offs[i+1]
-		}
-		b.msgs = append(b.msgs, netbatch.Message{Buf: b.buf[off:end], N: end - off})
-	}
 	now := g.now()
 	cs.mu.Lock()
 	for i, id := range b.ids {
@@ -445,9 +430,7 @@ func (g *generator) flushBurst(b *burst) {
 			}
 			// ms[0] was refused: count it, unregister it, keep the rest
 			// of the burst moving.
-			g.mu.Lock()
-			g.res.WriteErrors++
-			g.mu.Unlock()
+			g.countWriteError()
 			cs.mu.Lock()
 			delete(cs.pending, b.ids[base])
 			cs.mu.Unlock()
@@ -457,54 +440,30 @@ func (g *generator) flushBurst(b *burst) {
 	}
 	b.cs = nil
 	b.buf = b.buf[:0]
-	b.offs = b.offs[:0]
+	b.msgs = b.msgs[:0]
 	b.ids = b.ids[:0]
 	b.models = b.models[:0]
 }
 
 // sendFragmented puts one over-sized query on the wire as a fragment burst:
-// every fragment encodes back to back and the whole train leaves in one
-// batched write. Any refused fragment voids the query (the server's
-// reassembly TTL reaps the partial), so it books as a write error.
+// the whole train leaves in one batched write. Any refused fragment voids
+// the query (the server's reassembly TTL reaps the partial), so it books as
+// a write error.
 func (g *generator) sendFragmented(id uint32, model uint16, payload []byte) {
 	cs := g.conns[int(id)%len(g.conns)]
-	frags, err := nic.Fragment(id, model, payload, nic.MaxFragPayload)
+	_, ms, err := nic.AppendTrain(nil, nil, id, model, 0, payload)
 	if err != nil {
-		g.mu.Lock()
-		g.res.WriteErrors++
-		g.mu.Unlock()
+		g.countWriteError()
 		return
-	}
-	var buf []byte
-	var offs []int
-	for _, f := range frags {
-		offs = append(offs, len(buf))
-		if buf, err = f.AppendEncode(buf); err != nil {
-			g.mu.Lock()
-			g.res.WriteErrors++
-			g.mu.Unlock()
-			return
-		}
-	}
-	msgs := make([]netbatch.Message, len(offs))
-	for i, off := range offs {
-		end := len(buf)
-		if i+1 < len(offs) {
-			end = offs[i+1]
-		}
-		msgs[i] = netbatch.Message{Buf: buf[off:end], N: end - off}
 	}
 	cs.mu.Lock()
 	cs.pending[id] = pendingEntry{model: model, sentAt: g.now()}
 	cs.mu.Unlock()
-	ms := msgs
 	for len(ms) > 0 {
 		sent, werr := cs.bc.WriteBatch(ms)
 		ms = ms[sent:]
 		if werr != nil {
-			g.mu.Lock()
-			g.res.WriteErrors++
-			g.mu.Unlock()
+			g.countWriteError()
 			cs.mu.Lock()
 			delete(cs.pending, id)
 			cs.mu.Unlock()
@@ -514,6 +473,13 @@ func (g *generator) sendFragmented(id uint32, model uint16, payload []byte) {
 	g.mu.Lock()
 	g.res.Offered++
 	g.res.PerModel[model].Sent++
+	g.mu.Unlock()
+}
+
+// countWriteError books one request that never left the socket.
+func (g *generator) countWriteError() {
+	g.mu.Lock()
+	g.res.WriteErrors++
 	g.mu.Unlock()
 }
 

@@ -176,7 +176,7 @@ type trainKey struct {
 	id   uint32
 }
 
-// Source is a datagram's sender as OfferFrom keys it: the UDP address and
+// Source is a datagram's sender as OfferBatch keys it: the UDP address and
 // port, or the zero source for an address of any other kind (a test's
 // in-memory conn), whose senders then share one key space as they always did.
 func Source(addr net.Addr) netip.AddrPort {
@@ -348,26 +348,22 @@ func (r *Reassembler) gc(clk *BatchClock) int {
 	return n
 }
 
-// Offer is OfferFrom for a caller with one sender behind it, or none it can
-// name: every fragment is taken as the zero source's.
+// Offer is OfferBatch for a caller with one sender behind it, or none it
+// can name, and no batch: every fragment is taken as the zero source's, and
+// each offer reads the clock it needs.
 func (r *Reassembler) Offer(m *Message) (query []byte, modelID uint16, done bool, err error) {
-	return r.OfferFrom(netip.AddrPort{}, m)
-}
-
-// OfferFrom consumes one message that arrived from src. Unfragmented queries
-// pass straight through as (query, true). Fragments accumulate per sender and
-// request ID — two senders that both number a request 1 never share a buffer
-// — and the fragment that completes byte coverage of a request releases the
-// assembled query, in a buffer that is the caller's until it hands it back
-// with Release. Inconsistent fragments drop the whole request.
-func (r *Reassembler) OfferFrom(src netip.AddrPort, m *Message) (query []byte, modelID uint16, done bool, err error) {
 	var clk BatchClock
-	return r.OfferBatch(src, m, &clk)
+	return r.OfferBatch(netip.AddrPort{}, m, &clk)
 }
 
-// OfferBatch is OfferFrom for one message of an rx batch whose offers share
-// clk: a train's fragments that arrive in one batch read the clock once
-// between them, where each OfferFrom behind a pending train reads it.
+// OfferBatch consumes one message that arrived from src, one of an rx batch
+// whose offers share clk: a train's fragments that arrive in one batch read
+// the clock once between them. Unfragmented queries pass straight through
+// as (query, true). Fragments accumulate per sender and request ID — two
+// senders that both number a request 1 never share a buffer — and the
+// fragment that completes byte coverage of a request releases the assembled
+// query, in a buffer that is the caller's until it hands it back with
+// Release. Inconsistent fragments drop the whole request.
 func (r *Reassembler) OfferBatch(src netip.AddrPort, m *Message, clk *BatchClock) (query []byte, modelID uint16, done bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -486,7 +482,7 @@ func (r *Reassembler) spareEntry() *partialQuery {
 	return pq
 }
 
-// Release hands back the buffer of a query OfferFrom released, once the
+// Release hands back the buffer of a query OfferBatch released, once the
 // caller is done reading it: the next train that fits reuses it, or the GC
 // takes it while it sits idle. It must be called at most once a query, and
 // only with a buffer of a fragmented query — never with an unfragmented
@@ -505,7 +501,7 @@ func (r *Reassembler) Release(query []byte) {
 // errFragmentHeader refuses a fragment too short for its header.
 var errFragmentHeader = fmt.Errorf("%w: fragment header", ErrTruncated)
 
-// The refusals below are built off OfferFrom's hot path.
+// The refusals below are built off OfferBatch's hot path.
 
 func errEmptyFragment(id uint32) error {
 	return fmt.Errorf("nic: empty fragment for request %d", id)

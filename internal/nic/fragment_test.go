@@ -752,9 +752,9 @@ func TestReassemblerKeepsSourcesApart(t *testing.T) {
 	for i := range a {
 		// B's fragments run a step ahead of A's and back to front, so a
 		// shared buffer would complete early on mixed bytes.
-		q, _, done, err := r.OfferFrom(srcB, b[len(b)-1-i])
+		q, _, done, err := r.OfferBatch(srcB, b[len(b)-1-i], &BatchClock{})
 		offer("b", q, done, err)
-		q, _, done, err = r.OfferFrom(srcA, a[i])
+		q, _, done, err = r.OfferBatch(srcA, a[i], &BatchClock{})
 		offer("a", q, done, err)
 		q, _, done, err = r.Offer(c[i])
 		offer("c", q, done, err)

@@ -230,7 +230,7 @@ func TestTwoClientsSameRequestIDFragmentedOverUDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &Client{conn: &turnConn{Conn: conn, mine: mine, theirs: theirs}, Timeout: 2 * time.Second}
+		return newClient(&turnConn{Conn: conn, mine: mine, theirs: theirs})
 	}
 	clients := []*Client{dial(turnA, turnB), dial(turnB, turnA)}
 	var wg sync.WaitGroup

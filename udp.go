@@ -4,25 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
 
-	"github.com/lightning-smartnic/lightning/internal/netbatch"
 	"github.com/lightning-smartnic/lightning/internal/nic"
 )
-
-// rxBufPool recycles the 64 KiB datagram read buffers of the client's
-// round-trip reader, so per-attempt reads stop re-allocating max-datagram
-// buffers. Pooled as *[]byte so Put does not re-box the slice header on
-// every cycle.
-var rxBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 65536)
-		return &b
-	},
-}
 
 // ServeUDP attaches the NIC to a UDP socket and serves Lightning wire
 // messages until the context is cancelled (requirement R1: live user
@@ -114,18 +103,10 @@ func (e *ServerError) Error() string {
 }
 
 // Client queries a Lightning NIC over UDP. A Client is safe for concurrent
-// use: Infer serializes internally, so parallel callers take turns on the
-// single socket (request IDs stay unique and nobody steals another caller's
-// reply). Callers who want true round-trip parallelism open one Client per
-// goroutine — or use an open-loop driver like cmd/lightning-loadgen.
+// use: its calls share one socket through a nic.Channel, whose reader hands
+// each response to the call waiting on its request ID, so parallel Infer
+// calls overlap their round trips and nobody takes another caller's reply.
 type Client struct {
-	// mu serializes Infer end to end: the request-ID draw, the fragmented
-	// send, and the reply reads on the shared conn are one critical
-	// section. Without it two goroutines interleave Reads and consume each
-	// other's responses.
-	mu     sync.Mutex
-	conn   net.Conn
-	nextID uint32
 	// Timeout bounds each round-trip attempt.
 	Timeout time.Duration
 	// Retries is how many times Infer resends the whole query after a
@@ -134,38 +115,31 @@ type Client struct {
 	// expires by TTL — succeeds on a clean retransmission.
 	Retries int
 	// RetryBackoff is the wait before the first retry, doubling each
-	// attempt (default 50ms when Retries > 0).
+	// attempt up to one second (default 50ms when Retries > 0).
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential backoff (default 1s): without a
-	// cap a deep retry schedule grows the wait without bound, which turns a
-	// transient server stall into a multi-minute client hang.
-	RetryBackoffMax time.Duration
-	// JitterSeed seeds the retry jitter stream. Each backoff wait is drawn
+
+	ch *nic.Channel
+	// jitterSeed seeds the retry jitter stream. Each backoff wait is drawn
 	// uniformly from [base/2, base]: synchronized clients (a fleet retrying
 	// after the same server blip) decorrelate instead of retrying in
-	// lockstep and re-creating the overload that timed them out. Zero
-	// derives a per-client seed from the socket's local address, so
-	// concurrent clients jitter differently by default while a test that
-	// fixes the seed replays the exact schedule.
-	JitterSeed uint64
-
-	// rng drives the retry jitter, built lazily under mu.
-	rng *rand.Rand
-	// sleep is the backoff wait, injectable so the backoff regression test
-	// records the schedule instead of sleeping it out (nil = time.Sleep).
+	// lockstep and re-creating the overload that timed them out. newClient
+	// derives it from the socket's local address, so concurrent clients
+	// jitter differently while a test that fixes it replays the exact
+	// schedule.
+	jitterSeed uint64
+	// sleep is the backoff wait, injectable so the backoff tests record the
+	// schedule instead of sleeping it out (nil = time.Sleep).
 	sleep func(time.Duration)
 
-	// bc is the batched view of conn, built lazily under mu so tests that
-	// construct a Client literal still work. A fragmented query's whole
-	// burst leaves in one WriteBatch — one sendmmsg on the fast path.
-	bc netbatch.BatchConn
-	// txBuf/txOffs/txMsgs are retained send scratch: every fragment encodes
-	// into txBuf back to back, txOffs marks the frame boundaries, and txMsgs
-	// is the Message view handed to WriteBatch.
-	txBuf  []byte
-	txOffs []int
-	txMsgs []netbatch.Message
+	// mu guards rng, the retry jitter stream, built lazily from jitterSeed.
+	mu  sync.Mutex
+	rng *rand.Rand
 }
+
+// maxRetryBackoff caps the exponential backoff: without a cap a deep retry
+// schedule grows the wait without bound, which turns a transient server
+// stall into a multi-minute client hang.
+const maxRetryBackoff = time.Second
 
 // Dial connects a client to a serving NIC's UDP address.
 func Dial(addr string) (*Client, error) {
@@ -173,82 +147,72 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lightning: dialing %s: %w", addr, err)
 	}
-	return &Client{conn: conn, Timeout: 2 * time.Second}, nil
+	return newClient(conn), nil
+}
+
+// newClient builds a client over a connected socket. The jitter seed hashes
+// the socket's local address (the ephemeral port makes it distinct per
+// client) rather than the wall clock, so fixed-seed runs stay reproducible
+// end to end.
+func newClient(conn net.Conn) *Client {
+	h := fnv.New64a()
+	h.Write([]byte(conn.LocalAddr().String()))
+	return &Client{ch: nic.NewChannel(conn), Timeout: 2 * time.Second, jitterSeed: h.Sum64()}
 }
 
 // Close releases the client's socket.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.ch.Close() }
 
 // Infer sends one query and waits for its response, returning the response
 // and the observed round-trip latency. Timeouts retry up to Retries times
-// with exponential backoff, re-sending every fragment under a fresh request
-// ID. An Err-flagged response is returned together with a *ServerError so
-// callers can branch on errors.As without inspecting the response; server
-// errors are not retried.
+// with capped, jittered exponential backoff, re-sending every fragment
+// under a fresh request ID. An Err-flagged response is returned together
+// with a *ServerError so callers can branch on errors.As without inspecting
+// the response; server errors are not retried.
 func (c *Client) Infer(modelID uint16, payload []Code) (*Response, time.Duration, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	raw := make([]byte, len(payload))
 	for i, p := range payload {
 		raw[i] = byte(p)
 	}
-	attempts := c.Retries + 1
 	backoff := c.RetryBackoff
 	if backoff <= 0 {
 		backoff = 50 * time.Millisecond
 	}
-	maxBackoff := c.RetryBackoffMax
-	if maxBackoff <= 0 {
-		maxBackoff = time.Second
-	}
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a := 0; a <= c.Retries; a++ {
 		if a > 0 {
 			c.sleepFor(c.jitterDelay(backoff))
-			if backoff < maxBackoff {
-				backoff *= 2
-			}
-			if backoff > maxBackoff {
-				backoff = maxBackoff
-			}
+			backoff = min(2*backoff, maxRetryBackoff)
 		}
-		resp, rtt, err := c.attempt(modelID, raw)
+		start := time.Now()
+		resp, err := c.ch.Call(nil, 0, modelID, raw, c.Timeout)
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			lastErr = err
+			continue
+		}
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				lastErr = err
-				continue
-			}
 			return nil, 0, err
 		}
+		rtt := time.Since(start)
 		if resp.Err {
 			return resp, rtt, &ServerError{RequestID: resp.RequestID, ModelID: resp.ModelID}
 		}
 		return resp, rtt, nil
 	}
-	return nil, 0, fmt.Errorf("lightning: no response after %d attempt(s): %w", attempts, lastErr)
+	return nil, 0, fmt.Errorf("lightning: no response after %d attempt(s): %w", c.Retries+1, lastErr)
 }
 
 // jitterDelay draws this attempt's actual wait, uniform in [base/2, base].
-// Caller holds mu (the rng is shared client state).
 func (c *Client) jitterDelay(base time.Duration) time.Duration {
-	if c.rng == nil {
-		seed := c.JitterSeed
-		if seed == 0 {
-			// Derive a per-client seed from the socket's local address (the
-			// ephemeral port makes it distinct per client) rather than the
-			// wall clock, so fixed-seed runs stay reproducible end to end.
-			seed = 14695981039346656037 // FNV-64a offset basis
-			for s := c.conn.LocalAddr().String(); len(s) > 0; s = s[1:] {
-				seed ^= uint64(s[0])
-				seed *= 1099511628211
-			}
-		}
-		c.rng = rand.New(rand.NewPCG(seed, uint64(nic.WireMagic)))
-	}
 	half := base / 2
 	if half <= 0 {
 		return base
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewPCG(c.jitterSeed, uint64(nic.WireMagic)))
 	}
 	return half + time.Duration(c.rng.Int64N(int64(half)+1))
 }
@@ -260,80 +224,4 @@ func (c *Client) sleepFor(d time.Duration) {
 		return
 	}
 	time.Sleep(d)
-}
-
-// attempt performs one send-and-wait round trip.
-func (c *Client) attempt(modelID uint16, raw []byte) (*Response, time.Duration, error) {
-	c.nextID++
-	id := c.nextID
-	// Large queries (Table 6's 150 KB images) travel as fragments that the
-	// NIC's packet assembler reassembles.
-	msgs, err := nic.Fragment(id, modelID, raw, nic.MaxFragPayload)
-	if err != nil {
-		return nil, 0, err
-	}
-	if c.bc == nil {
-		c.bc = netbatch.WrapConn(c.conn, nil)
-	}
-	start := time.Now()
-	// Encode every fragment back to back into retained scratch, then hand
-	// the whole burst to one WriteBatch. The Message views are built only
-	// after all encodes so txBuf reallocation cannot orphan a frame.
-	c.txBuf = c.txBuf[:0]
-	c.txOffs = c.txOffs[:0]
-	for _, m := range msgs {
-		c.txOffs = append(c.txOffs, len(c.txBuf))
-		if c.txBuf, err = m.AppendEncode(c.txBuf); err != nil {
-			return nil, 0, err
-		}
-	}
-	c.txMsgs = c.txMsgs[:0]
-	for i, off := range c.txOffs {
-		end := len(c.txBuf)
-		if i+1 < len(c.txOffs) {
-			end = c.txOffs[i+1]
-		}
-		c.txMsgs = append(c.txMsgs, netbatch.Message{Buf: c.txBuf[off:end], N: end - off})
-	}
-	if _, err := c.bc.WriteBatch(c.txMsgs); err != nil {
-		return nil, 0, err
-	}
-	if err := c.bc.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
-		return nil, 0, err
-	}
-	bufp := rxBufPool.Get().(*[]byte)
-	defer rxBufPool.Put(bufp)
-	rx := [1]netbatch.Message{{Buf: *bufp}}
-	for {
-		cnt, err := c.bc.ReadBatch(rx[:])
-		if err != nil {
-			return nil, 0, err
-		}
-		if cnt == 0 {
-			continue
-		}
-		// One rx datagram may pack several concatenated response frames
-		// (the wire protocol allows it); walk them for ours. A malformed
-		// frame ends the walk — garbage datagrams were skipped before, too.
-		data := rx[0].Bytes()
-		for len(data) > 0 {
-			var reply Message
-			consumed, derr := reply.DecodeNext(data)
-			if derr != nil {
-				break
-			}
-			data = data[consumed:]
-			if reply.RequestID != id || !reply.IsResponse() {
-				continue // stale frame
-			}
-			resp, perr := nic.ParseResponse(&reply)
-			if perr != nil {
-				return nil, 0, perr
-			}
-			// ParseResponse aliases Probs into the read buffer; copy before
-			// the deferred Put hands that buffer to another goroutine.
-			resp.Probs = append([]uint8(nil), resp.Probs...)
-			return resp, time.Since(start), nil
-		}
-	}
 }

@@ -18,8 +18,9 @@ import (
 // TestClientInferConcurrent is the regression test for the Client race:
 // parallel Infer calls on ONE client share the socket and the request-ID
 // counter. Pre-fix, goroutines interleaved Reads and stole each other's
-// replies (and raced on nextID, which the race detector flags); post-fix
-// Infer serializes, so every caller gets its own answer.
+// replies (and raced on nextID, which the race detector flags); now one
+// reader hands each response to the call waiting on its request ID, so
+// every caller gets its own answer.
 func TestClientInferConcurrent(t *testing.T) {
 	const width = 64
 	n, _ := New(Config{Lanes: 2, Noiseless: true, Seed: 41, Cores: 2})
@@ -82,6 +83,82 @@ func TestClientInferConcurrent(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Errorf("ServeUDPWorkers returned %v", err)
+	}
+}
+
+// TestClientInferOverlapsCallers: two goroutines call Infer on one Client
+// against a server that holds its first answer until the second query has
+// arrived. A Client that kept one round trip on the socket at a time would
+// never send the second query, and its first call would time out; the
+// shared channel sends both, and each caller gets its own answer (the
+// server answers with the query's first byte as the class, second query
+// first).
+func TestClientInferOverlapsCallers(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	served := make(chan error, 1)
+	go func() {
+		type query struct {
+			id    uint32
+			class uint16
+			from  net.Addr
+		}
+		var held []query
+		buf := make([]byte, 2048)
+		for len(held) < 2 {
+			n, from, err := pc.ReadFrom(buf)
+			if err != nil {
+				served <- err
+				return
+			}
+			var m Message
+			if err := m.Decode(buf[:n]); err != nil {
+				served <- err
+				return
+			}
+			held = append(held, query{m.RequestID, uint16(m.Payload[0]), from})
+		}
+		for i := len(held) - 1; i >= 0; i-- {
+			q := held[i]
+			frame, err := (&Response{RequestID: q.id, ModelID: 1, Class: q.class}).ToMessage().Encode()
+			if err == nil {
+				_, err = pc.WriteTo(frame, q.from)
+			}
+			if err != nil {
+				served <- err
+				return
+			}
+		}
+		served <- nil
+	}()
+
+	client, err := Dial(pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.Timeout = 2 * time.Second
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			resp, _, err := client.Infer(1, []Code{Code(g)})
+			if err != nil {
+				t.Errorf("caller %d: %v", g, err)
+				return
+			}
+			if int(resp.Class) != g {
+				t.Errorf("caller %d got class %d: another caller's answer", g, resp.Class)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := <-served; err != nil {
+		t.Fatalf("server: %v", err)
 	}
 }
 
