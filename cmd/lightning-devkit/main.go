@@ -5,7 +5,7 @@
 // characterizing the SNR for calibration, and (iii) sweeping and locking
 // modulator bias voltages.
 //
-//	lightning-devkit -op mac -a 0.85 -b 0.26 -a2 0.5 -b2 0.93
+//	lightning-devkit -op mac
 //	lightning-devkit -op snr
 //	lightning-devkit -op bias
 package main
@@ -18,32 +18,35 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/devkit"
 )
 
+// The MAC benchmark's operands, x = [x1, x2] against w = [w1, w2] as in the
+// Appendix G notebook, and the noise seed of every operation.
+const (
+	x1, w1 = 0.85, 0.26
+	x2, w2 = 0.5, 0.93
+	seed   = 1
+)
+
 func main() {
 	op := flag.String("op", "mac", "operation: mac | snr | bias")
-	a := flag.Float64("a", 0.85, "first operand x1 in [0,1]")
-	b := flag.Float64("b", 0.26, "first operand w1 in [0,1]")
-	a2 := flag.Float64("a2", 0.5, "second operand x2 in [0,1]")
-	b2 := flag.Float64("b2", 0.93, "second operand w2 in [0,1]")
-	seed := flag.Uint64("seed", 1, "noise seed")
 	flag.Parse()
 
 	switch *op {
 	case "mac":
-		kit, err := devkit.New(*seed)
+		kit, err := devkit.New(seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := kit.MAC(*a, *b, *a2, *b2)
+		res, err := kit.MAC(x1, w1, x2, w2)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("photonic vector dot product on 2 wavelengths:\n")
-		fmt.Printf("  x = [%.2f, %.2f], w = [%.2f, %.2f]\n", *a, *a2, *b, *b2)
+		fmt.Printf("  x = [%.2f, %.2f], w = [%.2f, %.2f]\n", x1, x2, w1, w2)
 		fmt.Printf("  photonic result: %.3f\n", res.Photonic)
 		fmt.Printf("  ground truth:    %.3f\n", res.GroundTruth)
 		fmt.Printf("  error:           %+.2f%%\n", res.ErrorPct)
 	case "snr":
-		kit, err := devkit.New(*seed)
+		kit, err := devkit.New(seed)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,8 +28,9 @@ import (
 //   - one preamble prefix, one readout phase, one preamble detection;
 //   - one count-action reconfiguration and one DRAM weight stream (see
 //     dagloader.ServeBatch);
-//   - one LUT-validity sweep of the photonic core, taken as the burst opens:
-//     faults land between queries, never inside a layer, and the helpers
+//   - one re-bake check of the photonic core (Core.Rebake), taken as the
+//     burst opens: faults land between queries, never inside a layer, so the
+//     tables then follow the modulators for the whole layer, and the helpers
 //     that run a wide span's blocks only read the core.
 //
 // Equivalence contract: on an ideal (noiseless) channel a batched pass is
@@ -89,25 +90,24 @@ func (e *Engine) issueSpan(w fixed.Packed, lo, hi int, xs [][]fixed.Code, stats 
 	s.counts = s.counts[:at+dots]
 	p := &s.pass
 	p.lanes = e.Core.NumLanes()
-	p.div = newCeilDiv(p.lanes)
 	p.bounds, p.rows = s.bounds[:2*dots+1], s.rows[:hi-lo+1]
 	p.bounds[0] = 0
-	total := partition(s.bW, s.bX, w.Rows(lo, hi), n, xs, p.div, p.bounds, p.rows, s.counts[at:])
+	total := partition(s.bW, s.bX, w.Rows(lo, hi), n, xs, newCeilDiv(p.lanes), p.bounds, p.rows, s.counts[at:])
 	stats.PhotonicSteps += uint64(total)
 	if total == 0 {
 		return
 	}
 	s.block.fit(2*dots, total)
 
-	// One photonic pass in blocks (rowpass.go): the layer's LUT-validity
-	// decision, taken as its first live span opens the burst, covers every
-	// row and every query's sign groups, each step drawing its noise at its
-	// own position in its row's stream, each block quantizing into its own
-	// stretch of the burst reserved here.
+	// One photonic pass in blocks (rowpass.go): the layer's re-bake, taken
+	// as its first live span opens the burst, brings the core's tables to
+	// its modulators for every row and every query's sign groups, each step
+	// drawing its noise at its own position in its row's stream, each block
+	// quantizing into its own stretch of the burst reserved here.
 	if len(s.stream) == 0 {
 		s.phase = e.ADC.RandomPhase()
 		s.stream = e.ADC.OpenBurst(s.stream, e.pre, s.phase)
-		p.fast = e.Core.LUTsValid()
+		e.Core.Rebake()
 	}
 	start := len(s.stream)
 	s.stream = e.ADC.Reserve(s.stream, total)
@@ -118,17 +118,15 @@ func (e *Engine) issueSpan(w fixed.Packed, lo, hi int, xs [][]fixed.Code, stats 
 		p.starts = groupStarts(s.starts[:2*dots+1], s.counts[at:])
 	}
 	p.issue(&s.block)
-	if p.fast {
-		// Step counted its own steps and left the cursor here on a stale
-		// core; leave both where they stand after a pass from the cursor:
-		// at the end of the span's last row with a live product.
-		last := hi - lo - 1
-		for p.rows[last] == p.rows[last+1] {
-			last--
-		}
-		e.Core.Steps += uint64(total)
-		e.Core.SeekNoiseAt(noiseKey(e.bursts, lo+last), uint64(p.rows[last+1]-p.rows[last]))
+	// The blocks only read the core: count the span's steps and leave the
+	// cursor where a pass from it would stand, at the end of the span's last
+	// row with a live product.
+	last := hi - lo - 1
+	for p.rows[last] == p.rows[last+1] {
+		last--
 	}
+	e.Core.Steps += uint64(total)
+	e.Core.SeekNoiseAt(noiseKey(e.bursts, lo+last), uint64(p.rows[last+1]-p.rows[last]))
 }
 
 // readBurst closes the layer's burst and writes every issued dot's

@@ -113,18 +113,18 @@ func TestRunDotBatchAllZeroProducts(t *testing.T) {
 	}
 }
 
-// TestLayerLUTDecisionSeesFaultBetweenLayers: the engine decides LUT
-// validity once a layer, so a fault landing between two layers must be seen
-// by the second. A modulator bias moved after a layer sends the next layer
-// through Step, reading the bytes of a twin that was stale from the start; a
-// relock between layers brings the fast path back. A decision kept from an
-// earlier layer would serve the moved bias from the LUTs baked before it,
-// which read what a healthy core reads.
+// TestLayerLUTDecisionSeesFaultBetweenLayers: the engine re-bakes the core's
+// tables once a layer, so a fault landing between two layers must be seen by
+// the second. A modulator bias moved after a layer makes the next layer read
+// the bytes of a twin that was faulted from the start, and differ from a
+// healthy twin's; a relock between layers makes it read what a relocked twin
+// reads. Tables kept from an earlier layer would serve the moved bias from
+// the bake before it, which reads what a healthy core reads.
 func TestLayerLUTDecisionSeesFaultBetweenLayers(t *testing.T) {
 	weights, bias, xs := batchLayer(4, 64, 2)
-	// layer serves the layer and returns what it read — every accumulator
-	// and the burst's samples — and whether it took the fast path.
-	layer := func(e *Engine) (string, bool) {
+	// layer serves the layer and returns what it read: every accumulator
+	// and the burst's samples.
+	layer := func(e *Engine) string {
 		res := e.ExecuteFCBiasBatch(weights, bias, xs, ActIdentity, 2)
 		var b strings.Builder
 		for _, r := range res.PerQuery {
@@ -132,7 +132,7 @@ func TestLayerLUTDecisionSeesFaultBetweenLayers(t *testing.T) {
 		}
 		frames := int(res.Stats.DatapathCycles) - PerLayerOverheadCycles
 		fmt.Fprintln(&b, e.scratch.stream[:frames*converter.SamplesPerCycle])
-		return b.String(), e.scratch.pass.fast
+		return b.String()
 	}
 	fault := func(e *Engine) { e.Core.Lanes()[0].Mod1.Bias += 0.3 }
 	relock := func(e *Engine) {
@@ -142,37 +142,22 @@ func TestLayerLUTDecisionSeesFaultBetweenLayers(t *testing.T) {
 	}
 	e, stale, healthy := newTestEngine(t, 2, true), newTestEngine(t, 2, true), newTestEngine(t, 2, true)
 	fault(stale)
-	for _, c := range []struct {
-		e    *Engine
-		fast bool
-	}{{e, true}, {stale, false}, {healthy, true}} {
-		if _, fast := layer(c.e); fast != c.fast {
-			t.Fatalf("first layer: fast path %v, want %v", fast, c.fast)
-		}
+	for _, c := range []*Engine{e, stale, healthy} {
+		layer(c)
 	}
 
 	fault(e)
-	got, fast := layer(e)
-	want, _ := layer(stale)
-	clean, _ := layer(healthy)
-	if fast {
-		t.Fatal("the layer after a fault took the fast path")
-	}
+	got, want, clean := layer(e), layer(stale), layer(healthy)
 	if got != want {
-		t.Fatalf("the layer after a fault read\n%s\nthe twin stale from the start\n%s", got, want)
+		t.Fatalf("the layer after a fault read\n%s\nthe twin faulted from the start\n%s", got, want)
 	}
 	if got == clean {
-		t.Fatal("the fault does not change what the layer reads: the test cannot tell the paths apart")
+		t.Fatal("the fault does not change what the layer reads: the tables masked it")
 	}
 
 	relock(e)
 	relock(stale)
-	got, fast = layer(e)
-	want, _ = layer(stale)
-	if !fast {
-		t.Fatal("the layer after a relock did not return to the fast path")
-	}
-	if got != want {
+	if got, want = layer(e), layer(stale); got != want {
 		t.Fatalf("after a relock the layer read\n%s\nthe relocked twin\n%s", got, want)
 	}
 }

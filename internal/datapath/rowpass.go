@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 	"github.com/lightning-smartnic/lightning/internal/photonic"
 )
@@ -26,15 +25,17 @@ import (
 // bytes are the same whichever goroutine ran which block, in what order, and
 // however the rows were grouped into spans.
 //
-// A span of fanOutSteps or more steps on a core whose LUTs hold, with more
-// than one P, is offered to the process's helpers: the caller and whichever
-// helpers take the offer claim blocks from an atomic cursor until none are
-// left. Only a row too wide to share a span reaches that width, save a span
-// whose every dot meets its step bound (spanRows). Every other span — and
-// every span of a layer the engine runs serially — is the same blocks run
-// inline by the caller, with no atomic and no channel operation. A stale
-// core runs its blocks inline through Step, seeking the cursor to each
-// group's row and position first.
+// A block only reads the core: the engine re-bakes any lane a fault has
+// moved as the layer's burst opens (Core.Rebake), so a faulted core takes the
+// same pass as a healthy one, fan-out included.
+//
+// A span of fanOutSteps or more steps, with more than one P, is offered to
+// the process's helpers: the caller and whichever helpers take the offer
+// claim blocks from an atomic cursor until none are left. Only a row too
+// wide to share a span reaches that width, save a span whose every dot
+// meets its step bound (spanRows). Every other span — and every span of a
+// layer the engine runs serially — is the same blocks run inline by the
+// caller, with no atomic and no channel operation.
 
 const (
 	// blockSteps is the unit of work: 16 KB of partials, so a block's
@@ -62,12 +63,8 @@ type spanPass struct {
 	next  atomic.Int64
 	state atomic.Int64
 
-	core *photonic.Core
-	// fast records that the core's LUTs held when the layer's burst
-	// opened.
-	fast  bool
+	core  *photonic.Core
 	lanes int
-	div   ceilDiv
 	// burst and row0 name the noise stream of the span's rows: row row0+r
 	// draws from noiseKey(burst, row0+r). A row has groups sign groups, two
 	// a query.
@@ -133,11 +130,6 @@ func (p *spanPass) run(k int, buf *blockBuf) {
 		g0, first, cuts = p.cut(lo, hi, buf.cuts)
 	}
 	a, b := p.a[first:first+cuts[len(cuts)-1]], p.b[first:first+cuts[len(cuts)-1]]
-	if !p.fast {
-		p.step(lo, g0, parts, a, b, cuts)
-		converter.QuantizeInto(p.out[lo:hi], parts)
-		return
-	}
 	p.core.ReadingsGroupsInto(parts, a, b, cuts)
 	// Each row's part of the block is one readout at its own position in
 	// its own stream.
@@ -167,27 +159,9 @@ func (p *spanPass) cut(lo, hi int, buf []int) (g0, first int, cuts []int) {
 	return g0, first, cuts[:c]
 }
 
-// step is run's stale-core pass: each of the block's groups, cut as in cuts,
-// goes through Step from the cursor, sought first to the group's row and
-// position. A group's steps are its operands over the lanes, rounded up;
-// the first one's were cut lane-aligned at the block's start.
-func (p *spanPass) step(lo, g0 int, parts []float64, a, b []fixed.Code, cuts []int) {
-	s := lo
-	for i := 1; i < len(cuts); i++ {
-		end := s + p.div.of(cuts[i]-cuts[i-1])
-		if s == end {
-			continue
-		}
-		r := (g0 + i - 1) / p.groups
-		p.core.SeekNoiseAt(noiseKey(p.burst, p.row0+r), uint64(s-p.rows[r]))
-		p.core.DotPartialsInto(parts[s-lo:end-lo], a[cuts[i-1]:cuts[i]], b[cuts[i-1]:cuts[i]])
-		s = end
-	}
-}
-
 // issue runs every block of the span, offering a wide one to the helpers.
 func (p *spanPass) issue(buf *blockBuf) {
-	if p.fast && len(p.out) >= fanOutSteps {
+	if len(p.out) >= fanOutSteps {
 		if procs := runtime.GOMAXPROCS(0); procs > 1 {
 			p.fanOut(buf, min(procs-1, p.blocks-1))
 			return

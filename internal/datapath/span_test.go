@@ -7,16 +7,14 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
 // issueRowRef is the per-row issue loop the span pass replaced, kept as its
 // reference: one row sign-partitioned on its own (a span of one row), its
 // steps run inline in blocks of the row, a kernel call per group and one
-// readout a block under the row's key from the block's row position, or
-// through Step from the cursor sought there on a stale core, and the cursor
-// left where a pass from it would stand after the row.
+// readout a block under the row's key from the block's row position, and
+// the cursor left where a pass from it would stand after the row.
 func issueRowRef(e *Engine, w fixed.Row, row int, xs [][]fixed.Code, stats *LayerStats) {
 	q, n, lanes := len(xs), len(w.Mags), e.Core.NumLanes()
 	s := &e.scratch
@@ -32,9 +30,8 @@ func issueRowRef(e *Engine, w fixed.Row, row int, xs [][]fixed.Code, stats *Laye
 	if len(s.stream) == 0 {
 		s.phase = e.ADC.RandomPhase()
 		s.stream = e.ADC.OpenBurst(s.stream, e.pre, s.phase)
-		s.pass.fast = e.Core.LUTsValid()
+		e.Core.Rebake()
 	}
-	fast := s.pass.fast
 	at := len(s.stream)
 	s.stream = e.ADC.Reserve(s.stream, total)
 	out := s.stream[at:]
@@ -42,9 +39,6 @@ func issueRowRef(e *Engine, w fixed.Row, row int, xs [][]fixed.Code, stats *Laye
 	parts := make([]float64, blockSteps)
 	for lo := 0; lo < total; lo += blockSteps {
 		hi := min(lo+blockSteps, total)
-		if !fast {
-			e.Core.SeekNoiseAt(key, uint64(lo))
-		}
 		g := 0
 		for starts[g+1] <= lo {
 			g++
@@ -53,23 +47,13 @@ func issueRowRef(e *Engine, w fixed.Row, row int, xs [][]fixed.Code, stats *Laye
 			end := min(starts[g+1], hi)
 			first := bounds[g] + (st-starts[g])*lanes
 			last := min(bounds[g]+(end-starts[g])*lanes, bounds[g+1])
-			if fast {
-				e.Core.ReadingsInto(parts[st-lo:end-lo], bW[first:last], bX[first:last])
-			} else {
-				e.Core.DotPartialsInto(parts[st-lo:end-lo], bW[first:last], bX[first:last])
-			}
+			e.Core.ReadingsInto(parts[st-lo:end-lo], bW[first:last], bX[first:last])
 			st = end
 		}
-		if fast {
-			e.Core.ReadoutAt(out[lo:hi], parts[:hi-lo], key, uint64(lo))
-		} else {
-			converter.QuantizeInto(out[lo:hi], parts[:hi-lo])
-		}
+		e.Core.ReadoutAt(out[lo:hi], parts[:hi-lo], key, uint64(lo))
 	}
-	if fast {
-		e.Core.Steps += uint64(total)
-		e.Core.SeekNoiseAt(key, uint64(total))
-	}
+	e.Core.Steps += uint64(total)
+	e.Core.SeekNoiseAt(key, uint64(total))
 }
 
 // traceLayer serves one layer's rows on e the way ExecuteFCBiasBatch does —
@@ -99,7 +83,7 @@ func traceLayer(e *Engine, w fixed.Packed, xs [][]fixed.Code, span int, ref bool
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "burst %v\ncounts %v\nfast %v\n", s.stream, s.counts, len(s.stream) > 0 && s.pass.fast)
+	fmt.Fprintf(&b, "burst %v\ncounts %v\n", s.stream, s.counts)
 	out := make([]fixed.Acc, rows*len(xs))
 	e.readBurst(out, &stats)
 	fmt.Fprintf(&b, "stats %+v\ncore.steps %d\nacc %v\nnext", stats, e.Core.Steps, out)
@@ -143,7 +127,7 @@ func spanLayer(rng *rand.Rand, rows, cols, q int) (fixed.Matrix, [][]fixed.Code)
 // each entry of spans: one engine through the span pass in spans of that
 // many rows, the other row by row through the reference loop. Everything
 // each layer left must match byte for byte. stale moves a modulator off its
-// baked LUTs first, so every step goes through Step.
+// baked LUTs first, so every layer re-bakes them as its burst opens.
 func checkSpanMatchesPerRow(t *testing.T, m fixed.Matrix, xs [][]fixed.Code, lanes int, stale bool, spans ...int) {
 	t.Helper()
 	p := packedView(t, m...)
@@ -176,7 +160,8 @@ func checkSpanMatchesPerRow(t *testing.T, m fixed.Matrix, xs [][]fixed.Code, lan
 // 1 to 16 under the engine's own spans and under arbitrary ones; spans whose
 // blocks cut rows and groups; a dense row thousands of steps wide between
 // sparse rows, as one span fanned out to the helpers and as the engine cuts
-// it; all-zero rows and empty queries; and a core with stale LUTs.
+// it; all-zero rows and empty queries; and a core whose modulator a fault
+// moved off its baked LUTs.
 func TestSpanMatchesPerRow(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {

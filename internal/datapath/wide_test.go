@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/lightning-smartnic/lightning/internal/converter"
+	"github.com/lightning-smartnic/lightning/internal/fault"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 	"github.com/lightning-smartnic/lightning/internal/photonic"
 )
@@ -20,9 +21,10 @@ import (
 // the ADC read it. Its cases are a vision-width halves layer (one row of
 // 37 632 steps beside one of 128, the benchmark's vision_frag shape) and a
 // mixed-sign 5×9000 layer served twice on one engine, each at batch 1 and
-// batch 8, and the same layers on a core whose transmission LUTs are stale,
-// so every row takes the live transfer chain. Nothing in it depends on how
-// many goroutines computed the bytes.
+// batch 8, and the same layers on a core whose first modulator was moved off
+// the operating point its transmission LUTs were baked at, so every layer
+// re-bakes them as its burst opens. Nothing in it depends on how many
+// goroutines computed the bytes.
 const goldenWide = "testdata/engine_wide_noise_on.golden"
 
 // visionWidth is the benchmark's vision_frag input width (224×224×3).
@@ -92,7 +94,7 @@ func wideRun() (string, error) {
 	for _, stale := range []bool{false, true} {
 		for _, q := range []int{1, 8} {
 			if stale && q == 8 {
-				continue // the live chain is slow; batch 1 covers it for the halves layer
+				continue // batch 1 covers the moved core's halves layer
 			}
 			m, xs := halvesLayer(visionWidth, q, 51)
 			if err := wideCase(&out, fmt.Sprintf("halves %d batch %d stale %v", visionWidth, q, stale), m, nil, xs, 1, stale); err != nil {
@@ -221,5 +223,67 @@ func TestEngineWideGoldenTwoShards(t *testing.T) {
 			t.Fatal(r.err)
 		}
 		replayGolden(t, goldenWide, r.text)
+	}
+}
+
+// TestEngineWideFaultFansOut serves two rows of well over fanOutSteps steps
+// each, noise on, on a core whose first modulator a BiasRunaway moved between
+// two layers, at one, two and four Ps: the layer re-bakes the moved lane's
+// tables as its burst opens, and each row fans out to helpers that read
+// them. The faulted layer must read the same bytes at every P count, the
+// bytes of a twin faulted before its first layer, and not a healthy twin's.
+func TestEngineWideFaultFansOut(t *testing.T) {
+	m, bias, xs := mixedLayer(2, 40000, 1, 37)
+	runaway := fault.BiasRunaway{Lane: 0, DeltaVolts: 0.4}
+	// serve builds a prototype core, applies the runaway before layer
+	// faultAt (never if it is out of range), and renders the second layer,
+	// then a probe Step from where it left the cursor.
+	serve := func(faultAt int) (string, string) {
+		core, err := photonic.NewPrototypeCore(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(core, 7)
+		var out strings.Builder
+		for layer := 0; layer < 2; layer++ {
+			if layer == faultAt {
+				if err := runaway.Apply(fault.Target{Core: core}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := e.ExecuteFCBiasBatch(m, bias, xs, ActIdentity, 8)
+			if layer == 0 {
+				continue
+			}
+			if n := len(e.scratch.pass.out); n < fanOutSteps {
+				t.Fatalf("the last row took %d steps, under the %d a span fans out at", n, fanOutSteps)
+			}
+			frames := int(res.Stats.DatapathCycles) - PerLayerOverheadCycles
+			h := fnv.New64a()
+			for _, c := range e.scratch.stream[:frames*converter.SamplesPerCycle] {
+				h.Write([]byte{byte(c)})
+			}
+			fmt.Fprintf(&out, "stats %+v\nraw %v\ncore.steps %d burst.fnv64a %016x\n",
+				res.Stats, res.PerQuery[0].Raw, core.Steps, h.Sum64())
+		}
+		return out.String(), fmt.Sprint(core.Step([]fixed.Code{200}, []fixed.Code{100}))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first string
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got, next := serve(1)
+		want, wantNext := serve(0)
+		if got != want || next != wantNext {
+			t.Fatalf("procs %d: the layer after a runaway read\n%snext %s\nthe twin faulted from the start\n%snext %s", procs, got, next, want, wantNext)
+		}
+		if clean, _ := serve(2); got == clean {
+			t.Fatal("the runaway does not change what the layer reads: the tables masked it")
+		}
+		if got += "next " + next; first == "" {
+			first = got
+		} else if got != first {
+			t.Fatalf("procs %d read\n%s\nprocs 1 read\n%s", procs, got, first)
+		}
 	}
 }

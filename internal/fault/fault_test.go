@@ -149,9 +149,9 @@ func TestBiasRunawayShiftsReadings(t *testing.T) {
 
 // TestBiasRunawayRelockHeals is the calibration-LUT regression pair to
 // TestBiasRunawayShiftsReadings: between injection and relock every reading
-// flows through the live (corrupted) transfer — the baked fast path must not
-// serve stale healthy values — and Relock's re-bake restores readings to the
-// healthy operating point.
+// is the live (corrupted) transfer's — the tables follow the moved modulator
+// and must not serve stale healthy values — and Relock's re-bake restores
+// readings to the healthy operating point.
 func TestBiasRunawayRelockHeals(t *testing.T) {
 	core := newTestCore(t)
 	a := []fixed.Code{200, 150}
@@ -195,9 +195,8 @@ func TestLaserSagShrinksReadingsAndRelockHeals(t *testing.T) {
 }
 
 // TestLaserSagReachesTheKernel injects the sag as the fault runner does and
-// holds the fast path — the kernel's readings and its readout's codes — to
-// Step's live chain at the sagged carrier, and again once Relock has
-// renormalized the decode at it.
+// holds the kernel — its readings and its readout's codes — to Step at the
+// sagged carrier, and again once Relock has renormalized the decode at it.
 func TestLaserSagReachesTheKernel(t *testing.T) {
 	core, err := photonic.NewCore(2, photonic.PrototypeNoise(9))
 	if err != nil {
@@ -217,7 +216,7 @@ func TestLaserSagReachesTheKernel(t *testing.T) {
 	kernelMatchesStep(t, core, "sagged and relocked")
 }
 
-// kernelMatchesStep fails t unless core's fast path reads and reads out what
+// kernelMatchesStep fails t unless core's kernel reads and reads out what
 // its Step reads, over a group of 129 operands at one noise key.
 func kernelMatchesStep(t *testing.T, core *photonic.Core, when string) {
 	t.Helper()
@@ -237,7 +236,7 @@ func kernelMatchesStep(t *testing.T, core *photonic.Core, when string) {
 	core.ReadoutAt(codes, core.ReadingsInto(make([]float64, len(want)), a, b), key, 0)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || codes[i] != converter.Quantize(want[i]) {
-			t.Fatalf("%s: step %d reads %v (code %d) on the fast path, %v through Step", when, i, got[i], codes[i], want[i])
+			t.Fatalf("%s: step %d reads %v (code %d) through the kernel, %v through Step", when, i, got[i], codes[i], want[i])
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 
 // The core's one partials loop. The serve path coalesces the photonic work
 // of many queries into one pass: a sequence of operand groups — each group is
-// one query's same-sign operand block — streams back to back under a single
-// LUT-validity decision. Every group keeps its own tail step, so the analog
-// steps (and, with a noise model, the order of the noise draws) are exactly
+// one query's same-sign operand block — streams back to back after a single
+// re-bake check. Every group keeps its own tail step, so the analog steps
+// (and, with a noise model, the order of the noise draws) are exactly
 // those of the groups run one call each; DotPartialsInto is the one-group
 // case and Dot sums the same partials.
 
@@ -22,11 +22,11 @@ import (
 // step — and the per-step detector readings are written into dst in group
 // order, concatenated.
 //
-// The LUT-validity decision is made once for the whole call: this is the
-// batching amortization (N queries × 2 sign groups collapse 2N staleness
-// sweeps into 1). A fault injected between queries (the granularity the fault
-// runner operates at) is seen at the next call's first step, and the whole
-// call then takes Step, the live transfer chain, a step at a time.
+// The tables are brought to the modulators once for the whole call
+// (Rebake): this is the batching amortization (N queries × 2 sign groups
+// collapse 2N staleness checks into 1). A fault injected between queries
+// (the granularity the fault runner operates at) is in the tables by the
+// call's first step.
 //
 // dst is caller-owned storage, reallocated only when capacity is short;
 // with sufficient capacity the call performs zero heap allocations.
@@ -46,35 +46,26 @@ func (c *Core) DotPartialsBatchInto(dst []float64, a, b []fixed.Code, bounds []i
 		total += (bounds[g+1] - bounds[g] + n - 1) / n
 	}
 	dst = growPartials(dst, total)
-	if !c.LUTsValid() {
-		i := 0
-		for g := 0; g+1 < len(bounds); g++ {
-			for lo, hi := bounds[g], bounds[g+1]; lo < hi; lo += n {
-				end := min(lo+n, hi)
-				dst[i] = c.Step(a[lo:end], b[lo:end])
-				i++
-			}
-		}
-		return dst
-	}
+	c.Rebake()
 	c.pass(dst, a, b, bounds)
 	c.noise.addTo(dst)
 	c.Steps += uint64(total)
 	return dst
 }
 
-// PartialsAt is the kernel of DotPartialsBatchInto's fast path for one
-// operand group, with the noise position named instead of taken from the
-// cursor: it writes the ⌈len(a)/NumLanes⌉ readings of a·b into dst, with draws
-// ctr, ctr+1, … of key's noise stream added — bit for bit what
+// PartialsAt is DotPartialsBatchInto's kernel for one operand group, with
+// the noise position named instead of taken from the cursor: it writes the
+// ⌈len(a)/NumLanes⌉ readings of a·b into dst, with draws ctr, ctr+1, … of
+// key's noise stream added — bit for bit what
 // DotPartialsBatchInto writes for those steps when SeekNoiseAt(key, ctr) put
 // the cursor there. A group cut at a multiple of NumLanes operands and issued
 // piecewise at the matching positions reads the same as issued whole.
 //
 // It only reads the core: the cursor does not move and Steps is not counted,
 // so several goroutines may call it at once on disjoint dst while nothing
-// else touches the core. The caller counts the steps. Valid only while
-// LUTsValid holds; a stale core takes Step, through DotPartialsInto.
+// else touches the core. The caller counts the steps. It reads the tables
+// as they stand, so a caller whose modulators may have moved calls Rebake
+// first, before any goroutine reads the core.
 //
 //lint:allow reachability TestPartialsAtMatchesCursorPass and FuzzTwoLaneKernel hold the kernel to Step through it
 func (c *Core) PartialsAt(dst []float64, a, b []fixed.Code, key, ctr uint64) {
@@ -104,7 +95,8 @@ func (c *Core) ReadingsInto(dst []float64, a, b []fixed.Code) []float64 {
 // ReadingsInto call per group writes. dst must hold those steps. It is the
 // first half of a readout: a caller whose groups' steps sit at consecutive
 // positions of a keyed stream reads them out with one ReadoutAt, and one with
-// several streams with one ReadoutAt a stream.
+// several streams with one ReadoutAt a stream. Like PartialsAt it only reads
+// the core, tables as they stand: the caller calls Rebake before it.
 func (c *Core) ReadingsGroupsInto(dst []float64, a, b []fixed.Code, bounds []int) {
 	c.pass(dst, a, b, bounds)
 }
@@ -114,7 +106,7 @@ func (c *Core) ReadingsGroupsInto(dst []float64, a, b []fixed.Code, bounds []int
 // added — bit for bit QuantizeInto of what PartialsAt reads at ctr — in one
 // pass that writes no reading back. A noiseless core only rounds. Like
 // PartialsAt it only reads the core, so goroutines may call it at once on
-// disjoint spans.
+// disjoint spans once Rebake has run.
 func (c *Core) ReadoutAt(dst []fixed.Code, readings []float64, key, ctr uint64) {
 	if m := c.noise; m != nil {
 		m.readoutAt(dst, readings, streamBase(m.seeded, key), ctr)
@@ -136,9 +128,9 @@ func (c *Core) pass(dst []float64, a, b []fixed.Code, bounds []int) {
 
 // stream is the dot kernel's first pass: the noiseless readings of a
 // sequence of operand groups (ReadingsGroupsInto), ⌈len/lanes⌉ a group into
-// dst, valid while the LUTs are. It is the generic kernel — any lane count,
-// dead lanes skipped — and pass gives it every core but one of two live
-// lanes. A lane's product starts from its front table, carrier·g1[a]·tap1
+// dst, from the tables as they stand. It is the generic kernel — any lane
+// count, dead lanes skipped — and pass gives it every core but one of two
+// live lanes. A lane's product starts from its front table, carrier·g1[a]·tap1
 // folded at the core's carrier, and is multiplied by g2[b] and tap2; the
 // detector constants sit in registers and each lane's tables and taps one
 // pointer away; nothing in the body is a call, so consecutive steps' multiply

@@ -62,31 +62,34 @@ func TestDotPartialsBatchIntoMatchesSerial(t *testing.T) {
 }
 
 // TestDotPartialsBatchIntoStaleLUTFallback moves a modulator off its baked
-// operating point and checks the batch pass drops to the live transfer
-// chain — the whole batch sees the fault, exactly as serial calls would.
+// operating point and checks the whole batch sees the fault, exactly as
+// serial calls would: the call re-bakes the moved lane's tables before its
+// first step, so the batch reads what the serial calls read, and neither
+// reads what a healthy core reads.
 func TestDotPartialsBatchIntoStaleLUTFallback(t *testing.T) {
 	a, b, bounds := batchOperands([]int{8, 8})
 
-	mk := func() *Core {
+	mk := func(bias float64) *Core {
 		c, err := NewCore(2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Lanes()[0].Mod1.Bias += 0.7 // silent corruption: LUT must not mask it
-		if c.LUTsValid() {
-			t.Fatal("LUT still valid after bias moved off the baked point")
-		}
+		c.Lanes()[0].Mod1.Bias += bias // silent corruption: the tables must not mask it
 		return c
 	}
-	serial := mk()
+	serial := mk(0.7)
 	var want []float64
 	for g := 0; g+1 < len(bounds); g++ {
 		want = append(want, serial.DotPartials(a[bounds[g]:bounds[g+1]], b[bounds[g]:bounds[g+1]])...)
 	}
-	got := mk().DotPartialsBatchInto(nil, a, b, bounds)
+	got := mk(0.7).DotPartialsBatchInto(nil, a, b, bounds)
+	healthy := mk(0).DotPartialsBatchInto(nil, a, b, bounds)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("stale partial %d: batch %v != serial %v", i, got[i], want[i])
+		}
+		if got[i] == healthy[i] {
+			t.Fatalf("partial %d reads %v with the bias moved and without: the fault is masked", i, got[i])
 		}
 	}
 }
@@ -169,8 +172,8 @@ func TestPartialsAtMatchesCursorPass(t *testing.T) {
 }
 
 // stepPartials is the reference the kernel is held to: every group a step at
-// a time through Step, the live-chain-capable path the kernel replaces only
-// while the LUTs hold.
+// a time through Step, whose lanes TestTransmitCodesLUTEquivalence holds to
+// the live transfer chain.
 func stepPartials(c *Core, a, b []fixed.Code, bounds []int) []float64 {
 	n := c.NumLanes()
 	var out []float64

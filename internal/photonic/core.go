@@ -20,7 +20,8 @@ type Lane struct {
 	// into the datapath to avoid inverting the transfer function online.
 	volt1, volt2 [256]float64
 
-	// g1, g2 are per-code transmission LUTs baked at calibration time:
+	// g1, g2 are per-code transmission LUTs baked from the drive voltages
+	// at the modulators' operating point (bakeLUTs):
 	// g1[code] = Mod1.Transmission(volt1[code]), and likewise g2 for Mod2.
 	// They collapse TransmitCodes' two raised-cosine evaluations (the only
 	// transcendentals on the per-element analog path) into table loads.
@@ -40,14 +41,9 @@ type Lane struct {
 	// keeps frontCarrier the carrier of the core the lane belongs to.
 	front        [256]float64
 	frontCarrier float64
-	// baked1, baked2 snapshot the modulator states the LUTs were built
-	// at; lutOK arms the fast path. TransmitCodes compares the live state
-	// against the snapshot on every call, so any fault that moves a
-	// modulator off its locked point (BiasRunaway, DriftBurst, parameter
-	// edits) transparently invalidates the LUT instead of masking the
-	// fault behind stale calibrated values.
+	// baked1, baked2 snapshot the modulator states the tables were baked
+	// at; follow re-bakes them once a modulator has moved off its snapshot.
 	baked1, baked2 mzState
-	lutOK          bool
 
 	// dead marks a lost laser line: the lane emits no light at all, not
 	// even the dark-level floor, and no amount of bias re-locking brings
@@ -55,11 +51,10 @@ type Lane struct {
 	dead bool
 }
 
-// bakeLUTs (re)builds the per-code transmission tables from the current
-// modulator operating points. NewLane and Relock call it after fitting the
-// encode calibrations; everything else reaches the tables only through
-// TransmitCodes, which falls back to the live transfer chain whenever the
-// modulators have moved since the bake.
+// bakeLUTs (re)builds the per-code transmission tables from the drive
+// voltages at the modulators' present operating points. NewLane and Relock
+// call it after fitting the encode calibrations, and follow whenever a
+// modulator has moved since.
 func (l *Lane) bakeLUTs() {
 	for code := 0; code < 256; code++ {
 		l.g1[code] = l.Mod1.Transmission(l.volt1[code])
@@ -70,7 +65,17 @@ func (l *Lane) bakeLUTs() {
 	l.fold(l.frontCarrier)
 	l.baked1 = l.Mod1.state()
 	l.baked2 = l.Mod2.state()
-	l.lutOK = true
+}
+
+// follow re-bakes the tables if either modulator has moved since they were
+// baked — by a BiasRunaway, a DriftBurst or an operator's edit. The drive
+// voltages stay the calibration's, so the tables then read what the live
+// transfer chain reads at the moved point, and the fault stays visible until
+// Relock re-fits the voltages.
+func (l *Lane) follow() {
+	if l.baked1 != l.Mod1.state() || l.baked2 != l.Mod2.state() {
+		l.bakeLUTs()
+	}
 }
 
 // fold rebuilds front at the given carrier from the baked g1 and tap1.
@@ -79,12 +84,6 @@ func (l *Lane) fold(carrier float64) {
 	for code := range l.front {
 		l.front[code] = carrier * l.g1[code] * l.tap1
 	}
-}
-
-// lutValid reports whether the LUT fast path is armed and still matches the
-// live modulator state.
-func (l *Lane) lutValid() bool {
-	return l.lutOK && l.baked1 == l.Mod1.state() && l.baked2 == l.Mod2.state()
 }
 
 // Kill extinguishes the lane's laser line permanently — the hard failure a
@@ -128,19 +127,14 @@ func NewLane(w Wavelength, phase1, phase2 float64) (*Lane, error) {
 // live chain's multiplication order so the output is bit-identical to
 // Modulate∘Modulate. It takes the carrier as given and so multiplies it in;
 // the core's kernels start from the lane's front table instead, which holds
-// the same first three factors at the core's carrier. When a fault has moved
-// a modulator off the baked operating point the LUT is stale, and the call
-// drops to the live transfer chain so the corruption stays physically
-// visible until Relock re-bakes.
+// the same first three factors at the core's carrier. A modulator a fault has
+// moved is followed first (follow), so the product is the moved chain's.
 func (l *Lane) TransmitCodes(carrier float64, a, b fixed.Code) float64 {
 	if l.dead {
 		return 0
 	}
-	if l.lutOK && l.baked1 == l.Mod1.state() && l.baked2 == l.Mod2.state() {
-		return carrier * l.g1[a] * l.tap1 * l.g2[b] * l.tap2
-	}
-	i1 := l.Mod1.Modulate(carrier, l.volt1[a])
-	return l.Mod2.Modulate(i1, l.volt2[b])
+	l.follow()
+	return carrier * l.g1[a] * l.tap1 * l.g2[b] * l.tap2
 }
 
 // Transmit pushes a carrier of the given intensity through the cascaded
@@ -367,20 +361,15 @@ func growPartials(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// LUTsValid reports whether every live lane's transmission LUT matches its
-// modulators' current operating points. DotPartialsBatchInto samples it once
-// per call and streams through its kernel while it holds, as the datapath
-// does once per layer for ReadingsGroupsInto; a fault injected between
-// queries (the granularity the fault runner operates at) is seen at the next
-// call's first step. Dead lanes don't count against validity: they contribute exact zero
-// on both paths.
-func (c *Core) LUTsValid() bool {
+// Rebake re-bakes the tables of every lane whose modulators have moved
+// since their last bake, at the moved operating points. DotPartialsBatchInto
+// calls it once a call and the datapath once a layer, before the kernels
+// read the tables: a fault injected between queries (the granularity the
+// fault runner operates at) is in the tables by the next call's first step.
+func (c *Core) Rebake() {
 	for _, l := range c.lanes {
-		if !l.dead && !l.lutValid() {
-			return false
-		}
+		l.follow()
 	}
-	return true
 }
 
 // dotChunk is how many steps' partials Dot holds at a time.

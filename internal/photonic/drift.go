@@ -53,9 +53,10 @@ func (l *Lane) Relock() error {
 		l.volt1[code] = c1.VoltageFor(u)
 		l.volt2[code] = c2.VoltageFor(u)
 	}
-	// Re-bake the transmission LUTs at the re-locked operating point: the
-	// fast path re-arms here and nowhere else, so between a fault and its
-	// relock every reading flows through the live (corrupted) transfer.
+	// Re-bake the transmission LUTs with the re-fitted voltages. The tables
+	// follow a moved modulator anywhere (follow), but only here do the
+	// voltages move back onto the calibrated transfer, so between a fault
+	// and its relock every reading is the moved chain's.
 	l.bakeLUTs()
 	return nil
 }

@@ -1,6 +1,7 @@
 package photonic
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
-// liveChain evaluates a lane's transfer the slow way — the exact expression
-// TransmitCodes falls back to when its LUT is stale — so the tests can pin
-// the fast path against it bit for bit.
+// liveChain evaluates a lane's transfer the slow way — the two raised-cosine
+// evaluations the baked tables stand in for — so the tests can pin the tables
+// against it bit for bit.
 func liveChain(l *Lane, carrier float64, a, b fixed.Code) float64 {
 	i1 := l.Mod1.Modulate(carrier, l.volt1[a])
 	return l.Mod2.Modulate(i1, l.volt2[b])
@@ -19,10 +20,15 @@ func liveChain(l *Lane, carrier float64, a, b fixed.Code) float64 {
 
 // TestTransmitCodesLUTEquivalence sweeps every one of the 256×256 code pairs
 // on every lane of a three-lane core — dead lane included — at two carrier
-// powers, proving the baked-LUT fast path is bit-identical to the live
-// raised-cosine transfer chain. This is the contract that lets NewLane and
-// Relock bake the tables at all: if even one ULP moved, deterministic-replay
-// goldens (TestDeterministicCores1) would drift.
+// powers, proving the baked tables bit-identical to the live raised-cosine
+// transfer chain: as built, and after each parameter of the modulators'
+// state (Vpi, bias, phase, extinction floor, tap) has been moved in turn on
+// the first modulator and then the second, with the calibration's drive
+// voltages left where they were — the moved operating points a fault leaves
+// and the tables must follow. This is the contract that lets the core serve
+// every dot from tables: if even one ULP moved, deterministic-replay goldens
+// (TestDeterministicCores1) would drift, and a fault would read differently
+// from the chain it models.
 func TestTransmitCodesLUTEquivalence(t *testing.T) {
 	core, err := NewCore(3, nil)
 	if err != nil {
@@ -30,33 +36,51 @@ func TestTransmitCodesLUTEquivalence(t *testing.T) {
 	}
 	lanes := core.Lanes()
 	lanes[1].Kill()
-	for _, carrier := range []float64{1.0, 0.83} {
-		for li, l := range lanes {
-			if !l.dead && !l.lutValid() {
-				t.Fatalf("lane %d: LUT not armed after NewCore", li)
-			}
-			for a := 0; a < 256; a++ {
-				for b := 0; b < 256; b++ {
-					got := l.TransmitCodes(carrier, fixed.Code(a), fixed.Code(b))
-					want := liveChain(l, carrier, fixed.Code(a), fixed.Code(b))
-					if l.dead {
-						want = 0
-					}
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("lane %d carrier %v codes (%d,%d): LUT path %v (bits %#x) != live chain %v (bits %#x)",
-							li, carrier, a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+	sweep := func(when string) {
+		for _, carrier := range []float64{1.0, 0.83} {
+			for li, l := range lanes {
+				for a := 0; a < 256; a++ {
+					for b := 0; b < 256; b++ {
+						got := l.TransmitCodes(carrier, fixed.Code(a), fixed.Code(b))
+						want := liveChain(l, carrier, fixed.Code(a), fixed.Code(b))
+						if l.dead {
+							want = 0
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s, lane %d carrier %v codes (%d,%d): tables read %v (bits %#x), live chain %v (bits %#x)",
+								when, li, carrier, a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
 					}
 				}
 			}
+		}
+	}
+	sweep("as built")
+	moves := []struct {
+		name string
+		move func(m *MZModulator)
+	}{
+		{"Vpi", func(m *MZModulator) { m.Vpi += 0.3 }},
+		{"bias", func(m *MZModulator) { m.Bias += 0.4 }},
+		{"phase", func(m *MZModulator) { m.PhaseOffset -= 0.15 }},
+		{"floor", func(m *MZModulator) { m.ExtinctionFloor *= 4 }},
+		{"tap", func(m *MZModulator) { m.TapFraction = 0.03 }},
+	}
+	for _, mv := range moves {
+		for mod := range 2 {
+			for _, l := range lanes {
+				mv.move([2]*MZModulator{l.Mod1, l.Mod2}[mod])
+			}
+			sweep(fmt.Sprintf("%s moved on modulator %d", mv.name, mod+1))
 		}
 	}
 }
 
 // TestLUTStaleFallsBackToLiveChain injects the silent-corruption faults —
 // a bias excursion and a thermal phase walk — directly into the modulators
-// and checks that the armed LUT does NOT mask them: the staleness compare
-// must drop TransmitCodes to the live (corrupted) chain, so health probes
-// still see the damage.
+// and checks that the baked tables do NOT mask them: TransmitCodes reads the
+// live (corrupted) chain, so health probes still see the damage, and a
+// modulator moved back reads its original bits again.
 func TestLUTStaleFallsBackToLiveChain(t *testing.T) {
 	core, err := NewCore(2, nil)
 	if err != nil {
@@ -67,20 +91,17 @@ func TestLUTStaleFallsBackToLiveChain(t *testing.T) {
 
 	// Bias runaway on the first modulator (what fault.BiasRunaway does).
 	l.Mod1.Bias += 0.7
-	if l.lutValid() {
-		t.Fatal("LUT still valid after bias moved off the baked point")
-	}
 	got := l.TransmitCodes(1, 200, 200)
 	want := liveChain(l, 1, 200, 200)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("stale path returned %v, live chain says %v", got, want)
+		t.Fatalf("moved bias read %v, live chain says %v", got, want)
 	}
 	if got == healthy {
-		t.Fatal("bias runaway invisible through TransmitCodes: LUT masked the fault")
+		t.Fatal("bias runaway invisible through TransmitCodes: the tables masked the fault")
 	}
 	l.Mod1.Bias -= 0.7
-	if !l.lutValid() {
-		t.Fatal("LUT should re-validate when the modulator returns to the baked point")
+	if back := l.TransmitCodes(1, 200, 200); math.Float64bits(back) != math.Float64bits(healthy) {
+		t.Fatalf("bias moved back reads %v, %v before it moved", back, healthy)
 	}
 
 	// Thermal drift on the second modulator's phase.
@@ -88,19 +109,16 @@ func TestLUTStaleFallsBackToLiveChain(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		d.Apply(l.Mod2)
 	}
-	if l.lutValid() {
-		t.Fatal("LUT still valid after phase drift")
-	}
 	got = l.TransmitCodes(1, 128, 64)
 	want = liveChain(l, 1, 128, 64)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("drifted path returned %v, live chain says %v", got, want)
+		t.Fatalf("drifted phase read %v, live chain says %v", got, want)
 	}
 }
 
-// TestRelockRebakesLUT drifts a lane, relocks it, and checks the fast path
-// re-arms bit-identical to both the live chain at the new operating point
-// and a freshly built lane constructed at the same phase offsets — i.e. the
+// TestRelockRebakesLUT drifts a lane, relocks it, and checks the tables read
+// bit-identical to both the live chain at the new operating point and a
+// freshly built lane constructed at the same phase offsets — i.e. the
 // re-bake reproduces exactly what a from-scratch calibration would.
 func TestRelockRebakesLUT(t *testing.T) {
 	core, err := NewCore(2, nil)
@@ -113,14 +131,8 @@ func TestRelockRebakesLUT(t *testing.T) {
 		d.Apply(l.Mod1)
 		d.Apply(l.Mod2)
 	}
-	if l.lutValid() {
-		t.Fatal("LUT survived a drift burst")
-	}
 	if err := l.Relock(); err != nil {
 		t.Fatal(err)
-	}
-	if !l.lutValid() {
-		t.Fatal("Relock did not re-arm the LUT")
 	}
 	fresh, err := NewLane(l.Lambda, l.Mod1.PhaseOffset, l.Mod2.PhaseOffset)
 	if err != nil {
@@ -144,8 +156,7 @@ func TestRelockRebakesLUT(t *testing.T) {
 // TestCarrierPowerChangeStaysVisible pins the laser-sag semantics: carrier
 // power is not baked into the LUTs (Step multiplies the live carrier, and
 // the kernels' front tables are refolded at it), so a sag scales readings
-// immediately — with the fast path still armed — rather than being frozen at
-// the calibrated power.
+// immediately rather than being frozen at the calibrated power.
 func TestCarrierPowerChangeStaysVisible(t *testing.T) {
 	core, err := NewCore(2, nil)
 	if err != nil {
@@ -155,23 +166,19 @@ func TestCarrierPowerChangeStaysVisible(t *testing.T) {
 	b := []fixed.Code{180, 170}
 	before := core.Step(a, b)
 	core.SetCarrierPower(0.5)
-	if !core.LUTsValid() {
-		t.Fatal("carrier power must not invalidate the LUTs: it is not a modulator operating point")
-	}
 	after := core.Step(a, b)
 	if after >= before*0.75 {
 		t.Fatalf("3 dB laser sag invisible through the fast path: %v -> %v", before, after)
 	}
 }
 
-// kernelMatchesStep fails t unless the fast path on c — PartialsAt's
-// readings and ReadoutAt's codes — reads what Step's live chain reads, over
-// a group whose steps take every lane and whose tail takes one.
+// kernelMatchesStep fails t unless the kernel on c — PartialsAt's readings
+// and ReadoutAt's codes, after the Rebake the engine calls as it opens a
+// burst — reads what Step reads, over a group whose steps take every lane
+// and whose tail takes one.
 func kernelMatchesStep(t *testing.T, c *Core, when string) {
 	t.Helper()
-	if !c.LUTsValid() {
-		t.Fatalf("%s: LUTs not armed", when)
-	}
+	c.Rebake()
 	const key = 4<<32 | 2
 	n := 64*c.NumLanes() + 1
 	rng := rand.New(rand.NewPCG(uint64(n), 5))
@@ -186,7 +193,7 @@ func kernelMatchesStep(t *testing.T, c *Core, when string) {
 	c.ReadoutAt(codes, c.ReadingsInto(make([]float64, len(want)), a, b), key, 0)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s, %d lanes: step %d reads %v on the fast path, %v through Step", when, c.NumLanes(), i, got[i], want[i])
+			t.Fatalf("%s, %d lanes: step %d reads %v through the kernel, %v through Step", when, c.NumLanes(), i, got[i], want[i])
 		}
 		if q := converter.Quantize(want[i]); codes[i] != q {
 			t.Fatalf("%s, %d lanes: step %d reads out %d, Step's reading rounds to %d", when, c.NumLanes(), i, codes[i], q)
@@ -195,11 +202,12 @@ func kernelMatchesStep(t *testing.T, c *Core, when string) {
 }
 
 // TestFoldFollowsCarrierAndRelock holds the kernels' front tables
-// (carrier·g1·tap1, folded) to Step's live chain after everything that moves
+// (carrier·g1·tap1, folded) to Step after everything that moves
 // a factor in them: a carrier change, a drift of every modulator healed by
-// Core.Relock, and a drift of one lane's first modulator healed by that
-// lane's own Relock, reached through Core.Lanes — on the two-lane kernel and
-// the generic one, and again at a new carrier after both relocks.
+// Core.Relock, a drift of one lane's first modulator healed by that lane's
+// own Relock, reached through Core.Lanes, and a drift of every modulator
+// that no relock heals — on the two-lane kernel and the generic one, and
+// again at a new carrier after both relocks.
 func TestFoldFollowsCarrierAndRelock(t *testing.T) {
 	for lanes := 2; lanes <= 3; lanes++ {
 		c, err := NewCore(lanes, PrototypeNoise(5))
@@ -231,6 +239,13 @@ func TestFoldFollowsCarrierAndRelock(t *testing.T) {
 		kernelMatchesStep(t, c, "after a lane's Relock")
 		c.SetCarrierPower(1.3)
 		kernelMatchesStep(t, c, "after a second SetCarrierPower")
+		for i := 0; i < 30; i++ {
+			for _, l := range c.Lanes() {
+				d.Apply(l.Mod1)
+				d.Apply(l.Mod2)
+			}
+		}
+		kernelMatchesStep(t, c, "after a drift never relocked")
 	}
 }
 

@@ -55,11 +55,11 @@ func NewMZModulator(phaseOffset float64) *MZModulator {
 }
 
 // mzState is the complete parameter snapshot that determines a modulator's
-// transfer function. A Lane compares the live state against the snapshot its
-// transmission LUTs were baked at: any mismatch — a bias-controller runaway,
-// a thermal-drift step, an operator tweak — silently retires the LUT fast
-// path (falling back to the live transfer chain) until the next Relock
-// re-bakes the tables at the new operating point.
+// transfer function. A Lane keeps the snapshot its transmission LUTs were
+// baked at and re-bakes them whenever the live state differs — a
+// bias-controller runaway, a thermal-drift step, an operator tweak — so the
+// tables follow the modulator; only Relock re-fits the drive voltages that
+// heal the move.
 type mzState struct {
 	vpi, bias, phase, floor, tap float64
 }
