@@ -41,7 +41,7 @@ func responseBytes(t testing.TB, resp *Response) []byte {
 	if resp == nil {
 		return nil
 	}
-	raw, err := resp.ToMessage().Encode()
+	raw, err := resp.ToMessage().AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

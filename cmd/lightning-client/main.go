@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:4055", "server UDP address")
+	addr := flag.String("addr", fmt.Sprintf("127.0.0.1:%d", lightning.InferencePort), "server UDP address")
 	modelName := flag.String("model", "anomaly", "model to query: anomaly | iot | digits")
 	n := flag.Int("n", 100, "number of queries")
 	seed := flag.Uint64("seed", 99, "dataset seed (use one the server didn't train on)")

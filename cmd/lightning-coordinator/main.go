@@ -47,7 +47,7 @@ func checkFlags(set map[string]bool, load string, synthetic int, replicate bool,
 }
 
 func main() {
-	addr := flag.String("addr", ":4055", "UDP listen address for the cluster front door")
+	addr := flag.String("addr", fmt.Sprintf(":%d", lightning.InferencePort), "UDP listen address for the cluster front door")
 	nodes := flag.String("nodes", "", "comma-separated UDP addresses of lightning-serve nodes (run them with -model none, which accepts wire installs)")
 	loadPath := flag.String("load", "", "load the model to serve from this file (lightning-serve -save writes it)")
 	synthetic := flag.Int("synthetic", 0, "serve the synthetic deep halves model of this input width instead of -load")

@@ -57,7 +57,7 @@ func checkServeFlags(workers, maxBatch int, maxDelay time.Duration, admitQueue i
 }
 
 func main() {
-	addr := flag.String("addr", ":4055", "UDP listen address")
+	addr := flag.String("addr", fmt.Sprintf(":%d", lightning.InferencePort), "UDP listen address")
 	modelName := flag.String("model", "anomaly", "model to serve: anomaly | iot | digits | none (a bare cluster node: serve nothing until a coordinator installs partitions, and accept those wire installs)")
 	epochs := flag.Int("epochs", 25, "training epochs")
 	seed := flag.Uint64("seed", 1, "deterministic seed")

@@ -59,16 +59,3 @@ func ExampleSaveModel() {
 	fmt.Println(lightning.Evaluate(loaded, set) == lightning.Evaluate(model, set))
 	// Output: true
 }
-
-// The parser's verdicts separate inference traffic from host traffic.
-func ExampleNIC_HandleFrame() {
-	nic, err := lightning.New(lightning.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
-	// A truncated frame is dropped; real traffic parses (see the
-	// trafficclass example for full frames).
-	_, verdict, _ := nic.HandleFrame([]byte{1, 2, 3})
-	fmt.Println(verdict)
-	// Output: drop
-}

@@ -71,7 +71,7 @@ func TestFrontDoorParity(t *testing.T) {
 	const modelID, width, seed = 4, 32, uint64(23)
 	model := lightning.SyntheticDeepHalvesModel(width, 3)
 	enc := func(m *nic.Message) []byte {
-		raw, err := m.Encode()
+		raw, err := m.AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -135,13 +135,12 @@ func (d *Door) Flush() {
 }
 
 // Handle runs one decoded message through the front half with no socket —
-// the NIC's HandleMessage and HandleFrame — and a complete request through
-// h as a group of one. src is the sender its fragments reassemble under
-// (the zero source where the entry has none). A non-final fragment and a
-// stray response return no response; any other returns a fresh one.
-func (d *Door) Handle(msg *nic.Message, src netip.AddrPort, h Handler) (*nic.Response, error) {
+// the NIC's HandleMessage — and a complete request through h as a group of
+// one. Its fragments reassemble under the zero source. A non-final fragment
+// and a stray response return no response; any other returns a fresh one.
+func (d *Door) Handle(msg *nic.Message, h Handler) (*nic.Response, error) {
 	var clk nic.BatchClock
-	req, ok, err := d.handle(msg, src, &clk, nil, nil)
+	req, ok, err := d.handle(msg, netip.AddrPort{}, &clk, nil, nil)
 	if !ok {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func runAtomicCounter(p *Package) []Diagnostic {
 	locks := make(map[*ast.FuncDecl]map[*types.TypeName]bool)
 	// locksAny marks functions that take any sync.Mutex/RWMutex write lock:
 	// counters of mutex-less structs reached only through such functions are
-	// container-guarded (a FlowTable's mu protecting its *FlowStats entries).
+	// container-guarded (a table's mu protecting its per-entry structs).
 	locksAny := make(map[*ast.FuncDecl]bool)
 	calls := make(map[*ast.FuncDecl][]*ast.FuncDecl)
 	muts := make(map[*ast.FuncDecl][]mutation)

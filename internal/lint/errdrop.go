@@ -7,7 +7,7 @@ import (
 )
 
 // ErrDrop guards wire-path error hygiene: errors returned by the wire codec
-// (Encode/Decode/DecodeFromBytes) and by socket writes (net.PacketConn.WriteTo,
+// (AppendEncode/Decode/DecodeNext) and by socket writes (net.PacketConn.WriteTo,
 // net.Conn.Write, deadline setters) carry operational signal — a lost
 // response, a malformed datagram — and discarding one hides a fault class a
 // deployment needs to count. The analyzer flags, module-wide, call
@@ -27,9 +27,9 @@ func ErrDrop() *Analyzer {
 var (
 	// codecMethods are wire-codec methods on this module's types.
 	codecMethods = map[string]bool{
-		"Encode":          true,
-		"Decode":          true,
-		"DecodeFromBytes": true,
+		"AppendEncode": true,
+		"Decode":       true,
+		"DecodeNext":   true,
 	}
 	// netMethods are socket operations on net package types (PacketConn,
 	// Conn and their concrete implementations).
@@ -94,7 +94,7 @@ func auditedCallee(p *Package, call *ast.CallExpr) bool {
 	switch {
 	case codecMethods[name]:
 		// Wire-codec methods audited on this module's own types (so an
-		// unrelated third-party Encode does not trip the check).
+		// unrelated third-party Decode does not trip the check).
 		return recvPkg == ModulePath || strings.HasPrefix(recvPkg, ModulePath+"/")
 	case netMethods[name]:
 		return recvPkg == "net"

@@ -10,13 +10,12 @@ import (
 	"strings"
 )
 
-// Reachability holds "code with no path from a binary, example or
-// experiment does not stay" per function, against the whole program
-// whichever packages a run names. Roots: main and init of every package main
-// the loader holds once cmd/, examples/ and benchmark/ are loaded, init and
-// var initializers of every package those import, and each declaration
-// annotated //lint:allow reachability <reason> (on a package clause, the
-// whole package). The walk follows every function reached code names; a
+// Reachability holds "code with no path from a binary or experiment does
+// not stay" per function, against the whole program whichever packages a run
+// names. Roots: main and init of every package main the loader holds once
+// cmd/ and benchmark/ are loaded, init and var initializers of every package
+// those import, and each declaration annotated //lint:allow reachability
+// <reason> (on a package clause, the whole package). The walk follows every function reached code names; a
 // method reached only through an interface counts when reached code holds
 // its receiver's type and an interface it implements with it, the standard
 // library's and fmt.Stringer included. Each unreached function is reported,
@@ -83,7 +82,7 @@ type site struct {
 }
 
 func (l *Loader) program() (*program, error) {
-	for _, dir := range []string{"cmd", "examples", "benchmark"} {
+	for _, dir := range []string{"cmd", "benchmark"} {
 		if _, err := os.Stat(filepath.Join(l.root, dir)); err == nil {
 			if _, err := l.Load(dir + "/..."); err != nil {
 				return nil, err

@@ -14,7 +14,7 @@ import (
 
 // Send propagates every error on the response path.
 func Send(pc net.PacketConn, addr net.Addr, m *nic.Message) error {
-	out, err := m.Encode()
+	out, err := m.AppendEncode(nil)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 
 // Broadcast discards every error on the response path.
 func Broadcast(pc net.PacketConn, addr net.Addr, m *nic.Message) {
-	out, _ := m.Encode()
+	out, _ := m.AppendEncode(nil)
 	pc.WriteTo(out, addr)
 	_ = pc.SetReadDeadline(time.Time{})
 }

@@ -47,7 +47,7 @@ func readQuery(t *testing.T, pc net.PacketConn) (uint32, net.Addr) {
 // send writes one frame to the channel's socket.
 func send(t *testing.T, pc net.PacketConn, to net.Addr, m *Message) {
 	t.Helper()
-	frame, err := m.Encode()
+	frame, err := m.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

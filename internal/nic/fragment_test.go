@@ -435,7 +435,7 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 		}
 		decoded := make([]*Message, len(msgs))
 		for i, m := range msgs {
-			frame, err := m.Encode()
+			frame, err := m.AppendEncode(nil)
 			if err != nil || !bytes.Equal(frame, copiedFragmentFrame(3, 2, data, maxPayload, i)) {
 				t.Logf("fragment %d of a %d-byte query: frame %x", i, len(data), frame)
 				return false
@@ -475,7 +475,7 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 // the frame Fragment's aliased messages must reproduce.
 func copiedFragmentFrame(id uint32, model uint16, query []byte, maxPayload, i int) []byte {
 	if len(query) <= maxPayload {
-		frame, _ := (&Message{RequestID: id, ModelID: model, Payload: query}).Encode()
+		frame, _ := (&Message{RequestID: id, ModelID: model, Payload: query}).AppendEncode(nil)
 		return frame
 	}
 	chunk := maxPayload - FragHeaderLen
@@ -485,7 +485,7 @@ func copiedFragmentFrame(id uint32, model uint16, query []byte, maxPayload, i in
 	binary.BigEndian.PutUint32(payload[0:4], uint32(lo))
 	binary.BigEndian.PutUint32(payload[4:8], uint32(len(query)))
 	copy(payload[FragHeaderLen:], query[lo:hi])
-	frame, _ := (&Message{Flags: FlagFragment, RequestID: id, ModelID: model, Payload: payload}).Encode()
+	frame, _ := (&Message{Flags: FlagFragment, RequestID: id, ModelID: model, Payload: payload}).AppendEncode(nil)
 	return frame
 }
 
@@ -510,7 +510,7 @@ func TestFragmentWireBytes(t *testing.T) {
 	}
 	var train []byte
 	for i, m := range msgs {
-		frame, err := m.Encode()
+		frame, err := m.AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,3 +1,11 @@
+// Package nic implements Lightning's network-facing components: the
+// Lightning inference wire protocol and its response encoder, query
+// fragmentation and the packet assembler that reassembles fragments, wire
+// model installs, cross-query batching, per-model admission control, and
+// the client's request-demultiplexing Channel.
+// The kernel's UDP socket stands in for the NIC's Ethernet/IPv4/UDP parser
+// stage (§4): the serve loops receive Lightning messages as datagram
+// payloads on InferencePort.
 package nic
 
 import (
@@ -6,10 +14,13 @@ import (
 	"fmt"
 )
 
+// ErrTruncated reports input shorter than the wire layout it must hold.
+var ErrTruncated = errors.New("nic: truncated packet")
+
 // The Lightning wire protocol. Inference queries arrive in UDP datagrams on
-// InferencePort; the parser identifies them "based on the destination port
-// number field in the incoming packet header" and extracts "the DNN model ID
-// and corresponding user data" (§4).
+// InferencePort; the paper's parser identifies them "based on the destination
+// port number field in the incoming packet header" and extracts "the DNN
+// model ID and corresponding user data" (§4).
 //
 // Layout (big-endian):
 //
@@ -150,15 +161,6 @@ func (m *Message) DecodeNext(data []byte) (int, error) {
 	return WireHeaderLen + len(m.Payload), nil
 }
 
-// Encode serializes the message.
-func (m *Message) Encode() ([]byte, error) {
-	out, err := m.AppendEncode(make([]byte, 0, WireHeaderLen+m.payloadLen()))
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AppendEncode serializes the message into dst's spare capacity and returns
 // the extended slice — the allocation-free seam the serve path's pooled tx
 // frame buffers use. dst is returned unmodified on error.
@@ -190,6 +192,8 @@ type Response struct {
 }
 
 // ToMessage packs the response into a wire message.
+//
+//lint:allow reachability TestAppendResponseFrameMatchesToMessage holds the served AppendResponseFrame to it
 func (r *Response) ToMessage() *Message {
 	flags := uint8(FlagResponse)
 	if r.Err {
@@ -257,24 +261,3 @@ var (
 	errNotResponse     = errors.New("nic: message is not a response")
 	errResponsePayload = fmt.Errorf("%w: response payload", ErrTruncated)
 )
-
-// BuildFrame assembles a full Ethernet/IPv4/UDP/Lightning frame from srcPort
-// to dstPort. A query goes from the caller's (ephemeral) source port to
-// InferencePort. The NIC's response goes back from InferencePort to the
-// query's source port, the exact reverse of the query's five-tuple, so the
-// reply reaches the socket the query left from.
-func BuildFrame(eth Ethernet, ip IPv4, srcPort, dstPort uint16, msg *Message) ([]byte, error) {
-	body, err := msg.Encode()
-	if err != nil {
-		return nil, err
-	}
-	udp := UDP{SrcPort: srcPort, DstPort: dstPort}
-	seg := udp.AppendTo(nil, body)
-	ip.Protocol = IPProtoUDP
-	if ip.TTL == 0 {
-		ip.TTL = 64
-	}
-	pkt := ip.AppendTo(nil, seg)
-	eth.EtherType = EtherTypeIPv4
-	return eth.AppendTo(nil, pkt), nil
-}

@@ -3,14 +3,13 @@ package nic
 import (
 	"bytes"
 	"errors"
-	"net/netip"
 	"testing"
 	"testing/quick"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
 	m := Message{Flags: FlagHeaderData, RequestID: 0xdeadbeef, ModelID: 3, Payload: []byte{1, 2, 3, 4}}
-	raw, err := m.Encode()
+	raw, err := m.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +25,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Encode then Decode is the identity on every representable
+// Property: AppendEncode then Decode is the identity on every representable
 // message (any flags, IDs and payload up to the wire limit).
 func TestMessageEncodeDecodeProperty(t *testing.T) {
 	f := func(flags uint8, requestID uint32, modelID uint16, payload []byte) bool {
@@ -34,7 +33,7 @@ func TestMessageEncodeDecodeProperty(t *testing.T) {
 			payload = payload[:65535-WireHeaderLen]
 		}
 		m := Message{Flags: flags, RequestID: requestID, ModelID: modelID, Payload: payload}
-		raw, err := m.Encode()
+		raw, err := m.AppendEncode(nil)
 		if err != nil {
 			return false
 		}
@@ -58,17 +57,17 @@ func TestMessageDecodeErrors(t *testing.T) {
 		t.Error("short header accepted")
 	}
 	m := Message{Payload: []byte{1}}
-	raw, _ := m.Encode()
+	raw, _ := m.AppendEncode(nil)
 	raw[0] = 0 // break magic
 	if err := d.Decode(raw); err == nil {
 		t.Error("bad magic accepted")
 	}
-	raw2, _ := m.Encode()
+	raw2, _ := m.AppendEncode(nil)
 	raw2[2] = 99 // bad version
 	if err := d.Decode(raw2); err == nil {
 		t.Error("bad version accepted")
 	}
-	raw3, _ := m.Encode()
+	raw3, _ := m.AppendEncode(nil)
 	raw3 = raw3[:len(raw3)-1] // truncate payload
 	if err := d.Decode(raw3); err == nil {
 		t.Error("truncated payload accepted")
@@ -95,9 +94,6 @@ func TestMessageEncodeTooLarge(t *testing.T) {
 		frame, err = frag.AppendEncode(nil)
 		if (err == nil) != fits {
 			t.Fatalf("AppendEncode of a %d-byte header and payload: err %v", n, err)
-		}
-		if _, err := frag.Encode(); (err == nil) != fits {
-			t.Fatalf("Encode of a %d-byte header and payload: err %v", n, err)
 		}
 		if fits && (d.Decode(frame) != nil || len(d.Payload) != n || d.Frag != (FragHeader{})) {
 			t.Fatalf("a %d-byte header and payload did not decode whole (%d bytes, header %+v)", n, len(d.Payload), d.Frag)
@@ -186,70 +182,6 @@ func TestParseResponseRejectsQuery(t *testing.T) {
 	}
 }
 
-func TestBuildQueryFrameParses(t *testing.T) {
-	msg := &Message{RequestID: 42, ModelID: 1, Payload: []byte{10, 20, 30}}
-	frame, err := BuildFrame(
-		Ethernet{Dst: testDstMAC, Src: testSrcMAC},
-		IPv4{Src: netip.MustParseAddr("192.0.2.1"), Dst: netip.MustParseAddr("192.0.2.2")},
-		9000,
-		InferencePort, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewParser()
-	out := p.Parse(frame)
-	if out.Verdict != VerdictInference {
-		t.Fatalf("verdict = %v (%s)", out.Verdict, out.Reason)
-	}
-	if out.Msg.RequestID != 42 || out.Msg.ModelID != 1 {
-		t.Errorf("msg = %+v", out.Msg)
-	}
-	if out.Flow.DstPort != InferencePort || out.Flow.SrcPort != 9000 {
-		t.Errorf("flow = %+v", out.Flow)
-	}
-}
-
-// TestBuildResponseFrameReversesTuple is the wire-level regression test for
-// the response-port bug: a response frame must leave InferencePort toward
-// the requester's ephemeral port, the exact reverse of the query tuple.
-func TestBuildResponseFrameReversesTuple(t *testing.T) {
-	resp := Response{RequestID: 42, ModelID: 1, Class: 3, Probs: []uint8{1, 2}}
-	frame, err := BuildFrame(
-		Ethernet{Dst: testSrcMAC, Src: testDstMAC},
-		IPv4{Src: netip.MustParseAddr("192.0.2.2"), Dst: netip.MustParseAddr("192.0.2.1")},
-		InferencePort,
-		9000, resp.ToMessage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eth Ethernet
-	if err := eth.DecodeFromBytes(frame); err != nil {
-		t.Fatal(err)
-	}
-	var ip IPv4
-	if err := ip.DecodeFromBytes(eth.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	var udp UDP
-	if err := udp.DecodeFromBytes(ip.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	if udp.SrcPort != InferencePort || udp.DstPort != 9000 {
-		t.Errorf("response ports = %d->%d, want %d->9000", udp.SrcPort, udp.DstPort, InferencePort)
-	}
-	var m Message
-	if err := m.Decode(udp.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseResponse(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RequestID != 42 || got.Class != 3 {
-		t.Errorf("response = %+v", got)
-	}
-}
-
 // TestDecodeNextWalksCoalescedFrames: several concatenated frames in one
 // buffer decode in order, each reporting its exact consumed length.
 func TestDecodeNextWalksCoalescedFrames(t *testing.T) {
@@ -292,7 +224,7 @@ func TestDecodeNextWalksCoalescedFrames(t *testing.T) {
 // overruns the remaining bytes is an error, never a partial decode.
 func TestDecodeNextRejectsTruncatedTail(t *testing.T) {
 	m := Message{RequestID: 1, ModelID: 1, Payload: []byte{1, 2, 3, 4}}
-	buf, err := m.Encode()
+	buf, err := m.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +251,7 @@ func TestAppendResponseFrameMatchesToMessage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		twoStep, err := r.ToMessage().Encode()
+		twoStep, err := r.ToMessage().AppendEncode(nil)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}

@@ -39,7 +39,7 @@ func TestDotPartialsBatchIntoMatchesSerial(t *testing.T) {
 	}
 	var want []float64
 	for g := 0; g+1 < len(bounds); g++ {
-		want = append(want, serialCore.DotPartials(a[bounds[g]:bounds[g+1]], b[bounds[g]:bounds[g+1]])...)
+		want = append(want, serialCore.DotPartialsInto(nil, a[bounds[g]:bounds[g+1]], b[bounds[g]:bounds[g+1]])...)
 	}
 
 	batchCore, err := NewCore(2, CalibratedNoise(5))
@@ -80,7 +80,7 @@ func TestDotPartialsBatchIntoStaleLUTFallback(t *testing.T) {
 	serial := mk(0.7)
 	var want []float64
 	for g := 0; g+1 < len(bounds); g++ {
-		want = append(want, serial.DotPartials(a[bounds[g]:bounds[g+1]], b[bounds[g]:bounds[g+1]])...)
+		want = append(want, serial.DotPartialsInto(nil, a[bounds[g]:bounds[g+1]], b[bounds[g]:bounds[g+1]])...)
 	}
 	got := mk(0.7).DotPartialsBatchInto(nil, a, b, bounds)
 	healthy := mk(0).DotPartialsBatchInto(nil, a, b, bounds)

@@ -334,19 +334,14 @@ func (c *Core) DotSingleWavelength(a, b []fixed.Code) float64 {
 	return sum
 }
 
-// DotPartials computes a dot product using all lanes: each analog step
+// DotPartialsInto computes a dot product using all lanes: each analog step
 // handles NumLanes element pairs, and the per-step detector readings (the
 // partial sums the cross-cycle adder-subtractor later accumulates, §5.3) are
-// returned in order. A final short step handles the vector tail.
-func (c *Core) DotPartials(a, b []fixed.Code) []float64 {
-	return c.DotPartialsInto(nil, a, b)
-}
-
-// DotPartialsInto is DotPartials with caller-owned storage: the partials are
-// written into dst — reallocated only when its capacity is short — and the
-// filled slice (length ⌈len(a)/NumLanes⌉) is returned. It is the one-group
-// case of DotPartialsBatchInto and, like it, performs zero heap allocations
-// once dst has the capacity.
+// written in order into dst — reallocated only when its capacity is short —
+// and the filled slice (length ⌈len(a)/NumLanes⌉) is returned. A final short
+// step handles the vector tail. It is the one-group case of
+// DotPartialsBatchInto and, like it, performs zero heap allocations once dst
+// has the capacity.
 func (c *Core) DotPartialsInto(dst []float64, a, b []fixed.Code) []float64 {
 	bounds := [2]int{0, len(a)}
 	return c.DotPartialsBatchInto(dst, a, b, bounds[:])
@@ -379,7 +374,7 @@ const dotChunk = 64
 // order — the behaviour the combined photonic+digital pipeline produces —
 // a fixed chunk of them at a time rather than materializing them all. Chunks
 // are whole steps, so the analog steps and the noise draws are those of one
-// DotPartials call over the vectors.
+// DotPartialsInto call over the vectors.
 func (c *Core) Dot(a, b []fixed.Code) float64 {
 	if len(a) != len(b) {
 		panic("photonic: dot product operand length mismatch")

@@ -100,7 +100,7 @@ func TestDotPartialsChunking(t *testing.T) {
 	for i := range a {
 		a[i], b[i] = fixed.Code(20*i), fixed.Code(255-20*i)
 	}
-	parts := c.DotPartials(a, b)
+	parts := c.DotPartialsInto(nil, a, b)
 	if len(parts) != 3 { // ceil(10/4)
 		t.Fatalf("partials = %d, want 3", len(parts))
 	}

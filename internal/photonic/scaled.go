@@ -1,10 +1,6 @@
 package photonic
 
-import (
-	"fmt"
-
-	"github.com/lightning-smartnic/lightning/internal/fixed"
-)
+import "fmt"
 
 // ScaledCoreSpec captures the device-count algebra of Table 5 and Appendix E:
 // how many modulators, photodetectors and wavelengths a photonic vector
@@ -63,97 +59,3 @@ func Fig25Spec() ScaledCoreSpec { return ScaledCoreSpec{N: 3, W: 2, B: 2} }
 // in Table 2 counts 600 modulators = 24·24 weight + 24·1 input and 24
 // photodetectors.)
 func ChipSpec() ScaledCoreSpec { return ScaledCoreSpec{N: 24, W: 24, B: 1} }
-
-// ScaledCore is a functional simulation of the Appendix E architecture
-// (Fig 25): it multiplies a W-row weight matrix against a batch of B input
-// vectors, producing per-photodetector partial dot products per analog time
-// step. One underlying calibrated Core per photodetector provides the
-// analog fidelity; photonic broadcasting of the weight copies is free, as in
-// the optics.
-type ScaledCore struct {
-	Spec ScaledCoreSpec
-	// cores[w][b] is the photodetector path for weight row w, batch lane b.
-	cores [][]*Core
-}
-
-// NewScaledCore builds the functional Fig 25 engine. A nil noise yields an
-// ideal analog channel; otherwise each photodetector path gets an
-// independently seeded copy of the model.
-func NewScaledCore(spec ScaledCoreSpec, noise *NoiseModel, seed uint64) (*ScaledCore, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	cores := make([][]*Core, spec.W)
-	for w := range cores {
-		cores[w] = make([]*Core, spec.B)
-		for b := range cores[w] {
-			var nm *NoiseModel
-			if noise != nil {
-				nm = NewNoiseModel(noise.Mean, noise.Sigma, seed+uint64(w*spec.B+b))
-			}
-			c, err := NewCore(spec.N, nm)
-			if err != nil {
-				return nil, err
-			}
-			cores[w][b] = c
-		}
-	}
-	return &ScaledCore{Spec: spec, cores: cores}, nil
-}
-
-// MatMulPartials multiplies weights (W rows, each of the same length) by a
-// batch of B input vectors, all in unsigned 8-bit magnitude codes. It
-// returns partials[w][b], the sequence of per-step photodetector readings
-// for weight row w and batch lane b — ceil(len/N) readings each, in code
-// units. Summing a sequence yields Σ weights[w][i]·inputs[b][i]/255.
-func (sc *ScaledCore) MatMulPartials(weights, inputs [][]fixed.Code) ([][][]float64, error) {
-	if len(weights) != sc.Spec.W {
-		return nil, fmt.Errorf("photonic: got %d weight rows, core has W=%d", len(weights), sc.Spec.W)
-	}
-	if len(inputs) != sc.Spec.B {
-		return nil, fmt.Errorf("photonic: got %d input vectors, core has B=%d", len(inputs), sc.Spec.B)
-	}
-	vecLen := -1
-	for _, row := range weights {
-		if vecLen == -1 {
-			vecLen = len(row)
-		}
-		if len(row) != vecLen {
-			return nil, fmt.Errorf("photonic: ragged weight rows")
-		}
-	}
-	for _, in := range inputs {
-		if len(in) != vecLen {
-			return nil, fmt.Errorf("photonic: input length %d != weight row length %d", len(in), vecLen)
-		}
-	}
-	out := make([][][]float64, sc.Spec.W)
-	for w := range out {
-		out[w] = make([][]float64, sc.Spec.B)
-		for b := range out[w] {
-			out[w][b] = sc.cores[w][b].DotPartials(weights[w], inputs[b])
-		}
-	}
-	return out, nil
-}
-
-// MatMul returns the fully accumulated results[w][b] = Σ_i w[w][i]·x[b][i]
-// in code units (digital equivalent divides by 255).
-func (sc *ScaledCore) MatMul(weights, inputs [][]fixed.Code) ([][]float64, error) {
-	partials, err := sc.MatMulPartials(weights, inputs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(partials))
-	for w := range partials {
-		out[w] = make([]float64, len(partials[w]))
-		for b := range partials[w] {
-			var s float64
-			for _, p := range partials[w][b] {
-				s += p
-			}
-			out[w][b] = s
-		}
-	}
-	return out, nil
-}

@@ -1,11 +1,6 @@
 package photonic
 
-import (
-	"math"
-	"testing"
-
-	"github.com/lightning-smartnic/lightning/internal/fixed"
-)
+import "testing"
 
 func TestTable5Algebra(t *testing.T) {
 	cases := []struct {
@@ -55,78 +50,5 @@ func TestScaledCoreSpecValidate(t *testing.T) {
 	}
 	if err := Fig25Spec().Validate(); err != nil {
 		t.Errorf("Fig25 spec rejected: %v", err)
-	}
-}
-
-func TestScaledCoreMatMul(t *testing.T) {
-	sc, err := NewScaledCore(Fig25Spec(), nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// W=2 weight rows of length 6, B=2 inputs.
-	weights := [][]fixed.Code{
-		{10, 20, 30, 40, 50, 60},
-		{255, 0, 255, 0, 255, 0},
-	}
-	inputs := [][]fixed.Code{
-		{1, 2, 3, 4, 5, 6},
-		{100, 100, 100, 100, 100, 100},
-	}
-	got, err := sc.MatMul(weights, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := range weights {
-		for b := range inputs {
-			var want float64
-			for i := range weights[w] {
-				want += float64(weights[w][i]) * float64(inputs[b][i]) / 255
-			}
-			if math.Abs(got[w][b]-want) > 6 {
-				t.Errorf("result[%d][%d] = %v, want %v", w, b, got[w][b], want)
-			}
-		}
-	}
-}
-
-func TestScaledCorePartialsShape(t *testing.T) {
-	sc, err := NewScaledCore(Fig25Spec(), nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weights := [][]fixed.Code{make([]fixed.Code, 7), make([]fixed.Code, 7)}
-	inputs := [][]fixed.Code{make([]fixed.Code, 7), make([]fixed.Code, 7)}
-	parts, err := sc.MatMulPartials(weights, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// N=3 lanes over a 7-vector → 3 steps per photodetector.
-	if len(parts) != 2 || len(parts[0]) != 2 || len(parts[0][0]) != 3 {
-		t.Errorf("partials shape = %dx%dx%d, want 2x2x3", len(parts), len(parts[0]), len(parts[0][0]))
-	}
-}
-
-func TestScaledCoreShapeErrors(t *testing.T) {
-	sc, err := NewScaledCore(ScaledCoreSpec{N: 2, W: 1, B: 1}, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sc.MatMul([][]fixed.Code{{1}, {2}}, [][]fixed.Code{{1}}); err == nil {
-		t.Error("wrong weight row count accepted")
-	}
-	if _, err := sc.MatMul([][]fixed.Code{{1}}, [][]fixed.Code{{1}, {2}}); err == nil {
-		t.Error("wrong batch count accepted")
-	}
-	if _, err := sc.MatMul([][]fixed.Code{{1, 2}}, [][]fixed.Code{{1}}); err == nil {
-		t.Error("mismatched vector length accepted")
-	}
-	if _, err := sc.MatMul([][]fixed.Code{{1}}, [][]fixed.Code{{1, 2}}); err == nil {
-		t.Error("mismatched input length accepted")
-	}
-}
-
-func TestNewScaledCoreValidates(t *testing.T) {
-	if _, err := NewScaledCore(ScaledCoreSpec{}, nil, 1); err == nil {
-		t.Error("zero spec accepted")
 	}
 }

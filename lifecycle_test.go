@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -25,124 +24,11 @@ func halvesModel(width int) *TrainedModel { return SyntheticHalvesModel(width) }
 
 func encodeQuery(t *testing.T, id uint32, modelID uint16, payload []byte) []byte {
 	t.Helper()
-	raw, err := (&Message{RequestID: id, ModelID: modelID, Payload: payload}).Encode()
+	raw, err := (&Message{RequestID: id, ModelID: modelID, Payload: payload}).AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw
-}
-
-// TestHandleFrameResponsePortRegression is the frame-path regression test
-// for the response-port bug: a client bound to an ephemeral port must get
-// the response frame on that port — the exact reversed five-tuple — not on
-// InferencePort at its own end.
-func TestHandleFrameResponsePortRegression(t *testing.T) {
-	const width = 64
-	n, _ := New(Config{Lanes: 2, Noiseless: true, Seed: 5})
-	if err := n.RegisterModel(4, "halves", halvesModel(width)); err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, width)
-	for i := width / 2; i < width; i++ {
-		payload[i] = 200
-	}
-	const ephemeral = 50123
-	frame, err := nic.BuildFrame(
-		nic.Ethernet{Dst: nic.MAC{2, 0, 0, 0, 0, 2}, Src: nic.MAC{2, 0, 0, 0, 0, 1}},
-		nic.IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")},
-		ephemeral,
-		nic.InferencePort,
-		&Message{RequestID: 21, ModelID: 4, Payload: payload},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, verdict, err := n.HandleFrame(frame)
-	if err != nil || verdict != VerdictInference {
-		t.Fatalf("verdict=%v err=%v", verdict, err)
-	}
-	var eth nic.Ethernet
-	if err := eth.DecodeFromBytes(out); err != nil {
-		t.Fatal(err)
-	}
-	var ip nic.IPv4
-	if err := ip.DecodeFromBytes(eth.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	var udp nic.UDP
-	if err := udp.DecodeFromBytes(ip.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	if eth.Dst != (nic.MAC{2, 0, 0, 0, 0, 1}) || ip.Dst != netip.MustParseAddr("10.0.0.1") {
-		t.Errorf("response addressed to %v / %v", eth.Dst, ip.Dst)
-	}
-	if udp.SrcPort != nic.InferencePort || udp.DstPort != ephemeral {
-		t.Errorf("response ports = %d->%d, want %d->%d",
-			udp.SrcPort, udp.DstPort, nic.InferencePort, ephemeral)
-	}
-	var reply Message
-	if err := reply.Decode(udp.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := nic.ParseResponse(&reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Class != 1 {
-		t.Errorf("class = %d, want 1 (second half bright)", resp.Class)
-	}
-}
-
-// TestHandleFrameErrorResponseFrame: a datapath failure on the frame path
-// must emit an Err-flagged response frame back to the requester's port —
-// the same visibility UDP clients get — alongside the error, not silence.
-func TestHandleFrameErrorResponseFrame(t *testing.T) {
-	n, _ := New(Config{Lanes: 2, Noiseless: true, Seed: 6})
-	frame, err := nic.BuildFrame(
-		nic.Ethernet{Dst: nic.MAC{2, 0, 0, 0, 0, 2}, Src: nic.MAC{2, 0, 0, 0, 0, 1}},
-		nic.IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")},
-		40001,
-		nic.InferencePort,
-		&Message{RequestID: 8, ModelID: 99, Payload: []byte{1, 2, 3}}, // unregistered model
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, verdict, herr := n.HandleFrame(frame)
-	if herr == nil {
-		t.Fatal("unknown model produced no error")
-	}
-	if verdict != VerdictInference || out == nil {
-		t.Fatalf("error response frame missing: verdict=%v out=%v", verdict, out)
-	}
-	parsed := nic.NewParser().Parse(out)
-	// The response targets the client's ephemeral port, so a parser sees a
-	// non-inference UDP frame; decode the message directly.
-	var eth nic.Ethernet
-	if err := eth.DecodeFromBytes(out); err != nil {
-		t.Fatal(err)
-	}
-	var ip nic.IPv4
-	if err := ip.DecodeFromBytes(eth.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	var udp nic.UDP
-	if err := udp.DecodeFromBytes(ip.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	if udp.DstPort != 40001 {
-		t.Errorf("error response port = %d, want 40001 (parser verdict %v)", udp.DstPort, parsed.Verdict)
-	}
-	var reply Message
-	if err := reply.Decode(udp.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	if !reply.IsResponse() || !reply.IsError() {
-		t.Errorf("error response flags = %#x", reply.Flags)
-	}
-	if reply.RequestID != 8 {
-		t.Errorf("error response id = %d", reply.RequestID)
-	}
 }
 
 // TestNICReassemblyExpiry drives TTL eviction through the NIC: a fragmented
@@ -300,7 +186,7 @@ func TestServeUDPWorkersQueueFullFragmentedExactlyOnce(t *testing.T) {
 			t.Fatalf("query did not fragment: %d messages", len(msgs))
 		}
 		for _, m := range msgs {
-			raw, err := m.Encode()
+			raw, err := m.AppendEncode(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,17 +2,17 @@
 // reconfigurable photonic-electronic smartNIC for fast and energy-efficient
 // inference (SIGCOMM 2023).
 //
-// The package wires the full receive-to-respond pipeline of Fig 5 together:
-// packets enter the parser, the DAG configuration loader reprograms the
-// count-action datapath for the requested model, operands stream through
-// DACs into the photonic vector dot-product core, results return through
-// preamble detection, the sign-reassembling adders and the non-linear units,
-// and a response packet leaves the NIC.
+// The package wires the receive-to-respond pipeline of Fig 5 together:
+// queries arrive as UDP datagrams on InferencePort (the kernel's socket
+// stands in for the NIC's parser stage), the DAG configuration loader
+// reprograms the count-action datapath for the requested model, operands
+// stream through DACs into the photonic vector dot-product core, results
+// return through preamble detection, the sign-reassembling adders and the
+// non-linear units, and a response datagram leaves the NIC.
 //
 // Construct a NIC, register quantized models under wire model IDs, then
-// either hand it raw Ethernet frames (HandleFrame), wire messages
-// (HandleMessage), or attach it to a UDP socket (ServeUDP) and query it with
-// a Client.
+// either hand it wire messages (HandleMessage) or attach it to a UDP socket
+// (ServeUDP) and query it with a Client.
 package lightning
 
 import (
@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,19 +53,10 @@ type (
 	AdmissionConfig = nic.AdmissionConfig
 	// AdmitPolicy is one model's admission-control override.
 	AdmitPolicy = nic.AdmitPolicy
-	// Verdict classifies a parsed frame.
-	Verdict = nic.Verdict
 	// ServeDrops counts per-reason losses at the serve path's edges.
 	ServeDrops = frontdoor.Stats
 	// SizeHist is a batch-size distribution snapshot (Metrics.Serve).
 	SizeHist = frontdoor.SizeHist
-)
-
-// Parser verdicts, re-exported.
-const (
-	VerdictInference = nic.VerdictInference
-	VerdictForward   = nic.VerdictForward
-	VerdictDrop      = nic.VerdictDrop
 )
 
 // InferencePort is the UDP port inference queries arrive on.
@@ -190,11 +180,9 @@ type shard struct {
 }
 
 // NIC is a Lightning smartNIC instance. All exported methods are safe for
-// concurrent use: frames, messages and metric scrapes may arrive from any
-// number of goroutines.
+// concurrent use: messages and metric scrapes may arrive from any number of
+// goroutines.
 type NIC struct {
-	parser     *nic.Parser
-	link       *nic.Link
 	reassembly *nic.Reassembler
 
 	store  *dagloader.Store
@@ -253,8 +241,6 @@ func (n *NIC) Cores() int { return len(n.shards) }
 type Metrics struct {
 	// Served counts completed inference responses.
 	Served uint64
-	// Parser holds frame classification counters.
-	Parser nic.ParserStats
 	// Reconfigurations counts count-action register reprogrammings.
 	Reconfigurations uint64
 	// PhotonicSteps, ComputeCycles and DatapathCycles aggregate the
@@ -266,10 +252,6 @@ type Metrics struct {
 	// DRAMFaultedReads counts loads failed by an injected read fault (the
 	// uncorrectable-error count a memory controller would report).
 	DRAMReads, DRAMReadBytes, DRAMFaultedReads uint64
-	// TxFrames and TxBytes count the response frames HandleFrame emits —
-	// the frame path only; the UDP serve loops' sends count in
-	// Serve.TxBatchSize and Serve.TxSyscalls.
-	TxFrames, TxBytes uint64
 	// PendingReassembly is the in-flight fragmented query count;
 	// ReassemblyDrops counts partial queries discarded under capacity
 	// or byte-budget pressure or fragment inconsistency;
@@ -301,12 +283,9 @@ type Metrics struct {
 func (n *NIC) Metrics() Metrics {
 	m := Metrics{
 		Served:             n.Served(),
-		Parser:             n.parser.Stats(),
 		DRAMReads:          n.store.DRAM.Reads(),
 		DRAMReadBytes:      n.store.DRAM.ReadBytes(),
 		DRAMFaultedReads:   n.store.DRAM.FaultedReads(),
-		TxFrames:           n.link.TxFrames(),
-		TxBytes:            n.link.TxBytes(),
 		PendingReassembly:  n.reassembly.Pending(),
 		ReassemblyDrops:    n.reassembly.Drops(),
 		ReassemblyExpired:  n.reassembly.Expired(),
@@ -339,8 +318,8 @@ func (n *NIC) Metrics() Metrics {
 }
 
 // New builds a NIC: calibrated photonic core(s), one datapath engine per
-// core, a shared DDR4 weight store, and a packet parser with flow tracking
-// and intrusion detection.
+// core, a shared DDR4 weight store, and the packet assembler and admission
+// stage of the UDP front end.
 func New(cfg Config) (*NIC, error) {
 	if cfg.Lanes <= 0 {
 		cfg.Lanes = 2
@@ -395,8 +374,6 @@ func New(cfg Config) (*NIC, error) {
 		cfg.Batch.MaxDelay = nic.DefaultBatchDelay
 	}
 	n := &NIC{
-		parser:         nic.NewParser(),
-		link:           nic.NewLink(),
 		reassembly:     nic.NewReassemblerTTL(256, ttl),
 		store:          store,
 		shards:         shards,
@@ -469,7 +446,7 @@ func (n *NIC) UpdateModel(id uint16, q *TrainedModel) error {
 // an Err-flagged response and ErrUnavailable rather than a silently wrong
 // result.
 func (n *NIC) HandleMessage(msg *Message) (*Response, error) {
-	return n.door.Handle(msg, netip.AddrPort{}, n.serveGroup)
+	return n.door.Handle(msg, n.serveGroup)
 }
 
 // ErrInstallDisabled rejects wire model installs on a NIC that was not
@@ -513,50 +490,3 @@ func (n *NIC) handleControl(modelID uint16, payload []byte, resp *Response) erro
 		return fail(fmt.Errorf("lightning: unknown control op %d", op))
 	}
 }
-
-// HandleFrame processes one raw Ethernet frame exactly as the datapath
-// would: parse, classify, and — for inference queries — serve and return the
-// response frame addressed by the exact reverse of the query's five-tuple
-// (in particular UDP src=InferencePort, dst=the requester's source port).
-// Forwarded frames return (nil, VerdictForward, nil): they go to the host
-// over PCIe. Datapath failures return the Err-flagged response frame
-// alongside the error — frame clients get the same error visibility UDP
-// clients do, not silence.
-func (n *NIC) HandleFrame(frame []byte) ([]byte, Verdict, error) {
-	parsed := n.parser.Parse(frame)
-	if parsed.Verdict != nic.VerdictInference {
-		return nil, parsed.Verdict, nil
-	}
-	// Fragments reassemble per flow: two hosts that both number a request 1
-	// keep their own buffers.
-	src := netip.AddrPortFrom(parsed.Flow.Src, parsed.Flow.SrcPort)
-	resp, herr := n.door.Handle(&parsed.Msg, src, n.serveGroup)
-	if resp == nil {
-		if herr != nil {
-			return nil, nic.VerdictDrop, herr
-		}
-		// A non-final fragment: absorbed by the packet assembler, no
-		// response yet.
-		return nil, nic.VerdictInference, nil
-	}
-	// Assemble the response frame back toward the requester.
-	var eth nic.Ethernet
-	if derr := eth.DecodeFromBytes(frame); derr != nil {
-		return nil, nic.VerdictDrop, derr
-	}
-	out, err := nic.BuildFrame(
-		nic.Ethernet{Dst: eth.Src, Src: eth.Dst},
-		nic.IPv4{Src: parsed.Flow.Dst, Dst: parsed.Flow.Src, TTL: 64},
-		nic.InferencePort,
-		parsed.Flow.SrcPort,
-		resp.ToMessage(),
-	)
-	if err != nil {
-		return nil, nic.VerdictDrop, err
-	}
-	n.link.Transmit(len(out))
-	return out, nic.VerdictInference, herr
-}
-
-// Stats exposes parser counters for monitoring.
-func (n *NIC) Stats() nic.ParserStats { return n.parser.Stats() }

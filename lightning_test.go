@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -81,71 +80,6 @@ func TestNICHandleMessageErrors(t *testing.T) {
 	}
 	if _, err := n.HandleMessage(&Message{Flags: nic.FlagResponse}); err == nil {
 		t.Error("response message accepted as query")
-	}
-}
-
-func TestNICHandleFrameRoundTrip(t *testing.T) {
-	q, test := trainedModel(t)
-	n, _ := New(Config{Lanes: 2, Noiseless: true, Seed: 9})
-	if err := n.RegisterModel(3, "anomaly", q); err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, len(test.Examples[0].X))
-	for j, c := range test.Examples[0].X {
-		payload[j] = byte(c)
-	}
-	frame, err := nic.BuildFrame(
-		nic.Ethernet{Dst: nic.MAC{2, 0, 0, 0, 0, 2}, Src: nic.MAC{2, 0, 0, 0, 0, 1}},
-		nic.IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")},
-		7777,
-		nic.InferencePort,
-		&Message{RequestID: 5, ModelID: 3, Payload: payload},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, verdict, err := n.HandleFrame(frame)
-	if err != nil || verdict != VerdictInference {
-		t.Fatalf("verdict=%v err=%v", verdict, err)
-	}
-	// The response frame must parse and address the original sender.
-	var eth nic.Ethernet
-	if err := eth.DecodeFromBytes(out); err != nil {
-		t.Fatal(err)
-	}
-	if eth.Dst != (nic.MAC{2, 0, 0, 0, 0, 1}) {
-		t.Errorf("response dst MAC = %v", eth.Dst)
-	}
-	var ip nic.IPv4
-	if err := ip.DecodeFromBytes(eth.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	if ip.Dst != netip.MustParseAddr("10.0.0.1") {
-		t.Errorf("response dst IP = %v", ip.Dst)
-	}
-	var udp nic.UDP
-	if err := udp.DecodeFromBytes(ip.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	// The reversed five-tuple: the response leaves InferencePort toward the
-	// client's ephemeral source port, not back to port 4055.
-	if udp.SrcPort != nic.InferencePort || udp.DstPort != 7777 {
-		t.Errorf("response ports = %d->%d, want %d->7777", udp.SrcPort, udp.DstPort, nic.InferencePort)
-	}
-	var reply Message
-	if err := reply.Decode(udp.Payload()); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := nic.ParseResponse(&reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.RequestID != 5 {
-		t.Errorf("response id = %d", resp.RequestID)
-	}
-	digital, _ := q.Infer(test.Examples[0].X)
-	if int(resp.Class) != digital {
-		t.Errorf("class = %d, digital reference = %d", resp.Class, digital)
 	}
 }
 
@@ -258,19 +192,6 @@ func TestNICMetrics(t *testing.T) {
 	}
 	if m.PendingReassembly != 0 {
 		t.Errorf("PendingReassembly = %d", m.PendingReassembly)
-	}
-}
-
-func TestNICForwardsRegularTraffic(t *testing.T) {
-	n, _ := New(DefaultConfig())
-	// A non-IPv4 frame is punted to the host.
-	eth := nic.Ethernet{EtherType: 0x0806} // ARP
-	out, verdict, err := n.HandleFrame(eth.AppendTo(nil, []byte{1}))
-	if err != nil || verdict != VerdictForward || out != nil {
-		t.Errorf("verdict=%v out=%v err=%v", verdict, out, err)
-	}
-	if n.Stats().Forwarded != 1 {
-		t.Errorf("stats = %+v", n.Stats())
 	}
 }
 

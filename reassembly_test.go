@@ -334,7 +334,7 @@ func TestReassemblerReadsClockOncePerBatch(t *testing.T) {
 	}
 	conn := &trainConn{closed: make(chan struct{}), written: make(chan []byte, 1)}
 	for _, m := range msgs {
-		d, err := m.Encode()
+		d, err := m.AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -137,7 +137,7 @@ func TestServeSteadyStateZeroAllocsPerQuery(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, m := range msgs {
-						d, err := m.Encode()
+						d, err := m.AppendEncode(nil)
 						if err != nil {
 							t.Fatal(err)
 						}

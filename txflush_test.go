@@ -167,7 +167,7 @@ func queries(t *testing.T, first uint32, k int) []sourced {
 	out := make([]sourced, k)
 	for i := range out {
 		id := first + uint32(i)
-		d, err := (&nic.Message{RequestID: id, ModelID: flushModel, Payload: halvesQuery(flushWidth, id%2 == 0)}).Encode()
+		d, err := (&nic.Message{RequestID: id, ModelID: flushModel, Payload: halvesQuery(flushWidth, id%2 == 0)}).AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

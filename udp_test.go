@@ -123,7 +123,7 @@ func TestClientInferOverlapsCallers(t *testing.T) {
 		}
 		for i := len(held) - 1; i >= 0; i-- {
 			q := held[i]
-			frame, err := (&Response{RequestID: q.id, ModelID: 1, Class: q.class}).ToMessage().Encode()
+			frame, err := (&Response{RequestID: q.id, ModelID: 1, Class: q.class}).ToMessage().AppendEncode(nil)
 			if err == nil {
 				_, err = pc.WriteTo(frame, q.from)
 			}

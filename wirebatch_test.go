@@ -143,7 +143,7 @@ func TestWireFallbackByteIdenticalResponses(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range frags {
-			raw, err := m.Encode()
+			raw, err := m.AppendEncode(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func TestWireOffloadDifferential(t *testing.T) {
 		}
 		var out [][]byte
 		for _, m := range msgs {
-			raw, err := m.Encode()
+			raw, err := m.AppendEncode(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -481,7 +481,7 @@ func TestServeWireMetrics(t *testing.T) {
 func FuzzCoalescedFrameDecode(f *testing.F) {
 	const width = 8
 	mustEncode := func(id uint32, modelID uint16, payload []byte) []byte {
-		raw, err := (&Message{RequestID: id, ModelID: modelID, Payload: payload}).Encode()
+		raw, err := (&Message{RequestID: id, ModelID: modelID, Payload: payload}).AppendEncode(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
