@@ -90,7 +90,8 @@ func (a *CrossCycleAdder) Dot(seg []fixed.Code, pos int) (sum fixed.Acc, treeCyc
 // table[i].pos of them under a positive sign, and its sum goes to out[i]. It
 // returns the compute cycles the dots charge — a cycle a readout of Lanes
 // samples, and the tree's for a dot that is not empty — and how many of the
-// payload's samples read MaxCode.
+// payload's samples read MaxCode: counted once, by Dot for the dots it sums
+// and a readout cycle at a time over the runs closedRun takes.
 //
 // A dot whose samples sum to at most AccMax at the gain even when every one
 // reads MaxCode reaches no rail: no sample clamps, and every lane and every
@@ -105,19 +106,21 @@ func (a *CrossCycleAdder) reassemble(out []fixed.Acc, payload []fixed.Code, tabl
 		readouts += uint64((c.parts + Lanes - 1) / Lanes)
 		live += uint64(b2i(c.parts > 0))
 	}
-	walked := payload
 	gain := int64(max(a.Gain, 1))
 	short := int(fixed.AccMax / (fixed.MaxCode * gain)) // the longest segment the closed form takes
 	fires := live
 	for i := 0; ; i++ {
 		k, rest := closedRun(out[i:], payload, table[i:], short, gain)
+		saturated += maxCodes(payload[:len(payload)-len(rest)])
 		i, payload = i+k, rest
 		if i == len(table) {
 			break
 		}
 		c := table[i]
 		a.SetPartialsPerDot(c.parts)
-		out[i], _, _ = a.Dot(payload[:c.parts], c.pos) // which fires the rule itself
+		var sat int
+		out[i], _, sat = a.Dot(payload[:c.parts], c.pos) // which fires the rule itself
+		saturated += uint64(sat)
 		fires--
 		payload = payload[c.parts:]
 	}
@@ -125,7 +128,7 @@ func (a *CrossCycleAdder) reassemble(out []fixed.Acc, payload []fixed.Code, tabl
 	if len(table) > 0 {
 		a.SetPartialsPerDot(table[len(table)-1].parts)
 	}
-	return readouts + live*uint64(TreeCycles(Lanes)), maxCodes(walked[:len(walked)-len(payload)])
+	return readouts + live*uint64(TreeCycles(Lanes)), saturated
 }
 
 // closedRun sums table's dots in closed form, each from the next parts

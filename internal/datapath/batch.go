@@ -1,6 +1,7 @@
 package datapath
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -197,6 +198,10 @@ func (e *Engine) locate(stream []fixed.Code, phase, total int, stats *LayerStats
 // one word at each cursor, which advances by its group's count. A row whose
 // first sign sits mid-byte reads its window across the bitmap's bytes.
 //
+// A row of wideRow elements or more takes partitionWide instead, picked once
+// a call: the same chunks where a row is mixed, bulk skips and copies where
+// it runs long.
+//
 // A dot's negative group is staged one row width past its start while its
 // positive count is unknown, and moved down onto the end of the positive
 // group once it is, a word at a time. The word stores reach up to seven
@@ -210,6 +215,9 @@ func partition(bW, bX []fixed.Code, w fixed.Row, n int, xs [][]fixed.Code, lanes
 		if len(x) != n {
 			panic(fmt.Sprintf("datapath: weight row length %d != activation length %d", n, len(x)))
 		}
+	}
+	if n >= wideRow {
+		return partitionWide(bW, bX, w, n, xs, lanes, bounds, rows, dots)
 	}
 	c, total, d := bounds[0], 0, 0
 	rows[0] = 0
@@ -316,6 +324,213 @@ func partition(bW, bX []fixed.Code, w fixed.Row, n int, xs [][]fixed.Code, lanes
 		rows[r] = total
 	}
 	return total
+}
+
+// wideRow is the narrowest row partition hands to partitionWide. Timed
+// interleaved against the chunk loop on a 2-vCPU x86-64 KVM guest
+// (EXPERIMENTS.md, *A wide row's sign partition*), the wide walk costs a
+// 64-wide row 11–12 %, is level on coin-flip rows from 128 wide on, the
+// shape trained layers have, and 6–12 % faster on rows with zero runs from
+// 256 on; a halves row, one dense run and one zero stretch, is level at
+// 1024 and 27 % faster at 4096. Below 1024 no served row has runs to gain
+// on: the anomaly MLP's 16- and 32-wide rows, wire_small's 64 and LeNet's
+// 784 keep the loop they were tuned on, and vision_frag's 150 528 takes the
+// wide walk.
+const wideRow = 1024
+
+// partitionWide is partition for rows of wideRow elements or more, with the
+// same output byte for byte. Each dot is walked by walkChunks, partition's
+// chunk walk, which hands the row back at a chunk of zero magnitudes or at a
+// dense positive chunk. A zero stretch is then skipped in 256-byte blocks
+// (zeroPrefix), and a dense run is extended as far as the magnitudes, the
+// activations and the sign window allow (denseLen) and moved with two
+// copies. The negative group moves down with two copies too.
+func partitionWide(bW, bX []fixed.Code, w fixed.Row, n int, xs [][]fixed.Code, lanes ceilDiv, bounds, rows []int, dots []dotCount) int {
+	c, total, d := bounds[0], 0, 0
+	rows[0] = 0
+	for r := 1; r < len(rows); r++ {
+		mags := w.Mags[(r-1)*n : r*n : r*n]
+		bit := w.Bit + (r-1)*n
+		signs, sh := w.Signs[bit>>3:], uint(bit&7)
+		for _, x := range xs {
+			x = x[:n]
+			pos, neg := c, c+n
+			for i := 0; ; {
+				var dense bool
+				i, pos, neg, dense = walkChunks(bW, bX, mags, x, signs, sh, i, pos, neg)
+				if i == n {
+					break
+				}
+				if !dense {
+					i += 32 + zeroPrefix(mags[i+32:])&^7
+					continue
+				}
+				k := denseLen(mags, x, signs, sh, i)
+				copy(bW[pos:pos+k], fixed.CodesOf(mags[i:i+k]))
+				copy(bX[pos:pos+k], x[i:i+k])
+				pos, i = pos+k, i+k
+			}
+			nn := neg - (c + n)
+			copy(bW[pos:pos+nn], bW[c+n:neg])
+			copy(bX[pos:pos+nn], bX[c+n:neg])
+			ps, ns := lanes.of(pos-c), lanes.of(nn)
+			c = pos + nn
+			bounds[2*d+1], bounds[2*d+2] = pos, c
+			dots[d] = dotCount{pos: ps, parts: ps + ns}
+			total += ps + ns
+			d++
+		}
+		rows[r] = total
+	}
+	return total
+}
+
+// walkChunks is partition's chunk walk over one (row, query) dot of a wide
+// row, from element i, a multiple of eight, with the dot's positive cursor
+// at pos and its negative stage's at neg. It returns where it stopped, the
+// cursors there, and whether it stopped at a dense all-positive chunk: it
+// stops at such a chunk or at a whole chunk of zero magnitudes, which
+// partitionWide moves past in bulk, or at the row's end, n, past the octets
+// after the last whole chunk and the elements after the last octet. A chunk loads its activations only once its magnitudes
+// are not all zero, and an octet with no live product is not compacted.
+// Its loop makes no call, so the walk's values stay in registers.
+func walkChunks(bW, bX []fixed.Code, mags []byte, x []fixed.Code, signs []byte, sh uint, i, pos, neg int) (int, int, int, bool) {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	n := len(mags)
+	x = x[:n]
+	for i+8 <= n {
+		end := i + 32
+		var sw uint32 // the signs of the octets [i, end), element i in bit 0
+		if end <= n {
+			m := mags[i:end:end]
+			m0, m1 := binary.LittleEndian.Uint64(m), binary.LittleEndian.Uint64(m[8:])
+			m2, m3 := binary.LittleEndian.Uint64(m[16:]), binary.LittleEndian.Uint64(m[24:])
+			if m0|m1|m2|m3 == 0 {
+				return i, pos, neg, false
+			}
+			xc := x[i:end:end]
+			x0, x1, x2, x3 := octet(xc[0:8]), octet(xc[8:16]), octet(xc[16:24]), octet(xc[24:32])
+			if x0|x1|x2|x3 == 0 {
+				i = end
+				continue
+			}
+			b := i >> 3
+			sw = binary.LittleEndian.Uint32(signs[b:]) >> sh
+			if sh != 0 {
+				sw |= uint32(signs[b+4]) << (32 - sh)
+			}
+			zero := (m0-ones)&^m0 | (m1-ones)&^m1 | (m2-ones)&^m2 | (m3-ones)&^m3 |
+				(x0-ones)&^x0 | (x1-ones)&^x1 | (x2-ones)&^x2 | (x3-ones)&^x3
+			if sw == 0 && zero&tops == 0 {
+				return i, pos, neg, true
+			}
+		} else {
+			end = n &^ 7
+			for k := uint(0); k < uint(end-i); k += 8 {
+				b := (i + int(k)) >> 3
+				sb := signs[b] >> sh
+				if sh != 0 {
+					sb |= signs[b+1] << (8 - sh)
+				}
+				sw |= uint32(sb) << k
+			}
+		}
+		for ; i < end; i, sw = i+8, sw>>8 {
+			mw := binary.LittleEndian.Uint64(mags[i:])
+			xw := octet(x[i : i+8 : i+8])
+			live := liveMask(mw, xw)
+			if live == 0 {
+				continue
+			}
+			pm, nm := live&^uint8(sw), live&uint8(sw)
+			cs := &compress[pm]
+			putOctet(bW[pos:pos+8:pos+8], cs.apply(mw))
+			putOctet(bX[pos:pos+8:pos+8], cs.apply(xw))
+			cs = &compress[nm]
+			putOctet(bW[neg:neg+8:neg+8], cs.apply(mw))
+			putOctet(bX[neg:neg+8:neg+8], cs.apply(xw))
+			pos += bits.OnesCount8(pm)
+			neg += bits.OnesCount8(nm)
+		}
+	}
+	for ; i < n; i++ {
+		m, xv := fixed.Code(mags[i]), x[i]
+		if m == 0 || xv == 0 {
+			continue
+		}
+		if b := int(sh) + i; signs[b>>3]>>(b&7)&1 != 0 {
+			bW[neg], bX[neg] = m, xv
+			neg++
+		} else {
+			bW[pos], bX[pos] = m, xv
+			pos++
+		}
+	}
+	return i, pos, neg, false
+}
+
+// denseLen returns how many elements from i, a multiple of eight whose chunk
+// is dense and all positive, stay so, in whole octets: up to the first zero
+// magnitude, zero activation or set sign bit. It looks in windows that
+// double from 256 elements, so a short run costs a short search.
+func denseLen(mags []byte, x []fixed.Code, signs []byte, sh uint, i int) int {
+	n, xb := len(mags), fixed.BytesOf(x)
+	end := i
+	for win := 256; end < n; win *= 2 {
+		lim := min(n, end+win)
+		stop := lim
+		if z := bytes.IndexByte(mags[end:stop], 0); z >= 0 {
+			stop = end + z
+		}
+		if z := bytes.IndexByte(xb[end:stop], 0); z >= 0 {
+			stop = end + z
+		}
+		stop = end + clearBits(signs, int(sh)+end, stop-end)
+		if end = stop; stop < lim {
+			break
+		}
+	}
+	return (end - i) &^ 7
+}
+
+// clearBits returns how many of the limit bits of signs from bit from on
+// (bit b in bit b&7 of byte b>>3) are clear before the first set one.
+func clearBits(signs []byte, from, limit int) int {
+	b, lo := from>>3, from&7
+	if s := signs[b] >> lo; s != 0 {
+		return min(bits.TrailingZeros8(s), limit)
+	}
+	k := 8 - lo
+	if k >= limit {
+		return limit
+	}
+	rest := signs[b+1 : b+1+(limit-k+7)/8]
+	z := zeroPrefix(rest)
+	if z == len(rest) {
+		return limit
+	}
+	return min(k+8*z+bits.TrailingZeros8(rest[z]), limit)
+}
+
+// zeroBlock is what zeroPrefix compares a stretch against, a block at a time.
+var zeroBlock [256]byte
+
+// zeroPrefix returns how many of b's leading bytes are zero: 256-byte blocks
+// at a time (bytes.Equal), then words, then bytes.
+func zeroPrefix(b []byte) int {
+	k := 0
+	for len(b)-k >= len(zeroBlock) && bytes.Equal(b[k:k+len(zeroBlock)], zeroBlock[:]) {
+		k += len(zeroBlock)
+	}
+	for ; len(b)-k >= 8; k += 8 {
+		if v := binary.LittleEndian.Uint64(b[k:]); v != 0 {
+			return k + bits.TrailingZeros64(v)/8
+		}
+	}
+	for k < len(b) && b[k] == 0 {
+		k++
+	}
+	return k
 }
 
 // ceilDiv divides by a core's lane count, rounding up, with one multiply in

@@ -49,7 +49,8 @@ func packedCase(seed uint64, rows, cols, q int) (fixed.Matrix, []fixed.Acc, [][]
 // per-element loop it replaced: same operands, same order, positive group and
 // negative group, no store outside the dot's region. It runs rows of
 // packed layers and the skip, move and compaction shapes at widths around
-// one and several chunks, each with its first sign at every bit of a byte.
+// one and several chunks and on both sides of wideRow, each with its first
+// sign at every bit of a byte, and the vision-width halves rows.
 func TestPartitionMatchesReference(t *testing.T) {
 	for _, cols := range []int{1, 5, 8, 13, 16, 37, 64, 100} {
 		const rows = 9 // with odd widths, rows start at every bit of a byte
@@ -63,12 +64,20 @@ func TestPartitionMatchesReference(t *testing.T) {
 			checkPartition(t, fmt.Sprintf("packed cols %d row %d", cols, j), row, m[j], xs[0], 0, 2)
 		}
 	}
-	for _, n := range []int{31, 32, 33, 63, 64, 65, 96, 257, 1000} {
+	for _, n := range []int{31, 32, 33, 63, 64, 65, 96, 257, 1000, wideRow - 1, wideRow, wideRow + 1, 4096} {
 		for _, r := range partitionRows(n, 3) {
 			for bit := 0; bit < 8; bit++ {
 				for _, at := range [][2]int{{0, 2}, {5, 3}, {n, 1}} { // pos, lanes
 					checkPartition(t, fmt.Sprintf("%s %d bit %d pos %d lanes %d", r.kind, n, bit, at[0], at[1]), rowAt(r.w, bit), r.w, r.x, at[0], at[1])
 				}
+			}
+		}
+	}
+	m, xs := halvesLayer(visionWidth, 2, 51)
+	for j, w := range m {
+		for qi, x := range xs {
+			for _, bit := range []int{0, 3} {
+				checkPartition(t, fmt.Sprintf("halves row %d query %d bit %d", j, qi, bit), rowAt(w, bit), w, x, 7, 2)
 			}
 		}
 	}

@@ -122,11 +122,62 @@ func partitionRows(n int, seed uint64) []partitionRow {
 	}
 }
 
+// TestPartitionWideRuns holds partitionWide's bulk moves to the per-element
+// loop where they start and stop: a dense positive run broken by a zero
+// magnitude, a zero activation or a set sign bit, in the first search
+// window, at its edges and past it, and in the row's last partial octet; a
+// dense run that ends only at the row's end; and zero-magnitude stretches
+// of 255, 256 and 257 bytes, on and off an octet boundary. Every row is
+// checked with its first sign at each of the 8 bits of a byte.
+func TestPartitionWideRuns(t *testing.T) {
+	dense := func(n int) partitionRow {
+		r := partitionRow{"dense", make([]fixed.Signed, n), make([]fixed.Code, n)}
+		for i := range r.w {
+			r.w[i], r.x[i] = fixed.Signed{Mag: fixed.Code(1 + i%255)}, fixed.Code(255-i%200)
+		}
+		return r
+	}
+	breaks := map[string]func(r partitionRow, i int){
+		"zero magnitude":  func(r partitionRow, i int) { r.w[i].Mag = 0 },
+		"zero activation": func(r partitionRow, i int) { r.x[i] = 0 },
+		"set sign":        func(r partitionRow, i int) { r.w[i].Neg = true },
+	}
+	var rows []partitionRow
+	for _, n := range []int{wideRow, 2045} {
+		rows = append(rows, dense(n))
+		for kind, brk := range breaks {
+			for _, at := range []int{32, 37, 255, 256, 257, 700, n - 9, n - 3, n - 1} {
+				r := dense(n)
+				r.kind = fmt.Sprintf("%s at %d", kind, at)
+				brk(r, at)
+				brk(r, min(n-1, at+300)) // and a second run after it
+				rows = append(rows, r)
+			}
+		}
+	}
+	for _, zeros := range []int{255, 256, 257} {
+		for _, at := range []int{0, 64, 67, 1021 - zeros} {
+			r := partitionRows(1100, uint64(zeros))[2]
+			r.kind = fmt.Sprintf("%d zero magnitudes at %d", zeros, at)
+			for i := at; i < at+zeros; i++ {
+				r.w[i].Mag = 0
+			}
+			rows = append(rows, r)
+		}
+	}
+	for _, r := range rows {
+		for bit := 0; bit < 8; bit++ {
+			checkPartition(t, fmt.Sprintf("%s, %d wide, bit %d", r.kind, len(r.w), bit), rowAt(r.w, bit), r.w, r.x, 3, 2)
+		}
+	}
+}
+
 // FuzzPartition checks partition against the per-element loop on arbitrary
 // magnitudes, activations and signs (cycled over the row), with the row's
-// first sign at any bit, the dot at any cursor and any lane count.
+// first sign at any bit, the dot at any cursor and any lane count. Two
+// seeds are wider than wideRow, so the fuzzer starts from the wide walk too.
 func FuzzPartition(f *testing.F) {
-	for _, n := range []int{40, 100} {
+	for _, n := range []int{40, 100, wideRow + 37} {
 		for _, r := range partitionRows(n, 5) {
 			row := rowAt(r.w, 0)
 			f.Add(row.Mags, codeBytes(r.x), row.Signs, uint8(3), uint16(n), uint8(1))
@@ -135,6 +186,11 @@ func FuzzPartition(f *testing.F) {
 	dark := bytes.Repeat([]byte{9}, 70) // a dense positive chunk but for one dark code in its last octet
 	dark[29] = 0
 	f.Add(bytes.Repeat([]byte{255}, 70), dark, []byte{0}, uint8(5), uint16(2), uint8(2))
+	halves := make([]byte, 2*wideRow) // a halves row: a dense positive run, then zero magnitudes
+	for i := range wideRow {
+		halves[i] = 255
+	}
+	f.Add(halves, bytes.Repeat([]byte{200}, 2*wideRow), []byte{0}, uint8(3), uint16(9), uint8(1))
 	f.Fuzz(func(t *testing.T, mags, acts, signs []byte, bit uint8, pos uint16, lanes uint8) {
 		n := min(len(mags), len(acts))
 		w, x := make([]fixed.Signed, n), make([]fixed.Code, n)
@@ -173,33 +229,45 @@ func coinFlipLayer(rows, cols, q int, seed uint64) (fixed.Matrix, [][]fixed.Code
 // BenchmarkPartition times partition alone over every (row, query) of a
 // layer, one call a layer as issueSpan makes it for a layer of one span: the
 // vision-width halves layer (dense positive runs, one dim half mostly dark)
-// and a 32×32 coin-flip-sign layer with half its activations zero, at batch
-// 1 and 8.
+// and the anomaly MLP's 32×32, 16×32 and 2×16 layers as coin-flip-sign
+// layers with half their activations zero, at batch 1 and 8; and at batch 1
+// LeNet's 300×784 first layer and an 8×4096 layer, coin flips both: the
+// widest row the narrow walk takes, and a mixed-sign row the wide walk takes
+// that has no run for it to move in bulk.
 func BenchmarkPartition(b *testing.B) {
 	type layer struct {
 		name string
 		m    fixed.Matrix
 		xs   [][]fixed.Code
 	}
+	var layers []layer
 	for _, q := range []int{1, 8} {
 		hm, hxs := halvesLayer(visionWidth, q, 51)
-		cm, cxs := coinFlipLayer(32, 32, q, 7)
-		for _, l := range []layer{{"halves", hm, hxs}, {"coinflip32", cm, cxs}} {
-			b.Run(fmt.Sprintf("%s/q%d", l.name, q), func(b *testing.B) {
-				rows, n := len(l.m), len(l.m[0])
-				p, err := fixed.View(l.m.Pack(), rows, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dots := rows * q
-				bW, bX := make([]fixed.Code, (dots+1)*n), make([]fixed.Code, (dots+1)*n)
-				bounds, rowSteps, table := make([]int, 2*dots+1), make([]int, rows+1), make([]dotCount, dots)
-				div := newCeilDiv(2)
-				b.ResetTimer()
-				for it := 0; it < b.N; it++ {
-					partition(bW, bX, p.Rows(0, rows), n, l.xs, div, bounds, rowSteps, table)
-				}
-			})
+		layers = append(layers, layer{fmt.Sprintf("halves/q%d", q), hm, hxs})
+		for _, d := range [][2]int{{32, 32}, {16, 32}, {2, 16}} {
+			m, xs := coinFlipLayer(d[0], d[1], q, 7)
+			layers = append(layers, layer{fmt.Sprintf("coinflip%dx%d/q%d", d[0], d[1], q), m, xs})
 		}
+	}
+	for _, d := range [][2]int{{300, 784}, {8, 4096}} {
+		m, xs := coinFlipLayer(d[0], d[1], 1, 7)
+		layers = append(layers, layer{fmt.Sprintf("coinflip%dx%d/q1", d[0], d[1]), m, xs})
+	}
+	for _, l := range layers {
+		b.Run(l.name, func(b *testing.B) {
+			rows, n := len(l.m), len(l.m[0])
+			p, err := fixed.View(l.m.Pack(), rows, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dots := rows * len(l.xs)
+			bW, bX := make([]fixed.Code, (dots+1)*n), make([]fixed.Code, (dots+1)*n)
+			bounds, rowSteps, table := make([]int, 2*dots+1), make([]int, rows+1), make([]dotCount, dots)
+			div := newCeilDiv(2)
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				partition(bW, bX, p.Rows(0, rows), n, l.xs, div, bounds, rowSteps, table)
+			}
+		})
 	}
 }

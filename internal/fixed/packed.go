@@ -160,8 +160,17 @@ func (p Packed) Matrix() Matrix {
 // arrives as bytes, a Code is one byte, and the engine only reads its input,
 // so the reassembled buffer is the operand, as the DRAM blob is for weights.
 // The view shares b's storage, length and capacity; it must not outlive b,
-// and b must not be written while the view is in use. This is the module's
-// one use of unsafe outside the socket layer.
+// and b must not be written while the view is in use. CodesOf and its
+// inverse BytesOf are the module's one use of unsafe outside the socket
+// layer.
 func CodesOf(b []byte) []Code {
 	return unsafe.Slice((*Code)(unsafe.SliceData(b)), cap(b))[:len(b)]
+}
+
+// BytesOf views codes as bytes without copying them, CodesOf the other way
+// round: what lets the engine hand activation codes to the bytes package's
+// vectorised search. The view shares c's storage, length and capacity, with
+// the same lifetime rule as CodesOf's.
+func BytesOf(c []Code) []byte {
+	return unsafe.Slice((*byte)(unsafe.SliceData(c)), cap(c))[:len(c)]
 }

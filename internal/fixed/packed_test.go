@@ -143,3 +143,40 @@ func TestCodesOfAliases(t *testing.T) {
 		t.Fatalf("CodesOf of an empty slice has %d codes", len(got))
 	}
 }
+
+// TestBytesOfAliases holds the Code→byte view to the same contract as
+// CodesOf: same storage both ways, same length and capacity, no allocation,
+// and the empty cases stay empty.
+func TestBytesOfAliases(t *testing.T) {
+	backing := []Code{1, 2, 3, 4, 5, 6, 7, 8}
+	c := backing[2:5]
+	b := BytesOf(c)
+	if len(b) != len(c) || cap(b) != cap(c) {
+		t.Fatalf("view is len %d cap %d over len %d cap %d", len(b), cap(b), len(c), cap(c))
+	}
+	for i := range c {
+		if b[i] != byte(c[i]) {
+			t.Fatalf("byte %d reads %d, code is %d", i, b[i], c[i])
+		}
+	}
+	c[1] = 200
+	if b[1] != 200 {
+		t.Fatal("a code write does not show through the view: it copied")
+	}
+	b[2] = 99
+	if backing[4] != 99 {
+		t.Fatal("a byte write does not land in the codes: it copied")
+	}
+	if got := b[:cap(b)][cap(b)-1]; got != 8 {
+		t.Fatalf("the view's spare capacity ends on %d, the backing array on 8", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { b = BytesOf(c) }); n != 0 {
+		t.Fatalf("BytesOf allocates %v times", n)
+	}
+	if got := BytesOf(nil); got != nil {
+		t.Fatalf("BytesOf(nil) = %v, want nil", got)
+	}
+	if got := BytesOf([]Code{}); len(got) != 0 {
+		t.Fatalf("BytesOf of an empty slice has %d bytes", len(got))
+	}
+}
