@@ -12,19 +12,24 @@ import (
 
 // The engine's one execution path. The layer, not the neuron, is the unit of
 // a burst: the streamer feeds the DACs continuously (§5.1) and the preamble
-// exists to find the ADC's phase at the head of a burst (§5.2). The unit the
-// host issues is a span of consecutive rows, as many as keep their step
-// bounds within fanOutSteps (spanRows): a small layer's rows are one span,
-// and a row too wide to share one is a span of its own. issueSpan
-// sign-partitions every (row, query) of a span into one operand buffer and
-// pushes the span through the photonic core in blocks of steps (rowpass.go),
-// one kernel call a block and one readout a row's part of a block,
-// digitizing onto the tail of the layer's one sample stream; after the last
-// span readBurst reads that stream once and reassembles every (row, query)
-// dot from it. A lone query is the batch of one, and a convolution the layer
-// whose rows are its kernels and whose batch is its im2col windows
-// (ExecuteConv); there is no other way to a dot product. What a layer pays
-// once for all its rows and all its queries:
+// exists to find the ADC's phase at the head of a burst (§5.2). The host
+// issues a layer's rows in order onto the burst (issueRows), by one of two
+// passes picked by row width. A row narrower than wideRow is issued straight
+// from bit masks (issueMasked): its sign and non-zero-magnitude masks are
+// taken once for all queries and each query's non-zero-activation mask once
+// for all rows, and the photonic kernel reads each sign group's live
+// operands from the DRAM row and the activation vector where they lie
+// (Core.ReadingsMaskedInto), a row's partials read out in one pass. A wider
+// row goes through the operand pass: issueSpan sign-partitions every (row,
+// query) of a span of such rows into one operand buffer and pushes the span
+// through the photonic core in blocks of steps (rowpass.go), one kernel
+// call a block and one readout a row's part of a block. Both digitize onto
+// the tail of the layer's one sample stream; after the last row readBurst
+// reads that stream once and reassembles every (row, query) dot from it. A
+// lone query is the batch of one, and a convolution the layer whose rows are
+// its kernels and whose batch is its im2col windows (ExecuteConv); there is
+// no other way to a dot product. What a layer pays once for all its rows and
+// all its queries:
 //
 //   - one preamble prefix, one readout phase, one preamble detection;
 //   - one count-action reconfiguration and one DRAM weight stream (see
@@ -44,9 +49,10 @@ import (
 // are framed into bursts; the core's per-step noise does not. Each row draws
 // from its own keyed stream (noiseKey: the engine's burst count and the
 // row's index), step s of the row at position s, so a row's noisy partials
-// do not depend on the order rows are issued in, on how they were grouped
-// into spans and blocks, on which goroutines ran its blocks, or on anything
-// — a health probe's Step, another row — that drew from the core in between.
+// do not depend on the order rows are issued in, on which pass issued them,
+// on how they were grouped into spans and blocks, on which goroutines ran
+// its blocks, or on anything — a health probe's Step, another row — that
+// drew from the core in between.
 
 // noiseKey names the noise stream of one row of the engine's burst'th layer
 // burst: distinct for every (burst, row) below 2^32 rows.
@@ -57,24 +63,26 @@ func noiseKey(burst uint64, row int) uint64 { return burst<<32 | uint64(uint32(r
 // fanOutSteps, and at least one. A query's two sign groups each round up to
 // a step, so a row takes at most q·⌊(n+2·lanes−2)/lanes⌋ steps —
 // q·⌈(n+1)/2⌉ on two lanes — and a row wider than fanOutSteps allows is a
-// span of its own, with the blocks and fan-out it had as a row.
+// span of its own, with the blocks and fan-out it had as a row. Only rows of
+// wideRow elements or more are issued in spans: on two lanes a span holds
+// at most 16/q of them, and from batch 16 on each row is a span.
 func spanRows(n, q, lanes int) int {
 	return max(1, fanOutSteps/max(1, q*((n+2*lanes-2)/lanes)))
 }
 
-// issueSpan issues the dot products W_j·x_q of rows [lo, hi) of w — a span —
-// for every query q in the batch onto the layer's burst. The span's rows are
-// read in DRAM wire layout straight from the view (magnitude bytes plus the
-// packed sign bitmap); activations are non-negative codes. One partition
-// call groups every (row, query) by weight sign so that every photonic
-// accumulation step carries a single sign, which the cross-cycle
-// adder-subtractor applies when reassembling (§5.3, Appendix C), into one
-// flat operand buffer, row-major then query order, with a count-table entry
-// per (row, query) in that order. The span's partials are digitized a block
-// at a time (rowpass.go) into the samples it reserves on the burst — the
-// first live span opens the burst, at an arbitrary phase behind the preamble
-// prefix. A wide span's blocks may be run by helper goroutines; the span is
-// theirs only until issueSpan returns.
+// issueSpan issues the dot products W_j·x_q of rows [lo, hi) of w — a span
+// of rows at least wideRow wide — for every query q in the batch onto the
+// layer's burst. The span's rows are read in DRAM wire layout straight from
+// the view (magnitude bytes plus the packed sign bitmap); activations are
+// non-negative codes. One partitionWide call groups every (row, query) by
+// weight sign so that every photonic accumulation step carries a single
+// sign, which the cross-cycle adder-subtractor applies when reassembling
+// (§5.3, Appendix C), into one flat operand buffer, row-major then query
+// order, with a count-table entry per (row, query) in that order. The span's
+// partials are digitized a block at a time (rowpass.go) into the samples it
+// reserves on the burst — the first live span opens the burst, at an
+// arbitrary phase behind the preamble prefix. A wide span's blocks may be
+// run by helper goroutines; the span is theirs only until issueSpan returns.
 //
 // All working storage comes from the engine's scratch: after ensure has
 // grown the buffers to the span's geometry × batch size, the steady state
@@ -93,7 +101,7 @@ func (e *Engine) issueSpan(w fixed.Packed, lo, hi int, xs [][]fixed.Code, stats 
 	p.lanes = e.Core.NumLanes()
 	p.bounds, p.rows = s.bounds[:2*dots+1], s.rows[:hi-lo+1]
 	p.bounds[0] = 0
-	total := partition(s.bW, s.bX, w.Rows(lo, hi), n, xs, newCeilDiv(p.lanes), p.bounds, p.rows, s.counts[at:])
+	total := partitionWide(s.bW, s.bX, w.Rows(lo, hi), n, xs, newCeilDiv(p.lanes), p.bounds, p.rows, s.counts[at:])
 	stats.PhotonicSteps += uint64(total)
 	if total == 0 {
 		return
@@ -106,9 +114,7 @@ func (e *Engine) issueSpan(w fixed.Packed, lo, hi int, xs [][]fixed.Code, stats 
 	// drawing its noise at its own position in its row's stream, each block
 	// quantizing into its own stretch of the burst reserved here.
 	if len(s.stream) == 0 {
-		s.phase = e.ADC.RandomPhase()
-		s.stream = e.ADC.OpenBurst(s.stream, e.pre, s.phase)
-		e.Core.Rebake()
+		e.openBurst()
 	}
 	start := len(s.stream)
 	s.stream = e.ADC.Reserve(s.stream, total)
@@ -174,177 +180,223 @@ func (e *Engine) locate(stream []fixed.Code, phase, total int, stats *LayerStats
 	return payload
 }
 
-// partition sign-partitions a span: the len(rows)−1 rows of w, n elements
-// each with their magnitudes back to back (fixed.Packed.Rows), against
-// every activation vector in xs, into the flat operand buffers bW/bX,
-// row-major then query order. Dot d — row d/q, query d%q — lays its
-// products under a positive weight from bounds[2d] on and those under a
-// negative weight right after them, both in element order, and takes one
-// entry of each table: bounds[2d+1] and bounds[2d+2] end its two groups,
-// dots[d] counts their steps (⌈group/lanes⌉ each), and rows[r] is the span
-// step row r begins at. The caller sets bounds[0], where the first dot
-// starts; partition sets the rest and returns the span's step count, which
-// it also leaves in rows' last entry. Zero products are left out: they need
-// no analog step (sparse skip). A row's setup — its magnitudes and its sign
-// window — is done once for all its queries.
-//
-// A row is walked the way it sits in DRAM, 32 elements to four magnitude
-// words and a 32-bit sign window. A chunk whose magnitude words or whose
-// activations are all zero is skipped whole, and one with no zero product
-// under an all-positive window is moved as eight word stores. Any other
-// chunk, and the octets past the last whole one, go an octet at a time
-// through compaction: the octet's live products, split by sign, are
-// gathered to the low bytes of a word by the compress table and stored as
-// one word at each cursor, which advances by its group's count. A row whose
-// first sign sits mid-byte reads its window across the bitmap's bytes.
-//
-// A row of wideRow elements or more takes partitionWide instead, picked once
-// a call: the same chunks where a row is mixed, bulk skips and copies where
-// it runs long.
-//
-// A dot's negative group is staged one row width past its start while its
-// positive count is unknown, and moved down onto the end of the positive
-// group once it is, a word at a time. The word stores reach up to seven
-// bytes past a group's end, and every access stays inside the dot's region:
-// a dot starting at c reads and writes only [c, c+2n), which the buffers
-// must hold (ensure grants a span's dots one spare row width beyond their
-// n bytes each).
-func partition(bW, bX []fixed.Code, w fixed.Row, n int, xs [][]fixed.Code, lanes ceilDiv, bounds, rows []int, dots []dotCount) int {
-	const ones, tops = 0x0101010101010101, 0x8080808080808080
+// issueRows issues rows [lo, hi) of w for every query in xs onto the
+// layer's burst, by the pass the row width picks: issueMasked for rows
+// narrower than wideRow, spans of issueSpan for wider ones.
+func (e *Engine) issueRows(w fixed.Packed, lo, hi int, xs [][]fixed.Code, stats *LayerStats) {
+	_, n := w.Dims()
 	for _, x := range xs {
 		if len(x) != n {
 			panic(fmt.Sprintf("datapath: weight row length %d != activation length %d", n, len(x)))
 		}
 	}
-	if n >= wideRow {
-		return partitionWide(bW, bX, w, n, xs, lanes, bounds, rows, dots)
+	if n < wideRow {
+		e.issueMasked(w, lo, hi, xs, stats)
+		return
 	}
-	c, total, d := bounds[0], 0, 0
-	rows[0] = 0
-	for r := 1; r < len(rows); r++ {
-		mags := w.Mags[(r-1)*n : r*n : r*n]
-		bit := w.Bit + (r-1)*n
-		signs, sh := w.Signs[bit>>3:], uint(bit&7)
-		for _, x := range xs {
-			x = x[:n]
-			pos, neg := c, c+n
-			i := 0
-			for i+8 <= n {
-				end := i + 32
-				var sw uint32 // the signs of the octets [i, end), element i in bit 0
-				if end <= n {
-					m, xc := mags[i:end:end], x[i:end:end]
-					m0, m1 := binary.LittleEndian.Uint64(m), binary.LittleEndian.Uint64(m[8:])
-					m2, m3 := binary.LittleEndian.Uint64(m[16:]), binary.LittleEndian.Uint64(m[24:])
-					x0, x1, x2, x3 := octet(xc[0:8]), octet(xc[8:16]), octet(xc[16:24]), octet(xc[24:32])
-					if m0|m1|m2|m3 == 0 || x0|x1|x2|x3 == 0 {
-						i = end
-						continue
-					}
-					b := i >> 3
-					sw = binary.LittleEndian.Uint32(signs[b:]) >> sh
-					if sh != 0 {
-						sw |= uint32(signs[b+4]) << (32 - sh)
-					}
-					zero := (m0-ones)&^m0 | (m1-ones)&^m1 | (m2-ones)&^m2 | (m3-ones)&^m3 |
-						(x0-ones)&^x0 | (x1-ones)&^x1 | (x2-ones)&^x2 | (x3-ones)&^x3
-					if sw == 0 && zero&tops == 0 {
-						dw, dx := bW[pos:pos+32:pos+32], bX[pos:pos+32:pos+32]
-						putOctet(dw[0:8], m0)
-						putOctet(dw[8:16], m1)
-						putOctet(dw[16:24], m2)
-						putOctet(dw[24:32], m3)
-						putOctet(dx[0:8], x0)
-						putOctet(dx[8:16], x1)
-						putOctet(dx[16:24], x2)
-						putOctet(dx[24:32], x3)
-						pos += 32
-						i = end
-						continue
-					}
-				} else {
-					end = n &^ 7
-					for k := uint(0); k < uint(end-i); k += 8 {
-						b := (i + int(k)) >> 3
-						sb := signs[b] >> sh
-						if sh != 0 {
-							sb |= signs[b+1] << (8 - sh)
-						}
-						sw |= uint32(sb) << k
-					}
-				}
-				for ; i < end; i, sw = i+8, sw>>8 {
-					mw := binary.LittleEndian.Uint64(mags[i:])
-					xw := octet(x[i : i+8 : i+8])
-					live := liveMask(mw, xw)
-					pm, nm := live&^uint8(sw), live&uint8(sw)
-					cs := &compress[pm]
-					putOctet(bW[pos:pos+8:pos+8], cs.apply(mw))
-					putOctet(bX[pos:pos+8:pos+8], cs.apply(xw))
-					cs = &compress[nm]
-					putOctet(bW[neg:neg+8:neg+8], cs.apply(mw))
-					putOctet(bX[neg:neg+8:neg+8], cs.apply(xw))
-					pos += bits.OnesCount8(pm)
-					neg += bits.OnesCount8(nm)
-				}
-			}
-			for ; i < n; i++ {
-				m, xv := fixed.Code(mags[i]), x[i]
-				if m == 0 || xv == 0 {
-					continue
-				}
-				if b := int(sh) + i; signs[b>>3]>>(b&7)&1 != 0 {
-					bW[neg], bX[neg] = m, xv
-					neg++
-				} else {
-					bW[pos], bX[pos] = m, xv
-					pos++
-				}
-			}
-			// Move the negative group down from its stage, a word at a
-			// time while a whole word of the stage is left to read.
-			stage := c + n
-			nn := neg - stage
-			k := 0
-			for ; k < nn && k+8 <= n; k += 8 {
-				from, to := stage+k, pos+k
-				putOctet(bW[to:to+8:to+8], octet(bW[from:from+8:from+8]))
-				putOctet(bX[to:to+8:to+8], octet(bX[from:from+8:from+8]))
-			}
-			for ; k < nn; k++ {
-				bW[pos+k], bX[pos+k] = bW[stage+k], bX[stage+k]
-			}
-			ps, ns := lanes.of(pos-c), lanes.of(nn)
-			c = pos + nn
-			bounds[2*d+1], bounds[2*d+2] = pos, c
-			dots[d] = dotCount{pos: ps, parts: ps + ns}
-			total += ps + ns
-			d++
-		}
-		rows[r] = total
+	span := spanRows(n, len(xs), e.Core.NumLanes())
+	for r := lo; r < hi; r += span {
+		e.issueSpan(w, r, min(r+span, hi), xs, stats)
 	}
-	return total
 }
 
-// wideRow is the narrowest row partition hands to partitionWide. Timed
-// interleaved against the chunk loop on a 2-vCPU x86-64 KVM guest
-// (EXPERIMENTS.md, *A wide row's sign partition*), the wide walk costs a
-// 64-wide row 11–12 %, is level on coin-flip rows from 128 wide on, the
-// shape trained layers have, and 6–12 % faster on rows with zero runs from
-// 256 on; a halves row, one dense run and one zero stretch, is level at
-// 1024 and 27 % faster at 4096. Below 1024 no served row has runs to gain
-// on: the anomaly MLP's 16- and 32-wide rows, wire_small's 64 and LeNet's
-// 784 keep the loop they were tuned on, and vision_frag's 150 528 takes the
-// wide walk.
+// openBurst opens the layer's burst for its first live row, at a random
+// phase behind the preamble prefix, and re-bakes the core's tables for the
+// layer (Core.Rebake).
+func (e *Engine) openBurst() {
+	s := &e.scratch
+	s.phase = e.ADC.RandomPhase()
+	s.stream = e.ADC.OpenBurst(s.stream, e.pre, s.phase)
+	e.Core.Rebake()
+}
+
+// issueMasked issues rows [lo, hi) of w, narrower than wideRow, for every
+// query in xs onto the layer's burst, with no operand buffer: Lightning's
+// streamer feeds the DACs straight from DRAM and its adder applies signs
+// separated beforehand (§5.1, §5.3, Appendix C), and so does this pass. Each
+// query's non-zero activations are taken as a bit mask once for all the
+// rows. The layer's magnitudes are swept once into a bitmap of non-zero
+// bytes laid out like the sign bitmap, and each row's non-zero-magnitude and
+// sign masks are read out of the two as windows, once for all the queries.
+// A dot's two sign groups are ANDs of those masks, and their popcounts fill
+// its count-table entry. The kernel (Core.ReadingsMaskedInto) then reads
+// each group's live operands from the rows and the activation vectors where
+// they lie, a run of rows at a time whose steps reach a block's
+// (blockSteps), so their readings are still in L1 when one ReadoutAt a row
+// digitizes them at the row's place on the burst, under the row's key from
+// draw 0. The steps, their readings and draws, the burst's bytes and the
+// cursor left behind are the operand pass's (issueSpan) over the same rows.
+// A layer with a live product opens the burst.
+//
+// The masks and the readings live in the engine's scratch, grown the first
+// time a layer needs more; after that the pass allocates nothing.
+func (e *Engine) issueMasked(w fixed.Packed, lo, hi int, xs [][]fixed.Code, stats *LayerStats) {
+	_, n := w.Dims()
+	q, words, nr := len(xs), (n+63)/64, hi-lo
+	rows, s := w.Rows(lo, hi), &e.scratch
+	s.fitMasks(n, q, nr)
+	xm := s.masks[:q*words]
+	for qi, x := range xs {
+		nonZeroBits(s.nz, fixed.BytesOf(x))
+		bitWindow(xm[qi*words:(qi+1)*words], s.nz, 0, n)
+	}
+	nonZeroBits(s.nz, rows.Mags[:nr*n])
+	wm, sm := s.masks[q*words:(q+1)*words], s.masks[(q+1)*words:(q+2)*words]
+	per := 2 * q * words // a row's group masks: each query's positive group, then its negative one
+	gm := s.masks[(q+2)*words : (q+2)*words+nr*per]
+	lanes := newCeilDiv(e.Core.NumLanes())
+	at := len(s.counts)
+	s.counts = s.counts[:at+q*nr]
+	dots := s.counts[at:]
+	total, last, lastSteps := 0, 0, 0
+	for r, g := 0, gm; r < nr; r++ {
+		bitWindow(wm, s.nz, r*n, n)
+		bitWindow(sm, rows.Signs, rows.Bit+r*n, n)
+		steps, xk, dr := 0, xm, dots[r*q:(r+1)*q]
+		for qi := range dr {
+			pos, neg := 0, 0
+			for k, v := range wm {
+				live := v & xk[k]
+				p, ng := live&^sm[k], live&sm[k]
+				g[k], g[words+k] = p, ng
+				pos, neg = pos+bits.OnesCount64(p), neg+bits.OnesCount64(ng)
+			}
+			xk, g = xk[words:], g[2*words:]
+			ps, ns := lanes.of(pos), lanes.of(neg)
+			dr[qi] = dotCount{pos: ps, parts: ps + ns}
+			steps += ps + ns
+		}
+		if steps > 0 {
+			total, last, lastSteps = total+steps, r, steps
+		}
+	}
+	stats.PhotonicSteps += uint64(total)
+	if total == 0 {
+		return
+	}
+	if len(s.stream) == 0 {
+		e.openBurst()
+	}
+	start := len(s.stream)
+	s.stream = e.ADC.Reserve(s.stream, total)
+	out := s.stream[start:]
+	for r := 0; r < nr; {
+		r0, steps := r, 0
+		for ; r < nr && steps < blockSteps; r++ {
+			steps += rowSteps(dots[r*q : (r+1)*q])
+		}
+		if len(s.block.parts) < steps {
+			s.block.parts = make([]float64, steps)
+		}
+		parts := s.block.parts[:steps]
+		e.Core.ReadingsMaskedInto(parts, fixed.CodesOf(rows.Mags[r0*n:r*n]), n, xs, gm[r0*per:r*per], words)
+		for j := r0; j < r; j++ {
+			if k := rowSteps(dots[j*q : (j+1)*q]); k > 0 {
+				e.Core.ReadoutAt(out[:k], parts[:k], noiseKey(e.bursts, lo+j), 0)
+				out, parts = out[k:], parts[k:]
+			}
+		}
+	}
+	// Count the steps and leave the cursor where a pass from it would
+	// stand, at the end of the last row with a live product.
+	e.Core.Steps += uint64(total)
+	e.Core.SeekNoiseAt(noiseKey(e.bursts, lo+last), uint64(lastSteps))
+}
+
+// rowSteps returns the steps of a row's dots.
+func rowSteps(dots []dotCount) int {
+	k := 0
+	for _, d := range dots {
+		k += d.parts
+	}
+	return k
+}
+
+// nonZeroBits sets bit i of bm — bit i&7 of byte i>>3, the sign bitmap's
+// layout — when b[i] is not zero and clears it when it is, for every i below
+// len(b), eight bytes a step.
+func nonZeroBits(bm, b []byte) {
+	const lows, tops = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		v := binary.LittleEndian.Uint64(b[i:])
+		bm[i>>3] = topBits((v&lows + lows | v) & tops)
+	}
+	if i < len(b) {
+		var t byte
+		for k, c := range b[i:] {
+			if c != 0 {
+				t |= 1 << k
+			}
+		}
+		bm[i>>3] = t
+	}
+}
+
+// bitWindow sets bit i of m — bit i%64 of word i/64 — to bit from+i of bm
+// (bit b in bit b&7 of byte b>>3), for every i below n, and clears m's other
+// bits. A word reads eight bytes at once, and the ninth it needs when the
+// window starts mid-byte, where the bitmap has them.
+func bitWindow(m []uint64, bm []byte, from, n int) {
+	sh := uint(from & 7)
+	for k := range m {
+		b := from>>3 + 8*k
+		var v uint64
+		if b+8 <= len(bm) {
+			v = binary.LittleEndian.Uint64(bm[b:]) >> sh
+			if sh != 0 && b+8 < len(bm) {
+				v |= uint64(bm[b+8]) << (64 - sh)
+			}
+		} else {
+			v = uint64(bm[b]) >> sh
+			for j := 1; j < 8 && b+j < len(bm); j++ {
+				v |= uint64(bm[b+j]) << (8*uint(j) - sh)
+			}
+		}
+		if rest := n - 64*k; rest < 64 {
+			v &= 1<<rest - 1
+		}
+		m[k] = v
+	}
+}
+
+// wideRow is the narrowest row issued through the operand pass (issueSpan,
+// partitionWide); narrower rows take the masked pass (issueMasked). The
+// masked pass reads each live operand where it lies, a set bit at a time:
+// on the coin-flip rows trained layers have it is faster than gathering
+// them first, from the anomaly MLP's 16 and 32 elements to LeNet's 784
+// (EXPERIMENTS.md, *Narrow rows issued straight from bit masks*). A wide row
+// keeps what only the operand pass has: zero stretches skipped and dense
+// runs moved in bulk (vision_frag's halves rows), and blocks fanned out to
+// helpers.
 const wideRow = 1024
 
-// partitionWide is partition for rows of wideRow elements or more, with the
-// same output byte for byte. Each dot is walked by walkChunks, partition's
-// chunk walk, which hands the row back at a chunk of zero magnitudes or at a
-// dense positive chunk. A zero stretch is then skipped in 256-byte blocks
-// (zeroPrefix), and a dense run is extended as far as the magnitudes, the
-// activations and the sign window allow (denseLen) and moved with two
-// copies. The negative group moves down with two copies too.
+// partitionWide sign-partitions a span: the len(rows)−1 rows of w, n
+// elements each with their magnitudes back to back (fixed.Packed.Rows),
+// against every activation vector in xs, into the flat operand buffers
+// bW/bX, row-major then query order. Dot d — row d/q, query d%q — lays its
+// products under a positive weight from bounds[2d] on and those under a
+// negative weight right after them, both in element order, and takes one
+// entry of each table: bounds[2d+1] and bounds[2d+2] end its two groups,
+// dots[d] counts their steps (⌈group/lanes⌉ each), and rows[r] is the span
+// step row r begins at. The caller sets bounds[0], where the first dot
+// starts; partitionWide sets the rest and returns the span's step count,
+// which it also leaves in rows' last entry. Zero products are left out:
+// they need no analog step (sparse skip). A row's setup — its magnitudes
+// and its sign window — is done once for all its queries.
+//
+// Each dot is walked by walkChunks, which hands the row back at a chunk of
+// zero magnitudes or at a dense positive chunk. A zero stretch is then
+// skipped in 256-byte blocks (zeroPrefix), and a dense run is extended as
+// far as the magnitudes, the activations and the sign window allow
+// (denseLen) and moved with two copies. A dot's negative group is staged
+// one row width past its start while its positive count is unknown, and
+// moved down onto the end of the positive group with two copies once it
+// is. The walk's word stores reach up to seven bytes past a group's end,
+// and every access stays inside the dot's region: a dot starting at c reads
+// and writes only [c, c+2n), which the buffers must hold (ensure grants a
+// span's dots one spare row width beyond their n bytes each). It takes a
+// row of any width; the engine hands it rows of wideRow or more.
 func partitionWide(bW, bX []fixed.Code, w fixed.Row, n int, xs [][]fixed.Code, lanes ceilDiv, bounds, rows []int, dots []dotCount) int {
 	c, total, d := bounds[0], 0, 0
 	rows[0] = 0
@@ -385,15 +437,23 @@ func partitionWide(bW, bX []fixed.Code, w fixed.Row, n int, xs [][]fixed.Code, l
 	return total
 }
 
-// walkChunks is partition's chunk walk over one (row, query) dot of a wide
-// row, from element i, a multiple of eight, with the dot's positive cursor
-// at pos and its negative stage's at neg. It returns where it stopped, the
-// cursors there, and whether it stopped at a dense all-positive chunk: it
-// stops at such a chunk or at a whole chunk of zero magnitudes, which
-// partitionWide moves past in bulk, or at the row's end, n, past the octets
-// after the last whole chunk and the elements after the last octet. A chunk loads its activations only once its magnitudes
-// are not all zero, and an octet with no live product is not compacted.
-// Its loop makes no call, so the walk's values stay in registers.
+// walkChunks is partitionWide's walk over one (row, query) dot, from
+// element i, a multiple of eight, with the dot's positive cursor at pos and
+// its negative stage's at neg. It walks the row as it sits in DRAM, 32
+// elements to four magnitude words and a 32-bit sign window; a row whose
+// first sign sits mid-byte reads its window across the bitmap's bytes. A
+// chunk loads its activations only once its magnitudes are not all zero, and
+// one whose activations are all zero is skipped whole. Any other chunk, and
+// the octets past the last whole one, go an octet at a time through
+// compaction: the octet's live products, split by sign, are gathered to the
+// low bytes of a word by the compress table and stored as one word at each
+// cursor, which advances by its group's count; an octet with no live product
+// is not compacted. It returns where it stopped, the cursors there, and
+// whether it stopped at a dense all-positive chunk: it stops at such a chunk
+// or at a whole chunk of zero magnitudes, which partitionWide moves past in
+// bulk, or at the row's end, n, past the octets after the last whole chunk
+// and the elements after the last octet. Its loop makes no call, so the
+// walk's values stay in registers.
 func walkChunks(bW, bX []fixed.Code, mags []byte, x []fixed.Code, signs []byte, sh uint, i, pos, neg int) (int, int, int, bool) {
 	const ones, tops = 0x0101010101010101, 0x8080808080808080
 	n := len(mags)
@@ -647,8 +707,8 @@ type BatchFCResult struct {
 // one matrix-matrix pass: out_q[j] = act(Σ_i W[j][i]·x_q[i] + bias[j]).
 // The weights are taken in DRAM wire layout — a Packed view as it is, a
 // Matrix packed into engine scratch once a layer — and the rows are issued
-// onto the layer's one burst a span of them at a time (issueSpan), which is
-// read back once after the last span (readBurst).
+// onto the layer's one burst by the pass their width picks (issueRows),
+// which is read back once after the last row (readBurst).
 // The bias (in raw accumulator units) is added digitally after the
 // intra-cycle adder tree.
 // requantShift is the per-layer right-shift mapping 16-bit accumulators back
@@ -664,7 +724,7 @@ type BatchFCResult struct {
 func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs [][]fixed.Code, act Activation, requantShift uint) BatchFCResult {
 	var w fixed.Packed
 	w, e.scratch.packed = weights.PackInto(e.scratch.packed)
-	rows, n := w.Dims()
+	rows, _ := w.Dims()
 	q := len(xs)
 	perQuery, acc := e.scratch.layerOut(rows, q, act == ActSoftmax)
 	res := BatchFCResult{PerQuery: perQuery}
@@ -675,10 +735,7 @@ func (e *Engine) ExecuteFCBiasBatch(weights fixed.Weights, bias []fixed.Acc, xs 
 	// and stream setup (the 193 ns/layer of §9 at 253.44 MHz ≈ 49 cycles) —
 	// once per batch, not once per query.
 	res.Stats.DatapathCycles += PerLayerOverheadCycles
-	span := spanRows(n, q, e.Core.NumLanes())
-	for lo := 0; lo < rows; lo += span {
-		e.issueSpan(w, lo, min(lo+span, rows), xs, &res.Stats)
-	}
+	e.issueRows(w, 0, rows, xs, &res.Stats)
 	e.readBurst(acc, &res.Stats)
 	for j := 0; j < rows; j++ {
 		for qi, v := range acc[j*q : (j+1)*q] {

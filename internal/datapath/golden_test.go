@@ -265,7 +265,7 @@ func TestRowOrderIndependentNoise(t *testing.T) {
 		p := packedView(t, w...)
 		for _, j := range order {
 			at := len(e.scratch.stream)
-			e.issueSpan(p, j, j+1, xs, &stats)
+			e.issueRows(p, j, j+1, xs, &stats)
 			if at == 0 { // the row that opened the burst: skip the phase and preamble
 				at = e.scratch.phase + len(e.pre)
 			}

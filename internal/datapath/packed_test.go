@@ -45,14 +45,15 @@ func packedCase(seed uint64, rows, cols, q int) (fixed.Matrix, []fixed.Acc, [][]
 	return m, bias, xs
 }
 
-// TestPartitionMatchesReference holds the chunked partition to the
-// per-element loop it replaced: same operands, same order, positive group and
-// negative group, no store outside the dot's region. It runs rows of
-// packed layers and the skip, move and compaction shapes at widths around
-// one and several chunks and on both sides of wideRow, each with its first
-// sign at every bit of a byte, and the vision-width halves rows.
+// TestPartitionMatchesReference holds partitionWide, the operand pass's
+// walk, to the per-element loop it replaced: same operands, same order,
+// positive group and negative group, no store outside the dot's region. It
+// runs rows of packed layers and the skip, move and compaction shapes at
+// widths from wideRow up, each with its first sign at every bit of a byte,
+// and the vision-width halves rows. Narrower rows take the masked pass,
+// which FuzzMaskedMatchesOperandPass holds to this walk.
 func TestPartitionMatchesReference(t *testing.T) {
-	for _, cols := range []int{1, 5, 8, 13, 16, 37, 64, 100} {
+	for _, cols := range []int{wideRow, wideRow + 5, wideRow + 13} {
 		const rows = 9 // with odd widths, rows start at every bit of a byte
 		m, _, xs := packedCase(uint64(cols), rows, cols, 1)
 		p, err := fixed.View(m.Pack(), rows, cols)
@@ -64,7 +65,7 @@ func TestPartitionMatchesReference(t *testing.T) {
 			checkPartition(t, fmt.Sprintf("packed cols %d row %d", cols, j), row, m[j], xs[0], 0, 2)
 		}
 	}
-	for _, n := range []int{31, 32, 33, 63, 64, 65, 96, 257, 1000, wideRow - 1, wideRow, wideRow + 1, 4096} {
+	for _, n := range []int{wideRow, wideRow + 1, wideRow + 31, 2*wideRow + 33, 4096} {
 		for _, r := range partitionRows(n, 3) {
 			for bit := 0; bit < 8; bit++ {
 				for _, at := range [][2]int{{0, 2}, {5, 3}, {n, 1}} { // pos, lanes

@@ -10,8 +10,8 @@ import (
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
 
-// sentinel fills the operand buffers around the regions partition is granted,
-// so a word store that escapes them shows.
+// sentinel fills the operand buffers around the regions partitionWide is
+// granted, so a word store that escapes them shows.
 const sentinel = 0xa5
 
 // rowAt packs w's signs into a bitmap of just the bytes the row touches, its
@@ -55,7 +55,7 @@ func checkPartition(t *testing.T, name string, row fixed.Row, w []fixed.Signed, 
 	}
 	bW, bX := backW[:end], backX[:end]
 	bounds, rows, dots := []int{pos, -1, -1}, make([]int, 2), make([]dotCount, 1)
-	total := partition(bW, bX, row, n, [][]fixed.Code{x}, newCeilDiv(lanes), bounds, rows, dots)
+	total := partitionWide(bW, bX, row, n, [][]fixed.Code{x}, newCeilDiv(lanes), bounds, rows, dots)
 	if bounds[1]-pos != len(wantW[0]) || bounds[2]-bounds[1] != len(wantW[1]) {
 		t.Fatalf("%s: %d positive, %d negative operands; want %d, %d",
 			name, bounds[1]-pos, bounds[2]-bounds[1], len(wantW[0]), len(wantW[1]))
@@ -88,7 +88,7 @@ func codeBytes(c []fixed.Code) []byte {
 	return b
 }
 
-// partitionRow is one row shape partition has a path for.
+// partitionRow is one row shape partitionWide has a path for.
 type partitionRow struct {
 	kind string
 	w    []fixed.Signed
@@ -172,20 +172,22 @@ func TestPartitionWideRuns(t *testing.T) {
 	}
 }
 
-// FuzzPartition checks partition against the per-element loop on arbitrary
-// magnitudes, activations and signs (cycled over the row), with the row's
-// first sign at any bit, the dot at any cursor and any lane count. Two
-// seeds are wider than wideRow, so the fuzzer starts from the wide walk too.
+// FuzzPartition checks partitionWide against the per-element loop on
+// arbitrary magnitudes, activations and signs (cycled over the row), with
+// the row's first sign at any bit, the dot at any cursor and any lane count.
+// Its seeds are the rows the engine hands it, wideRow wide or more; narrow
+// rows take the masked pass, which FuzzMaskedMatchesOperandPass holds to
+// this walk.
 func FuzzPartition(f *testing.F) {
-	for _, n := range []int{40, 100, wideRow + 37} {
+	for _, n := range []int{wideRow + 3, wideRow + 100, wideRow + 37} {
 		for _, r := range partitionRows(n, 5) {
 			row := rowAt(r.w, 0)
 			f.Add(row.Mags, codeBytes(r.x), row.Signs, uint8(3), uint16(n), uint8(1))
 		}
 	}
-	dark := bytes.Repeat([]byte{9}, 70) // a dense positive chunk but for one dark code in its last octet
-	dark[29] = 0
-	f.Add(bytes.Repeat([]byte{255}, 70), dark, []byte{0}, uint8(5), uint16(2), uint8(2))
+	dark := bytes.Repeat([]byte{9}, wideRow+70) // a dense positive chunk but for one dark code in its last octet
+	dark[wideRow+29] = 0
+	f.Add(bytes.Repeat([]byte{255}, wideRow+70), dark, []byte{0}, uint8(5), uint16(2), uint8(2))
 	halves := make([]byte, 2*wideRow) // a halves row: a dense positive run, then zero magnitudes
 	for i := range wideRow {
 		halves[i] = 255
@@ -226,14 +228,12 @@ func coinFlipLayer(rows, cols, q int, seed uint64) (fixed.Matrix, [][]fixed.Code
 	return m, xs
 }
 
-// BenchmarkPartition times partition alone over every (row, query) of a
-// layer, one call a layer as issueSpan makes it for a layer of one span: the
-// vision-width halves layer (dense positive runs, one dim half mostly dark)
-// and the anomaly MLP's 32×32, 16×32 and 2×16 layers as coin-flip-sign
-// layers with half their activations zero, at batch 1 and 8; and at batch 1
-// LeNet's 300×784 first layer and an 8×4096 layer, coin flips both: the
-// widest row the narrow walk takes, and a mixed-sign row the wide walk takes
-// that has no run for it to move in bulk.
+// BenchmarkPartition times partitionWide alone over every (row, query) of
+// a layer, one call a layer as issueSpan makes it for a layer of one span:
+// the vision-width halves layer (dense positive runs, one dim half mostly
+// dark) at batch 1 and 8, and an 8×4096 coin-flip layer at batch 1, a
+// mixed-sign row with no run to move in bulk. Narrower rows take the masked
+// pass and have no partition (BenchmarkSmallLayers, BenchmarkRowWidth).
 func BenchmarkPartition(b *testing.B) {
 	type layer struct {
 		name string
@@ -244,15 +244,9 @@ func BenchmarkPartition(b *testing.B) {
 	for _, q := range []int{1, 8} {
 		hm, hxs := halvesLayer(visionWidth, q, 51)
 		layers = append(layers, layer{fmt.Sprintf("halves/q%d", q), hm, hxs})
-		for _, d := range [][2]int{{32, 32}, {16, 32}, {2, 16}} {
-			m, xs := coinFlipLayer(d[0], d[1], q, 7)
-			layers = append(layers, layer{fmt.Sprintf("coinflip%dx%d/q%d", d[0], d[1], q), m, xs})
-		}
 	}
-	for _, d := range [][2]int{{300, 784}, {8, 4096}} {
-		m, xs := coinFlipLayer(d[0], d[1], 1, 7)
-		layers = append(layers, layer{fmt.Sprintf("coinflip%dx%d/q1", d[0], d[1]), m, xs})
-	}
+	m, xs := coinFlipLayer(8, 4096, 1, 7)
+	layers = append(layers, layer{"coinflip8x4096/q1", m, xs})
 	for _, l := range layers {
 		b.Run(l.name, func(b *testing.B) {
 			rows, n := len(l.m), len(l.m[0])
@@ -266,7 +260,7 @@ func BenchmarkPartition(b *testing.B) {
 			div := newCeilDiv(2)
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
-				partition(bW, bX, p.Rows(0, rows), n, l.xs, div, bounds, rowSteps, table)
+				partitionWide(bW, bX, p.Rows(0, rows), n, l.xs, div, bounds, rowSteps, table)
 			}
 		})
 	}

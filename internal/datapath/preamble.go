@@ -219,7 +219,7 @@ func (d *Detector) Reset() {
 // levelMasks thresholds a frame once for all sixteen shifts: bit j of hi is
 // set where sample j reads H (≥ HighThreshold), bit j of lo where it reads L
 // (≤ LowThreshold). A sample between the thresholds sets neither. Each half
-// of the frame is one word, tested a byte at a time in partition's idiom:
+// of the frame is one word, tested a byte at a time in liveMask's idiom:
 // adding 0x80 − t to a byte's low seven bits carries into its top bit
 // exactly when they reach t. A byte reads H when its top bit and that carry
 // at t = HighThreshold − 0x80 are set, and L when neither is at

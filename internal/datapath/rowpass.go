@@ -29,13 +29,15 @@ import (
 // moved as the layer's burst opens (Core.Rebake), so a faulted core takes the
 // same pass as a healthy one, fan-out included.
 //
-// A span of fanOutSteps or more steps, with more than one P, is offered to
-// the process's helpers: the caller and whichever helpers take the offer
-// claim blocks from an atomic cursor until none are left. Only a row too
-// wide to share a span reaches that width, save a span whose every dot
-// meets its step bound (spanRows). Every other span — and every span of a
-// layer the engine runs serially — is the same blocks run inline by the
-// caller, with no atomic and no channel operation.
+// Only rows of wideRow elements or more are issued in spans; narrower ones
+// take the masked pass (issueMasked), which runs inline. A span of
+// fanOutSteps or more steps, with more than one P, is offered to the
+// process's helpers: the caller and whichever helpers take the offer claim
+// blocks from an atomic cursor until none are left. Only a row too wide to
+// share a span reaches that width, save a span whose every dot meets its
+// step bound (spanRows). Every other span — and every span of a layer the
+// engine runs serially — is the same blocks run inline by the caller, with
+// no atomic and no channel operation.
 
 const (
 	// blockSteps is the unit of work: 16 KB of partials, so a block's
@@ -49,8 +51,8 @@ const (
 	// the runtime has woken another (offer), and up to a block's wait at
 	// the end of the span; on a 2-vCPU KVM guest a 4096-step row ran
 	// ≈ 15 % slower fanned out and an 8192-step row ≈ 15–20 % faster. The
-	// MLP workloads' layers are one span each, of a few hundred to a few
-	// thousand steps, and never reach it.
+	// MLP workloads' rows, and every row narrower than wideRow at any
+	// batch, take the masked pass and never reach it.
 	fanOutSteps = 4 * blockSteps
 )
 

@@ -7,7 +7,7 @@ import (
 )
 
 // engineScratch is the engine's reusable working storage. Every slice
-// issueSpan and readBurst touch lives here and is resized — never
+// issueMasked, issueSpan and readBurst touch lives here and is resized — never
 // reallocated in steady state — so executing a layer performs zero
 // allocations once the buffers have grown to the layer's geometry × batch
 // size (see DESIGN.md §11).
@@ -21,6 +21,16 @@ import (
 // span, helper goroutines read that span's operands and write its stretch of
 // the stream through pass, and issueSpan returns only once they have let go.
 type engineScratch struct {
+	// masks holds the masked pass's bit masks (issueMasked), a word per 64
+	// elements each: every query's non-zero activations, then one row's
+	// non-zero magnitudes and its signs, then every row's sign groups, two
+	// a query. nz is the bitmap a mask of non-zero elements is read from:
+	// a query's activations, then the layer's magnitudes. A layer of
+	// narrow rows grows nothing else of the issue side but the block's
+	// readings, which hold a run of rows' steps.
+	masks []uint64
+	nz    []byte
+	// The operand pass's storage, which only rows of wideRow or more grow:
 	// bW/bX hold one span's sign-partitioned operands for every (row,
 	// query), flattened back to back in that order (positive group then
 	// negative group each), with one spare row width at the end where the
@@ -34,8 +44,9 @@ type engineScratch struct {
 	// (fixed.Weights.PackInto); a Packed view never touches it.
 	packed []byte
 	// block holds the readings and group bounds of the block the engine's
-	// goroutine is running (rowpass.go); pass is the span those blocks
-	// belong to. Helpers bring their own block storage.
+	// goroutine is running (rowpass.go), or a run of narrow rows'; pass
+	// is the span those blocks belong to. Helpers bring their own block
+	// storage.
 	block blockBuf
 	pass  spanPass
 
@@ -86,6 +97,21 @@ func (s *engineScratch) ensure(n, rows, q int) {
 		s.rows = make([]int, rows+1)
 	}
 	s.counts = slices.Grow(s.counts, dots)
+}
+
+// fitMasks is issueMasked's cold path: for rows rows of width n at batch q
+// it grows masks — q activation masks, a row's magnitude and sign masks, and
+// every row's 2q sign groups', a word per 64 elements each —, nz to the
+// bitmap of the rows' non-zero magnitudes, and the count table by rows·q
+// entries.
+func (s *engineScratch) fitMasks(n, q, rows int) {
+	if k := (q + 2 + 2*q*rows) * ((n + 63) / 64); cap(s.masks) < k {
+		s.masks = make([]uint64, k)
+	}
+	if k := (max(rows, 1)*n + 7) / 8; len(s.nz) < k {
+		s.nz = make([]byte, k)
+	}
+	s.counts = slices.Grow(s.counts, rows*q)
 }
 
 // beginLayer discards whatever burst a layer that panicked between issue and

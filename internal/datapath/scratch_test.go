@@ -12,12 +12,13 @@ import (
 
 // TestLayerBurstZeroSteadyStateAllocs guards the engine's layer routine, for
 // a lone query and for a full batch: once the scratch has grown to the layer
-// geometry × batch size (one warm-up layer), issuing the layer's spans and
-// reading their burst back through the full analog+digital pipeline — sign
-// partition, photonic pass, digitization behind the preamble, preamble
-// detection, cross-cycle reassembly, adder tree — must not allocate. The
-// wide case's rows are each a span long enough to be offered to helpers, at
-// two Ps or more, so dispatch and the wait for helpers are held to it too.
+// geometry × batch size (one warm-up layer), issuing the layer's rows and
+// reading their burst back through the full analog+digital pipeline — the
+// masked pass's masks and kernel, or the wide case's sign partition and
+// blocks, digitization behind the preamble, preamble detection, cross-cycle
+// reassembly, adder tree — must not allocate. The wide case's rows are each
+// a span long enough to be offered to helpers, at two Ps or more, so
+// dispatch and the wait for helpers are held to it too.
 func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -76,23 +77,20 @@ func TestLayerBurstZeroSteadyStateAllocs(t *testing.T) {
 }
 
 // oneRowLayer drives the burst stages for the smallest layer there is: one
-// row, a span of its own, issued onto an empty burst and read straight back.
+// row, issued onto an empty burst and read straight back.
 func oneRowLayer(e *Engine, w fixed.Packed, xs [][]fixed.Code, stats *LayerStats) fixed.Acc {
 	var out [1]fixed.Acc
 	e.scratch.beginLayer()
-	e.issueSpan(w, 0, 1, xs, stats)
+	e.issueRows(w, 0, 1, xs, stats)
 	e.readBurst(out[:], stats)
 	return out[0]
 }
 
-// issueLayer issues every row of w onto the engine's burst in the spans
-// ExecuteFCBiasBatch cuts.
+// issueLayer issues every row of w onto the engine's burst as
+// ExecuteFCBiasBatch does.
 func issueLayer(e *Engine, w fixed.Packed, xs [][]fixed.Code, stats *LayerStats) {
-	rows, n := w.Dims()
-	span := spanRows(n, len(xs), e.Core.NumLanes())
-	for lo := 0; lo < rows; lo += span {
-		e.issueSpan(w, lo, min(lo+span, rows), xs, stats)
-	}
+	rows, _ := w.Dims()
+	e.issueRows(w, 0, rows, xs, stats)
 }
 
 // packedView packs rows, equally wide, into a fresh wire-layout view.
@@ -149,8 +147,8 @@ func TestLayerStartsOnAnEmptyBurst(t *testing.T) {
 			}
 		}()
 		var stats LayerStats
-		e.issueSpan(packedView(t, weights[0]), 0, 1, xs, &stats)
-		e.issueSpan(packedView(t, make([]fixed.Signed, 32)), 0, 1, xs, &stats)
+		e.issueRows(packedView(t, weights[0]), 0, 1, xs, &stats)
+		e.issueRows(packedView(t, make([]fixed.Signed, 32)), 0, 1, xs, &stats)
 	}
 
 	fresh := newTestEngine(t, 2, false)

@@ -20,7 +20,7 @@ func issueRowRef(e *Engine, w fixed.Row, row int, xs [][]fixed.Code, stats *Laye
 	s := &e.scratch
 	bW, bX := make([]fixed.Code, (q+1)*n), make([]fixed.Code, (q+1)*n)
 	bounds, dots := make([]int, 2*q+1), make([]dotCount, q)
-	total := partition(bW, bX, w, n, xs, newCeilDiv(lanes), bounds, make([]int, 2), dots)
+	total := partitionWide(bW, bX, w, n, xs, newCeilDiv(lanes), bounds, make([]int, 2), dots)
 	s.counts = append(s.counts, dots...)
 	starts := groupStarts(make([]int, 2*q+1), dots)
 	stats.PhotonicSteps += uint64(total)
@@ -56,32 +56,45 @@ func issueRowRef(e *Engine, w fixed.Row, row int, xs [][]fixed.Code, stats *Laye
 	e.Core.SeekNoiseAt(key, uint64(total))
 }
 
-// traceLayer serves one layer's rows on e the way ExecuteFCBiasBatch does —
-// through the span pass in spans of span rows (the engine's own spanRows
-// when span is 0), or row by row through issueRowRef — and renders what it
-// left: the burst's bytes and the count table after the last row, the stats
-// and the core's step counter, the reassembled accumulators, and the next
-// draws from the core's noise cursor.
-func traceLayer(e *Engine, w fixed.Packed, xs [][]fixed.Code, span int, ref bool) string {
-	rows, n := w.Dims()
+// issueFunc issues every row of a layer onto an engine's open burst.
+type issueFunc func(e *Engine, w fixed.Packed, xs [][]fixed.Code, stats *LayerStats)
+
+// inSpans issues a layer through the operand pass in spans of span rows, the
+// engine's own spanRows when span is 0.
+func inSpans(span int) issueFunc {
+	return func(e *Engine, w fixed.Packed, xs [][]fixed.Code, stats *LayerStats) {
+		rows, n := w.Dims()
+		sp := span
+		if sp == 0 {
+			sp = spanRows(n, len(xs), e.Core.NumLanes())
+		}
+		for lo := 0; lo < rows; lo += sp {
+			e.issueSpan(w, lo, min(lo+sp, rows), xs, stats)
+		}
+	}
+}
+
+// perRowRef issues a layer row by row through issueRowRef.
+func perRowRef(e *Engine, w fixed.Packed, xs [][]fixed.Code, stats *LayerStats) {
+	rows, _ := w.Dims()
+	for j := 0; j < rows; j++ {
+		row, _ := w.Row(j, nil)
+		issueRowRef(e, row, j, xs, stats)
+	}
+}
+
+// traceLayer serves one layer's rows on e the way ExecuteFCBiasBatch does,
+// through issue, and renders what it left: the burst's bytes and the count
+// table after the last row, the stats and the core's step counter, the
+// reassembled accumulators, and the next draws from the core's noise cursor.
+func traceLayer(e *Engine, w fixed.Packed, xs [][]fixed.Code, issue issueFunc) string {
+	rows, _ := w.Dims()
 	s := &e.scratch
 	s.beginLayer()
 	e.armAdder()
 	e.bursts++
 	var stats LayerStats
-	if ref {
-		for j := 0; j < rows; j++ {
-			row, _ := w.Row(j, nil)
-			issueRowRef(e, row, j, xs, &stats)
-		}
-	} else {
-		if span == 0 {
-			span = spanRows(n, len(xs), e.Core.NumLanes())
-		}
-		for lo := 0; lo < rows; lo += span {
-			e.issueSpan(w, lo, min(lo+span, rows), xs, &stats)
-		}
-	}
+	issue(e, w, xs, &stats)
 	var b strings.Builder
 	fmt.Fprintf(&b, "burst %v\ncounts %v\n", s.stream, s.counts)
 	out := make([]fixed.Acc, rows*len(xs))
@@ -91,6 +104,18 @@ func traceLayer(e *Engine, w fixed.Packed, xs [][]fixed.Code, span int, ref bool
 		fmt.Fprintf(&b, " %v", e.Core.Step([]fixed.Code{200}, []fixed.Code{100}))
 	}
 	return b.String()
+}
+
+// firstDiff fails t with the first line where two traces differ.
+func firstDiff(t *testing.T, what, got, want, gotName, wantName string) {
+	t.Helper()
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: %s left\n%.600s\n%s\n%.600s", what, gotName, gl[i], wantName, wl[i])
+		}
+	}
+	t.Fatalf("%s: %s and %s left different traces", what, gotName, wantName)
 }
 
 // spanLayer draws a rows×cols layer and q queries whose rows and queries mix
@@ -138,18 +163,11 @@ func checkSpanMatchesPerRow(t *testing.T, m fixed.Matrix, xs [][]fixed.Code, lan
 		}
 	}
 	for layer, span := range spans {
-		got, want := traceLayer(twins[0], p, xs, span, false), traceLayer(twins[1], p, xs, 0, true)
-		if got == want {
-			continue
+		got, want := traceLayer(twins[0], p, xs, inSpans(span)), traceLayer(twins[1], p, xs, perRowRef)
+		if got != want {
+			firstDiff(t, fmt.Sprintf("layer %d (%d×%d, q=%d, %d lanes, spans of %d, stale %v)", layer, len(m), len(m[0]), len(xs), lanes, span, stale),
+				got, want, "the span pass", "the per-row loop")
 		}
-		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-		for i := range min(len(gl), len(wl)) {
-			if gl[i] != wl[i] {
-				t.Fatalf("layer %d (%d×%d, q=%d, %d lanes, spans of %d, stale %v): the span pass left\n%.600s\nthe per-row loop\n%.600s",
-					layer, len(m), len(m[0]), len(xs), lanes, span, stale, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("layer %d: the span pass and the per-row loop left different traces", layer)
 	}
 }
 

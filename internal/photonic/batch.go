@@ -1,6 +1,8 @@
 package photonic
 
 import (
+	"math/bits"
+
 	"github.com/lightning-smartnic/lightning/internal/converter"
 	"github.com/lightning-smartnic/lightning/internal/fixed"
 )
@@ -207,4 +209,192 @@ func (c *Core) stream2(dst []float64, a, b []fixed.Code, bounds []int) {
 			i++
 		}
 	}
+}
+
+// ReadingsMaskedInto writes the noiseless readings of rows' dot products
+// with a batch of activation vectors into dst, read where the operands lie
+// rather than from gathered buffers, and returns how many it wrote. a holds
+// the rows' weight operands back to back, n a row. Each row's dot with each
+// vector, in that order, has two sign groups, in masks after the previous
+// dot's, words words each: the g-th group of row r takes the operands
+// a[r·n+i] and xs[g/2][i] of the elements i whose bit is set in its words,
+// bit i%64 of word i/64. The groups are issued in order, each as
+// ReadingsGroupsInto issues a gathered group: its operands go through the
+// lanes in element order, NumLanes of them a step, its tail step its own,
+// so a group of k takes ⌈k/NumLanes⌉ steps and the readings are
+// bit-identical to those of the group gathered. The kernel is picked as pass
+// picks: masked2 on two live lanes — masked2Word for rows of at most 64
+// elements — and masked on any other core. Like ReadingsGroupsInto it only
+// reads the core, tables as they stand: the caller calls Rebake before it.
+func (c *Core) ReadingsMaskedInto(dst []float64, a []fixed.Code, n int, xs [][]fixed.Code, masks []uint64, words int) int {
+	if words == 0 || len(xs) == 0 {
+		return 0
+	}
+	if l := c.lanes; len(l) == 2 && !l[0].dead && !l[1].dead {
+		if words == 1 {
+			return c.masked2Word(dst, a, n, xs, masks)
+		}
+		return c.masked2(dst, a, n, xs, masks, words)
+	}
+	return c.masked(dst, a, n, xs, masks, words)
+}
+
+// masked is stream over masked operands: the same float operations in the
+// same order a step, on any lane count, a dead lane's operand taken and its
+// product left out. A group's operands are found a set bit at a time.
+func (c *Core) masked(dst []float64, a []fixed.Code, n int, xs [][]fixed.Code, masks []uint64, words int) int {
+	lanes := len(c.lanes)
+	dark, resp, darkPerLane := c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
+	span := c.spanPerLane * float64(max(c.FullScaleLanes, 1))
+	i := 0
+	for r := range len(masks) / (2 * len(xs) * words) {
+		row := a[r*n : (r+1)*n]
+		for _, x := range xs {
+			x = x[:n]
+			for range 2 {
+				t := 0 // operands in the step so far
+				var detected float64
+				for k, m := range masks[:words] {
+					for ; m != 0; m &= m - 1 {
+						j := k<<6 | bits.TrailingZeros64(m)
+						if l := c.lanes[t]; !l.dead {
+							detected += l.front[row[j]] * l.g2[x[j]] * l.tap2
+						}
+						if t++; t == lanes {
+							dst[i] = (dark + resp*detected - float64(lanes)*darkPerLane) / span * fixed.MaxCode
+							i, t, detected = i+1, 0, 0
+						}
+					}
+				}
+				if t > 0 {
+					dst[i] = (dark + resp*detected - float64(t)*darkPerLane) / span * fixed.MaxCode
+					i++
+				}
+				masks = masks[words:]
+			}
+		}
+	}
+	return i
+}
+
+// masked2 is stream2 over masked operands: a step takes a group's next two
+// set bits, the first lane 0's operand and the second lane 1's, with the
+// same float operations in the same order as stream2's, and a group whose
+// count is odd ends in one single-lane step. It takes a word's operands in
+// pairs counted off its popcount, so it branches on where a bit lies no
+// more than stream2 branches on a group's length, since the signs and zeros
+// of trained layers are a coin flip; a word whose count is odd leaves lane 0
+// of a step to the next word's first operand. Rows of one word take
+// masked2Word.
+func (c *Core) masked2(dst []float64, a []fixed.Code, n int, xs [][]fixed.Code, masks []uint64, words int) int {
+	l0, l1 := c.lanes[0], c.lanes[1]
+	f0, g20, t20 := &l0.front, &l0.g2, l0.tap2
+	f1, g21, t21 := &l1.front, &l1.g2, l1.tap2
+	dark, resp, darkPerLane := c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
+	span := c.spanPerLane * float64(max(c.FullScaleLanes, 1))
+	idle := 2 * darkPerLane
+	i := 0
+	for r := range len(masks) / (2 * len(xs) * words) {
+		row := a[r*n : (r+1)*n]
+		for _, x := range xs {
+			x = x[:n]
+			for range 2 {
+				var d float64 // lane 0's product of a step whose lane 1 is still to come
+				odd := false
+				for k, m := range masks[:words] {
+					wa, wx := row[k<<6:], x[k<<6:]
+					wx = wx[:len(wa)]
+					c := bits.OnesCount64(m)
+					if odd && c > 0 {
+						j := bits.TrailingZeros64(m)
+						m &= m - 1
+						d += f1[wa[j]] * g21[wx[j]] * t21
+						dst[i] = (dark + resp*d - idle) / span * fixed.MaxCode
+						i, c, odd = i+1, c-1, false
+					}
+					for ; c >= 2; c -= 2 {
+						j := bits.TrailingZeros64(m)
+						m &= m - 1
+						p := f0[wa[j]] * g20[wx[j]] * t20
+						j = bits.TrailingZeros64(m)
+						m &= m - 1
+						p += f1[wa[j]] * g21[wx[j]] * t21
+						dst[i] = (dark + resp*p - idle) / span * fixed.MaxCode
+						i++
+					}
+					if c == 1 {
+						j := bits.TrailingZeros64(m)
+						d, odd = f0[wa[j]]*g20[wx[j]]*t20, true
+					}
+				}
+				if odd {
+					dst[i] = (dark + resp*d - darkPerLane) / span * fixed.MaxCode
+					i++
+				}
+				masks = masks[words:]
+			}
+		}
+	}
+	return i
+}
+
+// masked2Word is masked2 for rows of at most 64 elements, whose groups are
+// one word each: with no word to carry a step into, a group is its pairs
+// and, when its count is odd, its tail step. Measured on the anomaly MLP's
+// 16- and 32-wide rows, the carry masked2 keeps costs a third again. A group
+// whose bits are one run of consecutive elements, such as the dense
+// positive half of a halves row, is read as stream2 reads a gathered group,
+// two consecutive operands a step, with no bit to find.
+func (c *Core) masked2Word(dst []float64, a []fixed.Code, n int, xs [][]fixed.Code, masks []uint64) int {
+	l0, l1 := c.lanes[0], c.lanes[1]
+	f0, g20, t20 := &l0.front, &l0.g2, l0.tap2
+	f1, g21, t21 := &l1.front, &l1.g2, l1.tap2
+	dark, resp, darkPerLane := c.pd.DarkLevel, c.pd.Responsivity, c.darkPerLane
+	span := c.spanPerLane * float64(max(c.FullScaleLanes, 1))
+	idle := 2 * darkPerLane
+	i := 0
+	for r := range len(masks) / (2 * len(xs)) {
+		row := a[r*n : (r+1)*n]
+		for _, x := range xs {
+			x = x[:n]
+			for _, m := range masks[:2] {
+				if m&(m+m&-m) == 0 && m != 0 { // one run
+					lo := bits.TrailingZeros64(m)
+					ra, rx := row[lo:lo+bits.OnesCount64(m)], x[lo:]
+					rx = rx[:len(ra)]
+					for k := 1; k < len(ra); k += 2 {
+						p := f0[ra[k-1]] * g20[rx[k-1]] * t20
+						p += f1[ra[k]] * g21[rx[k]] * t21
+						dst[i] = (dark + resp*p - idle) / span * fixed.MaxCode
+						i++
+					}
+					if len(ra)%2 == 1 {
+						k := len(ra) - 1
+						p := f0[ra[k]] * g20[rx[k]] * t20
+						dst[i] = (dark + resp*p - darkPerLane) / span * fixed.MaxCode
+						i++
+					}
+					continue
+				}
+				for c := bits.OnesCount64(m); c >= 2; c -= 2 {
+					j := bits.TrailingZeros64(m)
+					m &= m - 1
+					p := f0[row[j]] * g20[x[j]] * t20
+					j = bits.TrailingZeros64(m)
+					m &= m - 1
+					p += f1[row[j]] * g21[x[j]] * t21
+					dst[i] = (dark + resp*p - idle) / span * fixed.MaxCode
+					i++
+				}
+				if m != 0 {
+					j := bits.TrailingZeros64(m)
+					p := f0[row[j]] * g20[x[j]] * t20
+					dst[i] = (dark + resp*p - darkPerLane) / span * fixed.MaxCode
+					i++
+				}
+			}
+			masks = masks[2:]
+		}
+	}
+	return i
 }

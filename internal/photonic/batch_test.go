@@ -382,3 +382,111 @@ func FuzzTwoLaneKernel(f *testing.F) {
 		}
 	})
 }
+
+// TestMaskedKernelMatchesGathered holds the masked kernels to the gathered
+// pass bit for bit: rows' readings against a batch, read where the operands
+// lie (ReadingsMaskedInto), must be those ReadingsGroupsInto reads from the
+// same groups gathered into operand buffers, and as many. Rows are 1 to 1023
+// wide, over one word and several, one and three a call, with groups empty,
+// full, dense in runs across a word boundary and a coin flip per element; cores have one to
+// three lanes, a dead lane, a sagged carrier, each full scale and the
+// prototype's lanes, and a two-lane core is killed between two passes, so it
+// takes masked2 and then masked.
+func TestMaskedKernelMatchesGathered(t *testing.T) {
+	type variant struct {
+		name    string
+		lanes   int
+		dead    int // lane to kill, -1 for none
+		carrier float64
+		scale   int
+		proto   bool
+	}
+	variants := []variant{
+		{"1lane", 1, -1, 1, 1, false},
+		{"2lane", 2, -1, 1, 2, false},
+		{"2lane-proto", 2, -1, 1, 2, true},
+		{"2lane-sag-scale0", 2, -1, 0.8, 0, false},
+		{"2lane-dead0", 2, 0, 1, 2, false},
+		{"3lane", 3, -1, 1, 3, false},
+		{"3lane-dead1", 3, 1, 0.37, 1, false},
+	}
+	rng := rand.New(rand.NewPCG(29, 3))
+	// draw fills a group's mask over n elements: empty, full, a run from
+	// lo to hi, or each element with probability p/8.
+	draw := func(m []uint64, n int) {
+		clear(m)
+		kind, lo, hi := rng.IntN(5), rng.IntN(n+1), rng.IntN(n+1)
+		for i := 0; i < n; i++ {
+			if kind == 1 || kind == 2 && i >= min(lo, hi) && i < max(lo, hi) || kind >= 3 && rng.IntN(8) < 2*kind-3 {
+				m[i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	// check runs rows of every width on c, one and three rows a call.
+	check := func(c *Core, name string) {
+		lanes := c.NumLanes()
+		for _, n := range []int{1, 2, 7, 63, 64, 65, 127, 128, 200, 1023} {
+			for _, shape := range [][2]int{{1, 1}, {3, 2}} { // rows, queries
+				rows, q, words := shape[0], shape[1], (n+63)/64
+				a := make([]fixed.Code, rows*n)
+				for i := range a {
+					a[i] = fixed.Code(rng.IntN(256))
+				}
+				xs := make([][]fixed.Code, q)
+				for qi := range xs {
+					xs[qi] = make([]fixed.Code, n)
+					for i := range xs[qi] {
+						xs[qi][i] = fixed.Code(rng.IntN(256))
+					}
+				}
+				masks := make([]uint64, 2*rows*q*words)
+				var ga, gb []fixed.Code
+				bounds := []int{0}
+				for g := 0; g < 2*rows*q; g++ {
+					row, x, m := a[g/(2*q)*n:][:n], xs[g%(2*q)/2], masks[g*words:(g+1)*words]
+					draw(m, n)
+					for i := 0; i < n; i++ {
+						if m[i/64]>>(i%64)&1 != 0 {
+							ga, gb = append(ga, row[i]), append(gb, x[i])
+						}
+					}
+					bounds = append(bounds, len(ga))
+				}
+				steps := 0
+				for g := 1; g < len(bounds); g++ {
+					steps += (bounds[g] - bounds[g-1] + lanes - 1) / lanes
+				}
+				want, got := make([]float64, steps), make([]float64, steps+1)
+				c.ReadingsGroupsInto(want, ga, gb, bounds)
+				at := fmt.Sprintf("%s, %d wide, %d rows, q %d", name, n, rows, q)
+				if k := c.ReadingsMaskedInto(got, a, n, xs, masks, words); k != steps {
+					t.Fatalf("%s: %d readings, want %d", at, k, steps)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: reading %d: masked %v, gathered %v", at, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	for _, v := range variants {
+		c, err := NewCore(v.lanes, nil)
+		if v.proto {
+			c, err = NewPrototypeCore(3)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.dead >= 0 {
+			c.Lanes()[v.dead].Kill()
+		}
+		c.SetCarrierPower(v.carrier)
+		c.FullScaleLanes = v.scale
+		check(c, v.name)
+		if v.lanes == 2 && v.dead < 0 { // killed now: the next rows take masked, not masked2
+			c.Lanes()[1].Kill()
+			check(c, v.name+" killed")
+		}
+	}
+}
